@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-race check fuzz fuzzqe-smoke bench bench-smoke table1 examples clean
+.PHONY: all build vet lint test test-race check fuzz fuzzqe-smoke bench bench-check bench-smoke table1 examples clean
 
 all: build check
 
@@ -47,10 +47,11 @@ test-race:
 	$(GO) test -race ./...
 
 # Full gate: vet + wsqlint + the whole suite under the race detector + a
-# fuzz smoke. The concurrency tests (shared-pump server, concurrent Exec)
-# only bite with -race; wsqlint enforces the invariants the race detector
-# can only sample; the fuzz targets guard the parser and evaluator
-# crash-freedom contracts (corpus seeds live in testdata/fuzz/).
+# fuzz smoke + the nested benchmark module. The concurrency tests
+# (shared-pump server, concurrent Exec) only bite with -race; wsqlint
+# enforces the invariants the race detector can only sample; the fuzz
+# targets guard the parser and evaluator crash-freedom contracts (corpus
+# seeds live in testdata/fuzz/).
 check:
 	$(GO) vet ./...
 	$(MAKE) lint
@@ -58,6 +59,18 @@ check:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz FuzzEval -fuzztime 10s ./internal/expr
 	$(MAKE) fuzzqe-smoke
+	$(MAKE) bench-check
+
+# The repo's one benchmark (BENCHMARK.json, bench/README.md) is its own Go
+# module, so `go build/vet/test ./...` at the root never compile it, and it
+# calls straight into exec, async, core and plan: an executor refactor can
+# break the ledger unnoticed. Vet and test it from inside, then run every
+# workload for 2 s — exit code only; the program exits non-zero when a
+# timed answer misses its sync BatchSize-1 reference digest. The numbers a
+# 2 s run prints are not measurements (the ledger's run length is 10 s).
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	bash bench/run.sh --workload all --seconds 2
 
 # Longer fuzzing session for both targets.
 fuzz:

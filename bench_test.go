@@ -14,7 +14,7 @@
 // behavior (Figure 7's redundant-call hazard and cache fix, Figure 8's
 // join-as-selection rewrite). Ablation benchmarks cover the design knobs
 // the paper discusses: the ReqPump concurrency limit, the [HN96] result
-// cache, ReqSync full-buffering vs streaming, and percolation itself.
+// cache, and percolation itself.
 package repro
 
 import (
@@ -165,28 +165,6 @@ func BenchmarkConcurrencyLimit(b *testing.B) {
 		b.Run(fmt.Sprintf("limit=%d", limit), func(b *testing.B) {
 			env := newBenchEnv(b, harness.Options{MaxConcurrentCalls: limit, MaxCallsPerDest: limit})
 			q, _ := harness.Template(1, "computer", "")
-			env.DB.SetAsync(true)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := env.DB.QueryContext(context.Background(), q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- Ablation: ReqSync full-buffering vs streaming -------------------------
-
-func BenchmarkReqSyncBuffering(b *testing.B) {
-	for _, streaming := range []bool{false, true} {
-		name := "full-buffer"
-		if streaming {
-			name = "streaming"
-		}
-		b.Run(name, func(b *testing.B) {
-			env := newBenchEnv(b, harness.Options{StreamingReqSync: streaming})
-			q, _ := harness.Template(1, "beaches", "")
 			env.DB.SetAsync(true)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -17,7 +17,7 @@ type benchExecCell struct {
 	ElapsedMS  float64 `json:"elapsed_ms"`
 	RowsPerSec float64 `json:"rows_per_sec"`
 	// SpeedupVsB1 is this point's throughput relative to batch size 1
-	// (per-tuple dispatch through the adapter).
+	// (one protocol call per tuple).
 	SpeedupVsB1 float64 `json:"speedup_vs_batch1"`
 }
 

@@ -22,9 +22,8 @@ type AEVScan struct {
 	Out    *schema.Schema
 	Pump   *Pump
 
-	emitted bool
-	callID  types.CallID
-	args    []types.Value
+	// pending is the one placeholder tuple an Open leaves to be pulled.
+	pending []types.Tuple
 	// nCalls counts pump registrations across every Open of this instance,
 	// for the span trace (one registration per outer binding).
 	nCalls int64
@@ -49,114 +48,97 @@ func FromEVScan(ev *exec.EVScan, pump *Pump) *AEVScan {
 // Schema implements exec.Operator.
 func (s *AEVScan) Schema() *schema.Schema { return s.Out }
 
-// Open implements exec.Operator: it evaluates the call's parameters
-// against the current dependent-join bindings and registers the call with
-// the pump — without waiting.
-func (s *AEVScan) Open(ctx *exec.Context) error {
+// register is the one registration routine behind Open and BindBatch. It
+// evaluates the call's parameters against the current dependent-join
+// bindings, registers the call with the pump — without waiting — and
+// returns the tuple that stands for its result: argument values echoed,
+// call-supplied attributes as placeholders. "We always begin by assuming
+// that exactly one tuple joins, then 'patch' our results in ReqSync"
+// (Section 4.3). A non-nil byKey shares one pump call among the bindings
+// of a batch that have the same cache key.
+func (s *AEVScan) register(ctx *exec.Context, byKey map[string]types.CallID) (types.Tuple, error) {
 	if s.Pump == nil {
-		return fmt.Errorf("AEVScan %s: no request pump", s.Source.Name())
+		return nil, fmt.Errorf("AEVScan %s: no request pump", s.Source.Name())
 	}
 	args, err := exec.EvalArgs(s.Source.Name(), s.Inputs, ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.args = args
 	ctx.Stats.ExternalCalls++
 	s.nCalls++
 	src := s.Source
-	// Registering under the execution context ties the call's lifetime to
-	// the query: if the deadline expires while the call is still queued,
-	// the pump drops it without consuming a slot.
-	s.callID = s.Pump.RegisterCtx(ctx.Ctx, src.Destination(), src.CacheKey(args), func() ([]types.Tuple, error) {
-		return src.Call(args)
-	})
-	if obs.SampledTrace(ctx.Ctx) != nil {
-		s.tracedIDs = append(s.tracedIDs, s.callID)
+	key := src.CacheKey(args)
+	id, seen := byKey[key]
+	if !seen {
+		// Registering under the execution context ties the call's lifetime
+		// to the query: if the deadline expires while the call is still
+		// queued, the pump drops it without consuming a slot.
+		id = s.Pump.RegisterCtx(ctx.Ctx, src.Destination(), key, func() ([]types.Tuple, error) {
+			return src.Call(args)
+		})
+		if byKey != nil {
+			byKey[key] = id
+		}
+		if obs.SampledTrace(ctx.Ctx) != nil {
+			s.tracedIDs = append(s.tracedIDs, id)
+		}
 	}
-	s.emitted = false
+	numEcho := src.NumEcho()
+	t := make(types.Tuple, s.Out.Len())
+	for i := 0; i < numEcho && i < len(args); i++ {
+		t[i] = args[i]
+	}
+	for i := numEcho; i < s.Out.Len(); i++ {
+		t[i] = types.Placeholder(id, i-numEcho)
+	}
+	return t, nil
+}
+
+// Open implements exec.Operator: it registers the call for the current
+// bindings and leaves exactly one placeholder tuple to be pulled.
+func (s *AEVScan) Open(ctx *exec.Context) error {
+	t, err := s.register(ctx, nil)
+	if err != nil {
+		return err
+	}
+	s.pending = []types.Tuple{t}
 	return nil
 }
 
-// Next implements exec.Operator: it emits exactly one tuple — argument
-// values echoed, call-supplied attributes as placeholders — then ends.
-// "We always begin by assuming that exactly one tuple joins, then 'patch'
-// our results in ReqSync" (Section 4.3).
-func (s *AEVScan) Next(ctx *exec.Context) (types.Tuple, bool, error) {
-	if s.emitted {
-		return nil, false, nil
-	}
-	s.emitted = true
-	numEcho := s.Source.NumEcho()
-	t := make(types.Tuple, s.Out.Len())
-	for i := 0; i < numEcho && i < len(s.args); i++ {
-		t[i] = s.args[i]
-	}
-	for i := numEcho; i < s.Out.Len(); i++ {
-		t[i] = types.Placeholder(s.callID, i-numEcho)
-	}
-	return t, true, nil
+// NextBatch implements exec.Operator: the one tuple of this Open, then
+// end of stream.
+func (s *AEVScan) NextBatch(ctx *exec.Context, max int) (exec.Batch, bool, error) {
+	return exec.TakeBatch(&s.pending, max)
 }
 
 // BindBatch implements exec.BindingBatcher: it registers the external
 // calls for a whole batch of outer bindings in one round — when the pump
 // memoizes results, one Pump.RegisterCtx per *distinct* cache key in the
 // batch — so the pump sees the full request queue before the enclosing
-// ReqSync's first wait, instead of one call per dependent-join Next.
+// ReqSync's first wait, instead of one call per dependent-join binding.
 // Duplicate keys within the batch then share one CallID (the ReqSync
 // patches every waiting tuple of a call when it settles, so sharing is
 // transparent). Without a cache, every frame registers its own call:
 // duplicate bindings re-issuing duplicate requests is the paper's
 // Figure 7 behavior, and batching must not silently change it. Either
 // way the per-binding accounting (Stats.ExternalCalls, the trace's calls
-// counter) counts one logical call per frame, matching the per-tuple
+// counter) counts one logical call per frame, matching the per-binding
 // path.
 func (s *AEVScan) BindBatch(ctx *exec.Context, frames []map[schema.AttrID]types.Value) ([][]types.Tuple, bool, error) {
 	if len(frames) == 0 {
 		return nil, true, nil // capability probe
 	}
-	if s.Pump == nil {
-		return nil, false, fmt.Errorf("AEVScan %s: no request pump", s.Source.Name())
-	}
-	rows := make([][]types.Tuple, len(frames))
 	var byKey map[string]types.CallID
-	if s.Pump.HasCache() {
+	if s.Pump != nil && s.Pump.HasCache() {
 		byKey = make(map[string]types.CallID, len(frames))
 	}
-	sampled := obs.SampledTrace(ctx.Ctx) != nil
-	numEcho := s.Source.NumEcho()
+	rows := make([][]types.Tuple, len(frames))
 	for fi, frame := range frames {
 		ctx.Env.PushFrame(frame)
-		args, err := exec.EvalArgs(s.Source.Name(), s.Inputs, ctx)
+		t, err := s.register(ctx, byKey)
 		ctx.Env.PopFrame()
 		if err != nil {
 			return nil, false, err
-		}
-		ctx.Stats.ExternalCalls++
-		s.nCalls++
-		key := s.Source.CacheKey(args)
-		id, seen := types.CallID(0), false
-		if byKey != nil {
-			id, seen = byKey[key]
-		}
-		if !seen {
-			src := s.Source
-			callArgs := args
-			id = s.Pump.RegisterCtx(ctx.Ctx, src.Destination(), key, func() ([]types.Tuple, error) {
-				return src.Call(callArgs)
-			})
-			if byKey != nil {
-				byKey[key] = id
-			}
-			if sampled {
-				s.tracedIDs = append(s.tracedIDs, id)
-			}
-		}
-		t := make(types.Tuple, s.Out.Len())
-		for i := 0; i < numEcho && i < len(args); i++ {
-			t[i] = args[i]
-		}
-		for i := numEcho; i < s.Out.Len(); i++ {
-			t[i] = types.Placeholder(id, i-numEcho)
 		}
 		rows[fi] = []types.Tuple{t}
 	}

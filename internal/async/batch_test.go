@@ -48,14 +48,14 @@ func TestPumpDepthWholeBatchBeforeFirstWait(t *testing.T) {
 	close(release)
 	var rows []types.Tuple
 	for {
-		tup, ok, err := rs.Next(ctx)
+		b, ok, err := rs.NextBatch(ctx, 5) // a size that splits the ready queue
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		rows = append(rows, tup)
+		rows = append(rows, b...)
 	}
 	if err := rs.Close(); err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestBindBatchRegistersOneRound(t *testing.T) {
 	if err := dj.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	b, ok, err := exec.NextBatchFrom(ctx, dj, n)
+	b, ok, err := dj.NextBatch(ctx, n)
 	if err != nil || !ok {
 		t.Fatalf("NextBatch: ok=%v err=%v", ok, err)
 	}

@@ -45,10 +45,16 @@ func (r *recordingSink) snapshot() ([]string, []string) {
 // that converts to a pump.call span with one attempt child and the queue
 // wait, and TakeCallTraces hands it out exactly once.
 func TestCallTraceLifecycle(t *testing.T) {
-	p := NewPump(4, 4, nil)
+	// One slot, held by an untraced call, so the traced call measurably
+	// queues: a zero queue_us is omitted from the extras like any zero.
+	p := NewPump(1, 1, nil)
 	defer p.Close()
 	ctx, tc := tracedCtx()
 
+	p.RegisterCtx(context.Background(), "altavista", "k0", func() ([]types.Tuple, error) {
+		time.Sleep(2 * time.Millisecond)
+		return nil, nil
+	})
 	id := p.RegisterCtx(ctx, "altavista", "k1", func() ([]types.Tuple, error) {
 		time.Sleep(2 * time.Millisecond)
 		return []types.Tuple{{types.Int(1)}}, nil

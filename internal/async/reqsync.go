@@ -15,11 +15,8 @@ import (
 // Section 4.3), copying any still-pending placeholder references into the
 // copies (Section 4.4). Tuples with no placeholders pass through.
 //
-// By default Open drains the child completely before any tuple is
-// released ("we choose this full-buffering implementation for the sake of
-// simplicity"); with Streaming set, complete tuples are released as soon
-// as they are available, the materialization alternative the paper
-// mentions for very large joins.
+// Open drains the child completely before any tuple is released ("we
+// choose this full-buffering implementation for the sake of simplicity").
 type ReqSync struct {
 	Child exec.Operator
 	Pump  *Pump
@@ -28,14 +25,10 @@ type ReqSync struct {
 	// when ReqSyncs are consolidated; execution itself discovers
 	// placeholders dynamically.
 	A map[schema.AttrID]bool
-	// Streaming releases completed tuples before the child is exhausted.
-	Streaming bool
 
-	childDone bool
-	ready     []types.Tuple
-	waiting   map[types.CallID][]*bufTuple
-	npending  int
-	opened    bool
+	ready   []types.Tuple
+	waiting map[types.CallID][]*bufTuple
+	opened  bool
 
 	// Trace-profile counters (SpanExtras), accumulated across every Open
 	// of this instance — a dependent join above re-opens its inner side
@@ -60,37 +53,22 @@ func NewReqSync(child exec.Operator, pump *Pump, a map[schema.AttrID]bool) *ReqS
 // Schema implements exec.Operator.
 func (r *ReqSync) Schema() *schema.Schema { return r.Child.Schema() }
 
-// Open implements exec.Operator. In full-buffering mode it drains the
-// child — thereby registering every external call below it with the pump —
-// before the first Next returns.
+// Open implements exec.Operator. It drains the child — thereby registering
+// every external call below it with the pump — before the first NextBatch
+// returns. The pull is batch-at-a-time: a batch-binding dependent join
+// below registers every call of an outer batch with the pump per round, so
+// the request queue deepens by whole batches rather than single calls.
 func (r *ReqSync) Open(ctx *exec.Context) error {
 	if err := r.Child.Open(ctx); err != nil {
 		return err
 	}
-	r.childDone = false
 	r.ready = nil
 	r.waiting = make(map[types.CallID][]*bufTuple)
-	r.npending = 0
 	r.opened = true
-	if r.Streaming {
-		return nil
-	}
-	return r.drain(ctx)
-}
-
-// drain pulls the child to exhaustion, buffering incomplete tuples. The
-// pull is batch-at-a-time: a batch-binding dependent join below registers
-// every call of an outer batch with the pump per round, so the request
-// queue deepens by whole batches rather than single calls.
-func (r *ReqSync) drain(ctx *exec.Context) error {
 	for {
-		b, ok, err := exec.NextBatchFrom(ctx, r.Child, 0)
-		if err != nil {
+		b, ok, err := r.Child.NextBatch(ctx, ctx.BatchLen())
+		if err != nil || !ok {
 			return err
-		}
-		if !ok {
-			r.childDone = true
-			return nil
 		}
 		for _, t := range b {
 			r.admit(t)
@@ -111,9 +89,6 @@ func (r *ReqSync) admit(t types.Tuple) {
 // register indexes a buffered tuple under every pending call it references.
 func (r *ReqSync) register(bt *bufTuple) {
 	for _, id := range bt.t.PendingCalls() {
-		if len(r.waiting[id]) == 0 {
-			r.npending++
-		}
 		r.waiting[id] = append(r.waiting[id], bt)
 	}
 }
@@ -144,7 +119,6 @@ func patch(t types.Tuple, id types.CallID, row types.Tuple) types.Tuple {
 func (r *ReqSync) settle(ctx *exec.Context, id types.CallID, res CallResult) error {
 	buffered := r.waiting[id]
 	delete(r.waiting, id)
-	r.npending--
 	r.nSettled++
 	if res.Err != nil {
 		switch ctx.Degrade {
@@ -221,93 +195,17 @@ func (r *ReqSync) pendingIDs() map[types.CallID]bool {
 	return ids
 }
 
-// Next implements exec.Operator: return a completed tuple, blocking on the
-// pump when none is ready ("if ReqSync has no completed tuples then it
-// must wait for the next signal from ReqPump").
-func (r *ReqSync) Next(ctx *exec.Context) (types.Tuple, bool, error) {
-	if !r.opened {
-		return nil, false, fmt.Errorf("ReqSync: Next before Open")
-	}
-	for {
-		if len(r.ready) > 0 {
-			t := r.ready[0]
-			r.ready = r.ready[1:]
-			return t, true, nil
-		}
-		// Streaming mode: keep pulling the child; complete tuples flow
-		// through immediately, incomplete ones are buffered.
-		if r.Streaming && !r.childDone {
-			t, ok, err := r.Child.Next(ctx)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				r.admit(t)
-				continue
-			}
-			r.childDone = true
-		}
-		if len(r.waiting) == 0 {
-			if !r.childDone {
-				continue
-			}
-			return nil, false, nil
-		}
-		// Consume completed calls without blocking where possible, then
-		// block for the next completion. The execution context bounds the
-		// wait: a query deadline wakes the ReqSync with the ctx error, and
-		// Close then disowns the still-pending calls.
-		id, err := r.Pump.AwaitAnyCtx(ctx.Ctx, r.pendingIDs())
-		if err != nil {
-			return nil, false, err
-		}
-		res, ok := r.Pump.Take(id)
-		if !ok {
-			return nil, false, fmt.Errorf("ReqSync: call %d signaled done but result missing", id)
-		}
-		if err := r.settle(ctx, id, res); err != nil {
-			return nil, false, err
-		}
-	}
-}
-
-// NextBatch implements exec.BatchOperator: completed tuples are released
-// in windows of the ready queue; in streaming mode whole child batches
-// are admitted before any pump wait, so even without full buffering the
-// pump's queue depth grows batch-at-a-time.
+// NextBatch implements exec.Operator: release a window of completed
+// tuples, blocking on the pump when none is ready ("if ReqSync has no
+// completed tuples then it must wait for the next signal from ReqPump").
 func (r *ReqSync) NextBatch(ctx *exec.Context, max int) (exec.Batch, bool, error) {
 	if !r.opened {
 		return nil, false, fmt.Errorf("ReqSync: NextBatch before Open")
 	}
-	for {
-		if len(r.ready) > 0 {
-			n := len(r.ready)
-			if n > max {
-				n = max
-			}
-			b := exec.Batch(r.ready[:n:n])
-			r.ready = r.ready[n:]
-			return b, true, nil
-		}
-		if r.Streaming && !r.childDone {
-			cb, ok, err := exec.NextBatchFrom(ctx, r.Child, max)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				for _, t := range cb {
-					r.admit(t)
-				}
-				continue
-			}
-			r.childDone = true
-		}
-		if len(r.waiting) == 0 {
-			if !r.childDone {
-				continue
-			}
-			return nil, false, nil
-		}
+	for len(r.ready) == 0 && len(r.waiting) > 0 {
+		// The execution context bounds the wait: a query deadline wakes the
+		// ReqSync with the ctx error, and Close then disowns the
+		// still-pending calls.
 		id, err := r.Pump.AwaitAnyCtx(ctx.Ctx, r.pendingIDs())
 		if err != nil {
 			return nil, false, err
@@ -320,6 +218,7 @@ func (r *ReqSync) NextBatch(ctx *exec.Context, max int) (exec.Batch, bool, error
 			return nil, false, err
 		}
 	}
+	return exec.TakeBatch(&r.ready, max)
 }
 
 // Close implements exec.Operator: pending calls are disowned (the pump
@@ -362,9 +261,4 @@ func (r *ReqSync) SpanExtras() map[string]int64 {
 func (r *ReqSync) Name() string { return "ReqSync" }
 
 // Describe implements exec.Operator.
-func (r *ReqSync) Describe() string {
-	if r.Streaming {
-		return "streaming"
-	}
-	return ""
-}
+func (r *ReqSync) Describe() string { return "" }

@@ -91,10 +91,11 @@ func TestAEVScanEmitsPlaceholderTuple(t *testing.T) {
 	if err := aev.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	tup, ok, err := aev.Next(ctx)
-	if err != nil || !ok {
-		t.Fatal(err)
+	b, ok, err := aev.NextBatch(ctx, 8)
+	if err != nil || !ok || len(b) != 1 {
+		t.Fatalf("NextBatch: len=%d ok=%v err=%v, want one tuple", len(b), ok, err)
 	}
+	tup := b[0]
 	if tup[0].AsString() != "abc" {
 		t.Errorf("echoed arg: %v", tup)
 	}
@@ -103,7 +104,7 @@ func TestAEVScanEmitsPlaceholderTuple(t *testing.T) {
 	}
 	// Exactly one tuple ("we always begin by assuming that exactly one
 	// tuple joins").
-	if _, ok, _ := aev.Next(ctx); ok {
+	if _, ok, _ := aev.NextBatch(ctx, 8); ok {
 		t.Error("AEVScan must emit exactly one tuple")
 	}
 	if err := aev.Close(); err != nil {
@@ -298,25 +299,6 @@ func TestReqSyncErrorFromCall(t *testing.T) {
 	rs, _ := buildCountPlan([]string{"a"}, src, pump)
 	if _, err := exec.Run(exec.NewContext(), rs); err == nil {
 		t.Fatal("call error must propagate")
-	}
-}
-
-func TestReqSyncStreaming(t *testing.T) {
-	pump := NewPump(8, 8, nil)
-	src := &scriptedSource{name: "WC", dest: "d", numEcho: 1, delay: 2 * time.Millisecond,
-		rows: func(arg string) ([]types.Tuple, error) {
-			return []types.Tuple{{types.Int(int64(len(arg)))}}, nil
-		}}
-	rs, _ := buildCountPlan([]string{"a", "bb", "ccc", "dddd"}, src, pump)
-	rs.Streaming = true
-	rows := runOp(t, rs)
-	if len(rows) != 4 {
-		t.Fatalf("streaming rows: %v", rows)
-	}
-	for _, r := range rows {
-		if r.HasPlaceholder() {
-			t.Fatalf("unpatched: %v", r)
-		}
 	}
 }
 

@@ -317,7 +317,6 @@ func consolidate(op exec.Operator) exec.Operator {
 			for id := range inner.A {
 				rs.A[id] = true
 			}
-			rs.Streaming = rs.Streaming || inner.Streaming
 			rs.Child = inner.Child
 			return consolidate(rs) // a third adjacent ReqSync may follow
 		}

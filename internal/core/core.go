@@ -60,9 +60,6 @@ type Config struct {
 	DefaultRankLimit int
 	// PoolFrames is the buffer-pool size per heap file (0 = default).
 	PoolFrames int
-	// StreamingReqSync makes ReqSync release completed tuples before its
-	// child is exhausted (ablation of the paper's full-buffering choice).
-	StreamingReqSync bool
 	// Retry is the request pump's fault-tolerance policy (retries with
 	// backoff, per-attempt deadlines, hedging). The zero value executes
 	// every call exactly once.
@@ -198,9 +195,11 @@ type QueryOptions struct {
 	// per-operator span tree (timings, cardinalities, patch/expansion
 	// counts). Costs two time.Now calls per operator invocation.
 	Trace bool
-	// BatchSize overrides the executor's vectorized batch size for this
-	// statement (0 = exec.DefaultBatchSize). The golden e2e suite and the
-	// plan-equivalence fuzzer sweep it to pin batch-boundary semantics.
+	// BatchSize overrides the executor's batch granularity for this
+	// statement (0 = exec.DefaultBatchSize). It is a reference granularity,
+	// not a tuning knob: the golden e2e suite and the plan-equivalence
+	// fuzzer sweep it to pin batch-boundary semantics, and the benchmark's
+	// reference pass runs size 1.
 	BatchSize int
 }
 
@@ -331,20 +330,8 @@ func (db *DB) planStatement(st sqlparse.Statement) (exec.Operator, error) {
 	}
 	if db.async.Load() {
 		op = async.Rewrite(op, db.pump)
-		if db.cfg.StreamingReqSync {
-			setStreaming(op)
-		}
 	}
 	return op, nil
-}
-
-func setStreaming(op exec.Operator) {
-	if rs, ok := op.(*async.ReqSync); ok {
-		rs.Streaming = true
-	}
-	for _, c := range op.Children() {
-		setStreaming(c)
-	}
 }
 
 func (db *DB) runQueryable(goCtx context.Context, st sqlparse.Statement, opts QueryOptions) (*Result, error) {

@@ -341,17 +341,6 @@ func TestCacheAvoidsDuplicateCalls(t *testing.T) {
 	}
 }
 
-func TestStreamingModeMatches(t *testing.T) {
-	db := newPaperDB(t, Config{Async: true, StreamingReqSync: true})
-	res := mustQuery(t, db, `SELECT Name, Count FROM States, WebCount WHERE Name = T1 ORDER BY Count DESC`)
-	if len(res.Rows) != 50 {
-		t.Fatalf("rows: %d", len(res.Rows))
-	}
-	if res.Rows[0][0].AsString() != "California" {
-		t.Errorf("streaming top: %v", res.Rows[0])
-	}
-}
-
 func TestConcurrencyLimitRespected(t *testing.T) {
 	db, err := Open(Config{Dir: t.TempDir(), Async: true, MaxConcurrentCalls: 4, MaxCallsPerDest: 4})
 	if err != nil {

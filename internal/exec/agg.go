@@ -60,8 +60,7 @@ type Aggregate struct {
 	Aggs      []AggSpec
 
 	out  *schema.Schema
-	rows []types.Tuple
-	pos  int
+	rows []types.Tuple // the group rows not yet emitted
 }
 
 // NewAggregate builds an aggregation operator.
@@ -105,90 +104,79 @@ func (a *Aggregate) Open(ctx *Context) error {
 	}
 	groups := make(map[string][]*aggState)
 	var order []string
-	var pending Batch
-	nextRow := func() (types.Tuple, bool, error) {
-		for len(pending) == 0 {
-			b, ok, err := NextBatchFrom(ctx, a.Child, 0)
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			pending = b
-		}
-		t := pending[0]
-		pending = pending[1:]
-		return t, true, nil
-	}
 	for {
-		t, ok, err := nextRow()
+		b, ok, err := a.Child.NextBatch(ctx, ctx.BatchLen())
 		if err != nil {
 			return err
 		}
 		if !ok {
 			break
 		}
-		if t.HasPlaceholder() {
-			return fmt.Errorf("Aggregate received a pending placeholder tuple; plan rewrite must keep aggregation above ReqSync")
-		}
-		gvals := make([]types.Value, len(a.GroupBy))
-		for i, g := range a.GroupBy {
-			v, err := g.Eval(ctx.Env, t)
-			if err != nil {
-				return fmt.Errorf("Aggregate group key %s: %w", g, err)
+		for _, t := range b {
+			if t.HasPlaceholder() {
+				return fmt.Errorf("Aggregate received a pending placeholder tuple; plan rewrite must keep aggregation above ReqSync")
 			}
-			gvals[i] = v
-		}
-		key := types.Tuple(gvals).Key()
-		var sts []*aggState
-		if existing, ok := groups[key]; ok {
-			sts = existing
-		} else {
-			sts = make([]*aggState, len(a.Aggs))
-			for i := range sts {
-				sts[i] = &aggState{groupVals: gvals, sumIsInt: true}
-			}
-			if len(sts) == 0 {
-				// Group with no aggregates still needs recording.
-				sts = []*aggState{{groupVals: gvals}}
-			}
-			groups[key] = sts
-			order = append(order, key)
-		}
-		for i, sp := range a.Aggs {
-			st := sts[i]
-			if sp.Func == AggCountStar {
-				st.count++
-				continue
-			}
-			v, err := sp.Arg.Eval(ctx.Env, t)
-			if err != nil {
-				return fmt.Errorf("Aggregate %s: %w", sp.Arg, err)
-			}
-			if v.IsNull() {
-				continue
-			}
-			st.count++
-			switch sp.Func {
-			case AggSum, AggAvg:
-				f, err := v.AsFloat()
+			gvals := make([]types.Value, len(a.GroupBy))
+			for i, g := range a.GroupBy {
+				v, err := g.Eval(ctx.Env, t)
 				if err != nil {
-					return err
+					return fmt.Errorf("Aggregate group key %s: %w", g, err)
 				}
-				st.sum += f
-				if v.Kind == types.KindInt {
-					st.sumInt += v.I
-				} else {
-					st.sumIsInt = false
-				}
-			case AggMin:
-				if !st.seenAny || v.Compare(st.min) < 0 {
-					st.min = v
-				}
-			case AggMax:
-				if !st.seenAny || v.Compare(st.max) > 0 {
-					st.max = v
-				}
+				gvals[i] = v
 			}
-			st.seenAny = true
+			key := types.Tuple(gvals).Key()
+			var sts []*aggState
+			if existing, ok := groups[key]; ok {
+				sts = existing
+			} else {
+				sts = make([]*aggState, len(a.Aggs))
+				for i := range sts {
+					sts[i] = &aggState{groupVals: gvals, sumIsInt: true}
+				}
+				if len(sts) == 0 {
+					// Group with no aggregates still needs recording.
+					sts = []*aggState{{groupVals: gvals}}
+				}
+				groups[key] = sts
+				order = append(order, key)
+			}
+			for i, sp := range a.Aggs {
+				st := sts[i]
+				if sp.Func == AggCountStar {
+					st.count++
+					continue
+				}
+				v, err := sp.Arg.Eval(ctx.Env, t)
+				if err != nil {
+					return fmt.Errorf("Aggregate %s: %w", sp.Arg, err)
+				}
+				if v.IsNull() {
+					continue
+				}
+				st.count++
+				switch sp.Func {
+				case AggSum, AggAvg:
+					f, err := v.AsFloat()
+					if err != nil {
+						return err
+					}
+					st.sum += f
+					if v.Kind == types.KindInt {
+						st.sumInt += v.I
+					} else {
+						st.sumIsInt = false
+					}
+				case AggMin:
+					if !st.seenAny || v.Compare(st.min) < 0 {
+						st.min = v
+					}
+				case AggMax:
+					if !st.seenAny || v.Compare(st.max) > 0 {
+						st.max = v
+					}
+				}
+				st.seenAny = true
+			}
 		}
 	}
 	// Global aggregate over an empty input still emits one row.
@@ -201,8 +189,7 @@ func (a *Aggregate) Open(ctx *Context) error {
 		order = append(order, "")
 	}
 	sort.Strings(order) // deterministic output order
-	a.rows = a.rows[:0]
-	a.pos = 0
+	a.rows = make([]types.Tuple, 0, len(order))
 	for _, key := range order {
 		sts := groups[key]
 		row := append(types.Tuple{}, sts[0].groupVals...)
@@ -244,29 +231,10 @@ func (a *Aggregate) Open(ctx *Context) error {
 	return nil
 }
 
-// Next implements Operator.
-func (a *Aggregate) Next(ctx *Context) (types.Tuple, bool, error) {
-	if a.pos >= len(a.rows) {
-		return nil, false, nil
-	}
-	t := a.rows[a.pos]
-	a.pos++
-	return t, true, nil
-}
-
-// NextBatch implements BatchOperator by handing out windows of the group
-// rows materialized at Open.
+// NextBatch implements Operator by handing out windows of the group rows
+// materialized at Open.
 func (a *Aggregate) NextBatch(ctx *Context, max int) (Batch, bool, error) {
-	if a.pos >= len(a.rows) {
-		return nil, false, nil
-	}
-	end := a.pos + max
-	if end > len(a.rows) {
-		end = len(a.rows)
-	}
-	b := Batch(a.rows[a.pos:end:end])
-	a.pos = end
-	return b, true, nil
+	return TakeBatch(&a.rows, max)
 }
 
 // Close implements Operator.

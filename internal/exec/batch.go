@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+
 	"repro/internal/schema"
 	"repro/internal/types"
 )
@@ -14,71 +16,57 @@ const DefaultBatchSize = 256
 
 // Batch is a bounded run of tuples moved through the executor in one
 // protocol call. A batch is owned by the operator that produced it and is
-// valid only until the next NextBatch/Next call on that operator;
-// consumers may read it and copy tuple references out of it, but must not
-// mutate the slice (producers are free to hand out views of internal
-// storage — a Sort emits windows of its materialized run, a ValuesScan
-// windows of its row list).
+// valid only until the next NextBatch call on that operator; consumers
+// may read it and copy tuple references out of it, but must not mutate
+// the slice (producers are free to hand out views of internal storage — a
+// Sort emits windows of its materialized run, a ValuesScan windows of its
+// row list).
 type Batch []types.Tuple
 
-// BatchOperator is implemented by operators that produce tuples natively
-// in batches. Every BatchOperator is also a plain Operator — Open/Next/
-// Close keep working unchanged, so the async rewriter's structural
-// invariants and any legacy tuple-at-a-time consumer are unaffected; the
-// two protocols share iteration state, so a consumer may even interleave
-// them over one open operator.
-type BatchOperator interface {
-	Operator
-	// NextBatch produces the next batch of at most max tuples (max <= 0
-	// means the context's batch size). ok is false only at end of stream;
-	// when ok is true the batch is non-empty. Partial batches may appear
-	// anywhere in the stream, not just at the end.
-	NextBatch(ctx *Context, max int) (Batch, bool, error)
+// checkMax enforces the protocol's one rule for the batch bound: callers
+// pass max >= 1. Operators that buffer go through TakeBatch; operators
+// that only forward max to a child leave the check to that child.
+func checkMax(max int) error {
+	if max < 1 {
+		return fmt.Errorf("exec: NextBatch called with max %d; callers pass a size >= 1 (Context.BatchLen for the query's)", max)
+	}
+	return nil
 }
 
-// NextBatchFrom pulls up to max tuples from op: natively when op
-// implements BatchOperator, otherwise through the tuple adapter that
-// loops the classic Next protocol. This is the shim that lets batched
-// consumers sit above legacy single-tuple operators (and vice versa)
-// without any plan-tree wrapper node — the tree the async rewriter
-// inspects and mutates is exactly the tree that executes.
-func NextBatchFrom(ctx *Context, op Operator, max int) (Batch, bool, error) {
-	if max <= 0 {
-		max = ctx.batchSize()
+// TakeBatch cuts the next window of at most max tuples off the front of
+// an operator's buffered rows — the common tail of every operator that
+// materializes before it emits (Sort, Aggregate, the scans over row
+// lists, the joins' output buffers, ReqSync's ready queue). An empty
+// buffer is end of stream.
+func TakeBatch(rows *[]types.Tuple, max int) (Batch, bool, error) {
+	if err := checkMax(max); err != nil {
+		return nil, false, err
 	}
-	if b, ok := op.(BatchOperator); ok {
-		return b.NextBatch(ctx, max)
-	}
-	var out Batch
-	for len(out) < max {
-		t, ok, err := op.Next(ctx)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, t)
-	}
-	if len(out) == 0 {
+	n := len(*rows)
+	if n == 0 {
 		return nil, false, nil
 	}
-	return out, true, nil
+	if n > max {
+		n = max
+	}
+	b := Batch((*rows)[:n:n])
+	*rows = (*rows)[n:]
+	return b, true, nil
 }
 
 // BindingBatcher is implemented by dependent-join inner operators that
 // can service a whole batch of outer bindings in one round — AEVScan uses
 // it to register every external call of an outer batch with the request
 // pump before the enclosing ReqSync's first wait, so the pump sees a deep
-// request queue immediately instead of one call per Next.
+// request queue immediately instead of one call per binding.
 type BindingBatcher interface {
 	// BindBatch receives one correlated-binding frame per outer tuple and
 	// returns, per frame, the rows the operator would have produced under
-	// an Open/Next cycle with that frame pushed. ok reports whether the
-	// operator supports batch binding at all — false (with nil error)
-	// sends the caller down the ordinary per-tuple Open/Next path. An
-	// empty frames slice is a capability probe: implementations must do no
-	// work and just report ok (forwarding decorators whose inner operator
-	// is not a BindingBatcher report false).
+	// an Open/drain/Close cycle with that frame pushed. ok reports whether
+	// the operator supports batch binding at all — false (with nil error)
+	// sends the caller down the ordinary per-binding path. An empty frames
+	// slice is a capability probe: implementations must do no work and
+	// just report ok (forwarding decorators whose inner operator is not a
+	// BindingBatcher report false).
 	BindBatch(ctx *Context, frames []map[schema.AttrID]types.Value) (rows [][]types.Tuple, ok bool, err error)
 }

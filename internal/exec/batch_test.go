@@ -9,7 +9,7 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Batch protocol: NextBatchFrom adapter, window semantics, max discipline.
+// Batch protocol: window semantics, max discipline.
 
 func seqValues(n int) (*ValuesScan, schema.Column) {
 	a := intCol("T", "A")
@@ -57,37 +57,6 @@ func TestValuesScanBatchWindows(t *testing.T) {
 	}
 }
 
-// TestNextBatchFromAdapterWrapsScalarOperators: a scalar-only operator
-// (faultOp implements just Next) is batched by the adapter, honoring max
-// and the ctx default when max <= 0.
-func TestNextBatchFromAdapterWrapsScalarOperators(t *testing.T) {
-	v, _ := seqValues(10)
-	f := newFault(v) // scalar-only wrapper
-	ctx := NewContext()
-	ctx.BatchSize = 4
-	if err := f.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	b, ok, err := NextBatchFrom(ctx, f, 3)
-	if err != nil || !ok || len(b) != 3 {
-		t.Fatalf("explicit max: len=%d ok=%v err=%v, want 3", len(b), ok, err)
-	}
-	b, ok, err = NextBatchFrom(ctx, f, 0)
-	if err != nil || !ok || len(b) != 4 {
-		t.Fatalf("ctx default max: len=%d ok=%v err=%v, want 4 (ctx.BatchSize)", len(b), ok, err)
-	}
-	b, ok, err = NextBatchFrom(ctx, f, 100)
-	if err != nil || !ok || len(b) != 3 {
-		t.Fatalf("tail: len=%d ok=%v err=%v, want remaining 3", len(b), ok, err)
-	}
-	if _, ok, err = NextBatchFrom(ctx, f, 100); ok || err != nil {
-		t.Fatalf("exhausted: ok=%v err=%v", ok, err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestLimitNeverOverdraws: Limit must cap the batch max it forwards, so a
 // child never produces more rows than the limit — under asynchronous
 // iteration an overdraw would register extra external calls.
@@ -99,8 +68,8 @@ func TestLimitNeverOverdraws(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("rows: %d, want 3", len(rows))
 	}
-	if f.nexts > 3 {
-		t.Fatalf("Limit(3) pulled %d child rows — overdraw", f.nexts)
+	if f.rows > 3 {
+		t.Fatalf("Limit(3) pulled %d child rows — overdraw", f.rows)
 	}
 }
 

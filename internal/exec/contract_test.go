@@ -19,21 +19,24 @@ import (
 //      re-open their right subtree once per outer binding, so this is a
 //      load-bearing property, not a nicety).
 //   3. Close is idempotent: closing an already-closed tree is a no-op.
-//   4. After an error at ANY point — a child failing in Open or at any Next
+//   4. After an error at ANY point — a child failing in Open or at any row
 //      position — closing the root must close every subtree (no leaked
 //      open leaves) and a second Close must still be safe.
+//   5. The pull contract: NextBatch(max) returns 1..max tuples when ok,
+//      ok == false is sticky until re-Open, the rows do not depend on max
+//      or on the context's batch size, and max < 1 is an error.
 
 var errInjected = errors.New("injected fault")
 
 // faultOp wraps an operator with a configurable failure point and records
-// whether its subtree is currently open. It deliberately implements only
-// the scalar Operator protocol so the contract runs exercise the
-// NextBatchFrom adapter around non-batch operators too.
+// whether its subtree is currently open. The fault is positioned by row,
+// not by call: the batch before it is cut short so the failure lands after
+// exactly failAfter rows whatever the batch size, mid-batch included.
 type faultOp struct {
 	inner     Operator
 	failOpen  bool
-	failAfter int // fail on the (failAfter+1)-th Next; -1 = never
-	nexts     int
+	failAfter int // fail once failAfter rows have been handed out; -1 = never
+	rows      int // rows handed out since Open
 	open      bool
 }
 
@@ -41,7 +44,7 @@ func newFault(inner Operator) *faultOp { return &faultOp{inner: inner, failAfter
 
 func (f *faultOp) Schema() *schema.Schema { return f.inner.Schema() }
 func (f *faultOp) Open(ctx *Context) error {
-	f.nexts = 0
+	f.rows = 0
 	if f.failOpen {
 		return errInjected
 	}
@@ -51,12 +54,19 @@ func (f *faultOp) Open(ctx *Context) error {
 	f.open = true
 	return nil
 }
-func (f *faultOp) Next(ctx *Context) (types.Tuple, bool, error) {
-	if f.failAfter >= 0 && f.nexts >= f.failAfter {
-		return nil, false, errInjected
+func (f *faultOp) NextBatch(ctx *Context, max int) (Batch, bool, error) {
+	if f.failAfter >= 0 {
+		left := f.failAfter - f.rows
+		if left <= 0 {
+			return nil, false, errInjected
+		}
+		if max > left {
+			max = left
+		}
 	}
-	f.nexts++
-	return f.inner.Next(ctx)
+	b, ok, err := f.inner.NextBatch(ctx, max)
+	f.rows += len(b)
+	return b, ok, err
 }
 func (f *faultOp) Close() error {
 	f.open = false
@@ -212,8 +222,11 @@ func contractCases() []contractCase {
 			lf := newFault(NewValuesScan(schema.New(term), []types.Tuple{
 				{types.Str("ab")}, {types.Str("xyz")},
 			}))
+			// Two rows per binding: a BindBatch round over max outer tuples
+			// yields 2*max joined rows, so the join must carry the excess
+			// over instead of exceeding max.
 			src := &fakeSource{name: "WC", rowsFor: func(arg string) []types.Tuple {
-				return []types.Tuple{{types.Int(int64(len(arg)))}}
+				return []types.Tuple{{types.Int(int64(len(arg)))}, {types.Int(int64(-len(arg)))}}
 			}}
 			ev := NewEVScan(src, []expr.Expr{expr.NewColRef(term)}, fakeSchema("V"))
 			return NewDependentJoin(lf, &batchBoundEV{EVScan: ev}, "V"), []*faultOp{lf}
@@ -222,9 +235,9 @@ func contractCases() []contractCase {
 }
 
 // batchBoundEV wraps an EVScan with a BindBatch implementation that
-// services each frame through the scalar protocol — a pump-free stand-in
-// for AEVScan's batch registration, so the suite can drive
-// DependentJoin.nextBatchBound without the async machinery.
+// services each frame through an Open → drain → Close cycle — a pump-free
+// stand-in for AEVScan's batch registration, so the suite can drive the
+// dependent join's BindBatch rounds without the async machinery.
 type batchBoundEV struct {
 	*EVScan
 }
@@ -239,7 +252,7 @@ func (b *batchBoundEV) BindBatch(ctx *Context, frames []map[schema.AttrID]types.
 		err := b.EVScan.Open(ctx)
 		if err == nil {
 			for {
-				t, ok, nerr := b.EVScan.Next(ctx)
+				rb, ok, nerr := b.EVScan.NextBatch(ctx, ctx.BatchLen())
 				if nerr != nil {
 					err = nerr
 					break
@@ -247,7 +260,7 @@ func (b *batchBoundEV) BindBatch(ctx *Context, frames []map[schema.AttrID]types.
 				if !ok {
 					break
 				}
-				rows[fi] = append(rows[fi], t)
+				rows[fi] = append(rows[fi], rb...)
 			}
 		}
 		cerr := b.EVScan.Close()
@@ -262,11 +275,12 @@ func (b *batchBoundEV) BindBatch(ctx *Context, frames []map[schema.AttrID]types.
 	return rows, true, nil
 }
 
-// TestDependentJoinBatchBoundMatchesScalar: the batch-bound dependent-join
-// path must be invisible — same rows in the same order, and the same
-// number of source calls, as the per-tuple protocol — at every batch
-// granularity including ones that split the outer stream mid-batch.
-func TestDependentJoinBatchBoundMatchesScalar(t *testing.T) {
+// TestDependentJoinBindBatchMatchesPerBinding: the dependent join's two
+// rounds must be indistinguishable — BindBatch over a whole outer batch
+// yields the same rows in the same order, from the same number of source
+// calls, as Open → drain → Close per binding — at every batch granularity
+// including ones that split the outer stream mid-batch.
+func TestDependentJoinBindBatchMatchesPerBinding(t *testing.T) {
 	outer := []types.Tuple{
 		{types.Str("ab")}, {types.Str("xyz")}, {types.Str("none")},
 		{types.Str("ab")}, {types.Str("q")},
@@ -292,12 +306,12 @@ func TestDependentJoinBatchBoundMatchesScalar(t *testing.T) {
 		return NewDependentJoin(left, right, "V"), src
 	}
 	for _, bs := range []int{1, 3, 256} {
-		scalarOp, scalarSrc := build(false)
+		perBindingOp, perBindingSrc := build(false)
 		ctx := NewContext()
 		ctx.BatchSize = bs
-		want, err := Run(ctx, scalarOp)
+		want, err := Run(ctx, perBindingOp)
 		if err != nil {
-			t.Fatalf("batch %d scalar: %v", bs, err)
+			t.Fatalf("batch %d per-binding: %v", bs, err)
 		}
 		batchOp, batchSrc := build(true)
 		ctx = NewContext()
@@ -307,11 +321,11 @@ func TestDependentJoinBatchBoundMatchesScalar(t *testing.T) {
 			t.Fatalf("batch %d bound: %v", bs, err)
 		}
 		if fmt.Sprint(rowStrings(want)) != fmt.Sprint(rowStrings(got)) {
-			t.Errorf("batch %d: rows diverge\nscalar: %v\nbound:  %v", bs, want, got)
+			t.Errorf("batch %d: rows diverge\nper-binding: %v\nbound:       %v", bs, want, got)
 		}
-		if scalarSrc.callCount() != batchSrc.callCount() {
-			t.Errorf("batch %d: calls diverge: scalar %d, bound %d",
-				bs, scalarSrc.callCount(), batchSrc.callCount())
+		if perBindingSrc.callCount() != batchSrc.callCount() {
+			t.Errorf("batch %d: calls diverge: per-binding %d, bound %d",
+				bs, perBindingSrc.callCount(), batchSrc.callCount())
 		}
 	}
 }
@@ -385,8 +399,76 @@ func TestOperatorContractCleanRuns(t *testing.T) {
 	}
 }
 
+// pullAll opens op, drains it with NextBatch(max) under a context whose
+// batch size is bs, and closes it, asserting the size and stickiness
+// halves of the pull contract on the way.
+func pullAll(t *testing.T, op Operator, max, bs int) []types.Tuple {
+	t.Helper()
+	ctx := NewContext()
+	ctx.BatchSize = bs
+	if err := op.Open(ctx); err != nil {
+		t.Fatalf("max %d bs %d: Open: %v", max, bs, err)
+	}
+	var rows []types.Tuple
+	for {
+		b, ok, err := op.NextBatch(ctx, max)
+		if err != nil {
+			t.Fatalf("max %d bs %d: NextBatch: %v", max, bs, err)
+		}
+		if !ok {
+			break
+		}
+		if len(b) < 1 || len(b) > max {
+			t.Fatalf("max %d bs %d: ok batch of %d tuples, want 1..%d", max, bs, len(b), max)
+		}
+		rows = append(rows, b...)
+	}
+	for i := 0; i < 2; i++ {
+		if b, ok, err := op.NextBatch(ctx, max); ok || err != nil || len(b) != 0 {
+			t.Fatalf("max %d bs %d: pull %d after end of stream: len=%d ok=%v err=%v, want sticky end",
+				max, bs, i+1, len(b), ok, err)
+		}
+	}
+	if err := op.Close(); err != nil {
+		t.Fatalf("max %d bs %d: Close: %v", max, bs, err)
+	}
+	return rows
+}
+
+// TestOperatorContractPull checks property 5 on every case: the same
+// instance, re-opened for every (max, batch size) pair, yields the rows of
+// a plain Run each time, in batches of 1..max with a sticky end; and a
+// max below 1 is an error, never a silent default or an empty ok batch.
+func TestOperatorContractPull(t *testing.T) {
+	for _, tc := range contractCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			op, _ := tc.mk()
+			want := fmt.Sprint(rowStrings(runAll(t, op)))
+			for _, max := range []int{1, 3, 256} {
+				for _, bs := range []int{1, 3, 256} {
+					if got := fmt.Sprint(rowStrings(pullAll(t, op, max, bs))); got != want {
+						t.Errorf("max %d bs %d changed output:\ngot:  %v\nwant: %v", max, bs, got, want)
+					}
+				}
+			}
+			for _, max := range []int{0, -1} {
+				ctx := NewContext()
+				if err := op.Open(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if b, ok, err := op.NextBatch(ctx, max); err == nil || ok || len(b) != 0 {
+					t.Errorf("NextBatch(max=%d): len=%d ok=%v err=%v, want an error", max, len(b), ok, err)
+				}
+				if err := op.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestOperatorContractCloseAfterError checks property 4: for every fault
-// leaf and every failure point (Open, first Next, second Next), Run's error
+// leaf and every failure point (Open, first row, second row), Run's error
 // path must close the whole tree — no leaf stays open — and closing again
 // stays safe.
 func TestOperatorContractCloseAfterError(t *testing.T) {
@@ -400,8 +482,8 @@ func TestOperatorContractCloseAfterError(t *testing.T) {
 					failAfter int
 				}{
 					{"open", true, -1},
-					{"next0", false, 0},
-					{"next1", false, 1},
+					{"row0", false, 0},
+					{"row1", false, 1},
 				} {
 					op, leaves := tc.mk()
 					leaves[leaf].failOpen = point.failOpen

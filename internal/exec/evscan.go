@@ -47,8 +47,7 @@ type EVScan struct {
 	// Cache, when non-nil, memoizes call results across Opens ([HN96]).
 	Cache ResultCache
 
-	rows []types.Tuple
-	pos  int
+	rows []types.Tuple // the call result not yet emitted
 	// Per-instance profile counters for the span trace (EXPLAIN ANALYZE):
 	// calls actually issued vs served from cache, across every Open of
 	// this scan (a dependent join re-opens it once per outer binding).
@@ -105,9 +104,7 @@ func (s *EVScan) Open(ctx *Context) error {
 	if s.Cache != nil {
 		if rows, ok := s.Cache.Get(key); ok {
 			s.nCacheHits++
-			s.rows = echoRows(args, s.Source.NumEcho(), rows)
-			s.pos = 0
-			return nil
+			return s.setRows(args, rows)
 		}
 	}
 	// A synchronous scan is about to block for the call's full latency;
@@ -162,55 +159,30 @@ func (s *EVScan) Open(ctx *Context) error {
 	if s.Cache != nil && err == nil {
 		s.Cache.Put(key, rows)
 	}
-	s.rows = echoRows(args, s.Source.NumEcho(), rows)
-	s.pos = 0
-	return nil
+	return s.setRows(args, rows)
 }
 
-// echoRows prefixes each call result row with the echoed argument values,
-// producing full output-schema tuples.
-func echoRows(args []types.Value, numEcho int, rows []types.Tuple) []types.Tuple {
-	out := make([]types.Tuple, len(rows))
+// setRows prefixes each call result row with the echoed argument values,
+// producing the full output-schema tuples NextBatch hands out.
+func (s *EVScan) setRows(args []types.Value, rows []types.Tuple) error {
+	numEcho := s.Source.NumEcho()
+	s.rows = make([]types.Tuple, len(rows))
 	for i, r := range rows {
 		t := make(types.Tuple, 0, numEcho+len(r))
 		t = append(t, args[:numEcho]...)
 		t = append(t, r...)
-		out[i] = t
-	}
-	return out
-}
-
-// Next implements Operator.
-func (s *EVScan) Next(ctx *Context) (types.Tuple, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	t := s.rows[s.pos]
-	s.pos++
-	if len(t) != s.Out.Len() {
-		return nil, false, fmt.Errorf("%s: result width %d != schema width %d", s.Source.Name(), len(t), s.Out.Len())
-	}
-	return t, true, nil
-}
-
-// NextBatch implements BatchOperator by handing out windows of the call
-// result materialized at Open.
-func (s *EVScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	end := s.pos + max
-	if end > len(s.rows) {
-		end = len(s.rows)
-	}
-	for _, t := range s.rows[s.pos:end] {
 		if len(t) != s.Out.Len() {
-			return nil, false, fmt.Errorf("%s: result width %d != schema width %d", s.Source.Name(), len(t), s.Out.Len())
+			return fmt.Errorf("%s: result width %d != schema width %d", s.Source.Name(), len(t), s.Out.Len())
 		}
+		s.rows[i] = t
 	}
-	b := Batch(s.rows[s.pos:end:end])
-	s.pos = end
-	return b, true, nil
+	return nil
+}
+
+// NextBatch implements Operator by handing out windows of the call result
+// materialized at Open.
+func (s *EVScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
+	return TakeBatch(&s.rows, max)
 }
 
 // Close implements Operator.

@@ -32,31 +32,14 @@ func (f *Filter) Open(ctx *Context) error {
 	return bindAll("Filter", f.Child.Schema(), f.Pred)
 }
 
-// Next implements Operator.
-func (f *Filter) Next(ctx *Context) (types.Tuple, bool, error) {
-	for {
-		t, ok, err := f.Child.Next(ctx)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		v, err := f.Pred.Eval(ctx.Env, t)
-		if err != nil {
-			return nil, false, fmt.Errorf("Filter %s: %w", f.Pred, err)
-		}
-		if v.Truthy() {
-			return t, true, nil
-		}
-	}
-}
-
-// NextBatch implements BatchOperator: the predicate runs over whole child
+// NextBatch implements Operator: the predicate runs over whole child
 // batches, with survivors collected into a fresh slice (child batches may
 // be views of the child's internal storage and are never mutated in
 // place). Empty survivor sets loop to the next child batch so a true
 // result is always non-empty.
 func (f *Filter) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	for {
-		in, ok, err := NextBatchFrom(ctx, f.Child, max)
+		in, ok, err := f.Child.NextBatch(ctx, max)
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -122,27 +105,10 @@ func (p *Project) Open(ctx *Context) error {
 	return bindAll("Project", p.Child.Schema(), p.Exprs...)
 }
 
-// Next implements Operator.
-func (p *Project) Next(ctx *Context) (types.Tuple, bool, error) {
-	t, ok, err := p.Child.Next(ctx)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	out := make(types.Tuple, len(p.Exprs))
-	for i, e := range p.Exprs {
-		v, err := e.Eval(ctx.Env, t)
-		if err != nil {
-			return nil, false, fmt.Errorf("Project %s: %w", e, err)
-		}
-		out[i] = v
-	}
-	return out, true, nil
-}
-
-// NextBatch implements BatchOperator by mapping the projection over a
+// NextBatch implements Operator by mapping the projection over a
 // whole child batch.
 func (p *Project) NextBatch(ctx *Context, max int) (Batch, bool, error) {
-	in, ok, err := NextBatchFrom(ctx, p.Child, max)
+	in, ok, err := p.Child.NextBatch(ctx, max)
 	if err != nil || !ok {
 		return nil, false, err
 	}

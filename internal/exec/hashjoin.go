@@ -45,7 +45,7 @@ type HashJoin struct {
 
 	out      *schema.Schema
 	table    map[string][]buildRow
-	buf      Batch
+	buf      []types.Tuple
 	leftDone bool
 	opened   bool
 
@@ -106,7 +106,7 @@ func (j *HashJoin) Open(ctx *Context) error {
 	start := time.Now()
 	j.table = make(map[string][]buildRow)
 	for {
-		b, ok, err := NextBatchFrom(ctx, j.Right, 0)
+		b, ok, err := j.Right.NextBatch(ctx, ctx.BatchLen())
 		if err != nil {
 			return err
 		}
@@ -195,7 +195,7 @@ func (j *HashJoin) fill(ctx *Context, max int) error {
 	start := time.Now()
 	defer func() { j.probeNS += time.Since(start).Nanoseconds() }()
 	for len(j.buf) == 0 && !j.leftDone {
-		lb, ok, err := NextBatchFrom(ctx, j.Left, max)
+		lb, ok, err := j.Left.NextBatch(ctx, max)
 		if err != nil {
 			return err
 		}
@@ -232,25 +232,7 @@ func (j *HashJoin) fill(ctx *Context, max int) error {
 	return nil
 }
 
-// Next implements Operator.
-func (j *HashJoin) Next(ctx *Context) (types.Tuple, bool, error) {
-	if !j.opened {
-		return nil, false, fmt.Errorf("HashJoin: Next before Open")
-	}
-	if len(j.buf) == 0 {
-		if err := j.fill(ctx, ctx.batchSize()); err != nil {
-			return nil, false, err
-		}
-		if len(j.buf) == 0 {
-			return nil, false, nil
-		}
-	}
-	t := j.buf[0]
-	j.buf = j.buf[1:]
-	return t, true, nil
-}
-
-// NextBatch implements BatchOperator.
+// NextBatch implements Operator.
 func (j *HashJoin) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	if !j.opened {
 		return nil, false, fmt.Errorf("HashJoin: NextBatch before Open")
@@ -259,17 +241,8 @@ func (j *HashJoin) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 		if err := j.fill(ctx, max); err != nil {
 			return nil, false, err
 		}
-		if len(j.buf) == 0 {
-			return nil, false, nil
-		}
 	}
-	n := len(j.buf)
-	if n > max {
-		n = max
-	}
-	b := j.buf[:n:n]
-	j.buf = j.buf[n:]
-	return b, true, nil
+	return TakeBatch(&j.buf, max)
 }
 
 // Close implements Operator. Both subtrees are always closed and neither
@@ -352,7 +325,7 @@ type HashSemiJoin struct {
 	LeftKeys, RightKeys []expr.Expr
 
 	table    map[string][][]types.Value
-	buf      Batch
+	buf      []types.Tuple
 	leftDone bool
 	opened   bool
 
@@ -391,7 +364,7 @@ func (j *HashSemiJoin) Open(ctx *Context) error {
 	start := time.Now()
 	j.table = make(map[string][][]types.Value)
 	for {
-		b, ok, err := NextBatchFrom(ctx, j.Right, 0)
+		b, ok, err := j.Right.NextBatch(ctx, ctx.BatchLen())
 		if err != nil {
 			return err
 		}
@@ -419,7 +392,7 @@ func (j *HashSemiJoin) fill(ctx *Context, max int) error {
 	start := time.Now()
 	defer func() { j.probeNS += time.Since(start).Nanoseconds() }()
 	for len(j.buf) == 0 && !j.leftDone {
-		lb, ok, err := NextBatchFrom(ctx, j.Left, max)
+		lb, ok, err := j.Left.NextBatch(ctx, max)
 		if err != nil {
 			return err
 		}
@@ -446,25 +419,7 @@ func (j *HashSemiJoin) fill(ctx *Context, max int) error {
 	return nil
 }
 
-// Next implements Operator.
-func (j *HashSemiJoin) Next(ctx *Context) (types.Tuple, bool, error) {
-	if !j.opened {
-		return nil, false, fmt.Errorf("HashSemiJoin: Next before Open")
-	}
-	if len(j.buf) == 0 {
-		if err := j.fill(ctx, ctx.batchSize()); err != nil {
-			return nil, false, err
-		}
-		if len(j.buf) == 0 {
-			return nil, false, nil
-		}
-	}
-	t := j.buf[0]
-	j.buf = j.buf[1:]
-	return t, true, nil
-}
-
-// NextBatch implements BatchOperator.
+// NextBatch implements Operator.
 func (j *HashSemiJoin) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	if !j.opened {
 		return nil, false, fmt.Errorf("HashSemiJoin: NextBatch before Open")
@@ -473,17 +428,8 @@ func (j *HashSemiJoin) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 		if err := j.fill(ctx, max); err != nil {
 			return nil, false, err
 		}
-		if len(j.buf) == 0 {
-			return nil, false, nil
-		}
 	}
-	n := len(j.buf)
-	if n > max {
-		n = max
-	}
-	b := j.buf[:n:n]
-	j.buf = j.buf[n:]
-	return b, true, nil
+	return TakeBatch(&j.buf, max)
 }
 
 // Close implements Operator.

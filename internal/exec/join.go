@@ -48,30 +48,37 @@ func (j *NestedLoopJoin) Open(ctx *Context) error {
 	return bindAll("Join", j.Schema(), j.Pred)
 }
 
-// Next implements Operator.
-func (j *NestedLoopJoin) Next(ctx *Context) (types.Tuple, bool, error) {
+// NextBatch implements Operator. The left (outer) side advances one tuple
+// at a time, and only while fewer than max joined tuples are buffered, so
+// a LIMIT above the join never makes an outer subtree issue external
+// calls a tuple-at-a-time consumer would not have (the draw discipline in
+// the package comment). The right side is re-opened per outer tuple and
+// pulled in batches of the space left: that many joined tuples need at
+// least that many inner ones.
+func (j *NestedLoopJoin) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	if !j.opened {
-		return nil, false, fmt.Errorf("NestedLoopJoin: Next before Open")
+		return nil, false, fmt.Errorf("NestedLoopJoin: NextBatch before Open")
 	}
-	for {
+	if err := checkMax(max); err != nil {
+		return nil, false, err
+	}
+	var out Batch
+	for len(out) < max && !j.leftDone {
 		if j.curLeft == nil {
-			if j.leftDone {
-				return nil, false, nil
-			}
-			lt, ok, err := j.Left.Next(ctx)
+			lb, ok, err := j.Left.NextBatch(ctx, 1)
 			if err != nil {
 				return nil, false, err
 			}
 			if !ok {
 				j.leftDone = true
-				return nil, false, nil
+				break
 			}
-			j.curLeft = lt
+			j.curLeft = lb[0]
 			if err := j.Right.Open(ctx); err != nil {
 				return nil, false, err
 			}
 		}
-		rt, ok, err := j.Right.Next(ctx)
+		rb, ok, err := j.Right.NextBatch(ctx, max-len(out))
 		if err != nil {
 			return nil, false, err
 		}
@@ -82,18 +89,24 @@ func (j *NestedLoopJoin) Next(ctx *Context) (types.Tuple, bool, error) {
 			j.curLeft = nil
 			continue
 		}
-		joined := j.curLeft.Concat(rt)
-		if j.Pred != nil {
-			v, err := j.Pred.Eval(ctx.Env, joined)
-			if err != nil {
-				return nil, false, fmt.Errorf("Join %s: %w", j.Pred, err)
+		for _, rt := range rb {
+			joined := j.curLeft.Concat(rt)
+			if j.Pred != nil {
+				v, err := j.Pred.Eval(ctx.Env, joined)
+				if err != nil {
+					return nil, false, fmt.Errorf("Join %s: %w", j.Pred, err)
+				}
+				if !v.Truthy() {
+					continue
+				}
 			}
-			if !v.Truthy() {
-				continue
-			}
+			out = append(out, joined)
 		}
-		return joined, true, nil
 	}
+	if len(out) == 0 {
+		return nil, false, nil
+	}
+	return out, true, nil
 }
 
 // Close implements Operator. Both subtrees are always closed (the right
@@ -152,11 +165,10 @@ type DependentJoin struct {
 	BindDesc string
 
 	out      *schema.Schema
-	curLeft  types.Tuple
+	buf      []types.Tuple  // joined tuples not yet emitted
+	binder   BindingBatcher // the right subtree, when it offers BindBatch
 	leftDone bool
-	framed   bool
 	opened   bool
-	ctx      *Context
 }
 
 // NewDependentJoin builds a dependent join.
@@ -175,162 +187,125 @@ func (j *DependentJoin) Schema() *schema.Schema {
 // Open implements Operator.
 func (j *DependentJoin) Open(ctx *Context) error {
 	j.out = nil
-	j.popFrame(ctx) // balance a frame left pushed by an interrupted run
 	if err := j.Left.Open(ctx); err != nil {
 		return err
 	}
-	j.curLeft = nil
+	j.buf = nil
 	j.leftDone = false
 	j.opened = true
-	j.ctx = ctx
+	j.binder = nil
+	if bb, ok := j.Right.(BindingBatcher); ok {
+		_, supports, err := bb.BindBatch(ctx, nil) // side-effect-free capability probe
+		if err != nil {
+			return err
+		}
+		if supports {
+			j.binder = bb
+		}
+	}
 	return nil
 }
 
-// popFrame releases the current outer-binding frame if one is pushed.
-func (j *DependentJoin) popFrame(ctx *Context) {
-	if j.framed {
-		ctx.Env.PopFrame()
-		j.framed = false
+// frame makes an outer tuple's values addressable as correlated bindings.
+func (j *DependentJoin) frame(lt types.Tuple) map[schema.AttrID]types.Value {
+	cols := j.Left.Schema().Cols
+	frame := make(map[schema.AttrID]types.Value, len(cols))
+	for i, col := range cols {
+		if i < len(lt) {
+			frame[col.ID] = lt[i]
+		}
 	}
+	return frame
 }
 
-// Next implements Operator.
-func (j *DependentJoin) Next(ctx *Context) (types.Tuple, bool, error) {
-	if !j.opened {
-		return nil, false, fmt.Errorf("DependentJoin: Next before Open")
-	}
-	for {
-		if j.curLeft == nil {
-			if j.leftDone {
-				return nil, false, nil
-			}
-			lt, ok, err := j.Left.Next(ctx)
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				j.leftDone = true
-				return nil, false, nil
-			}
-			j.curLeft = lt
-			// Make the outer tuple's values visible as correlated bindings,
-			// then (re-)open the right subtree so it can evaluate its
-			// parameter expressions against them.
-			frame := make(map[schema.AttrID]types.Value, j.Left.Schema().Len())
-			for i, col := range j.Left.Schema().Cols {
-				if i < len(lt) {
-					frame[col.ID] = lt[i]
-				}
-			}
-			ctx.Env.PushFrame(frame)
-			j.framed = true
-			if err := j.Right.Open(ctx); err != nil {
-				j.popFrame(ctx)
-				return nil, false, err
-			}
-		}
-		rt, ok, err := j.Right.Next(ctx)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			if err := j.Right.Close(); err != nil {
-				return nil, false, err
-			}
-			j.popFrame(ctx)
-			j.curLeft = nil
-			continue
-		}
-		return j.curLeft.Concat(rt), true, nil
-	}
-}
-
-// NextBatch implements BatchOperator. When the right subtree can service
-// a whole batch of correlated bindings at once (BindingBatcher — the
-// AEVScan batch-registration path), a full outer batch is pulled and
-// bound in one round, so every external call of the batch reaches the
-// request pump before the enclosing ReqSync first waits. Otherwise the
-// per-tuple protocol is looped, capped at max so nothing below is
-// over-drawn.
+// NextBatch implements Operator, preserving the per-binding output order
+// (all of outer tuple i's rows before any of outer tuple i+1's). Outer
+// tuples are bound only while fewer than max joined tuples are buffered;
+// rows beyond max are carried over to the next call.
+//
+// When the right subtree can service a whole batch of correlated bindings
+// at once (BindingBatcher — the AEVScan batch-registration path), as many
+// outer tuples as there is space for are pulled and bound in one round, so
+// every external call of the round reaches the request pump before the
+// enclosing ReqSync first waits. Otherwise each round binds ONE outer
+// tuple and runs the right subtree through Open → drain → Close under it:
+// a synchronous EVScan calls out at Open, so binding further ahead would
+// issue calls a tuple-at-a-time consumer never asked for.
 func (j *DependentJoin) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	if !j.opened {
 		return nil, false, fmt.Errorf("DependentJoin: NextBatch before Open")
 	}
-	// The fast path requires a clean state: if a previous per-tuple Next
-	// left the right subtree mid-iteration, finish that outer tuple via the
-	// fallback below.
-	if j.curLeft == nil {
-		if bb, ok := j.Right.(BindingBatcher); ok {
-			_, supports, err := bb.BindBatch(ctx, nil) // side-effect-free capability probe
-			if err != nil {
-				return nil, false, err
-			}
-			if supports {
-				return j.nextBatchBound(ctx, bb, max)
-			}
-		}
+	if err := checkMax(max); err != nil {
+		return nil, false, err
 	}
-	var out Batch
-	for len(out) < max {
-		t, ok, err := j.Next(ctx)
-		if err != nil {
-			return nil, false, err
+	for len(j.buf) < max && !j.leftDone {
+		want := 1
+		if j.binder != nil {
+			want = max - len(j.buf)
 		}
-		if !ok {
-			break
-		}
-		out = append(out, t)
-	}
-	if len(out) == 0 {
-		return nil, false, nil
-	}
-	return out, true, nil
-}
-
-// nextBatchBound services outer batches through the right subtree's
-// BindBatch, preserving the per-tuple output order (all of outer tuple
-// i's rows before any of outer tuple i+1's).
-func (j *DependentJoin) nextBatchBound(ctx *Context, bb BindingBatcher, max int) (Batch, bool, error) {
-	for {
-		if j.leftDone {
-			return nil, false, nil
-		}
-		lb, ok, err := NextBatchFrom(ctx, j.Left, max)
+		lb, ok, err := j.Left.NextBatch(ctx, want)
 		if err != nil {
 			return nil, false, err
 		}
 		if !ok {
 			j.leftDone = true
-			return nil, false, nil
+			break
 		}
-		frames := make([]map[schema.AttrID]types.Value, len(lb))
-		for fi, lt := range lb {
-			frame := make(map[schema.AttrID]types.Value, j.Left.Schema().Len())
-			for i, col := range j.Left.Schema().Cols {
-				if i < len(lt) {
-					frame[col.ID] = lt[i]
-				}
-			}
-			frames[fi] = frame
+		if j.binder != nil {
+			err = j.bindRound(ctx, lb)
+		} else {
+			err = j.bindOne(ctx, lb[0])
 		}
-		rows, handled, err := bb.BindBatch(ctx, frames)
 		if err != nil {
 			return nil, false, err
 		}
-		if !handled {
-			return nil, false, fmt.Errorf("DependentJoin: right child revoked batch binding mid-stream")
+	}
+	return TakeBatch(&j.buf, max)
+}
+
+// bindRound services one outer batch through the right subtree's
+// BindBatch.
+func (j *DependentJoin) bindRound(ctx *Context, lb Batch) error {
+	frames := make([]map[schema.AttrID]types.Value, len(lb))
+	for fi, lt := range lb {
+		frames[fi] = j.frame(lt)
+	}
+	rows, handled, err := j.binder.BindBatch(ctx, frames)
+	if err != nil {
+		return err
+	}
+	if !handled {
+		return fmt.Errorf("DependentJoin: right child revoked batch binding mid-stream")
+	}
+	for fi, rs := range rows {
+		for _, rt := range rs {
+			j.buf = append(j.buf, lb[fi].Concat(rt))
 		}
-		var out Batch
-		for fi, rs := range rows {
-			for _, rt := range rs {
-				out = append(out, lb[fi].Concat(rt))
-			}
+	}
+	return nil
+}
+
+// bindOne pushes one outer tuple's frame, so the right subtree can
+// evaluate its parameter expressions against it, and runs the subtree
+// through a full Open → drain → Close cycle. The frame never outlives the
+// call, whatever fails.
+func (j *DependentJoin) bindOne(ctx *Context, lt types.Tuple) error {
+	ctx.Env.PushFrame(j.frame(lt))
+	defer ctx.Env.PopFrame()
+	if err := j.Right.Open(ctx); err != nil {
+		return err
+	}
+	for {
+		rb, ok, err := j.Right.NextBatch(ctx, ctx.BatchLen())
+		if err != nil {
+			return err
 		}
-		if len(out) > 0 {
-			return out, true, nil
+		if !ok {
+			return j.Right.Close()
 		}
-		// Every binding of this outer batch produced zero rows; pull the
-		// next outer batch.
+		for _, rt := range rb {
+			j.buf = append(j.buf, lt.Concat(rt))
+		}
 	}
 }
 
@@ -342,8 +317,7 @@ func (j *DependentJoin) Close() error {
 		return nil
 	}
 	j.opened = false
-	j.popFrame(j.ctx) // balance the frame when closed mid-iteration
-	j.curLeft = nil
+	j.buf = nil
 	return errors.Join(j.Left.Close(), j.Right.Close())
 }
 

@@ -1,8 +1,29 @@
 // Package exec implements the iterator-based query executor of the WSQ/DSQ
-// reproduction: the classic Open/Next/Close operator protocol ([Gra93], as
-// assumed throughout Section 4 of the paper) with table scans, filters,
-// projections, nested-loop and dependent joins, sorting, aggregation, and
-// external virtual-table scans (EVScan).
+// reproduction: the Open/NextBatch/Close operator protocol — the iterator
+// model of [Gra93] that Section 4 of the paper assumes, with one pull
+// method that moves a bounded batch of tuples per call — with table scans,
+// filters, projections, nested-loop, hash and dependent joins, sorting,
+// aggregation, and external virtual-table scans (EVScan).
+//
+// There is exactly one pull protocol (see Operator.NextBatch). A consumer
+// that wants tuples ranges over the batch it pulled. Three rules make the
+// single protocol safe to reason about:
+//
+//   - Size: a successful pull returns between 1 and max tuples; ok == false
+//     means end of stream and stays false until the operator is re-opened.
+//     Callers pass max >= 1 (Context.BatchLen is the query's granularity);
+//     max < 1 is a caller bug and is rejected with an error.
+//   - Ownership: a Batch is a window into storage its producer owns, valid
+//     until the next NextBatch on that producer (see Batch).
+//   - Draw: NextBatch(max) pulls no more input from a side that may issue
+//     external calls than a tuple-at-a-time consumer of max tuples would
+//     have. Limit caps max at its remaining quota; NestedLoopJoin and the
+//     per-binding DependentJoin path advance their outer side one tuple at
+//     a time and stop as soon as max tuples are buffered. Below an EVScan
+//     every extra outer tuple is an extra external call, so this rule is
+//     what keeps `LIMIT 3` at three calls whatever the batch size. The
+//     hash joins are the stated exception: they probe a batch of up to max
+//     outer tuples per round.
 //
 // Operators expose their children for structural rewrites; the
 // asynchronous-iteration rewriter (package async) relies on this to insert,
@@ -87,13 +108,16 @@ type Context struct {
 	// server, EXPLAIN ANALYZE) read the finished tree from here.
 	Trace *obs.Span
 	// BatchSize overrides the executor's batch granularity; zero means
-	// DefaultBatchSize. wsqbench sweeps it to chart the batching win.
+	// DefaultBatchSize. It is a reference granularity, not a tuning knob:
+	// the benchmark and wsqfuzz run size 1 as the tuple-at-a-time reference
+	// that every other size must agree with.
 	BatchSize int
 	Stats     Stats
 }
 
-// batchSize resolves the effective batch granularity.
-func (c *Context) batchSize() int {
+// BatchLen resolves the query's batch granularity: the max that Run and
+// every operator draining a child to exhaustion pass to NextBatch.
+func (c *Context) BatchLen() int {
 	if c.BatchSize > 0 {
 		return c.BatchSize
 	}
@@ -132,8 +156,15 @@ type Operator interface {
 	// after exhaustion (dependent joins re-open their right subtree once
 	// per outer tuple).
 	Open(ctx *Context) error
-	// Next produces the next tuple; ok is false at end of stream.
-	Next(ctx *Context) (t types.Tuple, ok bool, err error)
+	// NextBatch is the one pull method. It produces the next batch of at
+	// least 1 and at most max tuples; ok is false only at end of stream,
+	// and then stays false until the next Open. Partial batches may appear
+	// anywhere in the stream. max must be >= 1 — a caller with no bound of
+	// its own passes ctx.BatchLen() — and max < 1 is rejected with an
+	// error rather than given a meaning. The batch is valid until the next
+	// NextBatch on this operator (see Batch), and producing it must respect
+	// the draw discipline in the package comment.
+	NextBatch(ctx *Context, max int) (b Batch, ok bool, err error)
 	// Close releases resources. Close must be idempotent.
 	Close() error
 	// Children returns the operator's inputs (empty for leaves).
@@ -147,11 +178,9 @@ type Operator interface {
 }
 
 // Run drains op to completion, returning all produced tuples. It opens
-// and closes the operator, pulling batch-at-a-time so a batch-native
-// pipeline never drops to per-tuple dispatch at the root. On every error
-// path the operator is still closed and any Close error is joined onto
-// the primary one — a failed Next must not mask (or be masked by) a
-// resource-release failure.
+// and closes the operator. On every error path the operator is still
+// closed and any Close error is joined onto the primary one — a failed
+// pull must not mask (or be masked by) a resource-release failure.
 func Run(ctx *Context, op Operator) ([]types.Tuple, error) {
 	if err := op.Open(ctx); err != nil {
 		return nil, errors.Join(err, op.Close())
@@ -163,7 +192,7 @@ func Run(ctx *Context, op Operator) ([]types.Tuple, error) {
 				return nil, errors.Join(err, op.Close())
 			}
 		}
-		b, ok, err := NextBatchFrom(ctx, op, ctx.batchSize())
+		b, ok, err := op.NextBatch(ctx, ctx.BatchLen())
 		if err != nil {
 			return nil, errors.Join(err, op.Close())
 		}

@@ -39,31 +39,13 @@ func (s *TableScan) Open(ctx *Context) error {
 	return nil
 }
 
-// Next implements Operator.
-func (s *TableScan) Next(ctx *Context) (types.Tuple, bool, error) {
-	if s.sc == nil {
-		return nil, false, fmt.Errorf("TableScan(%s): Next before Open", s.Table.Def.Name)
-	}
-	_, raw, ok, err := s.sc.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	t, err := types.DecodeTuple(raw)
-	if err != nil {
-		return nil, false, fmt.Errorf("TableScan(%s): %w", s.Table.Def.Name, err)
-	}
-	if len(t) != s.Out.Len() {
-		return nil, false, fmt.Errorf("TableScan(%s): stored tuple width %d != schema width %d",
-			s.Table.Def.Name, len(t), s.Out.Len())
-	}
-	return t, true, nil
-}
-
-// NextBatch implements BatchOperator: one storage-scanner loop per batch
-// instead of one protocol call per stored tuple.
+// NextBatch implements Operator: one storage-scanner loop per batch.
 func (s *TableScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	if s.sc == nil {
 		return nil, false, fmt.Errorf("TableScan(%s): NextBatch before Open", s.Table.Def.Name)
+	}
+	if err := checkMax(max); err != nil {
+		return nil, false, err
 	}
 	var out Batch
 	for len(out) < max {
@@ -125,7 +107,7 @@ func (s *TableScan) Describe() string {
 type ValuesScan struct {
 	Out  *schema.Schema
 	Rows []types.Tuple
-	pos  int
+	rest []types.Tuple // the unread tail of Rows
 }
 
 // NewValuesScan builds an in-memory scan.
@@ -137,31 +119,12 @@ func NewValuesScan(out *schema.Schema, rows []types.Tuple) *ValuesScan {
 func (v *ValuesScan) Schema() *schema.Schema { return v.Out }
 
 // Open implements Operator.
-func (v *ValuesScan) Open(ctx *Context) error { v.pos = 0; return nil }
+func (v *ValuesScan) Open(ctx *Context) error { v.rest = v.Rows; return nil }
 
-// Next implements Operator.
-func (v *ValuesScan) Next(ctx *Context) (types.Tuple, bool, error) {
-	if v.pos >= len(v.Rows) {
-		return nil, false, nil
-	}
-	t := v.Rows[v.pos]
-	v.pos++
-	return t, true, nil
-}
-
-// NextBatch implements BatchOperator by handing out windows of the row
-// list; callers must not mutate the returned slice (see Batch).
+// NextBatch implements Operator by handing out windows of the row list;
+// callers must not mutate the returned slice (see Batch).
 func (v *ValuesScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
-	if v.pos >= len(v.Rows) {
-		return nil, false, nil
-	}
-	end := v.pos + max
-	if end > len(v.Rows) {
-		end = len(v.Rows)
-	}
-	b := Batch(v.Rows[v.pos:end:end])
-	v.pos = end
-	return b, true, nil
+	return TakeBatch(&v.rest, max)
 }
 
 // Close implements Operator.

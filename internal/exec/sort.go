@@ -23,8 +23,7 @@ type Sort struct {
 	Child Operator
 	Keys  []SortKey
 
-	rows []types.Tuple
-	pos  int
+	rows []types.Tuple // the sorted run not yet emitted
 }
 
 // NewSort builds a sort over child.
@@ -47,16 +46,13 @@ func (s *Sort) Open(ctx *Context) error {
 	if err := bindAll("Sort", s.Child.Schema(), exprs...); err != nil {
 		return err
 	}
-	s.rows = s.rows[:0]
-	s.pos = 0
-
 	type keyed struct {
 		row  types.Tuple
 		keys []types.Value
 	}
 	var buf []keyed
 	for {
-		b, ok, err := NextBatchFrom(ctx, s.Child, 0)
+		b, ok, err := s.Child.NextBatch(ctx, ctx.BatchLen())
 		if err != nil {
 			return err
 		}
@@ -88,35 +84,17 @@ func (s *Sort) Open(ctx *Context) error {
 		}
 		return false
 	})
-	for _, kv := range buf {
-		s.rows = append(s.rows, kv.row)
+	s.rows = make([]types.Tuple, len(buf))
+	for i, kv := range buf {
+		s.rows[i] = kv.row
 	}
 	return nil
 }
 
-// Next implements Operator.
-func (s *Sort) Next(ctx *Context) (types.Tuple, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	t := s.rows[s.pos]
-	s.pos++
-	return t, true, nil
-}
-
-// NextBatch implements BatchOperator by handing out windows of the sorted
-// run materialized at Open.
+// NextBatch implements Operator by handing out windows of the sorted run
+// materialized at Open.
 func (s *Sort) NextBatch(ctx *Context, max int) (Batch, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	end := s.pos + max
-	if end > len(s.rows) {
-		end = len(s.rows)
-	}
-	b := Batch(s.rows[s.pos:end:end])
-	s.pos = end
-	return b, true, nil
+	return TakeBatch(&s.rows, max)
 }
 
 // Close implements Operator.
@@ -184,20 +162,7 @@ func (l *Limit) Open(ctx *Context) error {
 	return l.Child.Open(ctx)
 }
 
-// Next implements Operator.
-func (l *Limit) Next(ctx *Context) (types.Tuple, bool, error) {
-	if l.seen >= l.N {
-		return nil, false, nil
-	}
-	t, ok, err := l.Child.Next(ctx)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	l.seen++
-	return t, true, nil
-}
-
-// NextBatch implements BatchOperator. The pull from the child is capped
+// NextBatch implements Operator. The pull from the child is capped
 // at the remaining quota, not at max: a limit must never over-draw its
 // child, because below an EVScan every extra tuple is an extra external
 // call.
@@ -209,12 +174,9 @@ func (l *Limit) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	if max > rem {
 		max = rem
 	}
-	b, ok, err := NextBatchFrom(ctx, l.Child, max)
+	b, ok, err := l.Child.NextBatch(ctx, max)
 	if err != nil || !ok {
 		return nil, false, err
-	}
-	if len(b) > rem {
-		b = b[:rem]
 	}
 	l.seen += len(b)
 	return b, true, nil
@@ -260,28 +222,12 @@ func (d *Distinct) Open(ctx *Context) error {
 	return d.Child.Open(ctx)
 }
 
-// Next implements Operator.
-func (d *Distinct) Next(ctx *Context) (types.Tuple, bool, error) {
-	for {
-		t, ok, err := d.Child.Next(ctx)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		k := t.Key()
-		if d.seen[k] {
-			continue
-		}
-		d.seen[k] = true
-		return t, true, nil
-	}
-}
-
-// NextBatch implements BatchOperator: duplicate elimination over whole
+// NextBatch implements Operator: duplicate elimination over whole
 // child batches, survivors in a fresh slice, looping until at least one
 // new tuple appears or the child is exhausted.
 func (d *Distinct) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	for {
-		in, ok, err := NextBatchFrom(ctx, d.Child, max)
+		in, ok, err := d.Child.NextBatch(ctx, max)
 		if err != nil || !ok {
 			return nil, false, err
 		}

@@ -33,7 +33,7 @@ type TraceChildren interface {
 // returns the instrumented plan plus the root of its span tree. The
 // span tree mirrors the plan tree exactly (span parentage == operator
 // parentage), and each span accumulates the *inclusive* wall time spent
-// inside its operator's Open/Next/Close calls: a parent's time includes
+// inside its operator's Open/NextBatch/Close calls: a parent's time includes
 // its children's, so the root span's duration is the query's execution
 // time and Span.Self exposes per-operator exclusive time.
 //
@@ -85,22 +85,10 @@ func (w *spanOp) Open(ctx *Context) error {
 	return err
 }
 
-func (w *spanOp) Next(ctx *Context) (t types.Tuple, ok bool, err error) {
-	start := time.Now()
-	t, ok, err = w.inner.Next(ctx)
-	w.span.Dur += time.Since(start)
-	if ok {
-		w.span.Rows++
-	}
-	return t, ok, err
-}
-
-// NextBatch implements BatchOperator: the whole batch pull (native or
-// adapted) is timed as one protocol call, which is exactly the
-// per-operator overhead the batching refactor removes.
+// NextBatch times the whole batch pull as one protocol call.
 func (w *spanOp) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	start := time.Now()
-	b, ok, err := NextBatchFrom(ctx, w.inner, max)
+	b, ok, err := w.inner.NextBatch(ctx, max)
 	w.span.Dur += time.Since(start)
 	if ok {
 		w.span.Rows += int64(len(b))
@@ -111,7 +99,7 @@ func (w *spanOp) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 
 // BindBatch forwards batch binding to the decorated operator when it
 // supports it. Each bound frame counts as one logical Open — a dependent
-// join driving the per-tuple path would have re-opened the inner subtree
+// join driving the per-binding path would have re-opened the inner subtree
 // once per outer binding, and the trace must report the same logical
 // work either way.
 func (w *spanOp) BindBatch(ctx *Context, frames []map[schema.AttrID]types.Value) ([][]types.Tuple, bool, error) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/schema"
-	"repro/internal/types"
 )
 
 // UnionAll is the bag union: it streams its left input, then its right.
@@ -57,25 +56,7 @@ func (u *UnionAll) Open(ctx *Context) error {
 	return nil
 }
 
-// Next implements Operator.
-func (u *UnionAll) Next(ctx *Context) (types.Tuple, bool, error) {
-	if !u.opened {
-		return nil, false, fmt.Errorf("UnionAll: Next before Open")
-	}
-	if !u.onRight {
-		t, ok, err := u.Left.Next(ctx)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			return t, true, nil
-		}
-		u.onRight = true
-	}
-	return u.Right.Next(ctx)
-}
-
-// NextBatch implements BatchOperator: left batches until exhausted, then
+// NextBatch implements Operator: left batches until exhausted, then
 // right batches. Batches never mix inputs (attribute identities are the
 // left's either way; keeping the boundary just simplifies reasoning).
 func (u *UnionAll) NextBatch(ctx *Context, max int) (Batch, bool, error) {
@@ -83,7 +64,7 @@ func (u *UnionAll) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 		return nil, false, fmt.Errorf("UnionAll: NextBatch before Open")
 	}
 	if !u.onRight {
-		b, ok, err := NextBatchFrom(ctx, u.Left, max)
+		b, ok, err := u.Left.NextBatch(ctx, max)
 		if err != nil {
 			return nil, false, err
 		}
@@ -92,7 +73,7 @@ func (u *UnionAll) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 		}
 		u.onRight = true
 	}
-	return NextBatchFrom(ctx, u.Right, max)
+	return u.Right.NextBatch(ctx, max)
 }
 
 // Close implements Operator.

@@ -27,7 +27,11 @@ type Variant struct {
 
 // Variants are the four regimes every query runs under: the synchronous
 // nested-loop plan, the async percolated/consolidated nested-loop plan,
-// and the hash-join plan under async at batch sizes 1 and 256.
+// and the hash-join plan under async at batch sizes 1 and 256. There is
+// one pull protocol, so the two sizes do not compare protocols: size 1
+// is the tuple-at-a-time reference granularity and 256 exercises the
+// batch-boundary carry-over in NestedLoopJoin and DependentJoin (output
+// buffered past max, an outer tuple held across calls).
 var Variants = []Variant{
 	{Name: "sync-nlj", DisableHash: true},
 	{Name: "async-nlj", DisableHash: true, Async: true},

@@ -43,8 +43,6 @@ type Options struct {
 	MaxCallsPerDest    int
 	// CacheSize enables the [HN96] result cache when > 0.
 	CacheSize int
-	// StreamingReqSync enables the streaming ReqSync variant.
-	StreamingReqSync bool
 	// Seed offsets the latency jitter streams.
 	Seed int64
 	// Faults, when non-nil, wraps both engines in a seeded search.Flaky
@@ -104,7 +102,6 @@ func NewEnv(opts Options) (*Env, error) {
 		MaxConcurrentCalls: opts.MaxConcurrentCalls,
 		MaxCallsPerDest:    opts.MaxCallsPerDest,
 		CacheSize:          opts.CacheSize,
-		StreamingReqSync:   opts.StreamingReqSync,
 		Retry:              opts.Retry,
 		Degrade:            opts.Degrade,
 	})

@@ -5,10 +5,10 @@ import (
 	"go/ast"
 )
 
-// batchWindow enforces the vectorized protocol's reuse invariant: a
-// Batch returned by NextBatch/NextBatchFrom is a window into
-// operator-owned storage, valid only until the next NextBatch call on
-// the same operator. Callers may iterate it and may copy tuple
+// batchWindow enforces the pull protocol's reuse invariant: a Batch
+// returned by an operator's NextBatch — called through the Operator
+// interface or on a concrete operator — is a window into operator-owned
+// storage, valid only until the next NextBatch call on the same operator. Callers may iterate it and may copy tuple
 // references out (`append(out, b...)` re-slices the elements), but the
 // window itself must not outlive its validity:
 //
@@ -53,25 +53,16 @@ func (r *batchWindow) CheckProgram(prog *Program) []Diagnostic {
 	return diags
 }
 
-// batchCall matches a NextBatch/NextBatchFrom call and returns the
-// producing operator's receiver path ("j.Left", "op") for same-operator
-// invalidation tracking.
+// batchCall matches a NextBatch method call — on an interface value or a
+// concrete operator alike — and returns the producing operator's receiver
+// path ("j.Left", "op") for same-operator invalidation tracking.
 func batchCall(call *ast.CallExpr) (producer string, ok bool) {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		if fun.Sel.Name != "NextBatch" {
-			return "", false
-		}
-		p, _ := exprPath(fun.X)
-		return p, true
-	case *ast.Ident:
-		if fun.Name != "NextBatchFrom" || len(call.Args) < 2 {
-			return "", false
-		}
-		p, _ := exprPath(call.Args[1])
-		return p, true
+	fun, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !isSel || fun.Sel.Name != "NextBatch" {
+		return "", false
 	}
-	return "", false
+	p, _ := exprPath(fun.X)
+	return p, true
 }
 
 // bwSummary records which parameters (by index) a function retains.

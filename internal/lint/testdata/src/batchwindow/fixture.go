@@ -17,8 +17,15 @@ func (o *Op) NextBatch(ctx int, max int) (Batch, bool, error) {
 	return o.buf, true, nil
 }
 
+// Operator is the pull interface: a window pulled through it is tracked
+// exactly like one pulled from a concrete operator.
+type Operator interface {
+	NextBatch(ctx int, max int) (Batch, bool, error)
+}
+
 type Consumer struct {
 	child *Op
+	left  Operator
 	held  Batch
 	rows  []Tuple
 }
@@ -61,6 +68,19 @@ func (c *Consumer) stale(ctx int) {
 	b2, _, _ := c.child.NextBatch(ctx, 8)
 	_ = b2
 	_ = b1[0] // want "used after a later NextBatch"
+}
+
+// staleIface: the same invalidation through the Operator interface, and a
+// window from one producer survives a pull on another.
+func (c *Consumer) staleIface(ctx int) {
+	l1, _, _ := c.left.NextBatch(ctx, 1)
+	r1, _, _ := c.child.NextBatch(ctx, 8)
+	_ = l1[0] // a pull on c.child does not invalidate c.left's window
+	l2, _, _ := c.left.NextBatch(ctx, 1)
+	_ = l2
+	_ = r1[0]
+	_ = l1[0]   // want "used after a later NextBatch"
+	c.held = l2 // want "retained in a field"
 }
 
 // rebind is fine: the second call re-binds the same variable, so no

@@ -18,12 +18,12 @@ import (
 type Span struct {
 	// Op is the operator's display name ("ReqSync", "DependentJoin", ...).
 	Op string
-	// Detail is the operator's parameter summary ("WebCount", "streaming").
+	// Detail is the operator's parameter summary ("WebCount", "Count DESC").
 	Detail string
 	// Start is the wall-clock time of the first Open.
 	Start time.Time
 	// Dur is the inclusive wall time attributed to this subtree: the sum
-	// of time spent inside this operator's Open/Next/Close calls,
+	// of time spent inside this operator's Open/NextBatch/Close calls,
 	// including everything its children did beneath those calls.
 	Dur time.Duration
 	// Opens counts Open calls (dependent joins re-open their inner
@@ -96,7 +96,7 @@ func (s *Span) SetExtra(key string, n int64) {
 }
 
 // Self is the span's exclusive time: inclusive time minus the inclusive
-// time of its children. Blocking in ReqSync.Next waiting on the pump is
+// time of its children. Blocking in ReqSync.NextBatch waiting on the pump is
 // ReqSync self time — exactly the "where did the wall-clock go" signal.
 func (s *Span) Self() time.Duration {
 	d := s.Dur
