@@ -76,7 +76,7 @@ func tierBench(model search.LatencyModel, workers, clients int, duration time.Du
 		inner := server.New(env.DB, server.Options{
 			MaxConcurrentQueries: 4 * clients,
 			Node:                 id,
-			Profiles:             profile.NewStore(id),
+			Profiles:             profile.NewStore(id, env.DB.Pump().DestProfiles),
 		})
 		w := shard.NewWorker(shard.WorkerOptions{
 			ID: id, Inner: inner, Cache: env.DB.Cache(), Pump: env.DB.Pump(), Peers: peers,
@@ -227,11 +227,27 @@ func tierBench(model search.LatencyModel, workers, clients int, duration time.Du
 		}
 	}
 
-	// /metrics must corroborate the counters (the operator's view).
+	// /metrics must corroborate the counters (the operator's view), and
+	// on every worker /profiles and /metrics — two views of the pump's one
+	// destination table — must count the same engine executions.
 	metricsOK := false
+	var viewErrs []string
 	for _, nd := range nodes {
-		if scrapeCounter(nd.url+"/metrics", "wsq_shard_remote_get_hits_total") > 0 {
+		if scrapeSum(nd.url+"/metrics", "wsq_shard_remote_get_hits_total") > 0 {
 			metricsOK = true
+		}
+		nd.env.DB.Pump().Quiesce()
+		var sn profile.Snapshot
+		if err := getJSON(ctx, nd.url+"/profiles?format=snapshot", &sn); err != nil {
+			viewErrs = append(viewErrs, fmt.Sprintf("%s /profiles?format=snapshot: %v", nd.id, err))
+			continue
+		}
+		var profiled int64
+		for _, ds := range sn.Dests {
+			profiled += ds.Calls
+		}
+		if timed := scrapeSum(nd.url+"/metrics", "wsq_pump_call_latency_seconds_count"); float64(profiled) != timed {
+			viewErrs = append(viewErrs, fmt.Sprintf("%s: /profiles counts %d calls but /metrics timed %g executions", nd.id, profiled, timed))
 		}
 	}
 
@@ -256,6 +272,10 @@ func tierBench(model search.LatencyModel, workers, clients int, duration time.Du
 	}
 	if drainErr != nil {
 		fmt.Printf("FAIL: drain: %v\n", drainErr)
+		failed = true
+	}
+	for _, e := range viewErrs {
+		fmt.Printf("FAIL: %s\n", e)
 		failed = true
 	}
 	if res.ok == 0 {
@@ -349,25 +369,30 @@ type tierProfiles struct {
 
 // scrapeProfiles fetches and decodes a /profiles endpoint.
 func scrapeProfiles(ctx context.Context, url string) (*tierProfiles, error) {
+	var out tierProfiles
+	if err := getJSON(ctx, url, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
+// getJSON fetches url and decodes its JSON body into out.
+func getJSON(ctx context.Context, url string, out any) error {
 	rctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodGet, url, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
+		return fmt.Errorf("status %d", resp.StatusCode)
 	}
-	var out tierProfiles
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // tierQueryPool builds the multi-node workload: for every template-1
@@ -395,10 +420,10 @@ func tierQueryPool(members []shard.Member, vnodes int) []string {
 	return out
 }
 
-// scrapeCounter fetches a Prometheus text exposition and returns the
-// value of the first sample whose name matches exactly (-1 if absent or
-// unreachable).
-func scrapeCounter(url, name string) float64 {
+// scrapeSum fetches a Prometheus text exposition and returns the sum of
+// the named family's samples — its one sample when unlabelled, all label
+// children otherwise (-1 if absent or unreachable).
+func scrapeSum(url, name string) float64 {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
@@ -414,14 +439,19 @@ func scrapeCounter(url, name string) float64 {
 	if err != nil {
 		return -1
 	}
+	sum, found := 0.0, false
 	for _, line := range strings.Split(string(body), "\n") {
-		if rest, ok := strings.CutPrefix(line, name+" "); ok {
-			var v float64
-			if _, err := fmt.Sscanf(rest, "%g", &v); err == nil {
-				return v
-			}
+		if !strings.HasPrefix(line, name+" ") && !strings.HasPrefix(line, name+"{") {
+			continue
+		}
+		var v float64
+		if _, err := fmt.Sscanf(line[strings.LastIndexByte(line, ' ')+1:], "%g", &v); err != nil {
 			return -1
 		}
+		sum, found = sum+v, true
 	}
-	return -1
+	if !found {
+		return -1
+	}
+	return sum
 }

@@ -181,7 +181,7 @@ func main() {
 	if *shardID != "" {
 		node = *shardID
 	}
-	profiles := profile.NewStore(node)
+	profiles := profile.NewStore(node, db.Pump().DestProfiles)
 	if *profileSnapshot != "" {
 		if err := profiles.Load(*profileSnapshot); err != nil {
 			log.Printf("profile snapshot %s unusable, starting empty: %v", *profileSnapshot, err)

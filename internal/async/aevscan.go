@@ -27,10 +27,10 @@ type AEVScan struct {
 	// nCalls counts pump registrations across every Open of this instance,
 	// for the span trace (one registration per outer binding).
 	nCalls int64
-	// tracedIDs accumulates the CallIDs this scan registered while the
-	// query was sampled; TraceChildren exchanges them for pump call
-	// spans at Close. Empty for untraced queries.
-	tracedIDs []types.CallID
+	// traces accumulates the lifecycle records of the calls this scan
+	// registered while the query was sampled; TraceChildren turns them
+	// into pump call spans at Close. Empty for untraced queries.
+	traces []*CallTrace
 }
 
 // NewAEVScan builds an asynchronous external scan.
@@ -76,11 +76,12 @@ func (s *AEVScan) register(ctx *exec.Context, byKey map[string]types.CallID) (ty
 		id = s.Pump.RegisterCtx(ctx.Ctx, src.Destination(), key, func() ([]types.Tuple, error) {
 			return src.Call(args)
 		})
+		ctx.PumpCalls = append(ctx.PumpCalls, id)
 		if byKey != nil {
 			byKey[key] = id
 		}
 		if obs.SampledTrace(ctx.Ctx) != nil {
-			s.tracedIDs = append(s.tracedIDs, id)
+			s.traces = append(s.traces, s.Pump.CallTrace(id))
 		}
 	}
 	numEcho := src.NumEcho()
@@ -160,20 +161,15 @@ func (s *AEVScan) SpanExtras() map[string]int64 {
 }
 
 // TraceChildren implements exec.TraceChildren: the pump call timelines
-// this scan registered while the query was sampled, as spans. Taking a
-// call's record removes it from the pump, so re-closing (dependent
-// joins close their inner subtree once per binding) attaches each call
-// exactly once.
+// this scan registered while the query was sampled, as spans. Handing
+// them out empties the list, so re-closing (dependent joins close their
+// inner subtree once per binding) attaches each call exactly once.
 func (s *AEVScan) TraceChildren() []*obs.Span {
-	if len(s.tracedIDs) == 0 || s.Pump == nil {
-		return nil
-	}
-	records := s.Pump.TakeCallTraces(s.tracedIDs)
-	s.tracedIDs = s.tracedIDs[:0]
-	spans := make([]*obs.Span, 0, len(records))
-	for _, ct := range records {
+	spans := make([]*obs.Span, 0, len(s.traces))
+	for _, ct := range s.traces {
 		spans = append(spans, ct.Span())
 	}
+	s.traces = s.traces[:0]
 	return spans
 }
 

@@ -119,58 +119,15 @@ func (ct *CallTrace) Span() *obs.Span {
 	return s
 }
 
-// TakeCallTraces removes and returns the trace records for the given
-// call ids. The issuing operator (AEVScan) calls it from Close on the
-// query goroutine and attaches the spans to its own trace node; removal
-// makes repeated Close (dependent joins re-close their inner subtree)
-// attach each call exactly once.
-func (p *Pump) TakeCallTraces(ids []types.CallID) []*CallTrace {
+// CallTrace returns the trace record of a call the pump still holds, or
+// nil when the call is untraced or no longer held. The issuing operator
+// (AEVScan) asks right after RegisterCtx — its own ReqSync cannot have
+// taken the call yet — and keeps the record for its span.
+func (p *Pump) CallTrace(id types.CallID) *CallTrace {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.traces) == 0 {
-		return nil
-	}
-	var out []*CallTrace
-	for _, id := range ids {
-		if ct, ok := p.traces[id]; ok {
-			out = append(out, ct)
-			delete(p.traces, id)
-		}
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Profile feed
-
-// ProfileSink receives the pump's per-call observations; implemented by
-// profile.Store. Event kinds are "retry", "hedge", "timeout",
-// "cache_hit", and "peer_hit" (the profile package's Event* constants).
-// Implementations must be safe for concurrent use and must not call
-// back into the pump (several hooks fire under p.mu).
-type ProfileSink interface {
-	CallObserved(dest string, d time.Duration, failed bool)
-	EventObserved(dest, kind string)
-}
-
-// profileBox wraps the interface for atomic.Pointer storage.
-type profileBox struct{ sink ProfileSink }
-
-// SetProfiles attaches (or, with nil, detaches) the profile sink. Like
-// metrics, it is read lock-free on the hot paths: a pump without a sink
-// pays one predicted branch per call.
-func (p *Pump) SetProfiles(s ProfileSink) {
-	if s == nil {
-		p.profiles.Store(nil)
-		return
-	}
-	p.profiles.Store(&profileBox{sink: s})
-}
-
-// profileSink returns the attached sink, or nil.
-func (p *Pump) profileSink() ProfileSink {
-	if b := p.profiles.Load(); b != nil {
-		return b.sink
+	if c := p.calls[id]; c != nil {
+		return c.trace
 	}
 	return nil
 }

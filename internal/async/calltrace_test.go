@@ -16,34 +16,10 @@ func tracedCtx() (context.Context, *obs.TraceCtx) {
 	return obs.WithTrace(context.Background(), tc), tc
 }
 
-// recordingSink captures ProfileSink callbacks for assertions.
-type recordingSink struct {
-	mu     sync.Mutex
-	calls  []string // "dest/failed"
-	events []string // "dest/kind"
-}
-
-func (r *recordingSink) CallObserved(dest string, d time.Duration, failed bool) {
-	r.mu.Lock()
-	r.calls = append(r.calls, fmt.Sprintf("%s/%v", dest, failed))
-	r.mu.Unlock()
-}
-
-func (r *recordingSink) EventObserved(dest, kind string) {
-	r.mu.Lock()
-	r.events = append(r.events, dest+"/"+kind)
-	r.mu.Unlock()
-}
-
-func (r *recordingSink) snapshot() ([]string, []string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string{}, r.calls...), append([]string{}, r.events...)
-}
-
 // TestCallTraceLifecycle: a sampled registration produces a trace record
 // that converts to a pump.call span with one attempt child and the queue
-// wait, and TakeCallTraces hands it out exactly once.
+// wait; the record hangs off the call record, so it is reachable while the
+// call is held and gone with it.
 func TestCallTraceLifecycle(t *testing.T) {
 	// One slot, held by an untraced call, so the traced call measurably
 	// queues: a zero queue_us is omitted from the extras like any zero.
@@ -59,19 +35,19 @@ func TestCallTraceLifecycle(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		return []types.Tuple{{types.Int(1)}}, nil
 	})
+	ct := p.CallTrace(id)
+	if ct == nil {
+		t.Fatal("CallTrace returned no record for a held, sampled call")
+	}
 	if _, err := p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{id: true}); err != nil {
 		t.Fatal(err)
 	}
 	p.Take(id)
 
-	cts := p.TakeCallTraces([]types.CallID{id})
-	if len(cts) != 1 {
-		t.Fatalf("TakeCallTraces returned %d records, want 1", len(cts))
+	if ct.TraceID() != tc.TraceID {
+		t.Errorf("record trace id = %q, want %q", ct.TraceID(), tc.TraceID)
 	}
-	if cts[0].TraceID() != tc.TraceID {
-		t.Errorf("record trace id = %q, want %q", cts[0].TraceID(), tc.TraceID)
-	}
-	sp := cts[0].Span()
+	sp := ct.Span()
 	if sp.Op != "pump.call" || sp.Detail != "altavista" {
 		t.Errorf("span = %s %q, want pump.call altavista (ok outcome omitted)", sp.Op, sp.Detail)
 	}
@@ -85,15 +61,13 @@ func TestCallTraceLifecycle(t *testing.T) {
 		t.Errorf("span extras missing queue_us: %+v", sp.Extra)
 	}
 
-	// Exactly-once: a dependent join re-closing its subtree must not
-	// attach the same call twice.
-	if again := p.TakeCallTraces([]types.CallID{id}); len(again) != 0 {
-		t.Errorf("second TakeCallTraces returned %d records", len(again))
+	if again := p.CallTrace(id); again != nil {
+		t.Errorf("CallTrace still returns a record after Take")
 	}
 }
 
-// TestCallTraceOutcomes: cache hits, errors, and coalesced calls carry
-// their outcome in the span detail.
+// TestCallTraceOutcomes: cache hits, errors, and discarded queued calls
+// carry their outcome in the span detail.
 func TestCallTraceOutcomes(t *testing.T) {
 	cache := &countingCache{m: map[string][]types.Tuple{
 		"warm": {{types.Int(7)}},
@@ -103,29 +77,44 @@ func TestCallTraceOutcomes(t *testing.T) {
 	ctx, _ := tracedCtx()
 
 	hit := p.RegisterCtx(ctx, "altavista", "warm", nil)
-	p.Take(hit)
-	cts := p.TakeCallTraces([]types.CallID{hit})
-	if len(cts) != 1 || cts[0].Span().Detail != "altavista cache_hit" {
-		t.Fatalf("cache hit trace: %+v", cts)
+	if ct := p.CallTrace(hit); ct == nil || ct.Span().Detail != "altavista cache_hit" {
+		t.Fatalf("cache hit trace: %+v", ct)
 	}
+	p.Take(hit)
 
 	boom := p.RegisterCtx(ctx, "lycos", "kaboom", func() ([]types.Tuple, error) {
 		return nil, fmt.Errorf("engine down")
 	})
+	ct := p.CallTrace(boom)
+	if ct == nil {
+		t.Fatal("no trace for failed call")
+	}
 	if _, err := p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{boom: true}); err != nil {
 		t.Fatal(err)
 	}
 	p.Take(boom)
-	cts = p.TakeCallTraces([]types.CallID{boom})
-	if len(cts) != 1 {
-		t.Fatal("no trace for failed call")
-	}
-	sp := cts[0].Span()
+	sp := ct.Span()
 	if sp.Detail != "lycos error" {
 		t.Errorf("failed call detail = %q, want \"lycos error\"", sp.Detail)
 	}
 	if len(sp.Children) == 0 || sp.Children[0].Detail != "failed" {
 		t.Errorf("failed attempt not marked: %+v", sp.Children)
+	}
+
+	// A call discarded while still queued, by its only owner, never runs:
+	// its record ends "canceled" at the discard instead of staying open and
+	// being clocked at collection time as if in flight.
+	p.SetDestLimit("parked", 0)
+	queued := p.RegisterCtx(ctx, "parked", "never", func() ([]types.Tuple, error) { return nil, nil })
+	ct = p.CallTrace(queued)
+	p.Discard(queued)
+	sp = ct.Span()
+	if sp.Detail != "parked canceled" {
+		t.Errorf("discarded queued call detail = %q, want \"parked canceled\"", sp.Detail)
+	}
+	time.Sleep(2 * time.Millisecond)
+	if again := ct.Span(); again.Dur != sp.Dur {
+		t.Errorf("discarded call's span still growing: %v then %v", sp.Dur, again.Dur)
 	}
 }
 
@@ -138,10 +127,10 @@ func TestCallTraceUntracedOff(t *testing.T) {
 	if _, err := p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{id: true}); err != nil {
 		t.Fatal(err)
 	}
-	p.Take(id)
-	if cts := p.TakeCallTraces([]types.CallID{id}); len(cts) != 0 {
-		t.Errorf("untraced call produced %d trace records", len(cts))
+	if ct := p.CallTrace(id); ct != nil {
+		t.Errorf("untraced call produced a trace record")
 	}
+	p.Take(id)
 
 	// An unsampled trace context is equally invisible.
 	tc := obs.NewTraceCtx()
@@ -150,67 +139,92 @@ func TestCallTraceUntracedOff(t *testing.T) {
 	if _, err := p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{id2: true}); err != nil {
 		t.Fatal(err)
 	}
-	p.Take(id2)
-	if cts := p.TakeCallTraces([]types.CallID{id2}); len(cts) != 0 {
-		t.Errorf("unsampled call produced %d trace records", len(cts))
+	if ct := p.CallTrace(id2); ct != nil {
+		t.Errorf("unsampled call produced a trace record")
 	}
+	p.Take(id2)
 }
 
-// TestPumpProfileSink: the pump feeds the profile store every call's
-// latency/failure plus cache-hit events, independent of tracing.
-func TestPumpProfileSink(t *testing.T) {
+// TestPumpDestProfiles: the profile view of the destination records shows
+// what the old profile sink was fed for the same scripted run — every
+// physical execution's latency and failure, retries, hedges, timeouts,
+// cache hits and peer hits — independent of tracing.
+func TestPumpDestProfiles(t *testing.T) {
 	cache := &countingCache{m: map[string][]types.Tuple{"warm": {{types.Int(7)}}}}
 	p := NewPump(4, 4, cache)
 	defer p.Close()
-	sink := &recordingSink{}
-	p.SetProfiles(sink)
-
-	ok := p.RegisterCtx(context.Background(), "altavista", "k1", func() ([]types.Tuple, error) {
-		return []types.Tuple{{types.Int(1)}}, nil
-	})
-	bad := p.RegisterCtx(context.Background(), "altavista", "k2", func() ([]types.Tuple, error) {
-		return nil, fmt.Errorf("down")
-	})
-	for _, id := range []types.CallID{ok, bad} {
+	p.SetCachePeer(&peerStub{rows: map[string][]types.Tuple{"remote": {{types.Int(9)}}}})
+	run := func(dest, key string, fn func() ([]types.Tuple, error)) {
+		t.Helper()
+		id := p.RegisterCtx(context.Background(), dest, key, fn)
 		if _, err := p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{id: true}); err != nil {
 			t.Fatal(err)
 		}
 		p.Take(id)
 	}
-	p.Take(p.RegisterCtx(context.Background(), "altavista", "warm", nil)) // cache hit
 
-	calls, events := sink.snapshot()
-	if len(calls) != 2 {
-		t.Fatalf("CallObserved fired %d times, want 2: %v", len(calls), calls)
+	run("altavista", "k1", func() ([]types.Tuple, error) { return []types.Tuple{{types.Int(1)}}, nil })
+	run("altavista", "k2", func() ([]types.Tuple, error) { return nil, fmt.Errorf("down") })
+	run("altavista", "warm", nil)   // cache hit
+	run("altavista", "remote", nil) // peer hit
+
+	// One transient failure then success: two executions, one retry.
+	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 3})
+	attempts := 0
+	run("lycos", "flaky", func() ([]types.Tuple, error) {
+		if attempts++; attempts == 1 {
+			return nil, transientErr{"hiccup"}
+		}
+		return nil, nil
+	})
+
+	// A slow first execution, hedged after 1 ms; the hedge answers first,
+	// and both executions are timed once the straggler lets go.
+	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 1, HedgeAfter: time.Millisecond})
+	var first sync.Once
+	run("google", "slow", func() ([]types.Tuple, error) {
+		slow := false
+		first.Do(func() { slow = true })
+		if slow {
+			time.Sleep(40 * time.Millisecond)
+			return nil, nil
+		}
+		time.Sleep(5 * time.Millisecond)
+		return nil, nil
+	})
+	// A call that only times out.
+	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 1, CallTimeout: time.Millisecond})
+	run("google", "stuck", func() ([]types.Tuple, error) {
+		time.Sleep(10 * time.Millisecond)
+		return nil, nil
+	})
+	p.Quiesce()
+
+	got := p.DestProfiles()
+	type row struct{ calls, failures, retries, hedges, timeouts, cacheHits, peerHits int64 }
+	want := map[string]row{
+		"altavista": {calls: 2, failures: 1, cacheHits: 1, peerHits: 1},
+		"lycos":     {calls: 2, failures: 1, retries: 1},
+		"google":    {calls: 3, hedges: 1, timeouts: 1},
 	}
-	failures := 0
-	for _, c := range calls {
-		if c == "altavista/true" {
-			failures++
+	if len(got) != len(want) {
+		t.Errorf("profiled destinations = %d, want %d: %v", len(got), len(want), got)
+	}
+	for dest, w := range want {
+		ds := got[dest]
+		if ds == nil {
+			t.Errorf("%s: no profile", dest)
+			continue
+		}
+		g := row{ds.Calls, ds.Failures, ds.Retries, ds.Hedges, ds.Timeouts, ds.CacheHits, ds.PeerHits}
+		if g != w {
+			t.Errorf("%s: profile %+v, want %+v", dest, g, w)
+		}
+		if ds.Latency.Count != ds.Calls || ds.EWMA <= 0 {
+			t.Errorf("%s: latency count %d / ewma %v, want %d executions and a positive average", dest, ds.Latency.Count, ds.EWMA, ds.Calls)
 		}
 	}
-	if failures != 1 {
-		t.Errorf("failed-call observations = %d, want 1: %v", failures, calls)
-	}
-	wantEvent := "altavista/cache_hit"
-	found := false
-	for _, e := range events {
-		if e == wantEvent {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("events %v missing %q", events, wantEvent)
-	}
-
-	// Detached sink: no further observations, no crash.
-	p.SetProfiles(nil)
-	id := p.RegisterCtx(context.Background(), "altavista", "k3", func() ([]types.Tuple, error) { return nil, nil })
-	if _, err := p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{id: true}); err != nil {
-		t.Fatal(err)
-	}
-	p.Take(id)
-	if calls, _ := sink.snapshot(); len(calls) != 2 {
-		t.Errorf("detached sink still observed calls: %v", calls)
+	if st := p.Stats(); st.Retries != 1 || st.Hedges != 1 || st.CallTimeouts != 1 || st.CacheHits != 1 || st.PeerHits != 1 {
+		t.Errorf("Stats disagrees with the profile view of the same records: %+v", st)
 	}
 }

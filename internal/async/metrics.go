@@ -4,74 +4,71 @@ import (
 	"repro/internal/obs"
 )
 
-// pumpMetrics bundles the pump's registry handles. It is attached by
-// Observe and read lock-free (atomic.Pointer) on the hot paths, which
-// check for nil so an unobserved pump pays one predicted branch.
-type pumpMetrics struct {
-	// slotWait is the time a call spends waiting for an execution token:
-	// queue wait before first dispatch, and slot re-acquisition before a
-	// retry. This is the admission-control delay of Section 4.1's
-	// counters — high values mean the limits, not the engines, bound
-	// throughput.
-	slotWait *obs.Histogram
-	// callLatency is the wall time of each physical engine execution
-	// (first attempts, retries, and hedges alike), by destination.
-	callLatency *obs.HistogramVec
-	// destInflight mirrors the per-destination in-flight counters.
-	destInflight *obs.GaugeVec
-	// peerHits counts calls answered by a peer shard's cache instead of
-	// the engine, by destination (tier-wide cache peering).
-	peerHits  *obs.CounterVec
-	retries   *obs.CounterVec
-	hedges    *obs.CounterVec
-	hedgeWins *obs.CounterVec
-	timeouts  *obs.CounterVec
-	failures  *obs.CounterVec
+// pumpCounters maps each counter family on /metrics to the event it
+// reads. Labelled families report every destination record; the others
+// their sum, which is also what Stats reports under the same name.
+var pumpCounters = []struct {
+	name, help string
+	ev         event
+	byDest     bool
+}{
+	{"wsq_pump_calls_registered_total", "External calls registered with the pump.", evRegistered, false},
+	{"wsq_pump_calls_started_total", "Call executions dispatched to the network.", evStarted, false},
+	{"wsq_pump_calls_completed_total", "Call executions finished.", evCompleted, false},
+	{"wsq_pump_cache_hits_total", "Registrations served instantly from the result cache.", evCacheHit, false},
+	{"wsq_pump_coalesced_total", "Registrations piggybacked on an identical in-flight call.", evCoalesced, false},
+	{"wsq_pump_calls_canceled_total", "Calls dropped before starting (context expiry, discard, shutdown).", evCanceled, false},
+	{"wsq_pump_peer_hits_total", "Calls served by a peer shard's cache instead of the engine, by destination.", evPeerHit, true},
+	{"wsq_pump_retries_total", "Call re-executions after a transient failure, by destination.", evRetry, true},
+	{"wsq_pump_hedges_total", "Duplicate (hedged) executions launched for slow attempts, by destination.", evHedge, true},
+	{"wsq_pump_hedge_wins_total", "Hedged executions that answered before the original, by destination.", evHedgeWin, true},
+	{"wsq_pump_call_timeouts_total", "Attempts abandoned at the per-call deadline, by destination.", evTimeout, true},
+	{"wsq_pump_calls_failed_total", "Calls whose final outcome after retries was an error, by destination.", evFailed, true},
 }
 
-// Observe implements obs.Observable: it binds the pump's metric families
-// to reg and installs live gauges over its instantaneous state. Observe
-// is idempotent (the registry returns existing families by name) and may
-// be called at any point in the pump's life; events before the first
-// Observe are simply not recorded in histograms, though the cumulative
-// counters — sampled from the pump's own Stats fields at scrape time —
-// are complete regardless.
+// perDest reads one value from every destination record.
+func perDest[T any](p *Pump, read func(*destination) T) map[string]T {
+	dests := *p.dests.Load()
+	out := make(map[string]T, len(dests))
+	for name, d := range dests {
+		out[name] = read(d)
+	}
+	return out
+}
+
+// Observe implements obs.Observable: it exposes the pump's destination
+// records and instantaneous state on reg as families sampled at scrape
+// time. Nothing is counted twice — the families read the same atomics
+// Stats sums — and no scrape takes the pump's lock except the two
+// queue gauges. Observe is idempotent and may be called at any point in
+// the pump's life; the families are complete regardless of when.
 func (p *Pump) Observe(reg *obs.Registry) {
-	m := &pumpMetrics{
-		slotWait: reg.Histogram("wsq_pump_slot_wait_seconds",
-			"Time calls wait for an execution slot (admission queue and retry re-acquisition).", nil),
-		callLatency: reg.HistogramVec("wsq_pump_call_latency_seconds",
-			"Wall time of physical engine executions, by destination.", nil, "dest"),
-		destInflight: reg.GaugeVec("wsq_pump_dest_inflight",
-			"Engine calls currently executing, by destination.", "dest"),
-		peerHits: reg.CounterVec("wsq_pump_peer_hits_total",
-			"Calls served by a peer shard's cache instead of the engine, by destination.", "dest"),
-		retries: reg.CounterVec("wsq_pump_retries_total",
-			"Call re-executions after a transient failure, by destination.", "dest"),
-		hedges: reg.CounterVec("wsq_pump_hedges_total",
-			"Duplicate (hedged) executions launched for slow attempts, by destination.", "dest"),
-		hedgeWins: reg.CounterVec("wsq_pump_hedge_wins_total",
-			"Hedged executions that answered before the original, by destination.", "dest"),
-		timeouts: reg.CounterVec("wsq_pump_call_timeouts_total",
-			"Attempts abandoned at the per-call deadline, by destination.", "dest"),
-		failures: reg.CounterVec("wsq_pump_calls_failed_total",
-			"Calls whose final outcome after retries was an error, by destination.", "dest"),
+	for _, f := range pumpCounters {
+		ev := f.ev
+		if f.byDest {
+			reg.CounterVecFunc(f.name, f.help, "dest", func() map[string]float64 {
+				return perDest(p, func(d *destination) float64 { return float64(d.n[ev].Load()) })
+			})
+			continue
+		}
+		reg.CounterFunc(f.name, f.help, func() float64 {
+			var sum int64
+			for _, d := range *p.dests.Load() {
+				sum += d.n[ev].Load()
+			}
+			return float64(sum)
+		})
 	}
-	stat := func(f func(Stats) int64) func() float64 {
-		return func() float64 { return float64(f(p.Stats())) }
-	}
-	reg.CounterFunc("wsq_pump_calls_registered_total",
-		"External calls registered with the pump.", stat(func(s Stats) int64 { return s.Registered }))
-	reg.CounterFunc("wsq_pump_calls_started_total",
-		"Call executions dispatched to the network.", stat(func(s Stats) int64 { return s.Started }))
-	reg.CounterFunc("wsq_pump_calls_completed_total",
-		"Call executions finished.", stat(func(s Stats) int64 { return s.Completed }))
-	reg.CounterFunc("wsq_pump_cache_hits_total",
-		"Registrations served instantly from the result cache.", stat(func(s Stats) int64 { return s.CacheHits }))
-	reg.CounterFunc("wsq_pump_coalesced_total",
-		"Registrations piggybacked on an identical in-flight call.", stat(func(s Stats) int64 { return s.Coalesced }))
-	reg.CounterFunc("wsq_pump_calls_canceled_total",
-		"Calls dropped before starting (context expiry, discard, shutdown).", stat(func(s Stats) int64 { return s.Canceled }))
+	reg.HistogramFunc("wsq_pump_slot_wait_seconds",
+		"Time calls wait for an execution slot (admission queue and retry re-acquisition).", p.slotWait.Snapshot)
+	reg.HistogramVecFunc("wsq_pump_call_latency_seconds",
+		"Wall time of physical engine executions, by destination.", "dest", func() map[string]obs.HistSnapshot {
+			return perDest(p, func(d *destination) obs.HistSnapshot { return d.latency.Snapshot() })
+		})
+	reg.GaugeVecFunc("wsq_pump_dest_inflight",
+		"Engine calls currently executing, by destination.", "dest", func() map[string]float64 {
+			return perDest(p, func(d *destination) float64 { return float64(d.active.Load()) })
+		})
 	reg.GaugeFunc("wsq_pump_active_calls",
 		"Engine calls currently executing (all destinations).", func() float64 {
 			running, _ := p.Active()
@@ -84,7 +81,6 @@ func (p *Pump) Observe(reg *obs.Registry) {
 		})
 	reg.GaugeFunc("wsq_pump_max_active",
 		"Peak concurrently executing calls since the last stats reset.", func() float64 {
-			return float64(p.Stats().MaxActive)
+			return float64(p.maxActive.Load())
 		})
-	p.metrics.Store(m)
 }

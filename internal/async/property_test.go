@@ -157,14 +157,10 @@ func TestReqSyncPropertiesUnderRandomFaultSchedules(t *testing.T) {
 				t.Error("hard failures scripted but DegradedCalls is zero")
 			}
 
-			// Leak freedom: once the pump settles, no results stay parked
-			// and no completion flags survive.
+			// Leak freedom: once the pump settles, no call record survives.
 			waitSettled(t, pump)
-			pump.mu.Lock()
-			parked, done := len(pump.results), len(pump.done)
-			pump.mu.Unlock()
-			if parked != 0 || done != 0 {
-				t.Errorf("leaked pump state after query end: %d parked results, %d done flags", parked, done)
+			if held := pump.Held(); held != 0 {
+				t.Errorf("leaked pump state after query end: %d call records held", held)
 			}
 		})
 	}

@@ -10,12 +10,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/exec"
 	"repro/internal/obs"
+	"repro/internal/obs/profile"
 	"repro/internal/search"
 	"repro/internal/types"
 )
@@ -57,27 +59,28 @@ type Pump struct {
 
 	maxTotal int
 	maxDest  int
-	// destLimit overrides maxDest for specific destinations ("an
-	// administrator can configure each counter as desired", Section 4.1).
-	destLimit map[string]int
 
 	nextID      types.CallID
 	activeTotal int
-	activeDest  map[string]int
-	queue       []*pumpCall
-	results     map[types.CallID]CallResult
-	done        map[types.CallID]bool
-	// discarded records ids whose owner abandoned them while the call was
-	// still queued-or-running; run() drops their results instead of parking
-	// them forever (a leak under a long-lived server).
-	discarded map[types.CallID]bool
-	cache     exec.ResultCache
-	// inflight coalesces duplicate in-flight calls: all CallIDs registered
-	// for a key while its first execution is still running share that one
-	// execution. Only enabled together with the result cache ([HN96]) —
-	// the Figure 7 hazard registers |R| identical calls back to back,
-	// before the first completes, so a cache alone never helps.
-	inflight map[string][]types.CallID
+	queue       []*call
+	// calls is the call table (the paper's ReqPumpHash): one record per
+	// registered call, held from RegisterCtx until its owner Takes or
+	// Discards it.
+	calls map[types.CallID]*call
+	// dests is the destination table: one record per external destination
+	// carrying its limit, in-flight count and every event counter (see
+	// destination). Records are added under p.mu by replacing the map, so
+	// Stats, DestActive and metric scrapes read it without the lock.
+	dests atomic.Pointer[map[string]*destination]
+	cache exec.ResultCache
+	// inflight coalesces duplicate in-flight calls: every call registered
+	// for a key while its first execution is still queued or running
+	// shares that one execution. Only enabled together with the result
+	// cache ([HN96]) — the Figure 7 hazard registers |R| identical calls
+	// back to back, before the first completes, so a cache alone never
+	// helps. The list holds the calls still waiting on the execution; it
+	// may drain to empty (every owner gone) while the key stays present.
+	inflight map[string][]*call
 	// peer, when attached, extends the result cache across a wsqd tier
 	// (internal/shard): a local miss consults the key's home shard before
 	// calling the engine, and locally executed results are offered back to
@@ -92,34 +95,15 @@ type Pump struct {
 	// simulators' reproducibility contract.
 	backoffRng *search.Rand
 
-	// Stats
-	registered   int64
-	started      int64
-	completed    int64
-	cacheHits    int64
-	peerHits     int64
-	coalesced    int64
-	canceled     int64
-	retries      int64
-	hedges       int64
-	hedgeWins    int64
-	callTimeouts int64
-	callsFailed  int64
-	maxActive    int
-	closed       bool
-
-	// metrics holds the registry handles attached by Observe; nil until
-	// then. Read lock-free on the hot paths (several run outside p.mu).
-	metrics atomic.Pointer[pumpMetrics]
-
-	// profiles holds the engine-profile sink attached by SetProfiles
-	// (profile.Store); nil until then. Read lock-free like metrics.
-	profiles atomic.Pointer[profileBox]
-
-	// traces holds per-call trace records for sampled queries, keyed by
-	// CallID; nil until the first sampled registration. Guarded by p.mu;
-	// the records themselves carry their own mutex (see CallTrace).
-	traces map[types.CallID]*CallTrace
+	// slotWait is the time calls spend waiting for an execution token:
+	// queue wait before first dispatch, and slot re-acquisition before a
+	// retry. This is the admission-control delay of Section 4.1's
+	// counters — high values mean the limits, not the engines, bound
+	// throughput.
+	slotWait *obs.Histogram
+	// maxActive is the peak of activeTotal since the last ResetStats.
+	maxActive atomic.Int64
+	closed    bool
 
 	// execWG tracks every goroutine that is (or may still be) inside an
 	// engine call: the run() workers and the timeout/hedge executions
@@ -129,16 +113,138 @@ type Pump struct {
 	execWG sync.WaitGroup
 }
 
-type pumpCall struct {
+// callState is where a held call is in its life.
+type callState uint8
+
+const (
+	// callPending: running, or coalesced onto another call's execution.
+	callPending callState = iota
+	// callQueued: in p.queue, waiting for an execution token.
+	callQueued
+	// callDone: result parked, awaiting Take.
+	callDone
+)
+
+// call is the pump's one record of a registered call: what to run, for
+// whom, and — once settled — its result. The record sits in p.calls
+// while an owner may still Take it; a Discard removes it at once, and an
+// execution already under way then completes into the void.
+type call struct {
 	id       types.CallID
 	ctx      context.Context
-	dest     string
+	dest     *destination
 	key      string
 	enqueued time.Time
 	fn       func() ([]types.Tuple, error)
-	// trace is the call's trace record when the registering query is
-	// sampled; nil otherwise (every recording site is a nil check).
+	// trace is the call's lifecycle record when the registering query is
+	// sampled; nil otherwise (CallTrace's recording methods are nil-safe).
 	trace *CallTrace
+
+	state callState  // guarded by p.mu
+	res   CallResult // guarded by p.mu; valid once state is callDone
+}
+
+// event indexes a destination's counters: everything the pump counts
+// about a call happens at one site as dest.count(event), and Stats,
+// /metrics and the engine profiles are all sums or copies of these.
+type event uint8
+
+const (
+	evRegistered event = iota
+	evStarted
+	evCompleted
+	evCacheHit
+	evPeerHit
+	evCoalesced
+	evCanceled
+	evRetry
+	evHedge
+	evHedgeWin
+	evTimeout
+	// evFailed: a call's final outcome, after retries, was an error.
+	evFailed
+	// evExecFailed: one physical execution (attempt, retry or hedge)
+	// returned an error — the profile's per-destination failure rate.
+	evExecFailed
+	numEvents
+)
+
+// ewmaAlpha weights new observations in a destination's moving-average
+// latency: ~20% of the estimate turns over per execution, responsive to
+// engine slowdowns without whiplash from one outlier.
+const ewmaAlpha = 0.2
+
+// SyncDest is the destination record that CallWithRetry's events are
+// counted under: the synchronous path's signature carries no destination.
+// No engine uses the name.
+const SyncDest = "sync"
+
+// destination is the pump's one record per external destination — the
+// paper's "one counter for each external destination" grown to carry
+// everything known about it. Token accounting stays under p.mu: limit is
+// guarded by it and active is only written under it. Everything else is
+// written with atomics wherever the event happens, and all but limit may
+// be read without the lock.
+type destination struct {
+	// limit is the in-flight bound: the pump's maxDest until SetDestLimit
+	// overrides it ("an administrator can configure each counter as
+	// desired", Section 4.1).
+	limit  int
+	active atomic.Int64
+	n      [numEvents]atomic.Int64
+	// latency is the wall time of every physical engine execution (first
+	// attempts, retries, and hedges alike); ewma is its moving average in
+	// seconds, as float64 bits, 0 while unset.
+	latency *obs.Histogram
+	ewma    atomic.Uint64
+}
+
+func (d *destination) count(e event) { d.n[e].Add(1) }
+
+// observe records one physical execution.
+func (d *destination) observe(elapsed time.Duration, failed bool, traceID string) {
+	sec := elapsed.Seconds()
+	d.latency.ObserveExemplar(sec, traceID)
+	if failed {
+		d.count(evExecFailed)
+	}
+	for {
+		old := d.ewma.Load()
+		next := sec
+		if old != 0 {
+			cur := math.Float64frombits(old)
+			next = cur + ewmaAlpha*(sec-cur)
+		}
+		if d.ewma.CompareAndSwap(old, math.Float64bits(next)) {
+			return
+		}
+	}
+}
+
+// dest resolves a destination's record, creating it on first sight.
+func (p *Pump) dest(name string) *destination {
+	if d := (*p.dests.Load())[name]; d != nil {
+		return d
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.destLocked(name)
+}
+
+// destLocked is dest for callers that hold p.mu.
+func (p *Pump) destLocked(name string) *destination {
+	old := *p.dests.Load()
+	if d := old[name]; d != nil {
+		return d
+	}
+	d := &destination{limit: p.maxDest, latency: obs.NewHistogram(nil)}
+	next := make(map[string]*destination, len(old)+1)
+	for k, v := range old {
+		next[k] = v
+	}
+	next[name] = d
+	p.dests.Store(&next)
+	return d
 }
 
 // DefaultMaxTotal bounds total in-flight calls when no limit is given.
@@ -161,15 +267,13 @@ func NewPump(maxTotal, maxPerDest int, cache exec.ResultCache) *Pump {
 	p := &Pump{
 		maxTotal:   maxTotal,
 		maxDest:    maxPerDest,
-		activeDest: make(map[string]int),
-		results:    make(map[types.CallID]CallResult),
-		done:       make(map[types.CallID]bool),
-		discarded:  make(map[types.CallID]bool),
+		calls:      make(map[types.CallID]*call),
 		cache:      cache,
-		inflight:   make(map[string][]types.CallID),
-		destLimit:  make(map[string]int),
+		inflight:   make(map[string][]*call),
 		backoffRng: search.NewRand(1),
+		slotWait:   obs.NewHistogram(nil),
 	}
+	p.dests.Store(&map[string]*destination{})
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
@@ -246,62 +350,47 @@ func (p *Pump) RegisterCtx(ctx context.Context, dest, key string, fn func() ([]t
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var ct *CallTrace
+	d := p.dest(dest)
+	c := &call{ctx: ctx, dest: d, key: key, fn: fn}
 	if tc := obs.SampledTrace(ctx); tc != nil {
-		ct = newCallTrace(tc.TraceID, dest, key)
+		c.trace = newCallTrace(tc.TraceID, dest, key)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.nextID++
-	id := p.nextID
-	p.registered++
-	if ct != nil {
-		if p.traces == nil {
-			p.traces = make(map[types.CallID]*CallTrace)
-		}
-		p.traces[id] = ct
-	}
+	c.id = p.nextID
+	p.calls[c.id] = c
+	d.count(evRegistered)
 	if p.closed {
 		// A closed pump never runs anything; complete immediately with the
 		// sentinel so the waiter errors instead of hanging.
-		ct.finish("closed")
-		p.results[id] = CallResult{Err: fmt.Errorf("register: %w", ErrPumpClosed)}
-		p.done[id] = true
-		p.cond.Broadcast()
-		return id
+		c.trace.finish("closed")
+		return p.parkLocked(c, CallResult{Err: fmt.Errorf("register: %w", ErrPumpClosed)})
 	}
 	if err := ctx.Err(); err != nil {
-		p.canceled++
-		ct.finish("canceled")
-		p.results[id] = CallResult{Err: err}
-		p.done[id] = true
-		p.cond.Broadcast()
-		return id
+		d.count(evCanceled)
+		c.trace.finish("canceled")
+		return p.parkLocked(c, CallResult{Err: err})
 	}
 	if p.cache != nil {
 		if rows, ok := p.cache.Get(key); ok {
-			p.cacheHits++
-			ct.finish("cache_hit")
-			if ps := p.profileSink(); ps != nil {
-				ps.EventObserved(dest, "cache_hit")
-			}
-			p.results[id] = CallResult{Rows: rows}
-			p.done[id] = true
-			p.cond.Broadcast()
-			return id
+			d.count(evCacheHit)
+			c.trace.finish("cache_hit")
+			return p.parkLocked(c, CallResult{Rows: rows})
 		}
 		// Coalesce with an identical in-flight call.
-		if ids, ok := p.inflight[key]; ok {
-			p.coalesced++
-			ct.finish("coalesced")
-			p.inflight[key] = append(ids, id)
-			return id
+		if waiting, ok := p.inflight[key]; ok {
+			d.count(evCoalesced)
+			c.trace.finish("coalesced")
+			p.inflight[key] = append(waiting, c)
+			return c.id
 		}
-		p.inflight[key] = []types.CallID{id}
+		p.inflight[key] = []*call{c}
 	}
-	p.queue = append(p.queue, &pumpCall{id: id, ctx: ctx, dest: dest, key: key, enqueued: time.Now(), fn: fn, trace: ct})
+	c.state, c.enqueued = callQueued, time.Now()
+	p.queue = append(p.queue, c)
 	p.dispatchLocked()
-	return id
+	return c.id
 }
 
 // dispatchLocked starts every queued call the limits allow, dropping
@@ -318,42 +407,54 @@ func (p *Pump) dispatchLocked() {
 		if p.activeTotal >= p.maxTotal {
 			return
 		}
-		if p.activeDest[c.dest] >= p.limitFor(c.dest) {
+		if int(c.dest.active.Load()) >= c.dest.limit {
 			i++ // skip; a later call for another destination may fit
 			continue
 		}
 		p.queue = append(p.queue[:i], p.queue[i+1:]...)
-		if m := p.metrics.Load(); m != nil {
-			m.slotWait.Observe(time.Since(c.enqueued).Seconds())
-		}
+		p.slotWait.Observe(time.Since(c.enqueued).Seconds())
 		c.trace.setDispatched()
 		p.grabTokenLocked(c.dest)
-		p.started++
+		c.state = callPending
+		c.dest.count(evStarted)
 		p.execWG.Add(1)
 		go p.run(c)
 	}
 }
 
 // settleUnstartedLocked completes a call that never ran (canceled while
-// queued, or orphaned by Close) with err, for its own id and any ids
+// queued, or orphaned by Close) with err, for itself and any calls
 // coalesced onto it. Callers hold p.mu.
-func (p *Pump) settleUnstartedLocked(c *pumpCall, err error) {
-	p.canceled++
+func (p *Pump) settleUnstartedLocked(c *call, err error) {
+	c.dest.count(evCanceled)
 	c.trace.finish("canceled")
-	ids := []types.CallID{c.id}
-	if co, ok := p.inflight[c.key]; ok {
-		ids = co
+	p.settleLocked(c, CallResult{Err: err})
+}
+
+// settleLocked ends c's execution (run, or never started): it parks res
+// for every call still waiting on it and wakes their owners. Those are
+// the calls coalesced under c's key when the pump coalesces — c's
+// registration created that entry, and at most one execution per key is
+// live — else c alone, unless its owner already discarded it. Callers
+// hold p.mu.
+func (p *Pump) settleLocked(c *call, res CallResult) {
+	if waiting, shared := p.inflight[c.key]; shared {
 		delete(p.inflight, c.key)
-	}
-	for _, id := range ids {
-		if p.discarded[id] {
-			delete(p.discarded, id)
-			continue
+		for _, w := range waiting {
+			w.state, w.res = callDone, res
 		}
-		p.results[id] = CallResult{Err: err}
-		p.done[id] = true
+	} else if p.calls[c.id] == c {
+		c.state, c.res = callDone, res
 	}
 	p.cond.Broadcast()
+}
+
+// parkLocked completes a call at registration, before it joined any
+// execution, and returns its id. Callers hold p.mu.
+func (p *Pump) parkLocked(c *call, res CallResult) types.CallID {
+	c.state, c.res = callDone, res
+	p.cond.Broadcast()
+	return c.id
 }
 
 // run executes one call — under the pump's retry policy — and parks its
@@ -366,7 +467,7 @@ func (p *Pump) settleUnstartedLocked(c *pumpCall, err error) {
 // the execution goroutine itself when fn returns, so abandoned (timed-out
 // or hedged-out) calls keep counting against the destination until the
 // engine really lets go of them.
-func (p *Pump) run(c *pumpCall) {
+func (p *Pump) run(c *call) {
 	defer p.execWG.Done()
 	rows, err, fromPeer := p.fetchOrExecute(c)
 	switch {
@@ -385,38 +486,19 @@ func (p *Pump) run(c *pumpCall) {
 			peer.Fill(c.key, rows)
 		}
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if fromPeer {
-		p.peerHits++
-	}
-	if err == nil && p.cache != nil {
-		p.cache.Put(c.key, rows)
-	}
 	if err != nil && c.ctx.Err() == nil {
 		// Failures of calls whose query already ended (deadline, LIMIT
 		// reached, error elsewhere) are cancellations, not call failures:
 		// retrying was rightly suppressed, and nobody will read the result.
-		p.callsFailed++
-		if m := p.metrics.Load(); m != nil {
-			m.failures.With(c.dest).Inc()
-		}
+		c.dest.count(evFailed)
 	}
-	ids := []types.CallID{c.id}
-	if coalesced, ok := p.inflight[c.key]; ok {
-		ids = coalesced
-		delete(p.inflight, c.key)
+	c.dest.count(evCompleted)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err == nil && p.cache != nil {
+		p.cache.Put(c.key, rows)
 	}
-	for _, id := range ids {
-		if p.discarded[id] {
-			delete(p.discarded, id)
-			continue
-		}
-		p.results[id] = CallResult{Rows: rows, Err: err}
-		p.done[id] = true
-	}
-	p.completed++
-	p.cond.Broadcast()
+	p.settleLocked(c, CallResult{Rows: rows, Err: err})
 }
 
 // fetchOrExecute resolves one call: first via the tier cache peer (a
@@ -425,16 +507,11 @@ func (p *Pump) run(c *pumpCall) {
 // holding one execution token; every path releases it or hands it off
 // (execute's accounting covers the engine path, and the peer-hit path
 // releases directly since no engine execution ever starts).
-func (p *Pump) fetchOrExecute(c *pumpCall) (rows []types.Tuple, err error, fromPeer bool) {
+func (p *Pump) fetchOrExecute(c *call) (rows []types.Tuple, err error, fromPeer bool) {
 	if peer := p.cachePeer(); peer != nil && p.cache != nil {
 		if rows, ok := peer.Fetch(c.ctx, c.key); ok {
 			p.releaseToken(c.dest)
-			if m := p.metrics.Load(); m != nil {
-				m.peerHits.With(c.dest).Inc()
-			}
-			if ps := p.profileSink(); ps != nil {
-				ps.EventObserved(c.dest, "peer_hit")
-			}
+			c.dest.count(evPeerHit)
 			return rows, nil, true
 		}
 	}
@@ -445,7 +522,7 @@ func (p *Pump) fetchOrExecute(c *pumpCall) (rows []types.Tuple, err error, fromP
 // execute runs the retry loop for one call. It is entered holding one
 // execution token; every return path has released (or handed off to a
 // still-running execution goroutine) all tokens it acquired.
-func (p *Pump) execute(c *pumpCall) ([]types.Tuple, error) {
+func (p *Pump) execute(c *call) ([]types.Tuple, error) {
 	pol := p.RetryPolicy()
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -465,13 +542,7 @@ func (p *Pump) execute(c *pumpCall) ([]types.Tuple, error) {
 			if err := p.acquireToken(c); err != nil {
 				return nil, fmt.Errorf("%w (after %v)", err, lastErr)
 			}
-			p.count(&p.retries)
-			if m := p.metrics.Load(); m != nil {
-				m.retries.With(c.dest).Inc()
-			}
-			if ps := p.profileSink(); ps != nil {
-				ps.EventObserved(c.dest, "retry")
-			}
+			c.dest.count(evRetry)
 		}
 		rows, err := p.attemptOnce(c, pol, attempt)
 		if err == nil {
@@ -492,7 +563,7 @@ func (p *Pump) execute(c *pumpCall) ([]types.Tuple, error) {
 // transferred to the execution goroutine (or consumed inline); by the time
 // the engine call finishes — even after attemptOnce has returned — its
 // token is released.
-func (p *Pump) attemptOnce(c *pumpCall, pol RetryPolicy, attempt int) ([]types.Tuple, error) {
+func (p *Pump) attemptOnce(c *call, pol RetryPolicy, attempt int) ([]types.Tuple, error) {
 	kind := "attempt"
 	if attempt > 0 {
 		kind = "retry"
@@ -554,10 +625,7 @@ func (p *Pump) attemptOnce(c *pumpCall, pol RetryPolicy, attempt int) ([]types.T
 		select {
 		case o := <-ch:
 			if o.hedged {
-				p.count(&p.hedgeWins)
-				if m := p.metrics.Load(); m != nil {
-					m.hedgeWins.With(c.dest).Inc()
-				}
+				c.dest.count(evHedgeWin)
 			}
 			return o.rows, o.err
 		case <-hedgeC:
@@ -574,21 +642,12 @@ func (p *Pump) attemptOnce(c *pumpCall, pol RetryPolicy, attempt int) ([]types.T
 				case o := <-ch:
 					p.releaseToken(c.dest)
 					if o.hedged {
-						p.count(&p.hedgeWins)
-						if m := p.metrics.Load(); m != nil {
-							m.hedgeWins.With(c.dest).Inc()
-						}
+						c.dest.count(evHedgeWin)
 					}
 					return o.rows, o.err
 				default:
 				}
-				p.count(&p.hedges)
-				if m := p.metrics.Load(); m != nil {
-					m.hedges.With(c.dest).Inc()
-				}
-				if ps := p.profileSink(); ps != nil {
-					ps.EventObserved(c.dest, "hedge")
-				}
+				c.dest.count(evHedge)
 				launch(true)
 				hedgesLeft--
 			}
@@ -598,13 +657,7 @@ func (p *Pump) attemptOnce(c *pumpCall, pol RetryPolicy, attempt int) ([]types.T
 				hedgeC = nil
 			}
 		case <-timeoutC:
-			p.count(&p.callTimeouts)
-			if m := p.metrics.Load(); m != nil {
-				m.timeouts.With(c.dest).Inc()
-			}
-			if ps := p.profileSink(); ps != nil {
-				ps.EventObserved(c.dest, "timeout")
-			}
+			c.dest.count(evTimeout)
 			return nil, fmt.Errorf("%w after %v", ErrCallTimeout, pol.CallTimeout)
 		case <-c.ctx.Done():
 			return nil, c.ctx.Err()
@@ -613,26 +666,16 @@ func (p *Pump) attemptOnce(c *pumpCall, pol RetryPolicy, attempt int) ([]types.T
 }
 
 // timedCall runs the engine call, recording its wall time in the
-// per-destination latency histogram (with an exemplar linking the
-// observation to the active trace, when sampled), the engine-profile
-// sink, and the call's trace record. Every physical execution — first
-// attempt, retry, or hedge — flows through here, so all three reflect
-// what the engines actually did, not just what answered the query.
-func (p *Pump) timedCall(c *pumpCall, kind string) ([]types.Tuple, error) {
-	m := p.metrics.Load()
-	ps := p.profileSink()
-	if m == nil && ps == nil && c.trace == nil {
-		return c.fn()
-	}
+// destination's record (with an exemplar linking the observation to the
+// active trace, when sampled) and the call's trace record. Every physical
+// execution — first attempt, retry, or hedge — flows through here, so
+// both reflect what the engines actually did, not just what answered the
+// query.
+func (p *Pump) timedCall(c *call, kind string) ([]types.Tuple, error) {
 	start := time.Now()
 	rows, err := c.fn()
 	elapsed := time.Since(start)
-	if m != nil {
-		m.callLatency.With(c.dest).ObserveExemplar(elapsed.Seconds(), c.trace.TraceID())
-	}
-	if ps != nil {
-		ps.CallObserved(c.dest, elapsed, err != nil)
-	}
+	c.dest.observe(elapsed, err != nil, c.trace.TraceID())
 	c.trace.addAttempt(kind, start, elapsed, err != nil)
 	return rows, err
 }
@@ -651,23 +694,13 @@ func (p *Pump) jitteredBackoff(pol RetryPolicy, n int) time.Duration {
 	return d + time.Duration(p.backoffRng.Int63n(max+1))
 }
 
-// count atomically bumps one of the pump's stat counters.
-func (p *Pump) count(field *int64) {
-	p.mu.Lock()
-	*field++
-	p.mu.Unlock()
-}
-
 // releaseToken returns one execution token, waking queued calls and
 // parked retries waiting for a slot.
-func (p *Pump) releaseToken(dest string) {
+func (p *Pump) releaseToken(d *destination) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.activeTotal--
-	p.activeDest[dest]--
-	if m := p.metrics.Load(); m != nil {
-		m.destInflight.With(dest).Dec()
-	}
+	d.active.Add(-1)
 	if !p.closed {
 		p.dispatchLocked()
 	}
@@ -675,20 +708,20 @@ func (p *Pump) releaseToken(dest string) {
 }
 
 // tryAcquireToken claims an execution token if one is free right now.
-func (p *Pump) tryAcquireToken(dest string) bool {
+func (p *Pump) tryAcquireToken(d *destination) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed || p.activeTotal >= p.maxTotal || p.activeDest[dest] >= p.limitFor(dest) {
+	if p.closed || p.activeTotal >= p.maxTotal || int(d.active.Load()) >= d.limit {
 		return false
 	}
-	p.grabTokenLocked(dest)
+	p.grabTokenLocked(d)
 	return true
 }
 
 // acquireToken blocks until an execution token is free (used by retries;
 // the limits are the same ones dispatchLocked enforces). It fails when the
 // call's context expires or the pump closes.
-func (p *Pump) acquireToken(c *pumpCall) error {
+func (p *Pump) acquireToken(c *call) error {
 	if c.ctx.Done() != nil {
 		stop := make(chan struct{})
 		defer close(stop)
@@ -712,10 +745,8 @@ func (p *Pump) acquireToken(c *pumpCall) error {
 		if p.closed {
 			return fmt.Errorf("retry: %w", ErrPumpClosed)
 		}
-		if p.activeTotal < p.maxTotal && p.activeDest[c.dest] < p.limitFor(c.dest) {
-			if m := p.metrics.Load(); m != nil {
-				m.slotWait.Observe(time.Since(start).Seconds())
-			}
+		if p.activeTotal < p.maxTotal && int(c.dest.active.Load()) < c.dest.limit {
+			p.slotWait.Observe(time.Since(start).Seconds())
 			p.grabTokenLocked(c.dest)
 			return nil
 		}
@@ -723,25 +754,13 @@ func (p *Pump) acquireToken(c *pumpCall) error {
 	}
 }
 
-// grabTokenLocked increments the in-flight gauges. Callers hold p.mu.
-func (p *Pump) grabTokenLocked(dest string) {
+// grabTokenLocked increments the in-flight counts. Callers hold p.mu.
+func (p *Pump) grabTokenLocked(d *destination) {
 	p.activeTotal++
-	p.activeDest[dest]++
-	if p.activeTotal > p.maxActive {
-		p.maxActive = p.activeTotal
+	d.active.Add(1)
+	if int64(p.activeTotal) > p.maxActive.Load() {
+		p.maxActive.Store(int64(p.activeTotal))
 	}
-	if m := p.metrics.Load(); m != nil {
-		m.destInflight.With(dest).Inc()
-	}
-}
-
-// limitFor returns the effective concurrency limit for a destination.
-// Callers hold p.mu.
-func (p *Pump) limitFor(dest string) int {
-	if n, ok := p.destLimit[dest]; ok {
-		return n
-	}
-	return p.maxDest
 }
 
 // SetDestLimit overrides the per-destination concurrency limit for one
@@ -752,7 +771,7 @@ func (p *Pump) limitFor(dest string) int {
 func (p *Pump) SetDestLimit(dest string, limit int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.destLimit[dest] = limit
+	p.destLocked(dest).limit = limit
 	p.dispatchLocked()
 }
 
@@ -761,13 +780,12 @@ func (p *Pump) SetDestLimit(dest string, limit int) {
 func (p *Pump) Take(id types.CallID) (CallResult, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.done[id] {
+	c := p.calls[id]
+	if c == nil || c.state != callDone {
 		return CallResult{}, false
 	}
-	res := p.results[id]
-	delete(p.results, id)
-	delete(p.done, id)
-	return res, true
+	delete(p.calls, id)
+	return c.res, true
 }
 
 // AwaitAnyCtx blocks until at least one of the given pending calls has
@@ -808,7 +826,7 @@ func (p *Pump) AwaitAnyCtx(ctx context.Context, ids map[types.CallID]bool) (type
 			return 0, err
 		}
 		for id := range ids {
-			if p.done[id] {
+			if c := p.calls[id]; c != nil && c.state == callDone {
 				return id, nil
 			}
 		}
@@ -819,45 +837,56 @@ func (p *Pump) AwaitAnyCtx(ctx context.Context, ids map[types.CallID]bool) (type
 	}
 }
 
-// Discard abandons interest in a call (e.g. the query errored elsewhere or
+// Discard abandons interest in calls (e.g. the query errored elsewhere or
 // its deadline expired): a completed result is dropped, a still-queued call
 // is removed from the queue without ever consuming a slot, and a running
 // call completes into the void. Coalesced siblings of a queued call are
-// unaffected — the call still runs for them.
-func (p *Pump) Discard(id types.CallID) {
+// unaffected — the call still runs for them. An id the pump does not hold
+// (already taken, already discarded, never registered) is a no-op.
+func (p *Pump) Discard(ids ...types.CallID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.done[id] {
-		delete(p.results, id)
-		delete(p.done, id)
-		return
-	}
-	// Not done: the call is queued, running, or coalesced onto one of
-	// those. Remove a queued call outright when this id is its only owner.
-	for i, c := range p.queue {
-		if c.id != id {
+	for _, id := range ids {
+		c := p.calls[id]
+		if c == nil {
 			continue
 		}
-		if co, ok := p.inflight[c.key]; ok && len(co) > 1 {
-			break // other queries still want this call; let it run
+		delete(p.calls, id)
+		if c.state == callDone {
+			continue
 		}
-		p.queue = append(p.queue[:i], p.queue[i+1:]...)
-		delete(p.inflight, c.key)
-		p.canceled++
-		return
-	}
-	// Running (or coalesced): mark so run()/settle drops this id's result.
-	p.discarded[id] = true
-	// Drop the id from any coalesce list so a future settle doesn't
-	// resurrect it.
-	for key, co := range p.inflight {
-		for i, cid := range co {
-			if cid == id {
-				p.inflight[key] = append(co[:i], co[i+1:]...)
+		// Leave the execution this call waits on, so its settlement does
+		// not park a result nobody will take.
+		waiting := p.inflight[c.key]
+		for i, w := range waiting {
+			if w == c {
+				waiting = append(waiting[:i], waiting[i+1:]...)
+				p.inflight[c.key] = waiting
 				break
 			}
 		}
+		if c.state != callQueued || len(waiting) > 0 {
+			continue // running, or other queries still want this call
+		}
+		for i, q := range p.queue {
+			if q == c {
+				p.queue = append(p.queue[:i], p.queue[i+1:]...)
+				break
+			}
+		}
+		delete(p.inflight, c.key)
+		c.dest.count(evCanceled)
+		c.trace.finish("canceled")
 	}
+}
+
+// Held reports how many call records the pump holds: calls queued,
+// running, or parked awaiting Take. A drained pump — every registered call
+// taken or discarded — holds none.
+func (p *Pump) Held() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.calls)
 }
 
 // Close shuts the pump down: queued calls that never started complete with
@@ -924,24 +953,29 @@ type Stats struct {
 	MaxActive int
 }
 
-// Stats returns a snapshot of the pump's counters.
+// Stats returns a snapshot of the pump's counters: the destination
+// records summed. It does not take the pump's lock.
 func (p *Pump) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	var n [numEvents]int64
+	for _, d := range *p.dests.Load() {
+		for e := range n {
+			n[e] += d.n[e].Load()
+		}
+	}
 	return Stats{
-		Registered:   p.registered,
-		CacheHits:    p.cacheHits,
-		PeerHits:     p.peerHits,
-		Coalesced:    p.coalesced,
-		Started:      p.started,
-		Completed:    p.completed,
-		Canceled:     p.canceled,
-		Retries:      p.retries,
-		Hedges:       p.hedges,
-		HedgeWins:    p.hedgeWins,
-		CallTimeouts: p.callTimeouts,
-		CallsFailed:  p.callsFailed,
-		MaxActive:    p.maxActive,
+		Registered:   n[evRegistered],
+		CacheHits:    n[evCacheHit],
+		PeerHits:     n[evPeerHit],
+		Coalesced:    n[evCoalesced],
+		Started:      n[evStarted],
+		Completed:    n[evCompleted],
+		Canceled:     n[evCanceled],
+		Retries:      n[evRetry],
+		Hedges:       n[evHedge],
+		HedgeWins:    n[evHedgeWin],
+		CallTimeouts: n[evTimeout],
+		CallsFailed:  n[evFailed],
+		MaxActive:    int(p.maxActive.Load()),
 	}
 }
 
@@ -954,25 +988,55 @@ func (p *Pump) Active() (running, queued int) {
 	return p.activeTotal, len(p.queue)
 }
 
-// DestActive snapshots the per-destination in-flight gauges — the
+// DestActive snapshots the per-destination in-flight counts — the
 // "one counter for each external destination" of Section 4.1, exposed for
 // the server's /statusz page.
 func (p *Pump) DestActive() map[string]int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[string]int, len(p.activeDest))
-	for d, n := range p.activeDest {
-		if n > 0 {
-			out[d] = n
+	out := make(map[string]int)
+	for name, d := range *p.dests.Load() {
+		if n := d.active.Load(); n > 0 {
+			out[name] = int(n)
 		}
 	}
 	return out
 }
 
-// ResetStats zeroes the counters between experiment runs.
+// DestProfiles copies each destination's record into the engine-profile
+// schema, for profile.Store to merge with its on-disk history. Records
+// that have seen neither an execution nor a cache or peer hit (SyncDest, a
+// destination known only by its limit) describe no engine and are left
+// out.
+func (p *Pump) DestProfiles() map[string]*profile.DestSnapshot {
+	out := make(map[string]*profile.DestSnapshot)
+	for name, d := range *p.dests.Load() {
+		ds := &profile.DestSnapshot{
+			Failures:  d.n[evExecFailed].Load(),
+			Retries:   d.n[evRetry].Load(),
+			Hedges:    d.n[evHedge].Load(),
+			Timeouts:  d.n[evTimeout].Load(),
+			CacheHits: d.n[evCacheHit].Load(),
+			PeerHits:  d.n[evPeerHit].Load(),
+			EWMA:      math.Float64frombits(d.ewma.Load()),
+			Latency:   profile.NewHistSnap(d.latency.Snapshot()),
+		}
+		ds.Calls = ds.Latency.Count
+		if ds.Calls+ds.CacheHits+ds.PeerHits > 0 {
+			out[name] = ds
+		}
+	}
+	return out
+}
+
+// ResetStats zeroes every counter and latency record between experiment
+// runs. Limits and in-flight counts are state, not statistics, and stay.
 func (p *Pump) ResetStats() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.registered, p.cacheHits, p.peerHits, p.coalesced, p.started, p.completed, p.canceled, p.maxActive = 0, 0, 0, 0, 0, 0, 0, 0
-	p.retries, p.hedges, p.hedgeWins, p.callTimeouts, p.callsFailed = 0, 0, 0, 0, 0
+	for _, d := range *p.dests.Load() {
+		for e := range d.n {
+			d.n[e].Store(0)
+		}
+		d.latency.Reset()
+		d.ewma.Store(0)
+	}
+	p.slotWait.Reset()
+	p.maxActive.Store(0)
 }

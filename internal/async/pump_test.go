@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/types"
 )
 
@@ -252,6 +253,52 @@ func TestPumpDiscard(t *testing.T) {
 	p.Discard(id)
 	if _, ok := p.Take(id); ok {
 		t.Error("discarded result should be gone")
+	}
+
+	// Discard of an id the pump does not hold — discarded twice, already
+	// taken, never registered — is a no-op that leaves no state behind.
+	taken := p.RegisterCtx(context.Background(), "d", "k", func() ([]types.Tuple, error) { return nil, nil })
+	p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{taken: true})
+	p.Take(taken)
+	before := p.Stats()
+	p.Discard(id, taken, 9999)
+	if held := p.Held(); held != 0 {
+		t.Errorf("Held() = %d after discarding ids the pump does not hold, want 0", held)
+	}
+	if after := p.Stats(); after != before {
+		t.Errorf("no-op Discard moved counters: %+v -> %+v", before, after)
+	}
+	// A later call is unaffected by the stale discards.
+	again := p.RegisterCtx(context.Background(), "d", "k", func() ([]types.Tuple, error) { return nil, nil })
+	p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{again: true})
+	if _, ok := p.Take(again); !ok {
+		t.Error("call registered after stale discards lost its result")
+	}
+}
+
+// TestPumpRoundTripAllocs pins the hot path: one RegisterCtx → AwaitAnyCtx
+// → Take round trip on an observed, cache-less pump allocates no more than
+// it did before the call and destination tables replaced the per-event
+// maps and registry handles (2 measured there: the call record and the
+// id list its settlement built; BenchmarkPumpRoundTrip's 4 adds the ids
+// map it builds per iteration, which here stays on the stack).
+func TestPumpRoundTripAllocs(t *testing.T) {
+	p := NewPump(64, 64, nil)
+	defer p.Close()
+	p.Observe(obs.NewRegistry())
+	ctx := context.Background()
+	fn := func() ([]types.Tuple, error) { return nil, nil }
+	allocs := testing.AllocsPerRun(2000, func() {
+		id := p.RegisterCtx(ctx, "d", "k", fn)
+		if _, err := p.AwaitAnyCtx(ctx, map[types.CallID]bool{id: true}); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := p.Take(id); !ok {
+			t.Fatal("missing result")
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("pump round trip: %.1f allocs/op, want <= 2", allocs)
 	}
 }
 

@@ -104,9 +104,11 @@ func (p RetryPolicy) backoff(n int) time.Duration {
 // concurrency tokens: the synchronous executor path (EVScan) uses it so
 // synchronous and asynchronous iteration share one fault model. Hedging and
 // per-attempt deadlines are skipped — a synchronous scan blocks its query
-// for the call's full latency by design.
+// for the call's full latency by design. Its retries and failures are
+// counted under the SyncDest destination record.
 func (p *Pump) CallWithRetry(ctx context.Context, do func() ([]types.Tuple, error)) ([]types.Tuple, error) {
 	pol := p.RetryPolicy()
+	d := p.dest(SyncDest)
 	var lastErr error
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -121,7 +123,7 @@ func (p *Pump) CallWithRetry(ctx context.Context, do func() ([]types.Tuple, erro
 			} else {
 				<-t.C
 			}
-			p.count(&p.retries)
+			d.count(evRetry)
 		}
 		rows, err := do()
 		if err == nil {
@@ -129,11 +131,11 @@ func (p *Pump) CallWithRetry(ctx context.Context, do func() ([]types.Tuple, erro
 		}
 		lastErr = err
 		if !IsTransient(err) {
-			p.count(&p.callsFailed)
+			d.count(evFailed)
 			return nil, err
 		}
 	}
-	p.count(&p.callsFailed)
+	d.count(evFailed)
 	return nil, fmt.Errorf("after %d attempts: %w", pol.MaxAttempts, lastErr)
 }
 

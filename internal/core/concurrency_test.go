@@ -131,6 +131,9 @@ func TestExecContextDeadline(t *testing.T) {
 	for {
 		running, queued := db.Pump().Active()
 		if running == 0 && queued == 0 {
+			if held := db.Pump().Held(); held != 0 {
+				t.Errorf("drained pump still holds %d call records", held)
+			}
 			return
 		}
 		if time.Now().After(deadline) {

@@ -354,6 +354,8 @@ func (db *DB) runQueryable(goCtx context.Context, st sqlparse.Statement, opts Qu
 	ctx.RetryCall = db.pump.CallWithRetry
 	ctx.Trace = span
 	rows, err := exec.Run(ctx, op)
+	// The query is this execution's calls' last owner (see Context.PumpCalls).
+	db.pump.Discard(ctx.PumpCalls...)
 	if err != nil {
 		return nil, err
 	}

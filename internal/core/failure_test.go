@@ -12,8 +12,10 @@ import (
 
 // flakyEngine fails a configurable subset of calls.
 type flakyEngine struct {
-	inner     search.Engine
-	failEvery int64
+	inner search.Engine
+	// failEvery is atomic: a test heals the engine while calls abandoned by
+	// its failed query are still running.
+	failEvery atomic.Int64
 	calls     atomic.Int64
 }
 
@@ -21,7 +23,7 @@ func (f *flakyEngine) Name() string { return f.inner.Name() }
 
 func (f *flakyEngine) maybeFail() error {
 	n := f.calls.Add(1)
-	if f.failEvery > 0 && n%f.failEvery == 0 {
+	if every := f.failEvery.Load(); every > 0 && n%every == 0 {
 		return fmt.Errorf("transient engine failure (call %d)", n)
 	}
 	return nil
@@ -64,7 +66,8 @@ func newFlakyDB(t *testing.T, failEvery int64) (*DB, *flakyEngine) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	fe := &flakyEngine{inner: stubOK{}, failEvery: failEvery}
+	fe := &flakyEngine{inner: stubOK{}}
+	fe.failEvery.Store(failEvery)
 	db.RegisterEngine(fe, "AV")
 	loadTables(t, db)
 	return db, fe
@@ -88,7 +91,7 @@ func TestPumpSurvivesFailedQuery(t *testing.T) {
 	if _, err := db.QueryContext(context.Background(), `SELECT Name, Count FROM States, WebCount WHERE Name = T1`); err == nil {
 		t.Fatal("expected failure")
 	}
-	fe.failEvery = 0 // heal the engine
+	fe.failEvery.Store(0) // heal the engine
 	res, err := db.QueryContext(context.Background(), `SELECT Name, Count FROM States, WebCount WHERE Name = T1`)
 	if err != nil {
 		t.Fatalf("query after failure: %v", err)

@@ -112,6 +112,12 @@ type Context struct {
 	// the benchmark and wsqfuzz run size 1 as the tuple-at-a-time reference
 	// that every other size must agree with.
 	BatchSize int
+	// PumpCalls lists every asynchronous call this execution registered
+	// (AEVScan appends). A ReqSync disowns only the calls whose placeholder
+	// tuples reached it; whoever runs the plan discards this list after the
+	// root Close, so a call whose tuples a join dropped below the ReqSync,
+	// or that an error stranded, does not stay parked in the pump.
+	PumpCalls []types.CallID
 	Stats     Stats
 }
 

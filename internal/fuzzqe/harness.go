@@ -152,6 +152,7 @@ func (r *Runner) runVariant(ctx context.Context, spec *QuerySpec, v Variant) Var
 	ectx := exec.NewContextWith(ctx)
 	ectx.BatchSize = v.BatchSize
 	rows, err := exec.Run(ectx, op)
+	r.Env.Pump.Discard(ectx.PumpCalls...)
 	res.Settled = sumSettled(op)
 	if err != nil {
 		res.Err = fmt.Errorf("exec: %w", err)

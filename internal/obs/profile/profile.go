@@ -1,40 +1,27 @@
-// Package profile is the durable engine-profile store: per-destination
-// latency, failure, and cache behavior aggregated from pump and shard
-// observations, snapshotted to disk, and exported at /profiles.
+// Package profile is the durable view of engine behavior: the request
+// pump's live per-destination records (latency, failures, retries, cache
+// and peer hits) merged with the history loaded from disk, snapshotted
+// back to disk, and exported at /profiles. It counts nothing about
+// calls itself — the pump's destination table is the one record — and
+// accumulates only the query-level observations (fanout, end-to-end
+// latency) the pump cannot see.
 //
 // It exists for the planner. The paper's cost asymmetry — an external
 // web call costs seconds while a local operator costs microseconds —
 // means plan choice is dominated by how many external calls a plan
-// issues and how slow each destination actually is. The Reader
-// interface is the stable surface a latency-aware cost-based planner
-// consumes: observed quantiles, fanout, cache hit rates, and failure
-// rates per destination, persistent across restarts so a freshly
-// started wsqd prices plans from history rather than from nothing.
+// issues and how slow each destination actually is. Snapshot().Derive()
+// is the read surface a latency-aware cost-based planner consumes:
+// observed quantiles, fanout, cache hit rates, and failure rates per
+// destination, persistent across restarts so a freshly started wsqd
+// prices plans from history rather than from nothing.
 package profile
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
-)
-
-// ewmaAlpha weights new observations in the exponential moving average:
-// ~20% of the estimate turns over per observation, responsive to engine
-// slowdowns without whiplash from one outlier.
-const ewmaAlpha = 0.2
-
-// Event kinds accepted by EventObserved. They mirror the pump's
-// counter taxonomy (retry/hedge/timeout) plus the cache signals the
-// planner prices (local hit, tier peer hit).
-const (
-	EventRetry    = "retry"
-	EventHedge    = "hedge"
-	EventTimeout  = "timeout"
-	EventCacheHit = "cache_hit"
-	EventPeerHit  = "peer_hit"
 )
 
 // Profile is one destination's derived profile — the planner-facing
@@ -71,60 +58,35 @@ type QueryProfile struct {
 	P99       float64 `json:"p99_seconds"`
 }
 
-// Reader is the stable read surface the cost-based planner consumes.
-type Reader interface {
-	// Profile returns the derived profile for a destination; ok is
-	// false when nothing has been observed (or loaded) for it.
-	Profile(dest string) (p Profile, ok bool)
-	// Destinations lists every known destination, sorted.
-	Destinations() []string
-	// Query returns the query-level fanout/latency profile.
-	Query() QueryProfile
-}
-
 // fanoutBuckets sizes the external-calls-per-query histogram: fanout is
 // a small integer (the paper's Table 1 queries register tens of calls).
 var fanoutBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
-// Store accumulates observations and implements Reader. All methods are
-// safe for concurrent use; observation paths cost a few atomics plus a
-// short per-destination critical section for the EWMA.
-//
-// A Store may carry a base snapshot loaded from disk (Load): derived
-// profiles merge the base with live observations, so history survives a
-// restart while the live histograms keep recording.
+// Store is the profile view: the pump's live destination records plus an
+// optional base snapshot loaded from disk (Load), so history survives a
+// restart, plus the query-level histograms it accumulates itself. All
+// methods are safe for concurrent use.
 type Store struct {
 	node string
+	// live returns a fresh map of the pump's per-destination records
+	// (async.Pump.DestProfiles); every Snapshot reads it anew.
+	live func() map[string]*DestSnapshot
 
-	mu    sync.RWMutex
-	dests map[string]*destProfile
-	base  *Snapshot // loaded history, nil when starting fresh
+	mu   sync.RWMutex
+	base *Snapshot // loaded history, nil when starting fresh
 
 	queries    atomic.Int64
 	fanoutHist *obs.Histogram
 	queryHist  *obs.Histogram
 }
 
-type destProfile struct {
-	calls     atomic.Int64
-	failures  atomic.Int64
-	retries   atomic.Int64
-	hedges    atomic.Int64
-	timeouts  atomic.Int64
-	cacheHits atomic.Int64
-	peerHits  atomic.Int64
-	hist      *obs.Histogram
-
-	emu  sync.Mutex
-	ewma float64 // seconds; 0 = unset
-}
-
-// NewStore creates an empty store. node names the producing process in
-// snapshots and /profiles output ("coord", "w1", or "" standalone).
-func NewStore(node string) *Store {
+// NewStore creates a store over live, the source of per-destination call
+// records. node names the producing process in snapshots and /profiles
+// output ("coord", "w1", or "" standalone).
+func NewStore(node string, live func() map[string]*DestSnapshot) *Store {
 	return &Store{
 		node:       node,
-		dests:      make(map[string]*destProfile),
+		live:       live,
 		fanoutHist: obs.NewHistogram(fanoutBuckets),
 		queryHist:  obs.NewHistogram(nil),
 	}
@@ -132,67 +94,6 @@ func NewStore(node string) *Store {
 
 // Node returns the store's node name.
 func (s *Store) Node() string { return s.node }
-
-func (s *Store) dest(name string) *destProfile {
-	s.mu.RLock()
-	d, ok := s.dests[name]
-	s.mu.RUnlock()
-	if ok {
-		return d
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d, ok = s.dests[name]; ok {
-		return d
-	}
-	d = &destProfile{hist: obs.NewHistogram(nil)}
-	s.dests[name] = d
-	return d
-}
-
-// CallObserved records one completed external call attempt: its
-// destination, latency, and whether it failed. This is the pump's
-// ProfileSink hook (async.Pump.SetProfiles).
-func (s *Store) CallObserved(dest string, d time.Duration, failed bool) {
-	if s == nil {
-		return
-	}
-	dp := s.dest(dest)
-	dp.calls.Add(1)
-	if failed {
-		dp.failures.Add(1)
-	}
-	sec := d.Seconds()
-	dp.hist.Observe(sec)
-	dp.emu.Lock()
-	if dp.ewma == 0 {
-		dp.ewma = sec
-	} else {
-		dp.ewma += ewmaAlpha * (sec - dp.ewma)
-	}
-	dp.emu.Unlock()
-}
-
-// EventObserved records a non-latency event (EventRetry, EventHedge,
-// EventTimeout, EventCacheHit, EventPeerHit) for a destination.
-func (s *Store) EventObserved(dest, kind string) {
-	if s == nil {
-		return
-	}
-	dp := s.dest(dest)
-	switch kind {
-	case EventRetry:
-		dp.retries.Add(1)
-	case EventHedge:
-		dp.hedges.Add(1)
-	case EventTimeout:
-		dp.timeouts.Add(1)
-	case EventCacheHit:
-		dp.cacheHits.Add(1)
-	case EventPeerHit:
-		dp.peerHits.Add(1)
-	}
-}
 
 // QueryObserved records one completed query: its end-to-end latency and
 // how many external calls it issued (fanout).
@@ -203,59 +104,6 @@ func (s *Store) QueryObserved(d time.Duration, externalCalls int) {
 	s.queries.Add(1)
 	s.queryHist.ObserveDuration(d)
 	s.fanoutHist.Observe(float64(externalCalls))
-}
-
-// ---------------------------------------------------------------------------
-// Reader
-
-// Profile implements Reader: the destination's live observations merged
-// with any loaded base snapshot.
-func (s *Store) Profile(dest string) (Profile, bool) {
-	s.mu.RLock()
-	dp := s.dests[dest]
-	var base *DestSnapshot
-	if s.base != nil {
-		base = s.base.Dests[dest]
-	}
-	s.mu.RUnlock()
-	if dp == nil && base == nil {
-		return Profile{}, false
-	}
-	ds := mergeDest(snapshotDest(dp), base)
-	return deriveProfile(dest, ds), true
-}
-
-// Destinations implements Reader.
-func (s *Store) Destinations() []string {
-	s.mu.RLock()
-	set := make(map[string]bool, len(s.dests))
-	for name := range s.dests {
-		set[name] = true
-	}
-	if s.base != nil {
-		for name := range s.base.Dests {
-			set[name] = true
-		}
-	}
-	s.mu.RUnlock()
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Query implements Reader.
-func (s *Store) Query() QueryProfile {
-	s.mu.RLock()
-	var base *QuerySnapshot
-	if s.base != nil {
-		base = s.base.Query
-	}
-	s.mu.RUnlock()
-	qs := mergeQuery(s.snapshotQuery(), base)
-	return deriveQuery(qs)
 }
 
 func deriveProfile(dest string, ds *DestSnapshot) Profile {

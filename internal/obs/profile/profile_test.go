@@ -1,11 +1,13 @@
 package profile
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -13,28 +15,79 @@ import (
 	"repro/internal/obs"
 )
 
-func seedStore(node string) *Store {
-	s := NewStore(node)
+// liveDests is a scripted stand-in for the pump's destination table,
+// the store's live source (async.Pump.DestProfiles in production).
+type liveDests map[string]*liveDest
+
+type liveDest struct {
+	DestSnapshot
+	hist *obs.Histogram
+}
+
+func (l liveDests) dest(name string) *liveDest {
+	if l[name] == nil {
+		l[name] = &liveDest{hist: obs.NewHistogram(nil)}
+	}
+	return l[name]
+}
+
+// call scripts one engine execution.
+func (l liveDests) call(name string, d time.Duration, failed bool) {
+	ld := l.dest(name)
+	ld.Calls++
+	if failed {
+		ld.Failures++
+	}
+	ld.hist.ObserveDuration(d)
+	if ld.EWMA == 0 {
+		ld.EWMA = d.Seconds()
+	} else {
+		ld.EWMA += 0.2 * (d.Seconds() - ld.EWMA)
+	}
+}
+
+func (l liveDests) snapshot() map[string]*DestSnapshot {
+	out := make(map[string]*DestSnapshot, len(l))
+	for name, ld := range l {
+		ds := ld.DestSnapshot
+		ds.Latency = NewHistSnap(ld.hist.Snapshot())
+		out[name] = &ds
+	}
+	return out
+}
+
+func seedStore(node string) (*Store, liveDests) {
+	live := liveDests{}
 	for i := 0; i < 100; i++ {
-		s.CallObserved("altavista", 100*time.Millisecond, false)
+		live.call("altavista", 100*time.Millisecond, false)
 	}
 	for i := 0; i < 10; i++ {
-		s.CallObserved("altavista", 2*time.Second, i < 5)
+		live.call("altavista", 2*time.Second, i < 5)
 	}
-	s.EventObserved("altavista", EventRetry)
-	s.EventObserved("altavista", EventCacheHit)
-	s.EventObserved("altavista", EventCacheHit)
-	s.EventObserved("altavista", EventPeerHit)
-	s.EventObserved("altavista", EventTimeout)
-	s.CallObserved("moviefone", 500*time.Millisecond, false)
+	av := live.dest("altavista")
+	av.Retries, av.CacheHits, av.PeerHits, av.Timeouts = 1, 2, 1, 1
+	live.call("moviefone", 500*time.Millisecond, false)
+	s := NewStore(node, live.snapshot)
 	s.QueryObserved(300*time.Millisecond, 8)
 	s.QueryObserved(50*time.Millisecond, 2)
-	return s
+	return s, live
+}
+
+// derived reads one destination through Snapshot().Derive(), the store's
+// read surface.
+func derived(s *Store, dest string) (Profile, bool) {
+	profiles, _ := s.Snapshot().Derive()
+	for _, p := range profiles {
+		if p.Dest == dest {
+			return p, true
+		}
+	}
+	return Profile{}, false
 }
 
 func TestDerivedProfile(t *testing.T) {
-	s := seedStore("w1")
-	p, ok := s.Profile("altavista")
+	s, _ := seedStore("w1")
+	p, ok := derived(s, "altavista")
 	if !ok {
 		t.Fatal("altavista not profiled")
 	}
@@ -59,14 +112,13 @@ func TestDerivedProfile(t *testing.T) {
 		t.Errorf("failure rate = %v, want %v", p.FailureRate, want)
 	}
 
-	if _, ok := s.Profile("lycos"); ok {
+	if _, ok := derived(s, "lycos"); ok {
 		t.Error("unknown destination reported a profile")
 	}
-	if got := s.Destinations(); len(got) != 2 || got[0] != "altavista" || got[1] != "moviefone" {
-		t.Errorf("Destinations = %v", got)
+	profiles, q := s.Snapshot().Derive()
+	if len(profiles) != 2 || profiles[0].Dest != "altavista" || profiles[1].Dest != "moviefone" {
+		t.Errorf("destinations = %+v", profiles)
 	}
-
-	q := s.Query()
 	if q.Queries != 2 {
 		t.Errorf("queries = %d", q.Queries)
 	}
@@ -80,37 +132,36 @@ func TestDerivedProfile(t *testing.T) {
 
 func TestNilStoreNoops(t *testing.T) {
 	var s *Store
-	s.CallObserved("x", time.Second, true)
-	s.EventObserved("x", EventRetry)
 	s.QueryObserved(time.Second, 1)
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "profiles.json")
-	s := seedStore("w1")
+	s, _ := seedStore("w1")
 	if err := s.Save(path); err != nil {
 		t.Fatal(err)
 	}
 
 	// A fresh store (restart) loads the snapshot as its base: history is
 	// visible immediately and merges with new live observations.
-	s2 := NewStore("w1")
+	live2 := liveDests{}
+	s2 := NewStore("w1", live2.snapshot)
 	if err := s2.Load(path); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	p, ok := s2.Profile("altavista")
+	p, ok := derived(s2, "altavista")
 	if !ok || p.Calls != 110 {
 		t.Fatalf("reloaded profile: ok=%v calls=%d, want 110", ok, p.Calls)
 	}
 	if p.P99 < 0.5 {
 		t.Errorf("reloaded p99 = %v: histogram did not survive the disk trip", p.P99)
 	}
-	s2.CallObserved("altavista", time.Second, false)
-	if p, _ = s2.Profile("altavista"); p.Calls != 111 {
+	live2.call("altavista", time.Second, false)
+	if p, _ = derived(s2, "altavista"); p.Calls != 111 {
 		t.Errorf("live+base merge: calls = %d, want 111", p.Calls)
 	}
-	if q := s2.Query(); q.Queries != 2 {
+	if _, q := s2.Snapshot().Derive(); q.Queries != 2 {
 		t.Errorf("reloaded query profile: %d queries", q.Queries)
 	}
 
@@ -118,12 +169,56 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := s2.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	s3 := NewStore("w1")
+	s3 := NewStore("w1", liveDests{}.snapshot)
 	if err := s3.Load(path); err != nil {
 		t.Fatal(err)
 	}
-	if p, _ = s3.Profile("altavista"); p.Calls != 111 {
+	if p, _ = derived(s3, "altavista"); p.Calls != 111 {
 		t.Errorf("second-generation snapshot: calls = %d, want 111", p.Calls)
+	}
+}
+
+// TestLoadParentSnapshot: testdata/parent_snapshot.json was written by
+// Store.Save at the commit before the store became a view of the pump's
+// records (same seeding as seedStore, plus one hedge). The on-disk format
+// did not move: it loads as the base, merges with live records, and
+// re-saves byte-compatibly.
+func TestLoadParentSnapshot(t *testing.T) {
+	live := liveDests{}
+	s := NewStore("w1", live.snapshot)
+	if err := s.Load(filepath.Join("testdata", "parent_snapshot.json")); err != nil {
+		t.Fatalf("parent-written snapshot rejected: %v", err)
+	}
+	live.call("altavista", time.Second, true)
+	p, ok := derived(s, "altavista")
+	want := Profile{Calls: 111, Failures: 6, Retries: 1, Hedges: 1, Timeouts: 1, CacheHits: 2, PeerHits: 1}
+	got := Profile{Calls: p.Calls, Failures: p.Failures, Retries: p.Retries, Hedges: p.Hedges, Timeouts: p.Timeouts, CacheHits: p.CacheHits, PeerHits: p.PeerHits}
+	if !ok || got != want {
+		t.Errorf("parent history + one live call = %+v, want %+v", got, want)
+	}
+	if p.P50 <= 0 || p.P50 > 0.5 || p.P99 < 0.5 {
+		t.Errorf("parent latency sketch unreadable: p50=%v p99=%v", p.P50, p.P99)
+	}
+	if _, q := s.Snapshot().Derive(); q.Queries != 2 || q.MeanFan != 5 {
+		t.Errorf("parent query profile: %+v", q)
+	}
+
+	parent, err := os.ReadFile(filepath.Join("testdata", "parent_snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewStore("w1", liveDests{}.snapshot)
+	if err := fresh.Load(filepath.Join("testdata", "parent_snapshot.json")); err != nil {
+		t.Fatal(err)
+	}
+	resaved := filepath.Join(t.TempDir(), "resaved.json")
+	if err := fresh.Save(resaved); err != nil {
+		t.Fatal(err)
+	}
+	now, _ := os.ReadFile(resaved)
+	stamp := regexp.MustCompile(`"saved_at": "[^"]*"`)
+	if a, b := stamp.ReplaceAll(parent, nil), stamp.ReplaceAll(now, nil); !bytes.Equal(a, b) {
+		t.Errorf("re-saved parent snapshot differs from the parent's bytes (saved_at aside):\n%s\n---\n%s", a, b)
 	}
 }
 
@@ -132,7 +227,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // crash, never leave the store unusable.
 func TestLoadCorruptSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	good, _ := json.Marshal(seedStore("w1").Snapshot())
+	seeded, _ := seedStore("w1")
+	good, _ := json.Marshal(seeded.Snapshot())
 
 	cases := map[string][]byte{
 		"truncated": good[:len(good)/2],
@@ -145,13 +241,14 @@ func TestLoadCorruptSnapshot(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s := NewStore("w1")
+		live := liveDests{}
+		s := NewStore("w1", live.snapshot)
 		if err := s.Load(path); err == nil {
 			t.Errorf("%s: Load returned nil error", name)
 		}
 		// The store must still work end to end.
-		s.CallObserved("altavista", time.Second, false)
-		if p, ok := s.Profile("altavista"); !ok || p.Calls != 1 {
+		live.call("altavista", time.Second, false)
+		if p, ok := derived(s, "altavista"); !ok || p.Calls != 1 {
 			t.Errorf("%s: store unusable after bad load: ok=%v %+v", name, ok, p)
 		}
 		if err := s.Save(filepath.Join(dir, name+"-resave.json")); err != nil {
@@ -160,17 +257,19 @@ func TestLoadCorruptSnapshot(t *testing.T) {
 	}
 
 	// Missing file is a clean first start: no error at all.
-	s := NewStore("w1")
+	s := NewStore("w1", liveDests{}.snapshot)
 	if err := s.Load(filepath.Join(dir, "nonexistent.json")); err != nil {
 		t.Errorf("missing snapshot: %v", err)
 	}
 }
 
 func TestMergeSnapshots(t *testing.T) {
-	a := seedStore("w1").Snapshot()
-	b := NewStore("w2")
-	b.CallObserved("altavista", time.Second, true)
-	b.CallObserved("lycos", 100*time.Millisecond, false)
+	w1, _ := seedStore("w1")
+	a := w1.Snapshot()
+	live := liveDests{}
+	live.call("altavista", time.Second, true)
+	live.call("lycos", 100*time.Millisecond, false)
+	b := NewStore("w2", live.snapshot)
 	b.QueryObserved(time.Second, 4)
 
 	merged := MergeSnapshots("coord", a, b.Snapshot(), nil)
@@ -216,18 +315,18 @@ func TestMergeHistMismatchedBounds(t *testing.T) {
 func TestSnapshotterFinalSave(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "profiles.json")
-	s := seedStore("w1")
+	s, _ := seedStore("w1")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	wg := s.StartSnapshots(ctx, path, time.Hour, nil) // interval never fires
 	cancel()
 	wg.Wait()
 
-	s2 := NewStore("w1")
+	s2 := NewStore("w1", liveDests{}.snapshot)
 	if err := s2.Load(path); err != nil {
 		t.Fatalf("final snapshot unreadable: %v", err)
 	}
-	if p, ok := s2.Profile("altavista"); !ok || p.Calls != 110 {
+	if p, ok := derived(s2, "altavista"); !ok || p.Calls != 110 {
 		t.Errorf("final snapshot content: ok=%v %+v", ok, p)
 	}
 
@@ -237,7 +336,7 @@ func TestSnapshotterFinalSave(t *testing.T) {
 }
 
 func TestProfilesHandler(t *testing.T) {
-	s := seedStore("w1")
+	s, _ := seedStore("w1")
 	h := s.Handler()
 
 	rec := httptest.NewRecorder()

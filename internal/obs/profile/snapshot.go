@@ -26,7 +26,8 @@ type HistSnap struct {
 	Sum    float64   `json:"sum"`
 }
 
-func histToSnap(s obs.HistSnapshot) HistSnap {
+// NewHistSnap converts a live histogram snapshot to its serializable form.
+func NewHistSnap(s obs.HistSnapshot) HistSnap {
 	return HistSnap{Bounds: s.Bounds, Counts: s.Counts, Count: s.Count, Sum: s.Sum}
 }
 
@@ -107,31 +108,11 @@ type Snapshot struct {
 	Query   *QuerySnapshot           `json:"query,omitempty"`
 }
 
-func snapshotDest(dp *destProfile) *DestSnapshot {
-	if dp == nil {
-		return &DestSnapshot{}
-	}
-	dp.emu.Lock()
-	ewma := dp.ewma
-	dp.emu.Unlock()
-	return &DestSnapshot{
-		Calls:     dp.calls.Load(),
-		Failures:  dp.failures.Load(),
-		Retries:   dp.retries.Load(),
-		Hedges:    dp.hedges.Load(),
-		Timeouts:  dp.timeouts.Load(),
-		CacheHits: dp.cacheHits.Load(),
-		PeerHits:  dp.peerHits.Load(),
-		EWMA:      ewma,
-		Latency:   histToSnap(dp.hist.Snapshot()),
-	}
-}
-
 func (s *Store) snapshotQuery() *QuerySnapshot {
 	return &QuerySnapshot{
 		Queries: s.queries.Load(),
-		Fanout:  histToSnap(s.fanoutHist.Snapshot()),
-		Latency: histToSnap(s.queryHist.Snapshot()),
+		Fanout:  NewHistSnap(s.fanoutHist.Snapshot()),
+		Latency: NewHistSnap(s.queryHist.Snapshot()),
 	}
 }
 
@@ -190,17 +171,11 @@ func mergeQuery(a, b *QuerySnapshot) *QuerySnapshot {
 	}
 }
 
-// Snapshot serializes the store's full state: live observations merged
-// with any loaded base, so a snapshot taken after a restart carries the
-// whole history forward.
+// Snapshot serializes the full view: the pump's live records merged with
+// any loaded base, so a snapshot taken after a restart carries the whole
+// history forward.
 func (s *Store) Snapshot() *Snapshot {
 	s.mu.RLock()
-	names := make([]string, 0, len(s.dests))
-	live := make(map[string]*destProfile, len(s.dests))
-	for name, dp := range s.dests {
-		names = append(names, name)
-		live[name] = dp
-	}
 	base := s.base
 	s.mu.RUnlock()
 
@@ -208,10 +183,7 @@ func (s *Store) Snapshot() *Snapshot {
 		Version: SnapshotVersion,
 		Node:    s.node,
 		SavedAt: time.Now().UTC(),
-		Dests:   make(map[string]*DestSnapshot),
-	}
-	for _, name := range names {
-		out.Dests[name] = snapshotDest(live[name])
+		Dests:   s.live(),
 	}
 	var baseQuery *QuerySnapshot
 	if base != nil {

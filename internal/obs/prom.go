@@ -74,6 +74,22 @@ func writeEntry(w io.Writer, e *entry, exemplars bool) error {
 				return err
 			}
 		}
+	case func() map[string]float64:
+		samples := m()
+		for _, v := range sortedKeys(samples) {
+			if err := writeSample(w, e.name, e.labels, []string{v}, samples[v]); err != nil {
+				return err
+			}
+		}
+	case func() HistSnapshot:
+		return writeHistogram(w, e.name, nil, nil, m(), exemplars)
+	case func() map[string]HistSnapshot:
+		samples := m()
+		for _, v := range sortedKeys(samples) {
+			if err := writeHistogram(w, e.name, e.labels, []string{v}, samples[v], exemplars); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

@@ -18,13 +18,17 @@ const (
 	kindCounterVec
 	kindGaugeVec
 	kindHistogramVec
+	kindCounterVecFunc
+	kindGaugeVecFunc
+	kindHistogramFunc
+	kindHistogramVecFunc
 )
 
 func (k kind) prom() string {
 	switch k {
-	case kindCounter, kindCounterVec, kindCounterFunc:
+	case kindCounter, kindCounterVec, kindCounterFunc, kindCounterVecFunc:
 		return "counter"
-	case kindHistogram, kindHistogramVec:
+	case kindHistogram, kindHistogramVec, kindHistogramFunc, kindHistogramVecFunc:
 		return "histogram"
 	default:
 		return "gauge"
@@ -36,7 +40,7 @@ type entry struct {
 	help   string
 	kind   kind
 	labels []string
-	metric interface{} // *Counter, *Gauge, func() float64, *Histogram, *CounterVec, ...
+	metric interface{} // *Counter, *Gauge, *Histogram, *CounterVec, ..., or a sampling func
 }
 
 // Registry is a named collection of metrics with a Prometheus text
@@ -114,37 +118,58 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return g
 }
 
-// GaugeFunc registers a live gauge sampled at encode time (e.g. the
-// pump's instantaneous queue depth). Re-registering replaces the
-// callback, keeping Observe idempotent for components that re-attach.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
+// sampled registers a family whose samples fn computes at encode time.
+// Re-registering replaces fn, keeping Observe idempotent for components
+// that re-attach.
+func (r *Registry) sampled(name, help string, k kind, fn interface{}, labels ...string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e, ok := r.entries[name]; ok {
-		if e.kind != kindGaugeFunc {
-			panic(fmt.Sprintf("obs: metric %q re-registered as gauge func (was %s)", name, e.kind.prom()))
+		if e.kind != k {
+			panic(fmt.Sprintf("obs: metric %q re-registered as sampled %s (was %s)", name, k.prom(), e.kind.prom()))
 		}
 		e.metric = fn
 		return
 	}
-	r.entries[name] = &entry{name: name, help: help, kind: kindGaugeFunc, metric: fn}
+	r.entries[name] = &entry{name: name, help: help, kind: k, labels: labels, metric: fn}
+}
+
+// GaugeFunc registers a live gauge sampled at encode time (e.g. the
+// pump's instantaneous queue depth).
+func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
+	r.sampled(name, help, kindGaugeFunc, fn)
 }
 
 // CounterFunc registers a counter sampled at encode time, for components
-// that already maintain monotonic counters under their own lock (the
-// pump's Stats fields). Like GaugeFunc, re-registering replaces the
-// callback so Observe stays idempotent.
+// that already maintain the monotonic count themselves.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.entries[name]; ok {
-		if e.kind != kindCounterFunc {
-			panic(fmt.Sprintf("obs: metric %q re-registered as counter func (was %s)", name, e.kind.prom()))
-		}
-		e.metric = fn
-		return
-	}
-	r.entries[name] = &entry{name: name, help: help, kind: kindCounterFunc, metric: fn}
+	r.sampled(name, help, kindCounterFunc, fn)
+}
+
+// The *VecFunc and HistogramFunc forms are the same idea for families a
+// component keeps in its own table (the pump's per-destination records):
+// fn returns the current reading per value of the one label, and the
+// encoder emits them in label order.
+
+// CounterVecFunc registers a one-label counter family sampled at encode time.
+func (r *Registry) CounterVecFunc(name, help, label string, fn func() map[string]float64) {
+	r.sampled(name, help, kindCounterVecFunc, fn, label)
+}
+
+// GaugeVecFunc registers a one-label gauge family sampled at encode time.
+func (r *Registry) GaugeVecFunc(name, help, label string, fn func() map[string]float64) {
+	r.sampled(name, help, kindGaugeVecFunc, fn, label)
+}
+
+// HistogramFunc registers a histogram snapshotted at encode time.
+func (r *Registry) HistogramFunc(name, help string, fn func() HistSnapshot) {
+	r.sampled(name, help, kindHistogramFunc, fn)
+}
+
+// HistogramVecFunc registers a one-label histogram family snapshotted at
+// encode time.
+func (r *Registry) HistogramVecFunc(name, help, label string, fn func() map[string]HistSnapshot) {
+	r.sampled(name, help, kindHistogramVecFunc, fn, label)
 }
 
 // Histogram returns the named histogram, creating it on first use with

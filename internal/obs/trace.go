@@ -182,7 +182,7 @@ func (s *Span) renderInto(b *strings.Builder, depth int) {
 	}
 }
 
-func sortedKeys(m map[string]int64) []string {
+func sortedKeys[T any](m map[string]T) []string {
 	if len(m) == 0 {
 		return nil
 	}

@@ -136,6 +136,9 @@ func TestChaosConcurrentClientsDegradeCleanly(t *testing.T) {
 	if st.Pump.Active != 0 {
 		t.Errorf("pump active = %d after all queries returned", st.Pump.Active)
 	}
+	if held := env.db.Pump().Held(); held != 0 {
+		t.Errorf("pump holds %d call records after all queries returned", held)
+	}
 }
 
 // TestChaosFailPolicySurfaces500ButRecovers: with the default fail policy a

@@ -34,11 +34,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/async"
@@ -65,9 +66,6 @@ type Options struct {
 	// AllowWrites permits CREATE/DROP/INSERT through /query; by default the
 	// server is read-only and such statements get 403.
 	AllowWrites bool
-	// LatencyWindow is the number of recent query latencies kept for the
-	// /statusz percentiles (default 1024).
-	LatencyWindow int
 	// DefaultDegrade is the failed-call degradation policy applied when a
 	// request does not choose one (wsqd -degrade). DegradeFail by default.
 	DefaultDegrade exec.DegradePolicy
@@ -87,8 +85,8 @@ type Options struct {
 	// /debug/traces — the tail-capture policy (wsqd -trace-slow).
 	SlowTraceThreshold time.Duration
 	// Profiles, when non-nil, receives per-query observations (latency,
-	// external-call fanout) and is served at /profiles; New also
-	// attaches it to the DB's pump as its ProfileSink.
+	// external-call fanout) and is served at /profiles. Its per-call side
+	// reads the DB's pump (profile.NewStore's live source).
 	Profiles *profile.Store
 }
 
@@ -104,9 +102,6 @@ func (o *Options) fill() {
 	}
 	if o.MaxTimeout <= 0 {
 		o.MaxTimeout = 5 * time.Minute
-	}
-	if o.LatencyWindow <= 0 {
-		o.LatencyWindow = 1024
 	}
 }
 
@@ -128,14 +123,17 @@ type Server struct {
 	failed   *obs.Counter
 	rejected *obs.Counter
 	timedOut *obs.Counter
-	latency  *obs.Histogram
+	// latency is every query's execution time; /statusz reads its
+	// percentiles from here too. maxLatency (ns) is the one thing a
+	// bucketed histogram cannot tell.
+	latency    *obs.Histogram
+	maxLatency atomic.Int64
 
 	logMu sync.Mutex // serializes RequestLog lines
 
 	sampler *obs.Sampler
 	traces  *obs.TraceSink
 
-	lat   *latencyRing
 	start time.Time
 }
 
@@ -150,11 +148,7 @@ func New(db *core.DB, opts Options) *Server {
 		sem:     make(chan struct{}, opts.MaxConcurrentQueries),
 		sampler: obs.NewSampler(opts.TraceSampleEvery),
 		traces:  obs.NewTraceSink(0, 0),
-		lat:     newLatencyRing(opts.LatencyWindow),
 		start:   time.Now(),
-	}
-	if opts.Profiles != nil {
-		db.Pump().SetProfiles(opts.Profiles)
 	}
 	reg := db.Metrics()
 	s.total = reg.Counter("wsq_server_queries_total", "Queries received by /query.")
@@ -379,7 +373,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		res, err = s.db.QueryContextOpts(ctx, req.SQL, opts)
 	}
 	elapsed := time.Since(start)
-	s.lat.record(elapsed)
+	for {
+		max := s.maxLatency.Load()
+		if int64(elapsed) <= max || s.maxLatency.CompareAndSwap(max, int64(elapsed)) {
+			break
+		}
+	}
 	traceID := ""
 	if tc != nil {
 		traceID = tc.TraceID
@@ -671,7 +670,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		Rejected: s.rejected.Value(),
 		TimedOut: s.timedOut.Value(),
 	}
-	st.Queries.LatencyMS = s.lat.percentiles()
+	st.Queries.LatencyMS = s.latencyPercentiles()
 	if c := s.db.Cache(); c != nil {
 		hits, misses := c.Stats()
 		cs := &CacheStats{Entries: c.Len(), Hits: hits, Misses: misses, Evictions: c.Evictions()}
@@ -692,7 +691,9 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 // ---------------------------------------------------------------------------
 // Latency percentiles
 
-// Percentiles reports per-query latency quantiles over the recent window.
+// Percentiles reports per-query latency over every query since start:
+// quantiles interpolated within the wsq_server_query_seconds buckets,
+// count and max exact.
 type Percentiles struct {
 	Count int64   `json:"count"`
 	P50   float64 `json:"p50"`
@@ -701,51 +702,14 @@ type Percentiles struct {
 	Max   float64 `json:"max"`
 }
 
-// latencyRing keeps the last N query latencies for percentile reporting.
-type latencyRing struct {
-	mu    sync.Mutex
-	buf   []time.Duration
-	next  int
-	fill  int
-	count int64
-	max   time.Duration
-}
-
-func newLatencyRing(n int) *latencyRing {
-	return &latencyRing{buf: make([]time.Duration, n)}
-}
-
-func (l *latencyRing) record(d time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.buf[l.next] = d
-	l.next = (l.next + 1) % len(l.buf)
-	if l.fill < len(l.buf) {
-		l.fill++
+func (s *Server) latencyPercentiles() Percentiles {
+	h := s.latency.Snapshot()
+	p := Percentiles{Count: h.Count, Max: float64(time.Duration(s.maxLatency.Load()).Microseconds()) / 1000.0}
+	if h.Count > 0 {
+		// Interpolation can overshoot the slowest query's bucket position;
+		// the exact max bounds it.
+		q := func(f float64) float64 { return math.Min(1000*h.Quantile(f), p.Max) }
+		p.P50, p.P90, p.P99 = q(0.50), q(0.90), q(0.99)
 	}
-	l.count++
-	if d > l.max {
-		l.max = d
-	}
-}
-
-func (l *latencyRing) percentiles() Percentiles {
-	l.mu.Lock()
-	snap := make([]time.Duration, l.fill)
-	copy(snap, l.buf[:l.fill])
-	count, max := l.count, l.max
-	l.mu.Unlock()
-	p := Percentiles{Count: count, Max: ms(max)}
-	if len(snap) == 0 {
-		return p
-	}
-	sort.Slice(snap, func(i, j int) bool { return snap[i] < snap[j] })
-	q := func(f float64) float64 {
-		i := int(f * float64(len(snap)-1))
-		return ms(snap[i])
-	}
-	p.P50, p.P90, p.P99 = q(0.50), q(0.90), q(0.99)
 	return p
 }
-
-func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000.0 }

@@ -198,6 +198,9 @@ func TestDeadlineCancelsQueuedCalls(t *testing.T) {
 	if st := env.db.Pump().Stats(); st.Canceled == 0 {
 		t.Error("expected canceled > 0: the deadline should drop queued calls")
 	}
+	if held := env.db.Pump().Held(); held != 0 {
+		t.Errorf("drained pump still holds %d call records", held)
+	}
 
 	// The pump must still be healthy for the next query.
 	if _, err := env.cl.Query(context.Background(), template1Query, 30*time.Second); err != nil {

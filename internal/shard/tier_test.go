@@ -69,7 +69,7 @@ func startTier(t *testing.T, n int, model search.LatencyModel, budgets map[strin
 		db.Pump().SetCachePeer(peers)
 		w := NewWorker(WorkerOptions{
 			ID:        id,
-			Inner:     server.New(db, server.Options{Node: id, Profiles: profile.NewStore(id)}),
+			Inner:     server.New(db, server.Options{Node: id, Profiles: profile.NewStore(id, db.Pump().DestProfiles)}),
 			Cache:     db.Cache(),
 			Pump:      db.Pump(),
 			Peers:     peers,
@@ -379,6 +379,15 @@ func TestTierDrainZeroFailures(t *testing.T) {
 	}
 	if !env.nodes[0].worker.Draining() {
 		t.Error("w1 not marked draining")
+	}
+	// Drained means drained: every query has returned, so neither worker's
+	// pump holds a slot or a call record.
+	for _, nd := range env.nodes {
+		nd.db.Pump().Quiesce()
+		running, queued := nd.db.Pump().Active()
+		if held := nd.db.Pump().Held(); running != 0 || queued != 0 || held != 0 {
+			t.Errorf("%s pump after the drive: %d running, %d queued, %d held; want all zero", nd.id, running, queued, held)
+		}
 	}
 	t.Logf("drain: %d queries (all 200), %d keys handed off", total, handed)
 }
