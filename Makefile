@@ -95,15 +95,10 @@ table1:
 
 # Fast machine-readable benchmark smoke (the CI artifact): one Table-1
 # cell at millisecond latency, with sync/async p50/p95/p99 estimated from
-# the harness's obs histograms — then the multi-node smoke: 2 workers + a
-# coordinator on loopback, asserting cross-node cache hits > 0, zero query
-# errors, and a clean mid-run drain (exits non-zero otherwise) — then the
-# executor batch-size sweep (tuple-at-a-time vs 64 vs 256) charting the
-# batching win on a purely local join pipeline.
+# the harness's obs histograms. The tier and the local executor are
+# measured by bench-check's tier_hot and local_join workloads.
 bench-smoke:
 	$(GO) run ./cmd/wsqbench -template 1 -runs 1 -instances 4 -latency 2ms -json-out BENCH_smoke.json
-	$(GO) run ./cmd/wsqbench -tier 2 -clients 4 -duration 3s -latency 2ms -json-out BENCH_tier.json
-	$(GO) run ./cmd/wsqbench -sweep-exec 200000 -json-out BENCH_exec.json
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -13,7 +13,6 @@
 //	wsqbench -http                    # engine calls over localhost HTTP
 //	wsqbench -flaky 0.3               # 30% transient faults, masked by retries
 //	wsqbench -serve -clients 8        # drive N concurrent clients at a wsqd
-//	wsqbench -tier 2                  # multi-node smoke: sharded tier + drain
 package main
 
 import (
@@ -46,9 +45,7 @@ func main() {
 	maxDest := flag.Int("max-per-dest", 0, "pump per-destination limit (0 = default)")
 	sweepConc := flag.Bool("sweep-concurrency", false, "ablation: sweep the per-destination limit")
 	sweepCache := flag.Bool("sweep-cache", false, "ablation: compare cache off/on")
-	sweepExecN := flag.Int("sweep-exec", 0, "ablation: sweep the executor batch size over an N-row local join (0 = off)")
 	serve := flag.Bool("serve", false, "serving-mode load test: N concurrent clients against one wsqd")
-	tier := flag.Int("tier", 0, "multi-node smoke: N in-process workers + a coordinator, cross-node cache + drain assertions")
 	clients := flag.Int("clients", 8, "-serve: number of concurrent clients")
 	duration := flag.Duration("duration", 5*time.Second, "-serve: load duration per phase")
 	serverURL := flag.String("server-url", "", "-serve: target an external wsqd (default: in-process)")
@@ -68,16 +65,12 @@ func main() {
 	}
 
 	switch {
-	case *tier > 0:
-		tierBench(model, *tier, *clients, *duration, *cacheSize, *maxTotal, *maxDest)
 	case *serve:
 		serveBench(model, *clients, *duration, *serverURL, *cacheSize, *maxTotal, *maxDest)
 	case *sweepConc:
 		sweepConcurrency(model, *instances, *useHTTP)
 	case *sweepCache:
 		sweepCaching(model, *instances, *useHTTP)
-	case *sweepExecN > 0:
-		sweepExec(*sweepExecN)
 	default:
 		table1(model, *template, *runs, *instances, *useHTTP, *maxTotal, *maxDest)
 	}
@@ -280,8 +273,6 @@ type benchReport struct {
 	Latency       map[string]benchQuantiles `json:"latency,omitempty"`
 	Pump          *benchPump                `json:"pump,omitempty"`
 	Serve         *benchServe               `json:"serve,omitempty"`
-	Tier          *benchTier                `json:"tier,omitempty"`
-	Exec          []benchExecCell           `json:"exec,omitempty"`
 }
 
 // writeReport marshals the report to -json-out (no-op when unset).

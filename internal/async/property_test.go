@@ -1,9 +1,14 @@
 package async
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -163,5 +168,245 @@ func TestReqSyncPropertiesUnderRandomFaultSchedules(t *testing.T) {
 				t.Errorf("leaked pump state after query end: %d call records held", held)
 			}
 		})
+	}
+}
+
+// gatedSource answers per its scripts, but holds each call until the
+// argument's gate opens: the order the test opens gates in is the order
+// calls complete in.
+type gatedSource struct {
+	*scriptedFaultSource
+	gates map[string]chan struct{}
+}
+
+func (g *gatedSource) Call(args []types.Value) ([]types.Tuple, error) {
+	<-g.gates[args[0].AsString()]
+	return g.scriptedFaultSource.Call(args)
+}
+
+// TestSettleHandshakeProperties drives the ReqSync↔ReqPump handshake
+// through random completion orders × 0..3-row results × transient and
+// permanent failures × fail|drop|partial × {run to completion, cancel the
+// query mid-settle, Close the pump mid-wait}. Whatever happens, the query
+// ends in a result or an error of the expected kind, and nothing is left
+// behind: every registered call has left the call table (taken by the
+// ReqSync or discarded, so none can be taken again), no execution holds a
+// token, and the goroutine count is back at its baseline.
+func TestSettleHandshakeProperties(t *testing.T) {
+	policies := []exec.DegradePolicy{exec.DegradeFail, exec.DegradeDrop, exec.DegradePartial}
+	scenarios := []string{"complete", "cancel", "close"}
+	for iter := 0; iter < 45; iter++ {
+		seed := int64(7000 + iter)
+		policy, scenario := policies[iter%3], scenarios[(iter/3)%3]
+		t.Run(fmt.Sprintf("seed=%d/%s/%s", seed, policy, scenario), func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			rng := rand.New(rand.NewSource(seed))
+			terms := make([]string, 1+rng.Intn(12))
+			gates := make(map[string]chan struct{}, len(terms))
+			for i := range terms {
+				terms[i] = fmt.Sprintf("t%d", i)
+				gates[terms[i]] = make(chan struct{})
+			}
+			src := &gatedSource{gates: gates, scriptedFaultSource: &scriptedFaultSource{
+				name: "A", dest: "a", scripts: randomScripts(rng, terms), attempts: map[string]int{}}}
+			anyHard := false
+			for _, sc := range src.scripts {
+				anyHard = anyHard || sc.hard
+			}
+
+			pump := NewPump(1+rng.Intn(8), 1+rng.Intn(4), nil)
+			defer pump.Close()
+			// 3 retries cover the scripted 0..2 transient failures; a retry
+			// waits for its slot in the same helper a ReqSync waits in.
+			pump.SetRetryPolicy(RetryPolicy{MaxAttempts: 4, BaseBackoff: 50 * time.Microsecond, JitterFrac: 0.5})
+
+			termCol := strCol("L", "Term")
+			left := exec.NewValuesScan(schema.New(termCol), tuplesOf(terms))
+			aev := NewAEVScan(src, []expr.Expr{expr.NewColRef(termCol)}, schema.New(strCol("A", "Val")), pump)
+			rs := NewReqSync(exec.NewDependentJoin(left, aev, ""), pump, aev.FilledAttrs())
+
+			qctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			ectx := exec.NewContextWith(qctx)
+			ectx.Degrade = policy
+
+			// The releaser opens the gates in a random order, pausing a random
+			// moment after each so the ReqSync settles in between, and fires
+			// the scenario's event before the k-th gate.
+			order := rng.Perm(len(terms))
+			k := rng.Intn(len(terms))
+			pauses := make([]time.Duration, len(terms))
+			for i := range pauses {
+				pauses[i] = time.Duration(rng.Intn(300)) * time.Microsecond
+			}
+			released := make(chan struct{})
+			go func() {
+				defer close(released)
+				for i, ti := range order {
+					if i == k {
+						switch scenario {
+						case "cancel":
+							cancel()
+						case "close":
+							pump.Close()
+						}
+					}
+					close(gates[terms[ti]])
+					time.Sleep(pauses[i])
+				}
+			}()
+
+			rows, err := exec.Run(ectx, rs)
+			<-released
+			pump.Discard(ectx.PumpCalls...)
+
+			scriptedFailure := err != nil && strings.Contains(err.Error(), "scripted hard failure")
+			switch {
+			case err == nil:
+			case scriptedFailure && policy == exec.DegradeFail && anyHard:
+			case scenario == "cancel" && errors.Is(err, context.Canceled):
+			case scenario == "close" && errors.Is(err, ErrPumpClosed):
+			default:
+				t.Fatalf("query ended with an error of the wrong kind: %v", err)
+			}
+			got := map[string][]types.Tuple{}
+			for _, r := range rows {
+				if r.HasPlaceholder() {
+					t.Fatalf("placeholder escaped ReqSync: %v", r)
+				}
+				got[r[0].AsString()] = append(got[r[0].AsString()], r)
+			}
+			if scenario == "complete" {
+				if policy == exec.DegradeFail && anyHard != (err != nil) {
+					t.Fatalf("fail policy: err = %v with hard failures scripted = %v", err, anyHard)
+				}
+				for _, term := range terms {
+					sc, want := src.scripts[term], src.scripts[term].rows
+					switch {
+					case err != nil:
+						want = 0
+					case sc.hard && policy == exec.DegradePartial:
+						want = 1
+						if len(got[term]) == 1 && !got[term][0][1].IsNull() {
+							t.Errorf("term %s: failed call patched %v, want NULL", term, got[term][0][1])
+						}
+					case sc.hard:
+						want = 0
+					}
+					if len(got[term]) != want {
+						t.Errorf("term %s: %d tuples, want %d (%+v)", term, len(got[term]), want, sc)
+					}
+				}
+				if err == nil && int(rs.nSettled) != len(terms) {
+					t.Errorf("settled %d of %d calls", rs.nSettled, len(terms))
+				}
+			}
+
+			if len(ectx.PumpCalls) != len(terms) {
+				t.Fatalf("registered %d calls for %d terms", len(ectx.PumpCalls), len(terms))
+			}
+			pump.Quiesce()
+			if running, queued := pump.Active(); running != 0 || queued != 0 {
+				t.Errorf("after Quiesce: %d running, %d queued", running, queued)
+			}
+			if held := pump.Held(); held != 0 {
+				t.Errorf("%d call records still held", held)
+			}
+			for _, id := range ectx.PumpCalls {
+				if _, ok := pump.Take(id); ok {
+					t.Errorf("call %d could be taken after the query let go of it", id)
+				}
+			}
+			waitGoroutines(t, baseline)
+		})
+	}
+}
+
+// waitGoroutines waits for the goroutine count to come back down to
+// baseline: executions and a canceled context's wake-up exit on their own
+// time, so the count is polled rather than read once.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// doneCountingCtx counts how often anyone asks for its Done channel. Every
+// way of waiting on a context — a select, a watcher goroutine,
+// context.AfterFunc — starts by asking.
+type doneCountingCtx struct {
+	context.Context
+	asked atomic.Int64
+}
+
+func (c *doneCountingCtx) Done() <-chan struct{} {
+	c.asked.Add(1)
+	return c.Context.Done()
+}
+
+// TestWarmCacheQuerySettlesWithoutWaiting: a Template-1-shaped query (50
+// calls) whose calls are all cache hits is settled by ReqSync's poll pass
+// alone, even under a cancellable context — it never reaches the pump's
+// wait, so nothing asks for the context's Done channel and no goroutine
+// starts.
+func TestWarmCacheQuerySettlesWithoutWaiting(t *testing.T) {
+	terms := make([]string, 50)
+	for i := range terms {
+		terms[i] = fmt.Sprintf("state%d", i)
+	}
+	src := &scriptedSource{name: "WC", dest: "d", numEcho: 1,
+		rows: func(arg string) ([]types.Tuple, error) {
+			return []types.Tuple{{types.Int(int64(len(arg)))}}, nil
+		}}
+	pump := NewPump(0, 0, &countingCache{m: make(map[string][]types.Tuple)})
+	defer pump.Close()
+	warm, _ := buildCountPlan(terms, src, pump)
+	if rows := runOp(t, warm); len(rows) != len(terms) {
+		t.Fatalf("warm-up run: %d rows", len(rows))
+	}
+	pump.Quiesce()
+	before := pump.Stats()
+
+	qctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	counting := &doneCountingCtx{Context: qctx}
+	ectx := exec.NewContextWith(counting)
+	rs, _ := buildCountPlan(terms, src, pump)
+	if err := rs.Open(ectx); err != nil {
+		t.Fatal(err)
+	}
+	goroutines, asked := runtime.NumGoroutine(), counting.asked.Load()
+	n := 0
+	for {
+		b, ok, err := rs.NextBatch(ectx, ectx.BatchLen())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		n += len(b)
+	}
+	if got := counting.asked.Load() - asked; got != 0 {
+		t.Errorf("settling cache hits asked for the context's Done channel %d times, want 0", got)
+	}
+	if got := runtime.NumGoroutine(); got > goroutines {
+		t.Errorf("goroutines grew from %d to %d while settling cache hits", goroutines, got)
+	}
+	if err := rs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := pump.Stats()
+	if n != 50 || rs.nSettled != 50 || st.CacheHits-before.CacheHits != 50 || st.Started != before.Started {
+		t.Errorf("rows=%d settled=%d cache hits=%d started=%d, want 50 50 50 0",
+			n, rs.nSettled, st.CacheHits-before.CacheHits, st.Started-before.Started)
+	}
+	if held := pump.Held(); held != 0 {
+		t.Errorf("%d call records still held", held)
 	}
 }

@@ -722,36 +722,51 @@ func (p *Pump) tryAcquireToken(d *destination) bool {
 // the limits are the same ones dispatchLocked enforces). It fails when the
 // call's context expires or the pump closes.
 func (p *Pump) acquireToken(c *call) error {
-	if c.ctx.Done() != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-c.ctx.Done():
-				p.mu.Lock()
-				p.cond.Broadcast()
-				p.mu.Unlock()
-			case <-stop:
-			}
-		}()
-	}
 	start := time.Now()
+	return p.await(c.ctx, "retry", func() bool {
+		if p.closed || p.activeTotal >= p.maxTotal || int(c.dest.active.Load()) >= c.dest.limit {
+			return false
+		}
+		p.slotWait.Observe(time.Since(start).Seconds())
+		p.grabTokenLocked(c.dest)
+		return true
+	})
+}
+
+// await is the pump's one blocking wait: a ReqSync waiting for a result
+// (AwaitAnyCtx) and a retry waiting for a slot (acquireToken) both park
+// here until try, run under p.mu after every wake-up, reports success. It
+// fails with ctx's error once ctx is done and with ErrPumpClosed (wrapped)
+// once the pump closes. No wake-up is missed: whatever can change try's
+// answer — a settlement, a released token, Close, and through wake the
+// end of ctx — broadcasts under p.mu, which the waiter holds from its
+// checks until Wait has parked it.
+func (p *Pump) await(ctx context.Context, what string, try func() bool) error {
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, p.wake)
+		defer stop()
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		if err := c.ctx.Err(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if p.closed {
-			return fmt.Errorf("retry: %w", ErrPumpClosed)
-		}
-		if p.activeTotal < p.maxTotal && int(c.dest.active.Load()) < c.dest.limit {
-			p.slotWait.Observe(time.Since(start).Seconds())
-			p.grabTokenLocked(c.dest)
+		if try() {
 			return nil
+		}
+		if p.closed {
+			return fmt.Errorf("%s: %w", what, ErrPumpClosed)
 		}
 		p.cond.Wait()
 	}
+}
+
+// wake rouses every goroutine parked in await.
+func (p *Pump) wake() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.cond.Broadcast()
 }
 
 // grabTokenLocked increments the in-flight counts. Callers hold p.mu.
@@ -802,39 +817,17 @@ func (p *Pump) AwaitAnyCtx(ctx context.Context, ids map[types.CallID]bool) (type
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if ctx.Done() != nil {
-		// Wake the condition variable when the context fires. Broadcasting
-		// under p.mu guarantees the waiter is either before its ctx check
-		// (sees the error) or parked in Wait (receives the broadcast) —
-		// no missed-wakeup window.
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-ctx.Done():
-				p.mu.Lock()
-				p.cond.Broadcast()
-				p.mu.Unlock()
-			case <-stop:
-			}
-		}()
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
+	var done types.CallID
+	err := p.await(ctx, "await", func() bool {
 		for id := range ids {
 			if c := p.calls[id]; c != nil && c.state == callDone {
-				return id, nil
+				done = id
+				return true
 			}
 		}
-		if p.closed {
-			return 0, fmt.Errorf("%w while %d calls pending", ErrPumpClosed, len(ids))
-		}
-		p.cond.Wait()
-	}
+		return false
+	})
+	return done, err
 }
 
 // Discard abandons interest in calls (e.g. the query errored elsewhere or

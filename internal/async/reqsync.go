@@ -28,6 +28,8 @@ type ReqSync struct {
 
 	ready   []types.Tuple
 	waiting map[types.CallID][]*bufTuple
+	// pending is waiting's key set, in the shape Pump.AwaitAnyCtx takes.
+	pending map[types.CallID]bool
 	opened  bool
 
 	// Trace-profile counters (SpanExtras), accumulated across every Open
@@ -64,6 +66,7 @@ func (r *ReqSync) Open(ctx *exec.Context) error {
 	}
 	r.ready = nil
 	r.waiting = make(map[types.CallID][]*bufTuple)
+	r.pending = make(map[types.CallID]bool)
 	r.opened = true
 	for {
 		b, ok, err := r.Child.NextBatch(ctx, ctx.BatchLen())
@@ -90,6 +93,7 @@ func (r *ReqSync) admit(t types.Tuple) {
 func (r *ReqSync) register(bt *bufTuple) {
 	for _, id := range bt.t.PendingCalls() {
 		r.waiting[id] = append(r.waiting[id], bt)
+		r.pending[id] = true
 	}
 }
 
@@ -119,6 +123,7 @@ func patch(t types.Tuple, id types.CallID, row types.Tuple) types.Tuple {
 func (r *ReqSync) settle(ctx *exec.Context, id types.CallID, res CallResult) error {
 	buffered := r.waiting[id]
 	delete(r.waiting, id)
+	delete(r.pending, id)
 	r.nSettled++
 	if res.Err != nil {
 		switch ctx.Degrade {
@@ -186,36 +191,32 @@ func (r *ReqSync) settle(ctx *exec.Context, id types.CallID, res CallResult) err
 	return nil
 }
 
-// pendingIDs snapshots the calls currently awaited.
-func (r *ReqSync) pendingIDs() map[types.CallID]bool {
-	ids := make(map[types.CallID]bool, len(r.waiting))
-	for id := range r.waiting {
-		ids[id] = true
-	}
-	return ids
-}
-
 // NextBatch implements exec.Operator: release a window of completed
-// tuples, blocking on the pump when none is ready ("if ReqSync has no
-// completed tuples then it must wait for the next signal from ReqPump").
+// tuples. With none ready it polls — Take settles every awaited call that
+// is already done — and only a pass that settled nothing blocks, once
+// ("if ReqSync has no completed tuples then it must wait for the next
+// signal from ReqPump").
 func (r *ReqSync) NextBatch(ctx *exec.Context, max int) (exec.Batch, bool, error) {
 	if !r.opened {
 		return nil, false, fmt.Errorf("ReqSync: NextBatch before Open")
 	}
 	for len(r.ready) == 0 && len(r.waiting) > 0 {
-		// The execution context bounds the wait: a query deadline wakes the
-		// ReqSync with the ctx error, and Close then disowns the
-		// still-pending calls.
-		id, err := r.Pump.AwaitAnyCtx(ctx.Ctx, r.pendingIDs())
-		if err != nil {
-			return nil, false, err
+		settled := false
+		for id := range r.waiting {
+			if res, done := r.Pump.Take(id); done {
+				settled = true
+				if err := r.settle(ctx, id, res); err != nil {
+					return nil, false, err
+				}
+			}
 		}
-		res, ok := r.Pump.Take(id)
-		if !ok {
-			return nil, false, fmt.Errorf("ReqSync: call %d signaled done but result missing", id)
-		}
-		if err := r.settle(ctx, id, res); err != nil {
-			return nil, false, err
+		if !settled {
+			// The execution context bounds the wait: a query deadline wakes
+			// the ReqSync with the ctx error, and Close then disowns the
+			// still-pending calls.
+			if _, err := r.Pump.AwaitAnyCtx(ctx.Ctx, r.pending); err != nil {
+				return nil, false, err
+			}
 		}
 	}
 	return exec.TakeBatch(&r.ready, max)
@@ -227,7 +228,7 @@ func (r *ReqSync) Close() error {
 	for id := range r.waiting {
 		r.Pump.Discard(id)
 	}
-	r.waiting = nil
+	r.waiting, r.pending = nil, nil
 	r.ready = nil
 	r.opened = false
 	return r.Child.Close()

@@ -79,23 +79,6 @@ func (c *Cache) Put(key string, rows []types.Tuple) {
 	}
 }
 
-// Delete removes key (the cache-peering invalidate operation). It reports
-// whether an entry existed.
-func (c *Cache) Delete(key string) bool {
-	if c == nil || c.cap <= 0 {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	c.lru.Remove(el)
-	delete(c.items, key)
-	return true
-}
-
 // Entry is one cached key with its rows, as snapshotted by Entries.
 type Entry struct {
 	Key  string

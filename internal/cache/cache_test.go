@@ -93,7 +93,7 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestEvictionsAndDelete(t *testing.T) {
+func TestEvictions(t *testing.T) {
 	c := New(2)
 	c.Put("a", rows(1))
 	c.Put("b", rows(2))
@@ -101,25 +101,13 @@ func TestEvictionsAndDelete(t *testing.T) {
 	if c.Evictions() != 1 {
 		t.Errorf("evictions = %d, want 1", c.Evictions())
 	}
-	if !c.Delete("b") {
-		t.Error("delete of resident key should report true")
-	}
-	if c.Delete("b") {
-		t.Error("second delete should report false")
-	}
-	if _, ok := c.Get("b"); ok {
-		t.Error("deleted key should miss")
-	}
-	if c.Len() != 1 {
-		t.Errorf("len after delete: %d", c.Len())
-	}
 	c.Reset()
 	if c.Evictions() != 0 {
 		t.Error("reset should clear evictions")
 	}
 	// nil/disabled caches must stay no-ops.
 	var nilc *Cache
-	if nilc.Delete("x") || nilc.Evictions() != 0 || nilc.Entries(1) != nil {
+	if nilc.Evictions() != 0 || nilc.Entries(1) != nil {
 		t.Error("nil cache should be inert")
 	}
 }

@@ -357,8 +357,14 @@ func splitEquiKeys(preds []expr.Expr, leftAvail map[schema.AttrID]bool, right *s
 // can pay for itself: with zero or one stored row the nested loop's
 // re-scan is already optimal.
 func hashBuildWorthwhile(t *catalog.Table) bool {
-	rows, err := t.ScanAll()
-	return err == nil && len(rows) > 1
+	sc := t.Heap.NewScanner()
+	defer sc.Close()
+	for n := 0; n < 2; n++ {
+		if _, _, ok, err := sc.Next(); err != nil || !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // trySemiJoin rewrites Distinct(Project(HashJoin)) in place into

@@ -75,10 +75,11 @@ func (o PeerOptions) withDefaults() PeerOptions {
 
 // Peers is a worker's client side of the tier cache: it implements
 // async.CachePeer by resolving each key's home shard on the ring and
-// speaking the get/fill HTTP protocol to it. Fetches for the same key
-// are collapsed through a singleflight group (one HTTP round trip no
-// matter how many pump misses race); fills are queued and shipped by a
-// background sender so the pump never blocks on peering.
+// speaking the get/fill HTTP protocol to it. Fetch is reached only from
+// the one execution per key the pump's in-flight table admits (peering
+// needs a cache, and a cache turns coalescing on), so it needs no
+// coalescing of its own; fills are queued and shipped by a background
+// sender so the pump never blocks on peering.
 type Peers struct {
 	self   string
 	opt    PeerOptions
@@ -86,8 +87,6 @@ type Peers struct {
 
 	ring   atomic.Pointer[Ring]
 	vnodes int
-
-	flight flightGroup
 
 	fillq chan cacheFillRequest
 	stop  chan struct{}
@@ -98,7 +97,6 @@ type Peers struct {
 	fetchHits   atomic.Int64
 	fetchMisses atomic.Int64
 	fetchErrors atomic.Int64
-	fetchShared atomic.Int64
 	selfHome    atomic.Int64
 	fillsSent   atomic.Int64
 	fillErrors  atomic.Int64
@@ -152,12 +150,7 @@ func (p *Peers) Fetch(ctx context.Context, key string) ([]types.Tuple, bool) {
 		p.selfHome.Add(1)
 		return nil, false
 	}
-	rows, ok, shared := p.flight.Do(key, func() ([]types.Tuple, bool) {
-		return p.fetchFrom(ctx, owner.URL, key)
-	})
-	if shared {
-		p.fetchShared.Add(1)
-	}
+	rows, ok := p.fetchFrom(ctx, owner.URL, key)
 	if ok {
 		p.fetchHits.Add(1)
 	} else {
@@ -315,44 +308,11 @@ func (p *Peers) sendFill(ctx context.Context, base string, fill cacheFillRequest
 	return nil
 }
 
-// Invalidate removes a key tier-wide: from the local view's home shard
-// (and the caller should also drop its own copy).
-func (p *Peers) Invalidate(ctx context.Context, key string) error {
-	owner, onRing := p.ring.Load().Owner(key)
-	if !onRing || owner.ID == p.self {
-		return nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, cancel := context.WithTimeout(ctx, p.opt.FillTimeout)
-	defer cancel()
-	body, err := json.Marshal(map[string]string{"key": key})
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, owner.URL+"/shard/cache/invalidate", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return fmt.Errorf("invalidate: status %d", resp.StatusCode)
-	}
-	return nil
-}
-
 // PeerStats is a point-in-time snapshot of the peering counters.
 type PeerStats struct {
 	FetchHits   int64 `json:"fetch_hits"`
 	FetchMisses int64 `json:"fetch_misses"`
 	FetchErrors int64 `json:"fetch_errors"`
-	FetchShared int64 `json:"fetch_shared"`
 	SelfHome    int64 `json:"self_home"`
 	FillsSent   int64 `json:"fills_sent"`
 	FillErrors  int64 `json:"fill_errors"`
@@ -365,7 +325,6 @@ func (p *Peers) Stats() PeerStats {
 		FetchHits:   p.fetchHits.Load(),
 		FetchMisses: p.fetchMisses.Load(),
 		FetchErrors: p.fetchErrors.Load(),
-		FetchShared: p.fetchShared.Load(),
 		SelfHome:    p.selfHome.Load(),
 		FillsSent:   p.fillsSent.Load(),
 		FillErrors:  p.fillErrors.Load(),
@@ -384,9 +343,6 @@ func (p *Peers) Observe(reg *obs.Registry) {
 	reg.CounterFunc("wsq_shard_peer_fetch_errors_total",
 		"Remote cache gets that failed (network, decode, non-404 status).",
 		func() float64 { return float64(p.fetchErrors.Load()) })
-	reg.CounterFunc("wsq_shard_peer_fetch_shared_total",
-		"Remote cache gets collapsed onto an identical in-flight fetch.",
-		func() float64 { return float64(p.fetchShared.Load()) })
 	reg.CounterFunc("wsq_shard_peer_fills_sent_total",
 		"Locally computed results offered to their home shard.",
 		func() float64 { return float64(p.fillsSent.Load()) })

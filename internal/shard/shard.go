@@ -13,7 +13,7 @@
 //   - Tier-wide result caching (peers.go, worker.go): every key has a
 //     home shard on the ring. A worker whose pump misses its local [HN96]
 //     cache asks the key's home shard over a small HTTP cache protocol
-//     (get / fill / invalidate) before spending an engine call, and
+//     (get / fill) before spending an engine call, and
 //     offers locally computed results back to the home shard. Combined
 //     with the pump's in-flight coalescing and the home shard's
 //     fill-promise wait (a remote get can linger briefly for an

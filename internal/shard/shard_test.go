@@ -3,12 +3,7 @@ package shard
 import (
 	"os"
 	"path/filepath"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
-
-	"repro/internal/types"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -86,68 +81,5 @@ func TestRouteKey(t *testing.T) {
 	// Unlexable input must still produce some deterministic key.
 	if RouteKey("💥 !@#") != RouteKey("💥   !@#") {
 		t.Error("fallback key for unlexable input unstable")
-	}
-}
-
-func TestFlightGroupCollapses(t *testing.T) {
-	var g flightGroup
-	var calls atomic.Int64
-	gate := make(chan struct{})
-	const n = 16
-
-	var wg sync.WaitGroup
-	shared := make([]bool, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rows, ok, sh := g.Do("k", func() ([]types.Tuple, bool) {
-				calls.Add(1)
-				<-gate
-				return []types.Tuple{{types.Int(42)}}, true
-			})
-			if !ok || rows[0][0].I != 42 {
-				t.Errorf("caller %d got wrong result: %v %v", i, rows, ok)
-			}
-			shared[i] = sh
-		}(i)
-	}
-	// Wait until one leader is inside fn and all n-1 others are parked on
-	// it (visible as the in-flight call's dup count) before releasing it.
-	for {
-		g.mu.Lock()
-		var dups int64
-		if c := g.m["k"]; c != nil {
-			dups = c.dups
-		}
-		g.mu.Unlock()
-		if dups == n-1 {
-			break
-		}
-		runtime.Gosched()
-	}
-	close(gate)
-	wg.Wait()
-
-	if got := calls.Load(); got != 1 {
-		t.Errorf("fn ran %d times, want 1", got)
-	}
-	nShared := 0
-	for _, s := range shared {
-		if s {
-			nShared++
-		}
-	}
-	if nShared != n-1 {
-		t.Errorf("shared count = %d, want %d", nShared, n-1)
-	}
-
-	// After completion the group is empty: a new Do runs fn again.
-	_, _, sh := g.Do("k", func() ([]types.Tuple, bool) {
-		calls.Add(1)
-		return nil, false
-	})
-	if sh || calls.Load() != 2 {
-		t.Errorf("post-flight Do should execute fresh (shared=%v calls=%d)", sh, calls.Load())
 	}
 }

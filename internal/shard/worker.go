@@ -75,7 +75,6 @@ type fillPromise struct {
 //
 //	GET  /shard/cache/get?key=K&wait_ms=N   home-shard cache lookup
 //	POST /shard/cache/fill                  {key, rows} store + resolve waiters
-//	POST /shard/cache/invalidate            {key} drop a cached entry
 //	POST /shard/limits                      {limits: {dest: n}} per-dest budget
 //	POST /shard/membership                  {workers, vnodes} new ring view
 //	POST /shard/drain                       finish in-flight, hand off hot keys
@@ -99,7 +98,6 @@ type Worker struct {
 	promiseWaits  atomic.Int64
 	promiseServed atomic.Int64
 	fillsRecv     atomic.Int64
-	invalidations atomic.Int64
 	drainRejects  atomic.Int64
 	handedOff     atomic.Int64
 }
@@ -113,7 +111,6 @@ func NewWorker(opt WorkerOptions) *Worker {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/shard/cache/get", w.handleCacheGet)
 	mux.HandleFunc("/shard/cache/fill", w.handleCacheFill)
-	mux.HandleFunc("/shard/cache/invalidate", w.handleCacheInvalidate)
 	mux.HandleFunc("/shard/limits", w.handleLimits)
 	mux.HandleFunc("/shard/membership", w.handleMembership)
 	mux.HandleFunc("/shard/drain", w.handleDrain)
@@ -289,20 +286,6 @@ func (w *Worker) handleCacheFill(rw http.ResponseWriter, r *http.Request) {
 	rw.WriteHeader(http.StatusNoContent)
 }
 
-// handleCacheInvalidate drops a key from the local cache.
-func (w *Worker) handleCacheInvalidate(rw http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Key string `json:"key"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Key == "" {
-		http.Error(rw, "bad invalidate", http.StatusBadRequest)
-		return
-	}
-	w.opt.Cache.Delete(req.Key)
-	w.invalidations.Add(1)
-	rw.WriteHeader(http.StatusNoContent)
-}
-
 // handleLimits applies coordinator-pushed per-destination call budgets.
 func (w *Worker) handleLimits(rw http.ResponseWriter, r *http.Request) {
 	var req limitsRequest
@@ -374,7 +357,6 @@ type WorkerStats struct {
 	PromiseWaits  int64 `json:"promise_waits"`
 	PromiseServed int64 `json:"promise_served"`
 	FillsRecv     int64 `json:"fills_recv"`
-	Invalidations int64 `json:"invalidations"`
 	DrainRejects  int64 `json:"drain_rejects"`
 	HandedOff     int64 `json:"handed_off"`
 	Draining      bool  `json:"draining"`
@@ -388,7 +370,6 @@ func (w *Worker) Stats() WorkerStats {
 		PromiseWaits:  w.promiseWaits.Load(),
 		PromiseServed: w.promiseServed.Load(),
 		FillsRecv:     w.fillsRecv.Load(),
-		Invalidations: w.invalidations.Load(),
 		DrainRejects:  w.drainRejects.Load(),
 		HandedOff:     w.handedOff.Load(),
 		Draining:      w.draining.Load(),

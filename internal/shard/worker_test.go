@@ -83,17 +83,6 @@ func TestWorkerCacheGetFillRoundTrip(t *testing.T) {
 	if st.RemoteHits != 1 || st.RemoteMisses != 1 || st.FillsRecv != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-
-	// Invalidate drops it.
-	body, _ := json.Marshal(map[string]string{"key": "k1"})
-	resp, err := http.Post(srv.URL+"/shard/cache/invalidate", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if code, _ := getCache(t, srv.URL, "k1", 0); code != http.StatusNotFound {
-		t.Errorf("get after invalidate = %d, want 404", code)
-	}
 }
 
 // TestWorkerPromiseCoalescing: the home shard holds the second misser of
