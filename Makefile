@@ -40,6 +40,9 @@ lint:
 		echo "wsqlint exceeded its $(LINT_BUDGET_S)s latency budget"; exit 1; \
 	fi
 
+# The non-race run is the one that holds the allocation budgets
+# (internal/core TestAllocationBudget skips itself under -race, whose
+# runtime allocates on its own account), so `check` alone does not.
 test:
 	$(GO) test ./...
 

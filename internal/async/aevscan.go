@@ -24,6 +24,7 @@ type AEVScan struct {
 
 	// pending is the one placeholder tuple an Open leaves to be pulled.
 	pending []types.Tuple
+	bound   bool // Inputs went through exec.BindArgs
 	// nCalls counts pump registrations across every Open of this instance,
 	// for the span trace (one registration per outer binding).
 	nCalls int64
@@ -59,6 +60,12 @@ func (s *AEVScan) Schema() *schema.Schema { return s.Out }
 func (s *AEVScan) register(ctx *exec.Context, byKey map[string]types.CallID) (types.Tuple, error) {
 	if s.Pump == nil {
 		return nil, fmt.Errorf("AEVScan %s: no request pump", s.Source.Name())
+	}
+	if !s.bound {
+		if err := exec.BindArgs(s.Source.Name(), s.Inputs); err != nil {
+			return nil, err
+		}
+		s.bound = true
 	}
 	args, err := exec.EvalArgs(s.Source.Name(), s.Inputs, ctx)
 	if err != nil {

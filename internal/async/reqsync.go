@@ -101,9 +101,9 @@ func (r *ReqSync) register(bt *bufTuple) {
 // field of row.
 func patch(t types.Tuple, id types.CallID, row types.Tuple) types.Tuple {
 	for i, v := range t {
-		if v.IsPlaceholder() && v.Call == id {
-			if v.Field < len(row) {
-				t[i] = row[v.Field]
+		if v.IsPlaceholder() && v.Call() == id {
+			if v.Field() < len(row) {
+				t[i] = row[v.Field()]
 			} else {
 				t[i] = types.Null()
 			}

@@ -2,6 +2,7 @@ package async
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -99,7 +100,7 @@ func TestAEVScanEmitsPlaceholderTuple(t *testing.T) {
 	if tup[0].AsString() != "abc" {
 		t.Errorf("echoed arg: %v", tup)
 	}
-	if !tup[1].IsPlaceholder() || tup[1].Field != 0 {
+	if !tup[1].IsPlaceholder() || tup[1].Field() != 0 {
 		t.Errorf("output should be a placeholder: %v", tup)
 	}
 	// Exactly one tuple ("we always begin by assuming that exactly one
@@ -328,5 +329,56 @@ func TestReqSyncConcurrencyBeatsSequential(t *testing.T) {
 	if asyncTime > time.Duration(n)*lat/3 {
 		t.Errorf("async took %v; calls apparently not overlapped (sequential would be %v)",
 			asyncTime, time.Duration(n)*lat)
+	}
+}
+
+// TestReqSyncPatchesSlabBackedRowsInPlace: a hash join below the ReqSync
+// cuts its joined rows — placeholders included — from one shared slab, and
+// the ReqSync patches each in place as its call settles. A patch must
+// reach its own row only: every row ends up with its own call's result,
+// whatever the batch size, and with expansion copies (Section 4.3) beside
+// the originals.
+func TestReqSyncPatchesSlabBackedRowsInPlace(t *testing.T) {
+	var terms []string
+	var tags []types.Tuple
+	for i := 0; i < 40; i++ {
+		term := strings.Repeat("x", i+1)
+		terms = append(terms, term)
+		tags = append(tags, types.Tuple{types.Str(term), types.Int(int64(100 + i))})
+	}
+	for _, size := range []int{1, 3, 256} {
+		pump := NewPump(8, 8, nil)
+		src := &scriptedSource{name: "WC", dest: "d", numEcho: 1,
+			rows: func(arg string) ([]types.Tuple, error) {
+				rows := []types.Tuple{{types.Int(int64(len(arg)))}}
+				if len(arg)%5 == 0 {
+					rows = append(rows, types.Tuple{types.Int(int64(-len(arg)))})
+				}
+				return rows, nil
+			}}
+		termCol := strCol("L", "Term")
+		out := schema.New(strCol("V", "Term"), intCol("V", "Count"))
+		aev := NewAEVScan(src, []expr.Expr{expr.NewColRef(termCol)}, out, pump)
+		dj := exec.NewDependentJoin(exec.NewValuesScan(schema.New(termCol), tuplesOf(terms)), aev, "")
+		tagTerm := strCol("T", "Term")
+		hj := exec.NewHashJoin(dj, exec.NewValuesScan(schema.New(tagTerm, intCol("T", "Tag")), tags),
+			[]expr.Expr{expr.NewColRef(termCol)}, []expr.Expr{expr.NewColRef(tagTerm)}, nil)
+		ctx := exec.NewContext()
+		ctx.BatchSize = size
+		rows, err := exec.Run(ctx, NewReqSync(hj, pump, aev.FilledAttrs()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 48 {
+			t.Fatalf("batch %d: %d rows, want 40 + 8 expansions", size, len(rows))
+		}
+		for _, r := range rows {
+			// <Term, V.Term, Count, T.Term, Tag>
+			n := int64(len(r[0].S))
+			if r.HasPlaceholder() || r[1].S != r[0].S || r[3].S != r[0].S || r[4].I != 99+n || (r[2].I != n && (n%5 != 0 || r[2].I != -n)) {
+				t.Fatalf("batch %d: row %v is not its own call's result", size, r)
+			}
+		}
+		pump.Close()
 	}
 }

@@ -1,0 +1,67 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/types"
+)
+
+// TestAllocationBudget pins the executor's allocation diet from outside,
+// on the two query shapes the ledger's local_join and hot_cache workloads
+// time: heap objects per query are a count that repeats exactly, so a
+// regression shows here before it shows as throughput. The race detector
+// allocates on its own account, so the budgets hold only without it.
+func TestAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include the race detector's own")
+	}
+
+	// local_join's shape at a tenth of its size: scan, filter, hash join,
+	// group, sort over stored tables. Per-row work (decoding a record,
+	// evaluating and hashing a key, joining, grouping) must allocate per
+	// batch or per group, not per row: 5.2 objects per input row before
+	// the slabs and the key table, about 0.1 after.
+	t.Run("local_join", func(t *testing.T) {
+		const custRows, ordersRows = 300, 3000
+		db := newPaperDB(t, Config{})
+		mustExec(t, db, `CREATE TABLE Cust (Id INT, Region VARCHAR)`)
+		mustExec(t, db, `CREATE TABLE Orders (Id INT, Cust INT, Amount INT)`)
+		cust, _ := db.Catalog().Get("Cust")
+		regions := []string{"north", "south", "east", "west"}
+		for i := 0; i < custRows; i++ {
+			if _, err := cust.Insert(types.Tuple{types.Int(int64(i)), types.Str(regions[i%len(regions)])}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		orders, _ := db.Catalog().Get("Orders")
+		for i := 0; i < ordersRows; i++ {
+			row := types.Tuple{types.Int(int64(i)), types.Int(int64(i * 7 % custRows)), types.Int(int64(i * 13 % 200))}
+			if _, err := orders.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const q = `SELECT Region, COUNT(*), SUM(Amount) FROM Orders O, Cust C
+			WHERE O.Cust = C.Id AND Amount > 100 GROUP BY Region ORDER BY Region`
+		if res := mustQuery(t, db, q); len(res.Rows) != len(regions) {
+			t.Fatalf("rows: %v", res.Rows)
+		}
+		perRow := testing.AllocsPerRun(5, func() { mustQuery(t, db, q) }) / (custRows + ordersRows)
+		if perRow > 0.5 {
+			t.Errorf("local join: %.2f heap objects per input row, want <= 0.5", perRow)
+		}
+	})
+
+	// hot_cache's shape: Template 1 served from a warm result cache, so
+	// 50 registrations and no engine call. The virtual table's inputs are
+	// bound once per scan, not once per outer tuple (2 122 objects before).
+	t.Run("hot_cache", func(t *testing.T) {
+		db := newPaperDB(t, Config{Async: true, CacheSize: 4096})
+		const q = `SELECT Name, Count FROM States, WebCount WHERE Name = T1 AND T2 = 'scuba diving'`
+		if res := mustQuery(t, db, q); len(res.Rows) != 50 {
+			t.Fatalf("rows: %d", len(res.Rows))
+		}
+		if allocs := testing.AllocsPerRun(20, func() { mustQuery(t, db, q) }); allocs > 1700 {
+			t.Errorf("warm Template 1: %.0f heap objects per query, want <= 1700", allocs)
+		}
+	})
+}

@@ -78,14 +78,14 @@ func NewAggregate(child Operator, groupBy []expr.Expr, groupCols []schema.Column
 // Schema implements Operator.
 func (a *Aggregate) Schema() *schema.Schema { return a.out }
 
+// aggState is the running state of one aggregate of one group.
 type aggState struct {
-	groupVals []types.Value
-	count     int64
-	sum       float64
-	sumIsInt  bool
-	sumInt    int64
-	min, max  types.Value
-	seenAny   bool
+	count    int64
+	sum      float64
+	sumIsInt bool
+	sumInt   int64
+	min, max types.Value
+	seenAny  bool
 }
 
 // Open implements Operator: it drains the child and computes all groups.
@@ -102,8 +102,17 @@ func (a *Aggregate) Open(ctx *Context) error {
 	if err := bindAll("Aggregate", a.Child.Schema(), exprs...); err != nil {
 		return err
 	}
-	groups := make(map[string][]*aggState)
-	var order []string
+	// Group g's key is groups.key(g) and its states are
+	// states[g*len(a.Aggs):(g+1)*len(a.Aggs)]: a new group costs no
+	// allocation of its own, and an input row none at all.
+	groups := newKeyTable(len(a.GroupBy), types.Value.SameKey)
+	var states []aggState
+	newGroup := func() {
+		for range a.Aggs {
+			states = append(states, aggState{sumIsInt: true})
+		}
+	}
+	gvals := make([]types.Value, len(a.GroupBy))
 	for {
 		b, ok, err := a.Child.NextBatch(ctx, ctx.BatchLen())
 		if err != nil {
@@ -116,7 +125,6 @@ func (a *Aggregate) Open(ctx *Context) error {
 			if t.HasPlaceholder() {
 				return fmt.Errorf("Aggregate received a pending placeholder tuple; plan rewrite must keep aggregation above ReqSync")
 			}
-			gvals := make([]types.Value, len(a.GroupBy))
 			for i, g := range a.GroupBy {
 				v, err := g.Eval(ctx.Env, t)
 				if err != nil {
@@ -124,24 +132,13 @@ func (a *Aggregate) Open(ctx *Context) error {
 				}
 				gvals[i] = v
 			}
-			key := types.Tuple(gvals).Key()
-			var sts []*aggState
-			if existing, ok := groups[key]; ok {
-				sts = existing
-			} else {
-				sts = make([]*aggState, len(a.Aggs))
-				for i := range sts {
-					sts[i] = &aggState{groupVals: gvals, sumIsInt: true}
-				}
-				if len(sts) == 0 {
-					// Group with no aggregates still needs recording.
-					sts = []*aggState{{groupVals: gvals}}
-				}
-				groups[key] = sts
-				order = append(order, key)
+			g, added := groups.intern(gvals)
+			if added {
+				newGroup()
 			}
+			sts := states[g*len(a.Aggs):]
 			for i, sp := range a.Aggs {
-				st := sts[i]
+				st := &sts[i]
 				if sp.Func == AggCountStar {
 					st.count++
 					continue
@@ -180,21 +177,24 @@ func (a *Aggregate) Open(ctx *Context) error {
 		}
 	}
 	// Global aggregate over an empty input still emits one row.
-	if len(order) == 0 && len(a.GroupBy) == 0 && len(a.Aggs) > 0 {
-		sts := make([]*aggState, len(a.Aggs))
-		for i := range sts {
-			sts[i] = &aggState{sumIsInt: true}
-		}
-		groups[""] = sts
-		order = append(order, "")
+	if groups.len() == 0 && len(a.GroupBy) == 0 && len(a.Aggs) > 0 {
+		groups.add(nil)
+		newGroup()
 	}
-	sort.Strings(order) // deterministic output order
+	// Deterministic output order: by Tuple.Key, rendered once per group;
+	// groups whose keys render alike (see Tuple.Key) stay in first-seen order.
+	order := make([]int, groups.len())
+	keys := make([]string, groups.len())
+	for g := range order {
+		order[g], keys[g] = g, types.Tuple(groups.key(g)).Key()
+	}
+	sort.SliceStable(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
 	a.rows = make([]types.Tuple, 0, len(order))
-	for _, key := range order {
-		sts := groups[key]
-		row := append(types.Tuple{}, sts[0].groupVals...)
+	for _, g := range order {
+		row := make(types.Tuple, 0, len(a.GroupBy)+len(a.Aggs))
+		row = append(row, groups.key(g)...)
 		for i, sp := range a.Aggs {
-			st := sts[i]
+			st := states[g*len(a.Aggs)+i]
 			switch sp.Func {
 			case AggCount, AggCountStar:
 				row = append(row, types.Int(st.count))

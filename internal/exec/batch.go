@@ -21,6 +21,15 @@ const DefaultBatchSize = 256
 // the slice (producers are free to hand out views of internal storage — a
 // Sort emits windows of its materialized run, a ValuesScan windows of its
 // row list).
+//
+// The tuples themselves outlive the batch: a consumer may keep any tuple
+// for as long as it likes. TableScan and HashJoin cut the tuples of a
+// batch from one shared []types.Value slab instead of allocating each, as
+// three-index slices (cap == len), so an append on a tuple reallocates
+// rather than writing into its neighbour. A full slab is replaced, never
+// grown, and nothing writes a slab below its length, so a slab-backed
+// tuple is as stable as one with storage of its own; what it costs is
+// that a retained tuple keeps its whole slab reachable.
 type Batch []types.Tuple
 
 // checkMax enforces the protocol's one rule for the batch bound: callers

@@ -47,7 +47,8 @@ type EVScan struct {
 	// Cache, when non-nil, memoizes call results across Opens ([HN96]).
 	Cache ResultCache
 
-	rows []types.Tuple // the call result not yet emitted
+	rows  []types.Tuple // the call result not yet emitted
+	bound bool          // Inputs went through BindArgs
 	// Per-instance profile counters for the span trace (EXPLAIN ANALYZE):
 	// calls actually issued vs served from cache, across every Open of
 	// this scan (a dependent join re-opens it once per outer binding).
@@ -71,16 +72,22 @@ func NewEVScan(src ExternalSource, inputs []expr.Expr, out *schema.Schema) *EVSc
 // Schema implements Operator.
 func (s *EVScan) Schema() *schema.Schema { return s.Out }
 
-// EvalArgs evaluates the scan's parameter expressions against the current
-// correlated bindings. It rejects placeholder arguments: a dependent join
-// whose bindings are still pending must stay below the ReqSync that fills
-// them (the rewriter guarantees this; the check catches rewrite bugs).
+// BindArgs binds a virtual-table scan's parameter expressions, which read
+// correlated bindings and constants, never a row. The result does not
+// depend on the outer binding, so a scan does it once, before its first
+// EvalArgs, not once per outer tuple.
+func BindArgs(name string, inputs []expr.Expr) error {
+	return bindAll(name, schema.New(), inputs...)
+}
+
+// EvalArgs evaluates the scan's bound parameter expressions against the
+// current correlated bindings. It rejects placeholder arguments: a
+// dependent join whose bindings are still pending must stay below the
+// ReqSync that fills them (the rewriter guarantees this; the check catches
+// rewrite bugs).
 func EvalArgs(name string, inputs []expr.Expr, ctx *Context) ([]types.Value, error) {
 	args := make([]types.Value, len(inputs))
 	for i, in := range inputs {
-		if err := in.Bind(schema.New()); err != nil {
-			return nil, err
-		}
 		v, err := in.Eval(ctx.Env, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s input %d: %w", name, i, err)
@@ -96,6 +103,12 @@ func EvalArgs(name string, inputs []expr.Expr, ctx *Context) ([]types.Value, err
 // Open implements Operator: it performs the external call (or serves it
 // from cache).
 func (s *EVScan) Open(ctx *Context) error {
+	if !s.bound {
+		if err := BindArgs(s.Source.Name(), s.Inputs); err != nil {
+			return err
+		}
+		s.bound = true
+	}
 	args, err := EvalArgs(s.Source.Name(), s.Inputs, ctx)
 	if err != nil {
 		return err

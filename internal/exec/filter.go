@@ -43,7 +43,7 @@ func (f *Filter) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		var out Batch
+		out := make(Batch, 0, len(in))
 		for _, t := range in {
 			v, err := f.Pred.Eval(ctx.Env, t)
 			if err != nil {

@@ -3,7 +3,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -29,22 +28,39 @@ import (
 // Key semantics mirror the expression evaluator's `=` (Cmp/EQ): NULL
 // keys never match (NULL = x is NULL, not true), int and float compare
 // numerically across kinds, and mismatched non-numeric kinds never
-// match. Bucket keys normalize numerics to a single encoding so Int(1)
-// and Float(1.0) land in the same bucket; every bucket candidate is then
-// re-verified with Value.Compare, making the string encoding a pure
-// bucketing hint that cannot produce false matches.
-type HashJoin struct {
+// match. The build side lives in a keyTable, whose hash puts Int(1) and
+// Float(1.0), and -0 and 0, on one chain; every candidate on the chain is
+// then re-verified with Value.Compare, so the hash is a pure bucketing
+// hint that cannot produce false matches.
+type HashJoin struct{ hashJoin }
+
+// HashSemiJoin emits each left tuple whose key has at least one match in
+// the right input — the planner's operator for EXISTS-shaped plans
+// (e.g. DISTINCT over a pass-through projection of a join where no right
+// column survives), where only existence matters and materializing the
+// matches would be wasted work. It is the hash join that keeps one entry
+// per distinct build key and stops at the first match, so key and NULL
+// semantics are HashJoin's by construction.
+type HashSemiJoin struct{ hashJoin }
+
+// hashJoin is the one implementation behind both.
+type hashJoin struct {
 	Left, Right Operator
 	// LeftKeys/RightKeys are the equi-key expressions, pairwise equal
 	// length, bound against the respective input schema.
 	LeftKeys, RightKeys []expr.Expr
 	// Residual is the non-equi remainder of the join predicate (nil when
-	// the predicate was entirely equi conjuncts), evaluated against the
-	// concatenated tuple exactly as NestedLoopJoin evaluates its Pred.
+	// the predicate was entirely equi conjuncts, and always for a semi
+	// join), evaluated against the concatenated tuple exactly as
+	// NestedLoopJoin evaluates its Pred.
 	Residual expr.Expr
 
+	semi     bool
 	out      *schema.Schema
-	table    map[string][]buildRow
+	table    *keyTable     // one entry per build row; per distinct key when semi
+	rows     []types.Tuple // the build rows, by table entry (not semi)
+	keys     []types.Value // scratch: the keys of the tuple being built or probed
+	slab     []types.Value // joined rows are cut from it; see Batch
 	buf      []types.Tuple
 	leftDone bool
 	opened   bool
@@ -54,24 +70,30 @@ type HashJoin struct {
 	buildNS, probeNS, buildRows int64
 }
 
-// buildRow is one hash-table entry: the right tuple plus its evaluated
-// key values for collision verification.
-type buildRow struct {
-	row  types.Tuple
-	keys []types.Value
-}
-
 // NewHashJoin builds an equi-hash-join. leftKeys[i] must pair with
 // rightKeys[i]; residual may be nil.
 func NewHashJoin(left, right Operator, leftKeys, rightKeys []expr.Expr, residual expr.Expr) *HashJoin {
-	if len(leftKeys) == 0 || len(leftKeys) != len(rightKeys) {
-		panic(fmt.Sprintf("HashJoin: key arity mismatch (%d left, %d right)", len(leftKeys), len(rightKeys)))
-	}
-	return &HashJoin{Left: left, Right: right, LeftKeys: leftKeys, RightKeys: rightKeys, Residual: residual}
+	checkKeyArity("HashJoin", leftKeys, rightKeys)
+	return &HashJoin{hashJoin{Left: left, Right: right, LeftKeys: leftKeys, RightKeys: rightKeys, Residual: residual}}
 }
 
-// Schema implements Operator.
-func (j *HashJoin) Schema() *schema.Schema {
+// NewHashSemiJoin builds a hash semi-join.
+func NewHashSemiJoin(left, right Operator, leftKeys, rightKeys []expr.Expr) *HashSemiJoin {
+	checkKeyArity("HashSemiJoin", leftKeys, rightKeys)
+	return &HashSemiJoin{hashJoin{Left: left, Right: right, LeftKeys: leftKeys, RightKeys: rightKeys, semi: true}}
+}
+
+func checkKeyArity(who string, leftKeys, rightKeys []expr.Expr) {
+	if len(leftKeys) == 0 || len(leftKeys) != len(rightKeys) {
+		panic(fmt.Sprintf("%s: key arity mismatch (%d left, %d right)", who, len(leftKeys), len(rightKeys)))
+	}
+}
+
+// Schema implements Operator: a semi join passes the left input through.
+func (j *hashJoin) Schema() *schema.Schema {
+	if j.semi {
+		return j.Left.Schema()
+	}
 	if j.out == nil {
 		j.out = j.Left.Schema().Concat(j.Right.Schema())
 	}
@@ -81,7 +103,7 @@ func (j *HashJoin) Schema() *schema.Schema {
 // Open implements Operator: it drains the right input and builds the
 // hash table (re-opening rebuilds — correlated bindings may have changed
 // what the right side produces).
-func (j *HashJoin) Open(ctx *Context) error {
+func (j *hashJoin) Open(ctx *Context) error {
 	j.out = nil // children may have been swapped by a rewrite
 	if err := j.Left.Open(ctx); err != nil {
 		return err
@@ -94,17 +116,19 @@ func (j *HashJoin) Open(ctx *Context) error {
 	j.opened = true
 	j.buf = nil
 	j.leftDone = false
-	if err := bindAll("Hash Join", j.Left.Schema(), j.LeftKeys...); err != nil {
+	if err := bindAll(j.Name(), j.Left.Schema(), j.LeftKeys...); err != nil {
 		return err
 	}
-	if err := bindAll("Hash Join", j.Right.Schema(), j.RightKeys...); err != nil {
+	if err := bindAll(j.Name(), j.Right.Schema(), j.RightKeys...); err != nil {
 		return err
 	}
-	if err := bindAll("Hash Join", j.Schema(), j.Residual); err != nil {
+	if err := bindAll(j.Name(), j.Schema(), j.Residual); err != nil {
 		return err
 	}
 	start := time.Now()
-	j.table = make(map[string][]buildRow)
+	j.table = newKeyTable(len(j.RightKeys), joinEq)
+	j.rows, j.slab = nil, nil
+	j.keys = make([]types.Value, len(j.RightKeys))
 	for {
 		b, ok, err := j.Right.NextBatch(ctx, ctx.BatchLen())
 		if err != nil {
@@ -114,15 +138,19 @@ func (j *HashJoin) Open(ctx *Context) error {
 			break
 		}
 		for _, rt := range b {
-			keys, null, err := evalKeys("Hash Join build", j.RightKeys, ctx, rt)
+			null, err := evalKeys(j.Name(), "build", j.RightKeys, ctx, rt, j.keys)
 			if err != nil {
 				return err
 			}
 			if null {
 				continue // a NULL key can never equal anything
 			}
-			hk := hashKey(keys)
-			j.table[hk] = append(j.table[hk], buildRow{row: rt, keys: keys})
+			if j.semi {
+				j.table.intern(j.keys)
+			} else {
+				j.table.add(j.keys)
+				j.rows = append(j.rows, rt)
+			}
 			j.buildRows++
 		}
 	}
@@ -130,68 +158,29 @@ func (j *HashJoin) Open(ctx *Context) error {
 	return nil
 }
 
-// evalKeys evaluates key expressions against t. null reports that at
-// least one key evaluated to NULL (the tuple cannot match anything).
-func evalKeys(who string, keys []expr.Expr, ctx *Context, t types.Tuple) ([]types.Value, bool, error) {
-	vals := make([]types.Value, len(keys))
+// evalKeys evaluates a join's build- or probe-side key expressions against
+// t into vals, the join's reused scratch. null reports that a key
+// evaluated to NULL: the tuple cannot equal anything.
+func evalKeys(who, side string, keys []expr.Expr, ctx *Context, t types.Tuple, vals []types.Value) (null bool, err error) {
 	for i, k := range keys {
 		v, err := k.Eval(ctx.Env, t)
 		if err != nil {
-			return nil, false, fmt.Errorf("%s key %s: %w", who, k, err)
+			return false, fmt.Errorf("%s %s key %s: %w", who, side, k, err)
 		}
 		if v.IsPlaceholder() {
-			return nil, false, fmt.Errorf("%s key %s evaluated over pending placeholder value; plan rewrite must keep this operator above ReqSync", who, k)
+			return false, fmt.Errorf("%s %s key %s evaluated over pending placeholder value; plan rewrite must keep this operator above ReqSync", who, side, k)
 		}
 		if v.IsNull() {
-			return nil, true, nil
+			return true, nil
 		}
 		vals[i] = v
 	}
-	return vals, false, nil
+	return false, nil
 }
 
-// hashKey encodes key values for bucketing. All numeric kinds share one
-// encoding (Compare treats int and float numerically), so cross-kind
-// numeric equalities bucket together; candidates are verified with
-// Compare afterwards, so encoding collisions are harmless.
-func hashKey(vals []types.Value) string {
-	var b strings.Builder
-	for i, v := range vals {
-		if i > 0 {
-			b.WriteByte('\x1f')
-		}
-		switch v.Kind {
-		case types.KindInt:
-			b.WriteString("n:")
-			b.WriteString(strconv.FormatFloat(float64(v.I), 'g', -1, 64))
-		case types.KindFloat:
-			b.WriteString("n:")
-			b.WriteString(strconv.FormatFloat(v.F, 'g', -1, 64))
-		case types.KindString:
-			b.WriteString("s:")
-			b.WriteString(v.S)
-		default:
-			b.WriteString("x:")
-			b.WriteString(v.AsString())
-		}
-	}
-	return b.String()
-}
-
-// keysEqual verifies a bucket candidate with the evaluator's comparison
-// semantics.
-func keysEqual(a, b []types.Value) bool {
-	for i := range a {
-		if a[i].Compare(b[i]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// fill probes left batches until at least one joined tuple is buffered
+// fill probes left batches until at least one output tuple is buffered
 // or the left input is exhausted.
-func (j *HashJoin) fill(ctx *Context, max int) error {
+func (j *hashJoin) fill(ctx *Context, max int) error {
 	start := time.Now()
 	defer func() { j.probeNS += time.Since(start).Nanoseconds() }()
 	for len(j.buf) == 0 && !j.leftDone {
@@ -204,24 +193,35 @@ func (j *HashJoin) fill(ctx *Context, max int) error {
 			return nil
 		}
 		for _, lt := range lb {
-			keys, null, err := evalKeys("Hash Join probe", j.LeftKeys, ctx, lt)
+			null, err := evalKeys(j.Name(), "probe", j.LeftKeys, ctx, lt, j.keys)
 			if err != nil {
 				return err
 			}
 			if null {
 				continue
 			}
-			for _, cand := range j.table[hashKey(keys)] {
-				if !keysEqual(keys, cand.keys) {
-					continue
+			i := j.table.find(j.keys)
+			if j.semi {
+				if i >= 0 {
+					j.buf = append(j.buf, lt)
 				}
-				joined := lt.Concat(cand.row)
+				continue
+			}
+			for ; i >= 0; i = j.table.findNext(i, j.keys) {
+				rt := j.rows[i]
+				if cap(j.slab)-len(j.slab) < len(lt)+len(rt) {
+					j.slab = make([]types.Value, 0, (len(lt)+len(rt))*len(lb))
+				}
+				mark := len(j.slab)
+				j.slab = append(append(j.slab, lt...), rt...)
+				joined := types.Tuple(j.slab[mark:len(j.slab):len(j.slab)])
 				if j.Residual != nil {
 					v, err := j.Residual.Eval(ctx.Env, joined)
 					if err != nil {
 						return fmt.Errorf("Hash Join residual %s: %w", j.Residual, err)
 					}
 					if !v.Truthy() {
+						j.slab = j.slab[:mark]
 						continue
 					}
 				}
@@ -233,9 +233,9 @@ func (j *HashJoin) fill(ctx *Context, max int) error {
 }
 
 // NextBatch implements Operator.
-func (j *HashJoin) NextBatch(ctx *Context, max int) (Batch, bool, error) {
+func (j *hashJoin) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	if !j.opened {
-		return nil, false, fmt.Errorf("HashJoin: NextBatch before Open")
+		return nil, false, fmt.Errorf("%s: NextBatch before Open", j.Name())
 	}
 	if len(j.buf) == 0 {
 		if err := j.fill(ctx, max); err != nil {
@@ -247,35 +247,35 @@ func (j *HashJoin) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 
 // Close implements Operator. Both subtrees are always closed and neither
 // close error masks the other.
-func (j *HashJoin) Close() error {
+func (j *hashJoin) Close() error {
 	if !j.opened {
 		return nil
 	}
 	j.opened = false
-	j.table = nil
+	j.table, j.rows, j.slab = nil, nil, nil
 	j.buf = nil
 	return errors.Join(j.Left.Close(), j.Right.Close())
 }
 
 // Children implements Operator.
-func (j *HashJoin) Children() []Operator { return []Operator{j.Left, j.Right} }
+func (j *hashJoin) Children() []Operator { return []Operator{j.Left, j.Right} }
 
 // SetChild implements Operator.
-func (j *HashJoin) SetChild(i int, op Operator) {
+func (j *hashJoin) SetChild(i int, op Operator) {
 	switch i {
 	case 0:
 		j.Left = op
 	case 1:
 		j.Right = op
 	default:
-		panic("HashJoin has two children")
+		panic(j.Name() + " has two children")
 	}
 	j.out = nil
 }
 
 // SpanExtras implements the trace-profile hook: build-side cardinality
 // and the build/probe self-time split, in microseconds.
-func (j *HashJoin) SpanExtras() map[string]int64 {
+func (j *hashJoin) SpanExtras() map[string]int64 {
 	return map[string]int64{
 		"build_rows": j.buildRows,
 		"build_us":   j.buildNS / 1e3,
@@ -284,10 +284,15 @@ func (j *HashJoin) SpanExtras() map[string]int64 {
 }
 
 // Name implements Operator.
-func (j *HashJoin) Name() string { return "Hash Join" }
+func (j *hashJoin) Name() string {
+	if j.semi {
+		return "Hash Semi Join"
+	}
+	return "Hash Join"
+}
 
 // Describe implements Operator.
-func (j *HashJoin) Describe() string {
+func (j *hashJoin) Describe() string {
 	var b strings.Builder
 	for i := range j.LeftKeys {
 		if i > 0 {
@@ -313,171 +318,4 @@ func (j *HashJoin) FullPredicate() expr.Expr {
 	}
 	parts = append(parts, j.Residual)
 	return expr.NewAnd(parts...)
-}
-
-// HashSemiJoin emits each left tuple whose key has at least one match in
-// the right input — the planner's operator for EXISTS-shaped plans
-// (e.g. DISTINCT over a pass-through projection of a join where no right
-// column survives), where only existence matters and materializing the
-// matches would be wasted work. Key and NULL semantics match HashJoin.
-type HashSemiJoin struct {
-	Left, Right         Operator
-	LeftKeys, RightKeys []expr.Expr
-
-	table    map[string][][]types.Value
-	buf      []types.Tuple
-	leftDone bool
-	opened   bool
-
-	buildNS, probeNS, buildRows int64
-}
-
-// NewHashSemiJoin builds a hash semi-join.
-func NewHashSemiJoin(left, right Operator, leftKeys, rightKeys []expr.Expr) *HashSemiJoin {
-	if len(leftKeys) == 0 || len(leftKeys) != len(rightKeys) {
-		panic(fmt.Sprintf("HashSemiJoin: key arity mismatch (%d left, %d right)", len(leftKeys), len(rightKeys)))
-	}
-	return &HashSemiJoin{Left: left, Right: right, LeftKeys: leftKeys, RightKeys: rightKeys}
-}
-
-// Schema implements Operator: a semi-join passes the left input through.
-func (j *HashSemiJoin) Schema() *schema.Schema { return j.Left.Schema() }
-
-// Open implements Operator: it drains the right input into a key set.
-func (j *HashSemiJoin) Open(ctx *Context) error {
-	if err := j.Left.Open(ctx); err != nil {
-		return err
-	}
-	if err := j.Right.Open(ctx); err != nil {
-		// As in HashJoin.Open: release the half-open left subtree.
-		return errors.Join(err, j.Left.Close())
-	}
-	j.opened = true
-	j.buf = nil
-	j.leftDone = false
-	if err := bindAll("Hash Semi Join", j.Left.Schema(), j.LeftKeys...); err != nil {
-		return err
-	}
-	if err := bindAll("Hash Semi Join", j.Right.Schema(), j.RightKeys...); err != nil {
-		return err
-	}
-	start := time.Now()
-	j.table = make(map[string][][]types.Value)
-	for {
-		b, ok, err := j.Right.NextBatch(ctx, ctx.BatchLen())
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		for _, rt := range b {
-			keys, null, err := evalKeys("Hash Semi Join build", j.RightKeys, ctx, rt)
-			if err != nil {
-				return err
-			}
-			if null {
-				continue
-			}
-			hk := hashKey(keys)
-			j.table[hk] = append(j.table[hk], keys)
-			j.buildRows++
-		}
-	}
-	j.buildNS += time.Since(start).Nanoseconds()
-	return nil
-}
-
-func (j *HashSemiJoin) fill(ctx *Context, max int) error {
-	start := time.Now()
-	defer func() { j.probeNS += time.Since(start).Nanoseconds() }()
-	for len(j.buf) == 0 && !j.leftDone {
-		lb, ok, err := j.Left.NextBatch(ctx, max)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			j.leftDone = true
-			return nil
-		}
-		for _, lt := range lb {
-			keys, null, err := evalKeys("Hash Semi Join probe", j.LeftKeys, ctx, lt)
-			if err != nil {
-				return err
-			}
-			if null {
-				continue
-			}
-			for _, cand := range j.table[hashKey(keys)] {
-				if keysEqual(keys, cand) {
-					j.buf = append(j.buf, lt)
-					break
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// NextBatch implements Operator.
-func (j *HashSemiJoin) NextBatch(ctx *Context, max int) (Batch, bool, error) {
-	if !j.opened {
-		return nil, false, fmt.Errorf("HashSemiJoin: NextBatch before Open")
-	}
-	if len(j.buf) == 0 {
-		if err := j.fill(ctx, max); err != nil {
-			return nil, false, err
-		}
-	}
-	return TakeBatch(&j.buf, max)
-}
-
-// Close implements Operator.
-func (j *HashSemiJoin) Close() error {
-	if !j.opened {
-		return nil
-	}
-	j.opened = false
-	j.table = nil
-	j.buf = nil
-	return errors.Join(j.Left.Close(), j.Right.Close())
-}
-
-// Children implements Operator.
-func (j *HashSemiJoin) Children() []Operator { return []Operator{j.Left, j.Right} }
-
-// SetChild implements Operator.
-func (j *HashSemiJoin) SetChild(i int, op Operator) {
-	switch i {
-	case 0:
-		j.Left = op
-	case 1:
-		j.Right = op
-	default:
-		panic("HashSemiJoin has two children")
-	}
-}
-
-// SpanExtras implements the trace-profile hook.
-func (j *HashSemiJoin) SpanExtras() map[string]int64 {
-	return map[string]int64{
-		"build_rows": j.buildRows,
-		"build_us":   j.buildNS / 1e3,
-		"probe_us":   j.probeNS / 1e3,
-	}
-}
-
-// Name implements Operator.
-func (j *HashSemiJoin) Name() string { return "Hash Semi Join" }
-
-// Describe implements Operator.
-func (j *HashSemiJoin) Describe() string {
-	var b strings.Builder
-	for i := range j.LeftKeys {
-		if i > 0 {
-			b.WriteString(" AND ")
-		}
-		fmt.Fprintf(&b, "%s = %s", j.LeftKeys[i], j.RightKeys[i])
-	}
-	return b.String()
 }

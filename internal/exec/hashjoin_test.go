@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -29,53 +30,103 @@ func randTable(rng *rand.Rand, n, keyDomain int, nullFrac float64) []types.Tuple
 	return rows
 }
 
+// mixedKeys is a key domain where the kinds meet: ±0, NaN under two
+// payloads, Int(n) against Float(n), ints beyond 2^53 that round to one
+// float, strings that look numeric, NULL. Whatever pairs the evaluator's
+// `=` calls equal must join, in nested-loop order, and nothing else may.
+var mixedKeys = []types.Value{
+	types.Null(),
+	types.Int(0), types.Float(0), types.Float(math.Copysign(0, -1)),
+	types.Int(1), types.Float(1), types.Str("1"), types.Str("1.0"), types.Str(""),
+	types.Int(1 << 53), types.Int(1<<53 + 1), types.Float(1 << 53),
+	types.Int(math.MaxInt64), types.Float(math.MaxInt64), types.Int(math.MinInt64),
+	types.Float(math.NaN()), types.Float(math.Float64frombits(0x7ff8000000000001)), types.Str("NaN"),
+	types.Float(math.Inf(1)), types.Float(math.Inf(-1)), types.Float(2.5),
+}
+
+// mixedTable builds n rows of (key, payload) with keys drawn from mixedKeys.
+func mixedTable(rng *rand.Rand, n int) []types.Tuple {
+	rows := make([]types.Tuple, n)
+	for i := range rows {
+		rows[i] = types.Tuple{mixedKeys[rng.Intn(len(mixedKeys))], types.Int(int64(i))}
+	}
+	return rows
+}
+
 // TestHashJoinMatchesNestedLoopRandomized: for seeded random inputs with
-// duplicate and NULL keys, HashJoin must produce exactly the rows of the
-// equivalent nested-loop join — same multiplicity AND same order (probe in
-// left stream order, matches in right scan order), so plans stay
-// byte-identical when the planner swaps join algorithms.
+// duplicate and NULL keys, and with keys of mixed kinds, HashJoin at every
+// batch size must produce exactly the rows of the equivalent nested-loop
+// join — same multiplicity AND same order (probe in left stream order,
+// matches in right scan order), so plans stay byte-identical when the
+// planner swaps join algorithms.
 func TestHashJoinMatchesNestedLoopRandomized(t *testing.T) {
+	tables := map[string]func(rng *rand.Rand) []types.Tuple{
+		"int":   func(rng *rand.Rand) []types.Tuple { return randTable(rng, 40+rng.Intn(40), 12, 0.1) },
+		"mixed": func(rng *rand.Rand) []types.Tuple { return mixedTable(rng, 40+rng.Intn(40)) },
+	}
 	for seed := int64(1); seed <= 5; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			lk, lp := intCol("L", "K"), intCol("L", "P")
-			rk, rp := intCol("R", "K"), intCol("R", "P")
-			lsc, rsc := schema.New(lk, lp), schema.New(rk, rp)
-			lrows := randTable(rng, 40+rng.Intn(40), 12, 0.1)
-			rrows := randTable(rng, 40+rng.Intn(40), 12, 0.1)
-
-			mk := func() (Operator, Operator) {
-				hash := NewHashJoin(
-					NewValuesScan(lsc, lrows), NewValuesScan(rsc, rrows),
-					[]expr.Expr{expr.NewColRef(lk)}, []expr.Expr{expr.NewColRef(rk)}, nil)
-				nlj := NewNestedLoopJoin(
-					NewValuesScan(lsc, lrows), NewValuesScan(rsc, rrows),
-					expr.NewCmp(expr.EQ, expr.NewColRef(lk), expr.NewColRef(rk)))
-				return hash, nlj
-			}
-			hash, nlj := mk()
-			got := rowStrings(runAll(t, hash))
-			want := rowStrings(runAll(t, nlj))
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("hash join diverges from nested loop:\nhash: %v\nnlj:  %v", got, want)
-			}
-
-			// With a residual: equi-key plus a non-equi conjunct.
-			hashR := NewHashJoin(
-				NewValuesScan(lsc, lrows), NewValuesScan(rsc, rrows),
-				[]expr.Expr{expr.NewColRef(lk)}, []expr.Expr{expr.NewColRef(rk)},
-				expr.NewCmp(expr.LT, expr.NewColRef(lp), expr.NewColRef(rp)))
-			nljR := NewNestedLoopJoin(
-				NewValuesScan(lsc, lrows), NewValuesScan(rsc, rrows),
-				expr.NewAnd(
-					expr.NewCmp(expr.EQ, expr.NewColRef(lk), expr.NewColRef(rk)),
-					expr.NewCmp(expr.LT, expr.NewColRef(lp), expr.NewColRef(rp))))
-			gotR := rowStrings(runAll(t, hashR))
-			wantR := rowStrings(runAll(t, nljR))
-			if fmt.Sprint(gotR) != fmt.Sprint(wantR) {
-				t.Fatalf("residual hash join diverges:\nhash: %v\nnlj:  %v", gotR, wantR)
+			for name, table := range tables {
+				rng := rand.New(rand.NewSource(seed))
+				lk, lp := intCol("L", "K"), intCol("L", "P")
+				rk, rp := intCol("R", "K"), intCol("R", "P")
+				lsc, rsc := schema.New(lk, lp), schema.New(rk, rp)
+				lrows, rrows := table(rng), table(rng)
+				eq := expr.NewCmp(expr.EQ, expr.NewColRef(lk), expr.NewColRef(rk))
+				lt := expr.NewCmp(expr.LT, expr.NewColRef(lp), expr.NewColRef(rp))
+				want := rowStrings(runAll(t, NewNestedLoopJoin(
+					NewValuesScan(lsc, lrows), NewValuesScan(rsc, rrows), eq)))
+				// With a residual: equi-key plus a non-equi conjunct.
+				wantR := rowStrings(runAll(t, NewNestedLoopJoin(
+					NewValuesScan(lsc, lrows), NewValuesScan(rsc, rrows), expr.NewAnd(eq, lt))))
+				if len(want) == 0 || len(wantR) == 0 {
+					t.Fatalf("%s keys: the reference joined nothing", name)
+				}
+				for _, size := range []int{1, 3, 256} {
+					t.Run(fmt.Sprintf("%s/batch-%d", name, size), func(t *testing.T) {
+						for _, c := range []struct {
+							residual expr.Expr
+							want     []string
+						}{{nil, want}, {lt, wantR}} {
+							ctx := NewContext()
+							ctx.BatchSize = size
+							got, err := Run(ctx, NewHashJoin(
+								NewValuesScan(lsc, lrows), NewValuesScan(rsc, rrows),
+								[]expr.Expr{expr.NewColRef(lk)}, []expr.Expr{expr.NewColRef(rk)}, c.residual))
+							if err != nil {
+								t.Fatal(err)
+							}
+							if fmt.Sprint(rowStrings(got)) != fmt.Sprint(c.want) {
+								t.Fatalf("hash join (residual %v) diverges from nested loop:\nhash: %v\nnlj:  %v", c.residual, got, c.want)
+							}
+						}
+					})
+				}
 			}
 		})
+	}
+}
+
+// TestHashJoinNegativeZeroKey: -0 = 0 is true for the evaluator, so a -0
+// key joins a 0 key of either numeric kind. (The string-encoded bucket key
+// rendered them "n:-0" and "n:0" and the candidates never met.)
+func TestHashJoinNegativeZeroKey(t *testing.T) {
+	lk, rk := intCol("L", "K"), intCol("R", "K")
+	lrows := []types.Tuple{{types.Float(math.Copysign(0, -1))}, {types.Float(1)}}
+	rrows := []types.Tuple{{types.Int(0)}, {types.Int(1)}}
+	lkeys, rkeys := []expr.Expr{expr.NewColRef(lk)}, []expr.Expr{expr.NewColRef(rk)}
+	mk := func() (Operator, Operator) {
+		return NewValuesScan(schema.New(lk), lrows), NewValuesScan(schema.New(rk), rrows)
+	}
+	l, r := mk()
+	want := rowStrings(runAll(t, NewNestedLoopJoin(l, r, expr.NewCmp(expr.EQ, lkeys[0], rkeys[0]))))
+	l, r = mk()
+	if got := rowStrings(runAll(t, NewHashJoin(l, r, lkeys, rkeys, nil))); fmt.Sprint(got) != fmt.Sprint(want) || len(got) != 2 {
+		t.Errorf("hash join: %v, want %v", got, want)
+	}
+	l, r = mk()
+	if got := runAll(t, NewHashSemiJoin(l, r, lkeys, rkeys)); len(got) != 2 {
+		t.Errorf("hash semi join: %v, want both left rows", got)
 	}
 }
 

@@ -1,0 +1,133 @@
+package exec
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/expr"
+	"repro/internal/schema"
+	"repro/internal/types"
+)
+
+// TestKeyNormalization is DESIGN.md §10's key table as a test: which
+// values are one join key (the evaluator's `=`), which are one group
+// (Tuple.Key's rendering, cell by cell), and that one hash serves both —
+// values equal under either must land on the same chain.
+func TestKeyNormalization(t *testing.T) {
+	negZero := types.Float(math.Copysign(0, -1))
+	nan2 := types.Float(math.Float64frombits(0x7ff8000000000001))
+	for _, c := range []struct {
+		a, b        types.Value
+		join, group bool
+	}{
+		{types.Int(7), types.Int(7), true, true},
+		{negZero, types.Float(0), true, false},
+		{negZero, types.Int(0), true, false},
+		{types.Float(math.NaN()), nan2, true, true},
+		{types.Float(math.NaN()), types.Float(1), false, false},
+		{types.Int(1), types.Float(1), true, false},
+		{types.Int(1<<53 + 1), types.Float(1 << 53), true, false},
+		{types.Int(1<<53 + 1), types.Int(1 << 53), true, false}, // `=` compares as float64
+		{types.Int(1), types.Str("1"), false, false},
+		{types.Str("a"), types.Str("a"), true, true},
+		{types.Str("a"), types.Str("b"), false, false},
+		{types.Null(), types.Null(), true, true}, // joins skip NULL keys before they get here
+		{types.Placeholder(3, 1), types.Placeholder(3, 1), true, true},
+		{types.Placeholder(3, 1), types.Placeholder(3, 2), false, false},
+	} {
+		if got := joinEq(c.a, c.b); got != c.join {
+			t.Errorf("join: %v = %v is %v, want %v", c.a, c.b, got, c.join)
+		}
+		if got := c.a.SameKey(c.b); got != c.group {
+			t.Errorf("group: %v with %v is %v, want %v", c.a, c.b, got, c.group)
+		}
+		ha, hb := keyHash([]types.Value{c.a}), keyHash([]types.Value{c.b})
+		if (c.join || c.group) && ha != hb {
+			t.Errorf("%v and %v are equal keys but hash %x and %x", c.a, c.b, ha, hb)
+		}
+	}
+}
+
+// TestKeyTableChains: entries that hash alike — here by force, real
+// collisions are rare — are told apart by the cell-by-cell re-check, equal
+// keys are met in insertion order, and intern adds a key once.
+func TestKeyTableChains(t *testing.T) {
+	kt := newKeyTable(2, joinEq)
+	key := func(a int64, b string) []types.Value { return []types.Value{types.Int(a), types.Str(b)} }
+	for _, k := range [][]types.Value{key(1, "x"), key(2, "x"), key(1, "x"), key(1, "y"), key(1, "x")} {
+		kt.addHashed(42, k)
+	}
+	var met []int
+	h := kt.ends[42]
+	for i := kt.match(h[0], key(1, "x")); i >= 0; i = kt.findNext(i, key(1, "x")) {
+		met = append(met, i)
+	}
+	if fmt.Sprint(met) != "[0 2 4]" {
+		t.Errorf("entries equal to (1,x): %v, want [0 2 4]", met)
+	}
+	if i := kt.match(h[0], key(3, "x")); i != -1 {
+		t.Errorf("absent key matched entry %d", i)
+	}
+
+	kt = newKeyTable(2, types.Value.SameKey)
+	for n, k := range [][]types.Value{key(1, "x"), key(2, "x"), key(1, "x")} {
+		i, added := kt.intern(k)
+		if want := []int{0, 1, 0}[n]; i != want || added != (n < 2) {
+			t.Errorf("intern #%d: entry %d added %v", n, i, added)
+		}
+	}
+	if kt.find(key(2, "x")) != 1 || kt.find(key(2, "y")) != -1 || kt.len() != 2 {
+		t.Errorf("find after intern: %d, %d, len %d", kt.find(key(2, "x")), kt.find(key(2, "y")), kt.len())
+	}
+	if k := kt.key(0); cap(k) != 2 {
+		t.Errorf("key(0) has capacity %d: an append would write entry 1's key", cap(k))
+	}
+}
+
+// TestGroupKeysComparedCellByCell: ("a\x1f3:b", "c") and ("a", "b\x1f3:c")
+// render the same Tuple.Key, so keying GROUP BY and DISTINCT on that string
+// merged the two groups and dropped one of the rows. The string now only
+// orders the output.
+func TestGroupKeysComparedCellByCell(t *testing.T) {
+	a, b := strCol("T", "A"), strCol("T", "B")
+	rows := []types.Tuple{
+		{types.Str("a\x1f3:b"), types.Str("c")},
+		{types.Str("a"), types.Str("b\x1f3:c")},
+		{types.Str("a\x1f3:b"), types.Str("c")},
+	}
+	if rows[0].Key() != rows[1].Key() {
+		t.Fatal("the regression needs two tuples that render one key")
+	}
+	agg := NewAggregate(NewValuesScan(schema.New(a, b), rows),
+		[]expr.Expr{expr.NewColRef(a), expr.NewColRef(b)}, []schema.Column{a, b},
+		[]AggSpec{{Func: AggCountStar, OutCol: intCol("", "n")}})
+	want := `[<a` + "\x1f" + `3:b, c, 2> <a, b` + "\x1f" + `3:c, 1>]`
+	if got := fmt.Sprint(runAll(t, agg)); got != want {
+		t.Errorf("GROUP BY: %q, want %q", got, want)
+	}
+	if got := runAll(t, NewDistinct(NewValuesScan(schema.New(a, b), rows))); len(got) != 2 {
+		t.Errorf("DISTINCT: %v, want the two different rows", got)
+	}
+}
+
+// TestGroupsKeepKindsApart: GROUP BY keeps what Tuple.Key keeps apart —
+// Int(1) from Float(1), -0 from 0 — puts every NaN in one group, and still
+// emits groups in Tuple.Key order.
+func TestGroupsKeepKindsApart(t *testing.T) {
+	a := intCol("T", "A")
+	var rows []types.Tuple
+	for _, v := range []types.Value{
+		types.Float(1), types.Int(1), types.Float(0), types.Float(math.Copysign(0, -1)),
+		types.Float(math.NaN()), types.Float(math.Float64frombits(0x7ff8000000000001)), types.Int(1),
+	} {
+		rows = append(rows, types.Tuple{v})
+	}
+	agg := NewAggregate(NewValuesScan(schema.New(a), rows),
+		[]expr.Expr{expr.NewColRef(a)}, []schema.Column{a},
+		[]AggSpec{{Func: AggCountStar, OutCol: intCol("", "n")}})
+	const want = "[<1, 2> <-0, 1> <0, 1> <1, 1> <NaN, 2>]" // Int(1) keys "1:1", the floats "2:…"
+	if got := fmt.Sprint(runAll(t, agg)); got != want {
+		t.Errorf("groups: %s, want %s", got, want)
+	}
+}

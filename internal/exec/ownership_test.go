@@ -1,0 +1,96 @@
+package exec
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/expr"
+	"repro/internal/schema"
+	"repro/internal/types"
+)
+
+// storedTable creates a stored (Id INT, Name VARCHAR) table of n rows.
+func storedTable(t *testing.T, n int) *catalog.Table {
+	t.Helper()
+	cat, err := catalog.Open(t.TempDir(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cat.Close() })
+	tab, err := cat.Create("T", []catalog.ColumnDef{{Name: "Id", Type: schema.TInt}, {Name: "Name", Type: schema.TString}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := tab.Insert(types.Tuple{types.Int(int64(i)), types.Str(fmt.Sprintf("name-%d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tab
+}
+
+// TestSlabTuplesAreOwnedByTheirHolder: TableScan decodes a batch's tuples
+// into one shared slab out of a page view that dies at the scanner's next
+// step, and HashJoin cuts joined rows from a slab of its own. Whoever ends
+// up holding such a tuple must see what a tuple with storage of its own
+// would show: unchanged once the scan has moved on and closed and the
+// pages were evicted and overwritten, unchanged when a neighbour is
+// appended to, unchanged when a neighbour is patched in place (ReqSync
+// does that to placeholder rows).
+func TestSlabTuplesAreOwnedByTheirHolder(t *testing.T) {
+	const n = 700 // several pages, several batches, several slabs
+	id := func(s *schema.Schema) expr.Expr { return expr.NewColRef(s.Cols[0]) }
+	plans := map[string]struct {
+		mk   func(tab *catalog.Table) Operator
+		want func(i int) string
+	}{
+		"TableScan": {
+			func(tab *catalog.Table) Operator { return NewTableScan(tab, tab.InstantiateSchema("")) },
+			func(i int) string { return fmt.Sprintf("<%d, name-%d>", i, i) },
+		},
+		"HashJoin": {
+			func(tab *catalog.Table) Operator {
+				ls, rs := tab.InstantiateSchema("L"), tab.InstantiateSchema("R")
+				return NewHashJoin(NewTableScan(tab, ls), NewTableScan(tab, rs), []expr.Expr{id(ls)}, []expr.Expr{id(rs)}, nil)
+			},
+			func(i int) string { return fmt.Sprintf("<%d, name-%d, %d, name-%d>", i, i, i, i) },
+		},
+	}
+	for name, p := range plans {
+		for _, size := range []int{1, 3, 256} {
+			t.Run(fmt.Sprintf("%s/batch-%d", name, size), func(t *testing.T) {
+				tab := storedTable(t, n)
+				ctx := NewContext()
+				ctx.BatchSize = size
+				rows, err := Run(ctx, p.mk(tab)) // Run closes the plan: every scanner is gone
+				if err != nil || len(rows) != n {
+					t.Fatalf("%d rows, err %v", len(rows), err)
+				}
+				// Push every page the scan read out of the 4-frame pool and
+				// overwrite the frames.
+				for i := 0; i < 300; i++ {
+					if _, err := tab.Heap.Insert([]byte(fmt.Sprintf("%0100d", i))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i, row := range rows {
+					if cap(row) != len(row) {
+						t.Fatalf("row %d: cap %d > len %d, an append would write its neighbour", i, cap(row), len(row))
+					}
+					if i%2 == 0 {
+						_ = append(row, types.Str("appended"))
+						for c := range row {
+							row[c] = types.Str("patched")
+						}
+					}
+				}
+				for i := 1; i < n; i += 2 {
+					if got := rows[i].String(); got != p.want(i) {
+						t.Fatalf("row %d: %s, want %s", i, got, p.want(i))
+					}
+				}
+			})
+		}
+	}
+}

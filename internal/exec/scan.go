@@ -17,6 +17,10 @@ type TableScan struct {
 	Out   *schema.Schema
 
 	sc *storage.Scanner
+	// slabRows is how many tuples the next decode slab holds. It doubles
+	// from a few up to the batch size, so scanning a 50-row table for a
+	// 256-tuple batch does not allocate 256 rows of values.
+	slabRows int
 }
 
 // NewTableScan builds a scan over t producing the given instantiated schema.
@@ -36,10 +40,13 @@ func (s *TableScan) Open(ctx *Context) error {
 		}
 	}
 	s.sc = s.Table.Heap.NewScanner()
+	s.slabRows = 8
 	return nil
 }
 
-// NextBatch implements Operator: one storage-scanner loop per batch.
+// NextBatch implements Operator: one storage-scanner loop per batch,
+// decoding each record out of the scanner's page view into a slab shared
+// by the batch's tuples (see Batch). It reads no record beyond max.
 func (s *TableScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	if s.sc == nil {
 		return nil, false, fmt.Errorf("TableScan(%s): NextBatch before Open", s.Table.Def.Name)
@@ -47,7 +54,9 @@ func (s *TableScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	if err := checkMax(max); err != nil {
 		return nil, false, err
 	}
-	var out Batch
+	width := s.Out.Len()
+	out := make(Batch, 0, min(max, s.slabRows))
+	var slab []types.Value
 	for len(out) < max {
 		_, raw, ok, err := s.sc.Next()
 		if err != nil {
@@ -56,13 +65,18 @@ func (s *TableScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 		if !ok {
 			break
 		}
-		t, err := types.DecodeTuple(raw)
+		if cap(slab)-len(slab) < width {
+			slab = make([]types.Value, 0, width*min(max-len(out), s.slabRows))
+			s.slabRows = min(2*s.slabRows, ctx.BatchLen())
+		}
+		var t types.Tuple
+		t, slab, err = types.DecodeTupleInto(slab, raw)
 		if err != nil {
 			return nil, false, fmt.Errorf("TableScan(%s): %w", s.Table.Def.Name, err)
 		}
-		if len(t) != s.Out.Len() {
+		if len(t) != width {
 			return nil, false, fmt.Errorf("TableScan(%s): stored tuple width %d != schema width %d",
-				s.Table.Def.Name, len(t), s.Out.Len())
+				s.Table.Def.Name, len(t), width)
 		}
 		out = append(out, t)
 	}

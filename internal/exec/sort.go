@@ -207,7 +207,7 @@ func (l *Limit) Describe() string { return fmt.Sprintf("%d", l.N) }
 // ReqSync percolation (clash case 3 in Section 4.5.2).
 type Distinct struct {
 	Child Operator
-	seen  map[string]bool
+	seen  *keyTable // the tuples emitted so far, compared cell by cell
 }
 
 // NewDistinct builds a duplicate-eliminating operator.
@@ -218,8 +218,11 @@ func (d *Distinct) Schema() *schema.Schema { return d.Child.Schema() }
 
 // Open implements Operator.
 func (d *Distinct) Open(ctx *Context) error {
-	d.seen = make(map[string]bool)
-	return d.Child.Open(ctx)
+	if err := d.Child.Open(ctx); err != nil {
+		return err
+	}
+	d.seen = newKeyTable(d.Child.Schema().Len(), types.Value.SameKey)
+	return nil
 }
 
 // NextBatch implements Operator: duplicate elimination over whole
@@ -231,14 +234,11 @@ func (d *Distinct) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		var out Batch
+		out := make(Batch, 0, len(in))
 		for _, t := range in {
-			k := t.Key()
-			if d.seen[k] {
-				continue
+			if _, added := d.seen.intern(t); added {
+				out = append(out, t)
 			}
-			d.seen[k] = true
-			out = append(out, t)
 		}
 		if len(out) > 0 {
 			return out, true, nil

@@ -217,6 +217,24 @@ func TestTierCrossNodeCacheHits(t *testing.T) {
 	}
 	t.Logf("tier traffic: peerHits=%d remoteHits=%d fillsRecv=%d", peerHits, remoteHits, fillsRecv)
 
+	// What crossed the wire is what the caches hold: call results. A
+	// placeholder is a query's private reference to a pending call; no
+	// cached row holds one, so none is ever marshalled to a peer.
+	cached := 0
+	for _, nd := range env.nodes {
+		for _, e := range nd.db.Cache().Entries(1 << 20) {
+			for _, row := range e.Rows {
+				cached++
+				if row.HasPlaceholder() {
+					t.Errorf("%s caches a placeholder under %q: %v", nd.id, e.Key, row)
+				}
+			}
+		}
+	}
+	if cached == 0 {
+		t.Error("no cached rows to check")
+	}
+
 	// The acceptance criterion is the counter on /metrics, so scrape it.
 	var scraped strings.Builder
 	for _, nd := range env.nodes {

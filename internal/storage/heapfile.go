@@ -155,8 +155,12 @@ func (h *HeapFile) NewScanner() *Scanner {
 	return &Scanner{h: h, slot: -1}
 }
 
-// Next advances to the next live record, returning its RID and a copy of
-// its bytes. It returns ok=false when the scan is exhausted.
+// Next advances to the next live record, returning its RID and its bytes.
+// The bytes are a view of the page the scanner keeps pinned, valid until
+// the next Next or Close: a caller that retains them copies them (decoding
+// a tuple does — types.DecodeTupleInto copies strings out). Nothing writes
+// the page under the view because readers exclude writers one layer up
+// (core.DB's RW lock). It returns ok=false when the scan is exhausted.
 func (s *Scanner) Next() (RID, []byte, bool, error) {
 	if s.done {
 		return RID{}, nil, false, nil
@@ -192,9 +196,7 @@ func (s *Scanner) Next() (RID, []byte, bool, error) {
 		if err != nil {
 			return RID{}, nil, false, err
 		}
-		out := make([]byte, len(raw))
-		copy(out, raw)
-		return RID{Page: s.page, Slot: uint16(s.slot)}, out, true, nil
+		return RID{Page: s.page, Slot: uint16(s.slot)}, raw, true, nil
 	}
 }
 

@@ -392,3 +392,58 @@ func TestHeapPropertyLiveSet(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestScannerNextIsAViewUntilTheNextCall pins Scanner.Next's contract: the
+// bytes are the record, served from the pinned page without a copy (no
+// allocation per record), and stay the record until the next Next — also
+// across the page boundary, where the scanner unpins the old page only
+// once the caller asks for more.
+func TestScannerNextIsAViewUntilTheNextCall(t *testing.T) {
+	h := openTemp(t, 2)
+	const n = 200
+	rec := func(i int) string { return fmt.Sprintf("record-%04d-%s", i, bytes.Repeat([]byte("x"), 60)) }
+	for i := 0; i < n; i++ {
+		if _, err := h.Insert([]byte(rec(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h.NumPages() < 3 {
+		t.Fatalf("want several pages, got %d", h.NumPages())
+	}
+	sc := h.NewScanner()
+	defer sc.Close()
+	// A second scanner churns the 2-frame pool between the first one's
+	// steps: the page under the view is pinned, so it must not be evicted.
+	churn := func() {
+		other := h.NewScanner()
+		defer other.Close()
+		for {
+			if _, _, ok, err := other.Next(); err != nil || !ok {
+				return
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		_, raw, ok, err := sc.Next()
+		if err != nil || !ok {
+			t.Fatalf("record %d: ok=%v err=%v", i, ok, err)
+		}
+		if i%37 == 0 {
+			churn()
+		}
+		if string(raw) != rec(i) {
+			t.Fatalf("record %d reads %q before the next call", i, raw)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, func() {
+		s := h.NewScanner()
+		for {
+			if _, _, ok, _ := s.Next(); !ok {
+				break
+			}
+		}
+		s.Close()
+	}); allocs > n/4 {
+		t.Errorf("a %d-record scan made %.0f heap objects: Next copies records again", n, allocs)
+	}
+}

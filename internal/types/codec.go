@@ -34,7 +34,7 @@ func EncodeTuple(t Tuple) ([]byte, error) {
 			buf = append(buf, tmp[:n]...)
 			buf = append(buf, v.S...)
 		case KindPlaceholder:
-			return nil, fmt.Errorf("cannot persist placeholder value (call %d)", v.Call)
+			return nil, fmt.Errorf("cannot persist placeholder value (call %d)", v.Call())
 		default:
 			return nil, fmt.Errorf("cannot encode value of kind %s", v.Kind)
 		}
@@ -42,17 +42,34 @@ func EncodeTuple(t Tuple) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeTuple deserializes a tuple previously produced by EncodeTuple.
+// DecodeTuple deserializes a tuple previously produced by EncodeTuple into
+// storage of its own.
 func DecodeTuple(b []byte) (Tuple, error) {
+	t, _, err := DecodeTupleInto(nil, b)
+	return t, err
+}
+
+// DecodeTupleInto deserializes a tuple into the spare capacity of slab and
+// returns it with the slab grown past it; a tuple that does not fit gets
+// storage of its own and slab comes back unchanged. The tuple is a
+// three-index slice (cap == len), so an append on it reallocates instead
+// of writing into the tuple decoded next. Strings are copied out of b:
+// the tuple never references it.
+func DecodeTupleInto(slab []Value, b []byte) (Tuple, []Value, error) {
 	n, off := binary.Uvarint(b)
-	if off <= 0 {
-		return nil, fmt.Errorf("corrupt tuple: bad arity varint")
+	if off <= 0 || n > uint64(len(b)) { // a value takes at least one byte
+		return nil, slab, fmt.Errorf("corrupt tuple: bad arity varint")
 	}
-	t := make(Tuple, 0, n)
+	own := uint64(cap(slab)-len(slab)) < n
+	t := slab
+	if own {
+		t = make([]Value, 0, n)
+	}
+	start := len(t)
 	pos := off
 	for i := uint64(0); i < n; i++ {
 		if pos >= len(b) {
-			return nil, fmt.Errorf("corrupt tuple: truncated at value %d", i)
+			return nil, slab, fmt.Errorf("corrupt tuple: truncated at value %d", i)
 		}
 		kind := Kind(b[pos])
 		pos++
@@ -62,13 +79,13 @@ func DecodeTuple(b []byte) (Tuple, error) {
 		case KindInt:
 			v, w := binary.Varint(b[pos:])
 			if w <= 0 {
-				return nil, fmt.Errorf("corrupt tuple: bad int varint at value %d", i)
+				return nil, slab, fmt.Errorf("corrupt tuple: bad int varint at value %d", i)
 			}
 			pos += w
 			t = append(t, Int(v))
 		case KindFloat:
 			if pos+8 > len(b) {
-				return nil, fmt.Errorf("corrupt tuple: truncated float at value %d", i)
+				return nil, slab, fmt.Errorf("corrupt tuple: truncated float at value %d", i)
 			}
 			f := math.Float64frombits(binary.LittleEndian.Uint64(b[pos : pos+8]))
 			pos += 8
@@ -76,17 +93,20 @@ func DecodeTuple(b []byte) (Tuple, error) {
 		case KindString:
 			l, w := binary.Uvarint(b[pos:])
 			if w <= 0 {
-				return nil, fmt.Errorf("corrupt tuple: bad string length at value %d", i)
+				return nil, slab, fmt.Errorf("corrupt tuple: bad string length at value %d", i)
 			}
 			pos += w
-			if pos+int(l) > len(b) {
-				return nil, fmt.Errorf("corrupt tuple: truncated string at value %d", i)
+			if l > uint64(len(b)-pos) {
+				return nil, slab, fmt.Errorf("corrupt tuple: truncated string at value %d", i)
 			}
 			t = append(t, Str(string(b[pos:pos+int(l)])))
 			pos += int(l)
 		default:
-			return nil, fmt.Errorf("corrupt tuple: unknown kind %d at value %d", kind, i)
+			return nil, slab, fmt.Errorf("corrupt tuple: unknown kind %d at value %d", kind, i)
 		}
 	}
-	return t, nil
+	if own {
+		return Tuple(t), slab, nil
+	}
+	return Tuple(t[start:len(t):len(t)]), t, nil
 }

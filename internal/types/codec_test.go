@@ -56,6 +56,53 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 }
 
+// TestDecodeTupleIntoSlab: tuples decoded into one slab share its storage
+// back to back, each capped at its own length so an append on one cannot
+// write the next; the record's bytes are not referenced afterwards; and a
+// tuple the slab has no room for gets storage of its own instead of
+// growing (and so moving) the slab.
+func TestDecodeTupleIntoSlab(t *testing.T) {
+	rec := func(t Tuple) []byte {
+		raw, err := EncodeTuple(t)
+		if err != nil {
+			panic(err)
+		}
+		return raw
+	}
+	slab := make([]Value, 0, 5)
+	raw := rec(Tuple{Int(1), Str("one")})
+	a, slab, err := DecodeTupleInto(slab, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range raw {
+		raw[i] = 0xff // the page view moves on
+	}
+	b, slab, err := DecodeTupleInto(slab, rec(Tuple{Int(2), Str("two")}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(slab) != 4 || cap(a) != 2 || cap(b) != 2 || &slab[0] != &a[0] || &slab[2] != &b[0] {
+		t.Fatalf("tuples are not capped windows of the slab: len(slab) %d, cap %d and %d", len(slab), cap(a), cap(b))
+	}
+	_ = append(a, Str("grown"))
+	if a.String() != "<1, one>" || b.String() != "<2, two>" {
+		t.Errorf("decoded %v and %v", a, b)
+	}
+	c, after, err := DecodeTupleInto(slab, rec(Tuple{Int(3), Str("three")}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != 4 || &after[0] != &slab[0] || c.String() != "<3, three>" || cap(c) != 2 {
+		t.Errorf("a tuple that does not fit must leave the slab alone: len %d, tuple %v cap %d", len(after), c, cap(c))
+	}
+	// An arity no record of that length could hold is corruption, not a
+	// reason to allocate it.
+	if _, _, err := DecodeTupleInto(nil, []byte{0xff, 0xff, 0xff, 0xff, 0x0f}); err == nil {
+		t.Error("absurd arity should fail")
+	}
+}
+
 func TestCodecPropertyRoundTrip(t *testing.T) {
 	f := func(ints []int64, strs []string, floats []float64) bool {
 		var tup Tuple

@@ -46,13 +46,13 @@ func (t Tuple) PendingCalls() []CallID {
 		}
 		seen := false
 		for _, id := range ids {
-			if id == v.Call {
+			if id == v.Call() {
 				seen = true
 				break
 			}
 		}
 		if !seen {
-			ids = append(ids, v.Call)
+			ids = append(ids, v.Call())
 		}
 	}
 	return ids
@@ -71,9 +71,11 @@ func (t Tuple) Equal(o Tuple) bool {
 	return true
 }
 
-// Key returns a canonical string key for the tuple, used by DISTINCT and
-// GROUP BY hashing. Placeholders never reach these operators in a correct
-// plan (they clash during percolation), but they still key deterministically.
+// Key renders the tuple as a string that sorts tuples deterministically:
+// Aggregate orders its groups by it. It is an ordering key, not an
+// identity: a string cell may contain the separator, so two different
+// tuples can render the same ("a\x1f3:b","c" and "a","b\x1f3:c" do).
+// Equality of group and DISTINCT keys is SameKey, cell by cell.
 func (t Tuple) Key() string {
 	var b strings.Builder
 	for i, v := range t {

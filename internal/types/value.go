@@ -8,14 +8,16 @@
 // AEVScan returns tuples immediately, before the corresponding web-search
 // call has completed; the attribute values that the call will eventually
 // supply are marked with a placeholder identifying the pending call and the
-// field of the call's result rows that will replace the placeholder. Only
-// the ReqSync operator ever interprets placeholders — every other operator
-// treats them as opaque values, which is precisely what lets asynchronous
-// iteration slot into an unmodified iterator engine.
+// field of the call's result rows that will replace the placeholder, read
+// back through Value.Call and Value.Field. Only the ReqSync operator ever
+// interprets placeholders — every other operator treats them as opaque
+// values, which is precisely what lets asynchronous iteration slot into an
+// unmodified iterator engine.
 package types
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -55,15 +57,19 @@ type CallID uint64
 
 // Value is a dynamically typed scalar. The zero Value is NULL.
 //
-// A Value of KindPlaceholder stands for "the Field-th column of the result
-// rows of pending call Call". See the package comment.
+// A Value of KindPlaceholder stands for "the Field()-th column of the
+// result rows of pending call Call()". See the package comment. The call
+// id lives in I and the field index in the padding beside Kind, so every
+// cell of every tuple is 40 bytes, not 56; no other kind reads them.
+// Kind, I, F and S are the wire form (internal/shard ships cached rows as
+// JSON by field name); a placeholder is never cached, so its field index
+// never needs to cross a wire.
 type Value struct {
 	Kind  Kind
-	I     int64
+	field uint16 // placeholder's result column; see Field
+	I     int64  // KindInt's payload, and a placeholder's CallID; see Call
 	F     float64
 	S     string
-	Call  CallID // valid when Kind == KindPlaceholder
-	Field int    // valid when Kind == KindPlaceholder
 }
 
 // Null returns the NULL value.
@@ -84,8 +90,19 @@ func Str(s string) Value { return Value{Kind: KindString, S: s} }
 
 // Placeholder returns a placeholder value for field f of pending call c.
 func Placeholder(c CallID, f int) Value {
-	return Value{Kind: KindPlaceholder, Call: c, Field: f}
+	if f < 0 || f > math.MaxUint16 {
+		panic(fmt.Sprintf("types: placeholder field %d out of range", f))
+	}
+	return Value{Kind: KindPlaceholder, I: int64(c), field: uint16(f)}
 }
+
+// Call returns the pending call a placeholder stands for. It is
+// meaningful only when v.IsPlaceholder().
+func (v Value) Call() CallID { return CallID(v.I) }
+
+// Field returns which column of the pending call's result rows replaces a
+// placeholder. It is meaningful only when v.IsPlaceholder().
+func (v Value) Field() int { return int(v.field) }
 
 // Bool encodes a boolean as an integer value (1 or 0), matching the engine's
 // SQL subset which has no separate boolean column type.
@@ -169,7 +186,7 @@ func (v Value) AsString() string {
 	case KindNull:
 		return ""
 	case KindPlaceholder:
-		return fmt.Sprintf("?call:%d.%d", v.Call, v.Field)
+		return fmt.Sprintf("?call:%d.%d", v.Call(), v.Field())
 	default:
 		return ""
 	}
@@ -181,7 +198,7 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindPlaceholder:
-		return fmt.Sprintf("<pending %d#%d>", v.Call, v.Field)
+		return fmt.Sprintf("<pending %d#%d>", v.Call(), v.Field())
 	default:
 		return v.AsString()
 	}
@@ -209,9 +226,29 @@ func (v Value) Equal(o Value) bool {
 	case KindString:
 		return v.S == o.S
 	case KindPlaceholder:
-		return v.Call == o.Call && v.Field == o.Field
+		return v.I == o.I && v.field == o.field
 	}
 	return false
+}
+
+// SameKey reports whether two values fall in one GROUP BY / DISTINCT
+// group: the same kind and the same Key rendering. Unlike Compare it keeps
+// Int(1) apart from Float(1) and -0 apart from 0, and like Key it puts
+// every NaN in one group.
+func (v Value) SameKey(o Value) bool {
+	if v.Kind != o.Kind {
+		return false
+	}
+	switch v.Kind {
+	case KindNull:
+		return true
+	case KindFloat:
+		return math.Float64bits(v.F) == math.Float64bits(o.F) || math.IsNaN(v.F) && math.IsNaN(o.F)
+	case KindString:
+		return v.S == o.S
+	default: // the kinds whose payload is I
+		return v.I == o.I && v.field == o.field
+	}
 }
 
 func isNumeric(k Kind) bool { return k == KindInt || k == KindFloat }
@@ -220,7 +257,9 @@ func isNumeric(k Kind) bool { return k == KindInt || k == KindFloat }
 // NULL sorts before everything; placeholders sort after everything (they
 // should never reach a comparison in a correct plan, but a stable order
 // keeps sorting deterministic if they do). Numeric kinds compare
-// numerically across int/float; otherwise mismatched kinds compare by kind.
+// numerically across int/float, as float64s, with -0 equal to 0 and NaN
+// equal to itself and before every number; otherwise mismatched kinds
+// compare by kind.
 func (v Value) Compare(o Value) int {
 	if v.Kind == KindNull || o.Kind == KindNull {
 		switch {
@@ -236,13 +275,13 @@ func (v Value) Compare(o Value) int {
 		switch {
 		case v.Kind == o.Kind:
 			switch {
-			case v.Call != o.Call:
-				if v.Call < o.Call {
+			case v.Call() != o.Call():
+				if v.Call() < o.Call() {
 					return -1
 				}
 				return 1
-			case v.Field != o.Field:
-				if v.Field < o.Field {
+			case v.field != o.field:
+				if v.field < o.field {
 					return -1
 				}
 				return 1
@@ -258,10 +297,13 @@ func (v Value) Compare(o Value) int {
 	if isNumeric(v.Kind) && isNumeric(o.Kind) {
 		a, _ := v.AsFloat()
 		b, _ := o.AsFloat()
-		switch {
-		case a < b:
+		// NaN equals NaN and sorts before every number: with < and > alone
+		// it would compare equal to everything, and `=` would disagree
+		// with any join that hashes its keys.
+		switch an, bn := math.IsNaN(a), math.IsNaN(b); {
+		case a < b || an && !bn:
 			return -1
-		case a > b:
+		case a > b || bn && !an:
 			return 1
 		default:
 			return 0

@@ -1,9 +1,11 @@
 package types
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueConstructorsAndKinds(t *testing.T) {
@@ -177,6 +179,75 @@ func TestCompareOrdering(t *testing.T) {
 	}
 	if Placeholder(1, 0).Compare(Placeholder(2, 0)) != -1 {
 		t.Error("placeholder ordering by call id")
+	}
+}
+
+// TestCompareOrdersNaN: NaN equals NaN and sorts before every number.
+// With < and > alone it compared equal to everything, so `NaN = 5` held
+// for the evaluator and a nested-loop join while a hash join disagreed.
+func TestCompareOrdersNaN(t *testing.T) {
+	nan := Float(math.NaN())
+	for _, v := range []Value{Int(5), Float(-1e300), Float(math.Inf(-1)), Int(0)} {
+		if nan.Compare(v) != -1 || v.Compare(nan) != 1 {
+			t.Errorf("NaN vs %v: %d and %d, want -1 and 1", v, nan.Compare(v), v.Compare(nan))
+		}
+	}
+	if nan.Compare(Float(math.Float64frombits(0x7ff8000000000001))) != 0 {
+		t.Error("NaN must equal NaN")
+	}
+	if Float(math.Copysign(0, -1)).Compare(Int(0)) != 0 {
+		t.Error("-0 must equal 0")
+	}
+}
+
+// TestPlaceholderLayout: the call id and field index come back through
+// Call and Field, and cost no bytes in any cell — they live in I and in
+// the padding beside Kind.
+func TestPlaceholderLayout(t *testing.T) {
+	p := Placeholder(1<<40+7, 65535)
+	if p.Call() != 1<<40+7 || p.Field() != 65535 || !p.IsPlaceholder() {
+		t.Errorf("placeholder reads back call %d field %d", p.Call(), p.Field())
+	}
+	if size := unsafe.Sizeof(Value{}); size > 40 {
+		t.Errorf("Value is %d bytes, want <= 40", size)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a field index beyond uint16 must panic, not wrap")
+		}
+	}()
+	Placeholder(1, 65536)
+}
+
+// TestValueWireForm: internal/shard ships cached rows as JSON by field
+// name. The wire form is Kind, I, F, S and nothing else; a peer built
+// before the 40-byte Value also sends Call and Field (always zero: a
+// placeholder is never cached), which are ignored.
+func TestValueWireForm(t *testing.T) {
+	row := Tuple{Null(), Int(-7), Float(2.5), Str("x")}
+	raw, err := json.Marshal(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `[{"Kind":0,"I":0,"F":0,"S":""},{"Kind":1,"I":-7,"F":0,"S":""},{"Kind":2,"I":0,"F":2.5,"S":""},{"Kind":3,"I":0,"F":0,"S":"x"}]`
+	if string(raw) != want {
+		t.Errorf("wire form %s, want %s", raw, want)
+	}
+	old := `[{"Kind":0,"I":0,"F":0,"S":"","Call":0,"Field":0},{"Kind":1,"I":-7,"F":0,"S":"","Call":0,"Field":0},` +
+		`{"Kind":2,"I":0,"F":2.5,"S":"","Call":0,"Field":0},{"Kind":3,"I":0,"F":0,"S":"x","Call":0,"Field":0}]`
+	for _, in := range []string{want, old} {
+		var got Tuple
+		if err := json.Unmarshal([]byte(in), &got); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(row) {
+			t.Fatalf("decoded %v", got)
+		}
+		for i := range row {
+			if got[i] != row[i] {
+				t.Errorf("cell %d decoded %#v, want %#v", i, got[i], row[i])
+			}
+		}
 	}
 }
 

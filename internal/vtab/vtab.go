@@ -18,6 +18,7 @@ package vtab
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/schema"
@@ -146,7 +147,7 @@ func (d *Def) DefaultSearchExp(boundIdx []int) string {
 func BuildQuery(template string, terms []string) (string, error) {
 	q := template
 	for i := len(terms); i >= 1; i-- {
-		marker := fmt.Sprintf("%%%d", i)
+		marker := "%" + strconv.Itoa(i)
 		if !strings.Contains(q, marker) {
 			continue
 		}
@@ -300,9 +301,9 @@ func (s *Source) queryAndLimit(args []types.Value) (string, int, error) {
 func (s *Source) CacheKey(args []types.Value) string {
 	q, limit, err := s.queryAndLimit(args)
 	if err != nil {
-		return fmt.Sprintf("!err|%v", err)
+		return "!err|" + err.Error()
 	}
-	return fmt.Sprintf("%s|%s|%s|%d", s.Def.Engine.Name(), s.Def.Kind, q, limit)
+	return s.Def.Engine.Name() + "|" + s.Def.Kind.String() + "|" + q + "|" + strconv.Itoa(limit)
 }
 
 // Call implements exec.ExternalSource: it performs the search-engine

@@ -287,6 +287,25 @@ func TestCacheKeyDistinguishes(t *testing.T) {
 	}
 }
 
+// TestCacheKeyBytes pins the key's bytes: it is the result cache's key and
+// the tier's peer-routing key, so workers of different builds must agree
+// on it.
+func TestCacheKeyBytes(t *testing.T) {
+	r, _, _ := newRegistry()
+	av, _ := r.Resolve("WebCount_AV")
+	wp, _ := r.Resolve("WebPages_Google")
+	for _, c := range []struct{ got, want string }{
+		{NewSource(av).CacheKey(callArgs("%1 near %2", "Utah", "four corners")), "altavista|WebCount|Utah near four corners|20"},
+		{NewSource(wp).CacheKey(append(callArgs("%1", "Utah"), types.Int(5))), "google|WebPages|Utah|5"},
+		{NewSource(av).CacheKey(callArgs("%3", "Utah")), `!err|search expression "%3" references unbound term %3`},
+		{NewSource(av).CacheKey(nil), "!err|WebCount expects 9 arguments, got 0"},
+	} {
+		if c.got != c.want {
+			t.Errorf("cache key %q, want %q", c.got, c.want)
+		}
+	}
+}
+
 func TestKindString(t *testing.T) {
 	if KindWebCount.String() != "WebCount" || KindWebPages.String() != "WebPages" || KindWebFetch.String() != "WebFetch" {
 		t.Error("kind names")
