@@ -24,7 +24,7 @@ type AEVScan struct {
 
 	// pending is the one placeholder tuple an Open leaves to be pulled.
 	pending []types.Tuple
-	bound   bool // Inputs went through exec.BindArgs
+	args    exec.ScanArgs
 	// nCalls counts pump registrations across every Open of this instance,
 	// for the span trace (one registration per outer binding).
 	nCalls int64
@@ -52,37 +52,29 @@ func (s *AEVScan) Schema() *schema.Schema { return s.Out }
 // register is the one registration routine behind Open and BindBatch. It
 // evaluates the call's parameters against the current dependent-join
 // bindings, registers the call with the pump — without waiting — and
-// returns the tuple that stands for its result: argument values echoed,
+// fills t, a zeroed tuple of the output width, to stand for its result:
+// argument values echoed (copied, so t outlives the binding frame),
 // call-supplied attributes as placeholders. "We always begin by assuming
 // that exactly one tuple joins, then 'patch' our results in ReqSync"
 // (Section 4.3). A non-nil byKey shares one pump call among the bindings
 // of a batch that have the same cache key.
-func (s *AEVScan) register(ctx *exec.Context, byKey map[string]types.CallID) (types.Tuple, error) {
+func (s *AEVScan) register(ctx *exec.Context, byKey map[string]types.CallID, t types.Tuple) error {
 	if s.Pump == nil {
-		return nil, fmt.Errorf("AEVScan %s: no request pump", s.Source.Name())
+		return fmt.Errorf("AEVScan %s: no request pump", s.Source.Name())
 	}
-	if !s.bound {
-		if err := exec.BindArgs(s.Source.Name(), s.Inputs); err != nil {
-			return nil, err
-		}
-		s.bound = true
-	}
-	args, err := exec.EvalArgs(s.Source.Name(), s.Inputs, ctx)
+	args, err := s.args.Eval(s.Source.Name(), s.Inputs, ctx)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ctx.Stats.ExternalCalls++
 	s.nCalls++
-	src := s.Source
-	key := src.CacheKey(args)
+	key, call := s.Source.Request(args)
 	id, seen := byKey[key]
 	if !seen {
 		// Registering under the execution context ties the call's lifetime
 		// to the query: if the deadline expires while the call is still
 		// queued, the pump drops it without consuming a slot.
-		id = s.Pump.RegisterCtx(ctx.Ctx, src.Destination(), key, func() ([]types.Tuple, error) {
-			return src.Call(args)
-		})
+		id = s.Pump.RegisterCtx(ctx.Ctx, s.Source.Destination(), key, call)
 		ctx.PumpCalls = append(ctx.PumpCalls, id)
 		if byKey != nil {
 			byKey[key] = id
@@ -91,22 +83,19 @@ func (s *AEVScan) register(ctx *exec.Context, byKey map[string]types.CallID) (ty
 			s.traces = append(s.traces, s.Pump.CallTrace(id))
 		}
 	}
-	numEcho := src.NumEcho()
-	t := make(types.Tuple, s.Out.Len())
-	for i := 0; i < numEcho && i < len(args); i++ {
-		t[i] = args[i]
-	}
-	for i := numEcho; i < s.Out.Len(); i++ {
+	numEcho := s.Source.NumEcho()
+	copy(t[:numEcho], args)
+	for i := numEcho; i < len(t); i++ {
 		t[i] = types.Placeholder(id, i-numEcho)
 	}
-	return t, nil
+	return nil
 }
 
 // Open implements exec.Operator: it registers the call for the current
 // bindings and leaves exactly one placeholder tuple to be pulled.
 func (s *AEVScan) Open(ctx *exec.Context) error {
-	t, err := s.register(ctx, nil)
-	if err != nil {
+	t := make(types.Tuple, s.Out.Len())
+	if err := s.register(ctx, nil, t); err != nil {
 		return err
 	}
 	s.pending = []types.Tuple{t}
@@ -126,29 +115,34 @@ func (s *AEVScan) NextBatch(ctx *exec.Context, max int) (exec.Batch, bool, error
 // ReqSync's first wait, instead of one call per dependent-join binding.
 // Duplicate keys within the batch then share one CallID (the ReqSync
 // patches every waiting tuple of a call when it settles, so sharing is
-// transparent). Without a cache, every frame registers its own call:
+// transparent). Without a cache, every binding registers its own call:
 // duplicate bindings re-issuing duplicate requests is the paper's
 // Figure 7 behavior, and batching must not silently change it. Either
 // way the per-binding accounting (Stats.ExternalCalls, the trace's calls
-// counter) counts one logical call per frame, matching the per-binding
-// path.
-func (s *AEVScan) BindBatch(ctx *exec.Context, frames []map[schema.AttrID]types.Value) ([][]types.Tuple, bool, error) {
-	if len(frames) == 0 {
+// counter) counts one logical call per binding, matching the per-binding
+// path. The round's placeholder tuples and one-row results are cut from
+// one slab each.
+func (s *AEVScan) BindBatch(ctx *exec.Context, cols []schema.Column, outer []types.Tuple) ([][]types.Tuple, bool, error) {
+	if len(outer) == 0 {
 		return nil, true, nil // capability probe
 	}
 	var byKey map[string]types.CallID
 	if s.Pump != nil && s.Pump.HasCache() {
-		byKey = make(map[string]types.CallID, len(frames))
+		byKey = make(map[string]types.CallID, len(outer))
 	}
-	rows := make([][]types.Tuple, len(frames))
-	for fi, frame := range frames {
-		ctx.Env.PushFrame(frame)
-		t, err := s.register(ctx, byKey)
+	width := s.Out.Len()
+	slab := make([]types.Value, len(outer)*width)
+	tuples := make([]types.Tuple, len(outer))
+	rows := make([][]types.Tuple, len(outer))
+	for i, lt := range outer {
+		tuples[i] = slab[i*width : (i+1)*width : (i+1)*width]
+		ctx.Env.PushFrame(cols, lt)
+		err := s.register(ctx, byKey, tuples[i])
 		ctx.Env.PopFrame()
 		if err != nil {
 			return nil, false, err
 		}
-		rows[fi] = []types.Tuple{t}
+		rows[i] = tuples[i : i+1 : i+1]
 	}
 	return rows, true, nil
 }

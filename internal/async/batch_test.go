@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/exec"
+	"repro/internal/expr"
+	"repro/internal/schema"
 	"repro/internal/types"
 )
 
@@ -173,7 +176,7 @@ func TestBindBatchDedupsKeysOnlyWithCache(t *testing.T) {
 	})
 }
 
-// TestBindBatchCapabilityProbe: an empty frames slice reports support
+// TestBindBatchCapabilityProbe: an empty outer batch reports support
 // without registering anything.
 func TestBindBatchCapabilityProbe(t *testing.T) {
 	pump := NewPump(4, 4, nil)
@@ -181,11 +184,83 @@ func TestBindBatchCapabilityProbe(t *testing.T) {
 	src := &scriptedSource{name: "WC", dest: "d", numEcho: 1, rows: nil}
 	rs, _ := buildCountPlan([]string{"x"}, src, pump)
 	aev := rs.Child.(*exec.DependentJoin).Right.(*AEVScan)
-	rows, ok, err := aev.BindBatch(exec.NewContext(), nil)
+	rows, ok, err := aev.BindBatch(exec.NewContext(), nil, nil)
 	if err != nil || !ok || rows != nil {
 		t.Fatalf("probe: rows=%v ok=%v err=%v", rows, ok, err)
 	}
 	if got := pump.Stats().Registered; got != 0 {
 		t.Errorf("probe registered %d calls, want 0", got)
+	}
+}
+
+// TestDependentJoinRowsAreOwnedByTheirHolder is the binding-by-reference
+// twin of exec's TestSlabTuplesAreOwnedByTheirHolder. The dependent join
+// binds each outer tuple by reference — a TableScan's slab row, decoded out
+// of a page view — and cuts a round's joined rows from one slab; AEVScan
+// copies the echoed argument out of the frame. Whoever holds a row out of
+// ReqSync(DependentJoin(TableScan, AEVScan)) must see what a tuple with
+// storage of its own would show: unchanged once the scan has moved on and
+// its pages were overwritten, after ReqSync patched its siblings in place,
+// and after a neighbour was appended to or overwritten.
+func TestDependentJoinRowsAreOwnedByTheirHolder(t *testing.T) {
+	const n = 300 // several pages, several outer batches, several rounds
+	for _, size := range []int{1, 3, 256} {
+		t.Run(fmt.Sprintf("batch-%d", size), func(t *testing.T) {
+			cat, err := catalog.Open(t.TempDir(), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cat.Close()
+			tab, err := cat.Create("T", []catalog.ColumnDef{{Name: "Id", Type: schema.TInt}, {Name: "Name", Type: schema.TString}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if _, err := tab.Insert(types.Tuple{types.Int(int64(i)), types.Str(fmt.Sprintf("name-%d", i))}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			src := &scriptedSource{name: "WC", dest: "d", numEcho: 1,
+				rows: func(arg string) ([]types.Tuple, error) {
+					return []types.Tuple{{types.Int(int64(len(arg)))}}, nil
+				}}
+			pump := NewPump(8, 8, nil)
+			defer pump.Close()
+			ts := tab.InstantiateSchema("")
+			aev := NewAEVScan(src, []expr.Expr{expr.NewColRef(ts.Cols[1])}, schema.New(strCol("V", "Term"), intCol("V", "Count")), pump)
+			rs := NewReqSync(exec.NewDependentJoin(exec.NewTableScan(tab, ts), aev, ""), pump, aev.FilledAttrs())
+			ctx := exec.NewContext()
+			ctx.BatchSize = size
+			rows, err := exec.Run(ctx, rs) // Run closes the plan: the scanner is gone
+			if err != nil || len(rows) != n {
+				t.Fatalf("%d rows, err %v", len(rows), err)
+			}
+			// Push every page the scan read out of the 4-frame pool and
+			// overwrite the frames.
+			for i := 0; i < 300; i++ {
+				if _, err := tab.Heap.Insert([]byte(fmt.Sprintf("%0100d", i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			byID := make([]types.Tuple, n) // completion order is not scan order
+			for _, row := range rows {
+				if cap(row) != len(row) {
+					t.Fatalf("row %v: cap %d > len %d, an append would write its neighbour", row, cap(row), len(row))
+				}
+				byID[row[0].I] = row
+			}
+			for i := 0; i < n; i += 2 {
+				_ = append(byID[i], types.Str("appended"))
+				for c := range byID[i] {
+					byID[i][c] = types.Str("overwritten")
+				}
+			}
+			for i := 1; i < n; i += 2 {
+				name := fmt.Sprintf("name-%d", i)
+				if got, want := byID[i].String(), fmt.Sprintf("<%d, %s, %s, %d>", i, name, name, len(name)); got != want {
+					t.Fatalf("row %d: %s, want %s", i, got, want)
+				}
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package async
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/exec"
@@ -95,11 +96,15 @@ func TestDegradePartialEmitsNullPatchedTuples(t *testing.T) {
 func TestDegradeDropWithRetriesOnlyCountsTerminalFailures(t *testing.T) {
 	pump := NewPump(4, 4, nil)
 	pump.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseBackoff: 0})
+	var mu sync.Mutex // rows runs on the pump's execution goroutines
 	attempts := map[string]int{}
 	src := &scriptedSource{name: "WC", dest: "d", numEcho: 1,
 		rows: func(arg string) ([]types.Tuple, error) {
+			mu.Lock()
 			attempts[arg]++
-			if arg == "bb" && attempts[arg] < 3 {
+			n := attempts[arg]
+			mu.Unlock()
+			if arg == "bb" && n < 3 {
 				return nil, transientErr{"blip"}
 			}
 			return []types.Tuple{{types.Int(int64(len(arg)))}}, nil

@@ -48,12 +48,12 @@ type scriptedFaultSource struct {
 func (s *scriptedFaultSource) Name() string        { return s.name }
 func (s *scriptedFaultSource) Destination() string { return s.dest }
 func (s *scriptedFaultSource) NumEcho() int        { return 0 }
-func (s *scriptedFaultSource) CacheKey(args []types.Value) string {
-	return s.name + "|" + args[0].AsString()
+func (s *scriptedFaultSource) Request(args []types.Value) (string, func() ([]types.Tuple, error)) {
+	arg := args[0].AsString()
+	return s.name + "|" + arg, func() ([]types.Tuple, error) { return s.call(arg) }
 }
 
-func (s *scriptedFaultSource) Call(args []types.Value) ([]types.Tuple, error) {
-	arg := args[0].AsString()
+func (s *scriptedFaultSource) call(arg string) ([]types.Tuple, error) {
 	sc := s.scripts[arg]
 	if sc.hard {
 		return nil, fmt.Errorf("%s(%s): scripted hard failure", s.name, arg)
@@ -179,9 +179,13 @@ type gatedSource struct {
 	gates map[string]chan struct{}
 }
 
-func (g *gatedSource) Call(args []types.Value) ([]types.Tuple, error) {
-	<-g.gates[args[0].AsString()]
-	return g.scriptedFaultSource.Call(args)
+func (g *gatedSource) Request(args []types.Value) (string, func() ([]types.Tuple, error)) {
+	key, call := g.scriptedFaultSource.Request(args)
+	gate := g.gates[args[0].AsString()]
+	return key, func() ([]types.Tuple, error) {
+		<-gate
+		return call()
+	}
 }
 
 // TestSettleHandshakeProperties drives the ReqSync↔ReqPump handshake

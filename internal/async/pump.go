@@ -88,8 +88,9 @@ type Pump struct {
 	peer atomic.Pointer[cachePeerBox]
 
 	// policy governs retries, per-attempt deadlines, and hedging for every
-	// call execution (SetRetryPolicy). Stored normalized.
-	policy RetryPolicy
+	// call execution (SetRetryPolicy). Stored normalized and replaced, never
+	// mutated, so executions read it without the lock.
+	policy atomic.Pointer[RetryPolicy]
 	// backoffRng drives retry-backoff jitter: a locked, seeded stream
 	// (many workers back off at once) shared with the latency/fault
 	// simulators' reproducibility contract.
@@ -274,6 +275,7 @@ func NewPump(maxTotal, maxPerDest int, cache exec.ResultCache) *Pump {
 		slotWait:   obs.NewHistogram(nil),
 	}
 	p.dests.Store(&map[string]*destination{})
+	p.SetRetryPolicy(RetryPolicy{})
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
@@ -319,9 +321,8 @@ func (p *Pump) cachePeer() CachePeer {
 // executions (retry with backoff, per-attempt deadline, hedging). The zero
 // policy restores plain one-shot execution.
 func (p *Pump) SetRetryPolicy(pol RetryPolicy) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.policy = pol.normalized()
+	pol = pol.normalized()
+	p.policy.Store(&pol)
 }
 
 // HasCache reports whether the pump memoizes results. Callers that can
@@ -332,18 +333,14 @@ func (p *Pump) SetRetryPolicy(pol RetryPolicy) {
 func (p *Pump) HasCache() bool { return p.cache != nil }
 
 // RetryPolicy returns the installed policy (normalized).
-func (p *Pump) RetryPolicy() RetryPolicy {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.policy
-}
+func (p *Pump) RetryPolicy() RetryPolicy { return *p.policy.Load() }
 
 // RegisterCtx enqueues an external call and returns its identifier
 // immediately; the call runs as soon as the concurrency limits allow. The
 // caller later claims the outcome with Take (typically from a ReqSync).
-// ctx is the call's cancellation scope: if it expires while the call is
-// still queued, the call is dropped without consuming a slot and
-// completes with ctx's error. An already-running call is not interrupted
+// ctx is the call's cancellation scope: if it has expired when the
+// queued call's turn comes, the call is dropped without consuming a slot
+// and completes with ctx's error. An already-running call is not interrupted
 // (the Engine interface is not context-aware), but its result is
 // discarded if its owner has abandoned it. A nil ctx means no bound.
 func (p *Pump) RegisterCtx(ctx context.Context, dest, key string, fn func() ([]types.Tuple, error)) types.CallID {
@@ -389,37 +386,44 @@ func (p *Pump) RegisterCtx(ctx context.Context, dest, key string, fn func() ([]t
 	}
 	c.state, c.enqueued = callQueued, time.Now()
 	p.queue = append(p.queue, c)
-	p.dispatchLocked()
+	p.dispatchLocked(false)
 	return c.id
 }
 
-// dispatchLocked starts every queued call the limits allow, dropping
-// queued calls whose context has already expired. Callers hold p.mu.
-func (p *Pump) dispatchLocked() {
-	i := 0
-	for i < len(p.queue) {
+// dispatchLocked is the pump's one queue walk, behind registration,
+// SetDestLimit, releaseToken and complete alike: every queued call the
+// limits allow leaves the queue — dropped if its context has already
+// expired, else given a token and a goroutine of its own. Each caller
+// walks after whatever it did that could let a call start, so between
+// critical sections none can. With handoff set the caller is a finishing
+// execution that freed one slot: the first call started fills it, so the
+// walk ends there and returns it for the caller's own goroutine to run.
+// Callers hold p.mu.
+func (p *Pump) dispatchLocked(handoff bool) (first *call) {
+	for i := 0; i < len(p.queue) && p.activeTotal < p.maxTotal; {
 		c := p.queue[i]
-		if err := c.ctx.Err(); err != nil {
-			p.queue = append(p.queue[:i], p.queue[i+1:]...)
-			p.settleUnstartedLocked(c, err)
-			continue
-		}
-		if p.activeTotal >= p.maxTotal {
-			return
-		}
 		if int(c.dest.active.Load()) >= c.dest.limit {
 			i++ // skip; a later call for another destination may fit
 			continue
 		}
 		p.queue = append(p.queue[:i], p.queue[i+1:]...)
+		if err := c.ctx.Err(); err != nil {
+			p.settleUnstartedLocked(c, err)
+			continue
+		}
 		p.slotWait.Observe(time.Since(c.enqueued).Seconds())
 		c.trace.setDispatched()
 		p.grabTokenLocked(c.dest)
 		c.state = callPending
 		c.dest.count(evStarted)
+		if handoff {
+			first = c
+			break
+		}
 		p.execWG.Add(1)
 		go p.run(c)
 	}
+	return first
 }
 
 // settleUnstartedLocked completes a call that never ran (canceled while
@@ -429,14 +433,15 @@ func (p *Pump) settleUnstartedLocked(c *call, err error) {
 	c.dest.count(evCanceled)
 	c.trace.finish("canceled")
 	p.settleLocked(c, CallResult{Err: err})
+	p.cond.Broadcast()
 }
 
 // settleLocked ends c's execution (run, or never started): it parks res
-// for every call still waiting on it and wakes their owners. Those are
-// the calls coalesced under c's key when the pump coalesces — c's
-// registration created that entry, and at most one execution per key is
-// live — else c alone, unless its owner already discarded it. Callers
-// hold p.mu.
+// for every call still waiting on it. Those are the calls coalesced under
+// c's key when the pump coalesces — c's registration created that entry,
+// and at most one execution per key is live — else c alone, unless its
+// owner already discarded it. Callers hold p.mu and broadcast before they
+// let go of it.
 func (p *Pump) settleLocked(c *call, res CallResult) {
 	if waiting, shared := p.inflight[c.key]; shared {
 		delete(p.inflight, c.key)
@@ -446,7 +451,6 @@ func (p *Pump) settleLocked(c *call, res CallResult) {
 	} else if p.calls[c.id] == c {
 		c.state, c.res = callDone, res
 	}
-	p.cond.Broadcast()
 }
 
 // parkLocked completes a call at registration, before it joined any
@@ -457,124 +461,127 @@ func (p *Pump) parkLocked(c *call, res CallResult) types.CallID {
 	return c.id
 }
 
-// run executes one call — under the pump's retry policy — and parks its
-// outcome for the registering CallID and every CallID coalesced onto it.
-//
-// Concurrency accounting: the worker enters run holding one execution
-// token (acquired by dispatchLocked). Each physical execution of c.fn —
-// first attempt, retry, or hedge — holds exactly one token for exactly as
-// long as the engine call is actually outstanding; tokens are released by
-// the execution goroutine itself when fn returns, so abandoned (timed-out
-// or hedged-out) calls keep counting against the destination until the
-// engine really lets go of them.
+// run is an execution goroutine: it executes the call dispatchLocked
+// started it for and then, one after another, each queued call a
+// completion hands it, until a completion finds nothing the limits allow.
 func (p *Pump) run(c *call) {
 	defer p.execWG.Done()
-	rows, err, fromPeer := p.fetchOrExecute(c)
-	switch {
-	case fromPeer:
-		c.trace.finish("peer_hit")
-	case err != nil:
-		c.trace.finish("error")
-	default:
-		c.trace.finish("ok")
+	for c != nil {
+		c = p.execute(c)
 	}
-	if err == nil && !fromPeer {
-		// Locally executed result: offer it to the key's home shard so the
-		// rest of the tier can hit it. Fill never blocks (it enqueues), and
-		// it must run outside p.mu.
-		if peer := p.cachePeer(); peer != nil {
-			peer.Fill(c.key, rows)
-		}
-	}
-	if err != nil && c.ctx.Err() == nil {
-		// Failures of calls whose query already ended (deadline, LIMIT
-		// reached, error elsewhere) are cancellations, not call failures:
-		// retrying was rightly suppressed, and nobody will read the result.
-		c.dest.count(evFailed)
-	}
-	c.dest.count(evCompleted)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err == nil && p.cache != nil {
-		p.cache.Put(c.key, rows)
-	}
-	p.settleLocked(c, CallResult{Rows: rows, Err: err})
 }
 
-// fetchOrExecute resolves one call: first via the tier cache peer (a
-// bounded network hop to the key's home shard), then — on any peer miss —
-// by executing the engine call under the retry policy. It is entered
-// holding one execution token; every path releases it or hands it off
-// (execute's accounting covers the engine path, and the peer-hit path
-// releases directly since no engine execution ever starts).
-func (p *Pump) fetchOrExecute(c *call) (rows []types.Tuple, err error, fromPeer bool) {
+// execute resolves one call — via the tier cache peer (a bounded network
+// hop to the key's home shard), else by the engine call under the retry
+// policy — completes it, and returns the queued call complete handed over.
+//
+// Concurrency accounting: execute is entered holding one execution token
+// (from dispatchLocked). Each physical execution of c.fn — first attempt,
+// retry, or hedge — holds exactly one token for exactly as long as the
+// engine call is actually outstanding. Without a per-attempt deadline or
+// hedging the attempt runs inline under the token this goroutine holds: a
+// failed one releases it across the backoff, the last one's goes back in
+// complete. Otherwise attemptOnce passes the token to an execution
+// goroutine that releases it when fn returns, so abandoned (timed-out or
+// hedged-out) calls keep counting against the destination until the engine
+// really lets go of them.
+func (p *Pump) execute(c *call) *call {
 	if peer := p.cachePeer(); peer != nil && p.cache != nil {
 		if rows, ok := peer.Fetch(c.ctx, c.key); ok {
-			p.releaseToken(c.dest)
 			c.dest.count(evPeerHit)
-			return rows, nil, true
+			c.trace.finish("peer_hit")
+			return p.complete(c, CallResult{Rows: rows}, true)
 		}
 	}
-	rows, err = p.execute(c)
-	return rows, err, false
-}
-
-// execute runs the retry loop for one call. It is entered holding one
-// execution token; every return path has released (or handed off to a
-// still-running execution goroutine) all tokens it acquired.
-func (p *Pump) execute(c *call) ([]types.Tuple, error) {
 	pol := p.RetryPolicy()
-	var lastErr error
+	inline := pol.CallTimeout <= 0 && pol.HedgeAfter <= 0
+	held := inline // whether this goroutine holds a token once the loop ends
+	var res CallResult
 	for attempt := 0; ; attempt++ {
+		kind := "attempt"
 		if attempt > 0 {
 			// Back off — slot already released by the failed attempt — then
 			// re-acquire a token for the retry, competing under the same
 			// destination limits as everything else.
+			kind = "retry"
 			if d := p.jitteredBackoff(pol, attempt-1); d > 0 {
 				t := time.NewTimer(d)
 				select {
 				case <-t.C:
 				case <-c.ctx.Done():
 					t.Stop()
-					return nil, fmt.Errorf("%w (after %v)", c.ctx.Err(), lastErr)
 				}
 			}
-			if err := p.acquireToken(c); err != nil {
-				return nil, fmt.Errorf("%w (after %v)", err, lastErr)
+			if err := p.acquireToken(c); err != nil { // fails at once if ctx ended
+				res, held = CallResult{Err: fmt.Errorf("%w (after %v)", err, res.Err)}, false
+				break
 			}
 			c.dest.count(evRetry)
 		}
-		rows, err := p.attemptOnce(c, pol, attempt)
-		if err == nil {
-			return rows, nil
+		if inline {
+			res.Rows, res.Err = p.timedCall(c, kind)
+		} else {
+			res.Rows, res.Err = p.attemptOnce(c, pol, kind)
 		}
-		lastErr = err
-		if !IsTransient(err) || attempt+1 >= pol.MaxAttempts || c.ctx.Err() != nil {
-			if attempt > 0 {
-				return nil, fmt.Errorf("after %d attempts: %w", attempt+1, err)
+		if !IsTransient(res.Err) || attempt+1 >= pol.MaxAttempts || c.ctx.Err() != nil {
+			if res.Err != nil && attempt > 0 {
+				res.Err = fmt.Errorf("after %d attempts: %w", attempt+1, res.Err)
 			}
-			return nil, err
+			break
+		}
+		if inline {
+			p.releaseToken(c.dest)
 		}
 	}
+	if res.Err != nil {
+		c.trace.finish("error")
+		if c.ctx.Err() == nil {
+			// Failures of calls whose query already ended (deadline, LIMIT
+			// reached, error elsewhere) are cancellations, not call failures:
+			// retrying was rightly suppressed, and nobody will read the result.
+			c.dest.count(evFailed)
+		}
+	} else {
+		c.trace.finish("ok")
+		// Locally executed result: offer it to the key's home shard so the
+		// rest of the tier can hit it. Fill never blocks (it enqueues), and
+		// it must run outside p.mu.
+		if peer := p.cachePeer(); peer != nil {
+			peer.Fill(c.key, res.Rows)
+		}
+	}
+	return p.complete(c, res, held)
 }
 
-// attemptOnce performs one execution of the call, honoring the per-attempt
-// deadline and hedging. It is entered holding one execution token, which is
-// transferred to the execution goroutine (or consumed inline); by the time
-// the engine call finishes — even after attemptOnce has returned — its
-// token is released.
-func (p *Pump) attemptOnce(c *call, pol RetryPolicy, attempt int) ([]types.Tuple, error) {
-	kind := "attempt"
-	if attempt > 0 {
-		kind = "retry"
+// complete is the one critical section that ends an execution: it puts a
+// good result in the cache, parks the result for every waiter, returns the
+// token if this goroutine still holds it, and — when the limits then allow
+// a queued call — keeps goroutine and token for that call, which it
+// returns for run to execute next. Because the token is dropped and taken
+// again inside one hold of p.mu, nobody ever sees it free in between: no
+// retry or hedge can slip ahead of the queue's head. One broadcast covers
+// the parked results and the freed slot alike.
+func (p *Pump) complete(c *call, res CallResult, held bool) (next *call) {
+	c.dest.count(evCompleted)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if res.Err == nil && p.cache != nil {
+		p.cache.Put(c.key, res.Rows)
 	}
-	if pol.CallTimeout <= 0 && pol.HedgeAfter <= 0 {
-		// Fast path: execute inline, as the pre-policy pump did.
-		rows, err := p.timedCall(c, kind)
-		p.releaseToken(c.dest)
-		return rows, err
+	p.settleLocked(c, res)
+	if held {
+		p.dropTokenLocked(c.dest)
+		next = p.dispatchLocked(true) // nothing is queued once the pump closed
 	}
+	p.cond.Broadcast()
+	return next
+}
 
+// attemptOnce performs one execution of the call under a per-attempt
+// deadline or hedging. It is entered holding one execution token, which is
+// transferred to the execution goroutine; by the time the engine call
+// finishes — even after attemptOnce has returned — its token is released.
+func (p *Pump) attemptOnce(c *call, pol RetryPolicy, kind string) ([]types.Tuple, error) {
 	type outcome struct {
 		rows   []types.Tuple
 		err    error
@@ -699,12 +706,15 @@ func (p *Pump) jitteredBackoff(pol RetryPolicy, n int) time.Duration {
 func (p *Pump) releaseToken(d *destination) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.dropTokenLocked(d)
+	p.dispatchLocked(false) // nothing is queued once the pump closed
+	p.cond.Broadcast()
+}
+
+// dropTokenLocked decrements the in-flight counts. Callers hold p.mu.
+func (p *Pump) dropTokenLocked(d *destination) {
 	p.activeTotal--
 	d.active.Add(-1)
-	if !p.closed {
-		p.dispatchLocked()
-	}
-	p.cond.Broadcast()
 }
 
 // tryAcquireToken claims an execution token if one is free right now.
@@ -787,7 +797,7 @@ func (p *Pump) SetDestLimit(dest string, limit int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.destLocked(dest).limit = limit
-	p.dispatchLocked()
+	p.dispatchLocked(false)
 }
 
 // Take claims the result of a completed call, removing it from the result
@@ -801,6 +811,26 @@ func (p *Pump) Take(id types.CallID) (CallResult, bool) {
 	}
 	delete(p.calls, id)
 	return c.res, true
+}
+
+// Taken is one call claimed by TakeDone.
+type Taken struct {
+	ID  types.CallID
+	Res CallResult
+}
+
+// TakeDone is a ReqSync's poll: in one hold of the lock it claims every
+// completed call among ids, as Take would, and appends them to buf.
+func (p *Pump) TakeDone(ids map[types.CallID]bool, buf []Taken) []Taken {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for id := range ids {
+		if c := p.calls[id]; c != nil && c.state == callDone {
+			delete(p.calls, id)
+			buf = append(buf, Taken{ID: id, Res: c.res})
+		}
+	}
+	return buf
 }
 
 // AwaitAnyCtx blocks until at least one of the given pending calls has

@@ -30,6 +30,7 @@ type ReqSync struct {
 	waiting map[types.CallID][]*bufTuple
 	// pending is waiting's key set, in the shape Pump.AwaitAnyCtx takes.
 	pending map[types.CallID]bool
+	done    []Taken // TakeDone scratch, reused by every poll pass
 	opened  bool
 
 	// Trace-profile counters (SpanExtras), accumulated across every Open
@@ -192,25 +193,22 @@ func (r *ReqSync) settle(ctx *exec.Context, id types.CallID, res CallResult) err
 }
 
 // NextBatch implements exec.Operator: release a window of completed
-// tuples. With none ready it polls — Take settles every awaited call that
-// is already done — and only a pass that settled nothing blocks, once
-// ("if ReqSync has no completed tuples then it must wait for the next
-// signal from ReqPump").
+// tuples. With none ready it polls — one TakeDone claims every awaited
+// call that is already done, and each is settled — and only a pass that
+// settled nothing blocks, once ("if ReqSync has no completed tuples then
+// it must wait for the next signal from ReqPump").
 func (r *ReqSync) NextBatch(ctx *exec.Context, max int) (exec.Batch, bool, error) {
 	if !r.opened {
 		return nil, false, fmt.Errorf("ReqSync: NextBatch before Open")
 	}
 	for len(r.ready) == 0 && len(r.waiting) > 0 {
-		settled := false
-		for id := range r.waiting {
-			if res, done := r.Pump.Take(id); done {
-				settled = true
-				if err := r.settle(ctx, id, res); err != nil {
-					return nil, false, err
-				}
+		r.done = r.Pump.TakeDone(r.pending, r.done[:0])
+		for _, d := range r.done {
+			if err := r.settle(ctx, d.ID, d.Res); err != nil {
+				return nil, false, err
 			}
 		}
-		if !settled {
+		if len(r.done) == 0 {
 			// The execution context bounds the wait: a query deadline wakes
 			// the ReqSync with the ctx error, and Close then disowns the
 			// still-pending calls.
@@ -225,9 +223,11 @@ func (r *ReqSync) NextBatch(ctx *exec.Context, max int) (exec.Batch, bool, error
 // Close implements exec.Operator: pending calls are disowned (the pump
 // drops their results when they complete).
 func (r *ReqSync) Close() error {
+	ids := make([]types.CallID, 0, len(r.waiting))
 	for id := range r.waiting {
-		r.Pump.Discard(id)
+		ids = append(ids, id)
 	}
+	r.Pump.Discard(ids...)
 	r.waiting, r.pending = nil, nil
 	r.ready = nil
 	r.opened = false

@@ -28,17 +28,17 @@ type scriptedSource struct {
 func (s *scriptedSource) Name() string        { return s.name }
 func (s *scriptedSource) Destination() string { return s.dest }
 func (s *scriptedSource) NumEcho() int        { return s.numEcho }
-func (s *scriptedSource) CacheKey(args []types.Value) string {
-	return s.name + "|" + args[0].AsString()
-}
-func (s *scriptedSource) Call(args []types.Value) ([]types.Tuple, error) {
-	s.mu.Lock()
-	s.calls++
-	s.mu.Unlock()
-	if s.delay > 0 {
-		time.Sleep(s.delay)
+func (s *scriptedSource) Request(args []types.Value) (string, func() ([]types.Tuple, error)) {
+	arg := args[0].AsString()
+	return s.name + "|" + arg, func() ([]types.Tuple, error) {
+		s.mu.Lock()
+		s.calls++
+		s.mu.Unlock()
+		if s.delay > 0 {
+			time.Sleep(s.delay)
+		}
+		return s.rows(arg)
 	}
-	return s.rows(args[0].AsString())
 }
 
 func strCol(table, name string) schema.Column {

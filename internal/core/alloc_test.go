@@ -3,14 +3,16 @@ package core
 import (
 	"testing"
 
+	"repro/internal/search"
 	"repro/internal/types"
 )
 
 // TestAllocationBudget pins the executor's allocation diet from outside,
-// on the two query shapes the ledger's local_join and hot_cache workloads
-// time: heap objects per query are a count that repeats exactly, so a
-// regression shows here before it shows as throughput. The race detector
-// allocates on its own account, so the budgets hold only without it.
+// on the three query shapes the ledger's local_join, hot_cache and
+// pump_bound workloads time: heap objects per query are a count that
+// repeats exactly, so a regression shows here before it shows as
+// throughput. The race detector allocates on its own account, so the
+// budgets hold only without it.
 func TestAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include the race detector's own")
@@ -53,15 +55,53 @@ func TestAllocationBudget(t *testing.T) {
 
 	// hot_cache's shape: Template 1 served from a warm result cache, so
 	// 50 registrations and no engine call. The virtual table's inputs are
-	// bound once per scan, not once per outer tuple (2 122 objects before).
+	// bound once per scan, each call's request is built once, the outer
+	// tuple is bound by reference and a round's rows share slabs (2 122
+	// objects before PR 17, 1 474 after it, 687 now).
+	const q = `SELECT Name, Count FROM States, WebCount WHERE Name = T1 AND T2 = 'scuba diving'`
 	t.Run("hot_cache", func(t *testing.T) {
 		db := newPaperDB(t, Config{Async: true, CacheSize: 4096})
-		const q = `SELECT Name, Count FROM States, WebCount WHERE Name = T1 AND T2 = 'scuba diving'`
 		if res := mustQuery(t, db, q); len(res.Rows) != 50 {
 			t.Fatalf("rows: %d", len(res.Rows))
 		}
-		if allocs := testing.AllocsPerRun(20, func() { mustQuery(t, db, q) }); allocs > 1700 {
-			t.Errorf("warm Template 1: %.0f heap objects per query, want <= 1700", allocs)
+		if allocs := testing.AllocsPerRun(20, func() { mustQuery(t, db, q) }); allocs > 1100 {
+			t.Errorf("warm Template 1: %.0f heap objects per query, want <= 1100", allocs)
+		}
+	})
+
+	// pump_bound's shape: the same query with the cache off, so 50
+	// register-run-settle round trips, against an engine that answers from
+	// a map at once (2 216 objects before, about 820 now).
+	t.Run("pump_bound", func(t *testing.T) {
+		db, err := Open(Config{Dir: t.TempDir(), Async: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		db.RegisterEngine(mapEngine{"Florida near scuba diving": 39}, "AV")
+		loadTables(t, db)
+		if res := mustQuery(t, db, q); len(res.Rows) != 50 {
+			t.Fatalf("rows: %d", len(res.Rows))
+		}
+		if allocs := testing.AllocsPerRun(20, func() { mustQuery(t, db, q) }); allocs > 1400 {
+			t.Errorf("cold Template 1: %.0f heap objects per query, want <= 1400", allocs)
 		}
 	})
 }
+
+// mapEngine is a search.Engine that answers at once from a map of counts;
+// a query it does not know counts 1.
+type mapEngine map[string]int64
+
+func (mapEngine) Name() string { return "altavista" }
+
+func (e mapEngine) Count(q string) (int64, error) {
+	if n, ok := e[q]; ok {
+		return n, nil
+	}
+	return 1, nil
+}
+
+func (mapEngine) Search(string, int) ([]search.Result, error) { return nil, nil }
+
+func (mapEngine) Fetch(string) (string, error) { return "", search.ErrNotFound }

@@ -69,13 +69,15 @@ func TakeBatch(rows *[]types.Tuple, max int) (Batch, bool, error) {
 // pump before the enclosing ReqSync's first wait, so the pump sees a deep
 // request queue immediately instead of one call per binding.
 type BindingBatcher interface {
-	// BindBatch receives one correlated-binding frame per outer tuple and
-	// returns, per frame, the rows the operator would have produced under
-	// an Open/drain/Close cycle with that frame pushed. ok reports whether
-	// the operator supports batch binding at all — false (with nil error)
-	// sends the caller down the ordinary per-binding path. An empty frames
-	// slice is a capability probe: implementations must do no work and
-	// just report ok (forwarding decorators whose inner operator is not a
-	// BindingBatcher report false).
-	BindBatch(ctx *Context, frames []map[schema.AttrID]types.Value) (rows [][]types.Tuple, ok bool, err error)
+	// BindBatch receives the outer schema's columns and a batch of outer
+	// tuples and returns, per tuple, the rows the operator would have
+	// produced under an Open/drain/Close cycle with that tuple pushed as a
+	// binding frame (expr.Env.PushFrame(cols, outer[i])). Frames alias the
+	// outer tuples, so an implementation copies out what it keeps. ok
+	// reports whether the operator supports batch binding at all — false
+	// (with nil error) sends the caller down the ordinary per-binding path.
+	// An empty outer slice is a capability probe: implementations must do
+	// no work and just report ok (forwarding decorators whose inner
+	// operator is not a BindingBatcher report false).
+	BindBatch(ctx *Context, cols []schema.Column, outer []types.Tuple) (rows [][]types.Tuple, ok bool, err error)
 }

@@ -235,20 +235,24 @@ func contractCases() []contractCase {
 }
 
 // batchBoundEV wraps an EVScan with a BindBatch implementation that
-// services each frame through an Open → drain → Close cycle — a pump-free
-// stand-in for AEVScan's batch registration, so the suite can drive the
-// dependent join's BindBatch rounds without the async machinery.
+// services each outer tuple through an Open → drain → Close cycle — a
+// pump-free stand-in for AEVScan's batch registration, so the suite can
+// drive the dependent join's BindBatch rounds without the async machinery.
 type batchBoundEV struct {
 	*EVScan
 }
 
-func (b *batchBoundEV) BindBatch(ctx *Context, frames []map[schema.AttrID]types.Value) ([][]types.Tuple, bool, error) {
-	if len(frames) == 0 {
+// Without this the fake could drop out of the interface unnoticed and the
+// suite would pass through the per-binding path.
+var _ BindingBatcher = (*batchBoundEV)(nil)
+
+func (b *batchBoundEV) BindBatch(ctx *Context, cols []schema.Column, outer []types.Tuple) ([][]types.Tuple, bool, error) {
+	if len(outer) == 0 {
 		return nil, true, nil // capability probe
 	}
-	rows := make([][]types.Tuple, len(frames))
-	for fi, frame := range frames {
-		ctx.Env.PushFrame(frame)
+	rows := make([][]types.Tuple, len(outer))
+	for fi, lt := range outer {
+		ctx.Env.PushFrame(cols, lt)
 		err := b.EVScan.Open(ctx)
 		if err == nil {
 			for {

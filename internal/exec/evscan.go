@@ -24,11 +24,14 @@ type ExternalSource interface {
 	// call's argument values (SearchExp, T1..Tn). The remaining output
 	// columns are supplied by the call's result rows.
 	NumEcho() int
-	// CacheKey returns a canonical key for memoizing the call ([HN96]).
-	CacheKey(args []types.Value) string
-	// Call performs the (high-latency) external request. Result rows carry
-	// only the non-echo output columns, in schema order.
-	Call(args []types.Value) ([]types.Tuple, error)
+	// Request decodes one call's argument vector, once, into the canonical
+	// key that memoizes the call ([HN96]; also the tier's peer-routing key)
+	// and the function that performs the (high-latency) external request.
+	// args is read only during Request, never retained: scans pass scratch
+	// they overwrite for the next binding. Arguments no call can be made
+	// from yield a key of their own and a call that fails with the reason.
+	// Result rows carry only the non-echo output columns, in schema order.
+	Request(args []types.Value) (key string, call func() ([]types.Tuple, error))
 }
 
 // EVScan is the synchronous external virtual table scan of Section 4.1:
@@ -47,8 +50,8 @@ type EVScan struct {
 	// Cache, when non-nil, memoizes call results across Opens ([HN96]).
 	Cache ResultCache
 
-	rows  []types.Tuple // the call result not yet emitted
-	bound bool          // Inputs went through BindArgs
+	rows []types.Tuple // the call result not yet emitted
+	args ScanArgs
 	// Per-instance profile counters for the span trace (EXPLAIN ANALYZE):
 	// calls actually issued vs served from cache, across every Open of
 	// this scan (a dependent join re-opens it once per outer binding).
@@ -72,21 +75,27 @@ func NewEVScan(src ExternalSource, inputs []expr.Expr, out *schema.Schema) *EVSc
 // Schema implements Operator.
 func (s *EVScan) Schema() *schema.Schema { return s.Out }
 
-// BindArgs binds a virtual-table scan's parameter expressions, which read
-// correlated bindings and constants, never a row. The result does not
-// depend on the outer binding, so a scan does it once, before its first
-// EvalArgs, not once per outer tuple.
-func BindArgs(name string, inputs []expr.Expr) error {
-	return bindAll(name, schema.New(), inputs...)
+// ScanArgs evaluates a virtual-table scan's parameter expressions, which
+// read correlated bindings and constants, never a row. Binding them does
+// not depend on the outer tuple, so it happens once, before the first
+// evaluation; the values go to a scratch slice the next Eval overwrites.
+type ScanArgs struct {
+	bound bool
+	vals  []types.Value
 }
 
-// EvalArgs evaluates the scan's bound parameter expressions against the
-// current correlated bindings. It rejects placeholder arguments: a
-// dependent join whose bindings are still pending must stay below the
-// ReqSync that fills them (the rewriter guarantees this; the check catches
-// rewrite bugs).
-func EvalArgs(name string, inputs []expr.Expr, ctx *Context) ([]types.Value, error) {
-	args := make([]types.Value, len(inputs))
+// Eval evaluates inputs against the current correlated bindings. It
+// rejects placeholder arguments: a dependent join whose bindings are still
+// pending must stay below the ReqSync that fills them (the rewriter
+// guarantees this; the check catches rewrite bugs).
+func (a *ScanArgs) Eval(name string, inputs []expr.Expr, ctx *Context) ([]types.Value, error) {
+	if !a.bound {
+		if err := bindAll(name, schema.New(), inputs...); err != nil {
+			return nil, err
+		}
+		a.bound = true
+	}
+	a.vals = a.vals[:0]
 	for i, in := range inputs {
 		v, err := in.Eval(ctx.Env, nil)
 		if err != nil {
@@ -95,25 +104,19 @@ func EvalArgs(name string, inputs []expr.Expr, ctx *Context) ([]types.Value, err
 		if v.IsPlaceholder() {
 			return nil, fmt.Errorf("%s input %d is a pending placeholder; invalid plan rewrite", name, i)
 		}
-		args[i] = v
+		a.vals = append(a.vals, v)
 	}
-	return args, nil
+	return a.vals, nil
 }
 
 // Open implements Operator: it performs the external call (or serves it
 // from cache).
 func (s *EVScan) Open(ctx *Context) error {
-	if !s.bound {
-		if err := BindArgs(s.Source.Name(), s.Inputs); err != nil {
-			return err
-		}
-		s.bound = true
-	}
-	args, err := EvalArgs(s.Source.Name(), s.Inputs, ctx)
+	args, err := s.args.Eval(s.Source.Name(), s.Inputs, ctx)
 	if err != nil {
 		return err
 	}
-	key := s.Source.CacheKey(args)
+	key, call := s.Source.Request(args)
 	if s.Cache != nil {
 		if rows, ok := s.Cache.Get(key); ok {
 			s.nCacheHits++
@@ -132,11 +135,9 @@ func (s *EVScan) Open(ctx *Context) error {
 	start := time.Now()
 	var rows []types.Tuple
 	if ctx.RetryCall != nil {
-		rows, err = ctx.RetryCall(ctx.Ctx, func() ([]types.Tuple, error) {
-			return s.Source.Call(args)
-		})
+		rows, err = ctx.RetryCall(ctx.Ctx, call)
 	} else {
-		rows, err = s.Source.Call(args)
+		rows, err = call()
 	}
 	if obs.SampledTrace(ctx.Ctx) != nil {
 		detail := s.Source.Destination()

@@ -43,14 +43,14 @@ type fakeSource struct {
 func (f *fakeSource) Name() string        { return f.name }
 func (f *fakeSource) Destination() string { return "fake" }
 func (f *fakeSource) NumEcho() int        { return 1 }
-func (f *fakeSource) CacheKey(args []types.Value) string {
-	return f.name + "|" + args[0].AsString()
-}
-func (f *fakeSource) Call(args []types.Value) ([]types.Tuple, error) {
-	f.mu.Lock()
-	f.calls = append(f.calls, args[0].AsString())
-	f.mu.Unlock()
-	return f.rowsFor(args[0].AsString()), nil
+func (f *fakeSource) Request(args []types.Value) (string, func() ([]types.Tuple, error)) {
+	arg := args[0].AsString()
+	return f.name + "|" + arg, func() ([]types.Tuple, error) {
+		f.mu.Lock()
+		f.calls = append(f.calls, arg)
+		f.mu.Unlock()
+		return f.rowsFor(arg), nil
+	}
 }
 
 func (f *fakeSource) callCount() int {
@@ -210,6 +210,38 @@ func TestDependentJoinMultiRowAndEmpty(t *testing.T) {
 		if r[0].AsString() != "three" || r[2].I != int64(i+1) {
 			t.Errorf("row %d: %v", i, r)
 		}
+	}
+}
+
+// TestNestedDependentJoinsBindInnermostFrame: two nested dependent joins
+// whose left sides both carry the column the scan reads. Each pushes its
+// outer tuple as a frame; the reference resolves to the innermost one.
+func TestNestedDependentJoinsBindInnermostFrame(t *testing.T) {
+	term := strCol("L", "Term")
+	vals := func(ss ...string) *ValuesScan {
+		rows := make([]types.Tuple, len(ss))
+		for i, s := range ss {
+			rows[i] = types.Tuple{types.Str(s)}
+		}
+		return NewValuesScan(schema.New(term), rows)
+	}
+	src := &fakeSource{name: "F", rowsFor: func(arg string) []types.Tuple {
+		return []types.Tuple{{types.Int(int64(len(arg)))}}
+	}}
+	ev := NewEVScan(src, []expr.Expr{expr.NewColRef(term)}, fakeSchema("F"))
+	inner := NewDependentJoin(vals("i", "ii"), ev, "")
+	rows := runAll(t, NewDependentJoin(vals("outer-1", "outer-2"), inner, ""))
+	// Each output row: [outer Term, inner Term, F.Term (echo), F.Val].
+	if len(rows) != 4 {
+		t.Fatalf("rows: %v", rows)
+	}
+	for i, r := range rows {
+		if want := []string{"i", "ii"}[i%2]; r[1].AsString() != want || r[2].AsString() != want || r[3].I != int64(len(want)) {
+			t.Errorf("row %d: %v, want the scan bound to the inner tuple %q", i, r, want)
+		}
+	}
+	if fmt.Sprint(src.calls) != "[i ii i ii]" {
+		t.Errorf("calls: %v", src.calls)
 	}
 }
 
@@ -422,7 +454,7 @@ func TestEVScanPlaceholderInputRejected(t *testing.T) {
 	src := &fakeSource{name: "F", rowsFor: func(string) []types.Tuple { return nil }}
 	ev := NewEVScan(src, []expr.Expr{expr.NewColRef(term)}, fakeSchema("F"))
 	ctx := NewContext()
-	ctx.Env.PushFrame(map[schema.AttrID]types.Value{term.ID: types.Placeholder(5, 0)})
+	ctx.Env.PushFrame([]schema.Column{term}, types.Tuple{types.Placeholder(5, 0)})
 	if err := ev.Open(ctx); err == nil {
 		t.Fatal("placeholder input must be rejected")
 	}

@@ -195,7 +195,7 @@ func (j *DependentJoin) Open(ctx *Context) error {
 	j.opened = true
 	j.binder = nil
 	if bb, ok := j.Right.(BindingBatcher); ok {
-		_, supports, err := bb.BindBatch(ctx, nil) // side-effect-free capability probe
+		_, supports, err := bb.BindBatch(ctx, nil, nil) // side-effect-free capability probe
 		if err != nil {
 			return err
 		}
@@ -204,18 +204,6 @@ func (j *DependentJoin) Open(ctx *Context) error {
 		}
 	}
 	return nil
-}
-
-// frame makes an outer tuple's values addressable as correlated bindings.
-func (j *DependentJoin) frame(lt types.Tuple) map[schema.AttrID]types.Value {
-	cols := j.Left.Schema().Cols
-	frame := make(map[schema.AttrID]types.Value, len(cols))
-	for i, col := range cols {
-		if i < len(lt) {
-			frame[col.ID] = lt[i]
-		}
-	}
-	return frame
 }
 
 // NextBatch implements Operator, preserving the per-binding output order
@@ -264,33 +252,39 @@ func (j *DependentJoin) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 }
 
 // bindRound services one outer batch through the right subtree's
-// BindBatch.
+// BindBatch. The round's joined rows are cut from one slab as three-index
+// slices (see Batch).
 func (j *DependentJoin) bindRound(ctx *Context, lb Batch) error {
-	frames := make([]map[schema.AttrID]types.Value, len(lb))
-	for fi, lt := range lb {
-		frames[fi] = j.frame(lt)
-	}
-	rows, handled, err := j.binder.BindBatch(ctx, frames)
+	rows, handled, err := j.binder.BindBatch(ctx, j.Left.Schema().Cols, lb)
 	if err != nil {
 		return err
 	}
 	if !handled {
 		return fmt.Errorf("DependentJoin: right child revoked batch binding mid-stream")
 	}
+	width := 0
 	for fi, rs := range rows {
 		for _, rt := range rs {
-			j.buf = append(j.buf, lb[fi].Concat(rt))
+			width += len(lb[fi]) + len(rt)
+		}
+	}
+	slab := make([]types.Value, 0, width)
+	for fi, rs := range rows {
+		for _, rt := range rs {
+			mark := len(slab)
+			slab = append(append(slab, lb[fi]...), rt...)
+			j.buf = append(j.buf, slab[mark:len(slab):len(slab)])
 		}
 	}
 	return nil
 }
 
-// bindOne pushes one outer tuple's frame, so the right subtree can
-// evaluate its parameter expressions against it, and runs the subtree
+// bindOne pushes one outer tuple as a binding frame, so the right subtree
+// can evaluate its parameter expressions against it, and runs the subtree
 // through a full Open → drain → Close cycle. The frame never outlives the
 // call, whatever fails.
 func (j *DependentJoin) bindOne(ctx *Context, lt types.Tuple) error {
-	ctx.Env.PushFrame(j.frame(lt))
+	ctx.Env.PushFrame(j.Left.Schema().Cols, lt)
 	defer ctx.Env.PopFrame()
 	if err := j.Right.Open(ctx); err != nil {
 		return err

@@ -98,26 +98,26 @@ func (w *spanOp) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 }
 
 // BindBatch forwards batch binding to the decorated operator when it
-// supports it. Each bound frame counts as one logical Open — a dependent
+// supports it. Each bound tuple counts as one logical Open — a dependent
 // join driving the per-binding path would have re-opened the inner subtree
 // once per outer binding, and the trace must report the same logical
 // work either way.
-func (w *spanOp) BindBatch(ctx *Context, frames []map[schema.AttrID]types.Value) ([][]types.Tuple, bool, error) {
+func (w *spanOp) BindBatch(ctx *Context, cols []schema.Column, outer []types.Tuple) ([][]types.Tuple, bool, error) {
 	bb, isBB := w.inner.(BindingBatcher)
 	if !isBB {
 		return nil, false, nil
 	}
-	if len(frames) == 0 {
-		return bb.BindBatch(ctx, frames) // capability probe: no timing, no counters
+	if len(outer) == 0 {
+		return bb.BindBatch(ctx, cols, outer) // capability probe: no timing, no counters
 	}
 	start := time.Now()
 	if w.span.Opens == 0 {
 		w.span.Start = start
 	}
-	rows, ok, err := bb.BindBatch(ctx, frames)
+	rows, ok, err := bb.BindBatch(ctx, cols, outer)
 	w.span.Dur += time.Since(start)
 	if ok {
-		w.span.Opens += int64(len(frames))
+		w.span.Opens += int64(len(outer))
 		for _, rs := range rows {
 			w.span.Rows += int64(len(rs))
 		}

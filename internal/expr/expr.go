@@ -18,21 +18,25 @@ import (
 	"repro/internal/types"
 )
 
-// Env carries the correlated bindings visible during evaluation. A
-// dependent join pushes its current outer tuple's values here before
-// re-opening its right subtree.
+// Env carries the correlated bindings visible during evaluation: one frame
+// per enclosing dependent join, innermost last. A frame is the outer
+// schema's columns and the current outer tuple, bound by reference — it
+// aliases the tuple, copies nothing, and is valid only until the join pops
+// it (inside DependentJoin.bindOne or a BindBatch round).
 type Env struct {
 	outer []frame
 }
 
 type frame struct {
-	vals map[schema.AttrID]types.Value
+	cols []schema.Column
+	vals types.Tuple
 }
 
-// PushFrame makes a new set of outer bindings visible. Frames nest so that
-// stacked dependent joins each contribute their own bindings.
-func (e *Env) PushFrame(vals map[schema.AttrID]types.Value) {
-	e.outer = append(e.outer, frame{vals: vals})
+// PushFrame makes an outer tuple's values visible under its schema's
+// column ids. Frames nest so that stacked dependent joins each contribute
+// their own bindings.
+func (e *Env) PushFrame(cols []schema.Column, outer types.Tuple) {
+	e.outer = append(e.outer, frame{cols: cols, vals: outer})
 }
 
 // PopFrame removes the most recently pushed binding frame.
@@ -43,10 +47,14 @@ func (e *Env) PopFrame() {
 }
 
 // Lookup finds an outer binding for the given attribute, innermost first.
+// A frame is a dozen columns at most, so the scan is linear.
 func (e *Env) Lookup(id schema.AttrID) (types.Value, bool) {
 	for i := len(e.outer) - 1; i >= 0; i-- {
-		if v, ok := e.outer[i].vals[id]; ok {
-			return v, true
+		f := &e.outer[i]
+		for j := range f.cols {
+			if f.cols[j].ID == id && j < len(f.vals) {
+				return f.vals[j], true
+			}
 		}
 	}
 	return types.Value{}, false

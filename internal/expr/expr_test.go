@@ -50,7 +50,7 @@ func TestColRefOuterBinding(t *testing.T) {
 	if _, err := ref.Eval(env, nil); err == nil {
 		t.Fatal("unbound outer reference should error")
 	}
-	env.PushFrame(map[schema.AttrID]types.Value{name.ID: types.Str("Ohio")})
+	env.PushFrame([]schema.Column{name}, types.Tuple{types.Str("Ohio")})
 	v, err := ref.Eval(env, nil)
 	if err != nil || v.S != "Ohio" {
 		t.Fatalf("outer eval: %v %v", v, err)
@@ -63,9 +63,10 @@ func TestColRefOuterBinding(t *testing.T) {
 
 func TestEnvFrameNesting(t *testing.T) {
 	id := schema.NewAttrID()
+	cols := []schema.Column{{ID: id}}
 	env := &Env{}
-	env.PushFrame(map[schema.AttrID]types.Value{id: types.Int(1)})
-	env.PushFrame(map[schema.AttrID]types.Value{id: types.Int(2)})
+	env.PushFrame(cols, types.Tuple{types.Int(1)})
+	env.PushFrame(cols, types.Tuple{types.Int(2)})
 	if v, _ := env.Lookup(id); v.I != 2 {
 		t.Error("innermost frame should win")
 	}

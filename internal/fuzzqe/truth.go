@@ -668,14 +668,14 @@ func (e *Env) webCall(def *vtab.Def, j *Join, t1 string) ([]types.Tuple, error) 
 	if j.Kind == JoinWebPages {
 		args = append(args, types.Int(int64(j.RankLimit)))
 	}
-	key := src.CacheKey(args)
+	key, call := src.Request(args)
 	if e.webMemo == nil {
 		e.webMemo = make(map[string][]types.Tuple)
 	}
 	if rows, ok := e.webMemo[key]; ok {
 		return rows, nil
 	}
-	rows, err := src.Call(args)
+	rows, err := call()
 	if err != nil {
 		return nil, err
 	}

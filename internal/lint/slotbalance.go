@@ -11,8 +11,9 @@ import (
 // requests, and one counter for each external destination"). Every
 // execution token acquired in internal/async — via grabTokenLocked, a
 // successful acquireToken, or a true tryAcquireToken — must, on every
-// control-flow path, be either released (releaseToken) or handed off to
-// a function/goroutine that releases it. A leaked token permanently
+// control-flow path, be either released (releaseToken, or dropTokenLocked
+// inside a completion's critical section) or handed off to a
+// function/goroutine that releases it. A leaked token permanently
 // shrinks the pump's concurrency budget; the race detector cannot see
 // it because nothing races — the pump just quietly starves.
 //
@@ -20,7 +21,7 @@ import (
 // one boolean of state ("a token is held"), branch joins that keep a
 // path holding, and an interprocedural may-release summary computed as
 // a fixed point over the package (so `go p.run(c)` counts as a handoff
-// because run -> execute -> attemptOnce eventually releases).
+// because run -> execute -> complete eventually releases).
 type slotBalance struct {
 	acquireUncond map[string]bool // acquire that cannot fail
 	acquireErr    map[string]bool // acquire returning error (nil => held)
@@ -33,7 +34,7 @@ func newSlotBalance() *slotBalance {
 		acquireUncond: map[string]bool{"grabTokenLocked": true},
 		acquireErr:    map[string]bool{"acquireToken": true},
 		acquireTry:    map[string]bool{"tryAcquireToken": true},
-		release:       map[string]bool{"releaseToken": true},
+		release:       map[string]bool{"releaseToken": true, "dropTokenLocked": true},
 	}
 }
 

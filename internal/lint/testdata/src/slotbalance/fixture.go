@@ -13,12 +13,17 @@ func (p *pump) grabTokenLocked(dest string)      {}
 func (p *pump) acquireToken(dest string) error   { return nil }
 func (p *pump) tryAcquireToken(dest string) bool { return true }
 func (p *pump) releaseToken(dest string)         {}
+func (p *pump) dropTokenLocked(dest string)      {}
 
 // run is a releaser by summary (it transitively calls releaseToken), so
 // handing a token to it counts as a release.
 func (p *pump) run() { p.finish() }
 
 func (p *pump) finish() { p.releaseToken("d") }
+
+// complete is a releaser too: its critical section drops the token the
+// execution still holds.
+func (p *pump) complete() { p.dropTokenLocked("d") }
 
 // --- positives --------------------------------------------------------
 
@@ -59,7 +64,32 @@ func (p *pump) leakInSelectBranch(ch chan int) {
 	}
 }
 
+func (p *pump) leakBeforeCompletion(fail bool) {
+	if err := p.acquireToken("d"); err != nil {
+		return
+	}
+	if fail {
+		return // want "not released or handed off"
+	}
+	p.complete()
+}
+
 // --- negatives --------------------------------------------------------
+
+func (p *pump) heldUntilCompletion(attempts int) {
+	for i := 0; ; i++ {
+		if i > 0 {
+			if err := p.acquireToken("d"); err != nil {
+				break
+			}
+		}
+		if i+1 >= attempts {
+			break
+		}
+		p.releaseToken("d")
+	}
+	p.complete()
+}
 
 func (p *pump) releasedOnAllPaths(fail bool) error {
 	p.grabTokenLocked("d")

@@ -17,6 +17,7 @@
 package vtab
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -142,28 +143,48 @@ func (d *Def) DefaultSearchExp(boundIdx []int) string {
 }
 
 // BuildQuery instantiates a search expression template with term values,
-// substituting %i (printf/scanf style, Section 3). Higher indices are
-// substituted first so that %10 is not clobbered by %1.
+// substituting %i (printf/scanf style, Section 3).
 func BuildQuery(template string, terms []string) (string, error) {
-	q := template
-	for i := len(terms); i >= 1; i-- {
-		marker := "%" + strconv.Itoa(i)
-		if !strings.Contains(q, marker) {
+	q, err := appendQuery(nil, template, terms)
+	return string(q), err
+}
+
+// appendQuery appends the instantiated template to buf in one pass. A
+// marker is '%' and one digit naming a term in 1..len(terms); markers are
+// read from the template only, so a '%' inside a term value is text. Of
+// several faults the highest-numbered unbound term is reported first, then
+// a '%' that is no marker.
+func appendQuery(buf []byte, template string, terms []string) ([]byte, error) {
+	start, unbound, stray := len(buf), 0, false
+	for i := 0; i < len(template); i++ {
+		c := template[i]
+		if c != '%' {
+			buf = append(buf, c)
 			continue
 		}
-		val := terms[i-1]
-		if val == "" {
-			return "", fmt.Errorf("search expression %q references unbound term %s", template, marker)
+		n := 0
+		if i+1 < len(template) {
+			n = int(template[i+1]) - '0'
 		}
-		q = strings.ReplaceAll(q, marker, val)
+		if n < 1 || n > len(terms) || n > 9 {
+			stray = true
+			continue
+		}
+		i++
+		if terms[n-1] == "" {
+			unbound = max(unbound, n)
+		}
+		buf = append(buf, terms[n-1]...)
 	}
-	if strings.Contains(q, "%") {
-		return "", fmt.Errorf("search expression %q references a term beyond T%d", template, len(terms))
+	switch {
+	case unbound > 0:
+		return buf[:start], fmt.Errorf("search expression %q references unbound term %%%d", template, unbound)
+	case stray:
+		return buf[:start], fmt.Errorf("search expression %q references a term beyond T%d", template, len(terms))
+	case len(bytes.TrimSpace(buf[start:])) == 0:
+		return buf[:start], fmt.Errorf("empty search expression")
 	}
-	if strings.TrimSpace(q) == "" {
-		return "", fmt.Errorf("empty search expression")
-	}
-	return q, nil
+	return buf, nil
 }
 
 // Registry resolves SQL table names to virtual table definitions.
@@ -257,62 +278,68 @@ func (s *Source) Destination() string { return s.Def.Engine.Name() }
 // NumEcho implements exec.ExternalSource.
 func (s *Source) NumEcho() int { return s.Def.NumInputs() }
 
-// queryAndLimit decodes the argument vector.
-func (s *Source) queryAndLimit(args []types.Value) (string, int, error) {
-	switch s.Def.Kind {
-	case KindWebFetch:
+// Request implements exec.ExternalSource: it decodes the argument vector
+// once, into the call's canonical key — engine|kind|query|limit, or
+// "!err|" and the message for arguments no call can be made from — and the
+// function that performs the search-engine request for exactly that query.
+// The query is a substring of the key, so the pair costs one string.
+func (s *Source) Request(args []types.Value) (string, func() ([]types.Tuple, error)) {
+	eng, kind := s.Def.Engine.Name(), s.Def.Kind.String()
+	buf := make([]byte, 0, 64)
+	buf = append(append(append(append(buf, eng...), '|'), kind...), '|')
+	at := len(buf)
+	buf, limit, err := s.appendQueryAndLimit(buf, args)
+	if err != nil {
+		return "!err|" + err.Error(), func() ([]types.Tuple, error) { return nil, err }
+	}
+	end := len(buf)
+	key := string(strconv.AppendInt(append(buf, '|'), int64(limit), 10))
+	q := key[at:end]
+	return key, func() ([]types.Tuple, error) { return s.call(q, limit) }
+}
+
+// appendQueryAndLimit decodes the argument vector: the query text, appended
+// to buf, and the rank limit.
+func (s *Source) appendQueryAndLimit(buf []byte, args []types.Value) ([]byte, int, error) {
+	if s.Def.Kind == KindWebFetch {
 		if len(args) < 1 || args[0].IsNull() {
-			return "", 0, fmt.Errorf("WebFetch requires a bound URL")
+			return buf, 0, fmt.Errorf("WebFetch requires a bound URL")
 		}
-		return args[0].AsString(), 0, nil
-	default:
-		if len(args) < 1+MaxTerms {
-			return "", 0, fmt.Errorf("%s expects %d arguments, got %d", s.Def.Kind, 1+MaxTerms, len(args))
+		return append(buf, args[0].AsString()...), 0, nil
+	}
+	if len(args) < 1+MaxTerms {
+		return buf, 0, fmt.Errorf("%s expects %d arguments, got %d", s.Def.Kind, 1+MaxTerms, len(args))
+	}
+	if args[0].IsNull() {
+		return buf, 0, fmt.Errorf("%s requires a bound SearchExp", s.Def.Kind)
+	}
+	var terms [MaxTerms]string
+	for i := range terms {
+		if !args[1+i].IsNull() {
+			terms[i] = args[1+i].AsString()
 		}
-		if args[0].IsNull() {
-			return "", 0, fmt.Errorf("%s requires a bound SearchExp", s.Def.Kind)
+	}
+	buf, err := appendQuery(buf, args[0].AsString(), terms[:])
+	if err != nil {
+		return buf, 0, err
+	}
+	limit := DefaultRankLimit
+	if s.Def.Kind == KindWebPages {
+		if len(args) != 1+MaxTerms+1 {
+			return buf, 0, fmt.Errorf("WebPages expects a rank-limit argument")
 		}
-		terms := make([]string, MaxTerms)
-		for i := 0; i < MaxTerms; i++ {
-			if !args[1+i].IsNull() {
-				terms[i] = args[1+i].AsString()
-			}
-		}
-		q, err := BuildQuery(args[0].AsString(), terms)
+		n, err := args[1+MaxTerms].AsInt()
 		if err != nil {
-			return "", 0, err
+			return buf, 0, fmt.Errorf("WebPages rank limit: %w", err)
 		}
-		limit := DefaultRankLimit
-		if s.Def.Kind == KindWebPages {
-			if len(args) != 1+MaxTerms+1 {
-				return "", 0, fmt.Errorf("WebPages expects a rank-limit argument")
-			}
-			n, err := args[1+MaxTerms].AsInt()
-			if err != nil {
-				return "", 0, fmt.Errorf("WebPages rank limit: %w", err)
-			}
-			limit = int(n)
-		}
-		return q, limit, nil
+		limit = int(n)
 	}
+	return buf, limit, nil
 }
 
-// CacheKey implements exec.ExternalSource.
-func (s *Source) CacheKey(args []types.Value) string {
-	q, limit, err := s.queryAndLimit(args)
-	if err != nil {
-		return "!err|" + err.Error()
-	}
-	return s.Def.Engine.Name() + "|" + s.Def.Kind.String() + "|" + q + "|" + strconv.Itoa(limit)
-}
-
-// Call implements exec.ExternalSource: it performs the search-engine
-// request and shapes the response into output-column rows.
-func (s *Source) Call(args []types.Value) ([]types.Tuple, error) {
-	q, limit, err := s.queryAndLimit(args)
-	if err != nil {
-		return nil, err
-	}
+// call performs the search-engine request and shapes the response into
+// output-column rows.
+func (s *Source) call(q string, limit int) ([]types.Tuple, error) {
 	switch s.Def.Kind {
 	case KindWebCount:
 		n, err := s.Def.Engine.Count(q)

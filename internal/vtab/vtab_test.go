@@ -149,24 +149,50 @@ func TestDefaultSearchExp(t *testing.T) {
 
 func TestBuildQuery(t *testing.T) {
 	terms := []string{"Colorado", "Denver", "", "", "", "", "", ""}
-	q, err := BuildQuery("%1 near %2", terms)
-	if err != nil || q != "Colorado near Denver" {
-		t.Fatalf("%q %v", q, err)
+	for _, c := range []struct {
+		template string
+		terms    []string
+		want     string // the query, or with wantErr a fragment of the error
+		wantErr  bool
+	}{
+		{"%1 near %2", terms, "Colorado near Denver", false},
+		// Constant expression with no markers is allowed.
+		{"four corners", terms, "four corners", false},
+		// Markers are read from the template only: a '%' in a term value is
+		// text, and a marker inside a value is not substituted again.
+		{"%1", []string{"100% cotton"}, "100% cotton", false},
+		{"%1 near %2", []string{"alpha", "%1"}, "alpha near %1", false},
+		// One digit names a term: %10 is term 1 followed by a 0.
+		{"%10", []string{"a", "b", "c", "d", "e", "f", "g", "h"}, "a0", false},
+		{"%1 near %3", terms, "unbound term %3", true},
+		{"%1 %4 %3", terms, "unbound term %4", true}, // the highest-numbered one
+		{"%9", terms, "beyond T8", true},
+		{"%0", terms, "beyond T8", true},
+		{"%1 %", terms, "beyond T8", true},
+		{"%3 %", terms, "unbound term %3", true}, // unbound outranks a stray %
+		{"", terms, "empty search expression", true},
+		{" %3 ", []string{"a", "b", " "}, "empty search expression", true},
+	} {
+		q, err := BuildQuery(c.template, c.terms)
+		switch {
+		case c.wantErr && (err == nil || !strings.Contains(err.Error(), c.want) || q != ""):
+			t.Errorf("BuildQuery(%q) = %q, %v; want an error containing %q", c.template, q, err, c.want)
+		case !c.wantErr && (err != nil || q != c.want):
+			t.Errorf("BuildQuery(%q) = %q, %v; want %q", c.template, q, err, c.want)
+		}
 	}
-	if _, err := BuildQuery("%1 near %3", terms); err == nil {
-		t.Error("unbound term reference should error")
-	}
-	if _, err := BuildQuery("%9", terms); err == nil {
-		t.Error("out-of-range term should error")
-	}
-	if _, err := BuildQuery("", terms); err == nil {
-		t.Error("empty expression should error")
-	}
-	// Constant expression with no markers is allowed.
-	q, err = BuildQuery("four corners", terms)
-	if err != nil || q != "four corners" {
-		t.Errorf("constant expr: %q %v", q, err)
-	}
+}
+
+// callSource makes the request for args and performs it.
+func callSource(src *Source, args []types.Value) ([]types.Tuple, error) {
+	_, call := src.Request(args)
+	return call()
+}
+
+// cacheKey is the key half of Request.
+func cacheKey(src *Source, args []types.Value) string {
+	key, _ := src.Request(args)
+	return key
 }
 
 func callArgs(searchExp string, terms ...string) []types.Value {
@@ -188,7 +214,7 @@ func TestSourceWebCountCall(t *testing.T) {
 	if src.NumEcho() != 1+MaxTerms {
 		t.Errorf("NumEcho: %d", src.NumEcho())
 	}
-	rows, err := src.Call(callArgs("%1 near %2", "Colorado", "four corners"))
+	rows, err := callSource(src, callArgs("%1 near %2", "Colorado", "four corners"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,6 +224,11 @@ func TestSourceWebCountCall(t *testing.T) {
 	if len(rows) != 1 || rows[0][0].I != int64(len(av.lastQ)) {
 		t.Errorf("rows: %v", rows)
 	}
+	// The query is cut out of the key; a long one outgrows the key buffer.
+	long := strings.Repeat("x", 200)
+	if _, err := callSource(src, callArgs("%1 near %2", long, "y")); err != nil || av.lastQ != long+" near y" {
+		t.Errorf("long query sent: %q %v", av.lastQ, err)
+	}
 }
 
 func TestSourceWebPagesCall(t *testing.T) {
@@ -205,7 +236,7 @@ func TestSourceWebPagesCall(t *testing.T) {
 	d, _ := r.Resolve("WebPages_AV")
 	src := NewSource(d)
 	args := append(callArgs("%1", "Utah"), types.Int(2)) // rank limit 2
-	rows, err := src.Call(args)
+	rows, err := callSource(src, args)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +250,7 @@ func TestSourceWebPagesCall(t *testing.T) {
 		t.Errorf("date column: %v", rows[0])
 	}
 	// Missing rank-limit argument.
-	if _, err := src.Call(callArgs("%1", "Utah")); err == nil {
+	if _, err := callSource(src, callArgs("%1", "Utah")); err == nil {
 		t.Error("WebPages requires a rank-limit argument")
 	}
 }
@@ -231,7 +262,7 @@ func TestSourceWebFetchCall(t *testing.T) {
 	if src.NumEcho() != 1 {
 		t.Errorf("NumEcho: %d", src.NumEcho())
 	}
-	rows, err := src.Call([]types.Value{types.Str("www.x.com")})
+	rows, err := callSource(src, []types.Value{types.Str("www.x.com")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,12 +271,12 @@ func TestSourceWebFetchCall(t *testing.T) {
 	}
 	// Not found surfaces as a 404 row, not an error (the crawler keeps going).
 	av.fetchErr = search.ErrNotFound
-	rows, err = src.Call([]types.Value{types.Str("gone")})
+	rows, err = callSource(src, []types.Value{types.Str("gone")})
 	if err != nil || len(rows) != 1 || rows[0][1].I != 404 {
 		t.Errorf("404 row: %v %v", rows, err)
 	}
 	// Unbound URL.
-	if _, err := src.Call([]types.Value{types.Null()}); err == nil {
+	if _, err := callSource(src, []types.Value{types.Null()}); err == nil {
 		t.Error("null URL should error")
 	}
 }
@@ -257,11 +288,11 @@ func TestSourceCallValidation(t *testing.T) {
 	// Null SearchExp.
 	args := callArgs("%1", "x")
 	args[0] = types.Null()
-	if _, err := src.Call(args); err == nil {
+	if _, err := callSource(src, args); err == nil {
 		t.Error("null SearchExp should error")
 	}
 	// Too few args.
-	if _, err := src.Call([]types.Value{types.Str("%1")}); err == nil {
+	if _, err := callSource(src, []types.Value{types.Str("%1")}); err == nil {
 		t.Error("short args should error")
 	}
 }
@@ -270,18 +301,18 @@ func TestCacheKeyDistinguishes(t *testing.T) {
 	r, _, _ := newRegistry()
 	av, _ := r.Resolve("WebCount_AV")
 	g, _ := r.Resolve("WebCount_Google")
-	kAV := NewSource(av).CacheKey(callArgs("%1", "Utah"))
-	kG := NewSource(g).CacheKey(callArgs("%1", "Utah"))
+	kAV := cacheKey(NewSource(av), callArgs("%1", "Utah"))
+	kG := cacheKey(NewSource(g), callArgs("%1", "Utah"))
 	if kAV == kG {
 		t.Error("cache keys must be engine-specific")
 	}
-	k1 := NewSource(av).CacheKey(callArgs("%1", "Utah"))
+	k1 := cacheKey(NewSource(av), callArgs("%1", "Utah"))
 	if k1 != kAV {
 		t.Error("cache keys must be deterministic")
 	}
 	wp, _ := r.Resolve("WebPages_AV")
-	kp2 := NewSource(wp).CacheKey(append(callArgs("%1", "Utah"), types.Int(2)))
-	kp5 := NewSource(wp).CacheKey(append(callArgs("%1", "Utah"), types.Int(5)))
+	kp2 := cacheKey(NewSource(wp), append(callArgs("%1", "Utah"), types.Int(2)))
+	kp5 := cacheKey(NewSource(wp), append(callArgs("%1", "Utah"), types.Int(5)))
 	if kp2 == kp5 {
 		t.Error("rank limit must be part of the key")
 	}
@@ -289,16 +320,22 @@ func TestCacheKeyDistinguishes(t *testing.T) {
 
 // TestCacheKeyBytes pins the key's bytes: it is the result cache's key and
 // the tier's peer-routing key, so workers of different builds must agree
-// on it.
+// on it. Request renders it as CacheKey used to, Engine|Kind|query|limit or
+// "!err|" and the message, for all three table kinds.
 func TestCacheKeyBytes(t *testing.T) {
 	r, _, _ := newRegistry()
 	av, _ := r.Resolve("WebCount_AV")
 	wp, _ := r.Resolve("WebPages_Google")
+	wf, _ := r.Resolve("WebFetch_AV")
 	for _, c := range []struct{ got, want string }{
-		{NewSource(av).CacheKey(callArgs("%1 near %2", "Utah", "four corners")), "altavista|WebCount|Utah near four corners|20"},
-		{NewSource(wp).CacheKey(append(callArgs("%1", "Utah"), types.Int(5))), "google|WebPages|Utah|5"},
-		{NewSource(av).CacheKey(callArgs("%3", "Utah")), `!err|search expression "%3" references unbound term %3`},
-		{NewSource(av).CacheKey(nil), "!err|WebCount expects 9 arguments, got 0"},
+		{cacheKey(NewSource(wf), []types.Value{types.Str("www.x.com")}), "altavista|WebFetch|www.x.com|0"},
+		{cacheKey(NewSource(wf), []types.Value{types.Null()}), "!err|WebFetch requires a bound URL"},
+		{cacheKey(NewSource(wp), callArgs("%1", "Utah")), "!err|WebPages expects a rank-limit argument"},
+		{cacheKey(NewSource(av), callArgs("%1 %2", "50% off", "%1")), "altavista|WebCount|50% off %1|20"},
+		{cacheKey(NewSource(av), callArgs("%1 near %2", "Utah", "four corners")), "altavista|WebCount|Utah near four corners|20"},
+		{cacheKey(NewSource(wp), append(callArgs("%1", "Utah"), types.Int(5))), "google|WebPages|Utah|5"},
+		{cacheKey(NewSource(av), callArgs("%3", "Utah")), `!err|search expression "%3" references unbound term %3`},
+		{cacheKey(NewSource(av), nil), "!err|WebCount expects 9 arguments, got 0"},
 	} {
 		if c.got != c.want {
 			t.Errorf("cache key %q, want %q", c.got, c.want)
