@@ -6,19 +6,14 @@
 //
 // Usage:
 //
-//	wsqlint [-json] [-rules r1,r2] [-list] [-no-ignore] [packages]
+//	wsqlint [-json] [-rules r1,r2] [-list] [packages]
 //
 // Packages default to ./... relative to the enclosing module. The
 // -json mode emits a stable machine-readable report for CI annotation:
 //
 //	{"diagnostics":[{"file":...,"line":N,"col":N,"rule":...,"message":...}],"count":N}
 //
-// Diagnostics are suppressible per rule with
-//
-//	//lint:ignore <rule> <reason>
-//
-// on the preceding line, or in a declaration's doc comment to cover the
-// whole declaration. The reason is mandatory.
+// There is no suppression comment: a finding is fixed at the source.
 package main
 
 import (
@@ -54,7 +49,6 @@ func run(args []string) int {
 	jsonOut := fs.Bool("json", false, "emit diagnostics as stable JSON")
 	ruleList := fs.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	list := fs.Bool("list", false, "list available rules and exit")
-	noIgnore := fs.Bool("no-ignore", false, "disable //lint:ignore suppression (exemption-free mode)")
 	debug := fs.Bool("debug", false, "print type-checker noise (never affects exit status)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -109,11 +103,7 @@ func run(args []string) int {
 		}
 	}
 
-	runFn := lint.Run
-	if *noIgnore {
-		runFn = lint.RunNoIgnore
-	}
-	diags := runFn(pkgs, rules)
+	diags := lint.Run(pkgs, rules)
 	if *jsonOut {
 		report := jsonReport{Diagnostics: make([]jsonDiag, 0, len(diags)), Count: len(diags)}
 		for _, d := range diags {

@@ -183,7 +183,7 @@ func TestBindBatchCapabilityProbe(t *testing.T) {
 	defer pump.Close()
 	src := &scriptedSource{name: "WC", dest: "d", numEcho: 1, rows: nil}
 	rs, _ := buildCountPlan([]string{"x"}, src, pump)
-	aev := rs.Child.(*exec.DependentJoin).Right.(*AEVScan)
+	aev := rs.Child.(*reusedWindows).Operator.(*exec.DependentJoin).Right.(*AEVScan)
 	rows, ok, err := aev.BindBatch(exec.NewContext(), nil, nil)
 	if err != nil || !ok || rows != nil {
 		t.Fatalf("probe: rows=%v ok=%v err=%v", rows, ok, err)
@@ -228,7 +228,7 @@ func TestDependentJoinRowsAreOwnedByTheirHolder(t *testing.T) {
 			defer pump.Close()
 			ts := tab.InstantiateSchema("")
 			aev := NewAEVScan(src, []expr.Expr{expr.NewColRef(ts.Cols[1])}, schema.New(strCol("V", "Term"), intCol("V", "Count")), pump)
-			rs := NewReqSync(exec.NewDependentJoin(exec.NewTableScan(tab, ts), aev, ""), pump, aev.FilledAttrs())
+			rs := syncOver(exec.NewDependentJoin(exec.NewTableScan(tab, ts), aev, ""), pump, aev.FilledAttrs())
 			ctx := exec.NewContext()
 			ctx.BatchSize = size
 			rows, err := exec.Run(ctx, rs) // Run closes the plan: the scanner is gone

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/types"
 )
@@ -32,7 +33,7 @@ import (
 func TestHandoffProperties(t *testing.T) {
 	scenarios := []string{"drain", "discard", "limit0", "close"}
 	dests := []string{"a", "b"}
-	for iter := 0; iter < 32; iter++ {
+	for iter := 0; iter < 32 && !t.Failed(); iter++ { // stops at the first failing seed, as in property_test.go
 		seed, scenario := int64(7100+iter), scenarios[iter%4]
 		t.Run(fmt.Sprintf("seed=%d/%s", seed, scenario), func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
@@ -128,6 +129,10 @@ func TestHandoffProperties(t *testing.T) {
 			if scenario == "close" {
 				p.Close()
 			}
+			// The calls return at once now the gate is open: a call still not
+			// done after 5 s is queued behind a slot nobody will free.
+			bound, stop := context.WithTimeout(context.Background(), 5*time.Second)
+			defer stop()
 			for _, r := range calls {
 				mu.Lock()
 				skip := r.skip
@@ -135,8 +140,8 @@ func TestHandoffProperties(t *testing.T) {
 				if scenario == "close" || slices.Contains(parked, r.id) || slices.Contains(discarded, r.id) {
 					continue
 				}
-				if _, err := p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{r.id: true}); err != nil {
-					t.Fatalf("await call %d: %v", r.id, err)
+				if _, err := p.AwaitAnyCtx(bound, map[types.CallID]bool{r.id: true}); err != nil {
+					t.Fatalf("await call %d: %v (%s)", r.id, err, pumpState(p))
 				}
 				res, ok := p.Take(r.id)
 				if !ok {
@@ -211,9 +216,11 @@ func TestHandoffRunsQueueOnOneGoroutine(t *testing.T) {
 		t.Fatalf("before the gate opens: %d running, %d queued, want 1 and %d", running, queued, n-1)
 	}
 	close(gate)
+	bound, stop := context.WithTimeout(context.Background(), 5*time.Second)
+	defer stop()
 	for _, id := range ids {
-		if _, err := p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{id: true}); err != nil {
-			t.Fatal(err)
+		if _, err := p.AwaitAnyCtx(bound, map[types.CallID]bool{id: true}); err != nil {
+			t.Fatalf("await call %d: %v (%s)", id, err, pumpState(p))
 		}
 		p.Take(id)
 	}

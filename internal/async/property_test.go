@@ -85,7 +85,10 @@ func randomScripts(rng *rand.Rand, terms []string) map[string]faultScript {
 }
 
 func TestReqSyncPropertiesUnderRandomFaultSchedules(t *testing.T) {
-	for iter := 0; iter < 25; iter++ {
+	// The loop stops at the first failing seed: a leaked slot or goroutine
+	// fails every later seed the same way, each after its own wait, and the
+	// sum of those waits is the package timeout, which names no seed at all.
+	for iter := 0; iter < 25 && !t.Failed(); iter++ {
 		iter := iter
 		t.Run(fmt.Sprintf("seed=%d", 9000+iter), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(9000 + iter)))
@@ -121,13 +124,18 @@ func TestReqSyncPropertiesUnderRandomFaultSchedules(t *testing.T) {
 			for id := range aev2.FilledAttrs() {
 				filled[id] = true
 			}
-			rs := NewReqSync(dj2, pump, filled)
+			rs := syncOver(dj2, pump, filled)
 
-			ctx := exec.NewContext()
+			// The schedules finish in milliseconds. A retry that can never get
+			// a slot (its predecessor kept the token) waits on the query's
+			// context, so the deadline turns that hang into this failure.
+			qctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			ctx := exec.NewContextWith(qctx)
 			ctx.Degrade = exec.DegradeDrop
 			rows, err := exec.Run(ctx, rs)
 			if err != nil {
-				t.Fatalf("drop policy must absorb all terminal failures: %v", err)
+				t.Fatalf("drop policy must absorb all terminal failures: %v (%s)", err, pumpState(pump))
 			}
 
 			// Multiplicativity: per-term output count is the product of the
@@ -199,7 +207,7 @@ func (g *gatedSource) Request(args []types.Value) (string, func() ([]types.Tuple
 func TestSettleHandshakeProperties(t *testing.T) {
 	policies := []exec.DegradePolicy{exec.DegradeFail, exec.DegradeDrop, exec.DegradePartial}
 	scenarios := []string{"complete", "cancel", "close"}
-	for iter := 0; iter < 45; iter++ {
+	for iter := 0; iter < 45 && !t.Failed(); iter++ { // stops at the first failing seed, as above
 		seed := int64(7000 + iter)
 		policy, scenario := policies[iter%3], scenarios[(iter/3)%3]
 		t.Run(fmt.Sprintf("seed=%d/%s/%s", seed, policy, scenario), func(t *testing.T) {
@@ -227,9 +235,11 @@ func TestSettleHandshakeProperties(t *testing.T) {
 			termCol := strCol("L", "Term")
 			left := exec.NewValuesScan(schema.New(termCol), tuplesOf(terms))
 			aev := NewAEVScan(src, []expr.Expr{expr.NewColRef(termCol)}, schema.New(strCol("A", "Val")), pump)
-			rs := NewReqSync(exec.NewDependentJoin(left, aev, ""), pump, aev.FilledAttrs())
+			rs := syncOver(exec.NewDependentJoin(left, aev, ""), pump, aev.FilledAttrs())
 
-			qctx, cancel := context.WithCancel(context.Background())
+			// Every schedule ends in milliseconds; the deadline only turns a
+			// wait nothing will end into an error of the wrong kind below.
+			qctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
 			ectx := exec.NewContextWith(qctx)
 			ectx.Degrade = policy
@@ -271,7 +281,7 @@ func TestSettleHandshakeProperties(t *testing.T) {
 			case scenario == "cancel" && errors.Is(err, context.Canceled):
 			case scenario == "close" && errors.Is(err, ErrPumpClosed):
 			default:
-				t.Fatalf("query ended with an error of the wrong kind: %v", err)
+				t.Fatalf("query ended with an error of the wrong kind: %v (%s)", err, pumpState(pump))
 			}
 			got := map[string][]types.Tuple{}
 			for _, r := range rows {
@@ -324,6 +334,14 @@ func TestSettleHandshakeProperties(t *testing.T) {
 			waitGoroutines(t, baseline)
 		})
 	}
+}
+
+// pumpState renders what a stuck query's failure message needs: the
+// pump's own view of what is running, queued, held and in flight where.
+func pumpState(p *Pump) string {
+	running, queued := p.Active()
+	return fmt.Sprintf("pump: running=%d queued=%d held=%d in flight per destination=%v",
+		running, queued, p.Held(), p.DestActive())
 }
 
 // waitGoroutines waits for the goroutine count to come back down to

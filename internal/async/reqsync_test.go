@@ -57,7 +57,36 @@ func buildCountPlan(terms []string, src *scriptedSource, pump *Pump) (*ReqSync, 
 	out := schema.New(strCol("V", "Term"), intCol("V", "Count"))
 	aev := NewAEVScan(src, []expr.Expr{expr.NewColRef(termCol)}, out, pump)
 	dj := exec.NewDependentJoin(left, aev, "")
-	return NewReqSync(dj, pump, aev.FilledAttrs()), dj.Schema()
+	return syncOver(dj, pump, aev.FilledAttrs()), dj.Schema()
+}
+
+// reusedWindows is the producer the pull contract allows and no operator
+// is yet: every window it hands out is overwritten with sentinel tuples
+// before it produces the next, so a ReqSync that reads a window after its
+// next pull — loop carried, or through a field — buffers sentinels and
+// fails the test it runs in. It is the async half of the exec contract
+// harness's leaf (internal/exec/contract_test.go, property 6).
+type reusedWindows struct {
+	exec.Operator
+	window exec.Batch
+}
+
+func (r *reusedWindows) NextBatch(ctx *exec.Context, max int) (exec.Batch, bool, error) {
+	for i, t := range r.window {
+		stale := make(types.Tuple, len(t))
+		for j := range stale {
+			stale[j] = types.Str("<stale window>")
+		}
+		r.window[i] = stale
+	}
+	b, ok, err := r.Operator.NextBatch(ctx, max)
+	r.window = append(exec.Batch(nil), b...)
+	return r.window, ok, err
+}
+
+// syncOver is NewReqSync over a child that reuses its windows.
+func syncOver(child exec.Operator, pump *Pump, a map[schema.AttrID]bool) *ReqSync {
+	return NewReqSync(&reusedWindows{Operator: child}, pump, a)
 }
 
 func tuplesOf(ss []string) []types.Tuple {
@@ -225,7 +254,7 @@ func TestReqSyncMultipleCallsPerTuple(t *testing.T) {
 	for id := range aev2.FilledAttrs() {
 		a[id] = true
 	}
-	rs := NewReqSync(dj2, pump, a)
+	rs := syncOver(dj2, pump, a)
 
 	rows := runOp(t, rs)
 	// Cartesian of 3 AV rows x 2 G rows for the single sig.
@@ -274,7 +303,7 @@ func TestReqSyncMultiCallCancellation(t *testing.T) {
 	for id := range aev2.FilledAttrs() {
 		a[id] = true
 	}
-	rs := NewReqSync(dj2, pump, a)
+	rs := syncOver(dj2, pump, a)
 	rows := runOp(t, rs)
 	if len(rows) != 0 {
 		t.Fatalf("all tuples should cancel, got %v", rows)
@@ -286,7 +315,7 @@ func TestReqSyncPassThroughCompleteTuples(t *testing.T) {
 	pump := NewPump(4, 4, nil)
 	a := intCol("T", "A")
 	scan := exec.NewValuesScan(schema.New(a), []types.Tuple{{types.Int(1)}, {types.Int(2)}})
-	rs := NewReqSync(scan, pump, nil)
+	rs := syncOver(scan, pump, nil)
 	rows := runOp(t, rs)
 	if len(rows) != 2 {
 		t.Errorf("pass-through rows: %v", rows)
@@ -365,7 +394,7 @@ func TestReqSyncPatchesSlabBackedRowsInPlace(t *testing.T) {
 			[]expr.Expr{expr.NewColRef(termCol)}, []expr.Expr{expr.NewColRef(tagTerm)}, nil)
 		ctx := exec.NewContext()
 		ctx.BatchSize = size
-		rows, err := exec.Run(ctx, NewReqSync(hj, pump, aev.FilledAttrs()))
+		rows, err := exec.Run(ctx, syncOver(hj, pump, aev.FilledAttrs()))
 		if err != nil {
 			t.Fatal(err)
 		}

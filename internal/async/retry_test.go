@@ -21,9 +21,13 @@ func (e transientErr) Transient() bool { return true }
 // await runs one registered call to completion and returns its outcome.
 func await(t *testing.T, p *Pump, id types.CallID) CallResult {
 	t.Helper()
-	got, err := p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{id: true})
+	// The scripted calls take their backoffs, tens of milliseconds: one
+	// not done in 5 s waits for a slot that is not coming back.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	got, err := p.AwaitAnyCtx(ctx, map[types.CallID]bool{id: true})
 	if err != nil {
-		t.Fatalf("AwaitAny: %v", err)
+		t.Fatalf("AwaitAny: %v (%s)", err, pumpState(p))
 	}
 	res, ok := p.Take(got)
 	if !ok {
@@ -154,7 +158,7 @@ func waitSettled(t *testing.T, p *Pump) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("pump did not settle: running=%d queued=%d", running, queued)
+			t.Fatalf("pump did not settle: %s", pumpState(p))
 		}
 		time.Sleep(time.Millisecond)
 	}

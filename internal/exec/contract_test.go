@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/expr"
@@ -25,6 +26,12 @@ import (
 //   5. The pull contract: NextBatch(max) returns 1..max tuples when ok,
 //      ok == false is sticky until re-Open, the rows do not depend on max
 //      or on the context's batch size, and max < 1 is an error.
+//   6. A window is read only until the producer's next NextBatch. The
+//      harness leaf is the producer the contract allows and no operator
+//      is yet: it overwrites the window it handed out last time before it
+//      produces the next, so a consumer that reads a stale window — loop
+//      carried, or through a field it stored it in — computes on sentinel
+//      tuples and fails every case above (DESIGN.md §7).
 
 var errInjected = errors.New("injected fault")
 
@@ -35,8 +42,9 @@ var errInjected = errors.New("injected fault")
 type faultOp struct {
 	inner     Operator
 	failOpen  bool
-	failAfter int // fail once failAfter rows have been handed out; -1 = never
-	rows      int // rows handed out since Open
+	failAfter int   // fail once failAfter rows have been handed out; -1 = never
+	rows      int   // rows handed out since Open
+	window    Batch // what the last NextBatch returned: dead at the next one
 	open      bool
 }
 
@@ -55,6 +63,10 @@ func (f *faultOp) Open(ctx *Context) error {
 	return nil
 }
 func (f *faultOp) NextBatch(ctx *Context, max int) (Batch, bool, error) {
+	for i := range f.window {
+		f.window[i] = staleTuple(len(f.window[i]))
+	}
+	f.window = nil
 	if f.failAfter >= 0 {
 		left := f.failAfter - f.rows
 		if left <= 0 {
@@ -66,7 +78,34 @@ func (f *faultOp) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	}
 	b, ok, err := f.inner.NextBatch(ctx, max)
 	f.rows += len(b)
-	return b, ok, err
+	// A window of the leaf's own: scribbling over the inner operator's
+	// would corrupt a ValuesScan's rows for the re-open checks.
+	f.window = append(f.window, b...)
+	return f.window, ok, err
+}
+
+// staleTuple is what a dead window holds: the row's width, so a stale
+// read ends in wrong rows or a type error and not an index panic.
+func staleTuple(width int) types.Tuple {
+	t := make(types.Tuple, width)
+	for i := range t {
+		t[i] = types.Str(staleMark)
+	}
+	return t
+}
+
+const staleMark = "<stale window>"
+
+// checkFresh fails the test if any output row carries a dead window's
+// sentinel. The suite compares an operator with itself (re-open, other
+// batch sizes), and a stale read is wrong the same way every time.
+func checkFresh(t *testing.T, rows []types.Tuple) {
+	t.Helper()
+	for _, r := range rows {
+		if strings.Contains(r.String(), staleMark) {
+			t.Fatalf("output row %v was computed from a window its producer had already replaced", r)
+		}
+	}
 }
 func (f *faultOp) Close() error {
 	f.open = false
@@ -240,6 +279,7 @@ func contractCases() []contractCase {
 // drive the dependent join's BindBatch rounds without the async machinery.
 type batchBoundEV struct {
 	*EVScan
+	failProbe bool // the capability probe itself errors
 }
 
 // Without this the fake could drop out of the interface unnoticed and the
@@ -247,8 +287,11 @@ type batchBoundEV struct {
 var _ BindingBatcher = (*batchBoundEV)(nil)
 
 func (b *batchBoundEV) BindBatch(ctx *Context, cols []schema.Column, outer []types.Tuple) ([][]types.Tuple, bool, error) {
-	if len(outer) == 0 {
-		return nil, true, nil // capability probe
+	if len(outer) == 0 { // capability probe
+		if b.failProbe {
+			return nil, false, errInjected
+		}
+		return nil, true, nil
 	}
 	rows := make([][]types.Tuple, len(outer))
 	for fi, lt := range outer {
@@ -382,6 +425,7 @@ func TestOperatorContractCleanRuns(t *testing.T) {
 			if tc.name != "ValuesScan" && tc.name != "EVScan" && len(first) == 0 {
 				t.Fatalf("degenerate fixture: no rows")
 			}
+			checkFresh(t, first)
 			for i, f := range leaves {
 				if f.open {
 					t.Errorf("leaf %d left open after Run", i)
@@ -450,7 +494,9 @@ func TestOperatorContractPull(t *testing.T) {
 			want := fmt.Sprint(rowStrings(runAll(t, op)))
 			for _, max := range []int{1, 3, 256} {
 				for _, bs := range []int{1, 3, 256} {
-					if got := fmt.Sprint(rowStrings(pullAll(t, op, max, bs))); got != want {
+					rows := pullAll(t, op, max, bs)
+					checkFresh(t, rows)
+					if got := fmt.Sprint(rowStrings(rows)); got != want {
 						t.Errorf("max %d bs %d changed output:\ngot:  %v\nwant: %v", max, bs, got, want)
 					}
 				}
@@ -505,6 +551,53 @@ func TestOperatorContractCloseAfterError(t *testing.T) {
 						t.Errorf("leaf %d %s: Close after error path errored: %v", leaf, point.name, err)
 					}
 				}
+			}
+		})
+	}
+}
+
+// unbindable is an expression whose Bind fails: the one way an operator's
+// Open can fail, children already open, without a child failing.
+type unbindable struct{ expr.Expr }
+
+func (unbindable) Bind(*schema.Schema) error { return errInjected }
+
+// TestOperatorContractCloseAfterOwnOpenError is property 4 for the failure
+// no fault leaf can inject: the operator's own Open fails after it opened a
+// child. Every two-child operator gates Close on an opened flag, so an Open
+// that returns before setting it must have closed what it opened.
+func TestOperatorContractCloseAfterOwnOpenError(t *testing.T) {
+	la, ra := intCol("L", "N"), intCol("R", "N")
+	bad := unbindable{}
+	rkey := []expr.Expr{expr.NewColRef(ra)}
+	for _, tc := range []struct {
+		name string
+		mk   func(l, r *faultOp) Operator
+	}{
+		{"NestedLoopJoin", func(l, r *faultOp) Operator { return NewNestedLoopJoin(l, r, bad) }},
+		{"HashJoin", func(l, r *faultOp) Operator { return NewHashJoin(l, r, []expr.Expr{bad}, rkey, nil) }},
+		{"HashJoinResidual", func(l, r *faultOp) Operator {
+			return NewHashJoin(l, r, []expr.Expr{expr.NewColRef(la)}, rkey, bad)
+		}},
+		{"HashSemiJoin", func(l, r *faultOp) Operator { return NewHashSemiJoin(l, r, []expr.Expr{bad}, rkey) }},
+		{"DependentJoinProbe", func(l, _ *faultOp) Operator {
+			src := &fakeSource{name: "WC", rowsFor: func(string) []types.Tuple { return nil }}
+			ev := NewEVScan(src, []expr.Expr{expr.NewColRef(la)}, fakeSchema("V"))
+			return NewDependentJoin(l, &batchBoundEV{EVScan: ev, failProbe: true}, "V")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := newFault(NewValuesScan(schema.New(la), intRows(1, 2)))
+			r := newFault(NewValuesScan(schema.New(ra), intRows(2, 3)))
+			op := tc.mk(l, r)
+			if _, err := Run(NewContext(), op); !errors.Is(err, errInjected) {
+				t.Fatalf("Run error = %v, want the injected Open failure", err)
+			}
+			if l.open || r.open {
+				t.Errorf("left open = %v, right open = %v after the operator's own Open failed", l.open, r.open)
+			}
+			if err := op.Close(); err != nil {
+				t.Errorf("Close after a failed Open errored: %v", err)
 			}
 		})
 	}

@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/exec"
-	"repro/internal/obs"
 	"repro/internal/search"
 	"repro/internal/types"
 	"repro/internal/websim"
@@ -64,12 +63,6 @@ type Env struct {
 	// nil unless Options.Faults was set.
 	FlakyAV, FlakyGoogle *search.Flaky
 
-	// SyncLatency and AsyncLatency accumulate per-query wall time (seconds)
-	// across every TimedRun, one histogram per execution mode. They are
-	// deliberately not cleared by ResetBetweenRuns: percentile reporting
-	// (wsqbench -json-out) wants the whole experiment's distribution.
-	SyncLatency, AsyncLatency *obs.Histogram
-
 	servers []*http.Server
 }
 
@@ -79,10 +72,7 @@ type Env struct {
 // CSFields, and Movies tables.
 func NewEnv(opts Options) (*Env, error) {
 	corpus := websim.Default()
-	env := &Env{
-		SyncLatency:  obs.NewHistogram(nil),
-		AsyncLatency: obs.NewHistogram(nil),
-	}
+	env := &Env{}
 	// One seeded RNG per engine, shared by the latency wrapper and the
 	// fault injector so a single seed fixes the whole stochastic schedule.
 	avRng := search.NewRand(1000 + opts.Seed)
@@ -292,19 +282,13 @@ func TemplateQueries(n, run, instances int) ([]string, error) {
 func TimedRun(ctx context.Context, env *Env, queries []string, async bool) (time.Duration, error) {
 	env.DB.SetAsync(async)
 	env.ResetBetweenRuns()
-	hist := env.SyncLatency
-	if async {
-		hist = env.AsyncLatency
-	}
 	var total time.Duration
 	for _, q := range queries {
 		start := time.Now()
 		if _, err := env.DB.QueryContext(ctx, q); err != nil {
 			return 0, fmt.Errorf("%s: %w", firstLine(q), err)
 		}
-		d := time.Since(start)
-		hist.ObserveDuration(d)
-		total += d
+		total += time.Since(start)
 	}
 	return total / time.Duration(len(queries)), nil
 }
@@ -358,21 +342,6 @@ func RunTemplate(ctx context.Context, env *Env, template, run, instances int) (R
 		res.Improvement = float64(syncMean) / float64(asyncMean)
 	}
 	return res, nil
-}
-
-// Table1 runs the full experiment: three templates × two runs.
-func Table1(ctx context.Context, env *Env, instances int) ([]RunResult, error) {
-	var out []RunResult
-	for tmpl := 1; tmpl <= 3; tmpl++ {
-		for run := 1; run <= 2; run++ {
-			r, err := RunTemplate(ctx, env, tmpl, run, instances)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, r)
-		}
-	}
-	return out, nil
 }
 
 // FormatTable1 renders results in the layout of the paper's Table 1.

@@ -54,10 +54,7 @@ func (*ctxFlow) Doc() string {
 	return "exported functions performing pump or network calls must take a context.Context; context.Background()/TODO() only in main packages, tests, and nil-context defaults"
 }
 
-// Check satisfies Rule; ctxFlow runs via CheckProgram.
-func (r *ctxFlow) Check(pkg *Package) []Diagnostic { return nil }
-
-func (r *ctxFlow) CheckProgram(prog *Program) []Diagnostic {
+func (r *ctxFlow) Check(prog *Program) []Diagnostic {
 	var diags []Diagnostic
 	eff := r.effectfulFuncs(prog)
 	for _, pkg := range prog.Pkgs {
@@ -84,7 +81,7 @@ func (r *ctxFlow) effectfulFuncs(prog *Program) map[*FuncInfo]bool {
 	eff := make(map[*FuncInfo]bool)
 	for _, fi := range prog.Funcs {
 		hasCtx[fi] = hasCtxParam(fi.File, fi.Decl.Type)
-		if !hasCtx[fi] && r.firstEffectfulCall(fi.Pkg, fi.File, fi.Decl.Body, nil) != nil {
+		if !hasCtx[fi] && r.firstEffectfulCall(fi.Pkg, fi.File, fi.Decl.Body) != nil {
 			eff[fi] = true
 		}
 	}
@@ -107,7 +104,6 @@ func (r *ctxFlow) effectfulFuncs(prog *Program) map[*FuncInfo]bool {
 }
 
 func (r *ctxFlow) checkExported(prog *Program, pkg *Package, eff map[*FuncInfo]bool) []Diagnostic {
-	helpers := r.effectfulHelpers(pkg)
 	var diags []Diagnostic
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
@@ -119,7 +115,7 @@ func (r *ctxFlow) checkExported(prog *Program, pkg *Package, eff map[*FuncInfo]b
 				continue
 			}
 			what := ""
-			if call := r.firstEffectfulCall(pkg, f, fd.Body, helpers); call != nil {
+			if call := r.firstEffectfulCall(pkg, f, fd.Body); call != nil {
 				recv, name := callee(call)
 				what = name
 				if recv != "" {
@@ -180,50 +176,10 @@ func hasCtxParam(f *ast.File, ft *ast.FuncType) bool {
 	return false
 }
 
-// effectfulHelpers computes, as a fixed point by name, the unexported
-// functions of the package that (transitively) perform a pump or
-// network call without threading a context parameter. An exported
-// wrapper around such a helper is as context-blind as a direct caller —
-// search.Client.Count -> c.get -> http.Get is the canonical chain.
-func (r *ctxFlow) effectfulHelpers(pkg *Package) map[string]bool {
-	type fn struct {
-		file *ast.File
-		body *ast.BlockStmt
-	}
-	unexported := make(map[string]fn)
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || fd.Name.IsExported() {
-				continue
-			}
-			if hasCtxParam(f, fd.Type) {
-				continue // the helper is cancellable; its callers are fine
-			}
-			unexported[fd.Name.Name] = fn{file: f, body: fd.Body}
-		}
-	}
-	helpers := make(map[string]bool)
-	for changed := true; changed; {
-		changed = false
-		for name, fd := range unexported {
-			if helpers[name] {
-				continue
-			}
-			if r.firstEffectfulCall(pkg, fd.file, fd.body, helpers) != nil {
-				helpers[name] = true
-				changed = true
-			}
-		}
-	}
-	return helpers
-}
-
-// firstEffectfulCall finds a direct pump/network call — or a call into
-// an effectful unexported helper — in body, ignoring nested function
-// literals (a closure runs under whatever context its eventual caller
-// supplies).
-func (r *ctxFlow) firstEffectfulCall(pkg *Package, f *ast.File, body *ast.BlockStmt, helpers map[string]bool) *ast.CallExpr {
+// firstEffectfulCall finds a direct pump/network call in body, ignoring
+// nested function literals (a closure runs under whatever context its
+// eventual caller supplies).
+func (r *ctxFlow) firstEffectfulCall(pkg *Package, f *ast.File, body *ast.BlockStmt) *ast.CallExpr {
 	var found *ast.CallExpr
 	httpName, hasHTTP := importName(f, "net/http")
 	inspectShallow(body, func(n ast.Node) bool {
@@ -236,15 +192,10 @@ func (r *ctxFlow) firstEffectfulCall(pkg *Package, f *ast.File, body *ast.BlockS
 		}
 		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 		if !ok {
-			if _, name := callee(call); helpers[name] {
-				found = call
-			}
 			return true
 		}
 		recv, name := callee(call)
 		switch {
-		case helpers[name] && recvIsLocal(pkg, sel):
-			found = call
 		case r.pumpMethods[name]:
 			// Resolve ambiguity with type info when we have it: Register
 			// and AwaitAny-like names exist on other types too.
@@ -266,17 +217,6 @@ func (r *ctxFlow) firstEffectfulCall(pkg *Package, f *ast.File, body *ast.BlockS
 		return true
 	})
 	return found
-}
-
-// recvIsLocal reports whether a selector call targets a method of this
-// package (so an unexported-helper name match like c.get counts only
-// for local receivers). Without type info it optimistically says yes.
-func recvIsLocal(pkg *Package, sel *ast.SelectorExpr) bool {
-	named := recvNamed(pkg, sel)
-	if named == nil || named.Obj() == nil || named.Obj().Pkg() == nil {
-		return true
-	}
-	return named.Obj().Pkg().Path() == pkg.Path
 }
 
 // --- sub-check 2: no context.Background()/TODO() ----------------------

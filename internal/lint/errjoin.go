@@ -34,7 +34,7 @@ var errJoinScopes = []string{
 	"internal/shard", "internal/server", "internal/cache",
 }
 
-func (r *errJoin) CheckProgram(prog *Program) []Diagnostic {
+func (r *errJoin) Check(prog *Program) []Diagnostic {
 	var diags []Diagnostic
 	for _, fi := range prog.Funcs {
 		if !pathMatch(fi.Pkg.Path, errJoinScopes...) {
@@ -150,6 +150,3 @@ func typeIsError(t types.Type) bool {
 	}
 	return false
 }
-
-// Check satisfies Rule; errJoin only runs via CheckProgram.
-func (*errJoin) Check(*Package) []Diagnostic { return nil }

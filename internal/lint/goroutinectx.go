@@ -44,10 +44,7 @@ var cancelChanRx = regexp.MustCompile(`(?i)^(done|stop|stopped|quit|exit|closed?
 // wgNameRx is the no-type-info fallback for WaitGroup receivers.
 var wgNameRx = regexp.MustCompile(`(?i)(^|\.)wg$|waitgroup$`)
 
-// Check satisfies Rule; goroutineCtx runs via CheckProgram.
-func (r *goroutineCtx) Check(pkg *Package) []Diagnostic { return nil }
-
-func (r *goroutineCtx) CheckProgram(prog *Program) []Diagnostic {
+func (r *goroutineCtx) Check(prog *Program) []Diagnostic {
 	cancellable := r.cancellableFuncs(prog)
 	var diags []Diagnostic
 	for _, pkg := range prog.Pkgs {

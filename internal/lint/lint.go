@@ -11,16 +11,13 @@
 //
 // The suite is built entirely on the standard library: go/ast, go/parser
 // and go/types for analysis, and one `go list -json` invocation for
-// package discovery. Diagnostics carry file:line:col positions, can be
-// emitted as stable JSON for CI annotation, and are suppressible per
-// rule with
+// package discovery. Diagnostics carry file:line:col positions and can be
+// emitted as stable JSON for CI annotation. There is no suppression
+// comment: a finding is fixed at the source or the rule is changed.
 //
-//	//lint:ignore <rule> <reason>
-//
-// on the line before (or at the end of) the flagged line, or in the doc
-// comment of a declaration to suppress the rule for that whole
-// declaration. The reason is mandatory: an unexplained suppression is
-// itself reported.
+// Every rule here has been measured by mutation (DESIGN.md §7): its bug
+// was seeded into the real tree, and the rule stays because for at least
+// one such mutant nothing else in `make check` fails.
 package lint
 
 import (
@@ -68,18 +65,16 @@ func (p *Package) Position(pos token.Pos) token.Position { return p.Fset.Positio
 
 // Rule is one invariant checker.
 type Rule interface {
-	// Name is the identifier used in output and //lint:ignore comments.
+	// Name is the identifier used in output and by wsqlint -rules.
 	Name() string
 	// Doc is a one-line description of the encoded invariant.
 	Doc() string
-	// Check reports the rule's diagnostics for one package. Suppression
-	// is applied by Run, not by the rule.
-	Check(pkg *Package) []Diagnostic
+	// Check reports the rule's diagnostics over the whole loaded package
+	// set and its call graph.
+	Check(prog *Program) []Diagnostic
 }
 
-// AllRules returns the full suite in stable order. The first five are
-// the original intra-procedural rules; the last four run on the shared
-// interprocedural Program built over the whole loaded package set.
+// AllRules returns the full suite in stable order.
 func AllRules() []Rule {
 	return []Rule{
 		newSlotBalance(),
@@ -87,8 +82,6 @@ func AllRules() []Rule {
 		newSeededRand(),
 		newLockScope(),
 		newGoroutineCtx(),
-		newCloseBalance(),
-		newBatchWindow(),
 		newLockOrder(),
 		newErrJoin(),
 	}
@@ -103,52 +96,13 @@ func RuleNames(rules []Rule) []string {
 	return out
 }
 
-// Run checks every package with every rule, applies //lint:ignore
-// suppressions, folds in malformed-suppression diagnostics, and returns
-// the surviving findings sorted by position then rule.
+// Run builds the Program once, checks it with every rule, and returns the
+// findings sorted by position then rule.
 func Run(pkgs []*Package, rules []Rule) []Diagnostic {
-	return run(pkgs, rules, true)
-}
-
-// RunNoIgnore is Run with //lint:ignore suppression disabled: every raw
-// diagnostic survives. The check gate uses it to hold designated
-// packages (internal/obs must stay ctxflow-clean) to an exemption-free
-// standard.
-func RunNoIgnore(pkgs []*Package, rules []Rule) []Diagnostic {
-	return run(pkgs, rules, false)
-}
-
-func run(pkgs []*Package, rules []Rule, applyIgnores bool) []Diagnostic {
+	prog := BuildProgram(pkgs)
 	var out []Diagnostic
-	// Suppressions are collected per package but applied from one merged
-	// table: interprocedural rules emit diagnostics for any package, and
-	// filenames are unique across the load, so merging is sound.
-	merged := &suppressions{byRule: make(map[string][]span)}
-	for _, pkg := range pkgs {
-		sup := collectSuppressions(pkg)
-		out = append(out, sup.malformed...)
-		for rule, spans := range sup.byRule {
-			merged.byRule[rule] = append(merged.byRule[rule], spans...)
-		}
-	}
-	var prog *Program
 	for _, r := range rules {
-		var raw []Diagnostic
-		if pr, ok := r.(ProgramRule); ok {
-			if prog == nil {
-				prog = BuildProgram(pkgs)
-			}
-			raw = pr.CheckProgram(prog)
-		} else {
-			for _, pkg := range pkgs {
-				raw = append(raw, r.Check(pkg)...)
-			}
-		}
-		for _, d := range raw {
-			if !applyIgnores || !merged.covers(r.Name(), d.Pos) {
-				out = append(out, d)
-			}
-		}
+		out = append(out, r.Check(prog)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

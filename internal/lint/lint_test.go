@@ -126,54 +126,51 @@ func runFixture(t *testing.T, name, asPath string, ruleNames []string) {
 	}
 }
 
+// fixtureCases names, per fixture package, the import path it is loaded
+// under and the rules run over it.
+var fixtureCases = []struct {
+	dir    string
+	asPath string
+	rules  []string
+}{
+	{"slotbalance", "repro/internal/async", []string{"slotbalance"}},
+	{"ctxflow", "repro/internal/async", []string{"ctxflow"}},
+	{"seededrand", "repro/internal/websim", []string{"seededrand"}},
+	// The blessed file: internal/search/rand.go may import math/rand.
+	{"seededrand_allowed", "repro/internal/search", []string{"seededrand"}},
+	{"lockscope", "repro/internal/server", []string{"lockscope"}},
+	{"lockscope_pump", "repro/internal/async", []string{"lockscope"}},
+	{"goroutinectx", "repro/internal/async", []string{"goroutinectx"}},
+	{"lockorder", "repro/internal/server", []string{"lockorder"}},
+	{"errjoin", "repro/internal/exec", []string{"errjoin"}},
+}
+
 func TestFixtures(t *testing.T) {
-	cases := []struct {
-		dir    string
-		asPath string
-		rules  []string
-	}{
-		{"slotbalance", "repro/internal/async", []string{"slotbalance"}},
-		{"ctxflow", "repro/internal/async", []string{"ctxflow"}},
-		{"seededrand", "repro/internal/websim", []string{"seededrand"}},
-		// The blessed file: internal/search/rand.go may import math/rand.
-		{"seededrand_allowed", "repro/internal/search", []string{"seededrand"}},
-		{"lockscope", "repro/internal/server", []string{"lockscope"}},
-		{"lockscope_pump", "repro/internal/async", []string{"lockscope"}},
-		{"goroutinectx", "repro/internal/async", []string{"goroutinectx"}},
-		{"closebalance", "repro/internal/exec", []string{"closebalance"}},
-		{"batchwindow", "repro/internal/exec", []string{"batchwindow"}},
-		{"lockorder", "repro/internal/server", []string{"lockorder"}},
-		{"errjoin", "repro/internal/exec", []string{"errjoin"}},
-	}
-	for _, tc := range cases {
+	for _, tc := range fixtureCases {
 		t.Run(tc.dir, func(t *testing.T) { runFixture(t, tc.dir, tc.asPath, tc.rules) })
 	}
 }
 
-// TestMalformedIgnore checks that a reason-less //lint:ignore is itself
-// reported and does not suppress the diagnostic it sits next to.
-func TestMalformedIgnore(t *testing.T) {
-	pkg := loadFixture(t, filepath.Join("testdata", "src", "ignore"), "repro/internal/ignorefix")
-	diags := Run([]*Package{pkg}, rulesByName(t, []string{"seededrand"}))
-	var gotMalformed, gotSeeded bool
-	for _, d := range diags {
-		switch d.Rule {
-		case "ignore":
-			if !strings.Contains(d.Message, "malformed") {
-				t.Errorf("ignore diagnostic without 'malformed': %s", d)
-			}
-			gotMalformed = true
-		case "seededrand":
-			gotSeeded = true
-		default:
-			t.Errorf("unexpected diagnostic: %s", d)
+// TestEveryRuleFiresOnItsFixture: a rule stays in the suite because a
+// mutant of the real tree gets past everything else (DESIGN.md §7), and
+// that mutant's shape is a want-marked case of the rule's fixture. A rule
+// with no fixture, or a fixture with no expected diagnostic, has lost the
+// evidence it is kept on.
+func TestEveryRuleFiresOnItsFixture(t *testing.T) {
+	wants := make(map[string]int)
+	for _, tc := range fixtureCases {
+		n := 0
+		for _, perLine := range parseWants(t, filepath.Join("testdata", "src", tc.dir)) {
+			n += len(perLine)
+		}
+		for _, r := range tc.rules {
+			wants[r] += n
 		}
 	}
-	if !gotMalformed {
-		t.Error("expected a malformed-ignore diagnostic, got none")
-	}
-	if !gotSeeded {
-		t.Error("expected the math/rand import to stay flagged (malformed ignore must not suppress)")
+	for _, name := range RuleNames(AllRules()) {
+		if wants[name] == 0 {
+			t.Errorf("rule %s has no fixture case with a want marker", name)
+		}
 	}
 }
 
@@ -182,7 +179,7 @@ func TestMalformedIgnore(t *testing.T) {
 func TestRuleMetadata(t *testing.T) {
 	want := []string{
 		"slotbalance", "ctxflow", "seededrand", "lockscope", "goroutinectx",
-		"closebalance", "batchwindow", "lockorder", "errjoin",
+		"lockorder", "errjoin",
 	}
 	got := RuleNames(AllRules())
 	if fmt.Sprint(got) != fmt.Sprint(want) {

@@ -60,9 +60,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// Fset exposes the loader's file set (shared by every loaded package).
-func (ld *Loader) Fset() *token.FileSet { return ld.fset }
-
 func findModuleRoot(dir string) (string, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {

@@ -51,7 +51,7 @@ type loEdge struct {
 	via string
 }
 
-func (r *lockOrder) CheckProgram(prog *Program) []Diagnostic {
+func (r *lockOrder) Check(prog *Program) []Diagnostic {
 	acq := r.transitiveAcquires(prog)
 	edges := map[[2]string]loEdge{} // first witness per (from,to)
 	for _, fi := range prog.Funcs {
@@ -307,6 +307,3 @@ func (r *lockOrder) cycleDiag(cyc []string, edges map[[2]string]loEdge, reported
 			strings.Join(parts, "; ") + "; pick one global order and release before crossing layers",
 	}}
 }
-
-// Check satisfies Rule; lockOrder only runs via CheckProgram.
-func (*lockOrder) Check(*Package) []Diagnostic { return nil }

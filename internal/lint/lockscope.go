@@ -16,32 +16,25 @@ import (
 //     unlock manually for latency, and one missed path wedges every
 //     future query (ReqPump waiters park on p.cond under p.mu forever).
 //
-//  2. While any lock is held, no channel send/receive, select, or
-//     blocking pump operation (RegisterCtx, AwaitAnyCtx, ...) may run:
-//     those park the goroutine for unbounded time with the lock held,
-//     turning a slow external call into a server-wide stall.
+//  2. While any lock is held, no channel send/receive or select may
+//     run: those park the goroutine for unbounded time with the lock
+//     held, turning a slow external call into a server-wide stall.
 //     sync.Cond Wait/Signal/Broadcast are exempt (Wait releases the
 //     mutex by contract).
 //
 // The walker mirrors slotbalance's structured abstract interpretation,
 // with a held-lock set keyed by the receiver chain ("s.mu", "p.rngMu").
-type lockScope struct {
-	pumpBlocking map[string]bool
-}
+// It reads one function at a time: a lock held across a call that blocks
+// somewhere below — a whole query run under a server lock — is beyond it
+// (DESIGN.md §7, mutant lockscope5).
+type lockScope struct{}
 
-func newLockScope() *lockScope {
-	return &lockScope{
-		pumpBlocking: map[string]bool{
-			"Register": true, "RegisterCtx": true, "AwaitAny": true,
-			"AwaitAnyCtx": true, "CallWithRetry": true,
-		},
-	}
-}
+func newLockScope() *lockScope { return &lockScope{} }
 
 func (*lockScope) Name() string { return "lockscope" }
 
 func (*lockScope) Doc() string {
-	return "manual mu.Lock() must unlock on every return path; no channel operations or blocking pump calls while a lock is held"
+	return "manual mu.Lock() must unlock on every return path; no channel operations while a lock is held"
 }
 
 // mutexNameRx is the fallback when type information is unavailable:
@@ -69,24 +62,20 @@ func (r *lockScope) isMutexRecv(pkg *Package, call *ast.CallExpr) (key string, o
 	return path, mutexNameRx.MatchString(lastSegment(path))
 }
 
-func (r *lockScope) Check(pkg *Package) []Diagnostic {
+func (r *lockScope) Check(prog *Program) []Diagnostic {
 	var diags []Diagnostic
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			w := &lsWalker{rule: r, pkg: pkg, fname: fd.Name.Name}
-			st := w.block(fd.Body.List, lsState{held: map[string]token.Pos{}, deferred: map[string]bool{}})
-			w.checkExit(fd.Body.End(), st)
-			diags = append(diags, w.diags...)
-			for _, lit := range funcLits(fd.Body) {
-				lw := &lsWalker{rule: r, pkg: pkg, fname: fd.Name.Name + " (func literal)"}
-				lst := lw.block(lit.Body.List, lsState{held: map[string]token.Pos{}, deferred: map[string]bool{}})
-				lw.checkExit(lit.Body.End(), lst)
-				diags = append(diags, lw.diags...)
-			}
+	// Each body — a declaration's, and every function literal's under it
+	// — is its own scope, walked from an empty held set.
+	walk := func(fi *FuncInfo, fname string, body *ast.BlockStmt) {
+		w := &lsWalker{rule: r, pkg: fi.Pkg, fname: fname}
+		st := w.block(body.List, lsState{held: map[string]token.Pos{}, deferred: map[string]bool{}})
+		w.checkExit(body.End(), st)
+		diags = append(diags, w.diags...)
+	}
+	for _, fi := range prog.Funcs {
+		walk(fi, fi.Decl.Name.Name, fi.Decl.Body)
+		for _, lit := range funcLits(fi.Decl.Body) {
+			walk(fi, fi.Decl.Name.Name+" (func literal)", lit.Body)
 		}
 	}
 	return diags
@@ -179,8 +168,7 @@ func (w *lsWalker) scanEffects(n ast.Node, st lsState) lsState {
 	inspectShallow(n, func(c ast.Node) bool {
 		switch x := c.(type) {
 		case *ast.CallExpr:
-			recv, name := callee(x)
-			switch name {
+			switch _, name := callee(x); name {
 			case "Lock", "RLock":
 				if key, ok := w.rule.isMutexRecv(w.pkg, x); ok {
 					st.held[key] = x.Pos()
@@ -189,17 +177,6 @@ func (w *lsWalker) scanEffects(n ast.Node, st lsState) lsState {
 				if key, ok := w.rule.isMutexRecv(w.pkg, x); ok {
 					delete(st.held, key)
 					delete(st.deferred, key)
-				}
-			default:
-				if w.rule.pumpBlocking[name] && w.isPumpCall(x) {
-					if k, held := st.anyHeld(); held {
-						w.diags = append(w.diags, Diagnostic{
-							Pos:  w.pkg.Position(x.Pos()),
-							Rule: w.rule.Name(),
-							Message: fmt.Sprintf("in %s: blocking pump call %s.%s while holding %s; "+
-								"a slow external call would stall every goroutine contending for the lock", w.fname, recv, name, k),
-						})
-					}
 				}
 			}
 		case *ast.SendStmt:
@@ -212,19 +189,6 @@ func (w *lsWalker) scanEffects(n ast.Node, st lsState) lsState {
 		return true
 	})
 	return st
-}
-
-// isPumpCall refines a blocking-name match with type info when present:
-// only methods on async.Pump count.
-func (w *lsWalker) isPumpCall(call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	if named := recvNamed(w.pkg, sel); named != nil {
-		return isNamedType(named, "internal/async", "Pump")
-	}
-	return true // unresolved: assume the name means what it says
 }
 
 func (w *lsWalker) checkChanOp(pos token.Pos, what string, st lsState) {

@@ -3,13 +3,12 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
-// Program is the interprocedural view shared by the cross-function
-// rules: every loaded package's function declarations indexed under a
-// stable key, with outgoing calls resolved through go/types where
-// possible and by name within a package otherwise.
+// Program is what every rule checks: the loaded packages, and every
+// function declaration in them indexed under a stable key, with outgoing
+// calls resolved through go/types where possible and by name within a
+// package otherwise.
 //
 // Each package is type-checked in its own universe (dependencies are
 // re-checked signature-only by the loader's importer), so two
@@ -96,21 +95,6 @@ func BuildProgram(pkgs []*Package) *Program {
 
 // FuncOf returns the info for a declaration (nil for bodyless decls).
 func (p *Program) FuncOf(fd *ast.FuncDecl) *FuncInfo { return p.Funcs[fd] }
-
-// Lookup finds a function by package path suffix, receiver type and
-// name, e.g. Lookup("internal/async", "Pump", "run").
-func (p *Program) Lookup(pkgSuffix, recvType, name string) *FuncInfo {
-	for key, fi := range p.byKey {
-		if fi.RecvType != recvType || fi.Decl.Name.Name != name {
-			continue
-		}
-		path := strings.TrimSuffix(key, "."+recvType+"."+name)
-		if pathMatch(path, pkgSuffix) {
-			return fi
-		}
-	}
-	return nil
-}
 
 // recvTypeName extracts a declaration's receiver type name
 // syntactically ("Pump" for `func (p *Pump) run()`), handling pointer
@@ -227,14 +211,6 @@ func (p *Program) resolveTarget(pkg *Package, call *ast.CallExpr) *FuncInfo {
 		return nil
 	}
 	return p.byKey[key]
-}
-
-// ProgramRule is a rule that analyzes the whole loaded package set at
-// once (call-graph rules). Run builds the Program once and dispatches;
-// the embedded Rule's Check method is not used for these.
-type ProgramRule interface {
-	Rule
-	CheckProgram(prog *Program) []Diagnostic
 }
 
 // fixedPoint iterates mark over every function until no new function is

@@ -21,24 +21,26 @@ func (*seededRand) Doc() string {
 	return "math/rand may be imported only by internal/search/rand.go; all other randomness must flow through the seeded search.Rand"
 }
 
-func (r *seededRand) Check(pkg *Package) []Diagnostic {
+func (r *seededRand) Check(prog *Program) []Diagnostic {
 	var diags []Diagnostic
-	for _, f := range pkg.Files {
-		filename := pkg.Position(f.Pos()).Filename
-		if pathMatch(pkg.Path, "internal/search") && filepath.Base(filename) == "rand.go" {
-			continue // the one blessed wrapper
-		}
-		for _, imp := range f.Imports {
-			p := strings.Trim(imp.Path.Value, `"`)
-			if p != "math/rand" && p != "math/rand/v2" {
-				continue
+	for _, pkg := range prog.Pkgs {
+		for _, f := range pkg.Files {
+			filename := pkg.Position(f.Pos()).Filename
+			if pathMatch(pkg.Path, "internal/search") && filepath.Base(filename) == "rand.go" {
+				continue // the one blessed wrapper
 			}
-			diags = append(diags, Diagnostic{
-				Pos:  pkg.Position(imp.Pos()),
-				Rule: r.Name(),
-				Message: "direct " + p + " import breaks seeded reproducibility; " +
-					"use the locked search.Rand stream (internal/search/rand.go) instead",
-			})
+			for _, imp := range f.Imports {
+				p := strings.Trim(imp.Path.Value, `"`)
+				if p != "math/rand" && p != "math/rand/v2" {
+					continue
+				}
+				diags = append(diags, Diagnostic{
+					Pos:  pkg.Position(imp.Pos()),
+					Rule: r.Name(),
+					Message: "direct " + p + " import breaks seeded reproducibility; " +
+						"use the locked search.Rand stream (internal/search/rand.go) instead",
+				})
+			}
 		}
 	}
 	// Dot-imports aside, use without import is impossible, so flagging

@@ -20,8 +20,17 @@ import (
 // The analysis is an abstract interpretation over the structured AST:
 // one boolean of state ("a token is held"), branch joins that keep a
 // path holding, and an interprocedural may-release summary computed as
-// a fixed point over the package (so `go p.run(c)` counts as a handoff
-// because run -> execute -> complete eventually releases).
+// a fixed point over the call graph (so `go p.run(c)` counts as a handoff
+// because run -> execute -> complete eventually releases). Two refinements
+// keep it honest on the pump's retry loop, where the token is held or not
+// according to a mode flag: a bool that is set once and tested bare (`if
+// inline`) is assumed true for one walk of the function and false for
+// another, so `if inline { A } ... if inline { B }` is read as the two
+// paths that exist and not the four that do not; and a loop whose body
+// can reach its back edge holding a token is walked a second time from
+// that state, where the next iteration's acquire meets the token the last
+// one kept — a leak that a may-release callee after the loop would
+// otherwise hide.
 type slotBalance struct {
 	acquireUncond map[string]bool // acquire that cannot fail
 	acquireErr    map[string]bool // acquire returning error (nil => held)
@@ -44,86 +53,125 @@ func (*slotBalance) Doc() string {
 	return "every pump slot acquired in internal/async must be released or handed off on all control-flow paths"
 }
 
-func (r *slotBalance) Check(pkg *Package) []Diagnostic {
-	if !pathMatch(pkg.Path, "internal/async") {
-		return nil
+func (r *slotBalance) Check(prog *Program) []Diagnostic {
+	inScope := func(fi *FuncInfo) bool { return pathMatch(fi.Pkg.Path, "internal/async") }
+	// May-release summary, by name: the pump's helpers are unexported and
+	// unambiguous inside the one package in scope.
+	releasers := make(map[string]bool)
+	for name := range r.release {
+		releasers[name] = true
 	}
-	releasers := r.releaserSummary(pkg)
+	prog.fixedPoint(func(fi *FuncInfo) bool {
+		if !inScope(fi) || releasers[fi.Decl.Name.Name] {
+			return false
+		}
+		for _, e := range fi.Calls {
+			if _, name := callee(e.Call); releasers[name] {
+				releasers[fi.Decl.Name.Name] = true
+				return true
+			}
+		}
+		return false
+	})
 	var diags []Diagnostic
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+	seen := make(map[Diagnostic]bool)
+	for _, fi := range prog.Funcs {
+		name := fi.Decl.Name.Name
+		// The primitives themselves legitimately end while holding or
+		// after dropping a token; only their callers are checked.
+		if !inScope(fi) || r.acquireUncond[name] || r.acquireErr[name] || r.acquireTry[name] || r.release[name] {
+			continue
+		}
+		local := localReleasers(fi.Decl.Body, releasers)
+		// The declaration's body and every function literal under it are
+		// separate accounting scopes, each walked once per assumption.
+		scopes := []*ast.BlockStmt{fi.Decl.Body}
+		for _, lit := range funcLits(fi.Decl.Body) {
+			scopes = append(scopes, lit.Body)
+		}
+		for i, body := range scopes {
+			fname := name
+			if i > 0 {
+				fname += " (func literal)"
 			}
-			name := fd.Name.Name
-			// The primitives themselves legitimately end while holding or
-			// after dropping a token; only their callers are checked.
-			if r.acquireUncond[name] || r.acquireErr[name] || r.acquireTry[name] || r.release[name] {
-				continue
-			}
-			w := &sbWalker{rule: r, pkg: pkg, releasers: releasers, fname: name}
-			w.local = localReleasers(fd.Body, func(n ast.Node) bool { return w.releasesShallow(n) })
-			st := w.block(fd.Body.List, sbState{})
-			w.checkExit(fd.Body.End(), st)
-			diags = append(diags, w.diags...)
-			// Function literals are their own accounting scopes.
-			for _, lit := range funcLits(fd.Body) {
-				lw := &sbWalker{rule: r, pkg: pkg, releasers: releasers, fname: name + " (func literal)", local: w.local}
-				lst := lw.block(lit.Body.List, sbState{})
-				lw.checkExit(lit.Body.End(), lst)
-				diags = append(diags, lw.diags...)
+			for _, assume := range assumptions(modeFlags(fi.Decl, body)) {
+				w := &sbWalker{rule: r, pkg: fi.Pkg, releasers: releasers, local: local, fname: fname, assume: assume}
+				w.checkExit(body.End(), w.block(body.List, sbState{}))
+				for _, d := range w.diags {
+					if !seen[d] {
+						seen[d] = true
+						diags = append(diags, d)
+					}
+				}
 			}
 		}
 	}
 	return diags
 }
 
-// releaserSummary computes, by name, which package functions may release
-// a token — directly or by calling (possibly in a goroutine) another
-// releasing function. Names are enough inside one package: the pump's
-// helpers are unexported and unambiguous.
-func (r *slotBalance) releaserSummary(pkg *Package) map[string]bool {
-	releasers := make(map[string]bool)
-	for name := range r.release {
-		releasers[name] = true
-	}
-	bodies := make(map[string]*ast.BlockStmt)
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				bodies[fd.Name.Name] = fd.Body
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for name, body := range bodies {
-			if releasers[name] {
-				continue
-			}
-			calls := false
-			ast.Inspect(body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if _, callee := callee(call); releasers[callee] {
-						calls = true
-					}
+// modeFlags returns the identifiers body tests bare (`if x`, `if !x`)
+// that nothing in the declaration reassigns: parameters and variables
+// defined once. Assuming a value for one cannot contradict the code.
+func modeFlags(decl *ast.FuncDecl, body *ast.BlockStmt) []string {
+	assigned := make(map[string]bool)
+	ast.Inspect(decl, func(n ast.Node) bool {
+		if x, ok := n.(*ast.AssignStmt); ok && x.Tok != token.DEFINE {
+			for _, lhs := range x.Lhs {
+				if id, ok := lhs.(*ast.Ident); ok {
+					assigned[id.Name] = true
 				}
-				return !calls
-			})
-			if calls {
-				releasers[name] = true
-				changed = true
 			}
 		}
+		return true
+	})
+	var flags []string
+	inspectShallow(body, func(n ast.Node) bool {
+		if ifs, ok := n.(*ast.IfStmt); ok {
+			if name, _, ok := bareFlag(ifs.Cond); ok && !assigned[name] {
+				assigned[name] = true // listed once
+				flags = append(flags, name)
+			}
+		}
+		return true
+	})
+	return flags
+}
+
+// bareFlag matches the conditions `x` and `!x`, returning x and the
+// value of x under which the condition holds.
+func bareFlag(cond ast.Expr) (name string, when bool, ok bool) {
+	when = true
+	cond = ast.Unparen(cond)
+	if not, isNot := cond.(*ast.UnaryExpr); isNot && not.Op == token.NOT {
+		cond, when = ast.Unparen(not.X), false
 	}
-	return releasers
+	id, ok := cond.(*ast.Ident)
+	if !ok {
+		return "", false, false
+	}
+	return id.Name, when, true
+}
+
+// assumptions enumerates every truth assignment of flags (at most four
+// of them: sixteen walks of one function).
+func assumptions(flags []string) []map[string]bool {
+	if len(flags) > 4 {
+		flags = flags[:4]
+	}
+	out := make([]map[string]bool, 1<<len(flags))
+	for bits := range out {
+		out[bits] = make(map[string]bool, len(flags))
+		for i, f := range flags {
+			out[bits][f] = bits&(1<<i) != 0
+		}
+	}
+	return out
 }
 
 // localReleasers finds closures assigned to local names whose bodies
 // release (launch := func(...) { ... releaseToken ... }); calling such a
 // name is a handoff.
-func localReleasers(body *ast.BlockStmt, releases func(ast.Node) bool) map[string]bool {
+func localReleasers(body *ast.BlockStmt, releasers map[string]bool) map[string]bool {
 	out := make(map[string]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
 		assign, ok := n.(*ast.AssignStmt)
@@ -143,8 +191,9 @@ func localReleasers(body *ast.BlockStmt, releases func(ast.Node) bool) map[strin
 			// spawns a releasing goroutine is itself a handoff target.
 			found := false
 			ast.Inspect(lit.Body, func(c ast.Node) bool {
-				if releases(c) {
-					found = true
+				if call, ok := c.(*ast.CallExpr); ok {
+					_, name := callee(call)
+					found = found || releasers[name]
 				}
 				return !found
 			})
@@ -171,20 +220,33 @@ type sbWalker struct {
 	releasers map[string]bool
 	local     map[string]bool
 	fname     string
+	assume    map[string]bool // mode flags -> the value this walk assumes
+	backEdge  sbState         // join of the innermost loop's continue states
 	deferRel  bool
 	diags     []Diagnostic
 }
 
-func (w *sbWalker) checkExit(at token.Pos, st sbState) {
-	if st.terminated || !st.held || w.deferRel {
-		return
-	}
+func (w *sbWalker) report(at token.Pos, st sbState, what string) {
 	w.diags = append(w.diags, Diagnostic{
-		Pos:  w.pkg.Position(at),
-		Rule: w.rule.Name(),
-		Message: fmt.Sprintf("in %s: pump slot acquired at %v is not released or handed off on this path",
-			w.fname, w.pkg.Position(st.heldPos)),
+		Pos:     w.pkg.Position(at),
+		Rule:    w.rule.Name(),
+		Message: fmt.Sprintf("in %s: pump slot acquired at %v %s", w.fname, w.pkg.Position(st.heldPos), what),
 	})
+}
+
+func (w *sbWalker) checkExit(at token.Pos, st sbState) {
+	if !st.terminated && st.held && !w.deferRel {
+		w.report(at, st, "is not released or handed off on this path")
+	}
+}
+
+// acquire takes a token at call: a leak on the spot if one is held already.
+func (w *sbWalker) acquire(st sbState, call *ast.CallExpr) sbState {
+	if st.held {
+		w.report(call.Pos(), st, "is still held when this call acquires another; the pump can never get the first one back")
+	}
+	st.held, st.heldPos = true, call.Pos()
+	return st
 }
 
 // releasesShallow reports whether node n is a call that releases or
@@ -195,12 +257,8 @@ func (w *sbWalker) releasesShallow(n ast.Node) bool {
 	if !ok {
 		return false
 	}
-	recv, name := callee(call)
-	if w.releasers[name] || w.local[name] {
-		return true
-	}
-	_ = recv
-	return false
+	_, name := callee(call)
+	return w.releasers[name] || w.local[name]
 }
 
 // scanEffects applies a statement's token effects (excluding nested
@@ -214,12 +272,10 @@ func (w *sbWalker) scanEffects(n ast.Node, st sbState) sbState {
 		}
 		_, name := callee(call)
 		switch {
-		case w.rule.acquireUncond[name]:
-			st.held, st.heldPos = true, call.Pos()
-		case w.rule.acquireErr[name] || w.rule.acquireTry[name]:
-			// Outside the recognized if-patterns, conservatively assume
-			// the acquire succeeded.
-			st.held, st.heldPos = true, call.Pos()
+		case w.rule.acquireUncond[name] || w.rule.acquireErr[name] || w.rule.acquireTry[name]:
+			// A fallible acquire outside the recognized if-patterns is
+			// conservatively assumed to have succeeded.
+			st = w.acquire(st, call)
 		case w.releasers[name] || w.local[name]:
 			st.held = false
 		}
@@ -327,12 +383,10 @@ func (w *sbWalker) stmt(s ast.Stmt, st sbState) sbState {
 		if x.Init != nil {
 			st = w.stmt(x.Init, st)
 		}
-		body := w.block(x.Body.List, st)
-		return sbJoin(st, body)
+		return w.loop(x.Body, st)
 
 	case *ast.RangeStmt:
-		body := w.block(x.Body.List, st)
-		return sbJoin(st, body)
+		return w.loop(x.Body, st)
 
 	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
 		return w.branches(s, st)
@@ -341,9 +395,12 @@ func (w *sbWalker) stmt(s ast.Stmt, st sbState) sbState {
 		return w.stmt(x.Stmt, st)
 
 	case *ast.BranchStmt:
-		// break/continue/goto leave the linear path; treat as terminated
-		// for join purposes (holding a token across an iteration boundary
-		// is outside the supported shapes and flagged at function exit).
+		// continue carries its state to the loop's back edge; break and
+		// goto leave the linear path and their state is dropped (a token
+		// carried out of a loop by break is outside the supported shapes).
+		if x.Tok == token.CONTINUE {
+			w.backEdge = sbJoin(w.backEdge, st)
+		}
 		st.terminated = true
 		return st
 
@@ -351,6 +408,20 @@ func (w *sbWalker) stmt(s ast.Stmt, st sbState) sbState {
 		// Assignments, expressions, sends, declarations.
 		return w.scanEffects(s, st)
 	}
+}
+
+// loop walks a loop body from the entry state and, when some path reaches
+// the back edge holding a token the entry did not, once more from there:
+// that walk is where an acquire meets the token the last iteration kept.
+func (w *sbWalker) loop(body *ast.BlockStmt, st sbState) sbState {
+	outer := w.backEdge
+	w.backEdge = sbState{terminated: true}
+	back := sbJoin(w.block(body.List, st), w.backEdge)
+	if back.held && !st.held {
+		w.block(body.List, back)
+	}
+	w.backEdge = outer
+	return sbJoin(st, back)
 }
 
 // ifStmt understands the two conditional-acquire idioms in addition to
@@ -367,8 +438,7 @@ func (w *sbWalker) ifStmt(x *ast.IfStmt, st sbState) sbState {
 	if x.Init != nil {
 		if call := findCall(x.Init, isErrAcquire); call != nil {
 			if _, op, ok := nilComparison(x.Cond); ok {
-				okSt := st
-				okSt.held, okSt.heldPos = true, call.Pos()
+				okSt := w.acquire(st, call)
 				thenEntry, fallEntry := st, okSt // err != nil: then runs token-less
 				if op == token.EQL {
 					thenEntry, fallEntry = okSt, st // err == nil: then holds it
@@ -383,9 +453,7 @@ func (w *sbWalker) ifStmt(x *ast.IfStmt, st sbState) sbState {
 	}
 	// Pattern: if p.tryAcquireToken(d) { ... } — token held only inside.
 	if call := findCall(x.Cond, isTryAcquire); call != nil {
-		thenSt := st
-		thenSt.held, thenSt.heldPos = true, call.Pos()
-		thenSt = w.block(x.Body.List, thenSt)
+		thenSt := w.block(x.Body.List, w.acquire(st, call))
 		elseSt := st
 		if x.Else != nil {
 			elseSt = w.stmt(x.Else, elseSt)
@@ -393,11 +461,22 @@ func (w *sbWalker) ifStmt(x *ast.IfStmt, st sbState) sbState {
 		return sbJoin(thenSt, elseSt)
 	}
 
-	// Plain branching.
+	// Plain branching; a mode flag takes the one branch this walk assumes.
 	if x.Init != nil {
 		st = w.stmt(x.Init, st)
 	}
 	st = w.scanEffects(x.Cond, st)
+	if name, when, ok := bareFlag(x.Cond); ok {
+		if v, assumed := w.assume[name]; assumed {
+			switch {
+			case v == when:
+				return w.block(x.Body.List, st)
+			case x.Else != nil:
+				return w.stmt(x.Else, st)
+			}
+			return st
+		}
+	}
 	thenSt := w.block(x.Body.List, st)
 	elseSt := st
 	if x.Else != nil {

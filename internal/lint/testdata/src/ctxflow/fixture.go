@@ -3,7 +3,11 @@
 // exported-function checks both apply.
 package async
 
-import "context"
+import (
+	"context"
+	"net/http"
+	"time"
+)
 
 // Pump mimics async.Pump for receiver-type resolution.
 type Pump struct{}
@@ -41,6 +45,34 @@ func StrayBackground() context.Context {
 	return context.Background() // want "detaches this call"
 }
 
+// The tier's peer fetch detached from its caller (DESIGN.md §7, mutant
+// ctxflow1): the timeout still bounds it, so every test passes, but a
+// cancelled query no longer cancels the hop.
+type Peers struct {
+	client *http.Client
+}
+
+func (p *Peers) doFetch(ctx context.Context, url string) (*http.Response, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second) // want "detaches this call"
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	return p.client.Do(req)
+}
+
+// An exported probe that reaches the network with no context at all
+// (mutant ctxflow2); nothing calls it yet, so nothing tests it.
+func (p *Peers) Ping(base string) bool { // want "takes no context.Context"
+	resp, err := p.client.Get(base + "/healthz")
+	if err != nil {
+		return false
+	}
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusOK
+}
+
 // --- negatives --------------------------------------------------------
 
 func BoundedRegister(ctx context.Context, p *Pump) int {
@@ -68,13 +100,4 @@ func ClosureEscapes(p *Pump) func() {
 		// against the enclosing signature.
 		_, _ = p.AwaitAnyCtx(nil)
 	}
-}
-
-// --- suppressed -------------------------------------------------------
-
-// SyncShim is the paper-compat synchronous API.
-//
-//lint:ignore ctxflow fixture: deliberate synchronous shim, like Pump.Register
-func SyncShim(p *Pump) {
-	_, _ = p.AwaitAnyCtx(context.Background())
 }

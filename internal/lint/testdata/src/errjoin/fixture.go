@@ -59,3 +59,24 @@ func (c *Collected) Close() error {
 	}
 	return err
 }
+
+// The dependent join's Close with its errors.Join undone (DESIGN.md §7,
+// mutants errjoin1 and errjoin2): the left subtree's teardown error goes
+// nowhere. Every test passes — nothing there fails a Close.
+type join struct {
+	Left, Right Closer
+}
+
+func (j *join) Close() error {
+	j.Left.Close() // want "j.Left.Close\\(\\) error is dropped"
+	return j.Right.Close()
+}
+
+type semiJoin struct {
+	Left, Right Closer
+}
+
+func (j *semiJoin) Close() error {
+	_ = j.Right.Close() // want "j.Right.Close\\(\\) error is assigned to _"
+	return j.Left.Close()
+}

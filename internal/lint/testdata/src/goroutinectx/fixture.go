@@ -6,6 +6,7 @@ package async
 import (
 	"context"
 	"sync"
+	"time"
 )
 
 type worker struct {
@@ -27,6 +28,18 @@ func (w *worker) SpawnUnowned() {
 func SpawnDetached(out chan<- int) {
 	go func() { // want "no cancellation path"
 		out <- 1
+	}()
+}
+
+// A membership update that starts a refresher nobody can stop (DESIGN.md
+// §7, mutant goroutine1): one more goroutine per update for the life of
+// the process, and no test counts goroutines across Peers.Update.
+func (w *worker) UpdateStartsTicker() {
+	go func() { // want "no cancellation path"
+		for {
+			time.Sleep(time.Second)
+			_ = len(w.jobs)
+		}
 	}()
 }
 
@@ -94,15 +107,4 @@ func (w *worker) step() bool {
 		_ = j
 		return true
 	}
-}
-
-// --- suppressed -------------------------------------------------------
-
-func (w *worker) SpawnSuppressed() {
-	//lint:ignore goroutinectx fixture: drains a buffered channel that the owner closes
-	go func() {
-		for j := range w.jobs {
-			_ = j
-		}
-	}()
 }

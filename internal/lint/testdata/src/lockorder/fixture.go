@@ -98,3 +98,29 @@ func (e *E) seq(f *F) {
 	f.mu.Lock()
 	f.mu.Unlock()
 }
+
+// G is the server's pair of locks crossed (DESIGN.md §7, mutants
+// lockorder1 and lockorder2): logging takes mu under logMu, the status
+// handler logs under mu. Both orders sit in one type, one of them behind a
+// call, and no test interleaves them — -race passes too.
+type G struct {
+	mu    sync.Mutex
+	logMu sync.Mutex
+	n     int
+}
+
+func (g *G) log() {
+	g.logMu.Lock()
+	defer g.logMu.Unlock()
+	g.mu.Lock() // want "lock-order cycle.*G.logMu -> .*G.mu.*G.mu -> .*G.logMu"
+	g.n++
+	g.mu.Unlock()
+}
+
+func (g *G) status() int {
+	g.mu.Lock()
+	n := g.n
+	g.log()
+	g.mu.Unlock()
+	return n
+}

@@ -55,6 +55,24 @@ func (s *statsTable) SelectWhileLocked() {
 	}
 }
 
+// The coordinator's Drain with one exit undone (DESIGN.md §7, mutant
+// lockscope4): a run of validation exits, each unlocking by hand, one of
+// which forgot. No test drains the same worker twice, so only this rule
+// stands between that return and a coordinator that answers nothing.
+func (s *statsTable) ValidateThenMutate(id int, seen map[int]bool) error {
+	s.mu.Lock()
+	if id < 0 {
+		s.mu.Unlock()
+		return errStub
+	}
+	if seen[id] {
+		return errStub // want "no Unlock\\(\\) on this return path"
+	}
+	seen[id] = true
+	s.mu.Unlock()
+	return nil
+}
+
 // --- negatives --------------------------------------------------------
 
 func (s *statsTable) UnlockAllPaths(fail bool) error {
@@ -94,14 +112,4 @@ func (s *statsTable) ReadLocked() int {
 	s.rwmu.RLock()
 	defer s.rwmu.RUnlock()
 	return s.n
-}
-
-// --- suppressed -------------------------------------------------------
-
-// ParkedLock intentionally returns holding the lock; the caller unlocks.
-//
-//lint:ignore lockscope fixture: documented lock-handoff contract, caller unlocks
-func (s *statsTable) ParkedLock() {
-	s.mu.Lock()
-	s.n++
 }

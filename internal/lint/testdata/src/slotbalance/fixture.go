@@ -74,6 +74,63 @@ func (p *pump) leakBeforeCompletion(fail bool) {
 	p.complete()
 }
 
+// The hedge branch's "outcome already there" exit (DESIGN.md §7, mutant
+// slot2): the token just won is not needed after all, and the early
+// return forgets to give it back. No test sees this one.
+func (p *pump) leakWhenHedgeFindsOutcome(ch chan int, hedge chan int) int {
+	for {
+		select {
+		case v := <-ch:
+			return v
+		case <-hedge:
+			if p.tryAcquireToken("d") {
+				select {
+				case v := <-ch:
+					return v // want "not released or handed off"
+				default:
+				}
+				go p.run()
+			}
+		}
+	}
+}
+
+// The inline retry loop with its release dropped (mutant slot1): the
+// failed attempt keeps its token across the backoff and the next
+// iteration acquires a second one. complete() after the loop may release,
+// which is why the exit check alone never saw it.
+func (p *pump) leakAcrossRetry(attempts int, hedging bool) {
+	inline := !hedging
+	for i := 0; ; i++ {
+		if i > 0 {
+			if err := p.acquireToken("d"); err != nil { // want "still held when this call acquires another"
+				break
+			}
+		}
+		if inline {
+			p.dest = "attempt"
+		} else {
+			p.run()
+		}
+		if i+1 >= attempts {
+			break
+		}
+	}
+	p.complete()
+}
+
+// A token taken before the expiry check rides the continue into the next
+// iteration's acquire (mutant slot3).
+func (p *pump) leakOnContinue(queue []bool) {
+	for _, expired := range queue {
+		p.grabTokenLocked("d") // want "still held when this call acquires another"
+		if expired {
+			continue
+		}
+		go p.run()
+	}
+} // want "not released or handed off"
+
 // --- negatives --------------------------------------------------------
 
 func (p *pump) heldUntilCompletion(attempts int) {
@@ -153,9 +210,39 @@ func (p *pump) retryLoop(attempts int) error {
 	return nil
 }
 
-// --- suppressed -------------------------------------------------------
+// The pump's real retry loop: under inline the attempt runs on this
+// goroutine's token and a failed one releases it before the backoff;
+// otherwise the attempt's own goroutine does. Read path-insensitively
+// (inline, then not inline) the token would seem to survive the iteration.
+func (p *pump) retryLoopByMode(attempts int, hedging bool) {
+	inline := !hedging
+	for i := 0; ; i++ {
+		if i > 0 {
+			if err := p.acquireToken("d"); err != nil {
+				break
+			}
+		}
+		if inline {
+			p.dest = "attempt"
+		} else {
+			p.run()
+		}
+		if i+1 >= attempts {
+			break
+		}
+		if inline {
+			p.releaseToken("d")
+		}
+	}
+	p.complete()
+}
 
-func (p *pump) suppressedLeak() {
-	p.grabTokenLocked("d")
-	//lint:ignore slotbalance fixture: token intentionally parked for the test harness
-} // the ignore comment covers the next line, where the exit check fires
+func (p *pump) expiredSkippedBeforeAcquire(queue []bool) {
+	for _, expired := range queue {
+		if expired {
+			continue
+		}
+		p.grabTokenLocked("d")
+		go p.run()
+	}
+}

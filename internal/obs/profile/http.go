@@ -2,11 +2,7 @@ package profile
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"sort"
-
-	"repro/internal/obs"
 )
 
 // Handler serves a profile snapshot source at /profiles:
@@ -14,7 +10,10 @@ import (
 //	GET /profiles                  derived planner-facing view (JSON)
 //	GET /profiles?format=snapshot  raw mergeable Snapshot (JSON) — what
 //	                               the coordinator fetches from workers
-//	GET /profiles?format=prom      Prometheus text exposition
+//
+// The per-destination counters and latency histogram are on /metrics as
+// the wsq_pump_* families; this endpoint adds the disk base and the
+// derived percentiles.
 //
 // get is called per request, so the handler works equally for a live
 // Store (Store.Snapshot) and for the coordinator's tier-wide merge.
@@ -30,9 +29,6 @@ func Handler(get func() *Snapshot) http.Handler {
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
 			enc.Encode(sn)
-		case "prom":
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			writeProm(w, sn)
 		default:
 			profiles, query := sn.Derive()
 			w.Header().Set("Content-Type", "application/json")
@@ -50,58 +46,4 @@ func Handler(get func() *Snapshot) http.Handler {
 // Handler returns the store's /profiles handler.
 func (s *Store) Handler() http.Handler {
 	return Handler(func() *Snapshot { return s.Snapshot() })
-}
-
-// promFamily describes one per-destination counter family.
-type promFamily struct {
-	name string
-	help string
-	get  func(*DestSnapshot) int64
-}
-
-var counterFamilies = []promFamily{
-	{"wsq_profile_calls_total", "External calls observed per destination.", func(d *DestSnapshot) int64 { return d.Calls }},
-	{"wsq_profile_failures_total", "Failed external calls per destination.", func(d *DestSnapshot) int64 { return d.Failures }},
-	{"wsq_profile_retries_total", "Retried external calls per destination.", func(d *DestSnapshot) int64 { return d.Retries }},
-	{"wsq_profile_hedges_total", "Hedged external calls per destination.", func(d *DestSnapshot) int64 { return d.Hedges }},
-	{"wsq_profile_timeouts_total", "Timed-out external call attempts per destination.", func(d *DestSnapshot) int64 { return d.Timeouts }},
-	{"wsq_profile_cache_hits_total", "Local result-cache hits per destination.", func(d *DestSnapshot) int64 { return d.CacheHits }},
-	{"wsq_profile_peer_hits_total", "Tier cache-peer hits per destination.", func(d *DestSnapshot) int64 { return d.PeerHits }},
-}
-
-func writeProm(w http.ResponseWriter, sn *Snapshot) {
-	names := make([]string, 0, len(sn.Dests))
-	for name := range sn.Dests {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	labels := []string{"dest"}
-
-	for _, fam := range counterFamilies {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", fam.name, fam.help, fam.name)
-		for _, name := range names {
-			obs.WriteSampleLine(w, fam.name, labels, []string{name}, float64(fam.get(sn.Dests[name])))
-		}
-	}
-
-	fmt.Fprintf(w, "# HELP wsq_profile_latency_ewma_seconds EWMA of external call latency per destination.\n# TYPE wsq_profile_latency_ewma_seconds gauge\n")
-	for _, name := range names {
-		obs.WriteSampleLine(w, "wsq_profile_latency_ewma_seconds", labels, []string{name}, sn.Dests[name].EWMA)
-	}
-
-	fmt.Fprintf(w, "# HELP wsq_profile_latency_seconds External call latency per destination.\n# TYPE wsq_profile_latency_seconds histogram\n")
-	for _, name := range names {
-		obs.WriteHistogramSnapshot(w, "wsq_profile_latency_seconds", labels, []string{name}, snapToHist(sn.Dests[name].Latency))
-	}
-
-	q := sn.Query
-	if q == nil {
-		q = &QuerySnapshot{}
-	}
-	fmt.Fprintf(w, "# HELP wsq_profile_queries_total Queries observed.\n# TYPE wsq_profile_queries_total counter\n")
-	obs.WriteSampleLine(w, "wsq_profile_queries_total", nil, nil, float64(q.Queries))
-	fmt.Fprintf(w, "# HELP wsq_profile_query_fanout External calls issued per query.\n# TYPE wsq_profile_query_fanout histogram\n")
-	obs.WriteHistogramSnapshot(w, "wsq_profile_query_fanout", nil, nil, snapToHist(q.Fanout))
-	fmt.Fprintf(w, "# HELP wsq_profile_query_latency_seconds End-to-end query latency.\n# TYPE wsq_profile_query_latency_seconds histogram\n")
-	obs.WriteHistogramSnapshot(w, "wsq_profile_query_latency_seconds", nil, nil, snapToHist(q.Latency))
 }

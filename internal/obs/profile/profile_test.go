@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strings"
 	"testing"
 	"time"
 
@@ -363,13 +362,4 @@ func TestProfilesHandler(t *testing.T) {
 		t.Errorf("snapshot form: version=%d dests=%v", sn.Version, sn.Dests)
 	}
 
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/profiles?format=prom", nil))
-	body := rec.Body.String()
-	if !strings.Contains(body, `wsq_profile_calls_total{dest="altavista"} 110`) {
-		t.Errorf("prom output missing calls counter:\n%s", body)
-	}
-	if problems := obs.LintExposition(body); len(problems) > 0 {
-		t.Errorf("/profiles?format=prom fails promlint:\n%s", strings.Join(problems, "\n"))
-	}
 }

@@ -148,19 +148,6 @@ func writeSampleSuffix(w io.Writer, name string, labels, values []string, v floa
 	return err
 }
 
-// WriteSampleLine writes one text-format sample. It exists for
-// exporters that encode snapshots rather than a live registry (the
-// /profiles endpoint); HELP/TYPE headers are the caller's job.
-func WriteSampleLine(w io.Writer, name string, labels, values []string, v float64) error {
-	return writeSample(w, name, labels, values, v)
-}
-
-// WriteHistogramSnapshot writes a histogram snapshot's cumulative
-// _bucket/_sum/_count series in the text format (see WriteSampleLine).
-func WriteHistogramSnapshot(w io.Writer, name string, labels, values []string, s HistSnapshot) error {
-	return writeHistogram(w, name, labels, values, s, false)
-}
-
 // formatFloat renders a sample value: integers without a decimal point,
 // everything else in the shortest round-trip form.
 func formatFloat(v float64) string {

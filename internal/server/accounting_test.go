@@ -118,9 +118,9 @@ func TestPumpAccountingAgrees(t *testing.T) {
 	run := func(asyncMode bool) {
 		t.Helper()
 		db.SetAsync(asyncMode)
-		res, err := cl.Query(context.Background(), template1Query, 0)
+		res, err := cl.Query(context.Background(), template1Query, 5*time.Second)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%v (%s)", err, pumpState(db.Pump()))
 		}
 		if res.ExternalCalls != 50 {
 			t.Fatalf("Template 1 issued %d calls, want 50", res.ExternalCalls)

@@ -59,6 +59,14 @@ func settleGoroutines(t *testing.T, base, slack int) {
 	t.Errorf("goroutines never settled: %d now vs %d at baseline", n, base)
 }
 
+// pumpState renders what a timed-out query's failure message needs: the
+// pump's own view of what is running, queued, held and in flight where.
+func pumpState(p *async.Pump) string {
+	running, queued := p.Active()
+	return fmt.Sprintf("pump: running=%d queued=%d held=%d in flight per destination=%v",
+		running, queued, p.Held(), p.DestActive())
+}
+
 // TestChaosConcurrentClientsDegradeCleanly drives 8 concurrent clients with
 // drop/partial degradation against 30%% transient-fault engines and asserts
 // the serving contract: transient faults never surface as HTTP errors, no
@@ -87,11 +95,14 @@ func TestChaosConcurrentClientsDegradeCleanly(t *testing.T) {
 				req := QueryRequest{
 					SQL:     fmt.Sprintf(`SELECT Name, Count FROM States, WebCount WHERE Name = T1 AND T2 = 'term%d'`, (c*perClient+q)%5),
 					Degrade: pol.String(),
+					// Milliseconds of work. The default (30 s) would let a
+					// leaked pump slot cost 8 clients x 6 queries x 30 s.
+					TimeoutMS: 5000,
 				}
 				res, err := env.cl.QueryOpts(context.Background(), req)
 				if err != nil {
-					errs <- fmt.Errorf("client %d query %d (%s): %w", c, q, pol, err)
-					continue
+					errs <- fmt.Errorf("client %d query %d (%s): %w (%s)", c, q, pol, err, pumpState(env.db.Pump()))
+					return // one failure per client says it; the rest would wait as long
 				}
 				if pol == exec.DegradePartial && res.RowCount != 50 {
 					errs <- fmt.Errorf("client %d query %d: partial policy lost rows: %d of 50", c, q, res.RowCount)

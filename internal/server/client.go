@@ -17,7 +17,7 @@ import (
 // queries against the same host.
 //
 // It is the remote counterpart of core.DB's Exec: the wsq shell's -server
-// mode and wsqbench's -serve mode both build on it.
+// mode builds on it.
 type Client struct {
 	baseURL string
 	http    *http.Client

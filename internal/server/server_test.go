@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -208,49 +209,93 @@ func TestDeadlineCancelsQueuedCalls(t *testing.T) {
 	}
 }
 
-// TestAdmissionControlRejectsOverflow saturates a 1-slot/1-queue server with
-// 4 simultaneous slow queries: some execute, the overflow gets an immediate
-// 503 surfaced as ErrOverloaded.
+// TestAdmissionControlRejectsOverflow: with one slot and a queue of one,
+// four concurrent queries end as some served and some rejected with a 503
+// the client surfaces as ErrOverloaded, and /statusz counts the rejections.
+// The queries go straight to the handler: an admission path that leaks s.mu
+// parks every later handler on it, and an httptest server's Close would
+// wait for those forever, so the failure would be the package's timeout
+// and not this test's message.
 func TestAdmissionControlRejectsOverflow(t *testing.T) {
 	model := search.LatencyModel{Base: 100 * time.Millisecond, CountFactor: 1}
 	env := newTestEnv(t, model, core.Config{},
 		Options{MaxConcurrentQueries: 1, MaxQueueDepth: 1})
-
-	const n = 4
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var ok, rejected, other int
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := env.cl.Query(context.Background(), template1Query, 0)
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				ok++
-			case errors.Is(err, ErrOverloaded):
-				rejected++
-			default:
-				other++
-			}
-		}()
-	}
-	wg.Wait()
-	if other != 0 {
-		t.Errorf("unexpected errors: %d", other)
-	}
-	if ok == 0 || rejected == 0 {
-		t.Errorf("got %d ok / %d rejected out of %d; want both nonzero", ok, rejected, n)
-	}
-	st, err := env.cl.Status(context.Background())
+	body, err := json.Marshal(QueryRequest{SQL: template1Query})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Queries.Rejected != int64(rejected) {
-		t.Errorf("statusz rejected = %d, want %d", st.Queries.Rejected, rejected)
+
+	const n = 4
+	done := make(chan *httptest.ResponseRecorder, n+1) // every handler below sends once
+	serve := func(req *http.Request) {
+		rec := httptest.NewRecorder()
+		env.srv.ServeHTTP(rec, req)
+		done <- rec
 	}
+	for i := 0; i < n; i++ {
+		go serve(httptest.NewRequest("POST", "/query", bytes.NewReader(body)))
+	}
+	// A query is two 100 ms waves; 10 s means a handler is parked for good.
+	timeout := time.After(10 * time.Second)
+	await := func(what string) *httptest.ResponseRecorder {
+		select {
+		case rec := <-done:
+			return rec
+		case <-timeout:
+			t.Fatalf("%s did not return: %s", what, env.admissionState())
+			return nil
+		}
+	}
+	var ok, other int
+	var rejected []*httptest.ResponseRecorder
+	for i := 0; i < n; i++ {
+		switch rec := await(fmt.Sprintf("query %d of %d", i+1, n)); rec.Code {
+		case http.StatusOK:
+			ok++
+		case http.StatusServiceUnavailable:
+			rejected = append(rejected, rec)
+		default:
+			other++
+		}
+	}
+	if other != 0 {
+		t.Errorf("unexpected errors: %d", other)
+	}
+	if ok == 0 || len(rejected) == 0 {
+		t.Fatalf("got %d ok / %d rejected out of %d; want both nonzero", ok, len(rejected), n)
+	}
+
+	// The client's half: that rejection, replayed byte for byte, is ErrOverloaded.
+	replay := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(rejected[0].Code)
+		w.Write(rejected[0].Body.Bytes())
+	}))
+	defer replay.Close()
+	if _, err := NewClient(replay.URL).Query(context.Background(), template1Query, 0); !errors.Is(err, ErrOverloaded) {
+		t.Errorf("client error for the server's rejection = %v, want ErrOverloaded", err)
+	}
+
+	go serve(httptest.NewRequest("GET", "/statusz", nil))
+	var st Statusz
+	if err := json.Unmarshal(await("/statusz").Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Queries.Rejected != int64(len(rejected)) {
+		t.Errorf("statusz rejected = %d, want %d", st.Queries.Rejected, len(rejected))
+	}
+	if st.Queries.Active != 0 || st.Queries.Queued != 0 {
+		t.Errorf("after every query returned: active=%d queued=%d, want 0/0", st.Queries.Active, st.Queries.Queued)
+	}
+}
+
+// admissionState reads the admission counters for a failure message,
+// without parking on a lock the failure may be about.
+func (e *testEnv) admissionState() string {
+	if !e.srv.mu.TryLock() {
+		return "s.mu is held, so active and queued cannot be read: a return path kept the lock"
+	}
+	defer e.srv.mu.Unlock()
+	return fmt.Sprintf("s.mu is free, active=%d queued=%d", e.srv.active, e.srv.queued)
 }
 
 // TestReadOnlyRejectsWrites: without AllowWrites, DDL/DML through /query is

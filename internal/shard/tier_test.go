@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,12 +39,57 @@ type tierEnv struct {
 	cfg   Config
 }
 
+// handlersParked is set by the first closeServer that gave up. Handlers
+// parked on a leaked lock fail every later tier test the same way, seconds
+// at a time, so those skip: the package ends on the first failure, which
+// names the lock, and not on its timeout, which names nothing.
+var handlersParked atomic.Bool
+
+// closeServer is httptest's Close with a bound. Close waits for every
+// running handler, and one parked for good — a worker path that returns
+// holding w.pmu parks every later cache request behind it — never ends.
+func closeServer(t *testing.T, name string, srv *httptest.Server, w *Worker) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.Close()
+	}()
+	if handlersParked.Load() {
+		return // already reported; this server's handlers are parked too
+	}
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		handlersParked.Store(true)
+		lock := ""
+		if w != nil {
+			if w.pmu.TryLock() {
+				w.pmu.Unlock()
+			} else {
+				lock = "; w.pmu is held"
+			}
+		}
+		t.Errorf("%s: handlers still running 2 s after Close%s", name, lock)
+	}
+}
+
+// skipIfHandlersParked keeps a tier test from starting after closeServer
+// found handlers it could not wait out.
+func skipIfHandlersParked(t *testing.T) {
+	t.Helper()
+	if handlersParked.Load() {
+		t.Skip("an earlier test left handlers parked on a lock; its failure is the one to read")
+	}
+}
+
 // startTier builds an n-worker loopback tier wired exactly like
 // cmd/wsqd's worker and coordinator modes: pump peering attached, shard
 // metrics on each worker's registry, membership and budgets pushed by
 // the coordinator.
 func startTier(t *testing.T, n int, model search.LatencyModel, budgets map[string]int) *tierEnv {
 	t.Helper()
+	skipIfHandlersParked(t)
 	env := &tierEnv{}
 	corpus := websim.Default()
 	for i := 0; i < n; i++ {
@@ -78,7 +124,7 @@ func startTier(t *testing.T, n int, model search.LatencyModel, budgets map[strin
 		peers.Observe(db.Metrics())
 		w.Observe(db.Metrics())
 		srv := httptest.NewServer(w)
-		t.Cleanup(srv.Close)
+		t.Cleanup(func() { closeServer(t, id, srv, w) })
 		env.nodes = append(env.nodes, &tierNode{id: id, db: db, peers: peers, worker: w, srv: srv})
 	}
 
@@ -93,7 +139,7 @@ func startTier(t *testing.T, n int, model search.LatencyModel, budgets map[strin
 		t.Fatal(err)
 	}
 	env.csrv = httptest.NewServer(env.coord.Handler())
-	t.Cleanup(env.csrv.Close)
+	t.Cleanup(func() { closeServer(t, "coordinator", env.csrv, nil) })
 	return env
 }
 

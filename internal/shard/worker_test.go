@@ -19,6 +19,7 @@ import (
 // newProtoWorker is a protocol-only worker: real cache, no inner wsqd.
 func newProtoWorker(t *testing.T, opt WorkerOptions) (*Worker, *httptest.Server) {
 	t.Helper()
+	skipIfHandlersParked(t)
 	if opt.ID == "" {
 		opt.ID = "w1"
 	}
@@ -27,7 +28,7 @@ func newProtoWorker(t *testing.T, opt WorkerOptions) (*Worker, *httptest.Server)
 	}
 	w := NewWorker(opt)
 	srv := httptest.NewServer(w)
-	t.Cleanup(srv.Close)
+	t.Cleanup(func() { closeServer(t, opt.ID, srv, w) })
 	return w, srv
 }
 
