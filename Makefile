@@ -62,7 +62,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEval -fuzztime 2m ./internal/expr
 
 # Plan-equivalence fuzz smoke (~30s): a seeded, coverage-steered run of
-# the differential harness — four plan regimes per query checked against
+# the differential harness — five plan regimes per query checked against
 # the offline ground truth, including exact call and settlement counts
 # (DESIGN.md §11). A divergence exits non-zero and leaves a minimized
 # JSON repro in wsqfuzz-repro/ (uploaded as a CI artifact).

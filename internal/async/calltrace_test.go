@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/types"
 )
@@ -67,7 +68,10 @@ func TestCallTraceLifecycle(t *testing.T) {
 }
 
 // TestCallTraceOutcomes: cache hits, errors, and discarded queued calls
-// carry their outcome in the span detail.
+// carry their outcome in the span detail. (The cache hit is one registered
+// through RegisterCtx, which parks a finished call. A scan's hit is
+// answered by Request, has no call record and so no span; see
+// TestTracedHitsAreCountedNotSpanned.)
 func TestCallTraceOutcomes(t *testing.T) {
 	cache := &countingCache{m: map[string][]types.Tuple{
 		"warm": {{types.Int(7)}},
@@ -115,6 +119,42 @@ func TestCallTraceOutcomes(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	if again := ct.Span(); again.Dur != sp.Dur {
 		t.Errorf("discarded call's span still growing: %v then %v", sp.Dur, again.Dur)
+	}
+}
+
+// TestTracedHitsAreCountedNotSpanned: a sampled query's cache hits show up
+// as the scan's cache_hits counter; they never had a lifecycle — no queue,
+// no attempt, no settlement — so, unlike a call registered through
+// RegisterCtx (TestCallTraceOutcomes), they carry no pump.call span.
+func TestTracedHitsAreCountedNotSpanned(t *testing.T) {
+	pump := NewPump(0, 0, &countingCache{m: make(map[string][]types.Tuple)})
+	defer pump.Close()
+	src := countSource("WC", "d")
+	terms := []string{"a", "b", "a"}
+	for _, want := range []struct{ spans, hits int64 }{
+		{spans: 2, hits: 0}, // cold: a and b registered, the second a shares a's call
+		{spans: 0, hits: 3}, // warm: every binding answered from the cache
+	} {
+		rs, _ := buildCountPlan(terms, src, pump)
+		op, span := exec.Instrument(rs)
+		ectx := exec.NewContextWith(obs.WithTrace(context.Background(), obs.NewTraceCtx()))
+		if _, err := exec.Run(ectx, op); err != nil {
+			t.Fatal(err)
+		}
+		scan := span.Children[0].Children[1]
+		if scan.Op != "AEVScan" {
+			t.Fatalf("span tree: %s where the AEVScan should be", scan.Op)
+		}
+		var spans int64
+		for _, c := range scan.AsyncChildren {
+			if c.Op == "pump.call" {
+				spans++
+			}
+		}
+		if hits := scan.Extra["cache_hits"]; spans != want.spans || hits != want.hits || scan.Extra["calls"] != 3 {
+			t.Errorf("pump.call spans %d, cache_hits %d, calls %d; want %d, %d, 3",
+				spans, hits, scan.Extra["calls"], want.spans, want.hits)
+		}
 	}
 }
 

@@ -48,9 +48,12 @@ type scriptedFaultSource struct {
 func (s *scriptedFaultSource) Name() string        { return s.name }
 func (s *scriptedFaultSource) Destination() string { return s.dest }
 func (s *scriptedFaultSource) NumEcho() int        { return 0 }
-func (s *scriptedFaultSource) Request(args []types.Value) (string, func() ([]types.Tuple, error)) {
-	arg := args[0].AsString()
-	return s.name + "|" + arg, func() ([]types.Tuple, error) { return s.call(arg) }
+func (s *scriptedFaultSource) AppendKey(buf []byte, args []types.Value) []byte {
+	return append(append(append(buf, s.name...), '|'), args[0].AsString()...)
+}
+func (s *scriptedFaultSource) Call(key string) func() ([]types.Tuple, error) {
+	arg := strings.TrimPrefix(key, s.name+"|")
+	return func() ([]types.Tuple, error) { return s.call(arg) }
 }
 
 func (s *scriptedFaultSource) call(arg string) ([]types.Tuple, error) {
@@ -187,10 +190,10 @@ type gatedSource struct {
 	gates map[string]chan struct{}
 }
 
-func (g *gatedSource) Request(args []types.Value) (string, func() ([]types.Tuple, error)) {
-	key, call := g.scriptedFaultSource.Request(args)
-	gate := g.gates[args[0].AsString()]
-	return key, func() ([]types.Tuple, error) {
+func (g *gatedSource) Call(key string) func() ([]types.Tuple, error) {
+	call := g.scriptedFaultSource.Call(key)
+	gate := g.gates[strings.TrimPrefix(key, g.name+"|")]
+	return func() ([]types.Tuple, error) {
 		<-gate
 		return call()
 	}
@@ -372,10 +375,11 @@ func (c *doneCountingCtx) Done() <-chan struct{} {
 }
 
 // TestWarmCacheQuerySettlesWithoutWaiting: a Template-1-shaped query (50
-// calls) whose calls are all cache hits is settled by ReqSync's poll pass
-// alone, even under a cancellable context — it never reaches the pump's
-// wait, so nothing asks for the context's Done channel and no goroutine
-// starts.
+// calls) whose calls are all cache hits is answered at registration, even
+// under a cancellable context: the pump counts 50 registrations and 50
+// hits but makes no call record, the ReqSync has nothing to settle and
+// never reaches the pump's wait, so nothing asks for the context's Done
+// channel, no goroutine starts, and the query leaves nothing to discard.
 func TestWarmCacheQuerySettlesWithoutWaiting(t *testing.T) {
 	terms := make([]string, 50)
 	for i := range terms {
@@ -415,20 +419,24 @@ func TestWarmCacheQuerySettlesWithoutWaiting(t *testing.T) {
 		n += len(b)
 	}
 	if got := counting.asked.Load() - asked; got != 0 {
-		t.Errorf("settling cache hits asked for the context's Done channel %d times, want 0", got)
+		t.Errorf("emitting cache hits asked for the context's Done channel %d times, want 0", got)
 	}
 	if got := runtime.NumGoroutine(); got > goroutines {
-		t.Errorf("goroutines grew from %d to %d while settling cache hits", goroutines, got)
+		t.Errorf("goroutines grew from %d to %d while emitting cache hits", goroutines, got)
+	}
+	// Before Close, and with no Discard: a hit never entered the call table.
+	if held := pump.Held(); held != 0 {
+		t.Errorf("%d call records held by a query of cache hits", held)
+	}
+	if len(ectx.PumpCalls) != 0 {
+		t.Errorf("context lists %d calls to discard, want none", len(ectx.PumpCalls))
 	}
 	if err := rs.Close(); err != nil {
 		t.Fatal(err)
 	}
 	st := pump.Stats()
-	if n != 50 || rs.nSettled != 50 || st.CacheHits-before.CacheHits != 50 || st.Started != before.Started {
-		t.Errorf("rows=%d settled=%d cache hits=%d started=%d, want 50 50 50 0",
-			n, rs.nSettled, st.CacheHits-before.CacheHits, st.Started-before.Started)
-	}
-	if held := pump.Held(); held != 0 {
-		t.Errorf("%d call records still held", held)
+	got := [5]int64{int64(n), st.Registered - before.Registered, st.CacheHits - before.CacheHits, st.Started - before.Started, rs.nSettled}
+	if want := [5]int64{50, 50, 50, 0, 0}; got != want {
+		t.Errorf("rows, registered, cache hits, started, settled = %v, want %v", got, want)
 	}
 }

@@ -136,7 +136,10 @@ type call struct {
 	dest     *destination
 	key      string
 	enqueued time.Time
-	fn       func() ([]types.Tuple, error)
+	// fn performs the call. A scan's registration leaves it to execute to
+	// ask src for, so a call that never runs here never builds one.
+	fn  func() ([]types.Tuple, error)
+	src exec.ExternalSource
 	// trace is the call's lifecycle record when the registering query is
 	// sampled; nil otherwise (CallTrace's recording methods are nil-safe).
 	trace *CallTrace
@@ -344,50 +347,80 @@ func (p *Pump) RetryPolicy() RetryPolicy { return *p.policy.Load() }
 // (the Engine interface is not context-aware), but its result is
 // discarded if its owner has abandoned it. A nil ctx means no bound.
 func (p *Pump) RegisterCtx(ctx context.Context, dest, key string, fn func() ([]types.Tuple, error)) types.CallID {
+	id, _, _ := p.register(ctx, dest, key, fn, nil)
+	return id
+}
+
+// Request is a scan's registration of the call key names at src. A call
+// the result cache already answers costs the cache probe: its rows come
+// back at once (hit is true) and no call record, id or trace exists to
+// take, settle or discard. Anything else is registered as by RegisterCtx,
+// and src is asked for the call's function only if the pump has to run it.
+func (p *Pump) Request(ctx context.Context, src exec.ExternalSource, key string) (id types.CallID, rows []types.Tuple, hit bool) {
+	return p.register(ctx, src.Destination(), key, nil, src)
+}
+
+// register decides, in one hold of the lock, what becomes of a
+// registration: answered from the cache, refused (closed pump, expired
+// context), coalesced onto an identical in-flight call, or queued. The
+// lookup and the inflight entry must be one critical section with
+// complete's Put-and-settle, or a call finishing in between would be run
+// again.
+func (p *Pump) register(ctx context.Context, dest, key string, fn func() ([]types.Tuple, error), src exec.ExternalSource) (types.CallID, []types.Tuple, bool) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	d := p.dest(dest)
-	c := &call{ctx: ctx, dest: d, key: key, fn: fn}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	d.count(evRegistered)
+	ctxErr := ctx.Err()
+	var rows []types.Tuple
+	hit := false
+	if p.cache != nil && !p.closed && ctxErr == nil {
+		if rows, hit = p.cache.Get(key); hit {
+			d.count(evCacheHit)
+			if src != nil {
+				return 0, rows, true
+			}
+		}
+	}
+	c := &call{ctx: ctx, dest: d, key: key, fn: fn, src: src}
 	if tc := obs.SampledTrace(ctx); tc != nil {
 		c.trace = newCallTrace(tc.TraceID, dest, key)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.nextID++
 	c.id = p.nextID
 	p.calls[c.id] = c
-	d.count(evRegistered)
-	if p.closed {
+	switch {
+	case p.closed:
 		// A closed pump never runs anything; complete immediately with the
 		// sentinel so the waiter errors instead of hanging.
 		c.trace.finish("closed")
-		return p.parkLocked(c, CallResult{Err: fmt.Errorf("register: %w", ErrPumpClosed)})
-	}
-	if err := ctx.Err(); err != nil {
+		p.parkLocked(c, CallResult{Err: fmt.Errorf("register: %w", ErrPumpClosed)})
+	case ctxErr != nil:
 		d.count(evCanceled)
 		c.trace.finish("canceled")
-		return p.parkLocked(c, CallResult{Err: err})
-	}
-	if p.cache != nil {
-		if rows, ok := p.cache.Get(key); ok {
-			d.count(evCacheHit)
-			c.trace.finish("cache_hit")
-			return p.parkLocked(c, CallResult{Rows: rows})
-		}
-		// Coalesce with an identical in-flight call.
-		if waiting, ok := p.inflight[key]; ok {
-			d.count(evCoalesced)
-			c.trace.finish("coalesced")
+		p.parkLocked(c, CallResult{Err: ctxErr})
+	case hit:
+		c.trace.finish("cache_hit")
+		p.parkLocked(c, CallResult{Rows: rows})
+	default:
+		if p.cache != nil {
+			waiting, running := p.inflight[key]
 			p.inflight[key] = append(waiting, c)
-			return c.id
+			if running {
+				// Coalesce with an identical in-flight call.
+				d.count(evCoalesced)
+				c.trace.finish("coalesced")
+				break
+			}
 		}
-		p.inflight[key] = []*call{c}
+		c.state, c.enqueued = callQueued, time.Now()
+		p.queue = append(p.queue, c)
+		p.dispatchLocked(false)
 	}
-	c.state, c.enqueued = callQueued, time.Now()
-	p.queue = append(p.queue, c)
-	p.dispatchLocked(false)
-	return c.id
+	return c.id, nil, false
 }
 
 // dispatchLocked is the pump's one queue walk, behind registration,
@@ -454,11 +487,10 @@ func (p *Pump) settleLocked(c *call, res CallResult) {
 }
 
 // parkLocked completes a call at registration, before it joined any
-// execution, and returns its id. Callers hold p.mu.
-func (p *Pump) parkLocked(c *call, res CallResult) types.CallID {
+// execution. Callers hold p.mu.
+func (p *Pump) parkLocked(c *call, res CallResult) {
 	c.state, c.res = callDone, res
 	p.cond.Broadcast()
-	return c.id
 }
 
 // run is an execution goroutine: it executes the call dispatchLocked
@@ -492,6 +524,9 @@ func (p *Pump) execute(c *call) *call {
 			c.trace.finish("peer_hit")
 			return p.complete(c, CallResult{Rows: rows}, true)
 		}
+	}
+	if c.fn == nil {
+		c.fn = c.src.Call(c.key)
 	}
 	pol := p.RetryPolicy()
 	inline := pol.CallTimeout <= 0 && pol.HedgeAfter <= 0

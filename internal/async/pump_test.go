@@ -8,7 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exec"
+	"repro/internal/expr"
 	"repro/internal/obs"
+	"repro/internal/schema"
 	"repro/internal/types"
 )
 
@@ -299,6 +302,50 @@ func TestPumpRoundTripAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("pump round trip: %.1f allocs/op, want <= 2", allocs)
+	}
+}
+
+// TestCacheHitAllocs: a request the cache answers costs the pump nothing
+// on the heap — no call record, no trace, no closure — and costs a scan's
+// batch round one object per distinct key, the key string, on top of the
+// round's own fixed handful (the key map, the tuple list, one slab, the
+// per-binding row lists).
+func TestCacheHitAllocs(t *testing.T) {
+	const n = 50
+	cache := &countingCache{m: make(map[string][]types.Tuple)}
+	p := NewPump(0, 0, cache)
+	defer p.Close()
+	p.Observe(obs.NewRegistry())
+	src := countSource("WC", "d")
+	terms := make([]string, n)
+	for i := range terms {
+		terms[i] = fmt.Sprintf("term%02d", i)
+		cache.Put("WC|"+terms[i], []types.Tuple{{types.Int(int64(i))}})
+	}
+	ctx := context.Background()
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, rows, hit := p.Request(ctx, src, "WC|term07"); !hit || len(rows) != 1 {
+			t.Fatal("not a hit")
+		}
+	}); allocs != 0 {
+		t.Errorf("Pump.Request on a cache hit: %.1f allocs/op, want 0", allocs)
+	}
+
+	termCol := strCol("L", "Term")
+	aev := NewAEVScan(src, []expr.Expr{expr.NewColRef(termCol)}, countSchema("V"), p)
+	ectx := exec.NewContext()
+	outer := tuplesOf(terms)
+	allocs := testing.AllocsPerRun(200, func() {
+		rows, ok, err := aev.BindBatch(ectx, []schema.Column{termCol}, outer)
+		if err != nil || !ok || len(rows) != n || len(rows[n-1]) != 1 || rows[n-1][0].HasPlaceholder() {
+			t.Fatalf("round of hits: %v %v %v", rows, ok, err)
+		}
+	})
+	if allocs > n+8 {
+		t.Errorf("a round of %d cache hits: %.1f allocs, want <= %d (one key each and a fixed handful)", n, allocs, n+8)
+	}
+	if held := p.Held(); held != 0 {
+		t.Errorf("%d call records after nothing but hits", held)
 	}
 }
 

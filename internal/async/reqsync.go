@@ -13,7 +13,10 @@ import (
 // complete it patches the placeholders with real values (one result row),
 // cancels the tuple (zero rows), or expands it into n copies (n rows —
 // Section 4.3), copying any still-pending placeholder references into the
-// copies (Section 4.4). Tuples with no placeholders pass through.
+// copies (Section 4.4). Tuples with no placeholders pass through — among
+// them every tuple of a call the pump's cache answered at registration,
+// which the AEVScan emitted complete: such a call is never waited for,
+// taken or settled here.
 //
 // Open drains the child completely before any tuple is released ("we
 // choose this full-buffering implementation for the sake of simplicity").

@@ -28,9 +28,12 @@ type scriptedSource struct {
 func (s *scriptedSource) Name() string        { return s.name }
 func (s *scriptedSource) Destination() string { return s.dest }
 func (s *scriptedSource) NumEcho() int        { return s.numEcho }
-func (s *scriptedSource) Request(args []types.Value) (string, func() ([]types.Tuple, error)) {
-	arg := args[0].AsString()
-	return s.name + "|" + arg, func() ([]types.Tuple, error) {
+func (s *scriptedSource) AppendKey(buf []byte, args []types.Value) []byte {
+	return append(append(append(buf, s.name...), '|'), args[0].AsString()...)
+}
+func (s *scriptedSource) Call(key string) func() ([]types.Tuple, error) {
+	arg := strings.TrimPrefix(key, s.name+"|")
+	return func() ([]types.Tuple, error) {
 		s.mu.Lock()
 		s.calls++
 		s.mu.Unlock()

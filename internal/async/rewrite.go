@@ -290,15 +290,7 @@ func rewriteHashJoinAsSelection(root exec.Operator, j *exec.HashJoin) exec.Opera
 // reference.
 func hashJoinRefs(j *exec.HashJoin) map[schema.AttrID]bool {
 	set := make(map[schema.AttrID]bool)
-	for _, e := range j.LeftKeys {
-		e.CollectAttrs(set)
-	}
-	for _, e := range j.RightKeys {
-		e.CollectAttrs(set)
-	}
-	if j.Residual != nil {
-		j.Residual.CollectAttrs(set)
-	}
+	exec.Refs(j, set)
 	return set
 }
 
@@ -382,63 +374,17 @@ func outerRefs(op exec.Operator) map[schema.AttrID]bool {
 	refs := make(map[schema.AttrID]bool)
 	produced := make(map[schema.AttrID]bool)
 	collectRefs(op, refs, produced)
-	out := make(map[schema.AttrID]bool)
-	for id := range refs {
-		if !produced[id] {
-			out[id] = true
-		}
+	for id := range produced {
+		delete(refs, id)
 	}
-	return out
+	return refs
 }
 
 func collectRefs(op exec.Operator, refs, produced map[schema.AttrID]bool) {
 	for _, c := range op.Schema().Cols {
 		produced[c.ID] = true
 	}
-	switch o := op.(type) {
-	case *exec.Filter:
-		o.Pred.CollectAttrs(refs)
-	case *exec.Project:
-		for _, e := range o.Exprs {
-			e.CollectAttrs(refs)
-		}
-	case *exec.Sort:
-		for _, k := range o.Keys {
-			k.Expr.CollectAttrs(refs)
-		}
-	case *exec.NestedLoopJoin:
-		if o.Pred != nil {
-			o.Pred.CollectAttrs(refs)
-		}
-	case *exec.HashJoin:
-		for id := range hashJoinRefs(o) {
-			refs[id] = true
-		}
-	case *exec.HashSemiJoin:
-		for _, e := range o.LeftKeys {
-			e.CollectAttrs(refs)
-		}
-		for _, e := range o.RightKeys {
-			e.CollectAttrs(refs)
-		}
-	case *exec.Aggregate:
-		for _, g := range o.GroupBy {
-			g.CollectAttrs(refs)
-		}
-		for _, a := range o.Aggs {
-			if a.Arg != nil {
-				a.Arg.CollectAttrs(refs)
-			}
-		}
-	case *exec.EVScan:
-		for _, in := range o.Inputs {
-			in.CollectAttrs(refs)
-		}
-	case *AEVScan:
-		for _, in := range o.Inputs {
-			in.CollectAttrs(refs)
-		}
-	}
+	exec.Refs(op, refs)
 	for _, c := range op.Children() {
 		collectRefs(c, refs, produced)
 	}

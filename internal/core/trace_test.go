@@ -167,6 +167,27 @@ func TestExplainAnalyzeSQL(t *testing.T) {
 	if res.Trace == nil {
 		t.Error("EXPLAIN ANALYZE result should carry the span tree")
 	}
+	// From a warm cache the same query's calls are hits answered at
+	// registration: the scan line says so, nothing is left to settle, and
+	// the multi-row results are emitted in full.
+	warm := newPaperDB(t, Config{Async: true, CacheSize: 256})
+	mustQuery(t, warm, tracePagesQuery)
+	res, err = warm.QueryContext(context.Background(), "EXPLAIN ANALYZE "+tracePagesQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text = ""
+	for _, r := range res.Rows {
+		text += r[0].S + "\n"
+	}
+	for _, want := range []string{"calls=50", "cache_hits=50", "rows=100"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("warm EXPLAIN ANALYZE output missing %q:\n%s", want, text)
+		}
+	}
+	if strings.Contains(text, "settled=") {
+		t.Errorf("warm EXPLAIN ANALYZE reports settlements:\n%s", text)
+	}
 	// Not a valid prefix: EXPLAIN without ANALYZE stays a parse error,
 	// and a non-query statement is rejected.
 	if _, err := db.QueryContext(context.Background(), "EXPLAIN ANALYZE"); err == nil {

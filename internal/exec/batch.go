@@ -23,9 +23,10 @@ const DefaultBatchSize = 256
 // row list).
 //
 // The tuples themselves outlive the batch: a consumer may keep any tuple
-// for as long as it likes. TableScan and HashJoin cut the tuples of a
-// batch from one shared []types.Value slab instead of allocating each, as
-// three-index slices (cap == len), so an append on a tuple reallocates
+// for as long as it likes. The scans, the hash and dependent joins and
+// Project cut the tuples of a batch from one shared []types.Value slab
+// instead of allocating each, as three-index slices (cap == len), so an
+// append on a tuple reallocates
 // rather than writing into its neighbour. A full slab is replaced, never
 // grown, and nothing writes a slab below its length, so a slab-backed
 // tuple is as stable as one with storage of its own; what it costs is

@@ -24,14 +24,151 @@ type ExternalSource interface {
 	// call's argument values (SearchExp, T1..Tn). The remaining output
 	// columns are supplied by the call's result rows.
 	NumEcho() int
-	// Request decodes one call's argument vector, once, into the canonical
-	// key that memoizes the call ([HN96]; also the tier's peer-routing key)
-	// and the function that performs the (high-latency) external request.
-	// args is read only during Request, never retained: scans pass scratch
-	// they overwrite for the next binding. Arguments no call can be made
-	// from yield a key of their own and a call that fails with the reason.
-	// Result rows carry only the non-echo output columns, in schema order.
-	Request(args []types.Value) (key string, call func() ([]types.Tuple, error))
+	// AppendKey decodes one call's argument vector into the canonical key
+	// that names the request — what memoizes it ([HN96]), what the tier
+	// routes it by, and all Call needs to perform it — appended to buf, the
+	// scan's scratch. args is read only during AppendKey, never retained:
+	// scans overwrite it for the next binding. Arguments no call can be
+	// made from yield a key of their own, whose Call fails with the reason.
+	AppendKey(buf []byte, args []types.Value) []byte
+	// Call returns the function that performs the (high-latency) external
+	// request key names. It is asked for only when the request really has to
+	// run: a cache hit or a call coalesced onto another never builds one.
+	// Result rows carry only the non-echo columns, all of them, in order.
+	Call(key string) func() ([]types.Tuple, error)
+}
+
+// ExternalScan is what the synchronous and the asynchronous external scan
+// share: the source, its parameter expressions, which of the source's
+// columns the query reads, and the one way a call's key and a call's rows
+// are made.
+type ExternalScan struct {
+	Source ExternalSource
+	// Inputs supplies the call arguments. The first NumEcho() of them
+	// correspond to echoed output columns; any further inputs (e.g. the
+	// WebPages rank limit) parameterize the call without being echoed.
+	Inputs []expr.Expr
+	// Out holds the columns the scan emits: those of the source's column
+	// list — echoed arguments, then result fields — that Keep marks.
+	Out  *schema.Schema
+	Keep []bool
+
+	args ScanArgs
+	key  []byte // AppendKey scratch
+}
+
+func newExternalScan(src ExternalSource, inputs []expr.Expr, out *schema.Schema) ExternalScan {
+	return ExternalScan{Source: src, Inputs: inputs, Out: out, Keep: keepAll(out)}
+}
+
+// Schema implements Operator.
+func (s *ExternalScan) Schema() *schema.Schema { return s.Out }
+
+// externalScan lets Refs treat every scan that embeds an ExternalScan alike.
+func (s *ExternalScan) externalScan() *ExternalScan { return s }
+
+// ResultCols returns the result fields the scan emits: the columns of Out
+// after the echoed arguments it keeps.
+func (s *ExternalScan) ResultCols() []schema.Column {
+	echoes := 0
+	for _, kept := range s.Keep[:s.Source.NumEcho()] {
+		if kept {
+			echoes++
+		}
+	}
+	return s.Out.Cols[echoes:]
+}
+
+// Prune narrows the scan to the columns in need. One result field always
+// stays, the first if need names none: how many rows a call returned
+// reaches the plan only as tuples, and under asynchronous iteration as
+// that field's placeholder.
+func (s *ExternalScan) Prune(need map[schema.AttrID]bool) {
+	s.Out = narrow(s.Out, s.Keep, need, spareCol(s.ResultCols(), need))
+}
+
+// spareCol names the column of cols to keep although nothing reads it —
+// the first — when need names none of them, so that a row is never empty.
+func spareCol(cols []schema.Column, need map[schema.AttrID]bool) schema.AttrID {
+	for _, col := range cols {
+		if need[col.ID] {
+			return 0 // no column has id 0
+		}
+	}
+	if len(cols) == 0 {
+		return 0
+	}
+	return cols[0].ID
+}
+
+// keepAll is the mask of a scan that emits every column of out.
+func keepAll(out *schema.Schema) []bool {
+	keep := make([]bool, out.Len())
+	for i := range keep {
+		keep[i] = true
+	}
+	return keep
+}
+
+// narrow is a scan's column pruning. keep is a mask over the scan's full
+// column list of which out holds the marked ones; narrow unmarks every
+// column that need does not name and spare is not, and returns the schema
+// of those still marked.
+func narrow(out *schema.Schema, keep []bool, need map[schema.AttrID]bool, spare schema.AttrID) *schema.Schema {
+	var cols []schema.Column
+	at := 0
+	for i, kept := range keep {
+		if !kept {
+			continue
+		}
+		col := out.Cols[at]
+		at++
+		if keep[i] = need[col.ID] || col.ID == spare; keep[i] {
+			cols = append(cols, col)
+		}
+	}
+	return schema.New(cols...)
+}
+
+// Request evaluates the call's arguments against the current bindings and
+// builds its key. Both live in scratch the next Request overwrites.
+func (s *ExternalScan) Request(ctx *Context) (args []types.Value, key []byte, err error) {
+	args, err = s.args.Eval(s.Source.Name(), s.Inputs, ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.key = s.Source.AppendKey(s.key[:0], args)
+	return args, s.key, nil
+}
+
+// AppendRows appends to dst the output tuples of one call: per result row,
+// the kept echoed arguments and the kept fields of the row, copied — the
+// tuples share nothing with args or rows. They are cut from slab (see
+// Batch), which comes back grown, or replaced by one with room for more
+// further tuples when it could not hold them all. A row that does not
+// have every result field is an error.
+func (s *ExternalScan) AppendRows(dst []types.Tuple, slab []types.Value, args []types.Value, rows []types.Tuple, more int) ([]types.Tuple, []types.Value, error) {
+	numEcho, width := s.Source.NumEcho(), s.Out.Len()
+	if need := len(rows) * width; cap(slab)-len(slab) < need {
+		slab = make([]types.Value, 0, need+more*width)
+	}
+	for _, r := range rows {
+		if numEcho+len(r) != len(s.Keep) {
+			return dst, slab, fmt.Errorf("%s: result width %d != schema width %d", s.Source.Name(), numEcho+len(r), len(s.Keep))
+		}
+		mark := len(slab)
+		for i, kept := range s.Keep {
+			switch {
+			case !kept:
+			case i < numEcho:
+				slab = append(slab, args[i])
+			default:
+				slab = append(slab, r[i-numEcho])
+			}
+		}
+		dst = append(dst, slab[mark:len(slab):len(slab)])
+	}
+	return dst, slab, nil
 }
 
 // EVScan is the synchronous external virtual table scan of Section 4.1:
@@ -41,17 +178,11 @@ type ExternalSource interface {
 // the full latency of every call — this is precisely the behavior
 // asynchronous iteration (package async) replaces.
 type EVScan struct {
-	Source ExternalSource
-	// Inputs supplies the call arguments. The first NumEcho() of them
-	// correspond to echoed output columns; any further inputs (e.g. the
-	// WebPages rank limit) parameterize the call without being echoed.
-	Inputs []expr.Expr
-	Out    *schema.Schema
+	ExternalScan
 	// Cache, when non-nil, memoizes call results across Opens ([HN96]).
 	Cache ResultCache
 
 	rows []types.Tuple // the call result not yet emitted
-	args ScanArgs
 	// Per-instance profile counters for the span trace (EXPLAIN ANALYZE):
 	// calls actually issued vs served from cache, across every Open of
 	// this scan (a dependent join re-opens it once per outer binding).
@@ -69,11 +200,8 @@ type ResultCache interface {
 
 // NewEVScan builds a synchronous external scan.
 func NewEVScan(src ExternalSource, inputs []expr.Expr, out *schema.Schema) *EVScan {
-	return &EVScan{Source: src, Inputs: inputs, Out: out}
+	return &EVScan{ExternalScan: newExternalScan(src, inputs, out)}
 }
-
-// Schema implements Operator.
-func (s *EVScan) Schema() *schema.Schema { return s.Out }
 
 // ScanArgs evaluates a virtual-table scan's parameter expressions, which
 // read correlated bindings and constants, never a row. Binding them does
@@ -112,11 +240,11 @@ func (a *ScanArgs) Eval(name string, inputs []expr.Expr, ctx *Context) ([]types.
 // Open implements Operator: it performs the external call (or serves it
 // from cache).
 func (s *EVScan) Open(ctx *Context) error {
-	args, err := s.args.Eval(s.Source.Name(), s.Inputs, ctx)
+	args, keyBytes, err := s.Request(ctx)
 	if err != nil {
 		return err
 	}
-	key, call := s.Source.Request(args)
+	key := string(keyBytes)
 	if s.Cache != nil {
 		if rows, ok := s.Cache.Get(key); ok {
 			s.nCacheHits++
@@ -133,6 +261,7 @@ func (s *EVScan) Open(ctx *Context) error {
 	ctx.Stats.ExternalCalls++
 	s.nCalls++
 	start := time.Now()
+	call := s.Source.Call(key)
 	var rows []types.Tuple
 	if ctx.RetryCall != nil {
 		rows, err = ctx.RetryCall(ctx.Ctx, call)
@@ -159,8 +288,7 @@ func (s *EVScan) Open(ctx *Context) error {
 			// One all-NULL result row: the driving tuple survives with the
 			// call's attributes NULLed.
 			ctx.Stats.DegradedCalls++
-			width := s.Schema().Len() - s.Source.NumEcho()
-			null := make(types.Tuple, width)
+			null := make(types.Tuple, len(s.Keep)-s.Source.NumEcho())
 			for i := range null {
 				null[i] = types.Null()
 			}
@@ -176,21 +304,11 @@ func (s *EVScan) Open(ctx *Context) error {
 	return s.setRows(args, rows)
 }
 
-// setRows prefixes each call result row with the echoed argument values,
-// producing the full output-schema tuples NextBatch hands out.
-func (s *EVScan) setRows(args []types.Value, rows []types.Tuple) error {
-	numEcho := s.Source.NumEcho()
-	s.rows = make([]types.Tuple, len(rows))
-	for i, r := range rows {
-		t := make(types.Tuple, 0, numEcho+len(r))
-		t = append(t, args[:numEcho]...)
-		t = append(t, r...)
-		if len(t) != s.Out.Len() {
-			return fmt.Errorf("%s: result width %d != schema width %d", s.Source.Name(), len(t), s.Out.Len())
-		}
-		s.rows[i] = t
-	}
-	return nil
+// setRows materializes the call's rows as the output tuples NextBatch
+// hands out.
+func (s *EVScan) setRows(args []types.Value, rows []types.Tuple) (err error) {
+	s.rows, _, err = s.AppendRows(nil, nil, args, rows, 0)
+	return err
 }
 
 // NextBatch implements Operator by handing out windows of the call result

@@ -43,9 +43,12 @@ type fakeSource struct {
 func (f *fakeSource) Name() string        { return f.name }
 func (f *fakeSource) Destination() string { return "fake" }
 func (f *fakeSource) NumEcho() int        { return 1 }
-func (f *fakeSource) Request(args []types.Value) (string, func() ([]types.Tuple, error)) {
-	arg := args[0].AsString()
-	return f.name + "|" + arg, func() ([]types.Tuple, error) {
+func (f *fakeSource) AppendKey(buf []byte, args []types.Value) []byte {
+	return append(append(append(buf, f.name...), '|'), args[0].AsString()...)
+}
+func (f *fakeSource) Call(key string) func() ([]types.Tuple, error) {
+	arg := strings.TrimPrefix(key, f.name+"|")
+	return func() ([]types.Tuple, error) {
 		f.mu.Lock()
 		f.calls = append(f.calls, arg)
 		f.mu.Unlock()
@@ -408,6 +411,51 @@ func TestEVScanConstantInput(t *testing.T) {
 	rows := runAll(t, ev)
 	if len(rows) != 1 || rows[0][0].AsString() != "q" || rows[0][1].I != 7 {
 		t.Errorf("evscan rows: %v", rows)
+	}
+}
+
+// TestEVScanPruned: a pruned scan emits its kept columns only; a result
+// field stays even if nothing reads one, so the call's row count survives;
+// the rows a call returns, and their width check, are those of the full
+// column list.
+func TestEVScanPruned(t *testing.T) {
+	src := &fakeSource{name: "F", rowsFor: func(arg string) []types.Tuple {
+		switch arg {
+		case "two":
+			return []types.Tuple{{types.Int(1), types.Str("a")}, {types.Int(2), types.Str("b")}}
+		case "short":
+			return []types.Tuple{{types.Int(1)}}
+		}
+		return nil
+	}}
+	scan := func(arg string, need ...int) (*EVScan, *schema.Schema) {
+		full := schema.New(strCol("F", "Term"), intCol("F", "Val"), strCol("F", "Tag"))
+		ev := NewEVScan(src, []expr.Expr{expr.NewLiteral(types.Str(arg))}, full)
+		ids := map[schema.AttrID]bool{}
+		for _, i := range need {
+			ids[full.Cols[i].ID] = true
+		}
+		ev.Prune(ids)
+		return ev, full
+	}
+	ev, _ := scan("two", 2)
+	if rows := runAll(t, ev); len(rows) != 2 || rows[0].String() != "<a>" || rows[1].String() != "<b>" {
+		t.Errorf("Tag only: %v", rows)
+	}
+	ev, full := scan("two", 0)
+	if rows := runAll(t, ev); len(rows) != 2 || rows[1].String() != "<two, 2>" {
+		t.Errorf("Term only keeps the first result field too: %v", rows)
+	}
+	if got := ev.Schema().String(); got != "(F.Term, F.Val)" || len(ev.ResultCols()) != 1 || ev.ResultCols()[0].ID != full.Cols[1].ID {
+		t.Errorf("schema %s, result columns %v", got, ev.ResultCols())
+	}
+	ev, _ = scan("none", 0, 1, 2)
+	if rows := runAll(t, ev); len(rows) != 0 {
+		t.Errorf("zero-row call: %v", rows)
+	}
+	ev, _ = scan("short", 1)
+	if _, err := Run(NewContext(), ev); err == nil || !strings.Contains(err.Error(), "result width 2 != schema width 3") {
+		t.Errorf("short row through a pruned scan: %v", err)
 	}
 }
 

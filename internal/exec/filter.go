@@ -106,15 +106,17 @@ func (p *Project) Open(ctx *Context) error {
 }
 
 // NextBatch implements Operator by mapping the projection over a
-// whole child batch.
+// whole child batch. The batch's rows are cut from one slab (see Batch).
 func (p *Project) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	in, ok, err := p.Child.NextBatch(ctx, max)
 	if err != nil || !ok {
 		return nil, false, err
 	}
 	out := make(Batch, len(in))
+	width := len(p.Exprs)
+	slab := make([]types.Value, len(in)*width)
 	for j, t := range in {
-		row := make(types.Tuple, len(p.Exprs))
+		row := types.Tuple(slab[j*width : (j+1)*width : (j+1)*width])
 		for i, e := range p.Exprs {
 			v, err := e.Eval(ctx.Env, t)
 			if err != nil {

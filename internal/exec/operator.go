@@ -113,7 +113,8 @@ type Context struct {
 	// that every other size must agree with.
 	BatchSize int
 	// PumpCalls lists every asynchronous call this execution registered
-	// (AEVScan appends). A ReqSync disowns only the calls whose placeholder
+	// (AEVScan appends; a request the pump's cache answered on the spot
+	// registered none). A ReqSync disowns only the calls whose placeholder
 	// tuples reached it; whoever runs the plan discards this list after the
 	// root Close, so a call whose tuples a join dropped below the ReqSync,
 	// or that an error stranded, does not stay parked in the pump.
@@ -250,6 +251,46 @@ func Shape(op Operator) string {
 		parts[i] = Shape(c)
 	}
 	return op.Name() + "(" + strings.Join(parts, ",") + ")"
+}
+
+// Refs adds to set the attributes op's own expressions read — a
+// predicate, projection, sort or join key, group or aggregate argument,
+// call parameter — from its inputs or, for a call parameter, from an
+// enclosing dependent join's bindings. It does not descend into children.
+func Refs(op Operator, set map[schema.AttrID]bool) {
+	add := func(exprs ...expr.Expr) {
+		for _, e := range exprs {
+			if e != nil {
+				e.CollectAttrs(set)
+			}
+		}
+	}
+	switch o := op.(type) {
+	case *Filter:
+		add(o.Pred)
+	case *Project:
+		add(o.Exprs...)
+	case *Sort:
+		for _, k := range o.Keys {
+			add(k.Expr)
+		}
+	case *NestedLoopJoin:
+		add(o.Pred)
+	case *HashJoin:
+		add(o.LeftKeys...)
+		add(o.RightKeys...)
+		add(o.Residual)
+	case *HashSemiJoin:
+		add(o.LeftKeys...)
+		add(o.RightKeys...)
+	case *Aggregate:
+		add(o.GroupBy...)
+		for _, a := range o.Aggs {
+			add(a.Arg)
+		}
+	case interface{ externalScan() *ExternalScan }: // EVScan, and async's AEVScan
+		add(o.externalScan().Inputs...)
+	}
 }
 
 // bindAll binds the expressions against a schema, annotating errors with

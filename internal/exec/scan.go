@@ -14,7 +14,10 @@ import (
 // occurrence in the FROM clause).
 type TableScan struct {
 	Table *catalog.Table
-	Out   *schema.Schema
+	// Out holds the columns the scan emits: those of the table's that Keep
+	// marks. The others are never decoded.
+	Out  *schema.Schema
+	Keep []bool
 
 	sc *storage.Scanner
 	// slabRows is how many tuples the next decode slab holds. It doubles
@@ -25,11 +28,17 @@ type TableScan struct {
 
 // NewTableScan builds a scan over t producing the given instantiated schema.
 func NewTableScan(t *catalog.Table, out *schema.Schema) *TableScan {
-	return &TableScan{Table: t, Out: out}
+	return &TableScan{Table: t, Out: out, Keep: keepAll(out)}
 }
 
 // Schema implements Operator.
 func (s *TableScan) Schema() *schema.Schema { return s.Out }
+
+// Prune narrows the scan to the columns in need (and, if it names none,
+// the first).
+func (s *TableScan) Prune(need map[schema.AttrID]bool) {
+	s.Out = narrow(s.Out, s.Keep, need, spareCol(s.Out.Cols, need))
+}
 
 // Open implements Operator; re-opening restarts the scan (dependent joins
 // and nested-loop joins re-open their inner input).
@@ -70,13 +79,9 @@ func (s *TableScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 			s.slabRows = min(2*s.slabRows, ctx.BatchLen())
 		}
 		var t types.Tuple
-		t, slab, err = types.DecodeTupleInto(slab, raw)
+		t, slab, err = types.DecodeTupleInto(slab, raw, s.Keep)
 		if err != nil {
 			return nil, false, fmt.Errorf("TableScan(%s): %w", s.Table.Def.Name, err)
-		}
-		if len(t) != width {
-			return nil, false, fmt.Errorf("TableScan(%s): stored tuple width %d != schema width %d",
-				s.Table.Def.Name, len(t), width)
 		}
 		out = append(out, t)
 	}

@@ -20,6 +20,7 @@ import (
 	"os"
 
 	"repro/internal/async"
+	"repro/internal/cache"
 	"repro/internal/catalog"
 	"repro/internal/datasets"
 	"repro/internal/plan"
@@ -51,7 +52,7 @@ type WideRow struct {
 
 // Env is a self-contained fuzzing environment: a catalog holding the
 // normalized tables, the websim corpus with both simulated engines, a
-// planner, and the request pump the async variants share. It also keeps
+// planner, and the request pumps the async variants share. It also keeps
 // the wide rows and dimension maps the ground-truth evaluator reads.
 type Env struct {
 	Cat     *catalog.Catalog
@@ -59,6 +60,9 @@ type Env struct {
 	VTabs   *vtab.Registry
 	Planner *plan.Planner
 	Pump    *async.Pump
+	// WarmPump is the warm variant's pump. Its result cache holds fewer
+	// keys than the data set's web joins can ask for, so it also evicts.
+	WarmPump *async.Pump
 
 	Wide []WideRow
 	// Dimension attribute maps, keyed by the (unique) dimension key.
@@ -96,12 +100,13 @@ func NewEnv(dir string, seed int64) (*Env, error) {
 	engines.Register(websim.NewGoogle(corpus), "G")
 	vt := vtab.NewRegistry(engines)
 	e := &Env{
-		Cat:     cat,
-		Engines: engines,
-		VTabs:   vt,
-		Planner: plan.New(cat, vt),
-		Pump:    async.NewPump(0, 0, nil),
-		dir:     dir,
+		Cat:      cat,
+		Engines:  engines,
+		VTabs:    vt,
+		Planner:  plan.New(cat, vt),
+		Pump:     async.NewPump(0, 0, nil),
+		WarmPump: async.NewPump(0, 0, cache.New(48)),
+		dir:      dir,
 	}
 	if err := e.buildData(seed); err != nil {
 		e.Close()
@@ -129,6 +134,7 @@ func NewTempEnv(seed int64) (*Env, error) {
 // environment owns it).
 func (e *Env) Close() error {
 	e.Pump.Close()
+	e.WarmPump.Close()
 	err := e.Cat.Close()
 	if e.rmOnCl {
 		os.RemoveAll(e.dir)

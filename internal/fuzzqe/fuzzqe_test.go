@@ -10,6 +10,8 @@ import (
 	"repro/internal/async"
 	"repro/internal/exec"
 	"repro/internal/expr"
+	"repro/internal/schema"
+	"repro/internal/types"
 )
 
 // TestFuzzSmoke is the tier-1 differential run: a seeded,
@@ -88,52 +90,80 @@ func TestCorpusReplay(t *testing.T) {
 	}
 }
 
-// TestMutationSelfTest checks the fuzzer can actually catch rewrite bugs:
-// a test-only mutation re-introduces the percolation clash the rewrite
-// exists to prevent — it pushes a clashing selection back below its
-// ReqSync, where it evaluates placeholder values — and the harness must
-// flag a divergence within a bounded number of queries, with the shrinker
-// reducing the catch to a small repro.
+// TestMutationSelfTest checks the fuzzer can actually catch the bugs it
+// exists for. Each mutation re-introduces one into every async plan, and
+// the harness must flag a divergence within a bounded number of queries,
+// with the shrinker reducing the catch to a small repro:
+//
+//   - clash: the percolation clash the rewrite exists to prevent — a
+//     clashing selection pushed back below its ReqSync, where it evaluates
+//     placeholder values;
+//   - first-hit-row: a cache hit answered at registration emits only the
+//     first row of a multi-row cached result (only the warm variant has
+//     hits, so only it can catch this);
+//   - pruned-filter-column: column pruning forgets the predicate of a
+//     selection that percolation later hoists above the ReqSync, so the
+//     scans below drop columns the selection reads.
 func TestMutationSelfTest(t *testing.T) {
-	env, err := NewTempEnv(7)
-	if err != nil {
-		t.Fatal(err)
+	for _, m := range mutations {
+		t.Run(m.name, func(t *testing.T) {
+			env, err := NewTempEnv(7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer env.Close()
+			min := catchAndShrink(t, env, m.mutate)
+			if len(min.Joins) > 3 {
+				t.Errorf("shrunk repro still has %d joins: %s", len(min.Joins), min.SQL())
+			}
+			// The unmutated engine must be clean on the shrunk query — the
+			// divergence belongs to the mutation, not the engine.
+			clean := &Runner{Env: env}
+			if d, err := clean.RunOne(context.Background(), min); err != nil || d != nil {
+				t.Fatalf("shrunk repro diverges without the mutation: %v %v", err, d)
+			}
+		})
 	}
-	defer env.Close()
+}
+
+var mutations = []struct {
+	name   string
+	mutate func(exec.Operator) exec.Operator
+}{
+	{"clash", pushClashingFilterBelowRS},
+	{"first-hit-row", emitFirstHitRowOnly},
+	{"pruned-filter-column", pruneHoistedFilterColumns},
+}
+
+// catchAndShrink runs the seed-99 query stream under mutate until the
+// harness flags a divergence — within 1 000 queries, or the test fails —
+// and returns the query shrunk while it still diverges the same way.
+func catchAndShrink(t *testing.T, env *Env, mutate func(exec.Operator) exec.Operator) *QuerySpec {
+	t.Helper()
 	g := NewGen(env, 99)
-	r := &Runner{Env: env, Mutate: pushClashingFilterBelowRS}
+	r := &Runner{Env: env, Mutate: mutate}
 	ctx := context.Background()
 	var caught *Divergence
 	for i := 0; i < 1000 && caught == nil; i++ {
-		spec := g.Next()
-		d, err := r.RunOne(ctx, spec)
+		d, err := r.RunOne(ctx, g.Next())
 		if err != nil {
 			t.Fatalf("query %d harness error: %v", i, err)
 		}
 		caught = d
 	}
 	if caught == nil {
-		t.Fatal("broken percolation not caught within 1000 queries")
+		t.Fatal("mutation not caught within 1000 queries")
 	}
-	min := Shrink(caught.Spec, func(cand *QuerySpec) bool {
+	return Shrink(caught.Spec, func(cand *QuerySpec) bool {
 		d, err := r.RunOne(ctx, cand)
 		return err == nil && d != nil && d.Kind == caught.Kind && d.Variant == caught.Variant
 	})
-	if len(min.Joins) > 3 {
-		t.Errorf("shrunk repro still has %d joins: %s", len(min.Joins), min.SQL())
-	}
-	// The unmutated engine must be clean on the shrunk query — the
-	// divergence belongs to the mutation, not the engine.
-	clean := &Runner{Env: env}
-	if d, err := clean.RunOne(ctx, min); err != nil || d != nil {
-		t.Fatalf("shrunk repro diverges without the mutation: %v %v", err, d)
-	}
 }
 
-// pushClashingFilterBelowRS is the self-test mutation: wherever a
-// clashing selection rests directly above a ReqSync (the position
-// percolation's hoisting produces), swap the two so the selection
-// evaluates placeholder tuples below the synchronization point.
+// pushClashingFilterBelowRS is the clash mutation: wherever a clashing
+// selection rests directly above a ReqSync (the position percolation's
+// hoisting produces), swap the two so the selection evaluates placeholder
+// tuples below the synchronization point.
 func pushClashingFilterBelowRS(op exec.Operator) exec.Operator {
 	if f, ok := op.(*exec.Filter); ok {
 		if rs, ok2 := f.Children()[0].(*async.ReqSync); ok2 && expr.References(f.Pred, rs.A) {
@@ -146,6 +176,64 @@ func pushClashingFilterBelowRS(op exec.Operator) exec.Operator {
 		op.SetChild(i, pushClashingFilterBelowRS(c))
 	}
 	return op
+}
+
+// firstHitRow is an AEVScan whose batch rounds keep one row per binding. A
+// registered call has one, its placeholder tuple; a hit loses the rest.
+type firstHitRow struct{ *async.AEVScan }
+
+func (w firstHitRow) BindBatch(ctx *exec.Context, cols []schema.Column, outer []types.Tuple) ([][]types.Tuple, bool, error) {
+	rows, ok, err := w.AEVScan.BindBatch(ctx, cols, outer)
+	for i, rs := range rows {
+		if len(rs) > 1 {
+			rows[i] = rs[:1]
+		}
+	}
+	return rows, ok, err
+}
+
+// emitFirstHitRowOnly is the first-hit-row mutation.
+func emitFirstHitRowOnly(op exec.Operator) exec.Operator {
+	for i, c := range op.Children() {
+		if scan, ok := c.(*async.AEVScan); ok {
+			op.SetChild(i, firstHitRow{scan})
+		} else {
+			emitFirstHitRowOnly(c)
+		}
+	}
+	return op
+}
+
+// pruneHoistedFilterColumns is the pruned-filter-column mutation: below
+// every selection hoisted onto a ReqSync, the scans are narrowed as if
+// nothing read the selection's columns.
+func pruneHoistedFilterColumns(op exec.Operator) exec.Operator {
+	if f, ok := op.(*exec.Filter); ok {
+		if rs, ok2 := f.Child.(*async.ReqSync); ok2 && expr.References(f.Pred, rs.A) {
+			pruneScans(rs, expr.Attrs(f.Pred))
+		}
+	}
+	for _, c := range op.Children() {
+		pruneHoistedFilterColumns(c)
+	}
+	return op
+}
+
+// pruneScans narrows every scan under op to its columns not in drop.
+func pruneScans(op exec.Operator, drop map[schema.AttrID]bool) {
+	need := make(map[schema.AttrID]bool)
+	for _, col := range op.Schema().Cols {
+		need[col.ID] = !drop[col.ID]
+	}
+	switch scan := op.(type) {
+	case *exec.TableScan:
+		scan.Prune(need)
+	case *async.AEVScan:
+		scan.Prune(need)
+	}
+	for _, c := range op.Children() {
+		pruneScans(c, drop)
+	}
 }
 
 // TestShrinkFixpoint: with an always-true keep, the shrinker must reach
@@ -265,6 +353,18 @@ func TestRegenCorpus(t *testing.T) {
 			"values inline; caught the plan model deferring every web-referencing unit to its settlement site",
 	}
 
+	// The self-test's catches of the two mutations that need a cached
+	// multi-row hit and a hoisted selection over a pruned scan. They are
+	// already minimal for what they exercise: shrinking them further by
+	// plan shape alone would lower the rank limit to a one-row result.
+	selfTest := map[string]bool{"hit-multi-row": true, "hoisted-filter-column": true}
+	specs["hit-multi-row"] = catchAndShrink(t, env, emitFirstHitRowOnly)
+	specs["hit-multi-row"].Note = "a WebPages call answered from the result cache with several rows: the warm variant's " +
+		"second run must emit every one of them at registration (self-test mutation first-hit-row keeps only the first)"
+	specs["hoisted-filter-column"] = catchAndShrink(t, env, pruneHoistedFilterColumns)
+	specs["hoisted-filter-column"].Note = "a selection hoisted above the ReqSync reads columns of the scans below it: the " +
+		"required-attributes pass must keep them (self-test mutation pruned-filter-column drops them)"
+
 	r := &Runner{Env: env}
 	ctx := context.Background()
 	if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -275,14 +375,17 @@ func TestRegenCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: signature: %v", name, err)
 		}
-		min := Shrink(spec, func(cand *QuerySpec) bool {
-			sig, err := env.Signature(cand)
-			if err != nil || sig != origSig {
-				return false
-			}
-			d, err := r.RunOne(ctx, cand)
-			return err == nil && d == nil
-		})
+		min := spec
+		if !selfTest[name] {
+			min = Shrink(spec, func(cand *QuerySpec) bool {
+				sig, err := env.Signature(cand)
+				if err != nil || sig != origSig {
+					return false
+				}
+				d, err := r.RunOne(ctx, cand)
+				return err == nil && d == nil
+			})
+		}
 		if d, err := r.RunOne(ctx, min); err != nil || d != nil {
 			t.Fatalf("%s: minimized corpus entry not clean: %v %v", name, err, d)
 		}

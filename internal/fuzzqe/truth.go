@@ -37,12 +37,19 @@ import (
 // unconditionally and ends up above the ReqSync, so its dropped rows
 // still settle — while the nested-loop plan keeps the same join below
 // the ReqSync. Hence two predictions.
+//
+// WarmCalls models the same asynchronous plan when the result cache
+// answers every call at registration: filters stay where the rewrite put
+// them, but each web join expands, or drops, its outer tuple on the spot,
+// as in the synchronous plan, so a later web join is bound once per
+// expanded tuple.
 type Truth struct {
 	Multiset         map[string]int
 	SyncCalls        int64
 	AsyncCalls       int64
 	AsyncSettledNLJ  int64
 	AsyncSettledHash int64
+	WarmCalls        int64
 }
 
 // truthRow is one partial join result: qualified column name → value.
@@ -55,11 +62,15 @@ func (e *Env) Truth(spec *QuerySpec) (*Truth, error) {
 	if err != nil {
 		return nil, err
 	}
-	asyncCalls, settledNLJ, err := e.evalAsync(spec, false)
+	asyncCalls, settledNLJ, err := e.evalAsync(spec, false, false)
 	if err != nil {
 		return nil, err
 	}
-	_, settledHash, err := e.evalAsync(spec, true)
+	_, settledHash, err := e.evalAsync(spec, true, false)
+	if err != nil {
+		return nil, err
+	}
+	warmCalls, _, err := e.evalAsync(spec, true, true)
 	if err != nil {
 		return nil, err
 	}
@@ -86,6 +97,7 @@ func (e *Env) Truth(spec *QuerySpec) (*Truth, error) {
 		AsyncCalls:       asyncCalls,
 		AsyncSettledNLJ:  settledNLJ,
 		AsyncSettledHash: settledHash,
+		WarmCalls:        warmCalls,
 	}, nil
 }
 
@@ -269,7 +281,10 @@ type asyncRow struct {
 // A call settles only if some tuple carrying it survives to a
 // settlement site; the returned settled count is the number of distinct
 // such calls.
-func (e *Env) evalAsync(spec *QuerySpec, hashVariant bool) (int64, int64, error) {
+//
+// With warm set every call is a cache hit: nothing is left pending, the
+// web join itself attaches the result rows, and nothing settles.
+func (e *Env) evalAsync(spec *QuerySpec, hashVariant, warm bool) (int64, int64, error) {
 	n := len(spec.Joins)
 	pos := map[string]int{"f": 0}
 	webAlias := make(map[string]bool)
@@ -455,15 +470,7 @@ func (e *Env) evalAsync(spec *QuerySpec, hashVariant bool) (int64, int64, error)
 				var next []truthRow
 				for _, v := range expanded {
 					for _, res := range p.rows {
-						nv := cloneRow(v)
-						if p.kind == JoinWebCount {
-							nv[p.alias+".Count"] = res[0]
-						} else {
-							nv[p.alias+".URL"] = res[0]
-							nv[p.alias+".Rank"] = res[1]
-							nv[p.alias+".Date"] = res[2]
-						}
-						next = append(next, nv)
+						next = append(next, withWebResult(v, p.alias, p.kind, res))
 					}
 				}
 				expanded = next
@@ -504,6 +511,7 @@ func (e *Env) evalAsync(spec *QuerySpec, hashVariant bool) (int64, int64, error)
 			if err != nil {
 				return 0, 0, err
 			}
+			var hit []asyncRow
 			for ri := range rows {
 				bind := rows[ri].vals[j.BindCol]
 				if bind.IsNull() {
@@ -515,9 +523,23 @@ func (e *Env) evalAsync(spec *QuerySpec, hashVariant bool) (int64, int64, error)
 				if err != nil {
 					return 0, 0, err
 				}
+				if warm {
+					for _, row := range res {
+						v := withWebResult(rows[ri].vals, j.Alias, j.Kind, row)
+						if ok, err := withinRankBounds(spec, j.Alias, v); err != nil {
+							return 0, 0, err
+						} else if ok {
+							hit = append(hit, asyncRow{vals: v})
+						}
+					}
+					continue
+				}
 				rows[ri].pending = append(rows[ri].pending, pendingCall{
 					id: nextID, alias: j.Alias, kind: j.Kind, rows: res,
 				})
+			}
+			if warm {
+				rows = hit
 			}
 		} else if cross[k] {
 			// join→σ(×): attach every dimension row; the predicate unit
@@ -629,16 +651,7 @@ func (e *Env) extendWeb(rows []truthRow, j *Join, calls int64) ([]truthRow, int6
 			return nil, 0, err
 		}
 		for _, res := range results {
-			nr := cloneRow(r)
-			switch j.Kind {
-			case JoinWebCount:
-				nr[j.Alias+".Count"] = res[0]
-			default:
-				nr[j.Alias+".URL"] = res[0]
-				nr[j.Alias+".Rank"] = res[1]
-				nr[j.Alias+".Date"] = res[2]
-			}
-			out = append(out, nr)
+			out = append(out, withWebResult(r, j.Alias, j.Kind, res))
 		}
 	}
 	return out, calls, nil
@@ -668,14 +681,14 @@ func (e *Env) webCall(def *vtab.Def, j *Join, t1 string) ([]types.Tuple, error) 
 	if j.Kind == JoinWebPages {
 		args = append(args, types.Int(int64(j.RankLimit)))
 	}
-	key, call := src.Request(args)
+	key := string(src.AppendKey(nil, args))
 	if e.webMemo == nil {
 		e.webMemo = make(map[string][]types.Tuple)
 	}
 	if rows, ok := e.webMemo[key]; ok {
 		return rows, nil
 	}
-	rows, err := call()
+	rows, err := src.Call(key)()
 	if err != nil {
 		return nil, err
 	}
@@ -730,6 +743,36 @@ func evalFilter(f *Filter, r truthRow) (bool, error) {
 	default:
 		return false, fmt.Errorf("truth: unknown filter op %q", f.Op)
 	}
+}
+
+// withinRankBounds applies the conjuncts the planner folds into a
+// WebPages call's rank limit instead of planning a filter for them —
+// alias.Rank <= or < a constant — so that they hold from the call on.
+func withinRankBounds(spec *QuerySpec, alias string, r truthRow) (bool, error) {
+	for i := range spec.Filters {
+		f := &spec.Filters[i]
+		if f.Col != alias+".Rank" || f.IntVal == nil || (f.Op != "<=" && f.Op != "<") {
+			continue
+		}
+		if ok, err := evalFilter(f, r); err != nil || !ok {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// withWebResult returns a copy of r extended by one result row of the web
+// join alias.
+func withWebResult(r truthRow, alias, kind string, res types.Tuple) truthRow {
+	nr := cloneRow(r)
+	if kind == JoinWebCount {
+		nr[alias+".Count"] = res[0]
+	} else {
+		nr[alias+".URL"] = res[0]
+		nr[alias+".Rank"] = res[1]
+		nr[alias+".Date"] = res[2]
+	}
+	return nr
 }
 
 func cloneRow(r truthRow) truthRow {

@@ -52,13 +52,22 @@ func goldenQueries(t *testing.T) []string {
 	return out
 }
 
+// goldenQueryDeadline bounds one golden query. They take milliseconds; a
+// query still waiting after this long is waiting for a call that will
+// never run — a leaked pump slot — and must fail its test by name instead
+// of hanging it to the go test timeout.
+const goldenQueryDeadline = 10 * time.Second
+
 // resultSet executes q and returns its rows formatted and sorted (the
 // engine's row order for unordered queries is not part of the contract).
 func resultSet(t *testing.T, env *Env, q string) []string {
 	t.Helper()
-	res, err := env.DB.QueryContext(context.Background(), q)
+	ctx, cancel := context.WithTimeout(context.Background(), goldenQueryDeadline)
+	defer cancel()
+	res, err := env.DB.QueryContext(ctx, q)
 	if err != nil {
-		t.Fatalf("%s: %v", q, err)
+		running, queued := env.DB.Pump().Active()
+		t.Fatalf("%s: %v (pump: running=%d queued=%d held=%d)", q, err, running, queued, env.DB.Pump().Held())
 	}
 	rows := make([]string, len(res.Rows))
 	for i, r := range res.Rows {

@@ -11,7 +11,7 @@ import (
 //
 //  1. In internal/{async,search,server,core}, an exported function or
 //     method that directly performs a pump operation (RegisterCtx,
-//     AwaitAnyCtx, CallWithRetry, ...) or a network call (net/http)
+//     Request, AwaitAnyCtx, CallWithRetry, ...) or a network call (net/http)
 //     must accept a context.Context parameter: without one, a query
 //     deadline cannot reach the external call it is supposed to bound.
 //
@@ -29,7 +29,7 @@ type ctxFlow struct {
 	// scopes restricts sub-check 1.
 	scopes []string
 	// pumpMethods are the blocking pump operations by method name. The
-	// distinctive names match syntactically; ambiguous ones (Register,
+	// distinctive names match syntactically; ambiguous ones (Request,
 	// AwaitAny) additionally require the receiver to resolve to
 	// async.Pump when type information is available.
 	pumpMethods map[string]bool
@@ -42,7 +42,7 @@ func newCtxFlow() *ctxFlow {
 	return &ctxFlow{
 		scopes: []string{"internal/async", "internal/search", "internal/server", "internal/core", "internal/obs", "internal/shard", "internal/exec"},
 		pumpMethods: map[string]bool{
-			"RegisterCtx": true, "AwaitAnyCtx": true, "AwaitAny": true, "CallWithRetry": true,
+			"RegisterCtx": true, "Request": true, "AwaitAnyCtx": true, "AwaitAny": true, "CallWithRetry": true,
 		},
 		netFuncs: map[string]bool{"Get": true, "Post": true, "PostForm": true, "Head": true},
 	}

@@ -211,7 +211,42 @@ func (p *Planner) PlanSelect(sel *sqlparse.Select) (exec.Operator, error) {
 	if sel.Limit >= 0 {
 		cur = exec.NewLimit(cur, sel.Limit)
 	}
+	pruneColumns(cur, cur.Schema().AttrIDs())
 	return cur, nil
+}
+
+// pruneColumns is the required-attributes pass: it walks the plan from the
+// root with need, the attributes something at or above op reads, and
+// narrows every scan to the columns in it, so what no operator reads is
+// never decoded, fetched from a call's row or carried through a join.
+// Operators that pass their input's columns through add what their own
+// expressions read; a Project or an Aggregate computes what it emits, so
+// below it only its own expressions count; anything else — Distinct, which
+// compares whole rows, a union, which aligns them by position — keeps
+// every column of its inputs, as does the root of a SELECT *.
+func pruneColumns(op exec.Operator, need map[schema.AttrID]bool) {
+	switch o := op.(type) {
+	case *exec.TableScan:
+		o.Prune(need)
+	case *exec.EVScan:
+		o.Prune(need)
+	case *exec.Project, *exec.Aggregate:
+		need = make(map[schema.AttrID]bool)
+	case *exec.DependentJoin:
+		exec.Refs(o.Right, need) // the call's parameters, read from the left's tuples
+	case *exec.Filter, *exec.Sort, *exec.Limit, *exec.NestedLoopJoin, *exec.HashJoin, *exec.HashSemiJoin:
+	default:
+		for _, c := range op.Children() {
+			for _, col := range c.Schema().Cols {
+				need[col.ID] = true
+			}
+		}
+	}
+	exec.Refs(op, need)
+	for i, c := range op.Children() {
+		pruneColumns(c, need)
+		op.SetChild(i, c) // a join drops the schema it computed from the unpruned child
+	}
 }
 
 // PlanUnion lowers a UNION of SELECTs. SQL UNION (without ALL) is planned
@@ -771,23 +806,25 @@ func resolveColumn(c *sqlparse.Col, scopes []*scope) (schema.Column, error) {
 		// No scope alias matches (e.g. ORDER BY over a projection schema):
 		// resolve by the columns' own table qualifiers.
 		for _, sc := range scopes {
-			if col, err := sc.schema.Resolve(c.Table, c.Name); err == nil {
+			if col, matches := sc.schema.Lookup(c.Table, c.Name); matches == 1 {
 				return col, nil
 			}
 		}
 		return schema.Column{}, fmt.Errorf("unknown table or alias %s", c.Table)
 	}
-	var found []schema.Column
+	var found schema.Column
+	scopesWith := 0 // scopes that resolve the name to exactly one column
 	for _, sc := range scopes {
-		if col, err := sc.schema.Resolve("", c.Name); err == nil {
-			found = append(found, col)
+		if col, matches := sc.schema.Lookup("", c.Name); matches == 1 {
+			found = col
+			scopesWith++
 		}
 	}
-	switch len(found) {
+	switch scopesWith {
 	case 0:
 		return schema.Column{}, fmt.Errorf("unknown column %s", c.Name)
 	case 1:
-		return found[0], nil
+		return found, nil
 	default:
 		return schema.Column{}, fmt.Errorf("ambiguous column %s (qualify it with a table alias)", c.Name)
 	}

@@ -428,3 +428,73 @@ func TestPlanWebFetch(t *testing.T) {
 	// Unbound URL errors at plan time.
 	planErr(t, p, `SELECT Content FROM WebFetch`)
 }
+
+// scanColumns lists, per scan of the plan in plan order, the columns it
+// emits.
+func scanColumns(op exec.Operator) []string {
+	var out []string
+	switch op.(type) {
+	case *exec.TableScan, *exec.EVScan:
+		names := make([]string, len(op.Schema().Cols))
+		for i, c := range op.Schema().Cols {
+			names[i] = c.Name
+		}
+		out = append(out, op.Describe()+"("+strings.Join(names, ",")+")")
+	}
+	for _, c := range op.Children() {
+		out = append(out, scanColumns(c)...)
+	}
+	return out
+}
+
+// TestPlanPrunesUnreadColumns: the required-attributes pass narrows every
+// scan to what the operators above it read — select list, predicates,
+// sort, join and group keys, a later dependent join's bindings — plus one
+// result field of a virtual table (the row count of a call travels as
+// tuples) and one column of a stored table nothing is read from. SELECT *,
+// DISTINCT over * and each term of a UNION keep what they produce.
+func TestPlanPrunesUnreadColumns(t *testing.T) {
+	p := newPlanner(t)
+	for _, c := range []struct{ sql, want string }{
+		{`SELECT Name, Count FROM States, WebCount WHERE Name = T1 AND T2 = 'scuba diving'`,
+			"States(Name) WebCount(Count)"},
+		{`SELECT Capital, T1 FROM States, WebCount WHERE Name = T1 AND Count > Population ORDER BY Capital`,
+			"States(Name,Population,Capital) WebCount(T1,Count)"},
+		{`SELECT Name FROM States, WebPages WHERE Name = T1 AND Rank <= 2`,
+			"States(Name) WebPages(URL)"},
+		{`SELECT Name, Date FROM States, WebPages WHERE Name = T1`,
+			"States(Name) WebPages(Date)"},
+		{`SELECT W.Count FROM States, WebPages P, WebCount W WHERE Name = P.T1 AND W.T1 = P.URL`,
+			"States(Name) WebPages(URL) WebCount(Count)"},
+		{`SELECT COUNT(*) FROM States`, "States(Name)"},
+		{`SELECT Capital, COUNT(*) FROM States WHERE Population > 5 GROUP BY Capital`, "States(Population,Capital)"},
+		{`SELECT S.Name FROM States S, States T WHERE S.Population = T.Population AND T.Capital <> 'x'`,
+			"States S(Name,Population) States T(Population,Capital)"},
+		{`SELECT * FROM States`, "States(Name,Population,Capital)"},
+		{`SELECT DISTINCT * FROM States, WebCount WHERE Name = T1`,
+			"States(Name,Population,Capital) WebCount(SearchExp,T1,T2,T3,T4,T5,T6,T7,T8,Count)"},
+		{`SELECT DISTINCT Capital FROM States`, "States(Capital)"},
+	} {
+		if got := strings.Join(scanColumns(planSQL(t, p, c.sql)), " "); got != c.want {
+			t.Errorf("%s\n  scans emit %s\n  want       %s", c.sql, got, c.want)
+		}
+	}
+	u, err := sqlparse.Parse(`SELECT Name FROM States UNION SELECT * FROM States WHERE Population > 5`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.PlanUnion(u.(*sqlparse.Union)); err == nil {
+		t.Error("a union of a one-column and a three-column term planned")
+	}
+	u, err = sqlparse.Parse(`SELECT Name FROM States UNION SELECT Capital FROM States WHERE Population > 5`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := p.PlanUnion(u.(*sqlparse.Union))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(scanColumns(op), " "), "States(Name) States(Population,Capital)"; got != want {
+		t.Errorf("union: scans emit %s, want %s", got, want)
+	}
+}

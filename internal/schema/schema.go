@@ -124,11 +124,11 @@ func (s *Schema) ByID(id AttrID) (Column, bool) {
 	return s.Cols[i], true
 }
 
-// Resolve finds the column matching an optionally qualified name.
-// Matching is case-insensitive. It returns an error if the name is
-// ambiguous or not found.
-func (s *Schema) Resolve(table, name string) (Column, error) {
-	var found []Column
+// Lookup finds the columns matching an optionally qualified name,
+// case-insensitively: how many match, and the first of them. It is
+// Resolve without the error, for callers that probe several schemas and
+// expect most to have no such column.
+func (s *Schema) Lookup(table, name string) (col Column, matches int) {
 	for _, c := range s.Cols {
 		if !strings.EqualFold(c.Name, name) {
 			continue
@@ -136,18 +136,28 @@ func (s *Schema) Resolve(table, name string) (Column, error) {
 		if table != "" && !strings.EqualFold(c.Table, table) {
 			continue
 		}
-		found = append(found, c)
+		if matches++; matches == 1 {
+			col = c
+		}
 	}
-	switch len(found) {
+	return col, matches
+}
+
+// Resolve finds the column matching an optionally qualified name.
+// Matching is case-insensitive. It returns an error if the name is
+// ambiguous or not found.
+func (s *Schema) Resolve(table, name string) (Column, error) {
+	col, matches := s.Lookup(table, name)
+	switch matches {
 	case 0:
 		if table != "" {
 			return Column{}, fmt.Errorf("unknown column %s.%s", table, name)
 		}
 		return Column{}, fmt.Errorf("unknown column %s", name)
 	case 1:
-		return found[0], nil
+		return col, nil
 	default:
-		return Column{}, fmt.Errorf("ambiguous column %s (matches %d tables)", name, len(found))
+		return Column{}, fmt.Errorf("ambiguous column %s (matches %d tables)", name, matches)
 	}
 }
 

@@ -80,6 +80,31 @@ func TestResolve(t *testing.T) {
 	if _, err := dup.Resolve("A", "X"); err != nil {
 		t.Error("qualified resolve disambiguates")
 	}
+
+	// Lookup is Resolve without the error: the match count, and the first
+	// match. Resolve's messages are what users see and stay as they were.
+	for _, c := range []struct {
+		s           *Schema
+		table, name string
+		matches     int
+		first       AttrID
+		msg         string
+	}{
+		{s, "", "NAME", 1, name.ID, ""},
+		{s, "states", "Population", 1, pop.ID, ""},
+		{s, "", "Nope", 0, 0, "unknown column Nope"},
+		{s, "Other", "Name", 0, 0, "unknown column Other.Name"},
+		{dup, "", "X", 2, dup.Cols[0].ID, "ambiguous column X (matches 2 tables)"},
+	} {
+		got, n := c.s.Lookup(c.table, c.name)
+		if n != c.matches || got.ID != c.first {
+			t.Errorf("Lookup(%q, %q) = %v, %d; want attr %d, %d matches", c.table, c.name, got, n, c.first, c.matches)
+		}
+		_, err := c.s.Resolve(c.table, c.name)
+		if (err == nil) != (c.msg == "") || (err != nil && err.Error() != c.msg) {
+			t.Errorf("Resolve(%q, %q) error = %v, want %q", c.table, c.name, err, c.msg)
+		}
+	}
 }
 
 func TestIndexOfAndByID(t *testing.T) {

@@ -45,7 +45,7 @@ func EncodeTuple(t Tuple) ([]byte, error) {
 // DecodeTuple deserializes a tuple previously produced by EncodeTuple into
 // storage of its own.
 func DecodeTuple(b []byte) (Tuple, error) {
-	t, _, err := DecodeTupleInto(nil, b)
+	t, _, err := DecodeTupleInto(nil, b, nil)
 	return t, err
 }
 
@@ -54,16 +54,30 @@ func DecodeTuple(b []byte) (Tuple, error) {
 // storage of its own and slab comes back unchanged. The tuple is a
 // three-index slice (cap == len), so an append on it reallocates instead
 // of writing into the tuple decoded next. Strings are copied out of b:
-// the tuple never references it.
-func DecodeTupleInto(slab []Value, b []byte) (Tuple, []Value, error) {
+// the tuple never references it. A non-nil keep has one mark per stored
+// value, and the tuple holds the marked ones only; the others are stepped
+// over, their strings never copied.
+func DecodeTupleInto(slab []Value, b []byte, keep []bool) (Tuple, []Value, error) {
 	n, off := binary.Uvarint(b)
 	if off <= 0 || n > uint64(len(b)) { // a value takes at least one byte
 		return nil, slab, fmt.Errorf("corrupt tuple: bad arity varint")
 	}
-	own := uint64(cap(slab)-len(slab)) < n
+	want := n
+	if keep != nil {
+		if uint64(len(keep)) != n {
+			return nil, slab, fmt.Errorf("stored tuple width %d != schema width %d", n, len(keep))
+		}
+		want = 0
+		for _, k := range keep {
+			if k {
+				want++
+			}
+		}
+	}
+	own := uint64(cap(slab)-len(slab)) < want
 	t := slab
 	if own {
-		t = make([]Value, 0, n)
+		t = make([]Value, 0, want)
 	}
 	start := len(t)
 	pos := off
@@ -73,23 +87,23 @@ func DecodeTupleInto(slab []Value, b []byte) (Tuple, []Value, error) {
 		}
 		kind := Kind(b[pos])
 		pos++
+		var v Value
 		switch kind {
 		case KindNull:
-			t = append(t, Null())
+			v = Null()
 		case KindInt:
-			v, w := binary.Varint(b[pos:])
+			iv, w := binary.Varint(b[pos:])
 			if w <= 0 {
 				return nil, slab, fmt.Errorf("corrupt tuple: bad int varint at value %d", i)
 			}
 			pos += w
-			t = append(t, Int(v))
+			v = Int(iv)
 		case KindFloat:
 			if pos+8 > len(b) {
 				return nil, slab, fmt.Errorf("corrupt tuple: truncated float at value %d", i)
 			}
-			f := math.Float64frombits(binary.LittleEndian.Uint64(b[pos : pos+8]))
+			v = Float(math.Float64frombits(binary.LittleEndian.Uint64(b[pos : pos+8])))
 			pos += 8
-			t = append(t, Float(f))
 		case KindString:
 			l, w := binary.Uvarint(b[pos:])
 			if w <= 0 {
@@ -99,10 +113,15 @@ func DecodeTupleInto(slab []Value, b []byte) (Tuple, []Value, error) {
 			if l > uint64(len(b)-pos) {
 				return nil, slab, fmt.Errorf("corrupt tuple: truncated string at value %d", i)
 			}
-			t = append(t, Str(string(b[pos:pos+int(l)])))
+			if keep == nil || keep[i] {
+				v = Str(string(b[pos : pos+int(l)]))
+			}
 			pos += int(l)
 		default:
 			return nil, slab, fmt.Errorf("corrupt tuple: unknown kind %d at value %d", kind, i)
+		}
+		if keep == nil || keep[i] {
+			t = append(t, v)
 		}
 	}
 	if own {

@@ -71,14 +71,14 @@ func TestDecodeTupleIntoSlab(t *testing.T) {
 	}
 	slab := make([]Value, 0, 5)
 	raw := rec(Tuple{Int(1), Str("one")})
-	a, slab, err := DecodeTupleInto(slab, raw)
+	a, slab, err := DecodeTupleInto(slab, raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range raw {
 		raw[i] = 0xff // the page view moves on
 	}
-	b, slab, err := DecodeTupleInto(slab, rec(Tuple{Int(2), Str("two")}))
+	b, slab, err := DecodeTupleInto(slab, rec(Tuple{Int(2), Str("two")}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestDecodeTupleIntoSlab(t *testing.T) {
 	if a.String() != "<1, one>" || b.String() != "<2, two>" {
 		t.Errorf("decoded %v and %v", a, b)
 	}
-	c, after, err := DecodeTupleInto(slab, rec(Tuple{Int(3), Str("three")}))
+	c, after, err := DecodeTupleInto(slab, rec(Tuple{Int(3), Str("three")}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +98,32 @@ func TestDecodeTupleIntoSlab(t *testing.T) {
 	}
 	// An arity no record of that length could hold is corruption, not a
 	// reason to allocate it.
-	if _, _, err := DecodeTupleInto(nil, []byte{0xff, 0xff, 0xff, 0xff, 0x0f}); err == nil {
+	if _, _, err := DecodeTupleInto(nil, []byte{0xff, 0xff, 0xff, 0xff, 0x0f}, nil); err == nil {
 		t.Error("absurd arity should fail")
+	}
+}
+
+// TestDecodeTupleIntoKeep: with a keep mask the tuple holds the marked
+// values only, in order, and takes only that much of the slab; a mask of
+// the wrong length means the record is not of the table the caller thinks.
+func TestDecodeTupleIntoKeep(t *testing.T) {
+	raw, err := EncodeTuple(Tuple{Int(7), Str("skipped"), Null(), Float(2.5), Str("kept")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slab := make([]Value, 0, 3)
+	got, slab, err := DecodeTupleInto(slab, raw, []bool{true, false, false, true, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != "<7, 2.5, kept>" || len(slab) != 3 || &slab[0] != &got[0] {
+		t.Errorf("decoded %v into %d slab cells", got, len(slab))
+	}
+	if got, _, err := DecodeTupleInto(nil, raw, make([]bool, 5)); err != nil || len(got) != 0 {
+		t.Errorf("nothing kept: %v, %v", got, err)
+	}
+	if _, _, err := DecodeTupleInto(nil, raw, []bool{true, true}); err == nil {
+		t.Error("a mask for a two-column table decoded a five-column record")
 	}
 }
 

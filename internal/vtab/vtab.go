@@ -18,6 +18,7 @@ package vtab
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -278,24 +279,41 @@ func (s *Source) Destination() string { return s.Def.Engine.Name() }
 // NumEcho implements exec.ExternalSource.
 func (s *Source) NumEcho() int { return s.Def.NumInputs() }
 
-// Request implements exec.ExternalSource: it decodes the argument vector
-// once, into the call's canonical key — engine|kind|query|limit, or
-// "!err|" and the message for arguments no call can be made from — and the
-// function that performs the search-engine request for exactly that query.
-// The query is a substring of the key, so the pair costs one string.
-func (s *Source) Request(args []types.Value) (string, func() ([]types.Tuple, error)) {
-	eng, kind := s.Def.Engine.Name(), s.Def.Kind.String()
-	buf := make([]byte, 0, 64)
-	buf = append(append(append(append(buf, eng...), '|'), kind...), '|')
-	at := len(buf)
+// errKey prefixes the key of arguments no call can be made from; the
+// reason follows it.
+const errKey = "!err|"
+
+// AppendKey implements exec.ExternalSource: it decodes the argument vector
+// once, into the call's canonical key — engine|kind|query|limit, or errKey
+// and the message for arguments no call can be made from.
+func (s *Source) AppendKey(buf []byte, args []types.Value) []byte {
+	start := len(buf)
+	buf = append(append(buf, s.Def.Engine.Name()...), '|')
+	buf = append(append(buf, s.Def.Kind.String()...), '|')
 	buf, limit, err := s.appendQueryAndLimit(buf, args)
 	if err != nil {
-		return "!err|" + err.Error(), func() ([]types.Tuple, error) { return nil, err }
+		return append(append(buf[:start], errKey...), err.Error()...)
 	}
-	end := len(buf)
-	key := string(strconv.AppendInt(append(buf, '|'), int64(limit), 10))
+	return strconv.AppendInt(append(buf, '|'), int64(limit), 10)
+}
+
+// Call implements exec.ExternalSource: the function that performs the
+// search-engine request an AppendKey key names. The query is a substring
+// of the key, so the function costs its closure only.
+func (s *Source) Call(key string) func() ([]types.Tuple, error) {
+	if msg, bad := strings.CutPrefix(key, errKey); bad {
+		return func() ([]types.Tuple, error) { return nil, errors.New(msg) }
+	}
+	at := len(s.Def.Engine.Name()) + 1 + len(s.Def.Kind.String()) + 1
+	end := strings.LastIndexByte(key, '|')
+	limit, err := strconv.Atoi(key[end+1:])
+	if end < at || err != nil {
+		return func() ([]types.Tuple, error) {
+			return nil, fmt.Errorf("%s: malformed call key %q", s.Def.TableName, key)
+		}
+	}
 	q := key[at:end]
-	return key, func() ([]types.Tuple, error) { return s.call(q, limit) }
+	return func() ([]types.Tuple, error) { return s.call(q, limit) }
 }
 
 // appendQueryAndLimit decodes the argument vector: the query text, appended

@@ -185,14 +185,12 @@ func TestBuildQuery(t *testing.T) {
 
 // callSource makes the request for args and performs it.
 func callSource(src *Source, args []types.Value) ([]types.Tuple, error) {
-	_, call := src.Request(args)
-	return call()
+	return src.Call(cacheKey(src, args))()
 }
 
-// cacheKey is the key half of Request.
+// cacheKey is the key AppendKey builds for args.
 func cacheKey(src *Source, args []types.Value) string {
-	key, _ := src.Request(args)
-	return key
+	return string(src.AppendKey(nil, args))
 }
 
 func callArgs(searchExp string, terms ...string) []types.Value {
