@@ -23,15 +23,17 @@ lint:
 
 # The non-race run is the one that holds the allocation budgets
 # (internal/core TestAllocationBudget skips itself under -race, whose
-# runtime allocates on its own account), so `check` alone does not.
+# runtime allocates on its own account); `check` runs that one test
+# without the detector for the same reason.
 test:
 	$(GO) test ./...
 
 test-race:
 	$(GO) test -race ./...
 
-# Full gate: vet + wsqlint + the whole suite under the race detector + a
-# fuzz smoke + the nested benchmark module. The concurrency tests
+# Full gate: vet + wsqlint + the whole suite under the race detector + the
+# allocation budgets without it + a fuzz smoke + the nested benchmark
+# module. The concurrency tests
 # (shared-pump server, concurrent Exec) only bite with -race; wsqlint
 # enforces the invariants the race detector can only sample; the fuzz
 # targets guard the parser and evaluator crash-freedom contracts (corpus
@@ -40,6 +42,7 @@ check:
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(GO) test -race ./...
+	$(GO) test -run TestAllocationBudget ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz FuzzEval -fuzztime 10s ./internal/expr
 	$(MAKE) fuzzqe-smoke

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/expr"
@@ -73,11 +74,13 @@ func TestLimitNeverOverdraws(t *testing.T) {
 	}
 }
 
-// TestFilterBatchesAreFreshSlices: Filter's survivor batches must not alias
-// the child's storage — a consumer buffering batch i must not see it
-// mutate when batch i+1 is produced.
-func TestFilterBatchesAreFreshSlices(t *testing.T) {
+// TestFilterWindowIsItsOwn: Filter collects survivors into a window of its
+// own, which the Ownership rule lets it reuse at the next NextBatch, never
+// into the child's storage: the child's rows are untouched, and a tuple a
+// consumer copied out of batch i is unchanged once batch i+1 exists.
+func TestFilterWindowIsItsOwn(t *testing.T) {
 	v, a := seqValues(8)
+	stored := rowStrings(v.Rows)
 	fl := NewFilter(v, keepPred(a))
 	ctx := NewContext()
 	ctx.BatchSize = 4
@@ -88,14 +91,18 @@ func TestFilterBatchesAreFreshSlices(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
-	snapshot := rowStrings(b1)
+	kept := append([]types.Tuple(nil), b1...)
+	snapshot := rowStrings(kept)
 	if _, _, err := fl.NextBatch(ctx, 4); err != nil {
 		t.Fatal(err)
 	}
-	for i := range b1 {
-		if b1[i].String() != snapshot[i] {
-			t.Fatalf("batch 1 mutated after producing batch 2: %v vs %v", b1[i], snapshot[i])
+	for i := range kept {
+		if kept[i].String() != snapshot[i] {
+			t.Fatalf("tuple %d of batch 1 changed after batch 2: %v vs %v", i, kept[i], snapshot[i])
 		}
+	}
+	if got := rowStrings(v.Rows); fmt.Sprint(got) != fmt.Sprint(stored) {
+		t.Fatalf("the child's rows changed under the filter: %v vs %v", got, stored)
 	}
 	if err := fl.Close(); err != nil {
 		t.Fatal(err)

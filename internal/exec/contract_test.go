@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/schema"
 	"repro/internal/types"
@@ -27,11 +28,13 @@ import (
 //      ok == false is sticky until re-Open, the rows do not depend on max
 //      or on the context's batch size, and max < 1 is an error.
 //   6. A window is read only until the producer's next NextBatch. The
-//      harness leaf is the producer the contract allows and no operator
-//      is yet: it overwrites the window it handed out last time before it
-//      produces the next, so a consumer that reads a stale window — loop
-//      carried, or through a field it stored it in — computes on sentinel
-//      tuples and fails every case above (DESIGN.md §7).
+//      harness leaf is the strictest producer the contract allows (the
+//      scan, the filter and the hash join reuse their windows; the leaf
+//      also destroys the tuples): it overwrites the window it handed out
+//      last time before it produces the next, so a consumer that reads a
+//      stale window — loop carried, or through a field it stored it in —
+//      computes on sentinel tuples and fails every case above
+//      (DESIGN.md §7).
 
 var errInjected = errors.New("injected fault")
 
@@ -136,7 +139,53 @@ func intRows(vals ...int64) []types.Tuple {
 	return out
 }
 
-func contractCases() []contractCase {
+// contractTable is a stored (Id INT, N INT) table of 40 rows with N = Id
+// mod 3, so a predicate on N rejects rows in between the ones it keeps.
+func contractTable(t *testing.T) *catalog.Table {
+	t.Helper()
+	cat, err := catalog.Open(t.TempDir(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cat.Close() })
+	tab, err := cat.Create("T", []catalog.ColumnDef{{Name: "Id", Type: schema.TInt}, {Name: "N", Type: schema.TInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 40; i++ {
+		if _, err := tab.Insert(types.Tuple{types.Int(i), types.Int(i % 3)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tab
+}
+
+// wideJoinInputs are two fault-wrapped two-column inputs for the narrowed
+// joins: L(K, N) and R(K, M).
+func wideJoinInputs() (lf, rf *faultOp, lk, ln, rk, rm schema.Column) {
+	lk, ln = strCol("L", "K"), intCol("L", "N")
+	rk, rm = strCol("R", "K"), intCol("R", "M")
+	lf = newFault(NewValuesScan(schema.New(lk, ln), []types.Tuple{
+		{types.Str("a"), types.Int(1)}, {types.Str("b"), types.Int(2)},
+		{types.Str("a"), types.Int(3)}, {types.Str("c"), types.Int(4)},
+	}))
+	rf = newFault(NewValuesScan(schema.New(rk, rm), []types.Tuple{
+		{types.Str("a"), types.Int(2)}, {types.Str("b"), types.Int(2)},
+		{types.Str("a"), types.Int(5)}, {types.Str("d"), types.Int(0)},
+	}))
+	return
+}
+
+func attrSet(cols ...schema.Column) map[schema.AttrID]bool {
+	set := make(map[schema.AttrID]bool)
+	for _, c := range cols {
+		set[c.ID] = true
+	}
+	return set
+}
+
+func contractCases(t *testing.T) []contractCase {
+	tab := contractTable(t)
 	pairSchema := func() (*schema.Schema, schema.Column, schema.Column) {
 		a, b := strCol("T", "K"), intCol("T", "N")
 		return schema.New(a, b), a, b
@@ -153,6 +202,41 @@ func contractCases() []contractCase {
 		{"ValuesScan", func() (Operator, []*faultOp) {
 			sc, _, _ := pairSchema()
 			return pairs(sc), nil
+		}},
+		{"TableScanPredicate", func() (Operator, []*faultOp) {
+			sc := NewTableScan(tab, tab.InstantiateSchema(""))
+			sc.Pred = expr.NewCmp(expr.GT, expr.NewColRef(sc.Out.Cols[1]), expr.NewLiteral(types.Int(0)))
+			return sc, nil
+		}},
+		{"HashJoinNarrowed", func() (Operator, []*faultOp) {
+			// Emits L.N and, for the residual, R.M; the keys are cut.
+			lf, rf, lk, ln, rk, rm := wideJoinInputs()
+			j := NewHashJoin(lf, rf, []expr.Expr{expr.NewColRef(lk)}, []expr.Expr{expr.NewColRef(rk)},
+				expr.NewCmp(expr.LT, expr.NewColRef(ln), expr.NewColRef(rm)))
+			j.Narrow(attrSet(ln, rm))
+			return j, []*faultOp{lf, rf}
+		}},
+		{"NestedLoopJoinNarrowed", func() (Operator, []*faultOp) {
+			lf, rf, lk, ln, _, rm := wideJoinInputs()
+			j := NewNestedLoopJoin(lf, rf, expr.NewCmp(expr.LT, expr.NewColRef(ln), expr.NewColRef(rm)))
+			j.Narrow(attrSet(lk, ln, rm))
+			return j, []*faultOp{lf, rf}
+		}},
+		{"HashJoinNoColumns", func() (Operator, []*faultOp) {
+			lf, rf, lk, _, rk, _ := wideJoinInputs()
+			j := NewHashJoin(lf, rf, []expr.Expr{expr.NewColRef(lk)}, []expr.Expr{expr.NewColRef(rk)}, nil)
+			j.Narrow(attrSet())
+			return j, []*faultOp{lf, rf}
+		}},
+		{"CrossProductNoColumnsUnderJoin", func() (Operator, []*faultOp) {
+			// The outer join's current left tuple is an empty row.
+			lf, rf, _, _, _, _ := wideJoinInputs()
+			inner := NewNestedLoopJoin(lf, rf, nil)
+			inner.Narrow(attrSet())
+			three := newFault(NewValuesScan(schema.New(intCol("X", "N")), intRows(7, 8, 9)))
+			outer := NewNestedLoopJoin(inner, three, nil)
+			outer.Narrow(attrSet())
+			return outer, []*faultOp{lf, rf, three}
 		}},
 		{"Filter", func() (Operator, []*faultOp) {
 			sc, _, n := pairSchema()
@@ -418,7 +502,7 @@ func rowStrings(rows []types.Tuple) []string {
 // TestOperatorContractCleanRuns checks properties 1–3: clean run, identical
 // re-open-after-exhaustion output, and idempotent Close.
 func TestOperatorContractCleanRuns(t *testing.T) {
-	for _, tc := range contractCases() {
+	for _, tc := range contractCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			op, leaves := tc.mk()
 			first := runAll(t, op)
@@ -488,7 +572,7 @@ func pullAll(t *testing.T, op Operator, max, bs int) []types.Tuple {
 // a plain Run each time, in batches of 1..max with a sticky end; and a
 // max below 1 is an error, never a silent default or an empty ok batch.
 func TestOperatorContractPull(t *testing.T) {
-	for _, tc := range contractCases() {
+	for _, tc := range contractCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			op, _ := tc.mk()
 			want := fmt.Sprint(rowStrings(runAll(t, op)))
@@ -522,7 +606,7 @@ func TestOperatorContractPull(t *testing.T) {
 // path must close the whole tree — no leaf stays open — and closing again
 // stays safe.
 func TestOperatorContractCloseAfterError(t *testing.T) {
-	for _, tc := range contractCases() {
+	for _, tc := range contractCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, probe := tc.mk()
 			for leaf := range probe {
@@ -568,6 +652,7 @@ func (unbindable) Bind(*schema.Schema) error { return errInjected }
 // that returns before setting it must have closed what it opened.
 func TestOperatorContractCloseAfterOwnOpenError(t *testing.T) {
 	la, ra := intCol("L", "N"), intCol("R", "N")
+	tab := contractTable(t)
 	bad := unbindable{}
 	rkey := []expr.Expr{expr.NewColRef(ra)}
 	for _, tc := range []struct {
@@ -580,6 +665,11 @@ func TestOperatorContractCloseAfterOwnOpenError(t *testing.T) {
 			return NewHashJoin(l, r, []expr.Expr{expr.NewColRef(la)}, rkey, bad)
 		}},
 		{"HashSemiJoin", func(l, r *faultOp) Operator { return NewHashSemiJoin(l, r, []expr.Expr{bad}, rkey) }},
+		{"TableScanPredicate", func(_, _ *faultOp) Operator {
+			sc := NewTableScan(tab, tab.InstantiateSchema(""))
+			sc.Pred = bad
+			return sc
+		}},
 		{"DependentJoinProbe", func(l, _ *faultOp) Operator {
 			src := &fakeSource{name: "WC", rowsFor: func(string) []types.Tuple { return nil }}
 			ev := NewEVScan(src, []expr.Expr{expr.NewColRef(la)}, fakeSchema("V"))
@@ -599,6 +689,129 @@ func TestOperatorContractCloseAfterOwnOpenError(t *testing.T) {
 			if err := op.Close(); err != nil {
 				t.Errorf("Close after a failed Open errored: %v", err)
 			}
+			if sc, ok := op.(*TableScan); ok && sc.sc != nil {
+				t.Errorf("the scan still holds its storage scanner after Close")
+			}
 		})
+	}
+}
+
+// TestNarrowedJoinIsTheFullJoinProjected: whatever need a join is handed,
+// it emits the rows of the unnarrowed join, in order, cut to need's
+// columns — as many of them when need names no column, which is what a
+// COUNT(*) above the join counts.
+func TestNarrowedJoinIsTheFullJoinProjected(t *testing.T) {
+	type narrower interface {
+		Operator
+		Narrow(map[schema.AttrID]bool)
+	}
+	for name, mk := range map[string]func() (narrower, []schema.Column){
+		"HashJoin": func() (narrower, []schema.Column) {
+			lf, rf, lk, ln, rk, rm := wideJoinInputs()
+			return NewHashJoin(lf, rf, []expr.Expr{expr.NewColRef(lk)}, []expr.Expr{expr.NewColRef(rk)}, nil),
+				[]schema.Column{lk, ln, rk, rm}
+		},
+		"NestedLoopJoin": func() (narrower, []schema.Column) {
+			lf, rf, lk, ln, rk, rm := wideJoinInputs()
+			return NewNestedLoopJoin(lf, rf, expr.NewCmp(expr.LT, expr.NewColRef(ln), expr.NewColRef(rm))),
+				[]schema.Column{lk, ln, rk, rm}
+		},
+	} {
+		full, _ := mk()
+		want := runAll(t, full)
+		if len(want) < 3 {
+			t.Fatalf("%s: degenerate fixture, %d rows", name, len(want))
+		}
+		for _, keep := range [][]int{{}, {1}, {3}, {0, 3}, {1, 2}, {0, 1, 2, 3}} {
+			j, cols := mk()
+			var need []schema.Column
+			for _, i := range keep {
+				need = append(need, cols[i])
+			}
+			set := attrSet(need...)
+			if nl, ok := j.(*NestedLoopJoin); ok {
+				nl.Pred.CollectAttrs(set) // a join's need names what its predicate reads
+				keep = keep[:0]
+				for i, c := range cols {
+					if set[c.ID] {
+						keep = append(keep, i)
+					}
+				}
+			}
+			j.Narrow(set)
+			if got := j.Schema().Len(); got != len(keep) {
+				t.Errorf("%s need %v: schema has %d columns", name, keep, got)
+			}
+			got := runAll(t, j)
+			if len(got) != len(want) {
+				t.Fatalf("%s need %v: %d rows, the full join has %d", name, keep, len(got), len(want))
+			}
+			for r, row := range got {
+				cut := make(types.Tuple, len(keep))
+				for k, i := range keep {
+					cut[k] = want[r][i]
+				}
+				if row.String() != cut.String() {
+					t.Errorf("%s need %v row %d: %v, want %v", name, keep, r, row, cut)
+				}
+			}
+		}
+	}
+}
+
+// TestReusedWindowsLeaveTuplesAlone: the scan and the hash join hand out
+// the same window at every NextBatch, and the scan takes rejected rows
+// back off its slab. A tuple copied out of a window must not change when
+// the window, or the slab cell a rejected neighbour held, is written again.
+func TestReusedWindowsLeaveTuplesAlone(t *testing.T) {
+	tab := contractTable(t)
+	scan := func() *TableScan {
+		sc := NewTableScan(tab, tab.InstantiateSchema(""))
+		sc.Pred = expr.NewCmp(expr.GT, expr.NewColRef(sc.Out.Cols[1]), expr.NewLiteral(types.Int(0)))
+		return sc
+	}
+	for name, mk := range map[string]func() Operator{
+		"TableScan": func() Operator { return scan() },
+		"HashJoin": func() Operator {
+			l, r := scan(), scan()
+			j := NewHashJoin(l, r, []expr.Expr{expr.NewColRef(l.Out.Cols[1])}, []expr.Expr{expr.NewColRef(r.Out.Cols[1])}, nil)
+			j.Narrow(attrSet(l.Out.Cols[0], r.Out.Cols[0]))
+			return j
+		},
+	} {
+		want := rowStrings(runAll(t, mk()))
+		op := mk()
+		ctx := NewContext()
+		ctx.BatchSize = 3
+		if err := op.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		var kept []types.Tuple
+		var first Batch
+		reused := false
+		for {
+			b, ok, err := op.NextBatch(ctx, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if first == nil {
+				first = b
+			} else if &first[0] == &b[0] {
+				reused = true
+			}
+			kept = append(kept, b...)
+		}
+		if err := op.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !reused {
+			t.Errorf("%s: no later batch came in the first one's window", name)
+		}
+		if got := rowStrings(kept); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: rows kept across batches %v\nwant %v", name, got, want)
+		}
 	}
 }

@@ -205,11 +205,14 @@ func NewEVScan(src ExternalSource, inputs []expr.Expr, out *schema.Schema) *EVSc
 
 // ScanArgs evaluates a virtual-table scan's parameter expressions, which
 // read correlated bindings and constants, never a row. Binding them does
-// not depend on the outer tuple, so it happens once, before the first
-// evaluation; the values go to a scratch slice the next Eval overwrites.
+// not depend on the outer tuple, and neither does the value of one that
+// reads no binding — the synthesized SearchExp, an unbound term's NULL,
+// the rank limit — so both happen once, before the first evaluation; the
+// values go to a scratch slice the next Eval overwrites.
 type ScanArgs struct {
-	bound bool
-	vals  []types.Value
+	bound   bool
+	vals    []types.Value
+	varying []int // the inputs that read a binding, evaluated by every Eval
 }
 
 // Eval evaluates inputs against the current correlated bindings. It
@@ -221,20 +224,37 @@ func (a *ScanArgs) Eval(name string, inputs []expr.Expr, ctx *Context) ([]types.
 		if err := bindAll(name, schema.New(), inputs...); err != nil {
 			return nil, err
 		}
+		a.vals = make([]types.Value, len(inputs))
+		a.varying = a.varying[:0]
+		attrs := make(map[schema.AttrID]bool)
+		for i, in := range inputs {
+			clear(attrs)
+			if in.CollectAttrs(attrs); len(attrs) > 0 {
+				a.varying = append(a.varying, i)
+			} else if err := a.eval(name, inputs, i, ctx); err != nil {
+				return nil, err
+			}
+		}
 		a.bound = true
 	}
-	a.vals = a.vals[:0]
-	for i, in := range inputs {
-		v, err := in.Eval(ctx.Env, nil)
-		if err != nil {
-			return nil, fmt.Errorf("%s input %d: %w", name, i, err)
+	for _, i := range a.varying {
+		if err := a.eval(name, inputs, i, ctx); err != nil {
+			return nil, err
 		}
-		if v.IsPlaceholder() {
-			return nil, fmt.Errorf("%s input %d is a pending placeholder; invalid plan rewrite", name, i)
-		}
-		a.vals = append(a.vals, v)
 	}
 	return a.vals, nil
+}
+
+func (a *ScanArgs) eval(name string, inputs []expr.Expr, i int, ctx *Context) error {
+	v, err := inputs[i].Eval(ctx.Env, nil)
+	if err != nil {
+		return fmt.Errorf("%s input %d: %w", name, i, err)
+	}
+	if v.IsPlaceholder() {
+		return fmt.Errorf("%s input %d is a pending placeholder; invalid plan rewrite", name, i)
+	}
+	a.vals[i] = v
+	return nil
 }
 
 // Open implements Operator: it performs the external call (or serves it

@@ -14,6 +14,8 @@ import (
 type Filter struct {
 	Child Operator
 	Pred  expr.Expr
+
+	win []types.Tuple // the window NextBatch hands out, reused (see Batch)
 }
 
 // NewFilter builds a selection over child.
@@ -33,17 +35,17 @@ func (f *Filter) Open(ctx *Context) error {
 }
 
 // NextBatch implements Operator: the predicate runs over whole child
-// batches, with survivors collected into a fresh slice (child batches may
-// be views of the child's internal storage and are never mutated in
-// place). Empty survivor sets loop to the next child batch so a true
-// result is always non-empty.
+// batches, with survivors collected into the filter's own window (child
+// batches may be views of the child's internal storage and are never
+// mutated in place). Empty survivor sets loop to the next child batch so a
+// true result is always non-empty.
 func (f *Filter) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	for {
 		in, ok, err := f.Child.NextBatch(ctx, max)
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		out := make(Batch, 0, len(in))
+		out := f.win[:0]
 		for _, t := range in {
 			v, err := f.Pred.Eval(ctx.Env, t)
 			if err != nil {
@@ -53,6 +55,7 @@ func (f *Filter) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 				out = append(out, t)
 			}
 		}
+		f.win = out
 		if len(out) > 0 {
 			return out, true, nil
 		}

@@ -55,13 +55,15 @@ type hashJoin struct {
 	// NestedLoopJoin evaluates its Pred.
 	Residual expr.Expr
 
-	semi     bool
-	out      *schema.Schema
-	table    *keyTable     // one entry per build row; per distinct key when semi
-	rows     []types.Tuple // the build rows, by table entry (not semi)
-	keys     []types.Value // scratch: the keys of the tuple being built or probed
-	slab     []types.Value // joined rows are cut from it; see Batch
-	buf      []types.Tuple
+	semi  bool
+	cut   joinCut       // the joined rows' columns and slab (not semi)
+	table *keyTable     // one entry per build row; per distinct key when semi
+	rows  []types.Tuple // the build rows, by table entry (not semi)
+	keys  []types.Value // scratch: the keys of the tuple being built or probed
+	// buf holds the probed output not yet emitted, a tail of win: the
+	// backing array is refilled only once every window cut from it has
+	// been replaced by a later NextBatch (see Batch).
+	buf, win []types.Tuple
 	leftDone bool
 	opened   bool
 
@@ -94,17 +96,18 @@ func (j *hashJoin) Schema() *schema.Schema {
 	if j.semi {
 		return j.Left.Schema()
 	}
-	if j.out == nil {
-		j.out = j.Left.Schema().Concat(j.Right.Schema())
-	}
-	return j.out
+	return j.cut.schema(j.Left.Schema(), j.Right.Schema())
 }
+
+// Narrow restricts the join's output to its inputs' columns in need, which
+// must name what Residual reads (see joinCut).
+func (j *HashJoin) Narrow(need map[schema.AttrID]bool) { j.cut.narrow(need) }
 
 // Open implements Operator: it drains the right input and builds the
 // hash table (re-opening rebuilds — correlated bindings may have changed
 // what the right side produces).
 func (j *hashJoin) Open(ctx *Context) error {
-	j.out = nil // children may have been swapped by a rewrite
+	j.cut.reset() // children may have been swapped by a rewrite
 	if err := j.Left.Open(ctx); err != nil {
 		return err
 	}
@@ -127,7 +130,7 @@ func (j *hashJoin) Open(ctx *Context) error {
 	}
 	start := time.Now()
 	j.table = newKeyTable(len(j.RightKeys), joinEq)
-	j.rows, j.slab = nil, nil
+	j.rows = nil
 	j.keys = make([]types.Value, len(j.RightKeys))
 	for {
 		b, ok, err := j.Right.NextBatch(ctx, ctx.BatchLen())
@@ -182,7 +185,11 @@ func evalKeys(who, side string, keys []expr.Expr, ctx *Context, t types.Tuple, v
 // or the left input is exhausted.
 func (j *hashJoin) fill(ctx *Context, max int) error {
 	start := time.Now()
-	defer func() { j.probeNS += time.Since(start).Nanoseconds() }()
+	j.buf = j.win[:0]
+	defer func() {
+		j.win = j.buf
+		j.probeNS += time.Since(start).Nanoseconds()
+	}()
 	for len(j.buf) == 0 && !j.leftDone {
 		lb, ok, err := j.Left.NextBatch(ctx, max)
 		if err != nil {
@@ -208,20 +215,14 @@ func (j *hashJoin) fill(ctx *Context, max int) error {
 				continue
 			}
 			for ; i >= 0; i = j.table.findNext(i, j.keys) {
-				rt := j.rows[i]
-				if cap(j.slab)-len(j.slab) < len(lt)+len(rt) {
-					j.slab = make([]types.Value, 0, (len(lt)+len(rt))*len(lb))
-				}
-				mark := len(j.slab)
-				j.slab = append(append(j.slab, lt...), rt...)
-				joined := types.Tuple(j.slab[mark:len(j.slab):len(j.slab)])
+				joined := j.cut.emit(lt, j.rows[i], max)
 				if j.Residual != nil {
 					v, err := j.Residual.Eval(ctx.Env, joined)
 					if err != nil {
 						return fmt.Errorf("Hash Join residual %s: %w", j.Residual, err)
 					}
 					if !v.Truthy() {
-						j.slab = j.slab[:mark]
+						j.cut.retract(joined)
 						continue
 					}
 				}
@@ -252,8 +253,9 @@ func (j *hashJoin) Close() error {
 		return nil
 	}
 	j.opened = false
-	j.table, j.rows, j.slab = nil, nil, nil
-	j.buf = nil
+	j.table, j.rows = nil, nil
+	j.buf, j.win = nil, nil
+	j.cut.reset()
 	return errors.Join(j.Left.Close(), j.Right.Close())
 }
 
@@ -270,7 +272,7 @@ func (j *hashJoin) SetChild(i int, op Operator) {
 	default:
 		panic(j.Name() + " has two children")
 	}
-	j.out = nil
+	j.cut.reset()
 }
 
 // SpanExtras implements the trace-profile hook: build-side cardinality

@@ -17,8 +17,9 @@ type NestedLoopJoin struct {
 	Left, Right Operator
 	Pred        expr.Expr // nil for a pure cross-product
 
-	out      *schema.Schema
-	curLeft  types.Tuple
+	cut      joinCut
+	curLeft  types.Tuple // the outer tuple being joined, while haveLeft
+	haveLeft bool        // not curLeft != nil: a narrowed join below may emit empty rows
 	leftDone bool
 	opened   bool
 }
@@ -30,19 +31,20 @@ func NewNestedLoopJoin(left, right Operator, pred expr.Expr) *NestedLoopJoin {
 
 // Schema implements Operator.
 func (j *NestedLoopJoin) Schema() *schema.Schema {
-	if j.out == nil {
-		j.out = j.Left.Schema().Concat(j.Right.Schema())
-	}
-	return j.out
+	return j.cut.schema(j.Left.Schema(), j.Right.Schema())
 }
+
+// Narrow restricts the join's output to its inputs' columns in need, which
+// must name what Pred reads (see joinCut).
+func (j *NestedLoopJoin) Narrow(need map[schema.AttrID]bool) { j.cut.narrow(need) }
 
 // Open implements Operator.
 func (j *NestedLoopJoin) Open(ctx *Context) error {
-	j.out = nil // children may have been swapped by a rewrite
+	j.cut.reset() // children may have been swapped by a rewrite
 	if err := j.Left.Open(ctx); err != nil {
 		return err
 	}
-	j.curLeft = nil
+	j.curLeft, j.haveLeft = nil, false
 	j.leftDone = false
 	j.opened = true
 	return bindAll("Join", j.Schema(), j.Pred)
@@ -64,7 +66,7 @@ func (j *NestedLoopJoin) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	}
 	var out Batch
 	for len(out) < max && !j.leftDone {
-		if j.curLeft == nil {
+		if !j.haveLeft {
 			lb, ok, err := j.Left.NextBatch(ctx, 1)
 			if err != nil {
 				return nil, false, err
@@ -73,7 +75,7 @@ func (j *NestedLoopJoin) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 				j.leftDone = true
 				break
 			}
-			j.curLeft = lb[0]
+			j.curLeft, j.haveLeft = lb[0], true
 			if err := j.Right.Open(ctx); err != nil {
 				return nil, false, err
 			}
@@ -86,17 +88,18 @@ func (j *NestedLoopJoin) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 			if err := j.Right.Close(); err != nil {
 				return nil, false, err
 			}
-			j.curLeft = nil
+			j.curLeft, j.haveLeft = nil, false
 			continue
 		}
 		for _, rt := range rb {
-			joined := j.curLeft.Concat(rt)
+			joined := j.cut.emit(j.curLeft, rt, max)
 			if j.Pred != nil {
 				v, err := j.Pred.Eval(ctx.Env, joined)
 				if err != nil {
 					return nil, false, fmt.Errorf("Join %s: %w", j.Pred, err)
 				}
 				if !v.Truthy() {
+					j.cut.retract(joined)
 					continue
 				}
 			}
@@ -117,7 +120,8 @@ func (j *NestedLoopJoin) Close() error {
 		return nil
 	}
 	j.opened = false
-	j.curLeft = nil
+	j.curLeft, j.haveLeft = nil, false
+	j.cut.reset()
 	return errors.Join(j.Left.Close(), j.Right.Close())
 }
 
@@ -134,7 +138,7 @@ func (j *NestedLoopJoin) SetChild(i int, op Operator) {
 	default:
 		panic("NestedLoopJoin has two children")
 	}
-	j.out = nil
+	j.cut.reset()
 }
 
 // Name implements Operator.
@@ -151,6 +155,79 @@ func (j *NestedLoopJoin) Describe() string {
 		return ""
 	}
 	return j.Pred.String()
+}
+
+// joinCut is what the nested-loop and the hash join share: which columns
+// of their inputs a joined row holds, and the slab the rows are cut from.
+// need, from the planner's required-attributes pass, names what is read
+// above the join or, in the joined row, by the join's own predicate (hash
+// keys are read from the inputs). Nil keeps every column.
+type joinCut struct {
+	need        map[schema.AttrID]bool
+	out         *schema.Schema
+	left, right []int         // where, in a left and in a right tuple, the emitted columns sit
+	slab        []types.Value // joined rows are cut from it; see Batch
+	slabRows    int           // rows the next slab holds; doubles up to the batch size, as a TableScan's
+}
+
+func (c *joinCut) narrow(need map[schema.AttrID]bool) {
+	c.need = need
+	c.reset()
+}
+
+// reset forgets the schema computed from the children and the slab.
+func (c *joinCut) reset() {
+	c.out, c.slab, c.slabRows = nil, nil, 8
+}
+
+// schema returns the join's output schema: left's columns, then right's,
+// without those need does not name.
+func (c *joinCut) schema(left, right *schema.Schema) *schema.Schema {
+	if c.out != nil {
+		return c.out
+	}
+	var cols []schema.Column
+	pick := func(s *schema.Schema) []int {
+		at := make([]int, 0, s.Len())
+		for i, col := range s.Cols {
+			if c.need == nil || c.need[col.ID] {
+				at = append(at, i)
+				cols = append(cols, col)
+			}
+		}
+		return at
+	}
+	c.left, c.right = pick(left), pick(right)
+	c.out = schema.New(cols...)
+	return c.out
+}
+
+// emit cuts the joined row of lt and rt from the slab as a three-index
+// slice. A full slab is replaced, never grown; batch bounds how many rows
+// the new one is sized for.
+func (c *joinCut) emit(lt, rt types.Tuple, batch int) types.Tuple {
+	width := len(c.left) + len(c.right)
+	if cap(c.slab)-len(c.slab) < width {
+		rows := min(c.slabRows, batch)
+		c.slab = make([]types.Value, 0, width*rows)
+		c.slabRows = 2 * rows
+	}
+	mark := len(c.slab)
+	c.slab = c.slab[:mark+width]
+	row := c.slab[mark : mark+width : mark+width]
+	for k, i := range c.left {
+		row[k] = lt[i]
+	}
+	for k, i := range c.right {
+		row[len(c.left)+k] = rt[i]
+	}
+	return row
+}
+
+// retract takes back the row emit returned last, which the join's
+// predicate rejected: nothing else has seen it.
+func (c *joinCut) retract(row types.Tuple) {
+	c.slab = c.slab[:len(c.slab)-len(row)]
 }
 
 // DependentJoin supplies each outer tuple's column values as correlated

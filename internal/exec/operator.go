@@ -266,6 +266,8 @@ func Refs(op Operator, set map[schema.AttrID]bool) {
 		}
 	}
 	switch o := op.(type) {
+	case *TableScan:
+		add(o.Pred)
 	case *Filter:
 		add(o.Pred)
 	case *Project:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/catalog"
+	"repro/internal/expr"
 	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/types"
@@ -18,8 +19,14 @@ type TableScan struct {
 	// marks. The others are never decoded.
 	Out  *schema.Schema
 	Keep []bool
+	// Pred, when non-nil, is the selection over this table's own columns
+	// (the paper's Select, run inside the scan): a record that fails it is
+	// taken back off the slab and never reaches a batch. It reads columns
+	// of Out only.
+	Pred expr.Expr
 
-	sc *storage.Scanner
+	sc  *storage.Scanner
+	win []types.Tuple // the window NextBatch hands out, reused (see Batch)
 	// slabRows is how many tuples the next decode slab holds. It doubles
 	// from a few up to the batch size, so scanning a 50-row table for a
 	// 256-tuple batch does not allocate 256 rows of values.
@@ -50,12 +57,13 @@ func (s *TableScan) Open(ctx *Context) error {
 	}
 	s.sc = s.Table.Heap.NewScanner()
 	s.slabRows = 8
-	return nil
+	return bindAll("Scan", s.Out, s.Pred)
 }
 
 // NextBatch implements Operator: one storage-scanner loop per batch,
 // decoding each record out of the scanner's page view into a slab shared
-// by the batch's tuples (see Batch). It reads no record beyond max.
+// by the batch's tuples (see Batch). It reads no record beyond the max-th
+// that passes Pred.
 func (s *TableScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	if s.sc == nil {
 		return nil, false, fmt.Errorf("TableScan(%s): NextBatch before Open", s.Table.Def.Name)
@@ -64,7 +72,7 @@ func (s *TableScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 		return nil, false, err
 	}
 	width := s.Out.Len()
-	out := make(Batch, 0, min(max, s.slabRows))
+	out := s.win[:0]
 	var slab []types.Value
 	for len(out) < max {
 		_, raw, ok, err := s.sc.Next()
@@ -83,8 +91,19 @@ func (s *TableScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 		if err != nil {
 			return nil, false, fmt.Errorf("TableScan(%s): %w", s.Table.Def.Name, err)
 		}
+		if s.Pred != nil {
+			v, err := s.Pred.Eval(ctx.Env, t)
+			if err != nil {
+				return nil, false, fmt.Errorf("Scan %s: %w", s.Pred, err)
+			}
+			if !v.Truthy() {
+				slab = slab[:len(slab)-len(t)]
+				continue
+			}
+		}
 		out = append(out, t)
 	}
+	s.win = out
 	if len(out) == 0 {
 		return nil, false, nil
 	}
@@ -117,6 +136,9 @@ func (s *TableScan) Describe() string {
 	alias := ""
 	if len(s.Out.Cols) > 0 && s.Out.Cols[0].Table != s.Table.Def.Name {
 		alias = " " + s.Out.Cols[0].Table
+	}
+	if s.Pred != nil {
+		return fmt.Sprintf("%s%s [%s]", s.Table.Def.Name, alias, s.Pred)
 	}
 	return s.Table.Def.Name + alias
 }

@@ -59,8 +59,10 @@ func (s *Sort) Open(ctx *Context) error {
 		if !ok {
 			break
 		}
-		for _, t := range b {
-			ks := make([]types.Value, len(s.Keys))
+		// One slab holds the keys of a whole child batch.
+		slab := make([]types.Value, len(b)*len(s.Keys))
+		for j, t := range b {
+			ks := slab[j*len(s.Keys) : (j+1)*len(s.Keys)]
 			for i, k := range s.Keys {
 				v, err := k.Expr.Eval(ctx.Env, t)
 				if err != nil {

@@ -103,7 +103,10 @@ func TestCorpusReplay(t *testing.T) {
 //     hits, so only it can catch this);
 //   - pruned-filter-column: column pruning forgets the predicate of a
 //     selection that percolation later hoists above the ReqSync, so the
-//     scans below drop columns the selection reads.
+//     scans below drop columns the selection reads;
+//   - join-cuts-carrier: column pruning forgets the carrier rule, so a join
+//     below a ReqSync cuts the columns it fills and the placeholders of the
+//     calls never reach it.
 func TestMutationSelfTest(t *testing.T) {
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
@@ -133,6 +136,7 @@ var mutations = []struct {
 	{"clash", pushClashingFilterBelowRS},
 	{"first-hit-row", emitFirstHitRowOnly},
 	{"pruned-filter-column", pruneHoistedFilterColumns},
+	{"join-cuts-carrier", cutCarriersAtJoins},
 }
 
 // catchAndShrink runs the seed-99 query stream under mutate until the
@@ -233,6 +237,35 @@ func pruneScans(op exec.Operator, drop map[schema.AttrID]bool) {
 	}
 	for _, c := range op.Children() {
 		pruneScans(c, drop)
+	}
+}
+
+// cutCarriersAtJoins is the join-cuts-carrier mutation: every join below a
+// ReqSync is narrowed as if nothing above it read the attributes the
+// ReqSync fills.
+func cutCarriersAtJoins(op exec.Operator) exec.Operator {
+	if rs, ok := op.(*async.ReqSync); ok {
+		cutAtJoins(rs.Child, rs.A)
+	}
+	for _, c := range op.Children() {
+		cutCarriersAtJoins(c)
+	}
+	return op
+}
+
+// cutAtJoins narrows every join under op to its columns not in drop.
+func cutAtJoins(op exec.Operator, drop map[schema.AttrID]bool) {
+	if j, ok := op.(interface {
+		Narrow(map[schema.AttrID]bool)
+	}); ok {
+		need := make(map[schema.AttrID]bool)
+		for _, col := range op.Schema().Cols {
+			need[col.ID] = !drop[col.ID]
+		}
+		j.Narrow(need)
+	}
+	for _, c := range op.Children() {
+		cutAtJoins(c, drop)
 	}
 }
 

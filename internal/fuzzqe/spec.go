@@ -165,6 +165,12 @@ func aliasOf(col string) string {
 	return col
 }
 
+// singleTable reports whether the filter reads one table's columns only.
+// Over a stored table the planner runs such a conjunct inside the scan.
+func (f *Filter) singleTable() bool {
+	return f.RCol == "" || aliasOf(f.RCol) == aliasOf(f.Col)
+}
+
 // refsAlias reports whether the filter references the given table alias.
 func (f *Filter) refsAlias(alias string) bool {
 	return aliasOf(f.Col) == alias || (f.RCol != "" && aliasOf(f.RCol) == alias)

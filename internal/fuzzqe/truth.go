@@ -542,7 +542,9 @@ func (e *Env) evalAsync(spec *QuerySpec, hashVariant, warm bool) (int64, int64, 
 				rows = hit
 			}
 		} else if cross[k] {
-			// join→σ(×): attach every dimension row; the predicate unit
+			// join→σ(×): attach every dimension row its scan's predicate
+			// lets through (a filter over the dimension alone never left
+			// the scan, so it is not part of the unit); the predicate unit
 			// applies at the settlement site it hoisted to.
 			_, ext, err := e.dimExt(j)
 			if err != nil {
@@ -567,6 +569,13 @@ func (e *Env) evalAsync(spec *QuerySpec, hashVariant, warm bool) (int64, int64, 
 				}
 			}
 			rows = out
+			for i := range spec.Filters {
+				if filterPos[i] == k+1 && spec.Filters[i].singleTable() {
+					if err := filterRows(&spec.Filters[i]); err != nil {
+						return 0, 0, err
+					}
+				}
+			}
 		} else {
 			keyCol, ext, err := e.dimExt(j)
 			if err != nil {
@@ -608,7 +617,8 @@ func (e *Env) evalAsync(spec *QuerySpec, hashVariant, warm bool) (int64, int64, 
 
 // semiEligible mirrors the planner's trySemiJoin precondition over the
 // spec grammar: DISTINCT, a final dimension join whose predicate set is
-// pure cross-input equalities (so the hash join has no residual), and a
+// pure cross-input equalities (so the hash join has no residual; a filter
+// over the dimension alone runs inside its scan and leaves none), and a
 // projection referencing nothing from that dimension.
 func semiEligible(spec *QuerySpec) bool {
 	n := len(spec.Joins)
@@ -623,7 +633,7 @@ func semiEligible(spec *QuerySpec) bool {
 	}
 	for i := range spec.Filters {
 		f := &spec.Filters[i]
-		if f.refsAlias(last) && !(f.Op == "=" && f.RCol != "") {
+		if f.refsAlias(last) && !f.singleTable() && !(f.Op == "=" && f.RCol != "") {
 			return false
 		}
 	}

@@ -116,7 +116,11 @@ func EstimatePlan(op exec.Operator, m CostModel) Estimate {
 func estimateNode(op exec.Operator, m CostModel) nodeEstimate {
 	switch o := op.(type) {
 	case *exec.TableScan:
-		return nodeEstimate{card: float64(storedRowCount(o))}
+		card := float64(storedRowCount(o))
+		if o.Pred != nil {
+			card *= m.CmpSelectivity // the Select that runs inside the scan
+		}
+		return nodeEstimate{card: card}
 	case *exec.ValuesScan:
 		return nodeEstimate{card: float64(len(o.Rows))}
 	case *exec.EVScan:

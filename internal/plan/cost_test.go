@@ -44,6 +44,12 @@ func TestEstimateCallCounts(t *testing.T) {
 	if e.Cardinality != 15 {
 		t.Errorf("card = %g, want 15 (3 states x rank 5)", e.Cardinality)
 	}
+	// A selection run inside the scan thins the bindings as the Select
+	// above the scan used to.
+	e = estimate(t, p, `SELECT Name, Count FROM States, WebCount WHERE Name = T1 AND Population > 2500`, m)
+	if want := 3 * m.CmpSelectivity; e.ExternalCalls != want {
+		t.Errorf("calls under a scan predicate = %g, want %g", e.ExternalCalls, want)
+	}
 }
 
 func TestEstimateFigure7Hazard(t *testing.T) {

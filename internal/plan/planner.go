@@ -60,6 +60,9 @@ type scope struct {
 	def *vtab.Def
 	// stored table (nil for virtual tables)
 	table *catalog.Table
+	// preds are the WHERE conjuncts that read this stored table's columns
+	// and no others: its scan's predicate.
+	preds []expr.Expr
 }
 
 // PlanSelect lowers a SELECT statement to an operator tree.
@@ -100,7 +103,25 @@ func (p *Planner) PlanSelect(sel *sqlparse.Select) (exec.Operator, error) {
 			return nil, err
 		}
 		for _, c := range expr.SplitConjuncts(w) {
-			conjuncts = append(conjuncts, conjunct{e: c})
+			conjuncts = append(conjuncts, conjunct{e: c, attrs: expr.Attrs(c)})
+		}
+	}
+
+	// A conjunct over one stored table's columns runs inside that table's
+	// scan, whatever its FROM position: no join sees a row it rejects.
+	for k := range conjuncts {
+		a := conjuncts[k].attrs
+		var owner *scope
+		reads := 0 // scopes the conjunct reads; every attribute is some scope's column
+		for _, sc := range scopes {
+			if referencesAny(a, sc.schema) {
+				owner = sc
+				reads++
+			}
+		}
+		if reads == 1 && owner.table != nil {
+			owner.preds = append(owner.preds, conjuncts[k].e)
+			conjuncts[k].consumed = true
 		}
 	}
 
@@ -123,7 +144,7 @@ func (p *Planner) PlanSelect(sel *sqlparse.Select) (exec.Operator, error) {
 			if c.consumed {
 				continue
 			}
-			if attrsSubset(expr.Attrs(c.e), avail) {
+			if attrsSubset(c.attrs, avail) {
 				pending = append(pending, c.e)
 				c.consumed = true
 			}
@@ -215,26 +236,42 @@ func (p *Planner) PlanSelect(sel *sqlparse.Select) (exec.Operator, error) {
 	return cur, nil
 }
 
-// pruneColumns is the required-attributes pass: it walks the plan from the
-// root with need, the attributes something at or above op reads, and
-// narrows every scan to the columns in it, so what no operator reads is
-// never decoded, fetched from a call's row or carried through a join.
-// Operators that pass their input's columns through add what their own
-// expressions read; a Project or an Aggregate computes what it emits, so
-// below it only its own expressions count; anything else — Distinct, which
-// compares whole rows, a union, which aligns them by position — keeps
-// every column of its inputs, as does the root of a SELECT *.
-func pruneColumns(op exec.Operator, need map[schema.AttrID]bool) {
+// pruneColumns is the required-attributes pass, the one place that decides
+// what is cut: it walks the plan from the root with need, the attributes
+// something at or above op reads, narrows every scan to the columns in it
+// and every join to the columns in force above the join, so what no
+// operator reads is never decoded, fetched from a call's row or copied
+// into a joined row. Operators that pass their input's columns through add
+// what their own expressions read; a Project or an Aggregate computes what
+// it emits, so below it only its own expressions count; anything else —
+// Distinct, which compares whole rows, a union, which aligns them by
+// position — keeps every column of its inputs, as does the root of a
+// SELECT *.
+//
+// It returns the carriers, which no join above op cuts: the columns of the
+// virtual-table scans below op — a call's placeholder must reach the
+// ReqSync the asynchronous rewrite percolates up, or the call is never
+// settled — and what the operators over such a scan read, because a
+// selection that clashes with that ReqSync is hoisted with it.
+func pruneColumns(op exec.Operator, need map[schema.AttrID]bool) (carriers map[schema.AttrID]bool) {
+	var join interface{ Narrow(map[schema.AttrID]bool) }
+	var above map[schema.AttrID]bool // need as it stood above the join, with what its predicate reads in the joined row
 	switch o := op.(type) {
 	case *exec.TableScan:
+		exec.Refs(o, need)
 		o.Prune(need)
 	case *exec.EVScan:
 		o.Prune(need)
+		return o.Out.AttrIDs()
 	case *exec.Project, *exec.Aggregate:
 		need = make(map[schema.AttrID]bool)
 	case *exec.DependentJoin:
 		exec.Refs(o.Right, need) // the call's parameters, read from the left's tuples
-	case *exec.Filter, *exec.Sort, *exec.Limit, *exec.NestedLoopJoin, *exec.HashJoin, *exec.HashSemiJoin:
+	case *exec.NestedLoopJoin:
+		join, above = o, withAttrs(need, o.Pred)
+	case *exec.HashJoin:
+		join, above = o, withAttrs(need, o.Residual) // the keys are read from the inputs
+	case *exec.Filter, *exec.Sort, *exec.Limit, *exec.HashSemiJoin:
 	default:
 		for _, c := range op.Children() {
 			for _, col := range c.Schema().Cols {
@@ -244,9 +281,36 @@ func pruneColumns(op exec.Operator, need map[schema.AttrID]bool) {
 	}
 	exec.Refs(op, need)
 	for i, c := range op.Children() {
-		pruneColumns(c, need)
+		for id := range pruneColumns(c, need) {
+			if carriers == nil {
+				carriers = make(map[schema.AttrID]bool)
+			}
+			carriers[id] = true
+		}
 		op.SetChild(i, c) // a join drops the schema it computed from the unpruned child
 	}
+	if join != nil {
+		for id := range carriers {
+			above[id] = true
+		}
+		join.Narrow(above)
+	}
+	if len(carriers) > 0 {
+		exec.Refs(op, carriers)
+	}
+	return carriers
+}
+
+// withAttrs returns a copy of set that also holds e's attributes.
+func withAttrs(set map[schema.AttrID]bool, e expr.Expr) map[schema.AttrID]bool {
+	out := make(map[schema.AttrID]bool, len(set))
+	for id := range set {
+		out[id] = true
+	}
+	if e != nil {
+		e.CollectAttrs(out)
+	}
+	return out
 }
 
 // PlanUnion lowers a UNION of SELECTs. SQL UNION (without ALL) is planned
@@ -305,6 +369,7 @@ func (p *Planner) PlanUnion(u *sqlparse.Union) (exec.Operator, error) {
 // conjunct is one WHERE predicate with a consumption mark.
 type conjunct struct {
 	e        expr.Expr
+	attrs    map[schema.AttrID]bool // what e reads
 	consumed bool
 }
 
@@ -322,6 +387,7 @@ func (p *Planner) addFromEntry(cur exec.Operator, sc *scope, idx int, scopes []*
 		return exec.NewDependentJoin(cur, ev, bindDesc), nil
 	}
 	scan := exec.NewTableScan(sc.table, sc.schema)
+	scan.Pred = expr.NewAnd(sc.preds...)
 	if cur == nil {
 		return scan, nil
 	}
@@ -339,8 +405,7 @@ func (p *Planner) addFromEntry(cur exec.Operator, sc *scope, idx int, scopes []*
 		if c.consumed {
 			continue
 		}
-		a := expr.Attrs(c.e)
-		if attrsSubset(a, joinAvail) && referencesAny(a, sc.schema) {
+		if attrsSubset(c.attrs, joinAvail) && referencesAny(c.attrs, sc.schema) {
 			preds = append(preds, c.e)
 			c.consumed = true
 		}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -108,8 +109,12 @@ func TestPlanSimpleScan(t *testing.T) {
 func TestPlanFilterProjection(t *testing.T) {
 	p := newPlanner(t)
 	op := planSQL(t, p, `SELECT Name FROM States WHERE Population > 2500`)
-	if got := exec.Shape(op); got != "Project(Select(Scan))" {
+	// The selection reads States only, so it runs inside the scan.
+	if got := exec.Shape(op); got != "Project(Scan)" {
 		t.Errorf("shape: %s", got)
+	}
+	if got := exec.Explain(op); !strings.Contains(got, "Scan: States [States.Population > 2500]") {
+		t.Errorf("EXPLAIN does not show the scan's predicate:\n%s", got)
 	}
 	rows := runPlan(t, op)
 	if len(rows) != 2 {
@@ -449,7 +454,8 @@ func scanColumns(op exec.Operator) []string {
 
 // TestPlanPrunesUnreadColumns: the required-attributes pass narrows every
 // scan to what the operators above it read — select list, predicates,
-// sort, join and group keys, a later dependent join's bindings — plus one
+// sort, join and group keys, its own predicate, a later dependent join's
+// bindings — plus one
 // result field of a virtual table (the row count of a call travels as
 // tuples) and one column of a stored table nothing is read from. SELECT *,
 // DISTINCT over * and each term of a UNION keep what they produce.
@@ -467,9 +473,9 @@ func TestPlanPrunesUnreadColumns(t *testing.T) {
 		{`SELECT W.Count FROM States, WebPages P, WebCount W WHERE Name = P.T1 AND W.T1 = P.URL`,
 			"States(Name) WebPages(URL) WebCount(Count)"},
 		{`SELECT COUNT(*) FROM States`, "States(Name)"},
-		{`SELECT Capital, COUNT(*) FROM States WHERE Population > 5 GROUP BY Capital`, "States(Population,Capital)"},
+		{`SELECT Capital, COUNT(*) FROM States WHERE Population > 5 GROUP BY Capital`, "States [States.Population > 5](Population,Capital)"},
 		{`SELECT S.Name FROM States S, States T WHERE S.Population = T.Population AND T.Capital <> 'x'`,
-			"States S(Name,Population) States T(Population,Capital)"},
+			"States S(Name,Population) States T [T.Capital <> 'x'](Population,Capital)"},
 		{`SELECT * FROM States`, "States(Name,Population,Capital)"},
 		{`SELECT DISTINCT * FROM States, WebCount WHERE Name = T1`,
 			"States(Name,Population,Capital) WebCount(SearchExp,T1,T2,T3,T4,T5,T6,T7,T8,Count)"},
@@ -494,7 +500,159 @@ func TestPlanPrunesUnreadColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := strings.Join(scanColumns(op), " "), "States(Name) States(Population,Capital)"; got != want {
+	if got, want := strings.Join(scanColumns(op), " "), "States(Name) States [States.Population > 5](Population,Capital)"; got != want {
 		t.Errorf("union: scans emit %s, want %s", got, want)
+	}
+}
+
+// newJoinPlanner adds two stored tables to newPlanner's States, so a FROM
+// clause can be permuted: Cities(City, State, Pop) and Regions(State,
+// Region), both keyed to States.Name.
+func newJoinPlanner(t *testing.T) *Planner {
+	t.Helper()
+	p := newPlanner(t)
+	cities, err := p.Cat.Create("Cities", []catalog.ColumnDef{
+		{Name: "City", Type: schema.TString}, {Name: "State", Type: schema.TString}, {Name: "Pop", Type: schema.TInt},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []types.Tuple{
+		{types.Str("Provo"), types.Str("Utah"), types.Int(115)},
+		{types.Str("Ogden"), types.Str("Utah"), types.Int(87)},
+		{types.Str("Ames"), types.Str("Iowa"), types.Int(66)},
+		{types.Str("Akron"), types.Str("Ohio"), types.Int(190)},
+		{types.Str("Dayton"), types.Str("Ohio"), types.Int(137)},
+		{types.Str("Nowhere"), types.Null(), types.Int(500)},
+	} {
+		if _, err := cities.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	regions, err := p.Cat.Create("Regions", []catalog.ColumnDef{
+		{Name: "State", Type: schema.TString}, {Name: "Region", Type: schema.TString},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []types.Tuple{
+		{types.Str("Utah"), types.Str("west")},
+		{types.Str("Iowa"), types.Str("plains")},
+		{types.Str("Ohio"), types.Str("east")},
+		{types.Str("Ohio"), types.Str("lakes")},
+	} {
+		if _, err := regions.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p
+}
+
+// TestPlanSingleTableConjunctRunsInItsScan: a conjunct over one stored
+// table's columns becomes that table's scan predicate wherever the table
+// stands in FROM, a conjunct over two tables never does, and — stored
+// tables only — the result multiset does not depend on the FROM order,
+// which here decides between hash joins, nested loops and cross products.
+func TestPlanSingleTableConjunctRunsInItsScan(t *testing.T) {
+	p := newJoinPlanner(t)
+	tables := []string{"States S", "Cities C", "Regions R"}
+	var want map[string]int
+	for _, perm := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		from := tables[perm[0]] + ", " + tables[perm[1]] + ", " + tables[perm[2]]
+		op := planSQL(t, p, `SELECT S.Name, C.City, R.Region FROM `+from+`
+			WHERE S.Name = C.State AND R.State = S.Name AND C.Pop > 100 AND S.Population > C.Pop + 2000 AND R.Region <> 'east'`)
+		plan := exec.Explain(op)
+		scans := strings.Join(scanColumns(op), " ")
+		for _, s := range []string{"Cities C [C.Pop > 100](", "Regions R [R.Region <> 'east'](", "States S("} {
+			if !strings.Contains(scans, s) {
+				t.Errorf("FROM %s: no scan %q in %s", from, s, scans)
+			}
+		}
+		if strings.Contains(plan, "Select:") {
+			t.Errorf("FROM %s: a selection stayed outside the scans and joins:\n%s", from, plan)
+		}
+		for _, line := range strings.Split(plan, "\n") {
+			if strings.Contains(line, "Scan:") && strings.Contains(line, "S.Population > ") {
+				t.Errorf("FROM %s: the two-table conjunct landed on a scan: %s", from, line)
+			}
+		}
+		if strings.Count(plan, "S.Population > (C.Pop + 2000)") != 1 {
+			t.Errorf("FROM %s: the two-table conjunct is not on exactly one join:\n%s", from, plan)
+		}
+		got := make(map[string]int)
+		for _, r := range runPlan(t, op) {
+			got[r.String()]++
+		}
+		if want == nil {
+			want = got
+			if len(want) != 2 { // Ohio's Akron and Dayton with lakes; Utah and Iowa are too small
+				t.Fatalf("FROM %s: rows %v", from, got)
+			}
+		} else if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("FROM %s: rows %v, FROM %s gave %v", from, got, strings.Join(tables, ", "), want)
+		}
+	}
+}
+
+// joinColumns lists, per nested-loop or hash join of the plan in plan
+// order, the columns it emits.
+func joinColumns(op exec.Operator) []string {
+	var out []string
+	switch op.(type) {
+	case *exec.NestedLoopJoin, *exec.HashJoin:
+		names := make([]string, len(op.Schema().Cols))
+		for i, c := range op.Schema().Cols {
+			names[i] = c.Name
+		}
+		out = append(out, op.Name()+"("+strings.Join(names, ",")+")")
+	}
+	for _, c := range op.Children() {
+		out = append(out, joinColumns(c)...)
+	}
+	return out
+}
+
+// TestPlanJoinsEmitWhatIsReadAbove: the required-attributes pass hands
+// each join the attributes in force above it, so a joined row holds those,
+// what the join's own residual or predicate reads in it, and — the carrier
+// rule — every column of a virtual-table scan below, with what a
+// selection reading one reads: the asynchronous rewrite moves that
+// selection and the scan's ReqSync above the join. Hash keys are read from
+// the inputs and are not emitted for their own sake.
+func TestPlanJoinsEmitWhatIsReadAbove(t *testing.T) {
+	p := newJoinPlanner(t)
+	for _, c := range []struct {
+		sql, want string
+		rows      int
+	}{
+		{`SELECT R.Region, COUNT(*), SUM(C.Pop) FROM Cities C, Regions R WHERE C.State = R.State AND C.Pop > 100 GROUP BY R.Region`,
+			"Hash Join(Pop,Region)", 3},
+		{`SELECT COUNT(*) FROM Cities C, Regions R WHERE C.State = R.State`, "Hash Join()", 1},
+		{`SELECT COUNT(*) FROM Cities C, Regions R, States S`, "Cross-Product() Cross-Product()", 1},
+		{`SELECT C.City FROM Cities C, States S WHERE C.State = S.Name AND S.Population > C.Pop + 2000`,
+			"Hash Join(City,Pop,Population)", 4},
+		{`SELECT C.City FROM Cities C, States S WHERE C.Pop + 2000 < S.Population`, "Join(City,Pop,Population)", 14},
+		{`SELECT * FROM Cities C, Regions R WHERE C.State = R.State`, "Hash Join(City,State,Pop,State,Region)", 7},
+		{`SELECT C.City FROM Cities C, WebCount W, Regions R WHERE W.T1 = C.City AND R.State = C.State`,
+			"Hash Join(City,Count)", 7},
+		{`SELECT C.City FROM Cities C, WebCount W, Regions R WHERE W.T1 = C.City AND W.Count > C.Pop AND R.State = C.State`,
+			"Hash Join(City,Pop,Count)", 0},
+	} {
+		op := planSQL(t, p, c.sql)
+		if got := strings.Join(joinColumns(op), " "); got != c.want {
+			t.Errorf("%s\n  joins emit %s\n  want       %s", c.sql, got, c.want)
+		}
+		if rows := runPlan(t, op); len(rows) != c.rows {
+			t.Errorf("%s\n  %d rows, want %d: %v", c.sql, len(rows), c.rows, rows)
+		}
+	}
+	// COUNT(*) over joins that emit no column still counts every pair.
+	for sql, want := range map[string]int64{
+		`SELECT COUNT(*) FROM Cities C, Regions R WHERE C.State = R.State`: 7,
+		`SELECT COUNT(*) FROM Cities C, Regions R, States S`:               6 * 4 * 3,
+	} {
+		if rows := runPlan(t, planSQL(t, p, sql)); len(rows) != 1 || rows[0][0].I != want {
+			t.Errorf("%s = %v, want %d", sql, rows, want)
+		}
 	}
 }
