@@ -32,9 +32,11 @@ test-race:
 	$(GO) test -race ./...
 
 # Full gate: vet + wsqlint + the whole suite under the race detector + the
-# allocation budgets without it + a fuzz smoke + the nested benchmark
-# module. The concurrency tests
-# (shared-pump server, concurrent Exec) only bite with -race; wsqlint
+# plan-reuse tests ten times over under it (about 12 s: a tree two queries
+# run at once shows as a race or a wrong answer in TestReuse..., by name,
+# and one pass does not always interleave them) + the allocation budgets
+# without it + a fuzz smoke + the nested benchmark module. The concurrency
+# tests (shared-pump server, concurrent Exec) only bite with -race; wsqlint
 # enforces the invariants the race detector can only sample; the fuzz
 # targets guard the parser and evaluator crash-freedom contracts (corpus
 # seeds live in testdata/fuzz/).
@@ -42,6 +44,7 @@ check:
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run TestReuse ./internal/core
 	$(GO) test -run TestAllocationBudget ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz FuzzEval -fuzztime 10s ./internal/expr

@@ -414,3 +414,77 @@ func TestReqSyncPatchesSlabBackedRowsInPlace(t *testing.T) {
 		pump.Close()
 	}
 }
+
+// TestSyncedTreeReopensAfterClose is the exec contract harness's re-open
+// rule (internal/exec/contract_test.go, property 2) for the two operators of
+// this package: a ReqSync over a dependent join into an AEVScan, after Open →
+// drain → Close and after Open → a partial pull → Close with calls still
+// pending, yields under a fresh context the rows of its first run — without
+// a cache, where every run registers every call again, and with one, where
+// the later runs are answered at registration — and leaves the pump empty.
+func TestSyncedTreeReopensAfterClose(t *testing.T) {
+	terms := []string{"abc", "none", "z", "abc", "zz"}
+	for _, cached := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cached=%v", cached), func(t *testing.T) {
+			var cache exec.ResultCache
+			if cached {
+				cache = &fifoCache{cap: 3, m: map[string][]types.Tuple{}}
+			}
+			pump := NewPump(2, 2, cache)
+			defer pump.Close()
+			src := &scriptedSource{name: "WP", dest: "d", numEcho: 1, delay: time.Millisecond,
+				rows: func(arg string) ([]types.Tuple, error) {
+					if arg == "none" {
+						return nil, nil
+					}
+					out := make([]types.Tuple, len(arg))
+					for i := range out {
+						out[i] = types.Tuple{types.Int(int64(i))}
+					}
+					return out, nil
+				}}
+			rs, _ := buildCountPlan(terms, src, pump)
+			run := func() []string {
+				ctx := exec.NewContext()
+				rows, err := exec.Run(ctx, rs)
+				pump.Discard(ctx.PumpCalls...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return multiset(rows)
+			}
+			want := run()
+			if len(want) != 3+1+3+2 {
+				t.Fatalf("first run: %v", want)
+			}
+			// pull -1 drains; the others stop after one NextBatch of that size.
+			for _, pull := range []int{-1, 1, 2} {
+				ctx := exec.NewContext()
+				ctx.BatchSize = 2 // several BindBatch rounds
+				if err := rs.Open(ctx); err != nil {
+					t.Fatalf("pull %d: Open: %v", pull, err)
+				}
+				for {
+					_, ok, err := rs.NextBatch(ctx, max(pull, 1))
+					if err != nil {
+						t.Fatalf("pull %d: NextBatch: %v", pull, err)
+					}
+					if !ok || pull > 0 {
+						break
+					}
+				}
+				if err := rs.Close(); err != nil {
+					t.Fatalf("pull %d: Close: %v", pull, err)
+				}
+				pump.Discard(ctx.PumpCalls...)
+				if got := run(); strings.Join(got, "\n") != strings.Join(want, "\n") {
+					t.Errorf("re-open after Close (pull %d): rows\n%v\nwant\n%v", pull, got, want)
+				}
+			}
+			pump.Quiesce()
+			if held := pump.Held(); held != 0 {
+				t.Errorf("%d call records held after every run was closed and discarded", held)
+			}
+		})
+	}
+}

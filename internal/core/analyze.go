@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/sqlparse"
 	"repro/internal/types"
 )
 
@@ -23,16 +22,11 @@ import (
 // SQL form returns the rendered tree instead of the rows.
 func (db *DB) ExplainAnalyze(ctx context.Context, sql string, opts QueryOptions) (*Result, error) {
 	opts.Trace = true
-	st, err := sqlparse.Parse(sql)
+	st, err := parseQuery(sql, "EXPLAIN ANALYZE expects")
 	if err != nil {
 		return nil, err
 	}
-	switch st.(type) {
-	case *sqlparse.Select, *sqlparse.Union:
-		return db.runQueryable(ctx, st, opts)
-	default:
-		return nil, fmt.Errorf("EXPLAIN ANALYZE expects a query, got %T", st)
-	}
+	return db.runQueryable(ctx, sql, st, opts)
 }
 
 // stripExplainAnalyze matches a leading `EXPLAIN ANALYZE ` prefix

@@ -94,9 +94,36 @@ type DB struct {
 	// mu serializes writers (CREATE/DROP/INSERT mutate catalog state and
 	// heap pages) against concurrently running readers (SELECT/UNION).
 	mu sync.RWMutex
+
+	// idle holds, per exact statement text, the finished trees no query is
+	// running, all planned under version idleAt (DESIGN.md §5, "Plan
+	// reuse"). planMu guards both; it is a leaf taken under mu's read lock.
+	planMu sync.Mutex
+	idle   map[string][]*tree
+	idleAt uint64
+	epoch  atomic.Uint64 // SetAsync's share of version()
 }
 
-// Result is a fully materialized query result.
+// tree is a finished operator tree — planned, rewritten for asynchronous
+// iteration, not instrumented — with its column names. From take to put
+// it belongs to one query.
+type tree struct {
+	op   exec.Operator
+	cols []string
+}
+
+// The idle trees one text keeps, and the texts idle keeps before a new one
+// drops it whole. Constants, not options: they have to cover the queries
+// running one text at once and an application's statement shapes, and a
+// miss of either costs one planning.
+const (
+	maxIdleTrees = 8
+	maxTreeTexts = 256
+)
+
+// Result is a fully materialized query result. Rows are its own; Columns
+// is shared with the other results of the same statement text and must not
+// be written.
 type Result struct {
 	Columns []string
 	Rows    []types.Tuple
@@ -181,7 +208,10 @@ func (db *DB) Pump() *async.Pump { return db.pump }
 func (db *DB) Cache() *cache.Cache { return db.cache }
 
 // SetAsync toggles asynchronous iteration for subsequent SELECTs.
-func (db *DB) SetAsync(on bool) { db.async.Store(on) }
+func (db *DB) SetAsync(on bool) {
+	db.async.Store(on)
+	db.epoch.Add(1) // after the store, as every bump of version()
+}
 
 // Async reports whether asynchronous iteration is enabled.
 func (db *DB) Async() bool { return db.async.Load() }
@@ -216,6 +246,9 @@ func (db *DB) ExecContextOpts(ctx context.Context, sql string, opts QueryOptions
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if res, ok, err := db.rerun(ctx, sql, opts); ok {
+		return res, err
+	}
 	if rest, ok := stripExplainAnalyze(sql); ok {
 		return db.explainAnalyze(ctx, rest, opts)
 	}
@@ -239,10 +272,8 @@ func (db *DB) ExecContextOpts(ctx context.Context, sql string, opts QueryOptions
 		db.mu.Lock()
 		defer db.mu.Unlock()
 		return db.execInsert(s)
-	case *sqlparse.Select:
-		return db.runQueryable(ctx, s, opts)
-	case *sqlparse.Union:
-		return db.runQueryable(ctx, s, opts)
+	case *sqlparse.Select, *sqlparse.Union:
+		return db.runQueryable(ctx, sql, st, opts)
 	default:
 		return nil, fmt.Errorf("unsupported statement %T", st)
 	}
@@ -260,19 +291,31 @@ func (db *DB) QueryContextOpts(ctx context.Context, sql string, opts QueryOption
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if res, ok, err := db.rerun(ctx, sql, opts); ok {
+		return res, err
+	}
 	if rest, ok := stripExplainAnalyze(sql); ok {
 		return db.explainAnalyze(ctx, rest, opts)
 	}
+	st, err := parseQuery(sql, "expected")
+	if err != nil {
+		return nil, err
+	}
+	return db.runQueryable(ctx, sql, st, opts)
+}
+
+// parseQuery parses sql, which must be a SELECT or a UNION of them; what
+// words the complaint when it is something else.
+func parseQuery(sql, what string) (sqlparse.Statement, error) {
 	st, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
 	switch st.(type) {
 	case *sqlparse.Select, *sqlparse.Union:
-		return db.runQueryable(ctx, st, opts)
-	default:
-		return nil, fmt.Errorf("expected a query, got %T", st)
+		return st, nil
 	}
+	return nil, fmt.Errorf("%s a query, got %T", what, st)
 }
 
 func (db *DB) execCreate(s *sqlparse.CreateTable) (*Result, error) {
@@ -334,17 +377,112 @@ func (db *DB) planStatement(st sqlparse.Statement) (exec.Operator, error) {
 	return op, nil
 }
 
-func (db *DB) runQueryable(goCtx context.Context, st sqlparse.Statement, opts QueryOptions) (*Result, error) {
+// version names the world a plan closes over: the stored tables and their
+// rows (the planner picks a join by them), the engines its virtual tables
+// resolved to, the asynchronous rewrite. Each addend only grows, after the
+// change it reports, so a tree planned after reading v is stale exactly
+// when version() has left v.
+func (db *DB) version() uint64 {
+	return db.cat.Version() + db.engines.Version() + db.epoch.Load()
+}
+
+// idleFor reports whether idle holds the trees of version v, after dropping
+// those of an older one. Callers hold planMu.
+func (db *DB) idleFor(v uint64) bool {
+	if v > db.idleAt {
+		db.idle, db.idleAt = nil, v
+	}
+	return v == db.idleAt
+}
+
+// takeTree removes from idle a tree planned for sql under version v.
+func (db *DB) takeTree(sql string, v uint64) *tree {
+	db.planMu.Lock()
+	defer db.planMu.Unlock()
+	if !db.idleFor(v) {
+		return nil
+	}
+	trees := db.idle[sql]
+	if len(trees) == 0 {
+		return nil
+	}
+	t := trees[len(trees)-1]
+	trees[len(trees)-1] = nil // a tree an error drops is not kept alive from here
+	db.idle[sql] = trees[:len(trees)-1]
+	return t
+}
+
+// putTree returns to idle a tree planned for sql under version v whose
+// last exec.Run returned no error, so that every operator of it is closed.
+func (db *DB) putTree(sql string, v uint64, t *tree) {
+	db.planMu.Lock()
+	defer db.planMu.Unlock()
+	if !db.idleFor(v) {
+		return
+	}
+	trees, known := db.idle[sql]
+	if len(trees) >= maxIdleTrees {
+		return
+	}
+	if db.idle == nil || !known && len(db.idle) >= maxTreeTexts {
+		db.idle = make(map[string][]*tree)
+	}
+	db.idle[sql] = append(trees, t)
+}
+
+// reusable reports whether a query may share trees. A traced one may not:
+// exec.Instrument rewires a tree in place, and under a sampled context the
+// scans keep call spans that only an instrumented tree hands out.
+func reusable(goCtx context.Context, opts QueryOptions) bool {
+	return !opts.Trace && obs.SampledTrace(goCtx) == nil
+}
+
+// rerun answers sql from a tree an earlier execution of the same text left
+// idle, before anything parses it; ok is false when there is none.
+func (db *DB) rerun(goCtx context.Context, sql string, opts QueryOptions) (res *Result, ok bool, err error) {
+	if !reusable(goCtx, opts) {
+		return nil, false, nil
+	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	v := db.version()
+	t := db.takeTree(sql, v)
+	if t == nil {
+		return nil, false, nil
+	}
+	if res, err = db.run(goCtx, t, nil, opts); err == nil {
+		db.putTree(sql, v, t)
+	}
+	return res, true, err
+}
+
+// runQueryable plans st, the parse of sql, runs it and, unless the query
+// is traced or failed, leaves the tree idle for the next execution of sql.
+func (db *DB) runQueryable(goCtx context.Context, sql string, st sqlparse.Statement, opts QueryOptions) (*Result, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	v := db.version() // before planning: see version
 	op, err := db.planStatement(st)
 	if err != nil {
 		return nil, err
 	}
+	t := &tree{op: op, cols: make([]string, op.Schema().Len())}
+	for i, c := range op.Schema().Cols {
+		t.cols[i] = c.Name
+	}
 	var span *obs.Span
 	if opts.Trace {
-		op, span = exec.Instrument(op)
+		t.op, span = exec.Instrument(op)
 	}
+	res, err := db.run(goCtx, t, span, opts)
+	if err == nil && reusable(goCtx, opts) {
+		db.putTree(sql, v, t)
+	}
+	return res, err
+}
+
+// run executes t under a fresh exec.Context.
+func (db *DB) run(goCtx context.Context, t *tree, span *obs.Span, opts QueryOptions) (*Result, error) {
 	ctx := exec.NewContextWith(goCtx)
 	ctx.Degrade = db.cfg.Degrade
 	if opts.Degrade != nil {
@@ -353,27 +491,29 @@ func (db *DB) runQueryable(goCtx context.Context, st sqlparse.Statement, opts Qu
 	ctx.BatchSize = opts.BatchSize
 	ctx.RetryCall = db.pump.CallWithRetry
 	ctx.Trace = span
-	rows, err := exec.Run(ctx, op)
+	rows, err := exec.Run(ctx, t.op)
 	// The query is this execution's calls' last owner (see Context.PumpCalls).
 	db.pump.Discard(ctx.PumpCalls...)
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]string, op.Schema().Len())
-	for i, c := range op.Schema().Cols {
-		cols[i] = c.Name
+	return &Result{Columns: t.cols, Rows: rows, Stats: ctx.Stats, Trace: span}, nil
+}
+
+// planSelect parses a SELECT and lowers it without the asynchronous
+// iteration rewrite: the input plan Explain, ExplainCost and Estimate read.
+func (db *DB) planSelect(sql string) (exec.Operator, error) {
+	sel, err := sqlparse.ParseSelect(sql)
+	if err != nil {
+		return nil, err
 	}
-	return &Result{Columns: cols, Rows: rows, Stats: ctx.Stats, Trace: span}, nil
+	return db.planner.PlanSelect(sel)
 }
 
 // Explain returns the textual plan for a SELECT, in both modes when async
 // is enabled.
 func (db *DB) Explain(sql string) (string, error) {
-	sel, err := sqlparse.ParseSelect(sql)
-	if err != nil {
-		return "", err
-	}
-	op, err := db.planner.PlanSelect(sel)
+	op, err := db.planSelect(sql)
 	if err != nil {
 		return "", err
 	}
@@ -392,11 +532,7 @@ func (db *DB) Explain(sql string) (string, error) {
 // estimator's predictions (expected rows, external calls, and sequential
 // vs asynchronous latency under the given model).
 func (db *DB) ExplainCost(sql string, model plan.CostModel) (string, error) {
-	sel, err := sqlparse.ParseSelect(sql)
-	if err != nil {
-		return "", err
-	}
-	op, err := db.planner.PlanSelect(sel)
+	op, err := db.planSelect(sql)
 	if err != nil {
 		return "", err
 	}
@@ -409,11 +545,7 @@ func (db *DB) ExplainCost(sql string, model plan.CostModel) (string, error) {
 
 // Estimate runs the cost estimator over a SELECT's plan.
 func (db *DB) Estimate(sql string, model plan.CostModel) (plan.Estimate, error) {
-	sel, err := sqlparse.ParseSelect(sql)
-	if err != nil {
-		return plan.Estimate{}, err
-	}
-	op, err := db.planner.PlanSelect(sel)
+	op, err := db.planSelect(sql)
 	if err != nil {
 		return plan.Estimate{}, err
 	}

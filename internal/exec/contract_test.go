@@ -531,6 +531,50 @@ func TestOperatorContractCleanRuns(t *testing.T) {
 	}
 }
 
+// TestOperatorContractReopenAfterClose is property 2 for a tree that
+// outlives its query (core keeps finished trees and re-opens them, DESIGN.md
+// §5 "Plan reuse"): after Open → drain → Close, and after Open → a partial
+// pull → Close, which leaves every buffering operator mid-stream, the same
+// instance under a fresh context yields the rows of its first run, with
+// every leaf closed in between.
+func TestOperatorContractReopenAfterClose(t *testing.T) {
+	for _, tc := range contractCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			op, leaves := tc.mk()
+			want := fmt.Sprint(rowStrings(runAll(t, op)))
+			// pull -1 drains; the others stop after one NextBatch of that size.
+			for _, pull := range []int{-1, 1, 2, 3} {
+				ctx := NewContext()
+				if err := op.Open(ctx); err != nil {
+					t.Fatalf("pull %d: Open: %v", pull, err)
+				}
+				for {
+					_, ok, err := op.NextBatch(ctx, max(pull, 1))
+					if err != nil {
+						t.Fatalf("pull %d: NextBatch: %v", pull, err)
+					}
+					if !ok || pull > 0 {
+						break
+					}
+				}
+				if err := op.Close(); err != nil {
+					t.Fatalf("pull %d: Close: %v", pull, err)
+				}
+				for i, f := range leaves {
+					if f.open {
+						t.Errorf("pull %d: leaf %d left open by Close", pull, i)
+					}
+				}
+				rows := runAll(t, op)
+				checkFresh(t, rows)
+				if got := fmt.Sprint(rowStrings(rows)); got != want {
+					t.Errorf("re-open after Close (pull %d) changed output:\ngot:  %v\nwant: %v", pull, got, want)
+				}
+			}
+		})
+	}
+}
+
 // pullAll opens op, drains it with NextBatch(max) under a context whose
 // batch size is bs, and closes it, asserting the size and stickiness
 // halves of the pull contract on the way.

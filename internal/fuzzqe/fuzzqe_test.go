@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/async"
@@ -106,7 +107,10 @@ func TestCorpusReplay(t *testing.T) {
 //     scans below drop columns the selection reads;
 //   - join-cuts-carrier: column pruning forgets the carrier rule, so a join
 //     below a ReqSync cuts the columns it fills and the placeholders of the
-//     calls never reach it.
+//     calls never reach it;
+//   - distinct-keeps-seen: an operator keeps state across Close → Open, so
+//     the tree's first execution is right and only the re-run of it, which
+//     is every execution but the first of a statement text in core, is not.
 func TestMutationSelfTest(t *testing.T) {
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
@@ -115,7 +119,10 @@ func TestMutationSelfTest(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer env.Close()
-			min := catchAndShrink(t, env, m.mutate)
+			min, caught := catchAndShrink(t, env, m.mutate)
+			if m.rerunOnly && !strings.HasSuffix(caught.Variant, "-rerun") {
+				t.Errorf("caught in %s, a tree's first execution, where the mutation does nothing", caught.Variant)
+			}
 			if len(min.Joins) > 3 {
 				t.Errorf("shrunk repro still has %d joins: %s", len(min.Joins), min.SQL())
 			}
@@ -130,19 +137,22 @@ func TestMutationSelfTest(t *testing.T) {
 }
 
 var mutations = []struct {
-	name   string
-	mutate func(exec.Operator) exec.Operator
+	name      string
+	mutate    func(exec.Operator) exec.Operator
+	rerunOnly bool // wrong only from a tree's second execution on
 }{
-	{"clash", pushClashingFilterBelowRS},
-	{"first-hit-row", emitFirstHitRowOnly},
-	{"pruned-filter-column", pruneHoistedFilterColumns},
-	{"join-cuts-carrier", cutCarriersAtJoins},
+	{"clash", pushClashingFilterBelowRS, false},
+	{"first-hit-row", emitFirstHitRowOnly, false},
+	{"pruned-filter-column", pruneHoistedFilterColumns, false},
+	{"join-cuts-carrier", cutCarriersAtJoins, false},
+	{"distinct-keeps-seen", keepSeenAcrossOpens, true},
 }
 
 // catchAndShrink runs the seed-99 query stream under mutate until the
 // harness flags a divergence — within 1 000 queries, or the test fails —
-// and returns the query shrunk while it still diverges the same way.
-func catchAndShrink(t *testing.T, env *Env, mutate func(exec.Operator) exec.Operator) *QuerySpec {
+// and returns the query shrunk while it still diverges the same way, and
+// the divergence first caught.
+func catchAndShrink(t *testing.T, env *Env, mutate func(exec.Operator) exec.Operator) (*QuerySpec, *Divergence) {
 	t.Helper()
 	g := NewGen(env, 99)
 	r := &Runner{Env: env, Mutate: mutate}
@@ -161,7 +171,7 @@ func catchAndShrink(t *testing.T, env *Env, mutate func(exec.Operator) exec.Oper
 	return Shrink(caught.Spec, func(cand *QuerySpec) bool {
 		d, err := r.RunOne(ctx, cand)
 		return err == nil && d != nil && d.Kind == caught.Kind && d.Variant == caught.Variant
-	})
+	}), caught
 }
 
 // pushClashingFilterBelowRS is the clash mutation: wherever a clashing
@@ -267,6 +277,43 @@ func cutAtJoins(op exec.Operator, drop map[schema.AttrID]bool) {
 	for _, c := range op.Children() {
 		cutAtJoins(c, drop)
 	}
+}
+
+// keepsSeen is a Distinct that never forgets a tuple it has emitted: what
+// exec.Distinct would be if Open did not start a new table.
+type keepsSeen struct {
+	*exec.Distinct
+	seen map[string]bool
+}
+
+func (w keepsSeen) NextBatch(ctx *exec.Context, max int) (exec.Batch, bool, error) {
+	for {
+		b, ok, err := w.Distinct.NextBatch(ctx, max)
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		out := make(exec.Batch, 0, len(b))
+		for _, t := range b {
+			if k := EncodeRow(t); !w.seen[k] {
+				w.seen[k] = true
+				out = append(out, t)
+			}
+		}
+		if len(out) > 0 {
+			return out, true, nil
+		}
+	}
+}
+
+// keepSeenAcrossOpens is the distinct-keeps-seen mutation.
+func keepSeenAcrossOpens(op exec.Operator) exec.Operator {
+	for i, c := range op.Children() {
+		op.SetChild(i, keepSeenAcrossOpens(c))
+	}
+	if d, ok := op.(*exec.Distinct); ok {
+		return keepsSeen{d, map[string]bool{}}
+	}
+	return op
 }
 
 // TestShrinkFixpoint: with an always-true keep, the shrinker must reach
@@ -391,10 +438,10 @@ func TestRegenCorpus(t *testing.T) {
 	// already minimal for what they exercise: shrinking them further by
 	// plan shape alone would lower the rank limit to a one-row result.
 	selfTest := map[string]bool{"hit-multi-row": true, "hoisted-filter-column": true}
-	specs["hit-multi-row"] = catchAndShrink(t, env, emitFirstHitRowOnly)
+	specs["hit-multi-row"], _ = catchAndShrink(t, env, emitFirstHitRowOnly)
 	specs["hit-multi-row"].Note = "a WebPages call answered from the result cache with several rows: the warm variant's " +
 		"second run must emit every one of them at registration (self-test mutation first-hit-row keeps only the first)"
-	specs["hoisted-filter-column"] = catchAndShrink(t, env, pruneHoistedFilterColumns)
+	specs["hoisted-filter-column"], _ = catchAndShrink(t, env, pruneHoistedFilterColumns)
 	specs["hoisted-filter-column"].Note = "a selection hoisted above the ReqSync reads columns of the scans below it: the " +
 		"required-attributes pass must keep them (self-test mutation pruned-filter-column drops them)"
 

@@ -23,21 +23,21 @@ type Variant struct {
 	Async bool
 	// BatchSize overrides the executor batch granularity (0 = default).
 	BatchSize int
-	// Warm runs the query twice in a row on the environment's cache-backed
-	// pump (Env.WarmPump), whose small cache outlives the query: the second
-	// run answers at registration every call the first left cached, the
-	// first whatever earlier queries left, so both mix hits, misses and
-	// calls coalesced within a round. Each run must reproduce the truth,
-	// and the second, when the cache answered all of it, Truth.WarmCalls
-	// logical calls. Settlements are not compared: a hit never reaches a
-	// ReqSync.
+	// Warm runs the query on the environment's cache-backed pump
+	// (Env.WarmPump), whose small cache outlives the query: of a variant's
+	// two executions the second answers at registration every call the
+	// first left cached, the first whatever earlier queries left, so both
+	// mix hits, misses and calls coalesced within a round. Each must
+	// reproduce the truth and, when the cache answered all of it,
+	// Truth.WarmCalls logical calls. Settlements are not compared: a hit
+	// never reaches a ReqSync.
 	Warm bool
 }
 
 // Variants are the five regimes every query runs under: the synchronous
 // nested-loop plan, the async percolated/consolidated nested-loop plan,
 // the hash-join plan under async at batch sizes 1 and 256, and the
-// hash-join plan twice over a result cache. There is one pull protocol,
+// hash-join plan over a result cache. There is one pull protocol,
 // so the two sizes do not compare protocols: size 1 is the
 // tuple-at-a-time reference granularity and 256 exercises the
 // batch-boundary carry-over in NestedLoopJoin and DependentJoin (output
@@ -91,99 +91,117 @@ type Runner struct {
 
 // RunOne evaluates spec's ground truth and executes it under every
 // variant, returning the first divergence found (nil when all regimes
-// agree). The returned error reports harness-level failures — a spec the
-// truth evaluator itself cannot handle — not query divergences.
+// agree). Each variant plans once and executes twice: the second execution
+// re-opens the tree the first closed, as core does for a statement text it
+// has seen (DESIGN.md §5, "Plan reuse"), and is held to everything the
+// first is; its divergences carry the variant's name with "-rerun". The
+// returned error reports harness-level failures — a spec the truth
+// evaluator itself cannot handle — not query divergences.
 func (r *Runner) RunOne(ctx context.Context, spec *QuerySpec) (*Divergence, error) {
 	truth, err := r.Env.Truth(spec)
 	if err != nil {
 		return nil, fmt.Errorf("ground truth for %q: %w", spec.SQL(), err)
 	}
 	sql := spec.SQL()
-	diverge := func(v, kind, detail string) *Divergence {
-		return &Divergence{Spec: spec, SQL: sql, Variant: v, Kind: kind, Detail: detail}
-	}
 	for _, v := range Variants {
-		res := r.runVariant(ctx, spec, v)
-		if v.Warm && res.Err == nil && diffMultisets(truth.Multiset, res.Multiset) == "" {
-			res = r.runVariant(ctx, spec, v) // the run just checked warmed the cache for this one
+		op, err := r.plan(spec, v)
+		if err != nil {
+			return &Divergence{Spec: spec, SQL: sql, Variant: v.Name, Kind: "error", Detail: err.Error()}, nil
 		}
-		if res.Err != nil {
-			return diverge(v.Name, "error", res.Err.Error()), nil
-		}
-		if d := diffMultisets(truth.Multiset, res.Multiset); d != "" {
-			return diverge(v.Name, "result", d), nil
-		}
-		want := truth.SyncCalls
-		switch {
-		case v.Warm:
-			want = truth.WarmCalls
-		case v.Async:
-			want = truth.AsyncCalls
-		}
-		// A warm run that mixed hits and misses has no model: every hit
-		// expands or drops its tuple below the next web join and every miss
-		// above it, so the count depends on what the cache happened to hold.
-		if (!v.Warm || res.AllHits) && res.Calls != want {
-			return diverge(v.Name, "calls",
-				fmt.Sprintf("issued %d external calls, plan model predicts %d", res.Calls, want)), nil
-		}
-		if v.Async && !v.Warm {
-			wantSettle := truth.AsyncSettledHash
-			if v.DisableHash {
-				wantSettle = truth.AsyncSettledNLJ
-			}
-			if res.Settled != wantSettle {
-				return diverge(v.Name, "settle",
-					fmt.Sprintf("ReqSyncs settled %d of %d issued calls, plan model predicts %d settled",
-						res.Settled, res.Calls, wantSettle)), nil
-			}
-		}
-		// The async rewrite can percolate a ReqSync above a Sort whose
-		// keys it does not fill, which reorders late-settling tuples, so
-		// ordered output is only asserted for the synchronous plan (see
-		// DESIGN.md §11).
-		if !v.Async && len(spec.OrderBy) > 0 {
-			if d := checkOrdered(spec, res.Rows); d != "" {
-				return diverge(v.Name, "order", d), nil
+		for _, name := range []string{v.Name, v.Name + "-rerun"} {
+			if kind, detail := check(spec, truth, v, r.execute(ctx, op, v)); kind != "" {
+				return &Divergence{Spec: spec, SQL: sql, Variant: name, Kind: kind, Detail: detail}, nil
 			}
 		}
 	}
 	return nil, nil
 }
 
-// runVariant plans and executes spec under one regime.
-func (r *Runner) runVariant(ctx context.Context, spec *QuerySpec, v Variant) VariantResult {
-	res := VariantResult{Name: v.Name}
+// check holds one execution under v against the ground truth and the plan
+// model, naming the kind of the first disagreement ("" when there is none).
+func check(spec *QuerySpec, truth *Truth, v Variant, res VariantResult) (kind, detail string) {
+	if res.Err != nil {
+		return "error", res.Err.Error()
+	}
+	if d := diffMultisets(truth.Multiset, res.Multiset); d != "" {
+		return "result", d
+	}
+	want := truth.SyncCalls
+	switch {
+	case v.Warm:
+		want = truth.WarmCalls
+	case v.Async:
+		want = truth.AsyncCalls
+	}
+	// A warm run that mixed hits and misses has no model: every hit
+	// expands or drops its tuple below the next web join and every miss
+	// above it, so the count depends on what the cache happened to hold.
+	if (!v.Warm || res.AllHits) && res.Calls != want {
+		return "calls", fmt.Sprintf("issued %d external calls, plan model predicts %d", res.Calls, want)
+	}
+	if v.Async && !v.Warm {
+		wantSettle := truth.AsyncSettledHash
+		if v.DisableHash {
+			wantSettle = truth.AsyncSettledNLJ
+		}
+		if res.Settled != wantSettle {
+			return "settle", fmt.Sprintf("ReqSyncs settled %d of %d issued calls, plan model predicts %d settled",
+				res.Settled, res.Calls, wantSettle)
+		}
+	}
+	// The async rewrite can percolate a ReqSync above a Sort whose
+	// keys it does not fill, which reorders late-settling tuples, so
+	// ordered output is only asserted for the synchronous plan (see
+	// DESIGN.md §11).
+	if !v.Async && len(spec.OrderBy) > 0 {
+		if d := checkOrdered(spec, res.Rows); d != "" {
+			return "order", d
+		}
+	}
+	return "", ""
+}
+
+// pumpFor is the pump v's plans register with.
+func (r *Runner) pumpFor(v Variant) *async.Pump {
+	if v.Warm {
+		return r.Env.WarmPump
+	}
+	return r.Env.Pump
+}
+
+// plan lowers spec under one regime.
+func (r *Runner) plan(spec *QuerySpec, v Variant) (exec.Operator, error) {
 	sel, err := sqlparse.ParseSelect(spec.SQL())
 	if err != nil {
-		res.Err = fmt.Errorf("parse: %w", err)
-		return res
+		return nil, fmt.Errorf("parse: %w", err)
 	}
 	pl := *r.Env.Planner
 	pl.DisableHashJoins = v.DisableHash
 	op, err := pl.PlanSelect(sel)
 	if err != nil {
-		res.Err = fmt.Errorf("plan: %w", err)
-		return res
-	}
-	pump := r.Env.Pump
-	if v.Warm {
-		pump = r.Env.WarmPump
+		return nil, fmt.Errorf("plan: %w", err)
 	}
 	if v.Async {
-		op = async.Rewrite(op, pump)
+		op = async.Rewrite(op, r.pumpFor(v))
 		if r.Mutate != nil {
 			op = r.Mutate(op)
 		}
 	}
+	return op, nil
+}
+
+// execute runs a planned tree once, under a fresh context.
+func (r *Runner) execute(ctx context.Context, op exec.Operator, v Variant) VariantResult {
+	res := VariantResult{Name: v.Name}
+	pump := r.pumpFor(v)
 	ectx := exec.NewContextWith(ctx)
 	ectx.BatchSize = v.BatchSize
-	before := pump.Stats()
+	before, settled := pump.Stats(), sumSettled(op)
 	rows, err := exec.Run(ectx, op)
 	pump.Discard(ectx.PumpCalls...)
 	after := pump.Stats()
 	res.AllHits = after.Registered-before.Registered == after.CacheHits-before.CacheHits
-	res.Settled = sumSettled(op)
+	res.Settled = sumSettled(op) - settled // the counters run over the tree's life
 	if err != nil {
 		res.Err = fmt.Errorf("exec: %w", err)
 		return res

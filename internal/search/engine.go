@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Result is one ranked search hit. Rank is 1-based, as in the paper's
@@ -55,7 +56,13 @@ type Registry struct {
 	mu      sync.RWMutex
 	engines map[string]Engine
 	aliases map[string]string
+	version atomic.Uint64
 }
+
+// Version changes, after the fact, whenever an engine or alias is
+// registered: a plan holds the engine its virtual tables resolved to, not
+// the name.
+func (r *Registry) Version() uint64 { return r.version.Load() }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
@@ -71,6 +78,7 @@ func (r *Registry) Register(e Engine, aliases ...string) {
 	for _, a := range aliases {
 		r.aliases[normalize(a)] = normalize(e.Name())
 	}
+	r.version.Add(1)
 }
 
 // Lookup resolves a name or alias to an engine.

@@ -37,6 +37,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -442,7 +443,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.logRequest(req, http.StatusOK, elapsed, res, nil)
 	resp := QueryResponse{
 		Columns:       columnsOrEmpty(res.Columns),
-		Rows:          encodeRows(res.Rows),
 		RowCount:      len(res.Rows),
 		ExternalCalls: res.Stats.ExternalCalls,
 		DegradedCalls: res.Stats.DegradedCalls,
@@ -456,7 +456,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if root != nil && (req.Trace || incomingSampled) {
 		resp.Trace = root.JSON()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	body, err := appendQueryResponse(make([]byte, 0, 256+64*len(res.Rows)), &resp, res.Rows)
+	if err != nil { // a NaN or infinite cell: JSON has no number for it
+		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a client that hung up is the only failure, and nobody to tell
 }
 
 // requestLogEntry is one structured request-log line.
@@ -552,26 +560,90 @@ func parseQueryRequest(r *http.Request) (QueryRequest, error) {
 	return req, nil
 }
 
-// encodeRows converts engine tuples to JSON-native values.
-func encodeRows(rows []types.Tuple) [][]interface{} {
-	out := make([][]interface{}, len(rows))
+// appendQueryResponse appends to buf the /query success body: byte for
+// byte what json.NewEncoder(w).Encode writes for *resp with rows as its
+// Rows (null, number or string per cell), but written from the tuples, with
+// no [][]interface{} built for encoding/json to reflect over. resp.Rows is
+// not read.
+func appendQueryResponse(buf []byte, resp *QueryResponse, rows []types.Tuple) ([]byte, error) {
+	var err error // the first a field met
+	field := func(name string, v interface{}) {
+		if err != nil {
+			return
+		}
+		var raw []byte
+		raw, err = json.Marshal(v)
+		buf = append(append(buf, name...), raw...)
+	}
+	field(`{"columns":`, resp.Columns)
+	buf = append(buf, `,"rows":[`...)
 	for i, row := range rows {
-		r := make([]interface{}, len(row))
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, '[')
 		for j, v := range row {
-			switch v.Kind {
-			case types.KindNull:
-				r[j] = nil
-			case types.KindInt:
-				r[j] = v.I
-			case types.KindFloat:
-				r[j] = v.F
-			default:
-				r[j] = v.AsString()
+			if j > 0 {
+				buf = append(buf, ',')
+			}
+			if buf, err = appendCell(buf, v); err != nil {
+				return nil, fmt.Errorf("row %d, column %d: %w", i, j, err)
 			}
 		}
-		out[i] = r
+		buf = append(buf, ']')
 	}
-	return out
+	buf = strconv.AppendInt(append(buf, `],"row_count":`...), int64(resp.RowCount), 10)
+	buf = strconv.AppendInt(append(buf, `,"external_calls":`...), resp.ExternalCalls, 10)
+	if resp.DegradedCalls != 0 {
+		buf = strconv.AppendInt(append(buf, `,"degraded_calls":`...), resp.DegradedCalls, 10)
+	}
+	field(`,"elapsed_ms":`, resp.ElapsedMS)
+	if resp.TraceID != "" {
+		field(`,"trace_id":`, resp.TraceID)
+	}
+	if resp.Trace != nil {
+		field(`,"trace":`, resp.Trace)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return append(buf, "}\n"...), nil
+}
+
+// appendCell appends one value as encoding/json writes it: NULL, integers
+// and strings that need no escaping directly, every other cell through
+// json.Marshal.
+func appendCell(buf []byte, v types.Value) ([]byte, error) {
+	var cell interface{}
+	switch v.Kind {
+	case types.KindNull:
+		return append(buf, "null"...), nil
+	case types.KindInt:
+		return strconv.AppendInt(buf, v.I, 10), nil
+	case types.KindFloat:
+		cell = v.F
+	default:
+		s := v.AsString()
+		if plainASCII(s) {
+			return append(append(append(buf, '"'), s...), '"'), nil
+		}
+		cell = s
+	}
+	raw, err := json.Marshal(cell)
+	return append(buf, raw...), err
+}
+
+// plainASCII reports whether encoding/json writes s between quotes as it
+// is: printable ASCII without the quote, the backslash and the three
+// characters it escapes for HTML.
+func plainASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
 }
 
 func columnsOrEmpty(cols []string) []string {
