@@ -85,7 +85,8 @@ func BenchmarkTable1Template3Async(b *testing.B) { benchTemplate(b, 3, true) }
 
 // The Figure 7(a) hazard: a cross-product below a dependent join repeats
 // every WebCount call |R| times. The cache restores one call per distinct
-// binding.
+// binding. Per query it reports the pump's registrations, the executions
+// it started and the registrations it coalesced onto one in flight.
 func benchFigure7(b *testing.B, cacheSize int) {
 	env := newBenchEnv(b, harness.Options{CacheSize: cacheSize})
 	if _, err := env.DB.ExecContext(context.Background(), `CREATE TABLE R (V INT)`); err != nil {
@@ -96,6 +97,7 @@ func benchFigure7(b *testing.B, cacheSize int) {
 	}
 	q := `SELECT S.Name, R.V, Count FROM Sigs S, R, WebCount WHERE S.Name = T1`
 	env.DB.SetAsync(true)
+	before := env.DB.Pump().Stats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if cacheSize > 0 {
@@ -105,6 +107,12 @@ func benchFigure7(b *testing.B, cacheSize int) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	after := env.DB.Pump().Stats()
+	perOp := func(d int64) float64 { return float64(d) / float64(b.N) }
+	b.ReportMetric(perOp(after.Registered-before.Registered), "registered/op")
+	b.ReportMetric(perOp(after.Started-before.Started), "started/op")
+	b.ReportMetric(perOp(after.Coalesced-before.Coalesced), "coalesced/op")
 }
 
 func BenchmarkFigure7CrossProductNoCache(b *testing.B) { benchFigure7(b, 0) }
@@ -160,6 +168,8 @@ func BenchmarkCrawlerRoundAsync(b *testing.B) { benchCrawler(b, true) }
 
 // --- Ablation: ReqPump concurrency limit ----------------------------------
 
+// BenchmarkConcurrencyLimit reports, next to ns/op, the most calls the
+// pump had in flight at once (peak_inflight), which the limit caps.
 func BenchmarkConcurrencyLimit(b *testing.B) {
 	for _, limit := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("limit=%d", limit), func(b *testing.B) {
@@ -172,6 +182,7 @@ func BenchmarkConcurrencyLimit(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(env.DB.Pump().Stats().MaxActive), "peak_inflight")
 		})
 	}
 }

@@ -43,7 +43,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -52,7 +51,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/harness"
 	"repro/internal/obs"
-	"repro/internal/obs/profile"
 	"repro/internal/search"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -85,8 +83,6 @@ func main() {
 	coordinator := flag.Bool("coordinator", false, "run as the tier coordinator instead of a worker")
 	traceSample := flag.Int("trace-sample", 0, "head-sample 1 in N queries for tracing (0 = only explicit ?trace=1)")
 	traceSlow := flag.Duration("trace-slow", 0, "always capture a trace for queries slower than this (0 = off)")
-	profileSnapshot := flag.String("profile-snapshot", "", "persist engine latency profiles to this file (loaded on start)")
-	profileInterval := flag.Duration("profile-interval", time.Minute, "profile snapshot interval")
 	flag.Parse()
 
 	if *coordinator {
@@ -173,29 +169,10 @@ func main() {
 		logW = f
 	}
 
-	// Engine latency profiles: durable across restarts when
-	// -profile-snapshot names a file. A corrupt or truncated snapshot
-	// (crash mid-write before the atomic rename, disk trouble) loads as
-	// empty — profile history is advisory, never worth failing startup.
 	node := "wsqd"
 	if *shardID != "" {
 		node = *shardID
 	}
-	profiles := profile.NewStore(node, db.Pump().DestProfiles)
-	if *profileSnapshot != "" {
-		if err := profiles.Load(*profileSnapshot); err != nil {
-			log.Printf("profile snapshot %s unusable, starting empty: %v", *profileSnapshot, err)
-		}
-	}
-	snapCtx, snapCancel := context.WithCancel(context.Background())
-	defer snapCancel()
-	var snapWG *sync.WaitGroup
-	if *profileSnapshot != "" {
-		snapWG = profiles.StartSnapshots(snapCtx, *profileSnapshot, *profileInterval, func(err error) {
-			log.Printf("profile snapshot: %v", err)
-		})
-	}
-
 	srv := server.New(db, server.Options{
 		MaxConcurrentQueries: *maxQueries,
 		MaxQueueDepth:        *queueDepth,
@@ -206,7 +183,6 @@ func main() {
 		Node:                 node,
 		TraceSampleEvery:     *traceSample,
 		SlowTraceThreshold:   *traceSlow,
-		Profiles:             profiles,
 	})
 
 	var handler http.Handler = srv
@@ -245,12 +221,11 @@ func main() {
 
 	log.Printf("wsqd listening on http://%s (max-queries=%d queue-depth=%d cache=%d writes=%v)",
 		*addr, *maxQueries, *queueDepth, *cacheSize, *allowWrites)
-	log.Printf("observability: /metrics (Prometheus), /profiles (engine latency), /debug/traces, /debug/pprof/, /query?...&trace=1 (span tree)")
+	log.Printf("observability: /metrics (Prometheus), /debug/traces, /debug/pprof/, /query?...&trace=1 (span tree)")
 	log.Printf("try: curl 'http://%s/query?q=SELECT+Name,+Count+FROM+States,+WebCount+WHERE+Name+%%3D+T1+LIMIT+3'", *addr)
 
 	// Serve until SIGINT/SIGTERM, then shut down gracefully: in-flight
-	// queries finish, the snapshot goroutine writes one final profile
-	// snapshot, and only then does the process exit.
+	// queries finish before the process exits.
 	httpSrv := &http.Server{Addr: *addr, Handler: handler}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
@@ -267,17 +242,11 @@ func main() {
 		}
 		cancel()
 	}
-	snapCancel()
-	if snapWG != nil {
-		snapWG.Wait()
-		log.Printf("final profile snapshot written to %s", *profileSnapshot)
-	}
 }
 
 // runCoordinator serves the tier front door: consistent-hash routing of
 // /query across the configured workers, drain/reload admin endpoints,
-// stitched tier-wide traces (/debug/traces), the merged worker profile
-// view (/profiles), and its own metrics registry.
+// stitched tier-wide traces (/debug/traces), and its own metrics registry.
 func runCoordinator(addr, configPath string, traceSample int) {
 	cfg, err := shard.LoadConfig(configPath)
 	if err != nil {

@@ -22,7 +22,6 @@ import (
 // never call back into the pump), but never the reverse.
 type CallTrace struct {
 	mu         sync.Mutex
-	traceID    string
 	dest       string
 	key        string
 	registered time.Time
@@ -39,8 +38,8 @@ type callAttempt struct {
 	failed bool
 }
 
-func newCallTrace(traceID, dest, key string) *CallTrace {
-	return &CallTrace{traceID: traceID, dest: dest, key: key, registered: time.Now()}
+func newCallTrace(dest, key string) *CallTrace {
+	return &CallTrace{dest: dest, key: key, registered: time.Now()}
 }
 
 // setDispatched marks the moment the call left the admission queue.
@@ -78,14 +77,6 @@ func (ct *CallTrace) finish(outcome string) {
 		ct.finished = time.Now()
 	}
 	ct.mu.Unlock()
-}
-
-// TraceID returns the owning trace's identity.
-func (ct *CallTrace) TraceID() string {
-	if ct == nil {
-		return ""
-	}
-	return ct.traceID
 }
 
 // Span converts the record to a span subtree: one "pump.call" span from

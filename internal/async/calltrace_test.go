@@ -3,6 +3,8 @@ package async
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,9 +14,8 @@ import (
 	"repro/internal/types"
 )
 
-func tracedCtx() (context.Context, *obs.TraceCtx) {
-	tc := obs.NewTraceCtx()
-	return obs.WithTrace(context.Background(), tc), tc
+func tracedCtx() context.Context {
+	return obs.WithTrace(context.Background(), obs.NewTraceCtx())
 }
 
 // TestCallTraceLifecycle: a sampled registration produces a trace record
@@ -26,7 +27,7 @@ func TestCallTraceLifecycle(t *testing.T) {
 	// queues: a zero queue_us is omitted from the extras like any zero.
 	p := NewPump(1, 1, nil)
 	defer p.Close()
-	ctx, tc := tracedCtx()
+	ctx := tracedCtx()
 
 	p.RegisterCtx(context.Background(), "altavista", "k0", func() ([]types.Tuple, error) {
 		time.Sleep(2 * time.Millisecond)
@@ -45,9 +46,6 @@ func TestCallTraceLifecycle(t *testing.T) {
 	}
 	p.Take(id)
 
-	if ct.TraceID() != tc.TraceID {
-		t.Errorf("record trace id = %q, want %q", ct.TraceID(), tc.TraceID)
-	}
 	sp := ct.Span()
 	if sp.Op != "pump.call" || sp.Detail != "altavista" {
 		t.Errorf("span = %s %q, want pump.call altavista (ok outcome omitted)", sp.Op, sp.Detail)
@@ -78,7 +76,7 @@ func TestCallTraceOutcomes(t *testing.T) {
 	}}
 	p := NewPump(4, 4, cache)
 	defer p.Close()
-	ctx, _ := tracedCtx()
+	ctx := tracedCtx()
 
 	hit := p.RegisterCtx(ctx, "altavista", "warm", nil)
 	if ct := p.CallTrace(hit); ct == nil || ct.Span().Detail != "altavista cache_hit" {
@@ -185,10 +183,11 @@ func TestCallTraceUntracedOff(t *testing.T) {
 	p.Take(id2)
 }
 
-// TestPumpDestProfiles: the profile view of the destination records shows
-// what the old profile sink was fed for the same scripted run — every
-// physical execution's latency and failure, retries, hedges, timeouts,
-// cache hits and peer hits — independent of tracing.
+// TestPumpDestProfiles: the destination records, read the way /metrics
+// reads them (Pump.Observe), attribute a scripted run to the destination
+// that incurred it — every physical execution's latency, retries, hedges,
+// timeouts, peer hits and final failures — independent of tracing, and
+// each family's sum over destinations is what Stats reports.
 func TestPumpDestProfiles(t *testing.T) {
 	cache := &countingCache{m: map[string][]types.Tuple{"warm": {{types.Int(7)}}}}
 	p := NewPump(4, 4, cache)
@@ -240,31 +239,59 @@ func TestPumpDestProfiles(t *testing.T) {
 	})
 	p.Quiesce()
 
-	got := p.DestProfiles()
-	type row struct{ calls, failures, retries, hedges, timeouts, cacheHits, peerHits int64 }
-	want := map[string]row{
-		"altavista": {calls: 2, failures: 1, cacheHits: 1, peerHits: 1},
-		"lycos":     {calls: 2, failures: 1, retries: 1},
-		"google":    {calls: 3, hedges: 1, timeouts: 1},
+	reg := obs.NewRegistry()
+	p.Observe(reg)
+	var page strings.Builder
+	if err := reg.WritePrometheus(&page); err != nil {
+		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Errorf("profiled destinations = %d, want %d: %v", len(got), len(want), got)
+	lines := strings.Split(page.String(), "\n")
+	sample := func(family, dest string) int64 {
+		t.Helper()
+		prefix := family + `{dest="` + dest + `"} `
+		for _, line := range lines {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				n, err := strconv.ParseInt(v, 10, 64)
+				if err != nil {
+					t.Fatalf("%q: %v", line, err)
+				}
+				return n
+			}
+		}
+		t.Errorf("no %s sample for %s", family, dest)
+		return 0
 	}
-	for dest, w := range want {
-		ds := got[dest]
-		if ds == nil {
-			t.Errorf("%s: no profile", dest)
-			continue
+
+	dests := []string{"altavista", "lycos", "google"}
+	st := p.Stats()
+	for _, f := range []struct {
+		family string
+		want   []int64 // per entry of dests
+		stats  int64   // the Stats field of the same event; -1 for none
+	}{
+		// Executions: altavista's ok and failed call (its cache and peer
+		// hits never reach an engine), lycos's failure and retry, google's
+		// original, hedge and timed-out call.
+		{"wsq_pump_call_latency_seconds_count", []int64{2, 2, 3}, -1},
+		{"wsq_pump_retries_total", []int64{0, 1, 0}, st.Retries},
+		{"wsq_pump_hedges_total", []int64{0, 0, 1}, st.Hedges},
+		{"wsq_pump_call_timeouts_total", []int64{0, 0, 1}, st.CallTimeouts},
+		{"wsq_pump_peer_hits_total", []int64{1, 0, 0}, st.PeerHits},
+		{"wsq_pump_calls_failed_total", []int64{1, 0, 1}, st.CallsFailed},
+	} {
+		var sum int64
+		for i, dest := range dests {
+			got := sample(f.family, dest)
+			if got != f.want[i] {
+				t.Errorf("%s{dest=%q} = %d, want %d", f.family, dest, got, f.want[i])
+			}
+			sum += got
 		}
-		g := row{ds.Calls, ds.Failures, ds.Retries, ds.Hedges, ds.Timeouts, ds.CacheHits, ds.PeerHits}
-		if g != w {
-			t.Errorf("%s: profile %+v, want %+v", dest, g, w)
-		}
-		if ds.Latency.Count != ds.Calls || ds.EWMA <= 0 {
-			t.Errorf("%s: latency count %d / ewma %v, want %d executions and a positive average", dest, ds.Latency.Count, ds.EWMA, ds.Calls)
+		if f.stats >= 0 && sum != f.stats {
+			t.Errorf("%s sums to %d over destinations, Stats says %d", f.family, sum, f.stats)
 		}
 	}
-	if st := p.Stats(); st.Retries != 1 || st.Hedges != 1 || st.CallTimeouts != 1 || st.CacheHits != 1 || st.PeerHits != 1 {
-		t.Errorf("Stats disagrees with the profile view of the same records: %+v", st)
+	if st.CacheHits != 1 {
+		t.Errorf("Stats().CacheHits = %d, want 1", st.CacheHits)
 	}
 }

@@ -10,14 +10,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/obs/profile"
 	"repro/internal/search"
 	"repro/internal/types"
 )
@@ -149,8 +147,8 @@ type call struct {
 }
 
 // event indexes a destination's counters: everything the pump counts
-// about a call happens at one site as dest.count(event), and Stats,
-// /metrics and the engine profiles are all sums or copies of these.
+// about a call happens at one site as dest.count(event), and Stats and
+// /metrics are both sums or copies of these.
 type event uint8
 
 const (
@@ -167,16 +165,8 @@ const (
 	evTimeout
 	// evFailed: a call's final outcome, after retries, was an error.
 	evFailed
-	// evExecFailed: one physical execution (attempt, retry or hedge)
-	// returned an error — the profile's per-destination failure rate.
-	evExecFailed
 	numEvents
 )
-
-// ewmaAlpha weights new observations in a destination's moving-average
-// latency: ~20% of the estimate turns over per execution, responsive to
-// engine slowdowns without whiplash from one outlier.
-const ewmaAlpha = 0.2
 
 // SyncDest is the destination record that CallWithRetry's events are
 // counted under: the synchronous path's signature carries no destination.
@@ -197,33 +187,11 @@ type destination struct {
 	active atomic.Int64
 	n      [numEvents]atomic.Int64
 	// latency is the wall time of every physical engine execution (first
-	// attempts, retries, and hedges alike); ewma is its moving average in
-	// seconds, as float64 bits, 0 while unset.
+	// attempts, retries, and hedges alike).
 	latency *obs.Histogram
-	ewma    atomic.Uint64
 }
 
 func (d *destination) count(e event) { d.n[e].Add(1) }
-
-// observe records one physical execution.
-func (d *destination) observe(elapsed time.Duration, failed bool, traceID string) {
-	sec := elapsed.Seconds()
-	d.latency.ObserveExemplar(sec, traceID)
-	if failed {
-		d.count(evExecFailed)
-	}
-	for {
-		old := d.ewma.Load()
-		next := sec
-		if old != 0 {
-			cur := math.Float64frombits(old)
-			next = cur + ewmaAlpha*(sec-cur)
-		}
-		if d.ewma.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
-	}
-}
 
 // dest resolves a destination's record, creating it on first sight.
 func (p *Pump) dest(name string) *destination {
@@ -386,8 +354,8 @@ func (p *Pump) register(ctx context.Context, dest, key string, fn func() ([]type
 		}
 	}
 	c := &call{ctx: ctx, dest: d, key: key, fn: fn, src: src}
-	if tc := obs.SampledTrace(ctx); tc != nil {
-		c.trace = newCallTrace(tc.TraceID, dest, key)
+	if obs.SampledTrace(ctx) != nil {
+		c.trace = newCallTrace(dest, key)
 	}
 	p.nextID++
 	c.id = p.nextID
@@ -708,8 +676,7 @@ func (p *Pump) attemptOnce(c *call, pol RetryPolicy, kind string) ([]types.Tuple
 }
 
 // timedCall runs the engine call, recording its wall time in the
-// destination's record (with an exemplar linking the observation to the
-// active trace, when sampled) and the call's trace record. Every physical
+// destination's record and the call's trace record. Every physical
 // execution — first attempt, retry, or hedge — flows through here, so
 // both reflect what the engines actually did, not just what answered the
 // query.
@@ -717,7 +684,7 @@ func (p *Pump) timedCall(c *call, kind string) ([]types.Tuple, error) {
 	start := time.Now()
 	rows, err := c.fn()
 	elapsed := time.Since(start)
-	c.dest.observe(elapsed, err != nil, c.trace.TraceID())
+	c.dest.latency.ObserveDuration(elapsed)
 	c.trace.addAttempt(kind, start, elapsed, err != nil)
 	return rows, err
 }
@@ -1059,32 +1026,6 @@ func (p *Pump) DestActive() map[string]int {
 	return out
 }
 
-// DestProfiles copies each destination's record into the engine-profile
-// schema, for profile.Store to merge with its on-disk history. Records
-// that have seen neither an execution nor a cache or peer hit (SyncDest, a
-// destination known only by its limit) describe no engine and are left
-// out.
-func (p *Pump) DestProfiles() map[string]*profile.DestSnapshot {
-	out := make(map[string]*profile.DestSnapshot)
-	for name, d := range *p.dests.Load() {
-		ds := &profile.DestSnapshot{
-			Failures:  d.n[evExecFailed].Load(),
-			Retries:   d.n[evRetry].Load(),
-			Hedges:    d.n[evHedge].Load(),
-			Timeouts:  d.n[evTimeout].Load(),
-			CacheHits: d.n[evCacheHit].Load(),
-			PeerHits:  d.n[evPeerHit].Load(),
-			EWMA:      math.Float64frombits(d.ewma.Load()),
-			Latency:   profile.NewHistSnap(d.latency.Snapshot()),
-		}
-		ds.Calls = ds.Latency.Count
-		if ds.Calls+ds.CacheHits+ds.PeerHits > 0 {
-			out[name] = ds
-		}
-	}
-	return out
-}
-
 // ResetStats zeroes every counter and latency record between experiment
 // runs. Limits and in-flight counts are state, not statistics, and stay.
 func (p *Pump) ResetStats() {
@@ -1093,7 +1034,6 @@ func (p *Pump) ResetStats() {
 			d.n[e].Store(0)
 		}
 		d.latency.Reset()
-		d.ewma.Store(0)
 	}
 	p.slotWait.Reset()
 	p.maxActive.Store(0)

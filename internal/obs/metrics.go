@@ -72,17 +72,6 @@ var DefBuckets = []float64{
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
 }
 
-// ExpBuckets returns n bucket bounds starting at start, each factor
-// times the previous.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
 // Histogram is a fixed-bucket histogram with atomic counters. Bucket
 // bounds are inclusive upper bounds in Prometheus "le" semantics; an
 // implicit +Inf bucket catches everything beyond the last bound.
@@ -96,19 +85,6 @@ type Histogram struct {
 	counts []atomic.Int64
 	count  atomic.Int64
 	sum    atomicFloat
-	// ex holds the most recent exemplar per bucket (last writer wins);
-	// see ObserveExemplar. Entries stay nil until a traced observation
-	// lands in the bucket, so untraced workloads pay nothing.
-	ex []atomic.Pointer[Exemplar]
-}
-
-// Exemplar links one histogram observation to the trace that produced
-// it, in the OpenMetrics sense: a p99 bucket on /metrics points at a
-// captured trace in /debug/traces.
-type Exemplar struct {
-	TraceID string
-	Value   float64
-	At      time.Time
 }
 
 // NewHistogram builds a standalone histogram (most callers use
@@ -128,7 +104,6 @@ func NewHistogram(buckets []float64) *Histogram {
 	return &Histogram{
 		bounds: bounds,
 		counts: make([]atomic.Int64, len(bounds)+1),
-		ex:     make([]atomic.Pointer[Exemplar], len(bounds)+1),
 	}
 }
 
@@ -140,21 +115,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	h.sum.add(v)
-}
-
-// ObserveExemplar records one value and, when traceID is non-empty,
-// attaches it as the bucket's exemplar. With an empty traceID it is
-// exactly Observe — untraced observations stay allocation-free.
-func (h *Histogram) ObserveExemplar(v float64, traceID string) {
-	if traceID == "" {
-		h.Observe(v)
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sum.add(v)
-	h.ex[i].Store(&Exemplar{TraceID: traceID, Value: v, At: time.Now()})
 }
 
 // ObserveDuration records a duration in seconds.
@@ -176,9 +136,6 @@ type HistSnapshot struct {
 	Counts []int64
 	Count  int64
 	Sum    float64
-	// Exemplars has one entry per bucket (parallel to Counts); nil where
-	// no traced observation has landed.
-	Exemplars []*Exemplar
 }
 
 // Snapshot copies the histogram's current state.
@@ -191,12 +148,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
-		if e := h.ex[i].Load(); e != nil {
-			if s.Exemplars == nil {
-				s.Exemplars = make([]*Exemplar, len(h.counts))
-			}
-			s.Exemplars[i] = e
-		}
 	}
 	return s
 }
@@ -205,7 +156,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 func (h *Histogram) Reset() {
 	for i := range h.counts {
 		h.counts[i].Store(0)
-		h.ex[i].Store(nil)
 	}
 	h.count.Store(0)
 	h.sum.store(0)

@@ -16,29 +16,14 @@ import (
 // a given registry state.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, e := range r.snapshot() {
-		if err := writeEntry(w, e, false); err != nil {
+		if err := writeEntry(w, e); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// WriteOpenMetrics encodes the registry like WritePrometheus but with
-// OpenMetrics extensions: histogram bucket lines carry exemplars
-// (`# {trace_id="..."} value`) when a traced observation landed in the
-// bucket, and the payload ends with `# EOF`. The default /metrics page
-// stays exemplar-free 0.0.4; scrapers opt in with ?format=openmetrics.
-func (r *Registry) WriteOpenMetrics(w io.Writer) error {
-	for _, e := range r.snapshot() {
-		if err := writeEntry(w, e, true); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "# EOF\n")
-	return err
-}
-
-func writeEntry(w io.Writer, e *entry, exemplars bool) error {
+func writeEntry(w io.Writer, e *entry) error {
 	if e.help != "" {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", e.name, escapeHelp(e.help)); err != nil {
 			return err
@@ -55,7 +40,7 @@ func writeEntry(w io.Writer, e *entry, exemplars bool) error {
 	case func() float64:
 		return writeSample(w, e.name, nil, nil, m())
 	case *Histogram:
-		return writeHistogram(w, e.name, nil, nil, m.Snapshot(), exemplars)
+		return writeHistogram(w, e.name, nil, nil, m.Snapshot())
 	case *CounterVec:
 		for _, c := range m.snapshotChildren() {
 			if err := writeSample(w, e.name, e.labels, c.values, float64(c.metric.Value())); err != nil {
@@ -70,7 +55,7 @@ func writeEntry(w io.Writer, e *entry, exemplars bool) error {
 		}
 	case *HistogramVec:
 		for _, c := range m.snapshotChildren() {
-			if err := writeHistogram(w, e.name, e.labels, c.values, c.metric.Snapshot(), exemplars); err != nil {
+			if err := writeHistogram(w, e.name, e.labels, c.values, c.metric.Snapshot()); err != nil {
 				return err
 			}
 		}
@@ -82,11 +67,11 @@ func writeEntry(w io.Writer, e *entry, exemplars bool) error {
 			}
 		}
 	case func() HistSnapshot:
-		return writeHistogram(w, e.name, nil, nil, m(), exemplars)
+		return writeHistogram(w, e.name, nil, nil, m())
 	case func() map[string]HistSnapshot:
 		samples := m()
 		for _, v := range sortedKeys(samples) {
-			if err := writeHistogram(w, e.name, e.labels, []string{v}, samples[v], exemplars); err != nil {
+			if err := writeHistogram(w, e.name, e.labels, []string{v}, samples[v]); err != nil {
 				return err
 			}
 		}
@@ -94,7 +79,7 @@ func writeEntry(w io.Writer, e *entry, exemplars bool) error {
 	return nil
 }
 
-func writeHistogram(w io.Writer, name string, labels, values []string, s HistSnapshot, exemplars bool) error {
+func writeHistogram(w io.Writer, name string, labels, values []string, s HistSnapshot) error {
 	var cum int64
 	ln := append([]string{}, labels...)
 	lv := append([]string{}, values...)
@@ -105,12 +90,7 @@ func writeHistogram(w io.Writer, name string, labels, values []string, s HistSna
 		if i < len(s.Bounds) {
 			le = formatFloat(s.Bounds[i])
 		}
-		suffix := ""
-		if exemplars && i < len(s.Exemplars) && s.Exemplars[i] != nil {
-			e := s.Exemplars[i]
-			suffix = fmt.Sprintf(` # {trace_id="%s"} %s`, escapeLabel(e.TraceID), formatFloat(e.Value))
-		}
-		if err := writeSampleSuffix(w, name+"_bucket", ln, append(lv[:len(lv):len(lv)], le), float64(cum), suffix); err != nil {
+		if err := writeSample(w, name+"_bucket", ln, append(lv[:len(lv):len(lv)], le), float64(cum)); err != nil {
 			return err
 		}
 	}
@@ -121,10 +101,6 @@ func writeHistogram(w io.Writer, name string, labels, values []string, s HistSna
 }
 
 func writeSample(w io.Writer, name string, labels, values []string, v float64) error {
-	return writeSampleSuffix(w, name, labels, values, v, "")
-}
-
-func writeSampleSuffix(w io.Writer, name string, labels, values []string, v float64, suffix string) error {
 	var b strings.Builder
 	b.WriteString(name)
 	if len(labels) > 0 {
@@ -142,7 +118,6 @@ func writeSampleSuffix(w io.Writer, name string, labels, values []string, v floa
 	}
 	b.WriteByte(' ')
 	b.WriteString(formatFloat(v))
-	b.WriteString(suffix)
 	b.WriteByte('\n')
 	_, err := io.WriteString(w, b.String())
 	return err

@@ -12,18 +12,12 @@ var sampleLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? (NaN
 
 var leLabel = regexp.MustCompile(`,?le="[^"]*"`)
 
-// exemplarSuffix matches an OpenMetrics exemplar annotation as emitted
-// by WriteOpenMetrics: ` # {label="value",...} value`, optionally
-// followed by a timestamp.
-var exemplarSuffix = regexp.MustCompile(` # \{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\} (NaN|[+-]?Inf|[-+0-9.eE]+)( [-+0-9.eE]+)?$`)
-
 // LintExposition checks a Prometheus text-format payload for structural
 // validity: every non-comment line is a well-formed sample, histogram
 // buckets are cumulative, and each histogram's +Inf bucket equals its
-// _count. OpenMetrics exemplar annotations are accepted on _bucket lines
-// (and only there) when well-formed. It returns a list of problems
-// (empty = valid). The e2e tests use it to assert /metrics serves a
-// scrapeable page without depending on a real Prometheus parser.
+// _count. It returns a list of problems (empty = valid). The e2e tests
+// use it to assert /metrics serves a scrapeable page without depending
+// on a real Prometheus parser.
 func LintExposition(text string) []string {
 	var problems []string
 	infBuckets := map[string]float64{}
@@ -32,19 +26,6 @@ func LintExposition(text string) []string {
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
-		}
-		if i := strings.Index(line, " # "); i >= 0 {
-			// Exemplar annotation: validate shape, require a _bucket
-			// series, then strip it so the sample checks below apply.
-			if !exemplarSuffix.MatchString(line[i:]) {
-				problems = append(problems, fmt.Sprintf("malformed exemplar on %q", line))
-				continue
-			}
-			if !strings.Contains(line[:i], "_bucket") {
-				problems = append(problems, fmt.Sprintf("exemplar on non-bucket series: %q", line))
-				continue
-			}
-			line = line[:i]
 		}
 		if !sampleLine.MatchString(line) {
 			problems = append(problems, fmt.Sprintf("malformed sample line: %q", line))

@@ -131,10 +131,6 @@ func TestUntracedZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { h.Observe(0.01) }); n != 0 {
 		t.Errorf("Histogram.Observe: %.1f allocs/op, want 0", n)
 	}
-	// ObserveExemplar with no active trace must cost the same as Observe.
-	if n := testing.AllocsPerRun(100, func() { h.ObserveExemplar(0.01, "") }); n != 0 {
-		t.Errorf("ObserveExemplar(untraced): %.1f allocs/op, want 0", n)
-	}
 }
 
 func TestTraceSink(t *testing.T) {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/obs"
-	"repro/internal/obs/profile"
 	"repro/internal/search"
 	"repro/internal/websim"
 )
@@ -41,8 +39,8 @@ func metricSum(t *testing.T, body, family string) int64 {
 	return int64(sum)
 }
 
-// TestPumpAccountingAgrees: /statusz, /metrics and /profiles are views of
-// one record, so they agree on every pump counter — after asynchronous
+// TestPumpAccountingAgrees: /statusz and /metrics are two views of one
+// record, so they agree on every pump counter — after asynchronous
 // queries, after synchronous ones (whose retries CallWithRetry counts
 // under dest="sync"), and across ResetStats. Engines inject 30% transient
 // faults so the retry counters move in both modes.
@@ -61,7 +59,7 @@ func TestPumpAccountingAgrees(t *testing.T) {
 	if err := harness.LoadPaperTables(context.Background(), db); err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(New(db, Options{Profiles: profile.NewStore("w1", db.Pump().DestProfiles)}))
+	hs := httptest.NewServer(New(db, Options{}))
 	t.Cleanup(hs.Close)
 	cl := NewClient(hs.URL)
 
@@ -84,7 +82,7 @@ func TestPumpAccountingAgrees(t *testing.T) {
 		{"calls_failed", func(p PumpStats) int64 { return p.CallsFailed }, "wsq_pump_calls_failed_total"},
 		{"max_active", func(p PumpStats) int64 { return int64(p.MaxActive) }, "wsq_pump_max_active"},
 	}
-	// check compares the three surfaces and returns the /statusz view.
+	// check compares the two surfaces and returns the /statusz view.
 	check := func(step string) PumpStats {
 		t.Helper()
 		db.Pump().Quiesce()
@@ -100,18 +98,6 @@ func TestPumpAccountingAgrees(t *testing.T) {
 			if status, metric := f.get(st.Pump), metricSum(t, body, f.family); status != metric {
 				t.Errorf("%s: /statusz pump.%s = %d but /metrics %s = %d", step, f.field, status, f.family, metric)
 			}
-		}
-		_, snap := httpGet(t, hs.URL+"/profiles?format=snapshot")
-		var sn profile.Snapshot
-		if err := json.Unmarshal([]byte(snap), &sn); err != nil {
-			t.Fatalf("%s: /profiles?format=snapshot: %v", step, err)
-		}
-		var profiled int64
-		for _, ds := range sn.Dests {
-			profiled += ds.Calls
-		}
-		if timed := metricSum(t, body, "wsq_pump_call_latency_seconds_count"); timed != profiled {
-			t.Errorf("%s: /metrics timed %d executions but /profiles counts %d calls", step, timed, profiled)
 		}
 		return st.Pump
 	}

@@ -35,9 +35,10 @@ func httpGet(t *testing.T, target string) (int, string) {
 // query, /metrics serves lint-clean Prometheus text containing the pump
 // slot-wait histogram, the per-destination call-latency histogram for the
 // engine the query actually hit, the engine request histogram, and the
-// server counters — all from the one shared registry.
+// server counters — all from the one shared registry. The query is
+// head-sampled, so the page is the one a traced query leaves behind.
 func TestMetricsEndpoint(t *testing.T) {
-	env := newTestEnv(t, search.ZeroLatency(), core.Config{}, Options{})
+	env := newTestEnv(t, search.ZeroLatency(), core.Config{}, Options{TraceSampleEvery: 1})
 	if _, err := env.cl.Query(context.Background(), template1Query, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/obs/profile"
 	"repro/internal/types"
 )
 
@@ -73,8 +72,8 @@ type Options struct {
 	// RequestLog, when non-nil, receives one structured (JSON) line per
 	// /query request: SQL, outcome, latency, row and call counts.
 	RequestLog io.Writer
-	// Node names this process in stitched traces and profile snapshots
-	// ("w1", "coord"); empty for a standalone wsqd.
+	// Node names this process in stitched traces ("w1", "coord"); empty
+	// for a standalone wsqd.
 	Node string
 	// TraceSampleEvery head-samples 1 in N queries for distributed
 	// tracing (wsqd -trace-sample). 0 disables head sampling; explicit
@@ -85,10 +84,6 @@ type Options struct {
 	// traces of queries slower than the threshold (or erroring) in
 	// /debug/traces — the tail-capture policy (wsqd -trace-slow).
 	SlowTraceThreshold time.Duration
-	// Profiles, when non-nil, receives per-query observations (latency,
-	// external-call fanout) and is served at /profiles. Its per-call side
-	// reads the DB's pump (profile.NewStore's live source).
-	Profiles *profile.Store
 }
 
 func (o *Options) fill() {
@@ -177,9 +172,6 @@ func New(db *core.DB, opts Options) *Server {
 	})
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.Handle("/debug/traces", s.traces)
-	if opts.Profiles != nil {
-		s.mux.Handle("/profiles", opts.Profiles.Handler())
-	}
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -189,14 +181,7 @@ func New(db *core.DB, opts Options) *Server {
 }
 
 // handleMetrics serves the DB registry in Prometheus text format.
-// ?format=openmetrics selects the OpenMetrics encoding, whose histogram
-// buckets carry exemplars linking tail observations to captured traces.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "openmetrics" {
-		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-		_ = s.db.Metrics().WriteOpenMetrics(w)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.db.Metrics().WritePrometheus(w)
 }
@@ -380,14 +365,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	traceID := ""
-	if tc != nil {
-		traceID = tc.TraceID
-	}
-	s.latency.ObserveExemplar(elapsed.Seconds(), traceID)
-	if s.opts.Profiles != nil && res != nil {
-		s.opts.Profiles.QueryObserved(elapsed, int(res.Stats.ExternalCalls))
-	}
+	s.latency.ObserveDuration(elapsed)
 
 	// Assemble the query's span tree: a "wsqd.query" root spanning the
 	// whole execution, the operator tree beneath it, and any off-tree
@@ -447,7 +425,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ExternalCalls: res.Stats.ExternalCalls,
 		DegradedCalls: res.Stats.DegradedCalls,
 		ElapsedMS:     float64(elapsed.Microseconds()) / 1000.0,
-		TraceID:       traceID,
+	}
+	if tc != nil {
+		resp.TraceID = tc.TraceID
 	}
 	// The span tree rides the response when the client asked for it or
 	// when a sampled upstream (the stitching coordinator) propagated the

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
-	"strings"
 	"testing"
 	"time"
 
@@ -143,44 +141,5 @@ func TestSlowTraceRetention(t *testing.T) {
 	snap := srv2.TraceSink().Snapshot()
 	if len(snap) != 1 || !snap[0].Slow {
 		t.Fatalf("slow trace not captured: %+v", snap)
-	}
-}
-
-// TestOpenMetricsEndpoint: /metrics?format=openmetrics carries bucket
-// exemplars referencing real trace ids and terminates with # EOF, while
-// the default exposition stays plain 0.0.4. Both pass the repo's lint.
-func TestOpenMetricsEndpoint(t *testing.T) {
-	env := newTestEnv(t, search.ZeroLatency(), core.Config{}, Options{Node: "w1", TraceSampleEvery: 1})
-
-	// A traced query seeds the latency histogram with an exemplar.
-	res, err := env.cl.Query(context.Background(), template1Query, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = res
-
-	code, om := httpGet(t, env.url+"/metrics?format=openmetrics")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics?format=openmetrics: %d", code)
-	}
-	if !strings.HasSuffix(om, "# EOF\n") {
-		t.Error("OpenMetrics exposition missing # EOF terminator")
-	}
-	if !strings.Contains(om, `# {trace_id="`) {
-		t.Error("OpenMetrics exposition has no exemplars after a traced query")
-	}
-	if problems := obs.LintExposition(om); len(problems) > 0 {
-		t.Errorf("openmetrics lint:\n%s", strings.Join(problems, "\n"))
-	}
-
-	code, plain := httpGet(t, env.url+"/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics: %d", code)
-	}
-	if strings.Contains(plain, "trace_id") || strings.Contains(plain, "# EOF") {
-		t.Error("default /metrics leaked OpenMetrics extensions")
-	}
-	if problems := obs.LintExposition(plain); len(problems) > 0 {
-		t.Errorf("plain lint:\n%s", strings.Join(problems, "\n"))
 	}
 }

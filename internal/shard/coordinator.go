@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/profile"
 )
 
 // CoordinatorOptions tunes the tier front door.
@@ -28,15 +27,11 @@ type CoordinatorOptions struct {
 	// body must be buffered so a failed attempt can be replayed on the
 	// next worker.
 	MaxBodyBytes int64
-	// Node names this coordinator in stitched traces and merged profiles
-	// (default "coord").
+	// Node names this coordinator in stitched traces (default "coord").
 	Node string
 	// TraceSampleEvery head-samples 1 in N queries that did not ask for
 	// a trace themselves (0 disables head sampling).
 	TraceSampleEvery int
-	// ProfileFetchTimeout bounds each worker /profiles fetch when serving
-	// the merged tier view (default 2s).
-	ProfileFetchTimeout time.Duration
 }
 
 func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
@@ -48,9 +43,6 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	}
 	if o.Node == "" {
 		o.Node = "coord"
-	}
-	if o.ProfileFetchTimeout <= 0 {
-		o.ProfileFetchTimeout = 2 * time.Second
 	}
 	return o
 }
@@ -260,53 +252,12 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("/admin/drain", c.handleAdminDrain)
 	mux.HandleFunc("/admin/reload", c.handleAdminReload)
 	mux.Handle("/debug/traces", c.traces)
-	mux.Handle("/profiles", profile.Handler(func() *profile.Snapshot {
-		return c.mergedSnapshot(nil)
-	}))
 	return mux
 }
 
 // TraceSink exposes the coordinator's stitched-trace ring (tests and
 // tooling read it back via /debug/traces).
 func (c *Coordinator) TraceSink() *obs.TraceSink { return c.traces }
-
-// mergedSnapshot fetches every live worker's profile snapshot and merges
-// them into one tier-wide view — the coordinator keeps no engine profile
-// of its own, it aggregates the workers'. Unreachable workers are simply
-// absent from the merge (the tier view degrades, it does not fail).
-func (c *Coordinator) mergedSnapshot(ctx context.Context) *profile.Snapshot {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	members := c.Live()
-	snaps := make([]*profile.Snapshot, 0, len(members))
-	for _, m := range members {
-		fctx, cancel := context.WithTimeout(ctx, c.opt.ProfileFetchTimeout)
-		var s profile.Snapshot
-		err := c.getJSON(fctx, m.URL+"/profiles?format=snapshot", &s)
-		cancel()
-		if err == nil {
-			snaps = append(snaps, &s)
-		}
-	}
-	return profile.MergeSnapshots(c.opt.Node, snaps...)
-}
-
-func (c *Coordinator) getJSON(ctx context.Context, url string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: status %d", url, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
 
 // handleQuery routes one query. The body is buffered so the same query
 // can replay on the next preference-list worker after a connection error

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/obs/profile"
 	"repro/internal/search"
 	"repro/internal/server"
 	"repro/internal/websim"
@@ -115,7 +114,7 @@ func startTier(t *testing.T, n int, model search.LatencyModel, budgets map[strin
 		db.Pump().SetCachePeer(peers)
 		w := NewWorker(WorkerOptions{
 			ID:        id,
-			Inner:     server.New(db, server.Options{Node: id, Profiles: profile.NewStore(id, db.Pump().DestProfiles)}),
+			Inner:     server.New(db, server.Options{Node: id}),
 			Cache:     db.Cache(),
 			Pump:      db.Pump(),
 			Peers:     peers,

@@ -170,9 +170,11 @@ func TestTierTracedCachePeerSpan(t *testing.T) {
 	t.Logf("trace %s: peer fetch %0.fus with remote handler %0.fus on %s", traceID, pf.DurUS, cg.DurUS, cg.Node)
 }
 
-// TestTierMergedProfiles: the coordinator's /profiles endpoint serves
-// the union of its workers' engine profiles.
-func TestTierMergedProfiles(t *testing.T) {
+// TestTierMetricsLintClean: after a cross-node pair of queries, each
+// worker's /metrics (pump, server and shard families on one registry) and
+// the coordinator's registry, as wsqd serves them, pass the exposition
+// lint.
+func TestTierMetricsLintClean(t *testing.T) {
 	env := startTier(t, 2, search.ZeroLatency(), nil)
 	base, alt := crossNodePair(t, env, "education")
 	for _, q := range []string{base, alt} {
@@ -181,45 +183,33 @@ func TestTierMergedProfiles(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(env.csrv.URL + "/profiles")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var prof struct {
-		Node         string `json:"node"`
-		Destinations []struct {
-			Dest  string  `json:"dest"`
-			Calls int64   `json:"calls"`
-			P95   float64 `json:"p95_seconds"`
-		} `json:"destinations"`
-		Query struct {
-			Queries int64   `json:"queries"`
-			MeanFan float64 `json:"fanout_mean"`
-		} `json:"query"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&prof); err != nil {
-		t.Fatal(err)
-	}
-	if prof.Node != "coord" {
-		t.Errorf("merged profile node = %q, want coord", prof.Node)
-	}
-	found := false
-	for _, d := range prof.Destinations {
-		if d.Dest == "altavista" {
-			found = true
-			if d.Calls == 0 {
-				t.Error("merged altavista profile shows zero calls")
-			}
+	pages := map[string]string{}
+	for _, nd := range env.nodes {
+		resp, err := http.Get(nd.srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
 		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s /metrics: status %d, %v", nd.id, resp.StatusCode, err)
+		}
+		pages[nd.id] = string(body)
 	}
-	if !found {
-		t.Fatalf("altavista missing from merged destinations: %+v", prof.Destinations)
+	reg := obs.NewRegistry()
+	env.coord.Observe(reg)
+	var coord strings.Builder
+	if err := reg.WritePrometheus(&coord); err != nil {
+		t.Fatal(err)
 	}
-	if prof.Query.Queries == 0 {
-		t.Error("merged query profile shows zero queries")
-	}
-	if prof.Query.MeanFan <= 0 {
-		t.Error("merged query profile shows no external-call fanout")
+	pages["coord"] = coord.String()
+
+	for name, page := range pages {
+		if !strings.Contains(page, "wsq_") {
+			t.Errorf("%s: exposition has no wsq_ families", name)
+		}
+		if problems := obs.LintExposition(page); len(problems) != 0 {
+			t.Errorf("%s: exposition not lint-clean:\n%s", name, strings.Join(problems, "\n"))
+		}
 	}
 }
