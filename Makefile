@@ -34,8 +34,10 @@ test-race:
 # Full gate: vet + wsqlint + the whole suite under the race detector + the
 # plan-reuse tests ten times over under it (about 12 s: a tree two queries
 # run at once shows as a race or a wrong answer in TestReuse..., by name,
-# and one pass does not always interleave them) + the allocation budgets
-# without it + a fuzz smoke + the nested benchmark module. The concurrency
+# and one pass does not always interleave them; traced and untraced runs
+# share one tree, so a decorator left in it shows there too) + the
+# allocation budgets without it, traced warm query included + a fuzz
+# smoke + the nested benchmark module. The concurrency
 # tests (shared-pump server, concurrent Exec) only bite with -race; wsqlint
 # enforces the invariants the race detector can only sample; the fuzz
 # targets guard the parser and evaluator crash-freedom contracts (corpus

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -10,10 +11,10 @@ import (
 
 // TestAllocationBudget pins the executor's allocation diet from outside,
 // on the three query shapes the ledger's local_join, hot_cache and
-// pump_bound workloads time: heap objects per query are a count that
-// repeats exactly, so a regression shows here before it shows as
-// throughput. The race detector allocates on its own account, so the
-// budgets hold only without it.
+// pump_bound workloads time, and on hot_cache traced: heap objects per
+// query are a count that repeats exactly, so a regression shows here
+// before it shows as throughput. The race detector allocates on its own
+// account, so the budgets hold only without it.
 func TestAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include the race detector's own")
@@ -83,6 +84,23 @@ func TestAllocationBudget(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(20, func() { mustQuery(t, db, q) }); allocs > 160 {
 			t.Errorf("warm Template 1: %.0f heap objects per query, want <= 160", allocs)
+		}
+	})
+
+	// The same warm query traced re-opens the same idle tree, instrumented
+	// for the one execution: what it adds is a span and a decorator per
+	// operator, the extras, and no parse, plan or rewrite (342 objects while
+	// a traced query planned afresh, 179 now).
+	t.Run("traced_warm", func(t *testing.T) {
+		db := newPaperDB(t, Config{Async: true, CacheSize: 4096})
+		mustQuery(t, db, q)
+		traced := func() {
+			if _, err := db.QueryContextOpts(context.Background(), q, QueryOptions{Trace: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, traced); allocs > 200 {
+			t.Errorf("warm Template 1 traced: %.0f heap objects per query, want <= 200", allocs)
 		}
 	})
 

@@ -9,25 +9,13 @@ import (
 	"repro/internal/types"
 )
 
-// This file implements EXPLAIN ANALYZE: execute the query with an
-// instrumented plan and return the per-operator span tree instead of the
-// rows. The prefix is intercepted before SQL parsing (like the shell's
-// dot-commands, but inside the DB so it also works for remote wsqd
-// clients), and the rendered profile is returned as an ordinary
-// single-column result so every existing transport can carry it.
-
-// ExplainAnalyze executes a SELECT/UNION with tracing enabled and
-// returns the normal row result with Result.Trace populated. Tests and
-// programmatic consumers use this; the textual `EXPLAIN ANALYZE <query>`
-// SQL form returns the rendered tree instead of the rows.
-func (db *DB) ExplainAnalyze(ctx context.Context, sql string, opts QueryOptions) (*Result, error) {
-	opts.Trace = true
-	st, err := parseQuery(sql, "EXPLAIN ANALYZE expects")
-	if err != nil {
-		return nil, err
-	}
-	return db.runQueryable(ctx, sql, st, opts)
-}
+// This file implements EXPLAIN ANALYZE: execute the query traced and
+// return the per-operator span tree instead of the rows. The prefix is
+// intercepted before SQL parsing (like the shell's dot-commands, but
+// inside the DB so it also works for remote wsqd clients), and the
+// rendered profile is returned as an ordinary single-column result so
+// every existing transport can carry it. Programs that want the rows and
+// the tree ask for QueryOptions{Trace: true}.
 
 // stripExplainAnalyze matches a leading `EXPLAIN ANALYZE ` prefix
 // (case-insensitive, any whitespace) and returns the remaining query.
@@ -57,10 +45,11 @@ func cutKeyword(s, kw string) (string, bool) {
 	return trimmed, true
 }
 
-// explainAnalyze runs the query under tracing and renders the span tree
-// as a one-column result, one line per row.
+// explainAnalyze runs the query traced and renders the span tree as a
+// one-column result, one line per row.
 func (db *DB) explainAnalyze(ctx context.Context, sql string, opts QueryOptions) (*Result, error) {
-	res, err := db.ExplainAnalyze(ctx, sql, opts)
+	opts.Trace = true
+	res, err := db.query(ctx, sql, "EXPLAIN ANALYZE expects", opts)
 	if err != nil {
 		return nil, err
 	}

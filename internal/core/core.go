@@ -128,8 +128,8 @@ type Result struct {
 	Columns []string
 	Rows    []types.Tuple
 	Stats   exec.Stats
-	// Trace is the query's per-operator span tree when tracing was
-	// requested (QueryOptions.Trace or EXPLAIN ANALYZE); nil otherwise.
+	// Trace is the query's per-operator span tree when it was traced
+	// (QueryOptions.Trace, a sampled context); nil otherwise.
 	Trace *obs.Span
 }
 
@@ -221,9 +221,10 @@ type QueryOptions struct {
 	// Degrade overrides the DB's default failed-call degradation policy
 	// when non-nil.
 	Degrade *exec.DegradePolicy
-	// Trace instruments the plan so Result.Trace carries the query's
-	// per-operator span tree (timings, cardinalities, patch/expansion
-	// counts). Costs two time.Now calls per operator invocation.
+	// Trace instruments this execution, as a sampled context does, so
+	// Result.Trace carries the query's per-operator span tree (timings,
+	// cardinalities, patch/expansion counts). The plan is the one an
+	// untraced run reuses. Costs two time.Now calls per operator invocation.
 	Trace bool
 	// BatchSize overrides the executor's batch granularity for this
 	// statement (0 = exec.DefaultBatchSize). It is a reference granularity,
@@ -246,11 +247,11 @@ func (db *DB) ExecContextOpts(ctx context.Context, sql string, opts QueryOptions
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if res, ok, err := db.rerun(ctx, sql, opts); ok {
-		return res, err
-	}
 	if rest, ok := stripExplainAnalyze(sql); ok {
 		return db.explainAnalyze(ctx, rest, opts)
+	}
+	if res, ok, err := db.rerun(ctx, sql, opts); ok {
+		return res, err
 	}
 	st, err := sqlparse.Parse(sql)
 	if err != nil {
@@ -291,29 +292,26 @@ func (db *DB) QueryContextOpts(ctx context.Context, sql string, opts QueryOption
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if res, ok, err := db.rerun(ctx, sql, opts); ok {
-		return res, err
-	}
 	if rest, ok := stripExplainAnalyze(sql); ok {
 		return db.explainAnalyze(ctx, rest, opts)
 	}
-	st, err := parseQuery(sql, "expected")
-	if err != nil {
-		return nil, err
-	}
-	return db.runQueryable(ctx, sql, st, opts)
+	return db.query(ctx, sql, "expected", opts)
 }
 
-// parseQuery parses sql, which must be a SELECT or a UNION of them; what
-// words the complaint when it is something else.
-func parseQuery(sql, what string) (sqlparse.Statement, error) {
+// query answers sql, which must be a SELECT or a UNION of them, from an
+// idle tree or a new one; what words the complaint when it is something
+// else.
+func (db *DB) query(ctx context.Context, sql, what string, opts QueryOptions) (*Result, error) {
+	if res, ok, err := db.rerun(ctx, sql, opts); ok {
+		return res, err
+	}
 	st, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
 	switch st.(type) {
 	case *sqlparse.Select, *sqlparse.Union:
-		return st, nil
+		return db.runQueryable(ctx, sql, st, opts)
 	}
 	return nil, fmt.Errorf("%s a query, got %T", what, st)
 }
@@ -430,19 +428,9 @@ func (db *DB) putTree(sql string, v uint64, t *tree) {
 	db.idle[sql] = append(trees, t)
 }
 
-// reusable reports whether a query may share trees. A traced one may not:
-// exec.Instrument rewires a tree in place, and under a sampled context the
-// scans keep call spans that only an instrumented tree hands out.
-func reusable(goCtx context.Context, opts QueryOptions) bool {
-	return !opts.Trace && obs.SampledTrace(goCtx) == nil
-}
-
 // rerun answers sql from a tree an earlier execution of the same text left
 // idle, before anything parses it; ok is false when there is none.
 func (db *DB) rerun(goCtx context.Context, sql string, opts QueryOptions) (res *Result, ok bool, err error) {
-	if !reusable(goCtx, opts) {
-		return nil, false, nil
-	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	v := db.version()
@@ -450,14 +438,14 @@ func (db *DB) rerun(goCtx context.Context, sql string, opts QueryOptions) (res *
 	if t == nil {
 		return nil, false, nil
 	}
-	if res, err = db.run(goCtx, t, nil, opts); err == nil {
+	if res, err = db.run(goCtx, t, opts); err == nil {
 		db.putTree(sql, v, t)
 	}
 	return res, true, err
 }
 
 // runQueryable plans st, the parse of sql, runs it and, unless the query
-// is traced or failed, leaves the tree idle for the next execution of sql.
+// failed, leaves the tree idle for the next execution of sql.
 func (db *DB) runQueryable(goCtx context.Context, sql string, st sqlparse.Statement, opts QueryOptions) (*Result, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -470,19 +458,18 @@ func (db *DB) runQueryable(goCtx context.Context, sql string, st sqlparse.Statem
 	for i, c := range op.Schema().Cols {
 		t.cols[i] = c.Name
 	}
-	var span *obs.Span
-	if opts.Trace {
-		t.op, span = exec.Instrument(op)
-	}
-	res, err := db.run(goCtx, t, span, opts)
-	if err == nil && reusable(goCtx, opts) {
+	res, err := db.run(goCtx, t, opts)
+	if err == nil {
 		db.putTree(sql, v, t)
 	}
 	return res, err
 }
 
-// run executes t under a fresh exec.Context.
-func (db *DB) run(goCtx context.Context, t *tree, span *obs.Span, opts QueryOptions) (*Result, error) {
+// run executes t under a fresh exec.Context. A traced execution
+// (QueryOptions.Trace, a sampled context) runs t instrumented and takes the
+// decorators out again before it returns: tracing is per execution, not per
+// tree (DESIGN.md §5, rule 4).
+func (db *DB) run(goCtx context.Context, t *tree, opts QueryOptions) (*Result, error) {
 	ctx := exec.NewContextWith(goCtx)
 	ctx.Degrade = db.cfg.Degrade
 	if opts.Degrade != nil {
@@ -490,8 +477,15 @@ func (db *DB) run(goCtx context.Context, t *tree, span *obs.Span, opts QueryOpti
 	}
 	ctx.BatchSize = opts.BatchSize
 	ctx.RetryCall = db.pump.CallWithRetry
-	ctx.Trace = span
-	rows, err := exec.Run(ctx, t.op)
+	op := t.op
+	var span *obs.Span
+	if opts.Trace || obs.SampledTrace(goCtx) != nil {
+		op, span = exec.Instrument(op)
+	}
+	rows, err := exec.Run(ctx, op)
+	if span != nil {
+		t.op = exec.Uninstrument(op)
+	}
 	// The query is this execution's calls' last owner (see Context.PumpCalls).
 	db.pump.Discard(ctx.PumpCalls...)
 	if err != nil {

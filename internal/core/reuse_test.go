@@ -51,17 +51,6 @@ func rowsString(rows []types.Tuple) string {
 	return b.String()
 }
 
-// freshly answers sql from a tree planned for this one execution: a traced
-// query never takes from or puts into db.idle.
-func freshly(t *testing.T, db *DB, sql string) string {
-	t.Helper()
-	res, err := db.QueryContextOpts(context.Background(), sql, QueryOptions{Trace: true})
-	if err != nil {
-		t.Fatalf("%s: %v", sql, err)
-	}
-	return sortedRows(res.Rows)
-}
-
 // TestReuseLeavesEarlierResultsAlone is rule 5. One tree answers every run
 // of a text; over an engine that fails a seeded share of its calls, under
 // degrade=drop, each run returns different rows out of the same operators,
@@ -120,9 +109,9 @@ func TestReuseLeavesEarlierResultsAlone(t *testing.T) {
 
 // TestReuseIsExclusiveUnderConcurrency is rule 1. Eight goroutines send the
 // same four texts; a tree belongs to one of them from take to put, so every
-// answer equals the one a freshly planned tree gives, the race detector
-// stays quiet, and afterwards the pump holds nothing, no goroutine is left
-// behind and no text keeps more idle trees than its bound.
+// answer equals the one the text's first, freshly planned tree gave, the
+// race detector stays quiet, and afterwards the pump holds nothing, no
+// goroutine is left behind and no text keeps more idle trees than its bound.
 func TestReuseIsExclusiveUnderConcurrency(t *testing.T) {
 	db, _ := newFlakyDB(t, 0) // an engine that computes nothing: the test is about the trees
 	texts := []string{
@@ -133,7 +122,7 @@ func TestReuseIsExclusiveUnderConcurrency(t *testing.T) {
 	}
 	want := make([]string, len(texts))
 	for i, q := range texts {
-		want[i] = freshly(t, db, q)
+		want[i] = sortedRows(mustQuery(t, db, q).Rows)
 	}
 	db.Pump().Quiesce()
 	baseline := runtime.NumGoroutine()
@@ -381,26 +370,24 @@ func TestReuseNeverRunsAStaleTree(t *testing.T) {
 	}
 }
 
-// TestTracedQueriesPlanAfresh is rule 4. exec.Instrument rewires a tree in
-// place and a sampled context makes the scans keep call spans, so nothing
-// traced takes a tree or leaves one, and neither do the entry points that
-// only plan.
-func TestTracedQueriesPlanAfresh(t *testing.T) {
+// TestReuseTracedAndUntracedShareATree is rule 4: tracing is per execution.
+// One text runs with QueryOptions.Trace, under a sampled context, as
+// EXPLAIN ANALYZE and untraced, round after round, and every run takes and
+// puts back the one tree the first — a traced one — left idle, whose shape
+// never changes and in which no decorator stays. Each traced run's span
+// tree has the plan's shape and counts that run's 50 calls and
+// settlements, not the tree's lifetime's; a returned trace is never written
+// again (rule 5); and the entry points that only plan neither take a tree
+// nor leave one.
+func TestReuseTracedAndUntracedShareATree(t *testing.T) {
 	db := newPaperDB(t, Config{Async: true})
 	const sql = `SELECT Name, Count FROM States, WebCount WHERE Name = T1 AND T2 = 'scuba diving'`
-	sampled := obs.WithTrace(context.Background(), obs.NewTraceCtx())
-	traced := func() {
+	sel, err := sqlparse.ParseSelect(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planOnly := func() {
 		t.Helper()
-		if res, err := db.QueryContextOpts(context.Background(), sql, QueryOptions{Trace: true}); err != nil || res.Trace == nil {
-			t.Fatalf("traced query: %v, trace %v", err, res)
-		}
-		if _, err := db.QueryContext(sampled, sql); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := db.ExplainAnalyze(context.Background(), sql, QueryOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		mustQuery(t, db, "EXPLAIN ANALYZE "+sql)
 		if _, err := db.Explain(sql); err != nil {
 			t.Fatal(err)
 		}
@@ -410,32 +397,102 @@ func TestTracedQueriesPlanAfresh(t *testing.T) {
 		if _, err := db.Estimate(sql, plan.DefaultCostModel()); err != nil {
 			t.Fatal(err)
 		}
-		sel, err := sqlparse.ParseSelect(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if _, err := db.Plan(sel); err != nil {
 			t.Fatal(err)
 		}
 	}
-	traced()
+	planOnly()
 	db.planMu.Lock()
 	texts := len(db.idle)
 	db.planMu.Unlock()
 	if texts != 0 {
-		t.Fatalf("traced and planning-only calls left %d texts idle", texts)
+		t.Fatalf("planning-only calls left %d texts idle", texts)
 	}
-	mustQuery(t, db, sql)
-	before := idleTrees(db, sql)
-	shape := idleShape(t, db, sql)
-	traced()
-	after := idleTrees(db, sql)
-	if len(after) != 1 || after[0] != before[0] || exec.Shape(after[0].op) != shape {
-		t.Errorf("idle trees %v after traced calls, want the untouched %v", after, before)
+	op, err := db.Plan(sel)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res := mustQuery(t, db, sql); res.Trace != nil || len(res.Rows) != 50 {
-		t.Errorf("untraced run after traced ones: trace %v, %d rows", res.Trace, len(res.Rows))
+	shape := exec.Shape(op)
+
+	var kept *tree
+	check := func(step string) {
+		t.Helper()
+		trees := idleTrees(db, sql)
+		if len(trees) != 1 || kept != nil && trees[0] != kept {
+			t.Fatalf("after %s: idle trees %v, want the first run's %p alone", step, trees, kept)
+		}
+		kept = trees[0]
+		if got := exec.Shape(kept.op); got != shape {
+			t.Fatalf("after %s: idle tree shape %s, want %s", step, got, shape)
+		}
+		if d := decorator(kept.op); d != "" {
+			t.Fatalf("after %s: a %s stayed in the idle tree", step, d)
+		}
 	}
+	sampled := obs.WithTrace(context.Background(), obs.NewTraceCtx())
+	traced := []struct {
+		name  string
+		calls int // pump call spans the scan hands out
+		run   func() (*Result, error)
+	}{
+		{"Trace", 0, func() (*Result, error) {
+			return db.QueryContextOpts(context.Background(), sql, QueryOptions{Trace: true})
+		}},
+		{"a sampled context", 50, func() (*Result, error) { return db.QueryContext(sampled, sql) }},
+		{"EXPLAIN ANALYZE", 0, func() (*Result, error) {
+			return db.QueryContext(context.Background(), "EXPLAIN ANALYZE "+sql)
+		}},
+	}
+	type returned struct {
+		trace  *obs.Span
+		render string
+	}
+	var traces []returned
+	for round := 0; round < 3; round++ {
+		for _, tr := range traced {
+			res, err := tr.run()
+			if err != nil || res.Trace == nil {
+				t.Fatalf("round %d, %s: %v, no trace", round, tr.name, err)
+			}
+			if got := res.Trace.Shape(); got != shape {
+				t.Errorf("round %d, %s: span tree %s, want the plan's %s", round, tr.name, got, shape)
+			}
+			aev, rs := findSpan(res.Trace, "AEVScan"), findSpan(res.Trace, "ReqSync")
+			if aev == nil || rs == nil {
+				t.Fatalf("round %d, %s: no AEVScan or ReqSync span in\n%s", round, tr.name, res.Trace.Render())
+			}
+			if aev.Extra["calls"] != 50 || rs.Extra["settled"] != 50 || len(aev.AsyncChildren) != tr.calls {
+				t.Errorf("round %d, %s: AEVScan calls=%d with %d call spans, ReqSync settled=%d; want 50, %d, 50: this run's counts",
+					round, tr.name, aev.Extra["calls"], len(aev.AsyncChildren), rs.Extra["settled"], tr.calls)
+			}
+			traces = append(traces, returned{res.Trace, res.Trace.Render()})
+			check(tr.name)
+		}
+		if res := mustQuery(t, db, sql); res.Trace != nil || len(res.Rows) != 50 {
+			t.Fatalf("round %d, untraced: trace %v, %d rows", round, res.Trace, len(res.Rows))
+		}
+		check("an untraced run")
+		planOnly()
+		check("planning-only calls")
+	}
+	for i, r := range traces {
+		if got := r.trace.Render(); got != r.render {
+			t.Errorf("trace %d changed after it was returned:\nnow\n%swas\n%s", i, got, r.render)
+		}
+	}
+}
+
+// decorator names the first trace decorator left in op's tree, "" if none.
+func decorator(op exec.Operator) string {
+	if ty := fmt.Sprintf("%T", op); strings.Contains(ty, "spanOp") {
+		return ty + " over " + op.Name()
+	}
+	for _, c := range op.Children() {
+		if d := decorator(c); d != "" {
+			return d
+		}
+	}
+	return ""
 }
 
 // TestIdleTreesAreBounded: a text keeps at most maxIdleTrees trees, and the

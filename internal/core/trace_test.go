@@ -196,13 +196,16 @@ func TestExplainAnalyzeSQL(t *testing.T) {
 	if _, err := db.ExecContext(context.Background(), "EXPLAIN ANALYZE CREATE TABLE X (A INT)"); err == nil {
 		t.Error("EXPLAIN ANALYZE of DDL should fail")
 	}
+	if _, err := db.QueryContext(context.Background(), "EXPLAIN ANALYZE EXPLAIN ANALYZE "+tracePagesQuery); err == nil {
+		t.Error("nested EXPLAIN ANALYZE should fail")
+	}
 }
 
-// TestExplainAnalyzeAPI exercises the programmatic form, which returns
-// the real rows plus the trace.
+// TestExplainAnalyzeAPI exercises the programmatic form, QueryOptions
+// Trace, which returns the real rows plus the trace.
 func TestExplainAnalyzeAPI(t *testing.T) {
 	db := newPaperDB(t, Config{Async: true})
-	res, err := db.ExplainAnalyze(context.Background(), tracePagesQuery, QueryOptions{})
+	res, err := db.QueryContextOpts(context.Background(), tracePagesQuery, QueryOptions{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}

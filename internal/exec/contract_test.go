@@ -3,11 +3,13 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/types"
 )
@@ -573,6 +575,84 @@ func TestOperatorContractReopenAfterClose(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOperatorContractTracedReopen is property 2 for a tree traced one
+// execution at a time (core instruments the tree it re-opens and strips it
+// before it keeps it again, DESIGN.md §5 rule 4): Instrument → run → strip
+// → run → Instrument → run yields the same rows each time, Uninstrument
+// leaves no decorator behind, and the two span trees have the plan's shape
+// and agree on rows, opens and every extra but a timing — the second
+// counts its own execution, not the tree's life.
+func TestOperatorContractTracedReopen(t *testing.T) {
+	for _, tc := range contractCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			op, _ := tc.mk()
+			shape := Shape(op)
+			traced := func() (string, *obs.Span) {
+				t.Helper()
+				w, span := Instrument(op)
+				rows := runAll(t, w)
+				if root := Uninstrument(w); root != op {
+					t.Fatalf("Uninstrument returned %s, not the plan's root", root.Name())
+				}
+				if d := spanOpIn(op); d != "" {
+					t.Fatalf("the decorator over %s stayed after Uninstrument", d)
+				}
+				if got := span.Shape(); got != shape {
+					t.Errorf("span tree %s, plan %s", got, shape)
+				}
+				checkFresh(t, rows)
+				return fmt.Sprint(rowStrings(rows)), span
+			}
+			want, first := traced()
+			if got := fmt.Sprint(rowStrings(runAll(t, op))); got != want {
+				t.Errorf("untraced run after a traced one:\ngot:  %v\nwant: %v", got, want)
+			}
+			got, again := traced()
+			if got != want {
+				t.Errorf("traced run on the stripped tree:\ngot:  %v\nwant: %v", got, want)
+			}
+			if a, b := spanCounts(first), spanCounts(again); a != b {
+				t.Errorf("span counts of the third run differ from the first's:\n%s\nwant\n%s", b, a)
+			}
+		})
+	}
+}
+
+// spanOpIn names the operator under the first decorator in op's tree, ""
+// if there is none.
+func spanOpIn(op Operator) string {
+	if w, ok := op.(*spanOp); ok {
+		return w.inner.Name()
+	}
+	for _, c := range op.Children() {
+		if d := spanOpIn(c); d != "" {
+			return d
+		}
+	}
+	return ""
+}
+
+// spanCounts renders a span tree's rows, opens and extras, one span per
+// line, without the timings.
+func spanCounts(root *obs.Span) string {
+	var b strings.Builder
+	root.Walk(func(s *obs.Span) {
+		fmt.Fprintf(&b, "%s rows=%d opens=%d", s.Op, s.Rows, s.Opens)
+		keys := make([]string, 0, len(s.Extra))
+		for k := range s.Extra {
+			if !strings.HasSuffix(k, "_us") {
+				keys = append(keys, k)
+			}
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(&b, " %s=%d", k, s.Extra[k])
+		}
+		b.WriteByte('\n')
+	})
+	return b.String()
 }
 
 // pullAll opens op, drains it with NextBatch(max) under a context whose

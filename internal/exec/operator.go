@@ -39,7 +39,6 @@ import (
 	"strings"
 
 	"repro/internal/expr"
-	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/types"
 )
@@ -102,11 +101,6 @@ type Context struct {
 	// RetryCall, when set, wraps synchronous external calls (EVScan) in the
 	// engine-wide retry policy. Asynchronous calls retry inside the pump.
 	RetryCall func(ctx context.Context, do func() ([]types.Tuple, error)) ([]types.Tuple, error)
-	// Trace is the root of the query's span tree when the plan was
-	// instrumented (Instrument); nil otherwise. Operators never write it —
-	// the decorators do — but consumers reached through the context (the
-	// server, EXPLAIN ANALYZE) read the finished tree from here.
-	Trace *obs.Span
 	// BatchSize overrides the executor's batch granularity; zero means
 	// DefaultBatchSize. It is a reference granularity, not a tuning knob:
 	// the benchmark and wsqfuzz run size 1 as the tuple-at-a-time reference

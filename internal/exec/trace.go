@@ -44,8 +44,9 @@ type TraceChildren interface {
 // profile the paper's latency-hiding claim is verified against.
 //
 // Instrument mutates the plan (children are replaced by their wrapped
-// forms); plans are built per-query, so this is safe. It must run after
-// any structural rewrites (async.Rewrite).
+// forms) until Uninstrument puts it back, so a tree that outlives its
+// query is traced one execution at a time. It must run after any
+// structural rewrites (async.Rewrite).
 func Instrument(op Operator) (Operator, *obs.Span) {
 	w := instrument(op)
 	return w, w.span
@@ -58,7 +59,23 @@ func instrument(op Operator) *spanOp {
 		span.AddChild(cw.span)
 		op.SetChild(i, cw)
 	}
-	return &spanOp{inner: op, span: span}
+	w := &spanOp{inner: op, span: span}
+	if ex, ok := op.(SpanExtras); ok {
+		w.base = ex.SpanExtras()
+	}
+	return w
+}
+
+// Uninstrument is Instrument's inverse: it puts every operator of an
+// instrumented plan back in its parent's slot and returns the plan's root.
+func Uninstrument(op Operator) Operator {
+	if w, ok := op.(*spanOp); ok {
+		op = w.inner
+	}
+	for i, c := range op.Children() {
+		op.SetChild(i, Uninstrument(c))
+	}
+	return op
 }
 
 // spanOp is the timing decorator. It is transparent to plan inspection:
@@ -67,6 +84,9 @@ func instrument(op Operator) *spanOp {
 type spanOp struct {
 	inner Operator
 	span  *obs.Span
+	// base holds the operator's extras when it was wrapped: they count over
+	// the operator's life, the span over this execution.
+	base map[string]int64
 	// nBatches counts NextBatch/BindBatch rounds so EXPLAIN ANALYZE can
 	// report per-operator batch granularity (rows/batch = Rows/batches).
 	nBatches int64
@@ -133,10 +153,10 @@ func (w *spanOp) Close() error {
 	// Operator extras are cumulative over the operator's life, and Close
 	// may run many times (a dependent join closes its inner subtree once
 	// per outer binding, error paths close eagerly, Run closes again) —
-	// so overwrite with the latest snapshot rather than accumulating.
+	// so overwrite with the latest difference rather than accumulating.
 	if ex, ok := w.inner.(SpanExtras); ok {
 		for k, v := range ex.SpanExtras() {
-			w.span.SetExtra(k, v)
+			w.span.SetExtra(k, v-w.base[k])
 		}
 	}
 	if w.nBatches > 0 {
@@ -154,7 +174,3 @@ func (w *spanOp) Children() []Operator        { return w.inner.Children() }
 func (w *spanOp) SetChild(i int, op Operator) { w.inner.SetChild(i, op) }
 func (w *spanOp) Name() string                { return w.inner.Name() }
 func (w *spanOp) Describe() string            { return w.inner.Describe() }
-
-// Unwrap exposes the decorated operator (tests reach through the
-// instrumentation to assert on concrete operator state).
-func (w *spanOp) Unwrap() Operator { return w.inner }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/async"
 	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/sqlparse"
 	"repro/internal/types"
 )
@@ -60,7 +61,9 @@ type VariantResult struct {
 	// AllHits reports that the result cache answered every request of the
 	// run at registration.
 	AllHits bool
-	Err     error
+	// Trace is the span tree of an instrumented execution, nil otherwise.
+	Trace *obs.Span
+	Err   error
 }
 
 // Divergence is one detected disagreement: between a variant and the
@@ -70,7 +73,7 @@ type Divergence struct {
 	Spec    *QuerySpec
 	SQL     string
 	Variant string
-	Kind    string // "error" | "result" | "calls" | "settle" | "order"
+	Kind    string // "error" | "result" | "calls" | "settle" | "order" | "trace"
 	Detail  string
 }
 
@@ -93,8 +96,10 @@ type Runner struct {
 // variant, returning the first divergence found (nil when all regimes
 // agree). Each variant plans once and executes twice: the second execution
 // re-opens the tree the first closed, as core does for a statement text it
-// has seen (DESIGN.md §5, "Plan reuse"), and is held to everything the
-// first is; its divergences carry the variant's name with "-rerun". The
+// has seen (DESIGN.md §5, "Plan reuse"), instrumented for that execution
+// only, as core traces a query; it is held to everything the first is and
+// its span tree to the plan and to the execution's own counts (checkTrace),
+// and its divergences carry the variant's name with "-rerun". The
 // returned error reports harness-level failures — a spec the truth
 // evaluator itself cannot handle — not query divergences.
 func (r *Runner) RunOne(ctx context.Context, spec *QuerySpec) (*Divergence, error) {
@@ -108,13 +113,41 @@ func (r *Runner) RunOne(ctx context.Context, spec *QuerySpec) (*Divergence, erro
 		if err != nil {
 			return &Divergence{Spec: spec, SQL: sql, Variant: v.Name, Kind: "error", Detail: err.Error()}, nil
 		}
-		for _, name := range []string{v.Name, v.Name + "-rerun"} {
-			if kind, detail := check(spec, truth, v, r.execute(ctx, op, v)); kind != "" {
+		for i, name := range []string{v.Name, v.Name + "-rerun"} {
+			res := r.execute(ctx, op, v, i == 1)
+			kind, detail := check(spec, truth, v, res)
+			if kind == "" && res.Trace != nil {
+				kind, detail = checkTrace(op, res)
+			}
+			if kind != "" {
 				return &Divergence{Spec: spec, SQL: sql, Variant: name, Kind: kind, Detail: detail}, nil
 			}
 		}
 	}
 	return nil, nil
+}
+
+// checkTrace holds a traced execution's span tree to the plan it ran and to
+// the execution's own counts: the plan's shape, the result's rows at the
+// root, and the calls the scans report and the settlements the ReqSyncs
+// report, which must be this execution's and not the tree's life's.
+func checkTrace(op exec.Operator, res VariantResult) (kind, detail string) {
+	if got, want := res.Trace.Shape(), exec.Shape(op); got != want {
+		return "trace", fmt.Sprintf("span tree %s, plan %s", got, want)
+	}
+	if res.Trace.Rows != int64(len(res.Rows)) {
+		return "trace", fmt.Sprintf("root span counts %d rows, the result has %d", res.Trace.Rows, len(res.Rows))
+	}
+	var calls, settled int64
+	res.Trace.Walk(func(s *obs.Span) {
+		calls += s.Extra["calls"]
+		settled += s.Extra["settled"]
+	})
+	if calls != res.Calls || settled != res.Settled {
+		return "trace", fmt.Sprintf("spans count %d calls and %d settlements, the execution %d and %d",
+			calls, settled, res.Calls, res.Settled)
+	}
+	return "", ""
 }
 
 // check holds one execution under v against the ground truth and the plan
@@ -190,14 +223,22 @@ func (r *Runner) plan(spec *QuerySpec, v Variant) (exec.Operator, error) {
 	return op, nil
 }
 
-// execute runs a planned tree once, under a fresh context.
-func (r *Runner) execute(ctx context.Context, op exec.Operator, v Variant) VariantResult {
+// execute runs a planned tree once, under a fresh context; traced, it runs
+// it instrumented and strips it again.
+func (r *Runner) execute(ctx context.Context, op exec.Operator, v Variant, traced bool) VariantResult {
 	res := VariantResult{Name: v.Name}
 	pump := r.pumpFor(v)
 	ectx := exec.NewContextWith(ctx)
 	ectx.BatchSize = v.BatchSize
 	before, settled := pump.Stats(), sumSettled(op)
-	rows, err := exec.Run(ectx, op)
+	run := op
+	if traced {
+		run, res.Trace = exec.Instrument(op)
+	}
+	rows, err := exec.Run(ectx, run)
+	if traced {
+		exec.Uninstrument(run)
+	}
 	pump.Discard(ectx.PumpCalls...)
 	after := pump.Stats()
 	res.AllHits = after.Registered-before.Registered == after.CacheHits-before.CacheHits
