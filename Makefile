@@ -35,8 +35,12 @@ test-race:
 # plan-reuse tests ten times over under it (about 12 s: a tree two queries
 # run at once shows as a race or a wrong answer in TestReuse..., by name,
 # and one pass does not always interleave them; traced and untraced runs
-# share one tree, so a decorator left in it shows there too) + the
-# allocation budgets without it, traced warm query included + a fuzz
+# share one tree, so a decorator left in it shows there too) + the pump's
+# handoff, settlement, coalescing and sibling-cancel tests ten times over
+# under it (about 12 s: deadline and hedge timers and retry backoffs act
+# under the pump's lock from their own goroutines, and one pass does not
+# reach every interleaving) + the allocation budgets without it, traced
+# warm query and the retry-policy round included + a fuzz
 # smoke + the nested benchmark module. The concurrency
 # tests (shared-pump server, concurrent Exec) only bite with -race; wsqlint
 # enforces the invariants the race detector can only sample; the fuzz
@@ -47,7 +51,9 @@ check:
 	$(MAKE) lint
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run TestReuse ./internal/core
+	$(GO) test -race -count=10 -run 'TestHandoff|TestSettleHandshake|TestCoalesce|TestSiblingCancel' ./internal/async
 	$(GO) test -run TestAllocationBudget ./internal/core
+	$(GO) test -run 'TestPumpRoundTripAllocs|TestPumpPolicyRoundAllocs' ./internal/async
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz FuzzEval -fuzztime 10s ./internal/expr
 	$(MAKE) fuzzqe-smoke

@@ -15,8 +15,8 @@ import (
 // obs.TraceCtx — an untraced call carries a nil pointer and every
 // recording site is a nil check.
 //
-// A CallTrace is written by pump goroutines (dispatch, run, execution
-// workers) while the query goroutine may be converting it to a span, so
+// A CallTrace is written by pump goroutines (dispatch, run, the retry
+// timers) while the query goroutine may be converting it to a span, so
 // it carries its own mutex. Lock ordering: pump code may touch a
 // CallTrace while holding p.mu (CallTrace methods take only ct.mu and
 // never call back into the pump), but never the reverse.

@@ -29,13 +29,18 @@ import (
 // call starts only once all but at most k-1 earlier ones have), in-flight
 // never exceeds either limit, a call that was cancelled or discarded while
 // queued never runs, and afterwards the pump holds nothing and the
-// goroutines are back at their baseline.
+// goroutines are back at their baseline. Every seed runs under the zero
+// retry policy and again under wsqd's (wsqdPolicy).
 func TestHandoffProperties(t *testing.T) {
 	scenarios := []string{"drain", "discard", "limit0", "close"}
 	dests := []string{"a", "b"}
-	for iter := 0; iter < 32 && !t.Failed(); iter++ { // stops at the first failing seed, as in property_test.go
-		seed, scenario := int64(7100+iter), scenarios[iter%4]
-		t.Run(fmt.Sprintf("seed=%d/%s", seed, scenario), func(t *testing.T) {
+	retries := []struct {
+		suffix string
+		pol    RetryPolicy
+	}{{"", RetryPolicy{}}, {"/wsqd", wsqdPolicy}}
+	for iter := 0; iter < 2*32 && !t.Failed(); iter++ { // stops at the first failing seed, as in property_test.go
+		seed, scenario, retry := int64(7100+iter%32), scenarios[iter%4], retries[iter/32]
+		t.Run(fmt.Sprintf("seed=%d/%s%s", seed, scenario, retry.suffix), func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			rng := rand.New(rand.NewSource(seed))
 			k := 1 + rng.Intn(3)
@@ -43,6 +48,7 @@ func TestHandoffProperties(t *testing.T) {
 			n := 20 + rng.Intn(30)
 			p := NewPump(total, k, nil)
 			defer p.Close()
+			p.SetRetryPolicy(retry.pol)
 
 			type rec struct {
 				id            types.CallID

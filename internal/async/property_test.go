@@ -199,10 +199,15 @@ func (g *gatedSource) Call(key string) func() ([]types.Tuple, error) {
 	}
 }
 
+// wsqdPolicy is wsqd's default retry policy (its -retries, -retry-backoff
+// and -call-timeout flags): with a deadline, every execution arms a timer.
+var wsqdPolicy = RetryPolicy{MaxAttempts: 4, BaseBackoff: 5 * time.Millisecond, JitterFrac: 0.5, CallTimeout: 2 * time.Second}
+
 // TestSettleHandshakeProperties drives the ReqSync↔ReqPump handshake
 // through random completion orders × 0..3-row results × transient and
 // permanent failures × fail|drop|partial × {run to completion, cancel the
-// query mid-settle, Close the pump mid-wait}. Whatever happens, the query
+// query mid-settle, Close the pump mid-wait} × {fast retries, wsqd's
+// retry policy}. Whatever happens, the query
 // ends in a result or an error of the expected kind, and nothing is left
 // behind: every registered call has left the call table (taken by the
 // ReqSync or discarded, so none can be taken again), no execution holds a
@@ -210,10 +215,16 @@ func (g *gatedSource) Call(key string) func() ([]types.Tuple, error) {
 func TestSettleHandshakeProperties(t *testing.T) {
 	policies := []exec.DegradePolicy{exec.DegradeFail, exec.DegradeDrop, exec.DegradePartial}
 	scenarios := []string{"complete", "cancel", "close"}
-	for iter := 0; iter < 45 && !t.Failed(); iter++ { // stops at the first failing seed, as above
-		seed := int64(7000 + iter)
+	// 3 retries cover the scripted 0..2 transient failures; a retry waits
+	// out its backoff in the pump's queue.
+	retries := []struct {
+		suffix string
+		pol    RetryPolicy
+	}{{"", RetryPolicy{MaxAttempts: 4, BaseBackoff: 50 * time.Microsecond, JitterFrac: 0.5}}, {"/wsqd", wsqdPolicy}}
+	for iter := 0; iter < 2*45 && !t.Failed(); iter++ { // stops at the first failing seed, as above
+		seed, retry := int64(7000+iter%45), retries[iter/45]
 		policy, scenario := policies[iter%3], scenarios[(iter/3)%3]
-		t.Run(fmt.Sprintf("seed=%d/%s/%s", seed, policy, scenario), func(t *testing.T) {
+		t.Run(fmt.Sprintf("seed=%d/%s/%s%s", seed, policy, scenario, retry.suffix), func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			rng := rand.New(rand.NewSource(seed))
 			terms := make([]string, 1+rng.Intn(12))
@@ -231,9 +242,7 @@ func TestSettleHandshakeProperties(t *testing.T) {
 
 			pump := NewPump(1+rng.Intn(8), 1+rng.Intn(4), nil)
 			defer pump.Close()
-			// 3 retries cover the scripted 0..2 transient failures; a retry
-			// waits for its slot in the same helper a ReqSync waits in.
-			pump.SetRetryPolicy(RetryPolicy{MaxAttempts: 4, BaseBackoff: 50 * time.Microsecond, JitterFrac: 0.5})
+			pump.SetRetryPolicy(retry.pol)
 
 			termCol := strCol("L", "Term")
 			left := exec.NewValuesScan(schema.New(termCol), tuplesOf(terms))

@@ -87,7 +87,7 @@ type Pump struct {
 
 	// policy governs retries, per-attempt deadlines, and hedging for every
 	// call execution (SetRetryPolicy). Stored normalized and replaced, never
-	// mutated, so executions read it without the lock.
+	// mutated, so it can be read without the lock.
 	policy atomic.Pointer[RetryPolicy]
 	// backoffRng drives retry-backoff jitter: a locked, seeded stream
 	// (many workers back off at once) shared with the latency/fault
@@ -95,8 +95,8 @@ type Pump struct {
 	backoffRng *search.Rand
 
 	// slotWait is the time calls spend waiting for an execution token:
-	// queue wait before first dispatch, and slot re-acquisition before a
-	// retry. This is the admission-control delay of Section 4.1's
+	// queue wait before first dispatch, and the wait past a retry's
+	// backoff. This is the admission-control delay of Section 4.1's
 	// counters — high values mean the limits, not the engines, bound
 	// throughput.
 	slotWait *obs.Histogram
@@ -104,11 +104,10 @@ type Pump struct {
 	maxActive atomic.Int64
 	closed    bool
 
-	// execWG tracks every goroutine that is (or may still be) inside an
-	// engine call: the run() workers and the timeout/hedge executions
-	// attemptOnce launches. Engine calls are uninterruptible, so these
-	// goroutines cannot observe cancellation — instead they register
-	// here, and Quiesce waits for the stragglers to let go.
+	// execWG tracks the run goroutines, each of which is (or may still be)
+	// inside an engine call. Engine calls are uninterruptible, so an
+	// execution cannot observe cancellation — even one whose attempt timed
+	// out or was hedged out — and Quiesce waits here for it to let go.
 	execWG sync.WaitGroup
 }
 
@@ -118,7 +117,8 @@ type callState uint8
 const (
 	// callPending: running, or coalesced onto another call's execution.
 	callPending callState = iota
-	// callQueued: in p.queue, waiting for an execution token.
+	// callQueued: in p.queue, waiting for an execution token (a retry
+	// first waits out its backoff there).
 	callQueued
 	// callDone: result parked, awaiting Take.
 	callDone
@@ -134,8 +134,9 @@ type call struct {
 	dest     *destination
 	key      string
 	enqueued time.Time
-	// fn performs the call. A scan's registration leaves it to execute to
-	// ask src for, so a call that never runs here never builds one.
+	// fn performs the call. A scan's registration leaves it to each
+	// execution to ask src for, so a call that never runs here never
+	// builds one.
 	fn  func() ([]types.Tuple, error)
 	src exec.ExternalSource
 	// trace is the call's lifecycle record when the registering query is
@@ -144,6 +145,25 @@ type call struct {
 
 	state callState  // guarded by p.mu
 	res   CallResult // guarded by p.mu; valid once state is callDone
+
+	// Where the call's executions stand, all guarded by p.mu. attempt is
+	// the current attempt (0 is the first), and a retry is not due before
+	// enqueued; over is set once the call has its outcome; hedges counts
+	// the current attempt's hedges, and deadline and hedger are its timers.
+	over             bool
+	attempt, hedges  int32
+	deadline, hedger *time.Timer
+}
+
+// execution is one physical run of a call — its first attempt, a retry,
+// or a hedge — and it holds one execution token from the moment
+// dispatchLocked or the hedge timer starts it until complete retires it.
+// ctx is the context of a query that wanted the call when it started.
+type execution struct {
+	c       *call
+	ctx     context.Context
+	attempt int32
+	hedge   bool
 }
 
 // event indexes a destination's counters: everything the pump counts
@@ -392,23 +412,29 @@ func (p *Pump) register(ctx context.Context, dest, key string, fn func() ([]type
 }
 
 // dispatchLocked is the pump's one queue walk, behind registration,
-// SetDestLimit, releaseToken and complete alike: every queued call the
-// limits allow leaves the queue — dropped if its context has already
-// expired, else given a token and a goroutine of its own. Each caller
+// SetDestLimit, a retry's backoff timer, the deadline timer and complete
+// alike: every queued call the limits allow and whose backoff is over
+// leaves the queue — dropped if nobody wants it any more, else given a
+// token, its attempt's timers and a goroutine of its own. Each caller
 // walks after whatever it did that could let a call start, so between
 // critical sections none can. With handoff set the caller is a finishing
 // execution that freed one slot: the first call started fills it, so the
-// walk ends there and returns it for the caller's own goroutine to run.
-// Callers hold p.mu.
-func (p *Pump) dispatchLocked(handoff bool) (first *call) {
+// walk ends there and hands that execution, token and all, to the
+// caller's own goroutine. Callers hold p.mu.
+func (p *Pump) dispatchLocked(handoff bool) execution {
 	for i := 0; i < len(p.queue) && p.activeTotal < p.maxTotal; {
 		c := p.queue[i]
-		if int(c.dest.active.Load()) >= c.dest.limit {
-			i++ // skip; a later call for another destination may fit
+		if int(c.dest.active.Load()) >= c.dest.limit || c.attempt > 0 && time.Now().Before(c.enqueued) {
+			i++ // skip; a later call may fit, or be due
 			continue
 		}
 		p.queue = append(p.queue[:i], p.queue[i+1:]...)
-		if err := c.ctx.Err(); err != nil {
+		ctx := p.wantedLocked(c)
+		if ctx == nil {
+			err := c.ctx.Err()
+			if err == nil {
+				err = context.Canceled // discarded, and every sharer's context has ended
+			}
 			p.settleUnstartedLocked(c, err)
 			continue
 		}
@@ -416,20 +442,41 @@ func (p *Pump) dispatchLocked(handoff bool) (first *call) {
 		c.trace.setDispatched()
 		p.grabTokenLocked(c.dest)
 		c.state = callPending
-		c.dest.count(evStarted)
+		if c.attempt == 0 {
+			c.dest.count(evStarted)
+		} else {
+			c.dest.count(evRetry)
+		}
+		p.armLocked(c)
+		e := execution{c: c, ctx: ctx, attempt: c.attempt}
 		if handoff {
-			first = c
-			break
+			return e
 		}
 		p.execWG.Add(1)
-		go p.run(c)
+		go p.run(e)
 	}
-	return first
+	return execution{}
 }
 
-// settleUnstartedLocked completes a call that never ran (canceled while
-// queued, or orphaned by Close) with err, for itself and any calls
-// coalesced onto it. Callers hold p.mu.
+// wantedLocked answers who still wants c's execution: c itself if its
+// owner still holds it and its context is live, else a waiter on c's key
+// whose context is live. It returns that context, or nil when nobody
+// does. Callers hold p.mu.
+func (p *Pump) wantedLocked(c *call) context.Context {
+	if p.calls[c.id] == c && c.ctx.Err() == nil {
+		return c.ctx
+	}
+	for _, w := range p.inflight[c.key] {
+		if w.ctx.Err() == nil {
+			return w.ctx
+		}
+	}
+	return nil
+}
+
+// settleUnstartedLocked completes a queued call — one that never ran, or
+// a retry that never did — with err, for itself and any calls coalesced
+// onto it (dropped by dispatch, or orphaned by Close). Callers hold p.mu.
 func (p *Pump) settleUnstartedLocked(c *call, err error) {
 	c.dest.count(evCanceled)
 	c.trace.finish("canceled")
@@ -461,232 +508,187 @@ func (p *Pump) parkLocked(c *call, res CallResult) {
 	p.cond.Broadcast()
 }
 
-// run is an execution goroutine: it executes the call dispatchLocked
-// started it for and then, one after another, each queued call a
-// completion hands it, until a completion finds nothing the limits allow.
-func (p *Pump) run(c *call) {
+// run is an execution goroutine: it performs the execution it was started
+// for and then, one after another, each one a completion hands it, until
+// a completion finds nothing the limits allow. (execute returns before
+// complete is called, so the engine call's stack and the completion's are
+// not stacked on each other.)
+func (p *Pump) run(e execution) {
 	defer p.execWG.Done()
-	for c != nil {
-		c = p.execute(c)
+	for e.c != nil {
+		e = p.complete(e, p.execute(e))
 	}
 }
 
-// execute resolves one call — via the tier cache peer (a bounded network
-// hop to the key's home shard), else by the engine call under the retry
-// policy — completes it, and returns the queued call complete handed over.
-//
-// Concurrency accounting: execute is entered holding one execution token
-// (from dispatchLocked). Each physical execution of c.fn — first attempt,
-// retry, or hedge — holds exactly one token for exactly as long as the
-// engine call is actually outstanding. Without a per-attempt deadline or
-// hedging the attempt runs inline under the token this goroutine holds: a
-// failed one releases it across the backoff, the last one's goes back in
-// complete. Otherwise attemptOnce passes the token to an execution
-// goroutine that releases it when fn returns, so abandoned (timed-out or
-// hedged-out) calls keep counting against the destination until the engine
-// really lets go of them.
-func (p *Pump) execute(c *call) *call {
-	if peer := p.cachePeer(); peer != nil && p.cache != nil {
-		if rows, ok := peer.Fetch(c.ctx, c.key); ok {
+// execute performs one execution — a first attempt asks the tier cache
+// peer (a bounded network hop to the key's home shard) before the engine —
+// and records its wall time in the destination's record and the call's
+// trace.
+func (p *Pump) execute(e execution) CallResult {
+	c := e.c
+	if peer := p.cachePeer(); peer != nil && p.cache != nil && e.attempt == 0 && !e.hedge {
+		if rows, ok := peer.Fetch(e.ctx, c.key); ok {
 			c.dest.count(evPeerHit)
 			c.trace.finish("peer_hit")
-			return p.complete(c, CallResult{Rows: rows}, true)
+			return CallResult{Rows: rows}
 		}
 	}
-	if c.fn == nil {
-		c.fn = c.src.Call(c.key)
+	fn := c.fn
+	if fn == nil {
+		fn = c.src.Call(c.key)
 	}
-	pol := p.RetryPolicy()
-	inline := pol.CallTimeout <= 0 && pol.HedgeAfter <= 0
-	held := inline // whether this goroutine holds a token once the loop ends
-	var res CallResult
-	for attempt := 0; ; attempt++ {
-		kind := "attempt"
-		if attempt > 0 {
-			// Back off — slot already released by the failed attempt — then
-			// re-acquire a token for the retry, competing under the same
-			// destination limits as everything else.
-			kind = "retry"
-			if d := p.jitteredBackoff(pol, attempt-1); d > 0 {
-				t := time.NewTimer(d)
-				select {
-				case <-t.C:
-				case <-c.ctx.Done():
-					t.Stop()
-				}
-			}
-			if err := p.acquireToken(c); err != nil { // fails at once if ctx ended
-				res, held = CallResult{Err: fmt.Errorf("%w (after %v)", err, res.Err)}, false
-				break
-			}
-			c.dest.count(evRetry)
-		}
-		if inline {
-			res.Rows, res.Err = p.timedCall(c, kind)
-		} else {
-			res.Rows, res.Err = p.attemptOnce(c, pol, kind)
-		}
-		if !IsTransient(res.Err) || attempt+1 >= pol.MaxAttempts || c.ctx.Err() != nil {
-			if res.Err != nil && attempt > 0 {
-				res.Err = fmt.Errorf("after %d attempts: %w", attempt+1, res.Err)
-			}
-			break
-		}
-		if inline {
-			p.releaseToken(c.dest)
-		}
+	kind := "attempt"
+	if e.hedge {
+		kind = "hedge"
+	} else if e.attempt > 0 {
+		kind = "retry"
 	}
+	start := time.Now()
+	rows, err := fn()
+	elapsed := time.Since(start)
+	c.dest.latency.ObserveDuration(elapsed)
+	c.trace.addAttempt(kind, start, elapsed, err != nil)
+	if peer := p.cachePeer(); peer != nil && err == nil {
+		// Locally executed result: offer it to the key's home shard so the
+		// rest of the tier can hit it. Fill never blocks (it enqueues), and
+		// it must run outside p.mu.
+		peer.Fill(c.key, rows)
+	}
+	return CallResult{Rows: rows, Err: err}
+}
+
+// complete is the one critical section that retires an execution. The
+// first execution of the call's current attempt to complete decides that
+// attempt; one whose attempt the call has moved past, or that finishes
+// after the call's outcome, decides nothing. Either way it returns its
+// token and — when the limits then allow a queued call — keeps goroutine
+// and token for that call, which it returns for run to execute next.
+// Because the token is dropped and taken again inside one hold of p.mu,
+// nobody ever sees it free in between: no hedge can slip ahead of the
+// queue's head. One broadcast covers the parked results and the freed
+// slot alike.
+func (p *Pump) complete(e execution, res CallResult) execution {
+	c := e.c
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !c.over && e.attempt == c.attempt {
+		if e.hedge {
+			c.dest.count(evHedgeWin)
+		}
+		p.endAttemptLocked(c, res)
+	}
+	p.dropTokenLocked(c.dest)
+	next := p.dispatchLocked(true) // nothing is queued once the pump closed
+	p.cond.Broadcast()
+	return next
+}
+
+// endAttemptLocked decides c's current attempt with res. A transient
+// failure the policy allows another attempt for, while somebody still
+// wants the call, sends the call to the queue's tail, not due before its
+// backoff ends; anything else is the call's outcome: a good result goes
+// in the cache, and the result is parked for every waiter. Callers hold
+// p.mu.
+func (p *Pump) endAttemptLocked(c *call, res CallResult) {
+	if c.deadline != nil {
+		c.deadline.Stop()
+		c.deadline = nil
+	}
+	if c.hedger != nil {
+		c.hedger.Stop()
+		c.hedger = nil
+	}
+	pol := p.policy.Load()
+	if IsTransient(res.Err) && int(c.attempt)+1 < pol.MaxAttempts && p.wantedLocked(c) != nil {
+		if !p.closed {
+			c.attempt++
+			c.hedges = 0
+			d := p.jitteredBackoff(*pol, int(c.attempt)-1)
+			c.state, c.enqueued = callQueued, time.Now().Add(d)
+			p.queue = append(p.queue, c)
+			if d > 0 {
+				time.AfterFunc(d, p.kick)
+			}
+			return
+		}
+		res.Err = fmt.Errorf("retry: %w (after %v)", ErrPumpClosed, res.Err)
+	} else if res.Err != nil && c.attempt > 0 {
+		res.Err = fmt.Errorf("after %d attempts: %w", c.attempt+1, res.Err)
+	}
+	c.over = true
+	c.dest.count(evCompleted)
 	if res.Err != nil {
 		c.trace.finish("error")
-		if c.ctx.Err() == nil {
-			// Failures of calls whose query already ended (deadline, LIMIT
+		if p.wantedLocked(c) != nil {
+			// Failures of calls whose queries all ended (deadline, LIMIT
 			// reached, error elsewhere) are cancellations, not call failures:
 			// retrying was rightly suppressed, and nobody will read the result.
 			c.dest.count(evFailed)
 		}
 	} else {
 		c.trace.finish("ok")
-		// Locally executed result: offer it to the key's home shard so the
-		// rest of the tier can hit it. Fill never blocks (it enqueues), and
-		// it must run outside p.mu.
-		if peer := p.cachePeer(); peer != nil {
-			peer.Fill(c.key, res.Rows)
+		if p.cache != nil {
+			p.cache.Put(c.key, res.Rows)
 		}
-	}
-	return p.complete(c, res, held)
-}
-
-// complete is the one critical section that ends an execution: it puts a
-// good result in the cache, parks the result for every waiter, returns the
-// token if this goroutine still holds it, and — when the limits then allow
-// a queued call — keeps goroutine and token for that call, which it
-// returns for run to execute next. Because the token is dropped and taken
-// again inside one hold of p.mu, nobody ever sees it free in between: no
-// retry or hedge can slip ahead of the queue's head. One broadcast covers
-// the parked results and the freed slot alike.
-func (p *Pump) complete(c *call, res CallResult, held bool) (next *call) {
-	c.dest.count(evCompleted)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if res.Err == nil && p.cache != nil {
-		p.cache.Put(c.key, res.Rows)
 	}
 	p.settleLocked(c, res)
-	if held {
-		p.dropTokenLocked(c.dest)
-		next = p.dispatchLocked(true) // nothing is queued once the pump closed
+}
+
+// armLocked starts the timers of the attempt c is being dispatched for:
+// its deadline and its first hedge. Callers hold p.mu.
+func (p *Pump) armLocked(c *call) {
+	pol, attempt := p.policy.Load(), c.attempt
+	if d := pol.CallTimeout; d > 0 {
+		c.deadline = time.AfterFunc(d, func() { p.expire(c, attempt, d) })
 	}
+	if pol.HedgeAfter > 0 {
+		c.hedger = time.AfterFunc(pol.HedgeAfter, func() { p.hedge(c, attempt) })
+	}
+}
+
+// expire is the deadline timer of c's attempt: if the attempt is still
+// undecided it fails as transient, so the call is retried or the timeout
+// is its outcome. The stalled execution keeps its token until the engine
+// returns.
+func (p *Pump) expire(c *call, attempt int32, d time.Duration) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if c.over || c.attempt != attempt {
+		return
+	}
+	c.dest.count(evTimeout)
+	p.endAttemptLocked(c, CallResult{Err: fmt.Errorf("%w after %v", ErrCallTimeout, d)})
+	p.dispatchLocked(false) // a retry with no backoff
 	p.cond.Broadcast()
-	return next
 }
 
-// attemptOnce performs one execution of the call under a per-attempt
-// deadline or hedging. It is entered holding one execution token, which is
-// transferred to the execution goroutine; by the time the engine call
-// finishes — even after attemptOnce has returned — its token is released.
-func (p *Pump) attemptOnce(c *call, pol RetryPolicy, kind string) ([]types.Tuple, error) {
-	type outcome struct {
-		rows   []types.Tuple
-		err    error
-		hedged bool
+// hedge is the hedge timer of c's attempt: while the attempt is undecided
+// and wanted it starts a duplicate execution if a slot is free right now
+// — a hedge never queues, or it would starve other destinations' queued
+// calls — and re-arms while the attempt may hedge again.
+func (p *Pump) hedge(c *call, attempt int32) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if c.over || c.attempt != attempt {
+		return
 	}
-	// Buffered for every execution this attempt can launch, so stragglers
-	// finishing after we have returned never block.
-	ch := make(chan outcome, 1+pol.MaxHedges)
-	launch := func(hedged bool) {
-		execKind := kind
-		if hedged {
-			execKind = "hedge"
-		}
-		// This goroutine must NOT observe cancellation: the Engine call is
-		// not interruptible, and slot accounting requires the token to be
-		// held until the engine truly lets go — even after a timeout or a
-		// winning hedge has already answered the query. It is bounded by
-		// c.fn() returning and the buffered outcome channel, and it
-		// registers with execWG so Quiesce can await the stragglers.
+	if !p.closed && p.activeTotal < p.maxTotal && int(c.dest.active.Load()) < c.dest.limit && p.wantedLocked(c) != nil {
+		p.grabTokenLocked(c.dest)
+		c.dest.count(evHedge)
+		c.hedges++
 		p.execWG.Add(1)
-		go func() {
-			defer p.execWG.Done()
-			rows, err := p.timedCall(c, execKind)
-			// Send before releasing the token: anyone who observes the freed
-			// slot (the hedge branch below) is then guaranteed to also see
-			// the finished outcome on ch, so it never hedges a done call.
-			ch <- outcome{rows: rows, err: err, hedged: hedged}
-			p.releaseToken(c.dest)
-		}()
+		go p.run(execution{c: c, attempt: attempt, hedge: true})
 	}
-	launch(false)
-
-	var timeoutC <-chan time.Time
-	if pol.CallTimeout > 0 {
-		t := time.NewTimer(pol.CallTimeout)
-		defer t.Stop()
-		timeoutC = t.C
-	}
-	var hedgeC <-chan time.Time
-	var hedgeTimer *time.Timer
-	hedgesLeft := pol.MaxHedges
-	if pol.HedgeAfter > 0 && hedgesLeft > 0 {
-		hedgeTimer = time.NewTimer(pol.HedgeAfter)
-		defer hedgeTimer.Stop()
-		hedgeC = hedgeTimer.C
-	}
-	for {
-		select {
-		case o := <-ch:
-			if o.hedged {
-				c.dest.count(evHedgeWin)
-			}
-			return o.rows, o.err
-		case <-hedgeC:
-			// Launch a duplicate only if a slot is free right now — hedges
-			// must never park, or they would starve other destinations'
-			// queued calls.
-			if p.tryAcquireToken(c.dest) {
-				// The slot may be free because an execution just finished
-				// (it sends its outcome before releasing the token, so the
-				// acquire above makes that outcome visible here). Hedging a
-				// completed call would waste an engine call; take the result
-				// instead.
-				select {
-				case o := <-ch:
-					p.releaseToken(c.dest)
-					if o.hedged {
-						c.dest.count(evHedgeWin)
-					}
-					return o.rows, o.err
-				default:
-				}
-				c.dest.count(evHedge)
-				launch(true)
-				hedgesLeft--
-			}
-			if hedgesLeft > 0 {
-				hedgeTimer.Reset(pol.HedgeAfter)
-			} else {
-				hedgeC = nil
-			}
-		case <-timeoutC:
-			c.dest.count(evTimeout)
-			return nil, fmt.Errorf("%w after %v", ErrCallTimeout, pol.CallTimeout)
-		case <-c.ctx.Done():
-			return nil, c.ctx.Err()
-		}
+	if pol := p.policy.Load(); int(c.hedges) < pol.MaxHedges {
+		c.hedger.Reset(pol.HedgeAfter)
 	}
 }
 
-// timedCall runs the engine call, recording its wall time in the
-// destination's record and the call's trace record. Every physical
-// execution — first attempt, retry, or hedge — flows through here, so
-// both reflect what the engines actually did, not just what answered the
-// query.
-func (p *Pump) timedCall(c *call, kind string) ([]types.Tuple, error) {
-	start := time.Now()
-	rows, err := c.fn()
-	elapsed := time.Since(start)
-	c.dest.latency.ObserveDuration(elapsed)
-	c.trace.addAttempt(kind, start, elapsed, err != nil)
-	return rows, err
+// kick walks the queue when a retry's backoff has run out.
+func (p *Pump) kick() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.dispatchLocked(false)
 }
 
 // jitteredBackoff computes the delay before retry n (0-based), adding the
@@ -703,57 +705,20 @@ func (p *Pump) jitteredBackoff(pol RetryPolicy, n int) time.Duration {
 	return d + time.Duration(p.backoffRng.Int63n(max+1))
 }
 
-// releaseToken returns one execution token, waking queued calls and
-// parked retries waiting for a slot.
-func (p *Pump) releaseToken(d *destination) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.dropTokenLocked(d)
-	p.dispatchLocked(false) // nothing is queued once the pump closed
-	p.cond.Broadcast()
-}
-
 // dropTokenLocked decrements the in-flight counts. Callers hold p.mu.
 func (p *Pump) dropTokenLocked(d *destination) {
 	p.activeTotal--
 	d.active.Add(-1)
 }
 
-// tryAcquireToken claims an execution token if one is free right now.
-func (p *Pump) tryAcquireToken(d *destination) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed || p.activeTotal >= p.maxTotal || int(d.active.Load()) >= d.limit {
-		return false
-	}
-	p.grabTokenLocked(d)
-	return true
-}
-
-// acquireToken blocks until an execution token is free (used by retries;
-// the limits are the same ones dispatchLocked enforces). It fails when the
-// call's context expires or the pump closes.
-func (p *Pump) acquireToken(c *call) error {
-	start := time.Now()
-	return p.await(c.ctx, "retry", func() bool {
-		if p.closed || p.activeTotal >= p.maxTotal || int(c.dest.active.Load()) >= c.dest.limit {
-			return false
-		}
-		p.slotWait.Observe(time.Since(start).Seconds())
-		p.grabTokenLocked(c.dest)
-		return true
-	})
-}
-
-// await is the pump's one blocking wait: a ReqSync waiting for a result
-// (AwaitAnyCtx) and a retry waiting for a slot (acquireToken) both park
-// here until try, run under p.mu after every wake-up, reports success. It
+// await is the pump's one blocking wait, behind AwaitAnyCtx: it parks
+// until try, run under p.mu after every wake-up, reports success. It
 // fails with ctx's error once ctx is done and with ErrPumpClosed (wrapped)
 // once the pump closes. No wake-up is missed: whatever can change try's
-// answer — a settlement, a released token, Close, and through wake the
-// end of ctx — broadcasts under p.mu, which the waiter holds from its
-// checks until Wait has parked it.
-func (p *Pump) await(ctx context.Context, what string, try func() bool) error {
+// answer — a settlement, Close, and through wake the end of ctx —
+// broadcasts under p.mu, which the waiter holds from its checks until
+// Wait has parked it.
+func (p *Pump) await(ctx context.Context, try func() bool) error {
 	if ctx.Done() != nil {
 		stop := context.AfterFunc(ctx, p.wake)
 		defer stop()
@@ -768,7 +733,7 @@ func (p *Pump) await(ctx context.Context, what string, try func() bool) error {
 			return nil
 		}
 		if p.closed {
-			return fmt.Errorf("%s: %w", what, ErrPumpClosed)
+			return fmt.Errorf("await: %w", ErrPumpClosed)
 		}
 		p.cond.Wait()
 	}
@@ -850,7 +815,7 @@ func (p *Pump) AwaitAnyCtx(ctx context.Context, ids map[types.CallID]bool) (type
 		ctx = context.Background()
 	}
 	var done types.CallID
-	err := p.await(ctx, "await", func() bool {
+	err := p.await(ctx, func() bool {
 		for id := range ids {
 			if c := p.calls[id]; c != nil && c.state == callDone {
 				done = id
@@ -864,8 +829,9 @@ func (p *Pump) AwaitAnyCtx(ctx context.Context, ids map[types.CallID]bool) (type
 
 // Discard abandons interest in calls (e.g. the query errored elsewhere or
 // its deadline expired): a completed result is dropped, a still-queued call
-// is removed from the queue without ever consuming a slot, and a running
-// call completes into the void. Coalesced siblings of a queued call are
+// — a retry waiting out its backoff included — is removed from the queue
+// without consuming another slot, and a running call completes into the
+// void. Coalesced siblings of a queued call are
 // unaffected — the call still runs for them. An id the pump does not hold
 // (already taken, already discarded, never registered) is a no-op.
 func (p *Pump) Discard(ids ...types.CallID) {
@@ -914,9 +880,10 @@ func (p *Pump) Held() int {
 	return len(p.calls)
 }
 
-// Close shuts the pump down: queued calls that never started complete with
-// ErrPumpClosed, waiters wake with the same sentinel, and in-flight calls
-// finish into the result table as garbage. Close is idempotent and safe to
+// Close shuts the pump down: queued calls (retries waiting out their
+// backoff too) complete with ErrPumpClosed, waiters wake with the same
+// sentinel, and in-flight calls finish into the result table as garbage,
+// none retried. Close is idempotent and safe to
 // call while queries are still draining — they observe clean errors rather
 // than hanging or panicking.
 func (p *Pump) Close() {
@@ -929,14 +896,14 @@ func (p *Pump) Close() {
 	queued := p.queue
 	p.queue = nil
 	for _, c := range queued {
-		p.settleUnstartedLocked(c, fmt.Errorf("call never started: %w", ErrPumpClosed))
+		p.settleUnstartedLocked(c, fmt.Errorf("queued call: %w", ErrPumpClosed))
 	}
 	p.cond.Broadcast()
 }
 
-// Quiesce blocks until every execution goroutine — run() workers plus
-// the timeout/hedge executions that outlived their attempt — has
-// returned from its engine call and released its token. Engine calls
+// Quiesce blocks until every execution goroutine — including those whose
+// attempt timed out or was hedged out — has returned from its engine call
+// and released its token. Engine calls
 // are uninterruptible, so this is the only way to know the pump has
 // truly let go of the network; call it after Close when tearing down a
 // process (a long-lived server that merely drops the pump can skip it).
@@ -956,12 +923,13 @@ type Stats struct {
 	// Coalesced counts registrations piggybacked on an identical
 	// in-flight call.
 	Coalesced int64
-	// Started counts executions actually dispatched to the network.
+	// Started counts calls whose first attempt was dispatched.
 	Started int64
-	// Completed counts finished executions.
+	// Completed counts started calls that reached their outcome.
 	Completed int64
-	// Canceled counts calls dropped before starting (context expiry,
-	// discard, or pump shutdown).
+	// Canceled counts calls, or retries, dropped from the queue before
+	// they ran: nobody wanted them any more (context expiry, discard), or
+	// the pump shut down.
 	Canceled int64
 	// Retries counts re-executions launched after a transient failure.
 	Retries int64
@@ -1004,8 +972,9 @@ func (p *Pump) Stats() Stats {
 	}
 }
 
-// Active reports the instantaneous load: calls currently running against
-// external destinations and calls parked in the admission queue. A fully
+// Active reports the instantaneous load: executions currently running
+// against external destinations and calls parked in the admission queue,
+// retries waiting out their backoff included. A fully
 // drained pump reports (0, 0).
 func (p *Pump) Active() (running, queued int) {
 	p.mu.Lock()

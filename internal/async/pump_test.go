@@ -305,6 +305,48 @@ func TestPumpRoundTripAllocs(t *testing.T) {
 	}
 }
 
+// TestPumpPolicyRoundAllocs: under wsqd's retry policy an execution runs
+// the same path as under the zero policy, plus the deadline timer armed
+// at dispatch and the closure it calls — 2 objects per call, and no
+// goroutine, channel or timer of its own per attempt. A round of 50 calls
+// is measured both ways.
+func TestPumpPolicyRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include the race detector's own")
+	}
+	const n = 50
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	ctx := context.Background()
+	fn := func() ([]types.Tuple, error) { return nil, nil }
+	round := func(pol RetryPolicy) float64 {
+		p := NewPump(64, 64, nil)
+		defer p.Close()
+		p.SetRetryPolicy(pol)
+		ids := make(map[types.CallID]bool, n)
+		return testing.AllocsPerRun(200, func() {
+			for _, k := range keys {
+				ids[p.RegisterCtx(ctx, "d", k, fn)] = true
+			}
+			for len(ids) > 0 {
+				id, err := p.AwaitAnyCtx(ctx, ids)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.Take(id)
+				delete(ids, id)
+			}
+		})
+	}
+	zero, wsqd := round(RetryPolicy{}), round(wsqdPolicy)
+	if wsqd > zero+2*n {
+		t.Errorf("a round of %d calls: %.0f allocs under wsqd's policy, %.0f under the zero policy; want at most %d more", n, wsqd, zero, 2*n)
+	}
+	t.Logf("a round of %d calls: %.0f allocs under the zero policy, %.0f under wsqd's", n, zero, wsqd)
+}
+
 // TestCacheHitAllocs: a request the cache answers costs the pump nothing
 // on the heap — no call record, no trace, no closure — and costs a scan's
 // batch round one object per distinct key, the key string, on top of the

@@ -23,9 +23,11 @@ var ErrCallTimeout = errors.New("external call timed out")
 // — which is the pre-fault-tolerance pump behavior.
 //
 // Retries and hedges consume per-destination and total concurrency slots
-// like any other call: a backoff releases the call's slot (so waiting
-// retries never starve other queries or engines), a retry re-acquires one,
-// and a hedge launches only if a slot is free at that instant.
+// like any other call: a failed attempt's slot is returned when its
+// execution ends, a retry waits out its backoff in the pump's queue and
+// takes a slot in turn like a new call (so waiting retries never starve
+// other queries or engines), and a hedge launches only if a slot is free
+// at that instant.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of executions allowed per call,
 	// including the first (values below 1 mean 1). Only transient errors —
@@ -40,8 +42,8 @@ type RetryPolicy struct {
 	// decorrelating retry storms from concurrent queries.
 	JitterFrac float64
 	// CallTimeout bounds each attempt's wall time (0 = unbounded). A timed
-	// out attempt is abandoned — the engine goroutine finishes into the
-	// void, holding its concurrency slot until it actually returns — and
+	// out attempt is abandoned — its execution finishes into the void,
+	// holding its concurrency slot until the engine actually returns — and
 	// counts as a transient failure.
 	CallTimeout time.Duration
 	// HedgeAfter, when positive, launches a duplicate request if an attempt
@@ -52,17 +54,6 @@ type RetryPolicy struct {
 	// MaxHedges bounds duplicates per attempt (default 1 when HedgeAfter is
 	// set).
 	MaxHedges int
-}
-
-// DefaultRetryPolicy is a sensible serving-path policy: four attempts with
-// 5 ms → 100 ms backoff and 50% jitter, no per-call deadline, no hedging.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts: 4,
-		BaseBackoff: 5 * time.Millisecond,
-		MaxBackoff:  100 * time.Millisecond,
-		JitterFrac:  0.5,
-	}
 }
 
 // normalized fills the policy's implied defaults.
@@ -77,12 +68,6 @@ func (p RetryPolicy) normalized() RetryPolicy {
 		p.MaxHedges = 0
 	}
 	return p
-}
-
-// active reports whether the policy changes anything over plain one-shot
-// execution.
-func (p RetryPolicy) active() bool {
-	return p.MaxAttempts > 1 || p.CallTimeout > 0 || p.HedgeAfter > 0
 }
 
 // backoff computes the pre-jitter delay before retry number n (0-based).

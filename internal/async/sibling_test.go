@@ -1,0 +1,103 @@
+package async
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"repro/internal/types"
+)
+
+// One query's end must not fail another query's share of a coalesced
+// call. In each test two registrations of one key share an execution
+// under a cache; A's context is cancelled while B's stays live, at a
+// different point of the call's life, and B must get the rows.
+
+// siblings registers A and B for one key on p and returns B's id and
+// A's cancel.
+func siblings(t *testing.T, p *Pump, fn func() ([]types.Tuple, error)) (b types.CallID, cancelA context.CancelFunc) {
+	t.Helper()
+	ctxA, cancelA := context.WithCancel(context.Background())
+	t.Cleanup(cancelA)
+	p.RegisterCtx(ctxA, "d", "shared", fn)
+	b = p.RegisterCtx(context.Background(), "d", "shared", fn)
+	if st := p.Stats(); st.Coalesced != 1 {
+		t.Fatalf("B did not share A's execution: %+v", st)
+	}
+	return b, cancelA
+}
+
+// wantRows awaits B and checks it got the call's one row.
+func wantRows(t *testing.T, p *Pump, b types.CallID) {
+	t.Helper()
+	res := await(t, p, b)
+	if res.Err != nil || len(res.Rows) != 1 || res.Rows[0][0].I != 7 {
+		t.Fatalf("live sibling got %+v, want the row", res)
+	}
+	waitSettled(t, p)
+}
+
+func TestSiblingCancelWhileQueued(t *testing.T) {
+	p := NewPump(1, 1, &countingCache{m: make(map[string][]types.Tuple)})
+	defer p.Close()
+	blocker, release := blockingCall()
+	p.RegisterCtx(context.Background(), "d", "first", blocker)
+	b, cancelA := siblings(t, p, func() ([]types.Tuple, error) {
+		return []types.Tuple{{types.Int(7)}}, nil
+	})
+	cancelA()
+	release() // the shared call's turn comes with A's context dead
+	wantRows(t, p, b)
+}
+
+func TestSiblingCancelWhileRunning(t *testing.T) {
+	p := NewPump(4, 4, &countingCache{m: make(map[string][]types.Tuple)})
+	defer p.Close()
+	p.SetRetryPolicy(RetryPolicy{CallTimeout: time.Second})
+	started, gate := make(chan struct{}), make(chan struct{})
+	b, cancelA := siblings(t, p, func() ([]types.Tuple, error) {
+		close(started)
+		<-gate
+		return []types.Tuple{{types.Int(7)}}, nil
+	})
+	<-started
+	cancelA()
+	// B's share must not end with A's query: nothing settles B while the
+	// engine call is still running.
+	bound, stop := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer stop()
+	if _, err := p.AwaitAnyCtx(bound, map[types.CallID]bool{b: true}); err == nil {
+		res, _ := p.Take(b)
+		t.Fatalf("B settled with %+v while its call was running", res)
+	}
+	close(gate)
+	wantRows(t, p, b)
+}
+
+func TestSiblingCancelDuringBackoff(t *testing.T) {
+	p := NewPump(4, 4, &countingCache{m: make(map[string][]types.Tuple)})
+	defer p.Close()
+	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 2, BaseBackoff: 60 * time.Millisecond})
+	failed := make(chan struct{})
+	attempts := 0 // executions of one call never overlap here: no deadline, no hedge
+	b, cancelA := siblings(t, p, func() ([]types.Tuple, error) {
+		if attempts++; attempts == 1 {
+			close(failed)
+			return nil, transientErr{"blip"}
+		}
+		return []types.Tuple{{types.Int(7)}}, nil
+	})
+	<-failed
+	// Once the failed attempt's token is back, the call waits out its
+	// 60 ms backoff.
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(100 * time.Microsecond) {
+		if running, _ := p.Active(); running == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the failed attempt kept its token: %s", pumpState(p))
+		}
+	}
+	cancelA()
+	wantRows(t, p, b)
+}

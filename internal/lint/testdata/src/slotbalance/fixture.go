@@ -1,29 +1,26 @@
 // Fixture package for the slotbalance rule: loaded by lint_test as
-// "repro/internal/async" so the rule's scope and the Pump-shaped method
-// names apply. Inline want-markers name the expected diagnostics.
+// "repro/internal/async" so the rule's scope and the Pump-shaped names
+// apply. Inline want-markers name the expected diagnostics.
 package async
 
 import "errors"
 
 var errFail = errors.New("fail")
 
-type pump struct{ dest string }
+type pump struct{ hedges int }
 
-func (p *pump) grabTokenLocked(dest string)      {}
-func (p *pump) acquireToken(dest string) error   { return nil }
-func (p *pump) tryAcquireToken(dest string) bool { return true }
-func (p *pump) releaseToken(dest string)         {}
-func (p *pump) dropTokenLocked(dest string)      {}
+type call struct{ wanted bool }
 
-// run is a releaser by summary (it transitively calls releaseToken), so
-// handing a token to it counts as a release.
-func (p *pump) run() { p.finish() }
+// execution carries the token it was started with, as in the pump.
+type execution struct {
+	c     *call
+	hedge bool
+}
 
-func (p *pump) finish() { p.releaseToken("d") }
-
-// complete is a releaser too: its critical section drops the token the
-// execution still holds.
-func (p *pump) complete() { p.dropTokenLocked("d") }
+func (p *pump) grabTokenLocked(dest string) {}
+func (p *pump) dropTokenLocked(dest string) {}
+func (p *pump) run(e execution)             {}
+func (p *pump) settle(c *call)              {}
 
 // --- positives --------------------------------------------------------
 
@@ -32,7 +29,7 @@ func (p *pump) leakOnEarlyReturn(fail bool) error {
 	if fail {
 		return errFail // want "not released or handed off"
 	}
-	p.releaseToken("d")
+	p.dropTokenLocked("d")
 	return nil
 }
 
@@ -40,209 +37,90 @@ func (p *pump) leakAtEnd() {
 	p.grabTokenLocked("d")
 } // want "not released or handed off"
 
-func (p *pump) leakInTryBranch() {
-	if p.tryAcquireToken("d") {
-		p.dest = "won"
+// The hedge timer takes a token and starts nothing with it (DESIGN.md §7,
+// mutant slot4).
+func (p *pump) hedgeStartsNothing(free bool) {
+	if free {
+		p.grabTokenLocked("d")
+		p.hedges++
 	}
 } // want "not released or handed off"
 
-func (p *pump) leakAfterErrAcquire(c *pump) error {
-	if err := p.acquireToken("d"); err != nil {
-		return err
-	}
-	return nil // want "not released or handed off"
-}
-
-func (p *pump) leakInSelectBranch(ch chan int) {
-	p.grabTokenLocked("d")
-	select {
-	case <-ch:
-		p.releaseToken("d")
-	case v := <-ch:
-		_ = v
-		return // want "not released or handed off"
-	}
-}
-
-func (p *pump) leakBeforeCompletion(fail bool) {
-	if err := p.acquireToken("d"); err != nil {
-		return
-	}
-	if fail {
-		return // want "not released or handed off"
-	}
-	p.complete()
-}
-
-// The hedge branch's "outcome already there" exit (DESIGN.md §7, mutant
-// slot2): the token just won is not needed after all, and the early
-// return forgets to give it back. No test sees this one.
-func (p *pump) leakWhenHedgeFindsOutcome(ch chan int, hedge chan int) int {
-	for {
-		select {
-		case v := <-ch:
-			return v
-		case <-hedge:
-			if p.tryAcquireToken("d") {
-				select {
-				case v := <-ch:
-					return v // want "not released or handed off"
-				default:
-				}
-				go p.run()
-			}
+// The hedge timer takes the token before it asks whether anybody still
+// wants the call, and leaves if nobody does (mutant slot5). No test hedges
+// a call every query has let go of.
+func (p *pump) hedgeGrabsBeforeWantedCheck(c *call, free bool) {
+	if free {
+		p.grabTokenLocked("d")
+		if !c.wanted {
+			return // want "not released or handed off"
 		}
+		go p.run(execution{c: c, hedge: true})
 	}
 }
 
-// The inline retry loop with its release dropped (mutant slot1): the
-// failed attempt keeps its token across the backoff and the next
-// iteration acquires a second one. complete() after the loop may release,
-// which is why the exit check alone never saw it.
-func (p *pump) leakAcrossRetry(attempts int, hedging bool) {
-	inline := !hedging
-	for i := 0; ; i++ {
-		if i > 0 {
-			if err := p.acquireToken("d"); err != nil { // want "still held when this call acquires another"
-				break
-			}
-		}
-		if inline {
-			p.dest = "attempt"
-		} else {
-			p.run()
-		}
-		if i+1 >= attempts {
-			break
-		}
-	}
-	p.complete()
-}
-
-// A token taken before the expiry check rides the continue into the next
-// iteration's acquire (mutant slot3).
-func (p *pump) leakOnContinue(queue []bool) {
-	for _, expired := range queue {
+// The dispatch walk takes the token before it asks whether anybody still
+// wants the call (mutant slot3): the dropped call's token rides the
+// continue into the next iteration's acquire.
+func (p *pump) grabBeforeWantedCheck(queue []*call, handoff bool) execution {
+	for _, c := range queue {
 		p.grabTokenLocked("d") // want "still held when this call acquires another"
-		if expired {
+		if !c.wanted {
+			p.settle(c)
 			continue
 		}
-		go p.run()
+		e := execution{c: c}
+		if handoff {
+			return e
+		}
+		go p.run(e)
 	}
-} // want "not released or handed off"
+	return execution{} // want "not released or handed off"
+}
 
 // --- negatives --------------------------------------------------------
-
-func (p *pump) heldUntilCompletion(attempts int) {
-	for i := 0; ; i++ {
-		if i > 0 {
-			if err := p.acquireToken("d"); err != nil {
-				break
-			}
-		}
-		if i+1 >= attempts {
-			break
-		}
-		p.releaseToken("d")
-	}
-	p.complete()
-}
 
 func (p *pump) releasedOnAllPaths(fail bool) error {
 	p.grabTokenLocked("d")
 	if fail {
-		p.releaseToken("d")
+		p.dropTokenLocked("d")
 		return errFail
 	}
-	p.releaseToken("d")
+	p.dropTokenLocked("d")
 	return nil
 }
 
-func (p *pump) deferredRelease() {
-	p.grabTokenLocked("d")
-	defer p.releaseToken("d")
-	p.dest = "work"
-}
-
-func (p *pump) handoffToGoroutine() {
-	p.grabTokenLocked("d")
-	go p.run()
-}
-
-func (p *pump) handoffToGoLiteral() {
-	p.grabTokenLocked("d")
-	go func() {
-		p.releaseToken("d")
-	}()
-}
-
-func (p *pump) errAcquirePattern() error {
-	if err := p.acquireToken("d"); err != nil {
-		return err
-	}
-	p.releaseToken("d")
-	return nil
-}
-
-func (p *pump) tryBranchReleases() {
-	if p.tryAcquireToken("d") {
-		p.releaseToken("d")
-	}
-}
-
-func (p *pump) localClosureHandoff() {
-	launch := func() {
-		go func() {
-			p.releaseToken("d")
-		}()
-	}
-	p.grabTokenLocked("d")
-	launch()
-}
-
-func (p *pump) retryLoop(attempts int) error {
-	for i := 0; i < attempts; i++ {
-		if err := p.acquireToken("d"); err != nil {
-			return err
-		}
-		p.finish()
-	}
-	return nil
-}
-
-// The pump's real retry loop: under inline the attempt runs on this
-// goroutine's token and a failed one releases it before the backoff;
-// otherwise the attempt's own goroutine does. Read path-insensitively
-// (inline, then not inline) the token would seem to survive the iteration.
-func (p *pump) retryLoopByMode(attempts int, hedging bool) {
-	inline := !hedging
-	for i := 0; ; i++ {
-		if i > 0 {
-			if err := p.acquireToken("d"); err != nil {
-				break
-			}
-		}
-		if inline {
-			p.dest = "attempt"
-		} else {
-			p.run()
-		}
-		if i+1 >= attempts {
-			break
-		}
-		if inline {
-			p.releaseToken("d")
-		}
-	}
-	p.complete()
-}
-
-func (p *pump) expiredSkippedBeforeAcquire(queue []bool) {
-	for _, expired := range queue {
-		if expired {
+// The pump's dispatch walk: a call nobody wants is dropped before it
+// takes a token, and the token leaves with the execution — to a new
+// goroutine, or to the caller whose slot it fills.
+func (p *pump) dispatchLocked(queue []*call, handoff bool) execution {
+	for _, c := range queue {
+		if !c.wanted {
+			p.settle(c)
 			continue
 		}
 		p.grabTokenLocked("d")
-		go p.run()
+		e := execution{c: c}
+		if handoff {
+			return e
+		}
+		go p.run(e)
 	}
+	return execution{}
+}
+
+// The hedge timer: a duplicate starts only on a free slot.
+func (p *pump) hedge(c *call, free bool) {
+	if free {
+		p.grabTokenLocked("d")
+		p.hedges++
+		go p.run(execution{c: c, hedge: true})
+	}
+}
+
+// The completion gives its token back and takes the next one in the same
+// critical section.
+func (p *pump) complete(queue []*call) execution {
+	p.dropTokenLocked("d")
+	return p.dispatchLocked(queue, true)
 }
