@@ -31,7 +31,7 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Full gate: vet + wsqlint + the whole suite under the race detector + the
+# Full gate: gofmt-clean tree + vet + wsqlint + the whole suite under the race detector + the
 # plan-reuse tests ten times over under it (about 12 s: a tree two queries
 # run at once shows as a race or a wrong answer in TestReuse..., by name,
 # and one pass does not always interleave them; traced and untraced runs
@@ -47,6 +47,7 @@ test-race:
 # targets guard the parser and evaluator crash-freedom contracts (corpus
 # seeds live in testdata/fuzz/).
 check:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(GO) test -race ./...

@@ -249,3 +249,30 @@ func TestPumpPeerSlotAccounting(t *testing.T) {
 		t.Errorf("pump not drained: running=%d queued=%d", running, queued)
 	}
 }
+
+// TestPumpWithoutCacheNeverPeers: a pump with no local result cache (wsqd
+// -cache 0 in worker mode) neither asks the peer for a key nor offers it
+// the rows it computed, even with a peer attached.
+func TestPumpWithoutCacheNeverPeers(t *testing.T) {
+	p := NewPump(4, 4, nil)
+	defer p.Close()
+	peer := &peerStub{rows: map[string][]types.Tuple{"hot": {{types.Int(99)}}}}
+	p.SetCachePeer(peer)
+	var engineCalls atomic.Int64
+	for _, key := range []string{"hot", "cold"} {
+		id := p.RegisterCtx(context.Background(), "d", key, func() ([]types.Tuple, error) {
+			engineCalls.Add(1)
+			return []types.Tuple{{types.Int(1)}}, nil
+		})
+		p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{id: true})
+		if res, _ := p.Take(id); res.Err != nil || res.Rows[0][0].I != 1 {
+			t.Fatalf("%s: %+v, want the engine's row", key, res)
+		}
+	}
+	peer.mu.Lock()
+	fetches, fills := peer.fetches, len(peer.fills)
+	peer.mu.Unlock()
+	if engineCalls.Load() != 2 || fetches != 0 || fills != 0 {
+		t.Errorf("engine calls %d, peer fetches %d, keys filled %d; want 2, 0, 0", engineCalls.Load(), fetches, fills)
+	}
+}

@@ -26,15 +26,20 @@ var pumpCounters = []struct {
 	{"wsq_pump_calls_failed_total", "Calls whose final outcome after retries was an error, by destination.", evFailed, true},
 }
 
-// perDest reads one value from every destination record.
-func perDest[T any](p *Pump, read func(*destination) T) map[string]T {
+// perDest reads one value from every destination record, one series per
+// destination.
+func perDest[T any](p *Pump, read func(*destination) T) []obs.Series[T] {
 	dests := *p.dests.Load()
-	out := make(map[string]T, len(dests))
+	out := make([]obs.Series[T], 0, len(dests))
 	for name, d := range dests {
-		out[name] = read(d)
+		out = append(out, obs.Series[T]{Labels: []string{name}, Value: read(d)})
 	}
 	return out
 }
+
+// byDest is the label of every per-destination family; the pump is its
+// one owner.
+var byDest = []string{"dest"}
 
 // Observe implements obs.Observable: it exposes the pump's destination
 // records and instantaneous state on reg as families sampled at scrape
@@ -46,7 +51,7 @@ func (p *Pump) Observe(reg *obs.Registry) {
 	for _, f := range pumpCounters {
 		ev := f.ev
 		if f.byDest {
-			reg.CounterVecFunc(f.name, f.help, "dest", func() map[string]float64 {
+			reg.CounterVecFunc(f.name, f.help, byDest, "pump", func() []obs.Series[float64] {
 				return perDest(p, func(d *destination) float64 { return float64(d.n[ev].Load()) })
 			})
 			continue
@@ -62,11 +67,11 @@ func (p *Pump) Observe(reg *obs.Registry) {
 	reg.HistogramFunc("wsq_pump_slot_wait_seconds",
 		"Time calls wait for an execution slot (admission queue and retry re-acquisition).", p.slotWait.Snapshot)
 	reg.HistogramVecFunc("wsq_pump_call_latency_seconds",
-		"Wall time of physical engine executions, by destination.", "dest", func() map[string]obs.HistSnapshot {
+		"Wall time of physical engine executions, by destination.", byDest, "pump", func() []obs.Series[obs.HistSnapshot] {
 			return perDest(p, func(d *destination) obs.HistSnapshot { return d.latency.Snapshot() })
 		})
 	reg.GaugeVecFunc("wsq_pump_dest_inflight",
-		"Engine calls currently executing, by destination.", "dest", func() map[string]float64 {
+		"Engine calls currently executing, by destination.", byDest, "pump", func() []obs.Series[float64] {
 			return perDest(p, func(d *destination) float64 { return float64(d.active.Load()) })
 		})
 	reg.GaugeFunc("wsq_pump_active_calls",

@@ -291,9 +291,10 @@ type cachePeerBox struct{ peer CachePeer }
 
 // SetCachePeer attaches (or, with nil, detaches) the tier-wide cache
 // peer. Peering only engages when the pump also has a local result cache:
-// without one there are no keys worth sharing and no coalescing.
+// without one there are no keys worth sharing and no coalescing, so a
+// cacheless pump attaches nothing.
 func (p *Pump) SetCachePeer(cp CachePeer) {
-	if cp == nil {
+	if cp == nil || p.cache == nil {
 		p.peer.Store(nil)
 		return
 	}
@@ -526,7 +527,7 @@ func (p *Pump) run(e execution) {
 // trace.
 func (p *Pump) execute(e execution) CallResult {
 	c := e.c
-	if peer := p.cachePeer(); peer != nil && p.cache != nil && e.attempt == 0 && !e.hedge {
+	if peer := p.cachePeer(); peer != nil && e.attempt == 0 && !e.hedge {
 		if rows, ok := peer.Fetch(e.ctx, c.key); ok {
 			c.dest.count(evPeerHit)
 			c.trace.finish("peer_hit")

@@ -55,11 +55,6 @@ type Config struct {
 	// CacheSize is the LRU capacity for external call results; 0 disables
 	// caching.
 	CacheSize int
-	// DefaultRankLimit guards WebPages scans without a Rank predicate
-	// (0 = the paper's default of 20).
-	DefaultRankLimit int
-	// PoolFrames is the buffer-pool size per heap file (0 = default).
-	PoolFrames int
 	// Retry is the request pump's fault-tolerance policy (retries with
 	// backoff, per-attempt deadlines, hedging). The zero value executes
 	// every call exactly once.
@@ -67,11 +62,6 @@ type Config struct {
 	// Degrade is the default failed-call degradation policy for queries
 	// that do not choose one (fail / drop / partial).
 	Degrade exec.DegradePolicy
-	// Registry receives the DB's metrics (pump slot-wait and per-dest
-	// latency histograms, engine request histograms, ...). When nil the
-	// DB creates a private one, so metrics are always recorded; a server
-	// passes its own registry to expose them on /metrics.
-	Registry *obs.Registry
 }
 
 // DB is an open WSQ database. It is safe for concurrent use: any number of
@@ -135,7 +125,7 @@ type Result struct {
 
 // Open opens (creating if necessary) a database.
 func Open(cfg Config) (*DB, error) {
-	cat, err := catalog.Open(cfg.Dir, cfg.PoolFrames)
+	cat, err := catalog.Open(cfg.Dir, 0) // 0: storage.DefaultPoolSize frames per heap file
 	if err != nil {
 		return nil, err
 	}
@@ -149,10 +139,7 @@ func Open(cfg Config) (*DB, error) {
 		c = cache.New(cfg.CacheSize)
 		rc = c
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	db := &DB{
 		cfg:     cfg,
 		cat:     cat,
@@ -168,9 +155,6 @@ func Open(cfg Config) (*DB, error) {
 	db.async.Store(cfg.Async)
 	db.planner = plan.New(cat, vt)
 	db.planner.Cache = rc
-	if cfg.DefaultRankLimit > 0 {
-		db.planner.DefaultRankLimit = cfg.DefaultRankLimit
-	}
 	return db, nil
 }
 

@@ -1,26 +1,26 @@
 // Package obs is the observability backbone of the WSQ/DSQ reproduction:
-// a zero-dependency metrics registry (atomic counters, gauges, and
-// fixed-bucket latency histograms with a Prometheus text-format encoder)
-// plus a lightweight per-query trace recorder (trace.go).
+// the record types components keep (atomic counters and fixed-bucket
+// latency histograms), a registry that reads those records at scrape time
+// and encodes them in the Prometheus text format, and a lightweight
+// per-query trace recorder (trace.go).
 //
 // The paper's central claim — asynchronous iteration hides web-call
 // latency behind dependent joins — is only verifiable at runtime with
 // instrumentation: where did a query's wall-clock go? Pump queueing,
-// engine latency, ReqSync buffering, or relational operators? Every
-// layer of the stack (async.Pump, the exec operators, search engine
-// wrappers, the wsqd server) records into this package; wsqd serves the
-// result at /metrics and EXPLAIN ANALYZE renders per-operator profiles
-// in the tradition of Volcano-style instrumented iterators.
+// engine latency, ReqSync buffering, or relational operators? Each layer
+// of the stack (async.Pump, the search engine wrappers, the wsqd server)
+// keeps one record of its own, which its Stats and /metrics both read;
+// EXPLAIN ANALYZE renders per-operator profiles in the tradition of
+// Volcano-style instrumented iterators.
 //
-// All metric types are safe for concurrent use and never block: hot
-// paths (one histogram observation per external call) cost a few atomic
-// operations.
+// Counters and histograms are safe for concurrent use and never block:
+// hot paths (one histogram observation per external call) cost a few
+// atomic operations.
 package obs
 
 import (
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -43,26 +43,6 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // Reset zeroes the counter. Prometheus counters are nominally monotonic;
 // Reset exists for the experiment harness, which isolates timed runs.
 func (c *Counter) Reset() { c.v.Store(0) }
-
-// Gauge is an atomic instantaneous value.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // DefBuckets is the default latency histogram layout, in seconds. It
 // spans 100µs (in-process simulated engines under test latency) to 60s
@@ -87,8 +67,8 @@ type Histogram struct {
 	sum    atomicFloat
 }
 
-// NewHistogram builds a standalone histogram (most callers use
-// Registry.Histogram). A nil or empty buckets slice selects DefBuckets.
+// NewHistogram builds a histogram for its owner's record. A nil or empty
+// buckets slice selects DefBuckets.
 // Bounds must be sorted ascending; duplicates are dropped.
 func NewHistogram(buckets []float64) *Histogram {
 	if len(buckets) == 0 {
@@ -119,13 +99,6 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// Since records the time elapsed since start, returning the duration.
-func (h *Histogram) Since(start time.Time) time.Duration {
-	d := time.Since(start)
-	h.ObserveDuration(d)
-	return d
-}
 
 // HistSnapshot is a point-in-time copy of a histogram's state.
 type HistSnapshot struct {
@@ -228,192 +201,3 @@ func (f *atomicFloat) add(v float64) {
 
 func (f *atomicFloat) load() float64   { return math.Float64frombits(f.bits.Load()) }
 func (f *atomicFloat) store(v float64) { f.bits.Store(math.Float64bits(v)) }
-
-// ---------------------------------------------------------------------------
-// Labeled families
-
-// labelSep joins label values into map keys; 0xff never appears in the
-// label values this project generates (engine/destination names).
-const labelSep = "\xff"
-
-func joinLabels(values []string) string {
-	switch len(values) {
-	case 0:
-		return ""
-	case 1:
-		return values[0]
-	}
-	n := len(values) - 1
-	for _, v := range values {
-		n += len(v)
-	}
-	b := make([]byte, 0, n)
-	for i, v := range values {
-		if i > 0 {
-			b = append(b, labelSep...)
-		}
-		b = append(b, v...)
-	}
-	return string(b)
-}
-
-// CounterVec is a family of counters distinguished by label values.
-type CounterVec struct {
-	labels []string
-	mu     sync.RWMutex
-	m      map[string]*Counter
-}
-
-// NewCounterVec builds a standalone family (most callers use
-// Registry.CounterVec).
-func NewCounterVec(labels ...string) *CounterVec {
-	return &CounterVec{labels: labels, m: make(map[string]*Counter)}
-}
-
-// With returns the counter for the given label values, creating it on
-// first use. len(values) must equal the family's label count.
-func (v *CounterVec) With(values ...string) *Counter {
-	key := joinLabels(values)
-	v.mu.RLock()
-	c, ok := v.m[key]
-	v.mu.RUnlock()
-	if ok {
-		return c
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c, ok = v.m[key]; ok {
-		return c
-	}
-	if len(values) != len(v.labels) {
-		panic("obs: CounterVec.With label arity mismatch")
-	}
-	c = &Counter{}
-	v.m[key] = c
-	return c
-}
-
-// GaugeVec is a family of gauges distinguished by label values.
-type GaugeVec struct {
-	labels []string
-	mu     sync.RWMutex
-	m      map[string]*Gauge
-}
-
-// NewGaugeVec builds a standalone family.
-func NewGaugeVec(labels ...string) *GaugeVec {
-	return &GaugeVec{labels: labels, m: make(map[string]*Gauge)}
-}
-
-// With returns the gauge for the given label values, creating it on
-// first use.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	key := joinLabels(values)
-	v.mu.RLock()
-	g, ok := v.m[key]
-	v.mu.RUnlock()
-	if ok {
-		return g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g, ok = v.m[key]; ok {
-		return g
-	}
-	if len(values) != len(v.labels) {
-		panic("obs: GaugeVec.With label arity mismatch")
-	}
-	g = &Gauge{}
-	v.m[key] = g
-	return g
-}
-
-// HistogramVec is a family of histograms distinguished by label values.
-type HistogramVec struct {
-	labels  []string
-	buckets []float64
-	mu      sync.RWMutex
-	m       map[string]*Histogram
-}
-
-// NewHistogramVec builds a standalone family. nil buckets selects
-// DefBuckets.
-func NewHistogramVec(buckets []float64, labels ...string) *HistogramVec {
-	return &HistogramVec{labels: labels, buckets: buckets, m: make(map[string]*Histogram)}
-}
-
-// With returns the histogram for the given label values, creating it on
-// first use.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	key := joinLabels(values)
-	v.mu.RLock()
-	h, ok := v.m[key]
-	v.mu.RUnlock()
-	if ok {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h, ok = v.m[key]; ok {
-		return h
-	}
-	if len(values) != len(v.labels) {
-		panic("obs: HistogramVec.With label arity mismatch")
-	}
-	h = NewHistogram(v.buckets)
-	v.m[key] = h
-	return h
-}
-
-// snapshotChildren returns (label values, histogram) pairs sorted by key
-// for deterministic encoding.
-func (v *HistogramVec) snapshotChildren() []labeledChild[*Histogram] {
-	return snapshotVec(&v.mu, v.m)
-}
-
-func (v *CounterVec) snapshotChildren() []labeledChild[*Counter] {
-	return snapshotVec(&v.mu, v.m)
-}
-
-func (v *GaugeVec) snapshotChildren() []labeledChild[*Gauge] {
-	return snapshotVec(&v.mu, v.m)
-}
-
-type labeledChild[T any] struct {
-	values []string
-	metric T
-}
-
-func snapshotVec[T any](mu *sync.RWMutex, m map[string]T) []labeledChild[T] {
-	mu.RLock()
-	defer mu.RUnlock()
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]labeledChild[T], len(keys))
-	for i, k := range keys {
-		var values []string
-		if k != "" || len(m) > 0 {
-			values = splitLabels(k)
-		}
-		out[i] = labeledChild[T]{values: values, metric: m[k]}
-	}
-	return out
-}
-
-func splitLabels(key string) []string {
-	if key == "" {
-		return []string{""}
-	}
-	var out []string
-	start := 0
-	for i := 0; i < len(key); i++ {
-		if key[i] == labelSep[0] {
-			out = append(out, key[start:i])
-			start = i + 1
-		}
-	}
-	return append(out, key[start:])
-}

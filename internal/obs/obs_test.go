@@ -8,6 +8,8 @@ import (
 	"time"
 )
 
+// TestCounterAndGauge: a Counter counts and resets; a gauge family
+// reads its owner's value when the registry is encoded, not before.
 func TestCounterAndGauge(t *testing.T) {
 	var c Counter
 	c.Inc()
@@ -20,13 +22,15 @@ func TestCounterAndGauge(t *testing.T) {
 		t.Fatalf("counter after reset = %d, want 0", got)
 	}
 
-	var g Gauge
-	g.Set(10)
-	g.Inc()
-	g.Dec()
-	g.Add(-3)
-	if got := g.Value(); got != 7 {
-		t.Fatalf("gauge = %d, want 7", got)
+	reg := NewRegistry()
+	reg.GaugeFunc("g", "g", func() float64 { return float64(c.Value()) })
+	c.Add(7)
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := "g 7\n"; !strings.Contains(b.String(), want) {
+		t.Fatalf("gauge not read at encode time:\n%s", b.String())
 	}
 }
 
@@ -140,46 +144,72 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
+// TestCounterConcurrent hammers one counter from many goroutines while
+// the registry encodes it; under -race this pins the scrape path against
+// the hot path, and no increment may be lost.
 func TestCounterConcurrent(t *testing.T) {
+	var c Counter
 	reg := NewRegistry()
-	vec := reg.CounterVec("c_total", "test", "dest")
+	reg.CounterFunc("c_total", "test", func() float64 { return float64(c.Value()) })
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				vec.With("a").Inc()
-				vec.With("b").Add(2)
+				c.Inc()
 			}
 		}()
 	}
-	wg.Wait()
-	if got := vec.With("a").Value(); got != 8000 {
-		t.Errorf("a = %d, want 8000", got)
+	var sb syncBuilder
+	for i := 0; i < 10; i++ {
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := vec.With("b").Value(); got != 16000 {
-		t.Errorf("b = %d, want 16000", got)
+	wg.Wait()
+	if got := c.Value(); got != 8000 {
+		t.Errorf("count = %d, want 8000", got)
 	}
 }
 
+// TestRegistryIdempotent: registering again under the same owner replaces
+// that owner's series, so Observe may run twice; another owner adds its
+// own, and never a duplicate; a name registered as another kind or label
+// set panics.
 func TestRegistryIdempotent(t *testing.T) {
 	reg := NewRegistry()
-	h1 := reg.Histogram("lat_seconds", "latency", nil)
-	h2 := reg.Histogram("lat_seconds", "latency", []float64{1, 2})
-	if h1 != h2 {
-		t.Fatal("re-registration must return the existing histogram")
+	labels := []string{"engine", "op"}
+	series := func(engine string, n float64) func() []Series[float64] {
+		return func() []Series[float64] { return []Series[float64]{{Labels: []string{engine, "count"}, Value: n}} }
 	}
-	c1 := reg.Counter("n_total", "count")
-	if c1 != reg.Counter("n_total", "") {
-		t.Fatal("re-registration must return the existing counter")
+	reg.CounterVecFunc("r_total", "r", labels, "a", series("a", 1))
+	reg.CounterVecFunc("r_total", "r", labels, "a", series("a", 2))
+	reg.CounterVecFunc("r_total", "r", labels, "b", series("b", 3))
+	reg.CounterVecFunc("r_total", "r", labels, "c", series("a", 9)) // a's series: the first owner's is written
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("kind mismatch must panic")
-		}
-	}()
-	reg.Counter("lat_seconds", "oops")
+	want := `r_total{engine="a",op="count"} 2
+r_total{engine="b",op="count"} 3
+`
+	if got := b.String(); !strings.HasSuffix(got, want) || strings.Count(got, "r_total{") != 2 {
+		t.Fatalf("got:\n%swant the samples:\n%s", got, want)
+	}
+	for _, bad := range []func(){
+		func() { reg.GaugeVecFunc("r_total", "r", labels, "c", series("c", 1)) },
+		func() { reg.CounterVecFunc("r_total", "r", []string{"engine"}, "c", series("c", 1)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("kind or label mismatch must panic")
+				}
+			}()
+			bad()
+		}()
+	}
 }
 
 func TestGaugeFuncReplaced(t *testing.T) {

@@ -11,9 +11,9 @@ import (
 // WritePrometheus encodes every registered metric in the Prometheus text
 // exposition format (version 0.0.4): `# HELP` / `# TYPE` headers, one
 // sample per line, histograms expanded into cumulative `_bucket{le=...}`
-// series plus `_sum` and `_count`. Metric families are emitted in name
-// order and vec children in label order, so output is deterministic for
-// a given registry state.
+// series plus `_sum` and `_count`. Families are emitted in name order
+// and their series in label order, so output is deterministic for a given
+// state of the records read.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, e := range r.snapshot() {
 		if err := writeEntry(w, e); err != nil {
@@ -23,57 +23,26 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-func writeEntry(w io.Writer, e *entry) error {
+func writeEntry(w io.Writer, e entry) error {
 	if e.help != "" {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", e.name, escapeHelp(e.help)); err != nil {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", e.name, e.kind.prom()); err != nil {
+	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", e.name, e.kind); err != nil {
 		return err
 	}
-	switch m := e.metric.(type) {
-	case *Counter:
-		return writeSample(w, e.name, nil, nil, float64(m.Value()))
-	case *Gauge:
-		return writeSample(w, e.name, nil, nil, float64(m.Value()))
-	case func() float64:
-		return writeSample(w, e.name, nil, nil, m())
-	case *Histogram:
-		return writeHistogram(w, e.name, nil, nil, m.Snapshot())
-	case *CounterVec:
-		for _, c := range m.snapshotChildren() {
-			if err := writeSample(w, e.name, e.labels, c.values, float64(c.metric.Value())); err != nil {
+	if e.kind == kindHistogram {
+		for _, s := range merge(e.sources, func(s source) []Series[HistSnapshot] { return s.hists() }) {
+			if err := writeHistogram(w, e.name, e.labels, s.Labels, s.Value); err != nil {
 				return err
 			}
 		}
-	case *GaugeVec:
-		for _, c := range m.snapshotChildren() {
-			if err := writeSample(w, e.name, e.labels, c.values, float64(c.metric.Value())); err != nil {
-				return err
-			}
-		}
-	case *HistogramVec:
-		for _, c := range m.snapshotChildren() {
-			if err := writeHistogram(w, e.name, e.labels, c.values, c.metric.Snapshot()); err != nil {
-				return err
-			}
-		}
-	case func() map[string]float64:
-		samples := m()
-		for _, v := range sortedKeys(samples) {
-			if err := writeSample(w, e.name, e.labels, []string{v}, samples[v]); err != nil {
-				return err
-			}
-		}
-	case func() HistSnapshot:
-		return writeHistogram(w, e.name, nil, nil, m())
-	case func() map[string]HistSnapshot:
-		samples := m()
-		for _, v := range sortedKeys(samples) {
-			if err := writeHistogram(w, e.name, e.labels, []string{v}, samples[v]); err != nil {
-				return err
-			}
+		return nil
+	}
+	for _, s := range merge(e.sources, func(s source) []Series[float64] { return s.values() }) {
+		if err := writeSample(w, e.name, e.labels, s.Labels, s.Value); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -10,14 +10,17 @@ import (
 // binary so the _sum line is stable.
 func TestWritePrometheusFormat(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("wsq_queries_total", "Total queries.").Add(3)
-	reg.Gauge("wsq_active", "Active queries.").Set(2)
+	reg.CounterFunc("wsq_queries_total", "Total queries.", func() float64 { return 3 })
+	reg.GaugeFunc("wsq_active", "Active queries.", func() float64 { return 2 })
 	reg.GaugeFunc("wsq_uptime_seconds", "Uptime.", func() float64 { return 1.5 })
-	h := reg.Histogram("wsq_latency_seconds", "Query latency.", []float64{0.125, 1})
+	h := NewHistogram([]float64{0.125, 1})
 	h.Observe(0.0625)
 	h.Observe(0.5)
 	h.Observe(5)
-	reg.CounterVec("wsq_calls_total", "Calls by destination.", "dest").With("altavista").Add(7)
+	reg.HistogramFunc("wsq_latency_seconds", "Query latency.", h.Snapshot)
+	reg.CounterVecFunc("wsq_calls_total", "Calls by destination.", []string{"dest"}, "", func() []Series[float64] {
+		return []Series[float64]{{Labels: []string{"altavista"}, Value: 7}}
+	})
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -51,11 +54,20 @@ wsq_uptime_seconds 1.5
 	}
 }
 
-func TestHistogramVecEncoding(t *testing.T) {
+// TestHistogramVecFuncEncoding: two owners' series of one histogram family
+// come out in label order, each with its full bucket/sum/count set.
+func TestHistogramVecFuncEncoding(t *testing.T) {
 	reg := NewRegistry()
-	v := reg.HistogramVec("lat_seconds", "Per-dest latency.", []float64{1}, "dest")
-	v.With("b").Observe(0.5)
-	v.With("a").Observe(2)
+	for _, o := range []struct {
+		dest string
+		v    float64
+	}{{"b", 0.5}, {"a", 2}} {
+		h := NewHistogram([]float64{1})
+		h.Observe(o.v)
+		reg.HistogramVecFunc("lat_seconds", "Per-dest latency.", []string{"dest"}, o.dest, func() []Series[HistSnapshot] {
+			return []Series[HistSnapshot]{{Labels: []string{o.dest}, Value: h.Snapshot()}}
+		})
+	}
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -83,7 +95,9 @@ func TestHistogramVecEncoding(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	reg := NewRegistry()
-	reg.CounterVec("c_total", "", "q").With(`he said "hi"\` + "\n").Inc()
+	reg.CounterVecFunc("c_total", "", []string{"q"}, "", func() []Series[float64] {
+		return []Series[float64]{{Labels: []string{`he said "hi"\` + "\n"}, Value: 1}}
+	})
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -107,13 +121,18 @@ func TestLintExpositionCatchesGarbage(t *testing.T) {
 
 func TestLintExpositionAcceptsFullRegistry(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.HistogramVec("h_seconds", "h", nil, "dest")
+	x, y := NewHistogram(nil), NewHistogram(nil)
 	for i := 0; i < 50; i++ {
-		h.With("x").Observe(float64(i) * 0.01)
-		h.With("y").Observe(float64(i))
+		x.Observe(float64(i) * 0.01)
+		y.Observe(float64(i))
 	}
-	reg.Counter("c_total", "c").Add(5)
-	reg.GaugeVec("g", "g", "k").With("v").Set(-3)
+	reg.HistogramVecFunc("h_seconds", "h", []string{"dest"}, "", func() []Series[HistSnapshot] {
+		return []Series[HistSnapshot]{{Labels: []string{"y"}, Value: y.Snapshot()}, {Labels: []string{"x"}, Value: x.Snapshot()}}
+	})
+	reg.CounterFunc("c_total", "c", func() float64 { return 5 })
+	reg.GaugeVecFunc("g", "g", []string{"k"}, "", func() []Series[float64] {
+		return []Series[float64]{{Labels: []string{"v"}, Value: -3}}
+	})
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)

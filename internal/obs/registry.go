@@ -2,56 +2,58 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
 
-// kind classifies a registered metric for TYPE lines and encoding.
+// kind is a family's Prometheus TYPE.
 type kind int
 
 const (
 	kindCounter kind = iota
 	kindGauge
-	kindGaugeFunc
-	kindCounterFunc
 	kindHistogram
-	kindCounterVec
-	kindGaugeVec
-	kindHistogramVec
-	kindCounterVecFunc
-	kindGaugeVecFunc
-	kindHistogramFunc
-	kindHistogramVecFunc
 )
 
-func (k kind) prom() string {
-	switch k {
-	case kindCounter, kindCounterVec, kindCounterFunc, kindCounterVecFunc:
-		return "counter"
-	case kindHistogram, kindHistogramVec, kindHistogramFunc, kindHistogramVecFunc:
-		return "histogram"
-	default:
-		return "gauge"
-	}
+func (k kind) String() string { return [...]string{"counter", "gauge", "histogram"}[k] }
+
+// Series is one series of a labeled family: its label values, in the
+// order the family names its labels, and its reading.
+type Series[T any] struct {
+	Labels []string
+	Value  T
 }
 
+// entry is one family: name, HELP, TYPE, label names, and the samplers of
+// the owners that contribute its series.
 type entry struct {
-	name   string
-	help   string
-	kind   kind
-	labels []string
-	metric interface{} // *Counter, *Gauge, *Histogram, *CounterVec, ..., or a sampling func
+	name, help string
+	kind       kind
+	labels     []string
+	sources    []source // replaced, never written in place: an encoder reads them unlocked
 }
 
-// Registry is a named collection of metrics with a Prometheus text
-// encoder (prom.go). Registration is idempotent: asking for an existing
-// name with the same kind returns the existing metric, so independent
-// components (two engines, a pump and a server) can share one family.
-// Re-registering a name with a different kind panics — that is a
-// programming error, caught in tests.
+// source is one owner's contribution to a family, read at scrape time.
+type source struct {
+	owner  string
+	values func() []Series[float64]      // counter and gauge families
+	hists  func() []Series[HistSnapshot] // histogram families
+}
+
+// Registry is a named collection of metric families with a Prometheus
+// text encoder (prom.go). Every family is a sampled view of a record its
+// owner already keeps — the pump's destination table, an engine's request
+// counts, the server's query counters — read when /metrics is scraped, so
+// nothing is counted twice and Stats and /metrics cannot disagree.
 //
-// A Registry is safe for concurrent registration, observation, and
-// encoding.
+// Several owners may contribute series to one family (every engine to
+// wsq_engine_requests_total). Registering again under the same owner
+// replaces that owner's sampler, so Observe is idempotent. Registering a
+// name with a different kind or label set panics — a programming error,
+// caught in tests.
+//
+// A Registry is safe for concurrent registration and encoding.
 type Registry struct {
 	mu      sync.RWMutex
 	entries map[string]*entry
@@ -62,155 +64,96 @@ func NewRegistry() *Registry {
 	return &Registry{entries: make(map[string]*entry)}
 }
 
-// Observable is implemented by components that can attach their metrics
-// to a registry (search.Delayed, search.Flaky, async.Pump, ...).
-// Observe must be idempotent: attaching twice to the same registry binds
-// the same underlying metric families.
+// Observable is implemented by components that expose their records on a
+// registry (search.Delayed, search.Flaky, async.Pump, ...). Observe must
+// be idempotent: attaching twice to the same registry replaces the
+// component's samplers.
 type Observable interface {
 	Observe(reg *Registry)
 }
 
-func (r *Registry) get(name string, k kind, build func() interface{}, labels ...string) interface{} {
-	r.mu.RLock()
-	e, ok := r.entries[name]
-	r.mu.RUnlock()
-	if ok {
-		if e.kind != k {
-			panic(fmt.Sprintf("obs: metric %q re-registered as %s (was %s)", name, k.prom(), e.kind.prom()))
-		}
-		return e.metric
-	}
+func (r *Registry) register(name, help string, k kind, labels []string, s source) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok = r.entries[name]; ok {
-		if e.kind != k {
-			panic(fmt.Sprintf("obs: metric %q re-registered as %s (was %s)", name, k.prom(), e.kind.prom()))
-		}
-		return e.metric
+	e := r.entries[name]
+	if e == nil {
+		e = &entry{name: name, help: help, kind: k, labels: labels}
+		r.entries[name] = e
+	} else if e.kind != k || !slices.Equal(e.labels, labels) {
+		panic(fmt.Sprintf("obs: metric %q re-registered as %s%q (was %s%q)", name, k, labels, e.kind, e.labels))
 	}
-	m := build()
-	r.entries[name] = &entry{name: name, kind: k, metric: m, labels: labels}
-	return m
-}
-
-// SetHelp attaches (or replaces) the HELP string of a registered metric.
-// Registration helpers below set it on first creation; SetHelp exists
-// for callers that obtained a family before its help text was known.
-func (r *Registry) setHelp(name, help string) {
-	r.mu.Lock()
-	if e, ok := r.entries[name]; ok && e.help == "" {
-		e.help = help
+	sources := slices.Clone(e.sources)
+	if i := slices.IndexFunc(sources, func(p source) bool { return p.owner == s.owner }); i >= 0 {
+		sources[i] = s
+	} else {
+		sources = append(sources, s)
 	}
-	r.mu.Unlock()
+	e.sources = sources
 }
 
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := r.get(name, kindCounter, func() interface{} { return &Counter{} }).(*Counter)
-	r.setHelp(name, help)
-	return c
+// single adapts an unlabeled reading to the one series of its family.
+func single[T any](fn func() T) func() []Series[T] {
+	return func() []Series[T] { return []Series[T]{{Value: fn()}} }
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := r.get(name, kindGauge, func() interface{} { return &Gauge{} }).(*Gauge)
-	r.setHelp(name, help)
-	return g
-}
-
-// sampled registers a family whose samples fn computes at encode time.
-// Re-registering replaces fn, keeping Observe idempotent for components
-// that re-attach.
-func (r *Registry) sampled(name, help string, k kind, fn interface{}, labels ...string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.entries[name]; ok {
-		if e.kind != k {
-			panic(fmt.Sprintf("obs: metric %q re-registered as sampled %s (was %s)", name, k.prom(), e.kind.prom()))
-		}
-		e.metric = fn
-		return
-	}
-	r.entries[name] = &entry{name: name, help: help, kind: k, labels: labels, metric: fn}
-}
-
-// GaugeFunc registers a live gauge sampled at encode time (e.g. the
-// pump's instantaneous queue depth).
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.sampled(name, help, kindGaugeFunc, fn)
-}
-
-// CounterFunc registers a counter sampled at encode time, for components
-// that already maintain the monotonic count themselves.
+// CounterFunc registers a counter its owner keeps, read at scrape time.
+// An unlabeled family has one owner: registering it again replaces fn.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	r.sampled(name, help, kindCounterFunc, fn)
+	r.register(name, help, kindCounter, nil, source{values: single(fn)})
 }
 
-// The *VecFunc and HistogramFunc forms are the same idea for families a
-// component keeps in its own table (the pump's per-destination records):
-// fn returns the current reading per value of the one label, and the
-// encoder emits them in label order.
-
-// CounterVecFunc registers a one-label counter family sampled at encode time.
-func (r *Registry) CounterVecFunc(name, help, label string, fn func() map[string]float64) {
-	r.sampled(name, help, kindCounterVecFunc, fn, label)
+// GaugeFunc registers an instantaneous value read at scrape time (e.g.
+// the pump's queue depth).
+func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
+	r.register(name, help, kindGauge, nil, source{values: single(fn)})
 }
 
-// GaugeVecFunc registers a one-label gauge family sampled at encode time.
-func (r *Registry) GaugeVecFunc(name, help, label string, fn func() map[string]float64) {
-	r.sampled(name, help, kindGaugeVecFunc, fn, label)
-}
-
-// HistogramFunc registers a histogram snapshotted at encode time.
+// HistogramFunc registers a histogram snapshotted at scrape time.
 func (r *Registry) HistogramFunc(name, help string, fn func() HistSnapshot) {
-	r.sampled(name, help, kindHistogramFunc, fn)
+	r.register(name, help, kindHistogram, nil, source{hists: single(fn)})
 }
 
-// HistogramVecFunc registers a one-label histogram family snapshotted at
-// encode time.
-func (r *Registry) HistogramVecFunc(name, help, label string, fn func() map[string]HistSnapshot) {
-	r.sampled(name, help, kindHistogramVecFunc, fn, label)
+// The *VecFunc forms register owner's series of a labeled family: fn
+// returns them, each with one value per name in labels. A series first
+// appears when fn first returns it, so an owner returns a series only once
+// its record has seen an event. The encoder merges every owner's series in
+// label order; should two owners return the same label values, the series
+// of the owner that registered first is the one written.
+
+// CounterVecFunc registers owner's series of a labeled counter family.
+func (r *Registry) CounterVecFunc(name, help string, labels []string, owner string, fn func() []Series[float64]) {
+	r.register(name, help, kindCounter, labels, source{owner: owner, values: fn})
 }
 
-// Histogram returns the named histogram, creating it on first use with
-// the given bucket bounds (nil = DefBuckets). Buckets are fixed at
-// first registration.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	h := r.get(name, kindHistogram, func() interface{} { return NewHistogram(buckets) }).(*Histogram)
-	r.setHelp(name, help)
-	return h
+// GaugeVecFunc registers owner's series of a labeled gauge family.
+func (r *Registry) GaugeVecFunc(name, help string, labels []string, owner string, fn func() []Series[float64]) {
+	r.register(name, help, kindGauge, labels, source{owner: owner, values: fn})
 }
 
-// CounterVec returns the named counter family, creating it on first use.
-func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	v := r.get(name, kindCounterVec, func() interface{} { return NewCounterVec(labels...) }, labels...).(*CounterVec)
-	r.setHelp(name, help)
-	return v
+// HistogramVecFunc registers owner's series of a labeled histogram family.
+func (r *Registry) HistogramVecFunc(name, help string, labels []string, owner string, fn func() []Series[HistSnapshot]) {
+	r.register(name, help, kindHistogram, labels, source{owner: owner, hists: fn})
 }
 
-// GaugeVec returns the named gauge family, creating it on first use.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	v := r.get(name, kindGaugeVec, func() interface{} { return NewGaugeVec(labels...) }, labels...).(*GaugeVec)
-	r.setHelp(name, help)
-	return v
-}
-
-// HistogramVec returns the named histogram family, creating it on first
-// use with the given buckets (nil = DefBuckets).
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	v := r.get(name, kindHistogramVec, func() interface{} { return NewHistogramVec(buckets, labels...) }, labels...).(*HistogramVec)
-	r.setHelp(name, help)
-	return v
-}
-
-// snapshot returns the entries sorted by name for deterministic encoding.
-func (r *Registry) snapshot() []*entry {
+// snapshot copies the entries, sorted by name for deterministic encoding.
+func (r *Registry) snapshot() []entry {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]*entry, 0, len(r.entries))
+	out := make([]entry, 0, len(r.entries))
 	for _, e := range r.entries {
-		out = append(out, e)
+		out = append(out, *e)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
+}
+
+// merge reads every source's series and returns them in label order, one
+// per label set.
+func merge[T any](sources []source, read func(source) []Series[T]) []Series[T] {
+	var all []Series[T]
+	for _, s := range sources {
+		all = append(all, read(s)...)
+	}
+	slices.SortStableFunc(all, func(a, b Series[T]) int { return slices.Compare(a.Labels, b.Labels) })
+	return slices.CompactFunc(all, func(a, b Series[T]) bool { return slices.Equal(a.Labels, b.Labels) })
 }

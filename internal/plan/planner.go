@@ -37,9 +37,6 @@ type Planner struct {
 	VTabs *vtab.Registry
 	// Cache, when non-nil, memoizes EVScan calls ([HN96]).
 	Cache exec.ResultCache
-	// DefaultRankLimit guards WebPages scans with no Rank predicate
-	// (paper default: Rank < 20).
-	DefaultRankLimit int
 	// DisableHashJoins forces every stored-stored join to the paper's
 	// nested-loop algorithm (and suppresses the semi-join rewrite). The
 	// plan-equivalence fuzzer (internal/fuzzqe) flips this to execute the
@@ -49,7 +46,7 @@ type Planner struct {
 
 // New builds a planner.
 func New(cat *catalog.Catalog, vtabs *vtab.Registry) *Planner {
-	return &Planner{Cat: cat, VTabs: vtabs, DefaultRankLimit: vtab.DefaultRankLimit}
+	return &Planner{Cat: cat, VTabs: vtabs}
 }
 
 // scope is one FROM entry's resolved schema.
@@ -513,10 +510,7 @@ func (p *Planner) buildEVScan(sc *scope, conjuncts []conjunct, avail map[schema.
 
 	bindings := make([]expr.Expr, numInputs)
 	var bindDescs []string
-	rankLimit := p.DefaultRankLimit
-	if rankLimit <= 0 {
-		rankLimit = vtab.DefaultRankLimit
-	}
+	rankLimit := vtab.DefaultRankLimit
 
 	for k := range conjuncts {
 		c := &conjuncts[k]

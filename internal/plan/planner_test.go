@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/catalog"
@@ -14,14 +15,23 @@ import (
 	"repro/internal/vtab"
 )
 
-// stubEngine provides deterministic counts and pages for planner tests.
-type stubEngine struct{ name string }
+// stubEngine provides deterministic counts and pages for planner tests;
+// maxK is the largest rank limit a Search asked for.
+type stubEngine struct {
+	name string
+	maxK atomic.Int64
+}
 
 func (s *stubEngine) Name() string { return s.name }
 func (s *stubEngine) Count(q string) (int64, error) {
 	return int64(len(q)), nil
 }
 func (s *stubEngine) Search(q string, k int) ([]search.Result, error) {
+	for {
+		if m := s.maxK.Load(); int64(k) <= m || s.maxK.CompareAndSwap(m, int64(k)) {
+			break
+		}
+	}
 	var out []search.Result
 	for i := 1; i <= k && i <= 3; i++ {
 		out = append(out, search.Result{URL: q + "/u", Rank: i, Date: "1999-01-01"})
@@ -196,13 +206,21 @@ func TestPlanRankLimitExtraction(t *testing.T) {
 	}
 }
 
+// TestPlanDefaultRankLimit: a WebPages scan with no Rank predicate asks
+// the engine for the paper's default of 20 pages.
 func TestPlanDefaultRankLimit(t *testing.T) {
 	p := newPlanner(t)
-	p.DefaultRankLimit = 3
 	op := planSQL(t, p, `SELECT Name, URL FROM States, WebPages WHERE Name = T1`)
 	rows := runPlan(t, op)
-	if len(rows) != 9 { // capped by the default guard (stub returns <= 3)
+	if len(rows) != 9 { // 3 states × the stub's 3 pages
 		t.Errorf("default guard rows: %d", len(rows))
+	}
+	def, err := p.VTabs.Resolve("WebPages")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := def.Engine.(*stubEngine).maxK.Load(); k != 20 {
+		t.Errorf("engine asked for %d pages, want the paper's default of 20", k)
 	}
 }
 

@@ -2,7 +2,6 @@ package search
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -97,6 +96,22 @@ func (s FlakyStats) Injected() int64 {
 	return s.Transient + s.RateLimit + s.Hard + s.Stalls + s.SlowTails
 }
 
+// The fault kinds in the order a profile's probabilities are evaluated,
+// indexing a Flaky record's per-kind counts; faultKinds holds their kind
+// label values.
+const (
+	fkTransient = iota
+	fkRateLimit
+	fkHard
+	fkStall
+	fkSlowTail
+)
+
+var faultKinds = [...]FaultKind{
+	fkTransient: FaultTransient, fkRateLimit: FaultRateLimit, fkHard: FaultHard,
+	fkStall: FaultStall, fkSlowTail: FaultSlowTail,
+}
+
 // Flaky wraps an engine with deterministic, seeded fault injection. It is
 // safe for concurrent use; the fault schedule is drawn from a locked Rand,
 // typically the same one that drives the engine's Delayed latency wrapper,
@@ -105,18 +120,16 @@ func (s FlakyStats) Injected() int64 {
 // The wrapper decides the fault before invoking the inner engine: a failed
 // call never reaches the engine (like a connection refused), while stalls
 // and slow tails delay the request and then let it through.
+//
+// It keeps one record — calls, and injected faults per kind — which Stats
+// reads and Observe exposes on /metrics.
 type Flaky struct {
 	inner Engine
 	model FaultModel
 	rng   *Rand
 
-	// Injection counters, atomic (obs.Counter) rather than a
-	// mutex-guarded struct: Stats assembles a FlakyStats snapshot from
-	// individual loads.
-	calls, transient, rateLimit, hard, stalls, slowTails obs.Counter
-
-	// metrics holds registry handles attached by Observe; nil until then.
-	metrics atomic.Pointer[engineMetrics]
+	calls  obs.Counter
+	faults [len(faultKinds)]obs.Counter // indexed like faultKinds
 }
 
 // NewFlaky wraps inner with the given fault model, drawing the fault
@@ -132,11 +145,22 @@ func NewFlaky(inner Engine, model FaultModel, rng *Rand) *Flaky {
 // Name implements Engine.
 func (f *Flaky) Name() string { return f.inner.Name() }
 
-// Observe implements obs.Observable: injected faults are counted into
-// the shared wsq_engine_faults_total family by engine and kind. Forwards
-// to the wrapped engine if it is observable too.
+// Observe implements obs.Observable: it exposes the fault counts as the
+// engine's series of wsq_engine_faults_total, a kind's series appearing
+// with its first fault, and forwards to the wrapped engine if it is
+// observable too.
 func (f *Flaky) Observe(reg *obs.Registry) {
-	f.metrics.Store(observeEngine(reg))
+	name := f.Name()
+	reg.CounterVecFunc("wsq_engine_faults_total",
+		"Injected engine faults, by engine and fault kind.", []string{"engine", "kind"}, name, func() []obs.Series[float64] {
+			var out []obs.Series[float64]
+			for i, kind := range faultKinds {
+				if n := f.faults[i].Value(); n > 0 {
+					out = append(out, obs.Series[float64]{Labels: []string{name, string(kind)}, Value: float64(n)})
+				}
+			}
+			return out
+		})
 	if o, ok := f.inner.(obs.Observable); ok {
 		o.Observe(reg)
 	}
@@ -148,37 +172,24 @@ func (f *Flaky) Observe(reg *obs.Registry) {
 func (f *Flaky) inject(op string, p FaultProfile) error {
 	f.calls.Inc()
 	draw := f.rng.Float64()
-	count := func(c *obs.Counter, kind FaultKind) {
-		c.Inc()
-		if m := f.metrics.Load(); m != nil {
-			m.faults.With(f.inner.Name(), string(kind)).Inc()
+	var cum float64
+	probs := [...]float64{
+		fkTransient: p.Transient, fkRateLimit: p.RateLimit, fkHard: p.Hard,
+		fkStall: p.Stall, fkSlowTail: p.SlowTail,
+	}
+	for i, prob := range probs {
+		if cum += prob; draw >= cum {
+			continue
 		}
-	}
-	cum := p.Transient
-	if draw < cum {
-		count(&f.transient, FaultTransient)
-		return &FaultError{Engine: f.inner.Name(), Op: op, Kind: FaultTransient}
-	}
-	cum += p.RateLimit
-	if draw < cum {
-		count(&f.rateLimit, FaultRateLimit)
-		return &FaultError{Engine: f.inner.Name(), Op: op, Kind: FaultRateLimit}
-	}
-	cum += p.Hard
-	if draw < cum {
-		count(&f.hard, FaultHard)
-		return &FaultError{Engine: f.inner.Name(), Op: op, Kind: FaultHard}
-	}
-	cum += p.Stall
-	if draw < cum {
-		count(&f.stalls, FaultStall)
-		time.Sleep(f.model.StallFor)
-		return nil
-	}
-	cum += p.SlowTail
-	if draw < cum {
-		count(&f.slowTails, FaultSlowTail)
-		time.Sleep(f.model.SlowBy)
+		f.faults[i].Inc()
+		switch kind := faultKinds[i]; kind {
+		case FaultStall:
+			time.Sleep(f.model.StallFor)
+		case FaultSlowTail:
+			time.Sleep(f.model.SlowBy)
+		default:
+			return &FaultError{Engine: f.inner.Name(), Op: op, Kind: kind}
+		}
 		return nil
 	}
 	return nil
@@ -208,21 +219,23 @@ func (f *Flaky) Fetch(url string) (string, error) {
 	return f.inner.Fetch(url)
 }
 
-// Stats snapshots the injection counters.
+// Stats snapshots the record.
 func (f *Flaky) Stats() FlakyStats {
 	return FlakyStats{
 		Calls:     f.calls.Value(),
-		Transient: f.transient.Value(),
-		RateLimit: f.rateLimit.Value(),
-		Hard:      f.hard.Value(),
-		Stalls:    f.stalls.Value(),
-		SlowTails: f.slowTails.Value(),
+		Transient: f.faults[fkTransient].Value(),
+		RateLimit: f.faults[fkRateLimit].Value(),
+		Hard:      f.faults[fkHard].Value(),
+		Stalls:    f.faults[fkStall].Value(),
+		SlowTails: f.faults[fkSlowTail].Value(),
 	}
 }
 
-// ResetStats zeroes the injection counters between experiment runs.
+// ResetStats zeroes the record between experiment runs, its /metrics
+// series included.
 func (f *Flaky) ResetStats() {
-	for _, c := range []*obs.Counter{&f.calls, &f.transient, &f.rateLimit, &f.hard, &f.stalls, &f.slowTails} {
-		c.Reset()
+	f.calls.Reset()
+	for i := range f.faults {
+		f.faults[i].Reset()
 	}
 }

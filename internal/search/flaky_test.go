@@ -2,9 +2,12 @@ package search
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // stubEngine is a minimal deterministic engine for wrapper tests.
@@ -175,5 +178,53 @@ func TestFlakySharedRandConcurrency(t *testing.T) {
 	wg.Wait()
 	if st := f.Stats(); st.Calls != 16*100 {
 		t.Fatalf("Calls = %d, want %d", st.Calls, 16*100)
+	}
+}
+
+// TestEngineRecordsAreTheMetrics: a Flaky-over-Delayed stack exposes on
+// /metrics exactly the records its Stats read — a series per op and fault
+// kind once it has an event — and ResetStats empties both views.
+func TestEngineRecordsAreTheMetrics(t *testing.T) {
+	rng := NewRand(1)
+	d := NewDelayedRand(&stubEngine{name: "e"}, ZeroLatency(), rng)
+	f := NewFlaky(d, FaultModel{Search: FaultProfile{Hard: 1}}, rng)
+	reg := obs.NewRegistry()
+	f.Observe(reg)
+	f.Observe(reg) // idempotent
+	scrape := func() string {
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	if body := scrape(); strings.Contains(body, `{engine="e"`) {
+		t.Fatalf("series before any request:\n%s", body)
+	}
+	for i := 0; i < 3; i++ {
+		f.Count("q")
+	}
+	f.Search("q", 1)
+	body := scrape()
+	for _, want := range []string{
+		`wsq_engine_requests_total{engine="e",op="count"} 3` + "\n",
+		`wsq_engine_request_seconds_count{engine="e",op="count"} 3` + "\n",
+		`wsq_engine_inflight{engine="e"} 0` + "\n",
+		`wsq_engine_faults_total{engine="e",kind="hard"} 1` + "\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q:\n%s", want, body)
+		}
+	}
+	if strings.Contains(body, `op="search"`) || strings.Contains(body, `op="fetch"`) {
+		t.Errorf("a series for an op no request reached:\n%s", body)
+	}
+	if requests, _ := d.Stats(); requests != 3 || f.Stats().Hard != 1 {
+		t.Errorf("Stats: %d requests, %+v", requests, f.Stats())
+	}
+	d.ResetStats()
+	f.ResetStats()
+	if body := scrape(); strings.Contains(body, `{engine="e"`) {
+		t.Errorf("series after ResetStats:\n%s", body)
 	}
 }

@@ -2,7 +2,6 @@ package search
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -38,10 +37,24 @@ func BenchLatency() LatencyModel {
 // ZeroLatency disables delays (for unit tests of query semantics).
 func ZeroLatency() LatencyModel { return LatencyModel{} }
 
+// The engine operations, indexing a Delayed record's per-op slots; ops
+// holds their op label values.
+const (
+	opCount = iota
+	opSearch
+	opFetch
+)
+
+var ops = [...]string{opCount: "count", opSearch: "search", opFetch: "fetch"}
+
 // Delayed wraps an engine, sleeping per request according to a latency
 // model. It is safe for concurrent use; each in-flight request sleeps
 // independently, which is exactly the property asynchronous iteration
 // exploits.
+//
+// It keeps the engine's one request record — per op a request count and a
+// wall-time histogram, plus the requests in flight and their high-water
+// mark — which Stats reads and Observe exposes on /metrics.
 type Delayed struct {
 	inner Engine
 	model LatencyModel
@@ -54,10 +67,11 @@ type Delayed struct {
 	statsMu     sync.Mutex
 	inFlight    int
 	maxInFlight int
-	requests    obs.Counter
-
-	// metrics holds registry handles attached by Observe; nil until then.
-	metrics atomic.Pointer[engineMetrics]
+	// requests and latency are indexed like ops. latency is the full
+	// request wall time: simulated delay, any fault stacked below, and
+	// the inner engine's work.
+	requests [len(ops)]obs.Counter
+	latency  [len(ops)]*obs.Histogram
 }
 
 // NewDelayed wraps inner with the given latency model and jitter seed.
@@ -72,18 +86,53 @@ func NewDelayedRand(inner Engine, model LatencyModel, rng *Rand) *Delayed {
 	if rng == nil {
 		rng = NewRand(1)
 	}
-	return &Delayed{inner: inner, model: model, rng: rng}
+	d := &Delayed{inner: inner, model: model, rng: rng}
+	for i := range d.latency {
+		d.latency[i] = obs.NewHistogram(nil)
+	}
+	return d
 }
 
 // Name implements Engine.
 func (d *Delayed) Name() string { return d.inner.Name() }
 
-// Observe implements obs.Observable: it binds the shared engine metric
-// families to reg and forwards to the wrapped engine if it is observable
-// too (a Flaky injector stacked below records its fault counters into
-// the same registry).
+// Observe implements obs.Observable: it exposes the request record on reg
+// as the engine's series of the wsq_engine_* families, and forwards to the
+// wrapped engine if it is observable too (a Flaky injector stacked below
+// adds its fault counts). An op's series appear with its first request.
 func (d *Delayed) Observe(reg *obs.Registry) {
-	d.metrics.Store(observeEngine(reg))
+	name := d.Name()
+	perOp := []string{"engine", "op"}
+	reg.CounterVecFunc("wsq_engine_requests_total",
+		"Search-engine requests, by engine and operation.", perOp, name, func() []obs.Series[float64] {
+			var out []obs.Series[float64]
+			for i, op := range ops {
+				if n := d.requests[i].Value(); n > 0 {
+					out = append(out, obs.Series[float64]{Labels: []string{name, op}, Value: float64(n)})
+				}
+			}
+			return out
+		})
+	reg.HistogramVecFunc("wsq_engine_request_seconds",
+		"Search-engine request wall time (delay, faults, and engine work), by engine and operation.",
+		perOp, name, func() []obs.Series[obs.HistSnapshot] {
+			var out []obs.Series[obs.HistSnapshot]
+			for i, op := range ops {
+				if h := d.latency[i].Snapshot(); h.Count > 0 {
+					out = append(out, obs.Series[obs.HistSnapshot]{Labels: []string{name, op}, Value: h})
+				}
+			}
+			return out
+		})
+	reg.GaugeVecFunc("wsq_engine_inflight",
+		"Requests currently in flight, by engine.", []string{"engine"}, name, func() []obs.Series[float64] {
+			d.statsMu.Lock()
+			defer d.statsMu.Unlock()
+			if d.maxInFlight == 0 {
+				return nil // no request since the last reset
+			}
+			return []obs.Series[float64]{{Labels: []string{name}, Value: float64(d.inFlight)}}
+		})
 	if o, ok := d.inner.(obs.Observable); ok {
 		o.Observe(reg)
 	}
@@ -98,28 +147,20 @@ func (d *Delayed) delay(factor float64) {
 	time.Sleep(total)
 }
 
-// enter records the start of a request and returns the paired exit
-// function, which observes the request's wall time when metrics are
-// attached. Call as `defer d.enter(op)()`.
-func (d *Delayed) enter(op string) func() {
+// enter records the start of a request of one op and returns the paired
+// exit function, which records its wall time. Call as
+// `defer d.enter(op)()`.
+func (d *Delayed) enter(op int) func() {
 	d.statsMu.Lock()
 	d.inFlight++
 	if d.inFlight > d.maxInFlight {
 		d.maxInFlight = d.inFlight
 	}
 	d.statsMu.Unlock()
-	d.requests.Inc()
-	m := d.metrics.Load()
-	if m != nil {
-		m.requests.With(d.inner.Name(), op).Inc()
-		m.inflight.With(d.inner.Name()).Inc()
-	}
+	d.requests[op].Inc()
 	start := time.Now()
 	return func() {
-		if m != nil {
-			m.latency.With(d.inner.Name(), op).Observe(time.Since(start).Seconds())
-			m.inflight.With(d.inner.Name()).Dec()
-		}
+		d.latency[op].ObserveDuration(time.Since(start))
 		d.statsMu.Lock()
 		d.inFlight--
 		d.statsMu.Unlock()
@@ -128,7 +169,7 @@ func (d *Delayed) enter(op string) func() {
 
 // Count implements Engine with an injected delay.
 func (d *Delayed) Count(query string) (int64, error) {
-	defer d.enter("count")()
+	defer d.enter(opCount)()
 	f := d.model.CountFactor
 	if f == 0 {
 		f = 1
@@ -139,14 +180,14 @@ func (d *Delayed) Count(query string) (int64, error) {
 
 // Search implements Engine with an injected delay.
 func (d *Delayed) Search(query string, k int) ([]Result, error) {
-	defer d.enter("search")()
+	defer d.enter(opSearch)()
 	d.delay(1)
 	return d.inner.Search(query, k)
 }
 
 // Fetch implements Engine with an injected delay.
 func (d *Delayed) Fetch(url string) (string, error) {
-	defer d.enter("fetch")()
+	defer d.enter(opFetch)()
 	d.delay(1)
 	return d.inner.Fetch(url)
 }
@@ -157,18 +198,24 @@ func (d *Delayed) Fetch(url string) (string, error) {
 func (d *Delayed) Stats() (requests int64, maxInFlight int) {
 	d.statsMu.Lock()
 	defer d.statsMu.Unlock()
-	return d.requests.Value(), d.maxInFlight
+	for i := range d.requests {
+		requests += d.requests[i].Value()
+	}
+	return requests, d.maxInFlight
 }
 
-// ResetStats clears the concurrency statistics between experiment runs.
-// It takes the same mutex as the request path (enter/exit), so it is safe
-// while requests are in flight: the inFlight gauge is preserved — zeroing
-// it mid-request would let the paired exit() drive it negative and corrupt
-// maxInFlight for every later run — and the high-water mark restarts from
-// the current concurrency.
+// ResetStats clears the record between experiment runs, its /metrics
+// series included. It takes the same mutex as the request path
+// (enter/exit), so it is safe while requests are in flight: the inFlight
+// gauge is preserved — zeroing it mid-request would let the paired exit()
+// drive it negative and corrupt maxInFlight for every later run — and the
+// high-water mark restarts from the current concurrency.
 func (d *Delayed) ResetStats() {
 	d.statsMu.Lock()
 	defer d.statsMu.Unlock()
 	d.maxInFlight = d.inFlight
-	d.requests.Reset()
+	for i := range d.requests {
+		d.requests[i].Reset()
+		d.latency[i].Reset()
+	}
 }

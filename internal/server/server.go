@@ -61,8 +61,6 @@ type Options struct {
 	// DefaultTimeout applies when a request carries no timeout_ms
 	// (default 30s).
 	DefaultTimeout time.Duration
-	// MaxTimeout clamps client-requested timeouts (default 5m).
-	MaxTimeout time.Duration
 	// AllowWrites permits CREATE/DROP/INSERT through /query; by default the
 	// server is read-only and such statements get 403.
 	AllowWrites bool
@@ -86,6 +84,9 @@ type Options struct {
 	SlowTraceThreshold time.Duration
 }
 
+// maxTimeout clamps client-requested timeouts.
+const maxTimeout = 5 * time.Minute
+
 func (o *Options) fill() {
 	if o.MaxConcurrentQueries <= 0 {
 		o.MaxConcurrentQueries = 32
@@ -96,9 +97,6 @@ func (o *Options) fill() {
 	if o.DefaultTimeout <= 0 {
 		o.DefaultTimeout = 30 * time.Second
 	}
-	if o.MaxTimeout <= 0 {
-		o.MaxTimeout = 5 * time.Minute
-	}
 }
 
 // Server is the wsqd HTTP front-end over one shared database.
@@ -108,17 +106,13 @@ type Server struct {
 	mux  *http.ServeMux
 	sem  chan struct{}
 
-	// mu guards the admission gauges; the cumulative counters live in
-	// the DB's metrics registry (shared with /metrics) and /statusz reads
-	// them back from there.
+	// mu guards the admission gauges. They and the counters below are the
+	// server's one record: /statusz and /metrics both read it.
 	mu     sync.Mutex
 	queued int
 	active int
 
-	total    *obs.Counter
-	failed   *obs.Counter
-	rejected *obs.Counter
-	timedOut *obs.Counter
+	total, failed, rejected, timedOut obs.Counter
 	// latency is every query's execution time; /statusz reads its
 	// percentiles from here too. maxLatency (ns) is the one thing a
 	// bucketed histogram cannot tell.
@@ -144,14 +138,16 @@ func New(db *core.DB, opts Options) *Server {
 		sem:     make(chan struct{}, opts.MaxConcurrentQueries),
 		sampler: obs.NewSampler(opts.TraceSampleEvery),
 		traces:  obs.NewTraceSink(0, 0),
+		latency: obs.NewHistogram(nil),
 		start:   time.Now(),
 	}
 	reg := db.Metrics()
-	s.total = reg.Counter("wsq_server_queries_total", "Queries received by /query.")
-	s.failed = reg.Counter("wsq_server_queries_failed_total", "Queries that returned an error.")
-	s.rejected = reg.Counter("wsq_server_queries_rejected_total", "Queries rejected by admission control (503).")
-	s.timedOut = reg.Counter("wsq_server_queries_timedout_total", "Queries whose deadline expired (while queued or executing).")
-	s.latency = reg.Histogram("wsq_server_query_seconds", "End-to-end query execution latency.", nil)
+	read := func(c *obs.Counter) func() float64 { return func() float64 { return float64(c.Value()) } }
+	reg.CounterFunc("wsq_server_queries_total", "Queries received by /query.", read(&s.total))
+	reg.CounterFunc("wsq_server_queries_failed_total", "Queries that returned an error.", read(&s.failed))
+	reg.CounterFunc("wsq_server_queries_rejected_total", "Queries rejected by admission control (503).", read(&s.rejected))
+	reg.CounterFunc("wsq_server_queries_timedout_total", "Queries whose deadline expired (while queued or executing).", read(&s.timedOut))
+	reg.HistogramFunc("wsq_server_query_seconds", "End-to-end query execution latency.", s.latency.Snapshot)
 	reg.GaugeFunc("wsq_server_queries_active", "Queries currently executing.", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -301,8 +297,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
-	if timeout > s.opts.MaxTimeout {
-		timeout = s.opts.MaxTimeout
+	if timeout > maxTimeout {
+		timeout = maxTimeout
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()

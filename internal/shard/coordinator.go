@@ -273,7 +273,7 @@ func (c *Coordinator) TraceSink() *obs.TraceSink { return c.traces }
 // every failover hop.
 func (c *Coordinator) handleQuery(rw http.ResponseWriter, r *http.Request) {
 	c.queries.Add(1)
-	sql, body, wantTrace, ok := c.readQuery(rw, r)
+	sql, rp, wantTrace, ok := c.readQuery(rw, r)
 	if !ok {
 		return
 	}
@@ -332,7 +332,7 @@ func (c *Coordinator) handleQuery(rw http.ResponseWriter, r *http.Request) {
 			c.reroutes.Add(1)
 		}
 		attemptStart := time.Now()
-		status, hdr, respBody, err := c.forward(r.Context(), m.URL+"/query", r.Header.Get("Content-Type"), body, traceparent)
+		status, hdr, respBody, err := c.forward(r.Context(), m.URL+"/query", rp, traceparent)
 		var att *obs.SpanJSON
 		if root != nil {
 			att = &obs.SpanJSON{
@@ -439,35 +439,34 @@ func (c *Coordinator) stitchResponse(respBody []byte, root, att *obs.SpanJSON, w
 	return out
 }
 
-// readQuery extracts the SQL (for routing), the replayable body, and
-// whether the client asked for a trace, from either the POST JSON or the
-// GET ?q= form, normalizing to the POST form.
-func (c *Coordinator) readQuery(rw http.ResponseWriter, r *http.Request) (sql string, body []byte, wantTrace, ok bool) {
+// replay is the request a worker attempt re-sends: a GET's raw query
+// string, or a POST's buffered body and content type.
+type replay struct {
+	method, rawQuery, contentType string
+	body                          []byte
+}
+
+// readQuery extracts the SQL (for routing), whether the client asked for a
+// trace, and the request to replay. A GET is replayed as received, so
+// every parameter the worker reads (timeout_ms, trace) reaches it and a
+// malformed one gets the worker's own 400.
+func (c *Coordinator) readQuery(rw http.ResponseWriter, r *http.Request) (sql string, rp replay, wantTrace, ok bool) {
 	if r.Method == http.MethodGet {
-		q := r.URL.Query().Get("q")
+		params := r.URL.Query()
+		q := params.Get("q")
 		if q == "" {
 			c.badBodies.Add(1)
 			http.Error(rw, "missing q parameter", http.StatusBadRequest)
-			return "", nil, false, false
+			return "", replay{}, false, false
 		}
-		req := map[string]any{"sql": q}
-		if r.URL.Query().Get("trace") == "1" {
-			req["trace"] = true
-			wantTrace = true
-		}
-		buf, err := json.Marshal(req)
-		if err != nil {
-			c.badBodies.Add(1)
-			http.Error(rw, "bad query", http.StatusBadRequest)
-			return "", nil, false, false
-		}
-		return q, buf, wantTrace, true
+		tr := params.Get("trace")
+		return q, replay{method: http.MethodGet, rawQuery: r.URL.RawQuery}, tr == "1" || tr == "true", true
 	}
 	raw, err := io.ReadAll(io.LimitReader(r.Body, c.opt.MaxBodyBytes))
 	if err != nil {
 		c.badBodies.Add(1)
 		http.Error(rw, "unreadable body", http.StatusBadRequest)
-		return "", nil, false, false
+		return "", replay{}, false, false
 	}
 	var req struct {
 		SQL   string `json:"sql"`
@@ -476,25 +475,31 @@ func (c *Coordinator) readQuery(rw http.ResponseWriter, r *http.Request) (sql st
 	if err := json.Unmarshal(raw, &req); err != nil || req.SQL == "" {
 		c.badBodies.Add(1)
 		http.Error(rw, "body must be JSON with a sql field", http.StatusBadRequest)
-		return "", nil, false, false
+		return "", replay{}, false, false
 	}
-	return req.SQL, raw, req.Trace, true
+	ct := r.Header.Get("Content-Type")
+	if ct == "" {
+		ct = "application/json"
+	}
+	return req.SQL, replay{method: http.MethodPost, contentType: ct, body: raw}, req.Trace, true
 }
 
-// forward replays one buffered query against one worker. A non-empty
-// traceparent rides along so the worker joins the tier-wide trace.
-func (c *Coordinator) forward(ctx context.Context, url, contentType string, body []byte, traceparent string) (int, http.Header, []byte, error) {
+// forward replays one query against one worker. A non-empty traceparent
+// rides along so the worker joins the tier-wide trace.
+func (c *Coordinator) forward(ctx context.Context, url string, rp replay, traceparent string) (int, http.Header, []byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	if rp.method == http.MethodGet {
+		url += "?" + rp.rawQuery
+	}
+	req, err := http.NewRequestWithContext(ctx, rp.method, url, bytes.NewReader(rp.body))
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	if contentType == "" {
-		contentType = "application/json"
+	if rp.contentType != "" {
+		req.Header.Set("Content-Type", rp.contentType)
 	}
-	req.Header.Set("Content-Type", contentType)
 	if traceparent != "" {
 		req.Header.Set(obs.TraceparentHeader, traceparent)
 	}

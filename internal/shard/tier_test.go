@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -453,4 +454,39 @@ func TestTierDrainZeroFailures(t *testing.T) {
 		}
 	}
 	t.Logf("drain: %d queries (all 200), %d keys handed off", total, handed)
+}
+
+// TestTierGetKeepsParameters: the coordinator replays a GET /query as the
+// client sent it, so the worker answers it exactly as it would answer the
+// client directly — timeout_ms=1 against a slow engine is a 504, not a
+// query run out under the worker's 30 s default; trace=true returns the
+// stitched tree; a malformed trace value gets the worker's 400.
+func TestTierGetKeepsParameters(t *testing.T) {
+	env := startTier(t, 2, search.LatencyModel{Base: 100 * time.Millisecond}, nil)
+	get := func(base string, params url.Values) (int, string) {
+		t.Helper()
+		resp, err := http.Get(base + "/query?" + params.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	slow := url.Values{"q": {template1("gardening")}, "timeout_ms": {"1"}}
+	if code, body := get(env.nodes[0].srv.URL, slow); code != http.StatusGatewayTimeout {
+		t.Fatalf("worker direct: status %d (%s), want 504", code, body)
+	}
+	if code, body := get(env.csrv.URL, slow); code != http.StatusGatewayTimeout {
+		t.Errorf("via coordinator: status %d (%s), want 504 as from the worker", code, body)
+	}
+
+	local := "SELECT Name FROM States LIMIT 2"
+	code, body := get(env.csrv.URL, url.Values{"q": {local}, "trace": {"true"}})
+	if code != http.StatusOK || !strings.Contains(body, `"op":"coord.query"`) {
+		t.Errorf("trace=true via coordinator: status %d, want 200 with the stitched tree:\n%s", code, body)
+	}
+	if code, body := get(env.csrv.URL, url.Values{"q": {local}, "trace": {"yes"}}); code != http.StatusBadRequest {
+		t.Errorf("trace=yes via coordinator: status %d (%s), want the worker's 400", code, body)
+	}
 }
