@@ -134,10 +134,7 @@ func (s *AEVScan) NextBatch(ctx *exec.Context, max int) (exec.Batch, bool, error
 // Either way the per-binding accounting (Stats.ExternalCalls, the trace's
 // calls counter) counts one logical call per binding, matching the
 // per-binding path. The round's tuples share slabs.
-func (s *AEVScan) BindBatch(ctx *exec.Context, cols []schema.Column, outer []types.Tuple) ([][]types.Tuple, bool, error) {
-	if len(outer) == 0 {
-		return nil, true, nil // capability probe
-	}
+func (s *AEVScan) BindBatch(ctx *exec.Context, cols []schema.Column, outer []types.Tuple) ([][]types.Tuple, error) {
 	var byKey map[string]answer
 	if s.Pump != nil && s.Pump.HasCache() {
 		byKey = make(map[string]answer, len(outer))
@@ -152,11 +149,11 @@ func (s *AEVScan) BindBatch(ctx *exec.Context, cols []schema.Column, outer []typ
 		tuples, slab, err = s.bind(ctx, byKey, tuples, slab, len(outer)-1-i)
 		ctx.Env.PopFrame()
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		rows[i] = tuples[mark:len(tuples):len(tuples)]
 	}
-	return rows, true, nil
+	return rows, nil
 }
 
 // Close implements exec.Operator.

@@ -176,20 +176,20 @@ func TestBindBatchDedupsKeysOnlyWithCache(t *testing.T) {
 	})
 }
 
-// TestBindBatchCapabilityProbe: an empty outer batch reports support
-// without registering anything.
+// TestBindBatchCapabilityProbe: an empty outer batch binds nothing and
+// registers nothing.
 func TestBindBatchCapabilityProbe(t *testing.T) {
 	pump := NewPump(4, 4, nil)
 	defer pump.Close()
 	src := &scriptedSource{name: "WC", dest: "d", numEcho: 1, rows: nil}
 	rs, _ := buildCountPlan([]string{"x"}, src, pump)
 	aev := rs.Child.(*reusedWindows).Operator.(*exec.DependentJoin).Right.(*AEVScan)
-	rows, ok, err := aev.BindBatch(exec.NewContext(), nil, nil)
-	if err != nil || !ok || rows != nil {
-		t.Fatalf("probe: rows=%v ok=%v err=%v", rows, ok, err)
+	rows, err := aev.BindBatch(exec.NewContext(), nil, nil)
+	if err != nil || len(rows) != 0 {
+		t.Fatalf("empty batch: rows=%v err=%v", rows, err)
 	}
 	if got := pump.Stats().Registered; got != 0 {
-		t.Errorf("probe registered %d calls, want 0", got)
+		t.Errorf("empty batch registered %d calls, want 0", got)
 	}
 }
 

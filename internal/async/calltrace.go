@@ -29,6 +29,7 @@ type CallTrace struct {
 	finished   time.Time
 	outcome    string
 	attempts   []callAttempt
+	peer       *obs.Span // the tier cache-peer round trip, if one was made
 }
 
 type callAttempt struct {
@@ -65,6 +66,17 @@ func (ct *CallTrace) addAttempt(kind string, start time.Time, dur time.Duration,
 	ct.mu.Unlock()
 }
 
+// addPeerFetch records the cache-peer round trip the call's first
+// attempt made (nil: none was made or it was not timed).
+func (ct *CallTrace) addPeerFetch(s *obs.Span) {
+	if ct == nil || s == nil {
+		return
+	}
+	ct.mu.Lock()
+	ct.peer = s
+	ct.mu.Unlock()
+}
+
 // finish records the call's terminal outcome ("ok", "error", "canceled",
 // "cache_hit", "peer_hit", "coalesced", "closed"). First outcome wins.
 func (ct *CallTrace) finish(outcome string) {
@@ -80,9 +92,10 @@ func (ct *CallTrace) finish(outcome string) {
 }
 
 // Span converts the record to a span subtree: one "pump.call" span from
-// registration to settlement, with a child per physical execution and
-// the queue wait as an extra. The pump call ran concurrently with the
-// query's operators, so callers attach it via Span.AddAsyncChild.
+// registration to settlement, with the cache-peer round trip and a child
+// per physical execution, and the queue wait as an extra. The pump call
+// ran concurrently with the query's operators, so callers attach it via
+// Span.AddAsyncChild.
 func (ct *CallTrace) Span() *obs.Span {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
@@ -99,6 +112,9 @@ func (ct *CallTrace) Span() *obs.Span {
 	s := &obs.Span{Op: "pump.call", Detail: detail, Start: ct.registered, Dur: end.Sub(ct.registered)}
 	if !ct.dispatched.IsZero() {
 		s.AddExtra("queue_us", ct.dispatched.Sub(ct.registered).Microseconds())
+	}
+	if ct.peer != nil {
+		s.AddChild(ct.peer)
 	}
 	for _, a := range ct.attempts {
 		c := &obs.Span{Op: "pump." + a.kind, Start: a.start, Dur: a.dur}

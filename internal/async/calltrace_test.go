@@ -156,6 +156,39 @@ func TestTracedHitsAreCountedNotSpanned(t *testing.T) {
 	}
 }
 
+// TestCallTracePeerFetch: the cache-peer round trip a traced call's first
+// attempt makes hangs under that call's span, before any engine attempt
+// the peer's miss led to.
+func TestCallTracePeerFetch(t *testing.T) {
+	p := NewPump(4, 4, &countingCache{m: make(map[string][]types.Tuple)})
+	defer p.Close()
+	p.SetCachePeer(&peerStub{rows: map[string][]types.Tuple{"remote": {{types.Int(9)}}}})
+	ctx := tracedCtx()
+	for _, tc := range []struct{ key, detail, child string }{
+		{"remote", "altavista peer_hit", ""},
+		{"local", "altavista", "pump.attempt"},
+	} {
+		id := p.RegisterCtx(ctx, "altavista", tc.key, func() ([]types.Tuple, error) { return nil, nil })
+		ct := p.CallTrace(id)
+		if _, err := p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{id: true}); err != nil {
+			t.Fatal(err)
+		}
+		p.Take(id)
+		sp := ct.Span()
+		var ops []string
+		for _, c := range sp.Children {
+			ops = append(ops, c.Op)
+		}
+		want := "shard.peer.fetch"
+		if tc.child != "" {
+			want += " " + tc.child
+		}
+		if sp.Detail != tc.detail || strings.Join(ops, " ") != want {
+			t.Errorf("%s: span %q children %v, want %q [%s]", tc.key, sp.Detail, ops, tc.detail, want)
+		}
+	}
+}
+
 // TestCallTraceUntracedOff: without a sampled trace context the pump
 // records nothing — the tracing-off hot path stays bare.
 func TestCallTraceUntracedOff(t *testing.T) {
@@ -169,18 +202,6 @@ func TestCallTraceUntracedOff(t *testing.T) {
 		t.Errorf("untraced call produced a trace record")
 	}
 	p.Take(id)
-
-	// An unsampled trace context is equally invisible.
-	tc := obs.NewTraceCtx()
-	tc.Sampled = false
-	id2 := p.RegisterCtx(obs.WithTrace(context.Background(), tc), "d", "k2", func() ([]types.Tuple, error) { return nil, nil })
-	if _, err := p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{id2: true}); err != nil {
-		t.Fatal(err)
-	}
-	if ct := p.CallTrace(id2); ct != nil {
-		t.Errorf("unsampled call produced a trace record")
-	}
-	p.Take(id2)
 }
 
 // TestPumpDestProfiles: the destination records, read the way /metrics

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/search"
 	"repro/internal/types"
 )
@@ -140,12 +141,16 @@ type peerStub struct {
 	fills   map[string]int
 }
 
-func (s *peerStub) Fetch(ctx context.Context, key string) ([]types.Tuple, bool) {
+func (s *peerStub) Fetch(ctx context.Context, key string) ([]types.Tuple, bool, *obs.Span) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.fetches++
 	r, ok := s.rows[key]
-	return r, ok
+	var span *obs.Span
+	if obs.SampledTrace(ctx) != nil {
+		span = &obs.Span{Op: "shard.peer.fetch", Start: time.Now()}
+	}
+	return r, ok, span
 }
 
 func (s *peerStub) Fill(key string, rows []types.Tuple) {

@@ -279,8 +279,10 @@ func NewPump(maxTotal, maxPerDest int, cache exec.ResultCache) *Pump {
 type CachePeer interface {
 	// Fetch asks the key's home shard for cached rows. A false return
 	// means "not available" for any reason (self-owned key, remote miss,
-	// peer unreachable) — the caller falls through to the engine.
-	Fetch(ctx context.Context, key string) ([]types.Tuple, bool)
+	// peer unreachable) — the caller falls through to the engine. When
+	// ctx carries a sampled trace, span is the round trip Fetch timed
+	// (nil if it made none); otherwise it is nil.
+	Fetch(ctx context.Context, key string) (rows []types.Tuple, ok bool, span *obs.Span)
 	// Fill offers freshly computed rows to the key's home shard. It must
 	// not block: implementations enqueue and deliver asynchronously.
 	Fill(key string, rows []types.Tuple)
@@ -524,11 +526,13 @@ func (p *Pump) run(e execution) {
 // execute performs one execution — a first attempt asks the tier cache
 // peer (a bounded network hop to the key's home shard) before the engine —
 // and records its wall time in the destination's record and the call's
-// trace.
+// trace, the peer hop included.
 func (p *Pump) execute(e execution) CallResult {
 	c := e.c
 	if peer := p.cachePeer(); peer != nil && e.attempt == 0 && !e.hedge {
-		if rows, ok := peer.Fetch(e.ctx, c.key); ok {
+		rows, ok, span := peer.Fetch(e.ctx, c.key)
+		c.trace.addPeerFetch(span)
+		if ok {
 			c.dest.count(evPeerHit)
 			c.trace.finish("peer_hit")
 			return CallResult{Rows: rows}

@@ -286,6 +286,33 @@ func TestBackoffSchedule(t *testing.T) {
 	}
 }
 
+// TestJitteredBackoffSeeded: the backoff jitter comes from the pump's own
+// seeded stream, so two fresh pumps with the same policy wait out the
+// same delays — a fault schedule replays with its timing.
+func TestJitteredBackoffSeeded(t *testing.T) {
+	pol := RetryPolicy{BaseBackoff: time.Second, MaxBackoff: time.Second, JitterFrac: 0.5}
+	draw := func() []time.Duration {
+		p := NewPump(1, 1, nil)
+		defer p.Close()
+		var ds []time.Duration
+		for i := 0; i < 16; i++ {
+			ds = append(ds, p.jitteredBackoff(pol, i))
+		}
+		return ds
+	}
+	a, b := draw(), draw()
+	jittered := false
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("draw %d: %v and %v from two fresh pumps", i, a[i], b[i])
+		}
+		jittered = jittered || a[i] != time.Second
+	}
+	if !jittered {
+		t.Error("no draw carried jitter")
+	}
+}
+
 func TestIsTransientClassification(t *testing.T) {
 	if IsTransient(nil) {
 		t.Error("nil is not transient")

@@ -484,7 +484,7 @@ func TestReuseTracedAndUntracedShareATree(t *testing.T) {
 
 // decorator names the first trace decorator left in op's tree, "" if none.
 func decorator(op exec.Operator) string {
-	if ty := fmt.Sprintf("%T", op); strings.Contains(ty, "spanOp") {
+	if ty := fmt.Sprintf("%T", op); strings.Contains(strings.ToLower(ty), "spanop") {
 		return ty + " over " + op.Name()
 	}
 	for _, c := range op.Children() {

@@ -74,11 +74,8 @@ type BindingBatcher interface {
 	// tuples and returns, per tuple, the rows the operator would have
 	// produced under an Open/drain/Close cycle with that tuple pushed as a
 	// binding frame (expr.Env.PushFrame(cols, outer[i])). Frames alias the
-	// outer tuples, so an implementation copies out what it keeps. ok
-	// reports whether the operator supports batch binding at all — false
-	// (with nil error) sends the caller down the ordinary per-binding path.
-	// An empty outer slice is a capability probe: implementations must do
-	// no work and just report ok (forwarding decorators whose inner
-	// operator is not a BindingBatcher report false).
-	BindBatch(ctx *Context, cols []schema.Column, outer []types.Tuple) (rows [][]types.Tuple, ok bool, err error)
+	// outer tuples, so an implementation copies out what it keeps. An
+	// operator that implements the interface always binds in batches; a
+	// decorator is one only when the operator it wraps is (Instrument).
+	BindBatch(ctx *Context, cols []schema.Column, outer []types.Tuple) (rows [][]types.Tuple, err error)
 }

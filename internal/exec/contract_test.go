@@ -365,20 +365,13 @@ func contractCases(t *testing.T) []contractCase {
 // drive the dependent join's BindBatch rounds without the async machinery.
 type batchBoundEV struct {
 	*EVScan
-	failProbe bool // the capability probe itself errors
 }
 
 // Without this the fake could drop out of the interface unnoticed and the
 // suite would pass through the per-binding path.
 var _ BindingBatcher = (*batchBoundEV)(nil)
 
-func (b *batchBoundEV) BindBatch(ctx *Context, cols []schema.Column, outer []types.Tuple) ([][]types.Tuple, bool, error) {
-	if len(outer) == 0 { // capability probe
-		if b.failProbe {
-			return nil, false, errInjected
-		}
-		return nil, true, nil
-	}
+func (b *batchBoundEV) BindBatch(ctx *Context, cols []schema.Column, outer []types.Tuple) ([][]types.Tuple, error) {
 	rows := make([][]types.Tuple, len(outer))
 	for fi, lt := range outer {
 		ctx.Env.PushFrame(cols, lt)
@@ -402,10 +395,10 @@ func (b *batchBoundEV) BindBatch(ctx *Context, cols []schema.Column, outer []typ
 			err = cerr
 		}
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	}
-	return rows, true, nil
+	return rows, nil
 }
 
 // TestDependentJoinBindBatchMatchesPerBinding: the dependent join's two
@@ -623,7 +616,10 @@ func TestOperatorContractTracedReopen(t *testing.T) {
 // spanOpIn names the operator under the first decorator in op's tree, ""
 // if there is none.
 func spanOpIn(op Operator) string {
-	if w, ok := op.(*spanOp); ok {
+	switch w := op.(type) {
+	case *spanOp:
+		return w.inner.Name()
+	case *batchSpanOp:
 		return w.inner.Name()
 	}
 	for _, c := range op.Children() {
@@ -793,11 +789,6 @@ func TestOperatorContractCloseAfterOwnOpenError(t *testing.T) {
 			sc := NewTableScan(tab, tab.InstantiateSchema(""))
 			sc.Pred = bad
 			return sc
-		}},
-		{"DependentJoinProbe", func(l, _ *faultOp) Operator {
-			src := &fakeSource{name: "WC", rowsFor: func(string) []types.Tuple { return nil }}
-			ev := NewEVScan(src, []expr.Expr{expr.NewColRef(la)}, fakeSchema("V"))
-			return NewDependentJoin(l, &batchBoundEV{EVScan: ev, failProbe: true}, "V")
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

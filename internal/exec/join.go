@@ -270,16 +270,7 @@ func (j *DependentJoin) Open(ctx *Context) error {
 	j.buf = nil
 	j.leftDone = false
 	j.opened = true
-	j.binder = nil
-	if bb, ok := j.Right.(BindingBatcher); ok {
-		_, supports, err := bb.BindBatch(ctx, nil, nil) // side-effect-free capability probe
-		if err != nil {
-			return err
-		}
-		if supports {
-			j.binder = bb
-		}
-	}
+	j.binder, _ = j.Right.(BindingBatcher)
 	return nil
 }
 
@@ -332,12 +323,9 @@ func (j *DependentJoin) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 // BindBatch. The round's joined rows are cut from one slab as three-index
 // slices (see Batch).
 func (j *DependentJoin) bindRound(ctx *Context, lb Batch) error {
-	rows, handled, err := j.binder.BindBatch(ctx, j.Left.Schema().Cols, lb)
+	rows, err := j.binder.BindBatch(ctx, j.Left.Schema().Cols, lb)
 	if err != nil {
 		return err
-	}
-	if !handled {
-		return fmt.Errorf("DependentJoin: right child revoked batch binding mid-stream")
 	}
 	width := 0
 	for fi, rs := range rows {

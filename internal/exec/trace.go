@@ -46,30 +46,33 @@ type TraceChildren interface {
 // Instrument mutates the plan (children are replaced by their wrapped
 // forms) until Uninstrument puts it back, so a tree that outlives its
 // query is traced one execution at a time. It must run after any
-// structural rewrites (async.Rewrite).
+// structural rewrites (async.Rewrite). A BindingBatcher's decorator is
+// one too, and no other decorator is, so a dependent join binds the same
+// way traced or not.
 func Instrument(op Operator) (Operator, *obs.Span) {
-	w := instrument(op)
-	return w, w.span
-}
-
-func instrument(op Operator) *spanOp {
 	span := obs.NewSpan(op.Name(), op.Describe())
 	for i, c := range op.Children() {
-		cw := instrument(c)
-		span.AddChild(cw.span)
+		cw, cs := Instrument(c)
+		span.AddChild(cs)
 		op.SetChild(i, cw)
 	}
 	w := &spanOp{inner: op, span: span}
 	if ex, ok := op.(SpanExtras); ok {
 		w.base = ex.SpanExtras()
 	}
-	return w
+	if bb, ok := op.(BindingBatcher); ok {
+		return &batchSpanOp{spanOp: w, bb: bb}, span
+	}
+	return w, span
 }
 
 // Uninstrument is Instrument's inverse: it puts every operator of an
 // instrumented plan back in its parent's slot and returns the plan's root.
 func Uninstrument(op Operator) Operator {
-	if w, ok := op.(*spanOp); ok {
+	switch w := op.(type) {
+	case *spanOp:
+		op = w.inner
+	case *batchSpanOp:
 		op = w.inner
 	}
 	for i, c := range op.Children() {
@@ -117,33 +120,29 @@ func (w *spanOp) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	return b, ok, err
 }
 
-// BindBatch forwards batch binding to the decorated operator when it
-// supports it. Each bound tuple counts as one logical Open — a dependent
-// join driving the per-binding path would have re-opened the inner subtree
-// once per outer binding, and the trace must report the same logical
-// work either way.
-func (w *spanOp) BindBatch(ctx *Context, cols []schema.Column, outer []types.Tuple) ([][]types.Tuple, bool, error) {
-	bb, isBB := w.inner.(BindingBatcher)
-	if !isBB {
-		return nil, false, nil
-	}
-	if len(outer) == 0 {
-		return bb.BindBatch(ctx, cols, outer) // capability probe: no timing, no counters
-	}
+// batchSpanOp is the timing decorator of a BindingBatcher.
+type batchSpanOp struct {
+	*spanOp
+	bb BindingBatcher
+}
+
+// BindBatch times one batch-binding round. Each bound tuple counts as one
+// logical Open — a dependent join driving the per-binding path would have
+// re-opened the inner subtree once per outer binding, and the trace must
+// report the same logical work either way.
+func (w *batchSpanOp) BindBatch(ctx *Context, cols []schema.Column, outer []types.Tuple) ([][]types.Tuple, error) {
 	start := time.Now()
 	if w.span.Opens == 0 {
 		w.span.Start = start
 	}
-	rows, ok, err := bb.BindBatch(ctx, cols, outer)
+	rows, err := w.bb.BindBatch(ctx, cols, outer)
 	w.span.Dur += time.Since(start)
-	if ok {
-		w.span.Opens += int64(len(outer))
-		for _, rs := range rows {
-			w.span.Rows += int64(len(rs))
-		}
-		w.nBatches++
+	w.span.Opens += int64(len(outer))
+	for _, rs := range rows {
+		w.span.Rows += int64(len(rs))
 	}
-	return rows, ok, err
+	w.nBatches++
+	return rows, err
 }
 
 func (w *spanOp) Close() error {

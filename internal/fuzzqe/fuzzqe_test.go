@@ -196,14 +196,14 @@ func pushClashingFilterBelowRS(op exec.Operator) exec.Operator {
 // registered call has one, its placeholder tuple; a hit loses the rest.
 type firstHitRow struct{ *async.AEVScan }
 
-func (w firstHitRow) BindBatch(ctx *exec.Context, cols []schema.Column, outer []types.Tuple) ([][]types.Tuple, bool, error) {
-	rows, ok, err := w.AEVScan.BindBatch(ctx, cols, outer)
+func (w firstHitRow) BindBatch(ctx *exec.Context, cols []schema.Column, outer []types.Tuple) ([][]types.Tuple, error) {
+	rows, err := w.AEVScan.BindBatch(ctx, cols, outer)
 	for i, rs := range rows {
 		if len(rs) > 1 {
 			rows[i] = rs[:1]
 		}
 	}
-	return rows, ok, err
+	return rows, err
 }
 
 // emitFirstHitRowOnly is the first-hit-row mutation.

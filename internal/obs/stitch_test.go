@@ -18,9 +18,15 @@ func sampleTree(start time.Time) *Span {
 	return root
 }
 
-func TestSpanJSONAsyncChildren(t *testing.T) {
-	start := time.Now()
-	j := sampleTree(start).JSON()
+func TestSpanWireAsyncChildren(t *testing.T) {
+	raw, err := json.Marshal(sampleTree(time.Now()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var j spanWire
+	if err := json.Unmarshal(raw, &j); err != nil {
+		t.Fatal(err)
+	}
 
 	// Async children serialize inside Children with the async flag, so
 	// one wire shape carries both relationships.
@@ -28,7 +34,7 @@ func TestSpanJSONAsyncChildren(t *testing.T) {
 	if len(rs.Children) != 2 {
 		t.Fatalf("ReqSync wire children = %d, want 2", len(rs.Children))
 	}
-	var pump *SpanJSON
+	var pump *spanWire
 	for _, c := range rs.Children {
 		if c.Op == "pump.call" {
 			pump = c
@@ -41,30 +47,23 @@ func TestSpanJSONAsyncChildren(t *testing.T) {
 	if rs.SelfUS != 5000 {
 		t.Errorf("ReqSync self = %vus, want 5000", rs.SelfUS)
 	}
-	if j.CountSpans() != 4 {
-		t.Errorf("CountSpans = %d, want 4", j.CountSpans())
-	}
-	if j.Find("pump.call") == nil {
-		t.Error("Find missed the async span")
-	}
 }
 
-func TestSpanFromJSONRoundTrip(t *testing.T) {
+func TestSpanDecodeAnchorAt(t *testing.T) {
 	start := time.Unix(1000, 0)
-	orig := sampleTree(start)
-	wire, err := json.Marshal(orig.JSON())
+	wire, err := json.Marshal(sampleTree(start))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var decoded SpanJSON
-	if err := json.Unmarshal(wire, &decoded); err != nil {
+	var back Span
+	if err := json.Unmarshal(wire, &back); err != nil {
 		t.Fatal(err)
 	}
 
 	base := time.Unix(2000, 0)
-	back := SpanFromJSON(&decoded, base)
+	back.AnchorAt(base)
 	if back.Op != "wsqd.query" || !back.Start.Equal(base) {
-		t.Fatalf("root reconstructed as %s @ %v", back.Op, back.Start)
+		t.Fatalf("root decoded as %s @ %v", back.Op, back.Start)
 	}
 	rs := back.Children[0]
 	if len(rs.Children) != 1 || rs.Children[0].Op != "AEVScan" {
@@ -73,45 +72,68 @@ func TestSpanFromJSONRoundTrip(t *testing.T) {
 	if len(rs.AsyncChildren) != 1 || rs.AsyncChildren[0].Op != "pump.call" {
 		t.Fatalf("async children misplaced: %+v", rs.AsyncChildren)
 	}
-	// Relative offsets preserved: ReqSync started 1ms after the root.
+	// Relative offsets preserved: ReqSync started 1ms after the root, the
+	// pump call 2ms after it.
 	if got := rs.Start.Sub(back.Start); got != time.Millisecond {
 		t.Errorf("ReqSync offset = %v, want 1ms", got)
+	}
+	if got := rs.AsyncChildren[0].Start.Sub(base); got != 2*time.Millisecond {
+		t.Errorf("pump.call offset = %v, want 2ms", got)
 	}
 	if rs.AsyncChildren[0].Dur != 6*time.Millisecond {
 		t.Errorf("pump.call dur = %v", rs.AsyncChildren[0].Dur)
 	}
+	// Re-encoding the anchored tree gives back the bytes it was decoded from.
+	again, err := json.Marshal(&back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != string(wire) {
+		t.Errorf("re-encoded tree differs:\n%s\nwant\n%s", again, wire)
+	}
 }
 
+// TestGraftRebases: a remote tree decoded and anchored at the start of
+// the local span that timed its round trip encodes in the local root's
+// timeline, its node tag kept.
 func TestGraftRebases(t *testing.T) {
-	parent := &SpanJSON{Op: "coord.attempt", StartUS: 500, DurUS: 4000}
-	remote := &SpanJSON{
-		Op: "wsqd.query", StartUS: 0, DurUS: 3000,
-		Children: []*SpanJSON{{Op: "Scan", StartUS: 100, DurUS: 200}},
+	remote := &Span{Op: "wsqd.query", Node: "w2", Start: time.Unix(50, 0), Dur: 3 * time.Millisecond}
+	remote.AddChild(&Span{Op: "Scan", Start: time.Unix(50, 0).Add(100 * time.Microsecond), Dur: 200 * time.Microsecond})
+	raw, err := json.Marshal(remote)
+	if err != nil {
+		t.Fatal(err)
 	}
-	parent.Graft(remote, "w2")
-	if len(parent.Children) != 1 {
-		t.Fatal("graft did not attach")
+
+	at := time.Unix(1000, 0)
+	root := &Span{Op: "coord.query", Start: at, Dur: 5 * time.Millisecond}
+	att := root.AddChild(&Span{Op: "coord.attempt", Start: at.Add(500 * time.Microsecond), Dur: 4 * time.Millisecond})
+	var got Span
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
 	}
-	got := parent.Children[0]
-	if got.Node != "w2" {
-		t.Errorf("node = %q", got.Node)
+	got.AnchorAt(att.Start)
+	att.AddChild(&got)
+
+	raw, err = json.Marshal(root)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.StartUS != 500 || got.Children[0].StartUS != 600 {
-		t.Errorf("rebased offsets = %v, %v; want 500, 600", got.StartUS, got.Children[0].StartUS)
+	var w spanWire
+	if err := json.Unmarshal(raw, &w); err != nil {
+		t.Fatal(err)
 	}
-	// A node already tagged is preserved.
-	parent.Graft(&SpanJSON{Op: "x", Node: "w9"}, "w2")
-	if parent.Children[1].Node != "w9" {
-		t.Errorf("graft overwrote node: %q", parent.Children[1].Node)
+	g := w.Children[0].Children[0]
+	if g.Node != "w2" || g.StartUS != 500 || g.Children[0].StartUS != 600 {
+		t.Errorf("grafted node %q at %v, child at %v; want w2 at 500, 600", g.Node, g.StartUS, g.Children[0].StartUS)
 	}
-	parent.Graft(nil, "w2") // no-op
-	if len(parent.Children) != 2 {
-		t.Error("nil graft attached something")
+	// The attempt's self time is what the remote work leaves of it.
+	if w.Children[0].SelfUS != 1000 {
+		t.Errorf("attempt self = %vus, want 1000", w.Children[0].SelfUS)
 	}
 }
 
 func TestTraceSinkHTTP(t *testing.T) {
-	sink := NewTraceSink(8, 4)
+	sink := NewTraceSink()
 	id := strings.Repeat("f", 32)
 	sink.Add(&StoredTrace{
 		TraceID:   id,
@@ -119,7 +141,7 @@ func TestTraceSinkHTTP(t *testing.T) {
 		Node:      "w1",
 		StartedAt: time.Unix(1000, 0),
 		ElapsedMS: 1.5,
-		Root:      &SpanJSON{Op: "wsqd.query", DurUS: 1500},
+		Root:      &Span{Op: "wsqd.query", Dur: 1500 * time.Microsecond},
 	})
 	sink.Add(&StoredTrace{TraceID: strings.Repeat("0", 31) + "1", Error: "boom"})
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -35,17 +36,16 @@ type Span struct {
 	// patched/expanded/canceled or AEVScan's registered calls.
 	Extra map[string]int64
 	// Node identifies the process that produced the span ("coord", "w1").
-	// Empty for local spans; set on subtrees reconstructed from a remote
-	// process's wire form.
+	// Set where a trace crosses processes: on the coordinator's spans
+	// and on the root of each tree one process sends another.
 	Node string
 	// Children mirror the plan tree.
 	Children []*Span
 	// AsyncChildren are spans for work that ran concurrently with (not
-	// nested inside) this operator's iterator calls: pump call timelines
-	// attached to the AEVScan that registered them, cache-peer round
-	// trips, remote subtrees. Their durations overlap the parent's, so
-	// they are excluded from Self and Shape — the per-operator self-time
-	// sum stays exact while the off-tree work becomes visible.
+	// nested inside) this operator's iterator calls — an AEVScan's pump
+	// calls. Their durations overlap the parent's, so they are excluded
+	// from Self and Shape — the per-operator self-time sum stays exact
+	// while the off-tree work becomes visible.
 	AsyncChildren []*Span
 }
 
@@ -207,34 +207,34 @@ func fmtDur(d time.Duration) string {
 	}
 }
 
-// SpanJSON is the wire form of a span tree (wsqd's ?trace=1 response).
-// Times are microseconds; Start is the offset from the root span's
-// start, so traces are stable under clock representation.
-type SpanJSON struct {
-	Op      string  `json:"op"`
-	Detail  string  `json:"detail,omitempty"`
-	StartUS float64 `json:"start_us"`
-	DurUS   float64 `json:"dur_us"`
-	SelfUS  float64 `json:"self_us"`
-	Rows    int64   `json:"rows"`
-	Opens   int64   `json:"opens,omitempty"`
-	// Node identifies the process that produced this span ("coord",
-	// "w1"); set by the stitching layer on remote roots.
-	Node string `json:"node,omitempty"`
-	// Async marks spans whose duration overlaps (rather than nests
-	// inside) the parent's — pump call timelines, peer round trips.
+// spanWire is the one wire form of a span tree: wsqd's ?trace=1 field,
+// /debug/traces and the X-Wsq-Span header. Times are microseconds and
+// start_us is the offset from the encoded root's start, so the bytes do
+// not depend on the clock that produced them; async children travel
+// among the children, flagged. Times stay float64 so an offset past
+// 2^53 µs (a span never opened) prints as it always has.
+type spanWire struct {
+	Op       string           `json:"op"`
+	Detail   string           `json:"detail,omitempty"`
+	StartUS  float64          `json:"start_us"`
+	DurUS    float64          `json:"dur_us"`
+	SelfUS   float64          `json:"self_us"`
+	Rows     int64            `json:"rows"`
+	Opens    int64            `json:"opens,omitempty"`
+	Node     string           `json:"node,omitempty"`
 	Async    bool             `json:"async,omitempty"`
 	Extra    map[string]int64 `json:"extra,omitempty"`
-	Children []*SpanJSON      `json:"children,omitempty"`
+	Children []*spanWire      `json:"children,omitempty"`
 }
 
-// JSON converts the span tree to its wire form.
-func (s *Span) JSON() *SpanJSON {
-	return s.jsonFrom(s.Start)
+// MarshalJSON encodes the tree rooted at s, its starts measured from
+// s.Start.
+func (s *Span) MarshalJSON() ([]byte, error) {
+	return json.Marshal(s.wire(s.Start, false))
 }
 
-func (s *Span) jsonFrom(epoch time.Time) *SpanJSON {
-	out := &SpanJSON{
+func (s *Span) wire(epoch time.Time, async bool) *spanWire {
+	w := &spanWire{
 		Op:      s.Op,
 		Detail:  s.Detail,
 		StartUS: float64(s.Start.Sub(epoch).Microseconds()),
@@ -243,102 +243,57 @@ func (s *Span) jsonFrom(epoch time.Time) *SpanJSON {
 		Rows:    s.Rows,
 		Opens:   s.Opens,
 		Node:    s.Node,
+		Async:   async,
 		Extra:   s.Extra,
 	}
 	for _, c := range s.Children {
-		out.Children = append(out.Children, c.jsonFrom(epoch))
+		w.Children = append(w.Children, c.wire(epoch, false))
 	}
 	for _, c := range s.AsyncChildren {
-		cj := c.jsonFrom(epoch)
-		cj.Async = true
-		out.Children = append(out.Children, cj)
+		w.Children = append(w.Children, c.wire(epoch, true))
 	}
-	return out
+	return w
 }
 
-// SpanFromJSON reconstructs an in-memory span tree from its wire form,
-// anchoring the wire root's start at base (the receiver's best local
-// estimate of when the remote work began — typically the moment the HTTP
-// request that carried it was issued). Child offsets are preserved
-// relative to the root; Async-marked children become AsyncChildren.
-func SpanFromJSON(j *SpanJSON, base time.Time) *Span {
-	if j == nil {
-		return nil
+// UnmarshalJSON decodes a tree MarshalJSON encoded. The decoded starts
+// keep their offsets from the root, which starts at the zero time until
+// AnchorAt places the tree on the local clock.
+func (s *Span) UnmarshalJSON(b []byte) error {
+	var w spanWire
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
 	}
-	return spanFromJSON(j, base, j.StartUS)
+	*s = *w.span()
+	return nil
 }
 
-func spanFromJSON(j *SpanJSON, base time.Time, epochUS float64) *Span {
+func (w *spanWire) span() *Span {
 	s := &Span{
-		Op:     j.Op,
-		Detail: j.Detail,
-		Start:  base.Add(time.Duration(j.StartUS-epochUS) * time.Microsecond),
-		Dur:    time.Duration(j.DurUS) * time.Microsecond,
-		Opens:  j.Opens,
-		Rows:   j.Rows,
-		Node:   j.Node,
-		Extra:  j.Extra,
+		Op:     w.Op,
+		Detail: w.Detail,
+		Start:  time.Time{}.Add(time.Duration(w.StartUS) * time.Microsecond),
+		Dur:    time.Duration(w.DurUS) * time.Microsecond,
+		Opens:  w.Opens,
+		Rows:   w.Rows,
+		Node:   w.Node,
+		Extra:  w.Extra,
 	}
-	for _, c := range j.Children {
-		cs := spanFromJSON(c, base, epochUS)
+	for _, c := range w.Children {
 		if c.Async {
-			s.AsyncChildren = append(s.AsyncChildren, cs)
+			s.AsyncChildren = append(s.AsyncChildren, c.span())
 		} else {
-			s.Children = append(s.Children, cs)
+			s.Children = append(s.Children, c.span())
 		}
 	}
 	return s
 }
 
-// Walk visits the wire-form span and all descendants preorder.
-func (j *SpanJSON) Walk(fn func(*SpanJSON)) {
-	if j == nil {
-		return
-	}
-	fn(j)
-	for _, c := range j.Children {
-		c.Walk(fn)
-	}
-}
-
-// CountSpans returns the number of spans in the tree.
-func (j *SpanJSON) CountSpans() int {
-	n := 0
-	j.Walk(func(*SpanJSON) { n++ })
-	return n
-}
-
-// Find returns the first span (preorder) with the given Op, or nil.
-func (j *SpanJSON) Find(op string) *SpanJSON {
-	var found *SpanJSON
-	j.Walk(func(s *SpanJSON) {
-		if found == nil && s.Op == op {
-			found = s
-		}
-	})
-	return found
-}
-
-// Rebase shifts every start offset in the tree by deltaUS. Stitching
-// uses it to express a remote subtree's offsets (relative to the remote
-// root's start) in the stitched root's timeline: delta is the parent
-// span's start offset, the best cross-process estimate available
-// without synchronized clocks.
-func (j *SpanJSON) Rebase(deltaUS float64) {
-	j.Walk(func(s *SpanJSON) { s.StartUS += deltaUS })
-}
-
-// Graft attaches a remote subtree under this span: the child's offsets
-// are rebased onto this span's timeline and tagged with the producing
-// node's name. The remote work happened inside this span's duration (an
-// HTTP round trip the parent timed), so the child nests synchronously.
-func (j *SpanJSON) Graft(child *SpanJSON, node string) {
-	if child == nil {
-		return
-	}
-	child.Rebase(j.StartUS)
-	if node != "" && child.Node == "" {
-		child.Node = node
-	}
-	j.Children = append(j.Children, child)
+// AnchorAt moves the tree so that its root starts at t, every descendant
+// keeping its offset from the root. A tree decoded from another process
+// is anchored at the local time the round trip that carried it began:
+// without synchronized clocks, the best estimate of when the remote work
+// started.
+func (s *Span) AnchorAt(t time.Time) {
+	root := s.Start
+	s.WalkAll(func(c *Span) { c.Start = t.Add(c.Start.Sub(root)) })
 }

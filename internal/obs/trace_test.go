@@ -66,13 +66,12 @@ func TestSpanRender(t *testing.T) {
 	}
 }
 
-func TestSpanJSONRoundTrip(t *testing.T) {
-	j := sampleTrace().JSON()
-	raw, err := json.Marshal(j)
+func TestSpanWireRoundTrip(t *testing.T) {
+	raw, err := json.Marshal(sampleTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back SpanJSON
+	var back spanWire
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"net/http"
 	"sync"
 	"sync/atomic"
 )
@@ -13,61 +14,26 @@ import (
 // Distributed tracing context (DESIGN.md §8). A query entering the tier
 // is assigned a W3C-traceparent-style identity at the edge (coordinator
 // or wsqd); the identity rides the request's context.Context through
-// every layer — server admission, shard routing, the pump's call
-// timeline, cache peering — and across process hops as a `traceparent`
-// HTTP header. Each process contributes Span subtrees; the edge
-// stitches them into one tree (SpanJSON.Graft).
+// every layer and across process hops as a `traceparent` HTTP header.
+// Each process builds its Span tree where the work happens and ships it
+// back encoded; the receiver decodes it, anchors it at the start of the
+// round trip that carried it (Span.AnchorAt) and adds it under the span
+// that timed that round trip.
 //
-// The representation is deliberately tiny: a hot path that is not being
-// traced pays exactly one context.Value lookup returning nil (no
-// allocation, no atomic), mirroring the pump's metrics nil-check idiom.
+// A hot path that is not being traced pays exactly one context.Value
+// lookup returning nil (no allocation, no atomic).
 
-// TraceCtx is one query's trace identity plus a collector for spans
-// produced off the operator tree (remote cache-peer subtrees shipped
-// back in response headers). It is carried by context.Context via
-// WithTrace/TraceFrom.
-//
-// The collector is safe for concurrent use: pump execution goroutines
-// and peer fetches add spans while the query goroutine runs.
+// TraceCtx is one sampled query's trace identity, carried by
+// context.Context via WithTrace/SampledTrace. A query that is not traced
+// carries none.
 type TraceCtx struct {
 	// TraceID is the 32-hex-digit tier-wide identity.
 	TraceID string
-	// Sampled gates instrumentation: an unsampled TraceCtx behaves like
-	// no TraceCtx at all on the recording paths.
-	Sampled bool
-
-	mu     sync.Mutex
-	remote []*Span
 }
 
-// NewTraceCtx mints a sampled trace context with a fresh identity.
+// NewTraceCtx mints a trace context with a fresh identity.
 func NewTraceCtx() *TraceCtx {
-	return &TraceCtx{TraceID: NewTraceID(), Sampled: true}
-}
-
-// AddRemote collects a span that does not nest inside the operator tree
-// (e.g. a cache-peer round trip, whose remote half arrived in a response
-// header). The query's root span adopts collected spans as async
-// children when the trace is assembled.
-func (t *TraceCtx) AddRemote(s *Span) {
-	if t == nil || s == nil {
-		return
-	}
-	t.mu.Lock()
-	t.remote = append(t.remote, s)
-	t.mu.Unlock()
-}
-
-// TakeRemote returns and clears the collected off-tree spans.
-func (t *TraceCtx) TakeRemote() []*Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	out := t.remote
-	t.remote = nil
-	t.mu.Unlock()
-	return out
+	return &TraceCtx{TraceID: NewTraceID()}
 }
 
 type traceCtxKey struct{}
@@ -80,10 +46,10 @@ func WithTrace(ctx context.Context, t *TraceCtx) context.Context {
 	return context.WithValue(ctx, traceCtxKey{}, t)
 }
 
-// TraceFrom returns the trace context carried by ctx, or nil. This is
+// SampledTrace returns the trace context carried by ctx, or nil. This is
 // the hot-path gate: it allocates nothing and does nothing but a value
 // lookup, so instrumentation sites can call it unconditionally.
-func TraceFrom(ctx context.Context) *TraceCtx {
+func SampledTrace(ctx context.Context) *TraceCtx {
 	if ctx == nil {
 		return nil
 	}
@@ -91,11 +57,17 @@ func TraceFrom(ctx context.Context) *TraceCtx {
 	return t
 }
 
-// SampledTrace returns the trace context only when it is sampled — the
-// one check recording sites need.
-func SampledTrace(ctx context.Context) *TraceCtx {
-	if t := TraceFrom(ctx); t != nil && t.Sampled {
-		return t
+// UpstreamTrace returns the trace context a request's sampled
+// traceparent header propagates, or nil when the request carries none,
+// an unsampled one or a malformed one. A request without the header
+// costs one map lookup.
+func UpstreamTrace(h http.Header) *TraceCtx {
+	v := h.Get(TraceparentHeader)
+	if v == "" {
+		return nil
+	}
+	if tid, _, sampled, err := ParseTraceparent(v); err == nil && sampled {
+		return &TraceCtx{TraceID: tid}
 	}
 	return nil
 }
@@ -133,8 +105,8 @@ func NewTraceID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// NewSpanID returns a 16-hex-digit (8-byte) span identifier.
-func NewSpanID() string {
+// newSpanID returns a 16-hex-digit (8-byte) span identifier.
+func newSpanID() string {
 	idSeed()
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], idState.ctr.Add(1)^binary.BigEndian.Uint64(idState.prefix[:]))
@@ -144,21 +116,15 @@ func NewSpanID() string {
 // ---------------------------------------------------------------------------
 // Wire format
 
-// TraceparentHeader is the propagation header name (W3C Trace Context).
-const TraceparentHeader = "traceparent"
+// TraceparentHeader is the propagation header (W3C Trace Context), in
+// the canonical form net/http keeps header names in, so looking it up
+// on a request that lacks it allocates nothing.
+const TraceparentHeader = "Traceparent"
 
-// Traceparent renders the W3C wire form: 00-<trace-id>-<parent-id>-<flags>.
-// The span id identifies the sender's active span; callers that do not
-// track per-hop span identity pass "" and a fresh id is minted.
-func (t *TraceCtx) Traceparent(spanID string) string {
-	if spanID == "" {
-		spanID = NewSpanID()
-	}
-	flags := "00"
-	if t.Sampled {
-		flags = "01"
-	}
-	return "00-" + t.TraceID + "-" + spanID + "-" + flags
+// Traceparent renders the W3C wire form for one outgoing hop:
+// 00-<trace-id>-<fresh parent-id>-01.
+func (t *TraceCtx) Traceparent() string {
+	return "00-" + t.TraceID + "-" + newSpanID() + "-01"
 }
 
 // ParseTraceparent parses the W3C header. It accepts version 00 and

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"context"
+	"fmt"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -12,7 +14,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	if len(tc.TraceID) != 32 {
 		t.Fatalf("trace id %q: want 32 hex digits", tc.TraceID)
 	}
-	h := tc.Traceparent("")
+	h := tc.Traceparent()
 	if len(h) != 55 {
 		t.Fatalf("traceparent %q: len %d, want 55", h, len(h))
 	}
@@ -23,11 +25,8 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	if tid != tc.TraceID || !sampled || len(sid) != 16 {
 		t.Errorf("parsed tid=%q sid=%q sampled=%v", tid, sid, sampled)
 	}
-
-	// Unsampled context renders flags 00.
-	un := &TraceCtx{TraceID: tc.TraceID, Sampled: false}
-	if _, _, s, err := ParseTraceparent(un.Traceparent("")); err != nil || s {
-		t.Errorf("unsampled roundtrip: sampled=%v err=%v", s, err)
+	if tc.Traceparent() == h {
+		t.Error("two hops share a parent id")
 	}
 }
 
@@ -91,27 +90,34 @@ func TestSampler(t *testing.T) {
 }
 
 func TestTraceCtxPlumbing(t *testing.T) {
-	if TraceFrom(context.Background()) != nil {
-		t.Error("TraceFrom on bare context not nil")
+	if SampledTrace(context.Background()) != nil {
+		t.Error("SampledTrace on bare context not nil")
 	}
 	tc := NewTraceCtx()
 	ctx := WithTrace(context.Background(), tc)
-	if TraceFrom(ctx) != tc || SampledTrace(ctx) != tc {
+	if SampledTrace(ctx) != tc {
 		t.Error("trace context did not round-trip through context")
 	}
-	tc.Sampled = false
-	if SampledTrace(ctx) != nil {
-		t.Error("SampledTrace returned an unsampled context")
-	}
+}
 
-	tc2 := NewTraceCtx()
-	tc2.AddRemote(&Span{Op: "x"})
-	tc2.AddRemote(nil) // no-op
-	if got := tc2.TakeRemote(); len(got) != 1 || got[0].Op != "x" {
-		t.Errorf("TakeRemote = %v", got)
+// TestUpstreamTrace: only a well-formed, sampled traceparent header
+// propagates a trace; its id becomes the local trace's id.
+func TestUpstreamTrace(t *testing.T) {
+	h := http.Header{}
+	if UpstreamTrace(h) != nil {
+		t.Error("request without traceparent propagated a trace")
 	}
-	if got := tc2.TakeRemote(); got != nil {
-		t.Errorf("second TakeRemote = %v, want nil", got)
+	id := strings.Repeat("ab", 16)
+	for v, want := range map[string]bool{
+		"00-" + id + "-0123456789abcdef-01": true,
+		"00-" + id + "-0123456789abcdef-00": false, // unsampled
+		"00-" + id + "-0123456789abcdef":    false, // malformed
+	} {
+		h.Set(TraceparentHeader, v)
+		tc := UpstreamTrace(h)
+		if (tc != nil) != want || tc != nil && tc.TraceID != id {
+			t.Errorf("UpstreamTrace(%q) = %+v, want propagated=%v", v, tc, want)
+		}
 	}
 }
 
@@ -127,6 +133,16 @@ func TestUntracedZeroAlloc(t *testing.T) {
 		t.Errorf("SampledTrace on untraced ctx: %.1f allocs/op, want 0", n)
 	}
 
+	// The upstream-traceparent check every request pays.
+	hdr := http.Header{"Content-Type": {"application/json"}}
+	if n := testing.AllocsPerRun(100, func() {
+		if UpstreamTrace(hdr) != nil {
+			t.Fatal("propagated?")
+		}
+	}); n != 0 {
+		t.Errorf("UpstreamTrace without the header: %.1f allocs/op, want 0", n)
+	}
+
 	h := NewHistogram(nil)
 	if n := testing.AllocsPerRun(100, func() { h.Observe(0.01) }); n != 0 {
 		t.Errorf("Histogram.Observe: %.1f allocs/op, want 0", n)
@@ -134,41 +150,45 @@ func TestUntracedZeroAlloc(t *testing.T) {
 }
 
 func TestTraceSink(t *testing.T) {
-	sink := NewTraceSink(4, 2)
-	for i := 0; i < 6; i++ {
-		sink.Add(&StoredTrace{TraceID: strings.Repeat("a", 31) + string(rune('0'+i)), StartedAt: time.Now()})
+	sink := NewTraceSink()
+	id := func(prefix string, i int) string { return fmt.Sprintf("%s%031d", prefix, i) }
+	for i := 0; i < 66; i++ {
+		sink.Add(&StoredTrace{TraceID: id("a", i), StartedAt: time.Now()})
 	}
-	if sink.Total() != 6 {
-		t.Errorf("Total = %d, want 6", sink.Total())
+	if sink.Total() != 66 {
+		t.Errorf("Total = %d, want 66", sink.Total())
 	}
 	snap := sink.Snapshot()
-	if len(snap) != 4 {
-		t.Errorf("ring kept %d, want 4", len(snap))
+	if len(snap) != 64 {
+		t.Errorf("ring kept %d, want 64", len(snap))
 	}
 	// Newest first.
-	if snap[0].TraceID[31] != '5' {
+	if snap[0].TraceID != id("a", 65) {
 		t.Errorf("newest = %q", snap[0].TraceID)
 	}
 	// Oldest plain traces were evicted.
-	if sink.Find(strings.Repeat("a", 31)+"0") != nil {
+	if sink.Find(id("a", 1)) != nil {
 		t.Error("evicted trace still findable")
 	}
 
-	// Error traces go to the retained ring and survive churn.
-	errID := strings.Repeat("b", 32)
+	// Error and slow traces go to the retained ring and survive churn.
+	errID, slowID := id("b", 0), id("d", 0)
 	sink.Add(&StoredTrace{TraceID: errID, Error: "boom"})
-	for i := 0; i < 10; i++ {
-		sink.Add(&StoredTrace{TraceID: strings.Repeat("c", 31) + string(rune('0'+i))})
+	sink.Add(&StoredTrace{TraceID: slowID, Slow: true})
+	for i := 0; i < 100; i++ {
+		sink.Add(&StoredTrace{TraceID: id("c", i)})
 	}
 	if sink.Find(errID) == nil {
 		t.Error("error trace evicted from retained ring")
 	}
-	slowID := strings.Repeat("d", 32)
-	sink.Add(&StoredTrace{TraceID: slowID, Slow: true})
-	for i := 0; i < 10; i++ {
-		sink.Add(&StoredTrace{TraceID: strings.Repeat("e", 31) + string(rune('0'+i))})
-	}
 	if sink.Find(slowID) == nil {
 		t.Error("slow trace evicted from retained ring")
+	}
+	// The retained ring holds 32: the 33rd error pushes the first out.
+	for i := 0; i < 31; i++ {
+		sink.Add(&StoredTrace{TraceID: id("e", i), Error: "boom"})
+	}
+	if sink.Find(errID) != nil || sink.Find(slowID) == nil {
+		t.Error("retained ring does not hold 32 error/slow traces")
 	}
 }

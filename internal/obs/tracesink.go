@@ -18,8 +18,8 @@ type StoredTrace struct {
 	Error     string    `json:"error,omitempty"`
 	// Slow marks traces captured by the slow-tail policy (elapsed over
 	// the server's slow-trace threshold) rather than head sampling.
-	Slow bool      `json:"slow,omitempty"`
-	Root *SpanJSON `json:"root,omitempty"`
+	Slow bool  `json:"slow,omitempty"`
+	Root *Span `json:"root,omitempty"`
 }
 
 // TraceSink retains recent sampled traces in memory for /debug/traces.
@@ -36,26 +36,24 @@ type TraceSink struct {
 	total    uint64
 }
 
-// DefaultTraceRing is the recent-trace ring size; DefaultRetainedRing
-// the error/slow segment size.
-const (
-	DefaultTraceRing    = 64
-	DefaultRetainedRing = 32
-)
-
-// NewTraceSink creates a sink with the given ring sizes (<=0 selects
-// the defaults).
-func NewTraceSink(recent, retained int) *TraceSink {
-	if recent <= 0 {
-		recent = DefaultTraceRing
-	}
-	if retained <= 0 {
-		retained = DefaultRetainedRing
-	}
+// NewTraceSink creates a sink keeping the 64 most recent traces and the
+// 32 most recent error or slow ones.
+func NewTraceSink() *TraceSink {
 	return &TraceSink{
-		recent:   make([]*StoredTrace, recent),
-		retained: make([]*StoredTrace, retained),
+		recent:   make([]*StoredTrace, 64),
+		retained: make([]*StoredTrace, 32),
 	}
+}
+
+// TruncateSQL bounds the SQL text a stored trace, a trace's root detail
+// or a request-log line carries, so one giant statement cannot bloat
+// them.
+func TruncateSQL(sql string) string {
+	const max = 500
+	if len(sql) <= max {
+		return sql
+	}
+	return sql[:max] + "..."
 }
 
 // Add stores a captured trace. Error and slow traces additionally enter

@@ -107,7 +107,7 @@ func TestQueryResponseBytesMatchEncodingJSON(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				span := obs.NewSpan("Scan", pieces[rng.Intn(len(pieces))])
 				span.AddChild(obs.NewSpan("Project", "<a&b>"))
-				resp.Trace = span.JSON()
+				resp.Trace = span
 			}
 		}
 		got, err := appendQueryResponse(nil, &resp, rows)

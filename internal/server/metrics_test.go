@@ -113,17 +113,7 @@ func TestQueryTraceRoundTrip(t *testing.T) {
 	if resp.Trace.Rows != int64(resp.RowCount) {
 		t.Errorf("root span rows = %d, row_count = %d", resp.Trace.Rows, resp.RowCount)
 	}
-	var reqSync *obs.SpanJSON
-	var walk func(*obs.SpanJSON)
-	walk = func(s *obs.SpanJSON) {
-		if s.Op == "ReqSync" && reqSync == nil {
-			reqSync = s
-		}
-		for _, c := range s.Children {
-			walk(c)
-		}
-	}
-	walk(resp.Trace)
+	reqSync := findSpan(resp.Trace, "ReqSync")
 	if reqSync == nil {
 		t.Fatalf("no ReqSync span in trace: %s", body)
 	}

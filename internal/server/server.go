@@ -137,7 +137,7 @@ func New(db *core.DB, opts Options) *Server {
 		mux:     http.NewServeMux(),
 		sem:     make(chan struct{}, opts.MaxConcurrentQueries),
 		sampler: obs.NewSampler(opts.TraceSampleEvery),
-		traces:  obs.NewTraceSink(0, 0),
+		traces:  obs.NewTraceSink(),
 		latency: obs.NewHistogram(nil),
 		start:   time.Now(),
 	}
@@ -267,8 +267,8 @@ type QueryResponse struct {
 	TraceID string `json:"trace_id,omitempty"`
 	// Trace is the per-operator span tree, present when requested with
 	// trace=1 or when the incoming traceparent was sampled (the stitching
-	// coordinator grafts it into the cross-process tree).
-	Trace *obs.SpanJSON `json:"trace,omitempty"`
+	// coordinator adds it to the cross-process tree).
+	Trace *obs.Span `json:"trace,omitempty"`
 }
 
 // ErrorResponse is the /query failure body.
@@ -309,14 +309,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// slow-trace threshold instruments everything so the tail can be
 	// captured after the fact. The untraced path costs one header lookup
 	// and one atomic — no allocation.
-	var tc *obs.TraceCtx
-	incomingSampled := false
-	if h := r.Header.Get(obs.TraceparentHeader); h != "" {
-		if tid, _, sampled, err := obs.ParseTraceparent(h); err == nil && sampled {
-			incomingSampled = true
-			tc = &obs.TraceCtx{TraceID: tid, Sampled: true}
-		}
-	}
+	tc := obs.UpstreamTrace(r.Header)
+	incomingSampled := tc != nil
 	headSampled := tc == nil && s.sampler.Sample()
 	slowOnly := false // instrumented solely for tail capture: store only if slow/error
 	if tc == nil && (req.Trace || headSampled || s.opts.SlowTraceThreshold > 0) {
@@ -364,9 +358,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.latency.ObserveDuration(elapsed)
 
 	// Assemble the query's span tree: a "wsqd.query" root spanning the
-	// whole execution, the operator tree beneath it, and any off-tree
-	// spans (cache-peer round trips) collected by the trace context as
-	// async children.
+	// whole execution over the operator tree, whose AEVScans carry their
+	// pump calls (peer hops included) as async children.
 	var root *obs.Span
 	if tc != nil && res != nil && res.Trace != nil {
 		root = &obs.Span{
@@ -374,25 +367,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			Start: start, Dur: elapsed, Rows: res.Trace.Rows,
 		}
 		root.AddChild(res.Trace)
-		for _, rs := range tc.TakeRemote() {
-			root.AddAsyncChild(rs)
-		}
 	}
 	slow := s.opts.SlowTraceThreshold > 0 && elapsed >= s.opts.SlowTraceThreshold
 	if tc != nil && (!slowOnly || slow || err != nil) {
 		st := &obs.StoredTrace{
 			TraceID:   tc.TraceID,
-			SQL:       truncateSQL(req.SQL),
+			SQL:       obs.TruncateSQL(req.SQL),
 			Node:      s.opts.Node,
 			StartedAt: start,
 			ElapsedMS: float64(elapsed.Microseconds()) / 1000.0,
 			Slow:      slow,
+			Root:      root,
 		}
 		if err != nil {
 			st.Error = err.Error()
-		}
-		if root != nil {
-			st.Root = root.JSON()
 		}
 		s.traces.Add(st)
 	}
@@ -430,7 +418,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// trace — head-sampled and slow-captured trees stay server-side in
 	// /debug/traces.
 	if root != nil && (req.Trace || incomingSampled) {
-		resp.Trace = root.JSON()
+		resp.Trace = root
 	}
 	body, err := appendQueryResponse(make([]byte, 0, 256+64*len(res.Rows)), &resp, res.Rows)
 	if err != nil { // a NaN or infinite cell: JSON has no number for it
@@ -464,7 +452,7 @@ func (s *Server) logRequest(req QueryRequest, status int, elapsed time.Duration,
 	}
 	e := requestLogEntry{
 		Time:      time.Now().UTC().Format(time.RFC3339Nano),
-		SQL:       truncateSQL(req.SQL),
+		SQL:       obs.TruncateSQL(req.SQL),
 		Status:    status,
 		ElapsedMS: float64(elapsed.Microseconds()) / 1000.0,
 		Traced:    req.Trace,
@@ -484,16 +472,6 @@ func (s *Server) logRequest(req QueryRequest, status int, elapsed time.Duration,
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
 	_, _ = s.opts.RequestLog.Write(append(line, '\n'))
-}
-
-// truncateSQL bounds logged statements so one giant query cannot bloat
-// the log.
-func truncateSQL(sql string) string {
-	const max = 500
-	if len(sql) <= max {
-		return sql
-	}
-	return sql[:max] + "..."
 }
 
 // isWriteRejection recognizes the read-only path's refusal of non-queries

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,7 +23,7 @@ func TestTraceparentPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(obs.TraceparentHeader, tc.Traceparent(""))
+	req.Header.Set(obs.TraceparentHeader, tc.Traceparent())
 	hres, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -41,14 +42,14 @@ func TestTraceparentPropagation(t *testing.T) {
 	if resp.Trace.Op != "wsqd.query" || resp.Trace.Detail != "w1" {
 		t.Errorf("root = %s/%s, want wsqd.query/w1", resp.Trace.Op, resp.Trace.Detail)
 	}
-	if resp.Trace.Find("pump.call") == nil {
+	if findSpan(resp.Trace, "pump.call") == nil {
 		t.Error("no pump.call span under the traced query")
 	}
 
 	// Unsampled traceparent: valid header, flags 00 — stays untraced.
-	un := &obs.TraceCtx{TraceID: obs.NewTraceID(), Sampled: false}
+	un := strings.TrimSuffix(obs.NewTraceCtx().Traceparent(), "01") + "00"
 	req2, _ := http.NewRequest("GET", env.url+"/query?q="+queryEscape(template1Query), nil)
-	req2.Header.Set(obs.TraceparentHeader, un.Traceparent(""))
+	req2.Header.Set(obs.TraceparentHeader, un)
 	hres2, err := http.DefaultClient.Do(req2)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +96,7 @@ func TestHeadSampling(t *testing.T) {
 	if st.Root == nil || st.Root.Op != "wsqd.query" || st.Node != "w1" {
 		t.Errorf("stored trace: %+v", st)
 	}
-	if st.Root.Find("AEVScan") == nil {
+	if findSpan(st.Root, "AEVScan") == nil {
 		t.Error("stored tree has no AEVScan span")
 	}
 }
@@ -142,4 +143,16 @@ func TestSlowTraceRetention(t *testing.T) {
 	if len(snap) != 1 || !snap[0].Slow {
 		t.Fatalf("slow trace not captured: %+v", snap)
 	}
+}
+
+// findSpan returns the first span (preorder, async children included)
+// with the given op, or nil.
+func findSpan(root *obs.Span, op string) *obs.Span {
+	var found *obs.Span
+	root.WalkAll(func(s *obs.Span) {
+		if found == nil && s.Op == op {
+			found = s
+		}
+	})
+	return found
 }

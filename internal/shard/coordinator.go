@@ -78,7 +78,7 @@ func NewCoordinator(cfg Config, opt CoordinatorOptions) *Coordinator {
 	return &Coordinator{
 		opt:     opt.withDefaults(),
 		sampler: obs.NewSampler(opt.TraceSampleEvery),
-		traces:  obs.NewTraceSink(0, 0),
+		traces:  obs.NewTraceSink(),
 		cfg:     cfg,
 		live:    NewRing(cfg.Workers, cfg.vnodes()),
 		drained: make(map[string]bool),
@@ -278,41 +278,28 @@ func (c *Coordinator) handleQuery(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var tc *obs.TraceCtx
-	if h := r.Header.Get(obs.TraceparentHeader); h != "" {
-		if tid, _, sampled, err := obs.ParseTraceparent(h); err == nil && sampled {
-			tc = &obs.TraceCtx{TraceID: tid, Sampled: true}
-		}
-	}
+	tc := obs.UpstreamTrace(r.Header)
 	if tc == nil && (wantTrace || c.sampler.Sample()) {
 		tc = obs.NewTraceCtx()
 	}
 	start := time.Now()
-	var root *obs.SpanJSON
+	var root *obs.Span
 	traceparent := ""
 	if tc != nil {
-		root = &obs.SpanJSON{Op: "coord.query", Detail: sqlForTrace(sql), Node: c.opt.Node}
-		traceparent = tc.Traceparent("")
+		root = &obs.Span{Op: "coord.query", Detail: obs.TruncateSQL(sql), Node: c.opt.Node, Start: start}
+		traceparent = tc.Traceparent()
 	}
 	finish := func(errMsg string) {
 		if root == nil {
 			return
 		}
-		elapsed := time.Since(start)
-		root.DurUS = float64(elapsed.Microseconds())
-		root.SelfUS = root.DurUS
-		for _, a := range root.Children {
-			root.SelfUS -= a.DurUS
-		}
-		if root.SelfUS < 0 {
-			root.SelfUS = 0
-		}
+		root.Dur = time.Since(start)
 		c.traces.Add(&obs.StoredTrace{
 			TraceID:   tc.TraceID,
-			SQL:       sqlForTrace(sql),
+			SQL:       root.Detail,
 			Node:      c.opt.Node,
 			StartedAt: start,
-			ElapsedMS: float64(elapsed.Microseconds()) / 1000.0,
+			ElapsedMS: float64(root.Dur.Microseconds()) / 1000.0,
 			Error:     errMsg,
 			Root:      root,
 		})
@@ -333,23 +320,15 @@ func (c *Coordinator) handleQuery(rw http.ResponseWriter, r *http.Request) {
 		}
 		attemptStart := time.Now()
 		status, hdr, respBody, err := c.forward(r.Context(), m.URL+"/query", rp, traceparent)
-		var att *obs.SpanJSON
+		var att *obs.Span
 		if root != nil {
-			att = &obs.SpanJSON{
-				Op:      "coord.attempt",
-				Detail:  m.ID,
-				Node:    c.opt.Node,
-				StartUS: float64(attemptStart.Sub(start).Microseconds()),
-				DurUS:   float64(time.Since(attemptStart).Microseconds()),
-			}
-			att.SelfUS = att.DurUS
+			att = root.AddChild(&obs.Span{Op: "coord.attempt", Detail: m.ID, Node: c.opt.Node, Start: attemptStart, Dur: time.Since(attemptStart)})
 			switch {
 			case err != nil:
 				att.Detail = m.ID + " error"
 			case status != http.StatusOK:
 				att.Detail = fmt.Sprintf("%s status %d", m.ID, status)
 			}
-			root.Children = append(root.Children, att)
 		}
 		if err != nil {
 			if r.Context().Err() != nil {
@@ -386,37 +365,28 @@ func (c *Coordinator) handleQuery(rw http.ResponseWriter, r *http.Request) {
 	writeUnavailable(rw, "all workers unavailable")
 }
 
-// sqlForTrace bounds the SQL text stored with a trace.
-func sqlForTrace(sql string) string {
-	if len(sql) > 200 {
-		return sql[:200] + "…"
-	}
-	return sql
-}
-
-// stitchResponse grafts the worker's span tree (the "trace" field of its
-// JSON response) under the winning attempt span, stamps the tier trace
-// id, and re-encodes. The response "trace" field carries the stitched
-// tree only when the client asked for one — head-sampled trees stay
-// server-side in /debug/traces. Any decode failure returns the body
-// unchanged: stitching must never break query results.
-func (c *Coordinator) stitchResponse(respBody []byte, root, att *obs.SpanJSON, workerID, traceID string, wantTrace bool) []byte {
+// stitchResponse decodes the worker's span tree (the "trace" field of its
+// JSON response), anchors it at the winning attempt's start and adds it
+// under that attempt, stamps the tier trace id, and re-encodes. The
+// response "trace" field carries the stitched tree only when the client
+// asked for one — head-sampled trees stay server-side in /debug/traces.
+// Any decode failure returns the body unchanged: stitching must never
+// break query results.
+func (c *Coordinator) stitchResponse(respBody []byte, root, att *obs.Span, workerID, traceID string, wantTrace bool) []byte {
 	var fields map[string]json.RawMessage
 	if err := json.Unmarshal(respBody, &fields); err != nil {
 		return respBody
 	}
 	if raw, ok := fields["trace"]; ok {
-		var wt obs.SpanJSON
+		// The worker's execution nests inside the attempt's round trip;
+		// the attempt's self time shrinks to the network overhead.
+		var wt obs.Span
 		if err := json.Unmarshal(raw, &wt); err == nil {
+			wt.AnchorAt(att.Start)
 			if wt.Node == "" {
 				wt.Node = workerID
 			}
-			att.Graft(&wt, workerID)
-			// The worker's execution nests inside the attempt's round trip;
-			// the attempt's self time shrinks to the network overhead.
-			if att.SelfUS -= wt.DurUS; att.SelfUS < 0 {
-				att.SelfUS = 0
-			}
+			att.AddChild(&wt)
 		}
 		delete(fields, "trace")
 	}
@@ -424,7 +394,7 @@ func (c *Coordinator) stitchResponse(respBody []byte, root, att *obs.SpanJSON, w
 	// tree closes it out at the last attempt's end instead.
 	if wantTrace {
 		last := root.Children[len(root.Children)-1]
-		root.DurUS = last.StartUS + last.DurUS
+		root.Dur = last.Start.Add(last.Dur).Sub(root.Start)
 		if buf, err := json.Marshal(root); err == nil {
 			fields["trace"] = buf
 		}

@@ -144,57 +144,54 @@ func (p *Peers) Close() {
 // the key's home shard before spending an engine call. A key homed on
 // this worker returns a miss immediately — the local cache was already
 // consulted, and the pump's own coalescing covers in-process duplicates.
-func (p *Peers) Fetch(ctx context.Context, key string) ([]types.Tuple, bool) {
+//
+// When the calling query is being traced, the get carries a traceparent
+// header, the home shard answers with its handler span (SpanHeader), and
+// Fetch returns the round trip as a shard.peer.fetch span with the remote
+// span inside it; the pump hangs it under the call that asked. (Fills
+// stay untraced: they are fire-and-forget background offers with no
+// query to attribute them to by the time the sender drains its queue.)
+func (p *Peers) Fetch(ctx context.Context, key string) ([]types.Tuple, bool, *obs.Span) {
 	owner, onRing := p.ring.Load().Owner(key)
 	if !onRing || owner.ID == p.self {
 		p.selfHome.Add(1)
-		return nil, false
+		return nil, false, nil
 	}
-	rows, ok := p.fetchFrom(ctx, owner.URL, key)
+	var start time.Time
+	traceparent := ""
+	tc := obs.SampledTrace(ctx)
+	if tc != nil {
+		start = time.Now()
+		traceparent = tc.Traceparent()
+	}
+	rows, ok, remote := p.doFetch(ctx, owner.URL, key, traceparent)
 	if ok {
 		p.fetchHits.Add(1)
 	} else {
 		p.fetchMisses.Add(1)
 	}
-	return rows, ok
-}
-
-// fetchFrom performs one remote cache get against a home shard. When the
-// calling query is being traced, the get carries a traceparent header,
-// the home shard answers with its handler span (SpanHeader), and the
-// whole round trip — local wrapper plus remote child — is handed to the
-// trace context for the query root to adopt. (Fills stay untraced: they
-// are fire-and-forget background offers with no query to attribute them
-// to by the time the sender drains its queue.)
-func (p *Peers) fetchFrom(ctx context.Context, base, key string) ([]types.Tuple, bool) {
-	tc := obs.SampledTrace(ctx)
 	if tc == nil {
-		rows, ok, _ := p.doFetch(ctx, base, key, "")
-		return rows, ok
+		return rows, ok, nil
 	}
-	start := time.Now()
-	rows, ok, remoteSpan := p.doFetch(ctx, base, key, tc.Traceparent(""))
-	sp := &obs.Span{Op: "shard.peer.fetch", Start: start, Dur: time.Since(start)}
+	sp := &obs.Span{Op: "shard.peer.fetch", Detail: "miss", Start: start, Dur: time.Since(start)}
 	if ok {
 		sp.Detail = "hit"
 		sp.Rows = int64(len(rows))
-	} else {
-		sp.Detail = "miss"
 	}
 	// The remote handler ran inside this round trip, so it nests as a
 	// synchronous child: the fetch span's self time becomes pure network
 	// plus queueing overhead.
-	if remoteSpan != nil {
-		sp.AddChild(obs.SpanFromJSON(remoteSpan, start))
+	if remote != nil {
+		remote.AnchorAt(start)
+		sp.AddChild(remote)
 	}
-	tc.AddRemote(sp)
-	return rows, ok
+	return rows, ok, sp
 }
 
-// doFetch is the wire half of fetchFrom. A non-empty traceparent is
-// attached to the request, and any span the home shard returns in
-// SpanHeader is parsed into remoteSpan.
-func (p *Peers) doFetch(ctx context.Context, base, key, traceparent string) (rows []types.Tuple, ok bool, remoteSpan *obs.SpanJSON) {
+// doFetch performs one remote cache get against a home shard. A
+// non-empty traceparent is attached to the request, and any span the home
+// shard returns in SpanHeader is decoded into remote.
+func (p *Peers) doFetch(ctx context.Context, base, key, traceparent string) (rows []types.Tuple, ok bool, remote *obs.Span) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -218,9 +215,9 @@ func (p *Peers) doFetch(ctx context.Context, base, key, traceparent string) (row
 	defer resp.Body.Close()
 	if traceparent != "" {
 		if h := resp.Header.Get(SpanHeader); h != "" {
-			var sj obs.SpanJSON
-			if err := json.Unmarshal([]byte(h), &sj); err == nil {
-				remoteSpan = &sj
+			var s obs.Span
+			if err := json.Unmarshal([]byte(h), &s); err == nil {
+				remote = &s
 			}
 		}
 	}
@@ -228,14 +225,14 @@ func (p *Peers) doFetch(ctx context.Context, base, key, traceparent string) (row
 		if resp.StatusCode != http.StatusNotFound {
 			p.fetchErrors.Add(1)
 		}
-		return nil, false, remoteSpan
+		return nil, false, remote
 	}
 	var out cacheGetResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		p.fetchErrors.Add(1)
-		return nil, false, remoteSpan
+		return nil, false, remote
 	}
-	return out.Rows, true, remoteSpan
+	return out.Rows, true, remote
 }
 
 // Fill implements async.CachePeer: after computing rows locally, offer

@@ -376,6 +376,31 @@ func TestTierBudgetSplitReachesWorkers(t *testing.T) {
 	}
 }
 
+// TestTierDrainTwice: a second drain of the same worker is refused, and
+// the refusal leaves the coordinator serving — /statusz answers within a
+// deadline, or the test names the lock the refusal kept.
+func TestTierDrainTwice(t *testing.T) {
+	env := startTier(t, 2, search.ZeroLatency(), nil)
+	if _, err := env.coord.Drain(context.Background(), "w1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := env.coord.Drain(context.Background(), "w1"); err == nil || !strings.Contains(err.Error(), "already drained") {
+		t.Fatalf("second drain of w1: err = %v, want already drained", err)
+	}
+	client := &http.Client{Timeout: 2 * time.Second}
+	resp, err := client.Get(env.csrv.URL + "/statusz")
+	if err != nil {
+		lock := ""
+		if env.coord.mu.TryLock() {
+			env.coord.mu.Unlock()
+		} else {
+			lock = "; c.mu is held"
+		}
+		t.Fatalf("/statusz after a refused drain: %v%s", err, lock)
+	}
+	resp.Body.Close()
+}
+
 // TestTierDrainZeroFailures is the drain acceptance test: while a client
 // keeps querying through the coordinator, one worker is drained out.
 // Every query must succeed — the coordinator routes around the leaver —

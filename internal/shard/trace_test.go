@@ -12,8 +12,8 @@ import (
 )
 
 // tracedQuery runs one SQL statement through the coordinator with
-// "trace": true and returns the decoded trace fields.
-func (e *tierEnv) tracedQuery(t *testing.T, sql string) (traceID string, root *obs.SpanJSON) {
+// "trace": true and returns the decoded trace fields and the trace's bytes.
+func (e *tierEnv) tracedQuery(t *testing.T, sql string) (traceID string, root *obs.Span, raw json.RawMessage) {
 	t.Helper()
 	body, _ := json.Marshal(map[string]any{"sql": sql, "trace": true})
 	resp, err := http.Post(e.csrv.URL+"/query", "application/json", strings.NewReader(string(body)))
@@ -26,13 +26,62 @@ func (e *tierEnv) tracedQuery(t *testing.T, sql string) (traceID string, root *o
 		t.Fatalf("traced query: status %d: %s", resp.StatusCode, b)
 	}
 	var out struct {
-		TraceID string        `json:"trace_id"`
-		Trace   *obs.SpanJSON `json:"trace"`
+		TraceID string          `json:"trace_id"`
+		Trace   json.RawMessage `json:"trace"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatalf("decode traced response: %v", err)
 	}
-	return out.TraceID, out.Trace
+	if out.Trace == nil {
+		return out.TraceID, nil, nil
+	}
+	root = new(obs.Span)
+	if err := json.Unmarshal(out.Trace, root); err != nil {
+		t.Fatalf("decode trace: %v", err)
+	}
+	return out.TraceID, root, out.Trace
+}
+
+// findSpan returns the first span (preorder, async children included)
+// with the given op, or nil.
+func findSpan(root *obs.Span, op string) *obs.Span {
+	var found *obs.Span
+	root.WalkAll(func(s *obs.Span) {
+		if found == nil && s.Op == op {
+			found = s
+		}
+	})
+	return found
+}
+
+// wireSpan is the part of a span's wire form the self-time check reads.
+type wireSpan struct {
+	Op       string      `json:"op"`
+	DurUS    int64       `json:"dur_us"`
+	SelfUS   int64       `json:"self_us"`
+	Async    bool        `json:"async"`
+	Children []*wireSpan `json:"children"`
+}
+
+// checkSelfTimes fails unless every span's self_us is its dur_us minus
+// its non-async children's dur_us, floored at 0, within 1us per child
+// (each figure is truncated to whole microseconds on its own).
+func checkSelfTimes(t *testing.T, s *wireSpan) {
+	t.Helper()
+	want, n := s.DurUS, int64(0)
+	for _, c := range s.Children {
+		if !c.Async {
+			want -= c.DurUS
+			n++
+		}
+		checkSelfTimes(t, c)
+	}
+	if want < 0 {
+		want = 0
+	}
+	if d := s.SelfUS - want; d < -n || d > n {
+		t.Errorf("%s: self_us = %d, want %d (dur_us %d) within %dus", s.Op, s.SelfUS, want, s.DurUS, n)
+	}
 }
 
 // TestTierStitchedTraceWithFailover is the acceptance test for tier-wide
@@ -57,7 +106,7 @@ func TestTierStitchedTraceWithFailover(t *testing.T) {
 		}
 	}
 
-	traceID, root := env.tracedQuery(t, sql)
+	traceID, root, raw := env.tracedQuery(t, sql)
 	if len(traceID) != 32 {
 		t.Fatalf("trace_id = %q, want 32 hex digits", traceID)
 	}
@@ -71,7 +120,7 @@ func TestTierStitchedTraceWithFailover(t *testing.T) {
 	// Parentage must match the route: attempt[0] against the drainer
 	// (failed, empty), attempt[1] against the survivor carrying the
 	// worker subtree.
-	var attempts []*obs.SpanJSON
+	var attempts []*obs.Span
 	for _, c := range root.Children {
 		if c.Op == "coord.attempt" {
 			attempts = append(attempts, c)
@@ -86,26 +135,28 @@ func TestTierStitchedTraceWithFailover(t *testing.T) {
 	if len(attempts[0].Children) != 0 {
 		t.Errorf("failed attempt has %d children, want 0", len(attempts[0].Children))
 	}
-	if attempts[1].StartUS < attempts[0].StartUS {
-		t.Errorf("attempt offsets not monotone: %v then %v", attempts[0].StartUS, attempts[1].StartUS)
+	if attempts[1].Start.Before(attempts[0].Start) {
+		t.Errorf("attempt offsets not monotone: %v then %v", attempts[0].Start, attempts[1].Start)
 	}
 
-	wq := attempts[1].Find("wsqd.query")
+	wq := findSpan(attempts[1], "wsqd.query")
 	if wq == nil {
 		t.Fatal("no wsqd.query span under the rerouted attempt")
 	}
 	if wq.Node != targets[1].ID {
 		t.Errorf("worker subtree node = %q, want %q", wq.Node, targets[1].ID)
 	}
-	if root.Find("pump.call") == nil {
+	if findSpan(root, "pump.call") == nil {
 		t.Error("no pump.call span in the stitched tree")
 	}
-	if root.Find("AEVScan") == nil {
+	if findSpan(root, "AEVScan") == nil {
 		t.Error("no AEVScan operator span in the stitched tree")
 	}
 	// Span count sanity: root + 2 attempts + worker subtree (root, plan
 	// operators, pump calls) — the route shape bounds it from below.
-	if n := root.CountSpans(); n < 7 {
+	n := 0
+	root.WalkAll(func(*obs.Span) { n++ })
+	if n < 7 {
 		t.Errorf("stitched tree has %d spans, want >= 7", n)
 	}
 
@@ -125,12 +176,21 @@ func TestTierStitchedTraceWithFailover(t *testing.T) {
 	if stored.TraceID != traceID || stored.Root == nil {
 		t.Errorf("stored trace: id=%q root=%v", stored.TraceID, stored.Root != nil)
 	}
+
+	// Every span's self time, the coordinator's root included, is what
+	// its duration leaves after its nested children.
+	var w wireSpan
+	if err := json.Unmarshal(raw, &w); err != nil {
+		t.Fatal(err)
+	}
+	checkSelfTimes(t, &w)
 }
 
 // TestTierTracedCachePeerSpan: when a traced query's pump misses locally
 // and fetches from the key's home shard, the stitched tree must contain
-// the peer round trip and, nested inside it, the home shard's handler
-// span (shipped back in the response header) tagged with its node.
+// the peer round trip under the pump call that made it and, nested inside
+// it, the home shard's handler span (shipped back in the response header)
+// tagged with its node.
 func TestTierTracedCachePeerSpan(t *testing.T) {
 	env := startTier(t, 2, search.ZeroLatency(), nil)
 	base, alt := crossNodePair(t, env, "crime")
@@ -142,21 +202,31 @@ func TestTierTracedCachePeerSpan(t *testing.T) {
 
 	// The decoy variant routes to the other worker, whose pump must now
 	// peer-fetch every key from the home shard.
-	traceID, root := env.tracedQuery(t, alt)
+	traceID, root, _ := env.tracedQuery(t, alt)
 	if root == nil {
 		t.Fatal("no stitched trace")
 	}
-	pf := root.Find("shard.peer.fetch")
+	var call, pf *obs.Span
+	root.WalkAll(func(s *obs.Span) {
+		for _, c := range s.Children {
+			if pf == nil && c.Op == "shard.peer.fetch" {
+				call, pf = s, c
+			}
+		}
+	})
 	if pf == nil {
 		t.Fatal("no shard.peer.fetch span in stitched tree")
 	}
 	if pf.Detail != "hit" {
 		t.Errorf("peer fetch detail = %q, want hit", pf.Detail)
 	}
-	if !pf.Async {
-		t.Error("peer fetch span not marked async (it overlaps the operator tree)")
+	if call.Op != "pump.call" || !strings.HasSuffix(call.Detail, "peer_hit") {
+		t.Errorf("peer fetch hangs under %s %q, want the pump.call it answered (detail ...peer_hit)", call.Op, call.Detail)
 	}
-	cg := root.Find("shard.cache.get")
+	if wq := findSpan(root, "wsqd.query"); wq == nil || len(wq.AsyncChildren) != 0 {
+		t.Errorf("wsqd.query missing or carrying async children: %+v", wq)
+	}
+	cg := findSpan(pf, "shard.cache.get")
 	if cg == nil {
 		t.Fatal("no shard.cache.get span: the home shard's handler span was not stitched in")
 	}
@@ -167,7 +237,7 @@ func TestTierTracedCachePeerSpan(t *testing.T) {
 	if cg.Detail != "hit" {
 		t.Errorf("cache.get detail = %q, want hit", cg.Detail)
 	}
-	t.Logf("trace %s: peer fetch %0.fus with remote handler %0.fus on %s", traceID, pf.DurUS, cg.DurUS, cg.Node)
+	t.Logf("trace %s: peer fetch %v with remote handler %v on %s", traceID, pf.Dur, cg.Dur, cg.Node)
 }
 
 // TestTierMetricsLintClean: after a cross-node pair of queries, each

@@ -155,11 +155,11 @@ func (w *Worker) handleQuery(rw http.ResponseWriter, r *http.Request) {
 	w.delegate(rw, r)
 }
 
-// SpanHeader carries a remote handler's span (obs.SpanJSON, one JSON
-// line) back to the caller on header-only exchanges — the cache-get
-// protocol, whose 404 answers have no body to ride in. The asker wraps
-// it under its local round-trip span, stitching the remote work into the
-// query's trace.
+// SpanHeader carries a remote handler's span (an encoded obs.Span, one
+// JSON line) back to the caller on header-only exchanges — the cache-get
+// protocol, whose 404 answers have no body to ride in. The asker anchors
+// it at the start of its round trip and adds it under its own span,
+// stitching the remote work into the query's trace.
 const SpanHeader = "X-Wsq-Span"
 
 // traceSpanSetter returns a function that stamps SpanHeader with a
@@ -167,22 +167,12 @@ const SpanHeader = "X-Wsq-Span"
 // the request carries no sampled traceparent (the untraced hot path does
 // no timing at all).
 func (w *Worker) traceSpanSetter(rw http.ResponseWriter, r *http.Request) func(outcome string) {
-	h := r.Header.Get(obs.TraceparentHeader)
-	if h == "" {
-		return nil
-	}
-	if _, _, sampled, err := obs.ParseTraceparent(h); err != nil || !sampled {
+	if obs.UpstreamTrace(r.Header) == nil {
 		return nil
 	}
 	start := time.Now()
 	return func(outcome string) {
-		span := &obs.SpanJSON{
-			Op:     "shard.cache.get",
-			Detail: outcome,
-			Node:   w.opt.ID,
-			DurUS:  float64(time.Since(start).Microseconds()),
-		}
-		span.SelfUS = span.DurUS
+		span := &obs.Span{Op: "shard.cache.get", Detail: outcome, Node: w.opt.ID, Start: start, Dur: time.Since(start)}
 		if buf, err := json.Marshal(span); err == nil {
 			rw.Header().Set(SpanHeader, string(buf))
 		}

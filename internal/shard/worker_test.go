@@ -295,7 +295,7 @@ func TestPeersFetchAndFill(t *testing.T) {
 	}
 	home.opt.Cache.Put(key, []types.Tuple{{types.Int(5)}})
 
-	rows, ok := peers.Fetch(context.Background(), key)
+	rows, ok, _ := peers.Fetch(context.Background(), key)
 	if !ok || rows[0][0].I != 5 {
 		t.Fatalf("fetch = %v %v", rows, ok)
 	}
@@ -309,7 +309,7 @@ func TestPeersFetchAndFill(t *testing.T) {
 			break
 		}
 	}
-	if _, ok := peers.Fetch(context.Background(), selfKey); ok {
+	if _, ok, _ := peers.Fetch(context.Background(), selfKey); ok {
 		t.Error("self-homed key reported a peer hit")
 	}
 
