@@ -40,12 +40,12 @@ test-race:
 # under it (about 12 s: deadline and hedge timers and retry backoffs act
 # under the pump's lock from their own goroutines, and one pass does not
 # reach every interleaving) + the allocation budgets without it, traced
-# warm query and the retry-policy round included + a fuzz
-# smoke + the nested benchmark module. The concurrency
+# warm query, the retry-policy round and the /query decoder included + a
+# fuzz smoke + the nested benchmark module. The concurrency
 # tests (shared-pump server, concurrent Exec) only bite with -race; wsqlint
 # enforces the invariants the race detector can only sample; the fuzz
-# targets guard the parser and evaluator crash-freedom contracts (corpus
-# seeds live in testdata/fuzz/).
+# targets guard the parser and evaluator crash-freedom contracts and hold
+# the /query decoder to encoding/json (corpus seeds live in testdata/fuzz/).
 check:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
@@ -55,8 +55,10 @@ check:
 	$(GO) test -race -count=10 -run 'TestHandoff|TestSettleHandshake|TestCoalesce|TestSiblingCancel' ./internal/async
 	$(GO) test -run TestAllocationBudget ./internal/core
 	$(GO) test -run 'TestPumpRoundTripAllocs|TestPumpPolicyRoundAllocs' ./internal/async
+	$(GO) test -run TestDecodeQueryResponseAllocs ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz FuzzEval -fuzztime 10s ./internal/expr
+	$(GO) test -run '^$$' -fuzz FuzzDecodeQueryResponse -fuzztime 10s ./internal/server
 	$(MAKE) fuzzqe-smoke
 	$(MAKE) bench-check
 
@@ -71,10 +73,11 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --workload all --seconds 2
 
-# Longer fuzzing session for both targets.
+# Longer fuzzing session for the three targets.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 2m ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz FuzzEval -fuzztime 2m ./internal/expr
+	$(GO) test -run '^$$' -fuzz FuzzDecodeQueryResponse -fuzztime 2m ./internal/server
 
 # Plan-equivalence fuzz smoke (~30s): a seeded, coverage-steered run of
 # the differential harness — five plan regimes per query checked against

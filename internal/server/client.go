@@ -73,30 +73,39 @@ func (c *Client) QueryOpts(ctx context.Context, req QueryRequest) (*QueryRespons
 		return nil, fmt.Errorf("wsqd: %w", err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 	if err != nil {
 		return nil, fmt.Errorf("wsqd: read response: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		var er ErrorResponse
-		_ = json.Unmarshal(raw, &er)
-		switch resp.StatusCode {
-		case http.StatusServiceUnavailable:
-			return nil, fmt.Errorf("%w: %s", ErrOverloaded, er.Error)
-		case http.StatusGatewayTimeout:
-			return nil, fmt.Errorf("%w: %s", ErrDeadline, er.Error)
-		default:
-			if er.Error != "" {
-				return nil, fmt.Errorf("wsqd: %s", er.Error)
-			}
-			return nil, fmt.Errorf("wsqd: HTTP %d", resp.StatusCode)
-		}
+		return nil, statusError(resp.StatusCode, raw)
 	}
-	var out QueryResponse
-	if err := json.Unmarshal(raw, &out); err != nil {
+	out, err := decodeQueryResponse(raw)
+	if err != nil {
 		return nil, fmt.Errorf("wsqd: parse response: %w", err)
 	}
-	return &out, nil
+	return out, nil
+}
+
+// maxResponseBytes caps the body the client reads.
+const maxResponseBytes = 64 << 20
+
+// statusError is what a non-200 answer means: ErrOverloaded for 503,
+// ErrDeadline for 504, otherwise the ErrorResponse body's message.
+func statusError(code int, body []byte) error {
+	var er ErrorResponse
+	_ = json.Unmarshal(body, &er)
+	switch code {
+	case http.StatusServiceUnavailable:
+		return fmt.Errorf("%w: %s", ErrOverloaded, er.Error)
+	case http.StatusGatewayTimeout:
+		return fmt.Errorf("%w: %s", ErrDeadline, er.Error)
+	default:
+		if er.Error != "" {
+			return fmt.Errorf("wsqd: %s", er.Error)
+		}
+		return fmt.Errorf("wsqd: HTTP %d", code)
+	}
 }
 
 // Status fetches the server's /statusz snapshot.
@@ -110,8 +119,15 @@ func (c *Client) Status(ctx context.Context) (*Statusz, error) {
 		return nil, fmt.Errorf("wsqd: %w", err)
 	}
 	defer resp.Body.Close()
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+	if err != nil {
+		return nil, fmt.Errorf("wsqd: read statusz: %w", err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, statusError(resp.StatusCode, raw)
+	}
 	var out Statusz
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.Unmarshal(raw, &out); err != nil {
 		return nil, fmt.Errorf("wsqd: parse statusz: %w", err)
 	}
 	return &out, nil

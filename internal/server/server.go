@@ -47,7 +47,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/types"
 )
 
 // Options configures a Server. The zero value selects sane defaults.
@@ -486,9 +485,11 @@ func parseQueryRequest(r *http.Request) (QueryRequest, error) {
 	case http.MethodGet:
 		req.SQL = r.URL.Query().Get("q")
 		if ms := r.URL.Query().Get("timeout_ms"); ms != "" {
-			if _, err := fmt.Sscanf(ms, "%d", &req.TimeoutMS); err != nil {
+			n, err := strconv.Atoi(ms)
+			if err != nil {
 				return req, fmt.Errorf("bad timeout_ms %q", ms)
 			}
+			req.TimeoutMS = n
 		}
 		switch v := r.URL.Query().Get("trace"); v {
 		case "", "0", "false":
@@ -508,96 +509,13 @@ func parseQueryRequest(r *http.Request) (QueryRequest, error) {
 	default:
 		return req, fmt.Errorf("method %s not allowed; use GET or POST", r.Method)
 	}
+	if req.TimeoutMS < 0 {
+		return req, fmt.Errorf("bad timeout_ms %d", req.TimeoutMS)
+	}
 	if req.SQL == "" {
 		return req, errors.New("missing sql (POST {\"sql\": ...} or GET ?q=...)")
 	}
 	return req, nil
-}
-
-// appendQueryResponse appends to buf the /query success body: byte for
-// byte what json.NewEncoder(w).Encode writes for *resp with rows as its
-// Rows (null, number or string per cell), but written from the tuples, with
-// no [][]interface{} built for encoding/json to reflect over. resp.Rows is
-// not read.
-func appendQueryResponse(buf []byte, resp *QueryResponse, rows []types.Tuple) ([]byte, error) {
-	var err error // the first a field met
-	field := func(name string, v interface{}) {
-		if err != nil {
-			return
-		}
-		var raw []byte
-		raw, err = json.Marshal(v)
-		buf = append(append(buf, name...), raw...)
-	}
-	field(`{"columns":`, resp.Columns)
-	buf = append(buf, `,"rows":[`...)
-	for i, row := range rows {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, '[')
-		for j, v := range row {
-			if j > 0 {
-				buf = append(buf, ',')
-			}
-			if buf, err = appendCell(buf, v); err != nil {
-				return nil, fmt.Errorf("row %d, column %d: %w", i, j, err)
-			}
-		}
-		buf = append(buf, ']')
-	}
-	buf = strconv.AppendInt(append(buf, `],"row_count":`...), int64(resp.RowCount), 10)
-	buf = strconv.AppendInt(append(buf, `,"external_calls":`...), resp.ExternalCalls, 10)
-	if resp.DegradedCalls != 0 {
-		buf = strconv.AppendInt(append(buf, `,"degraded_calls":`...), resp.DegradedCalls, 10)
-	}
-	field(`,"elapsed_ms":`, resp.ElapsedMS)
-	if resp.TraceID != "" {
-		field(`,"trace_id":`, resp.TraceID)
-	}
-	if resp.Trace != nil {
-		field(`,"trace":`, resp.Trace)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return append(buf, "}\n"...), nil
-}
-
-// appendCell appends one value as encoding/json writes it: NULL, integers
-// and strings that need no escaping directly, every other cell through
-// json.Marshal.
-func appendCell(buf []byte, v types.Value) ([]byte, error) {
-	var cell interface{}
-	switch v.Kind {
-	case types.KindNull:
-		return append(buf, "null"...), nil
-	case types.KindInt:
-		return strconv.AppendInt(buf, v.I, 10), nil
-	case types.KindFloat:
-		cell = v.F
-	default:
-		s := v.AsString()
-		if plainASCII(s) {
-			return append(append(append(buf, '"'), s...), '"'), nil
-		}
-		cell = s
-	}
-	raw, err := json.Marshal(cell)
-	return append(buf, raw...), err
-}
-
-// plainASCII reports whether encoding/json writes s between quotes as it
-// is: printable ASCII without the quote, the backslash and the three
-// characters it escapes for HTML.
-func plainASCII(s string) bool {
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
-			return false
-		}
-	}
-	return true
 }
 
 func columnsOrEmpty(cols []string) []string {

@@ -298,6 +298,77 @@ func (e *testEnv) admissionState() string {
 	return fmt.Sprintf("s.mu is free, active=%d queued=%d", e.srv.active, e.srv.queued)
 }
 
+// TestStatuszAnswersDuringSlowQuery: /statusz takes s.mu, so it must
+// answer while a query waits on a 300 ms engine. A handler that ran the
+// query under s.mu would hold /statusz for the query's whole run (two
+// waves of calls); 200 ms leaves room for a slow runner under -race.
+func TestStatuszAnswersDuringSlowQuery(t *testing.T) {
+	model := search.LatencyModel{Base: 300 * time.Millisecond, CountFactor: 1}
+	env := newTestEnv(t, model, core.Config{}, Options{})
+	errc := make(chan error, 1)
+	go func() {
+		_, err := env.cl.Query(context.Background(), template1Query, 0)
+		errc <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if running, _ := env.db.Pump().Active(); running > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the query never reached its engines")
+		}
+	}
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if _, err := env.cl.Status(ctx); err != nil {
+		t.Errorf("/statusz during a query: %v after %v: s.mu is held across a query", err, time.Since(start))
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestParseQueryRequestTimeout: timeout_ms is a non-negative integer in
+// both forms; anything else is a 400, never a different deadline.
+func TestParseQueryRequestTimeout(t *testing.T) {
+	for _, tc := range []struct {
+		ms string
+		ok bool
+	}{{"10abc", false}, {"1e3", false}, {"-5", false}, {"250", true}} {
+		forms := map[string]*http.Request{
+			"GET":  httptest.NewRequest("GET", "/query?q=SELECT+1&timeout_ms="+tc.ms, nil),
+			"POST": httptest.NewRequest("POST", "/query", strings.NewReader(`{"sql":"SELECT 1","timeout_ms":`+tc.ms+`}`)),
+		}
+		for form, r := range forms {
+			req, err := parseQueryRequest(r)
+			switch {
+			case tc.ok && (err != nil || req.TimeoutMS != 250):
+				t.Errorf("%s timeout_ms=%s: %d ms, error %v; want 250 ms", form, tc.ms, req.TimeoutMS, err)
+			case !tc.ok && err == nil:
+				t.Errorf("%s timeout_ms=%s: accepted as %d ms; want an error", form, tc.ms, req.TimeoutMS)
+			}
+		}
+	}
+}
+
+// TestClientStatusChecksHTTPStatus: a /statusz answer that is not 200 is
+// an error, not a zero snapshot.
+func TestClientStatusChecksHTTPStatus(t *testing.T) {
+	for _, code := range []int{http.StatusServiceUnavailable, http.StatusNotFound, http.StatusInternalServerError} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			writeJSON(w, code, ErrorResponse{Error: "draining"})
+		}))
+		st, err := NewClient(srv.URL).Status(context.Background())
+		srv.Close()
+		if err == nil {
+			t.Errorf("HTTP %d: snapshot %+v and no error", code, st)
+		} else if code == http.StatusServiceUnavailable && !errors.Is(err, ErrOverloaded) {
+			t.Errorf("HTTP 503: error %v, want ErrOverloaded", err)
+		}
+	}
+}
+
 // TestReadOnlyRejectsWrites: without AllowWrites, DDL/DML through /query is
 // refused with 403 and the tables stay untouched.
 func TestReadOnlyRejectsWrites(t *testing.T) {

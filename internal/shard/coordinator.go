@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -502,10 +503,16 @@ func writeUnavailable(rw http.ResponseWriter, msg string) {
 	json.NewEncoder(rw).Encode(map[string]string{"error": msg})
 }
 
+// copyResponse relays a worker's answer with its Content-Type, the
+// Retry-After a 503 carries, and the length of the body as relayed
+// (stitching may have rewritten it).
 func copyResponse(rw http.ResponseWriter, status int, hdr http.Header, body []byte) {
-	if ct := hdr.Get("Content-Type"); ct != "" {
-		rw.Header().Set("Content-Type", ct)
+	for _, h := range []string{"Content-Type", "Retry-After"} {
+		if v := hdr.Get(h); v != "" {
+			rw.Header().Set(h, v)
+		}
 	}
+	rw.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	rw.WriteHeader(status)
 	rw.Write(body)
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -513,5 +514,45 @@ func TestTierGetKeepsParameters(t *testing.T) {
 	}
 	if code, body := get(env.csrv.URL, url.Values{"q": {local}, "trace": {"yes"}}); code != http.StatusBadRequest {
 		t.Errorf("trace=yes via coordinator: status %d (%s), want the worker's 400", code, body)
+	}
+}
+
+// TestCoordinatorRelays503RetryAfter: when the last candidate worker
+// answers 503, the client gets that answer as the worker wrote it — its
+// Retry-After included — with the body's length stated.
+func TestCoordinatorRelays503RetryAfter(t *testing.T) {
+	const body = `{"error":"overloaded: 1 executing, 1 queued"}` + "\n"
+	inner := http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		rw.Header().Set("Content-Type", "application/json")
+		rw.Header().Set("Retry-After", "7")
+		rw.WriteHeader(http.StatusServiceUnavailable)
+		io.WriteString(rw, body)
+	})
+	_, wsrv := newProtoWorker(t, WorkerOptions{Inner: inner})
+	coord := NewCoordinator(Config{Workers: []Member{{ID: "w1", URL: wsrv.URL}}}, CoordinatorOptions{})
+	defer coord.Close()
+	csrv := httptest.NewServer(coord.Handler())
+	defer csrv.Close()
+
+	resp, err := http.Post(csrv.URL+"/query", "application/json", strings.NewReader(`{"sql":"SELECT 1"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || string(got) != body {
+		t.Fatalf("HTTP %d %q; want the worker's 503 %q", resp.StatusCode, got, body)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "7" {
+		t.Errorf("Retry-After %q; want the worker's \"7\"", ra)
+	}
+	if resp.ContentLength != int64(len(body)) {
+		t.Errorf("Content-Length %d for a %d-byte body", resp.ContentLength, len(body))
+	}
+	if _, err := server.NewClient(csrv.URL).Query(context.Background(), "SELECT 1", 0); !errors.Is(err, server.ErrOverloaded) {
+		t.Errorf("client error %v; want ErrOverloaded", err)
 	}
 }
