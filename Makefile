@@ -36,11 +36,14 @@ test-race:
 # run at once shows as a race or a wrong answer in TestReuse..., by name,
 # and one pass does not always interleave them; traced and untraced runs
 # share one tree, so a decorator left in it shows there too) + the pump's
-# handoff, settlement, coalescing and sibling-cancel tests ten times over
-# under it (about 12 s: deadline and hedge timers and retry backoffs act
-# under the pump's lock from their own goroutines, and one pass does not
-# reach every interleaving) + the allocation budgets without it, traced
-# warm query, the retry-policy round and the /query decoder included + a
+# handoff, settlement, coalescing, sibling-cancel, goroutine-lifetime and
+# Quiesce tests ten times over under it (about 15 s: deadline and hedge
+# timers and retry backoffs act under the pump's lock from their own
+# goroutines, an execution goroutine parks and is handed its next call or
+# retired by Close/Quiesce between two of its critical sections, and one
+# pass does not reach every interleaving) + the allocation budgets without
+# it, traced warm query, the retry-policy round, the /query decoder and
+# the cold buffer-pool scan included + a
 # fuzz smoke + the nested benchmark module. The concurrency
 # tests (shared-pump server, concurrent Exec) only bite with -race; wsqlint
 # enforces the invariants the race detector can only sample; the fuzz
@@ -52,10 +55,11 @@ check:
 	$(MAKE) lint
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run TestReuse ./internal/core
-	$(GO) test -race -count=10 -run 'TestHandoff|TestSettleHandshake|TestCoalesce|TestSiblingCancel' ./internal/async
+	$(GO) test -race -count=10 -run 'TestHandoff|TestSettleHandshake|TestCoalesce|TestSiblingCancel|TestQuiesce|TestPumpReusesExecutionGoroutines|TestPumpGoroutineBound' ./internal/async
 	$(GO) test -run TestAllocationBudget ./internal/core
 	$(GO) test -run 'TestPumpRoundTripAllocs|TestPumpPolicyRoundAllocs' ./internal/async
 	$(GO) test -run TestDecodeQueryResponseAllocs ./internal/server
+	$(GO) test -run TestColdScanReusesEvictedFrames ./internal/storage
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz FuzzEval -fuzztime 10s ./internal/expr
 	$(GO) test -run '^$$' -fuzz FuzzDecodeQueryResponse -fuzztime 10s ./internal/server

@@ -16,6 +16,7 @@ import (
 // on top of the network latency it hides.
 func BenchmarkPumpRoundTrip(b *testing.B) {
 	p := NewPump(64, 64, nil)
+	defer p.Close()
 	fn := func() ([]types.Tuple, error) {
 		return []types.Tuple{{types.Int(1)}}, nil
 	}
@@ -35,6 +36,7 @@ func BenchmarkPumpRoundTrip(b *testing.B) {
 // flight together (the WSQ steady state).
 func BenchmarkPumpBatch(b *testing.B) {
 	p := NewPump(64, 64, nil)
+	defer p.Close()
 	fn := func() ([]types.Tuple, error) {
 		return []types.Tuple{{types.Int(1)}}, nil
 	}
@@ -56,6 +58,48 @@ func BenchmarkPumpBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkPumpRoundDeepStack is a 50-call round whose engine call needs
+// about 16 KiB of stack, as one reached over HTTP does (a recursive frame
+// stands in for it): it shows what an execution goroutine pays to reach
+// the engine — a stack grown by copying, for a goroutine started afresh.
+func BenchmarkPumpRoundDeepStack(b *testing.B) {
+	p := NewPump(0, 0, nil)
+	defer p.Close()
+	fn := func() ([]types.Tuple, error) {
+		return []types.Tuple{{types.Int(int64(deepStack(16)))}}, nil
+	}
+	const round = 50
+	ctx := context.Background()
+	ids := make(map[types.CallID]bool, round)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < round; j++ {
+			ids[p.RegisterCtx(ctx, "d", "", fn)] = true
+		}
+		for len(ids) > 0 {
+			id, err := p.AwaitAnyCtx(ctx, ids)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p.Take(id)
+			delete(ids, id)
+		}
+	}
+}
+
+// deepStack recurses n frames of about 1 KiB each.
+//
+//go:noinline
+func deepStack(n int) int {
+	var frame [1 << 10]byte
+	frame[n%len(frame)] = byte(n)
+	if n == 0 {
+		return int(frame[0])
+	}
+	return deepStack(n-1) + int(frame[n%len(frame)])
+}
+
 // BenchmarkReqSyncPatch measures the buffering/patching machinery at zero
 // latency: the "amount of work required by ReqSync" the paper lists as a
 // potential cost (Section 4.5.4).
@@ -73,6 +117,7 @@ func BenchmarkReqSyncPatch(b *testing.B) {
 		pump := NewPump(64, 64, nil)
 		rs, _ := buildCountPlan(terms, src, pump)
 		rows, err := exec.Run(exec.NewContext(), rs)
+		pump.Close() // its parked goroutines go home with it
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,6 +147,7 @@ func BenchmarkReqSyncExpansion(b *testing.B) {
 		pump := NewPump(64, 64, nil)
 		rs, _ := buildCountPlan(terms, src, pump)
 		rows, err := exec.Run(exec.NewContext(), rs)
+		pump.Close() // its parked goroutines go home with it
 		if err != nil {
 			b.Fatal(err)
 		}

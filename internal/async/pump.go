@@ -45,7 +45,10 @@ type CallResult struct {
 // Flash web server [PDZ99] because 1999-era threads were expensive. In Go
 // the idiomatic equivalent of cheap asynchronous I/O is a bounded set of
 // goroutines, which is what this implementation uses; the interface —
-// register, poll, await — is the paper's.
+// register, poll, await — is the paper's. The pump keeps the goroutines
+// it starts: one with nothing left to run parks on the pump until the
+// next execution is handed to it, so a pump at steady state starts none,
+// and Close or Quiesce sends the parked ones home.
 //
 // One pump is shared by every query of a DB, including the many concurrent
 // queries of a wsqd server: the limits are global resource-control knobs,
@@ -104,11 +107,25 @@ type Pump struct {
 	maxActive atomic.Int64
 	closed    bool
 
-	// execWG tracks the run goroutines, each of which is (or may still be)
-	// inside an engine call. Engine calls are uninterruptible, so an
-	// execution cannot observe cancellation — even one whose attempt timed
-	// out or was hedged out — and Quiesce waits here for it to let go.
+	// execWG tracks the run goroutines, parked ones included; a running
+	// one is (or may still be) inside an engine call. Engine calls are
+	// uninterruptible, so an execution cannot observe cancellation — even
+	// one whose attempt timed out or was hedged out — and Quiesce waits
+	// here for it to let go.
 	execWG sync.WaitGroup
+	// work is where a run goroutine with nothing left to run parks for its
+	// next execution. dispatchLocked and the hedge timer hand one over by a
+	// non-blocking send under p.mu, and start a goroutine only when nobody
+	// is receiving. Unbuffered: an execution never waits in it. Close and
+	// each Quiesce close it, under p.mu, and put a fresh one in its place:
+	// a goroutine takes the channel it parks on from complete, under p.mu,
+	// so one on its way to the receive when they close it still finds it
+	// closed, and no send ever meets a closed channel. Guarded by p.mu.
+	work chan execution
+	// quiescing counts the Quiesce calls in progress: while it is non-zero
+	// a goroutine with nothing left to run exits instead of parking.
+	// Guarded by p.mu.
+	quiescing int
 }
 
 // callState is where a held call is in its life.
@@ -264,6 +281,7 @@ func NewPump(maxTotal, maxPerDest int, cache exec.ResultCache) *Pump {
 		inflight:   make(map[string][]*call),
 		backoffRng: search.NewRand(1),
 		slotWait:   obs.NewHistogram(nil),
+		work:       make(chan execution),
 	}
 	p.dests.Store(&map[string]*destination{})
 	p.SetRetryPolicy(RetryPolicy{})
@@ -418,12 +436,13 @@ func (p *Pump) register(ctx context.Context, dest, key string, fn func() ([]type
 // SetDestLimit, a retry's backoff timer, the deadline timer and complete
 // alike: every queued call the limits allow and whose backoff is over
 // leaves the queue — dropped if nobody wants it any more, else given a
-// token, its attempt's timers and a goroutine of its own. Each caller
-// walks after whatever it did that could let a call start, so between
-// critical sections none can. With handoff set the caller is a finishing
-// execution that freed one slot: the first call started fills it, so the
-// walk ends there and hands that execution, token and all, to the
-// caller's own goroutine. Callers hold p.mu.
+// token, its attempt's timers and a goroutine: a parked one if one is
+// receiving, else a new one. Each caller walks after whatever it did that
+// could let a call start, so between critical sections none can. With
+// handoff set the caller is a finishing execution that freed one slot:
+// the first call started fills it, so the walk ends there and hands that
+// execution, token and all, to the caller's own goroutine. Callers hold
+// p.mu.
 func (p *Pump) dispatchLocked(handoff bool) execution {
 	for i := 0; i < len(p.queue) && p.activeTotal < p.maxTotal; {
 		c := p.queue[i]
@@ -455,8 +474,12 @@ func (p *Pump) dispatchLocked(handoff bool) execution {
 		if handoff {
 			return e
 		}
-		p.execWG.Add(1)
-		go p.run(e)
+		select {
+		case p.work <- e:
+		default:
+			p.execWG.Add(1)
+			go p.run(e)
+		}
 	}
 	return execution{}
 }
@@ -512,14 +535,25 @@ func (p *Pump) parkLocked(c *call, res CallResult) {
 }
 
 // run is an execution goroutine: it performs the execution it was started
-// for and then, one after another, each one a completion hands it, until
-// a completion finds nothing the limits allow. (execute returns before
-// complete is called, so the engine call's stack and the completion's are
-// not stacked on each other.)
+// for and then, one after another, each one its completion hands it. When
+// a completion finds nothing the limits allow, the goroutine parks on
+// p.work until dispatchLocked or the hedge timer hands it the next
+// execution, and keeps the stack it grew to reach the engine. It returns
+// only when complete tells it to — the pump closed, or a Quiesce is in
+// progress — or when Close or Quiesce closes the channel it parks on.
+// (execute returns before complete is called, so the engine call's stack
+// and the completion's are not stacked on each other.)
 func (p *Pump) run(e execution) {
 	defer p.execWG.Done()
-	for e.c != nil {
-		e = p.complete(e, p.execute(e))
+	for {
+		next, park := p.complete(e, p.execute(e))
+		if next.c == nil && park != nil {
+			next = <-park // the zero execution once the channel is closed
+		}
+		if next.c == nil {
+			return
+		}
+		e = next
 	}
 }
 
@@ -571,8 +605,11 @@ func (p *Pump) execute(e execution) CallResult {
 // Because the token is dropped and taken again inside one hold of p.mu,
 // nobody ever sees it free in between: no hedge can slip ahead of the
 // queue's head. One broadcast covers the parked results and the freed
-// slot alike.
-func (p *Pump) complete(e execution, res CallResult) execution {
+// slot alike. With nothing to run next, it decides under the same hold
+// whether the goroutine parks: park is the channel to park on, or nil
+// when the goroutine is to exit (the pump closed, or a Quiesce is in
+// progress).
+func (p *Pump) complete(e execution, res CallResult) (next execution, park <-chan execution) {
 	c := e.c
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -583,9 +620,12 @@ func (p *Pump) complete(e execution, res CallResult) execution {
 		p.endAttemptLocked(c, res)
 	}
 	p.dropTokenLocked(c.dest)
-	next := p.dispatchLocked(true) // nothing is queued once the pump closed
+	next = p.dispatchLocked(true) // nothing is queued once the pump closed
 	p.cond.Broadcast()
-	return next
+	if next.c == nil && !p.closed && p.quiescing == 0 {
+		park = p.work
+	}
+	return next, park
 }
 
 // endAttemptLocked decides c's current attempt with res. A transient
@@ -670,7 +710,8 @@ func (p *Pump) expire(c *call, attempt int32, d time.Duration) {
 // hedge is the hedge timer of c's attempt: while the attempt is undecided
 // and wanted it starts a duplicate execution if a slot is free right now
 // — a hedge never queues, or it would starve other destinations' queued
-// calls — and re-arms while the attempt may hedge again.
+// calls — on a parked goroutine if one is receiving, and re-arms while
+// the attempt may hedge again.
 func (p *Pump) hedge(c *call, attempt int32) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -681,8 +722,13 @@ func (p *Pump) hedge(c *call, attempt int32) {
 		p.grabTokenLocked(c.dest)
 		c.dest.count(evHedge)
 		c.hedges++
-		p.execWG.Add(1)
-		go p.run(execution{c: c, attempt: attempt, hedge: true})
+		e := execution{c: c, attempt: attempt, hedge: true}
+		select {
+		case p.work <- e:
+		default:
+			p.execWG.Add(1)
+			go p.run(e)
+		}
 	}
 	if pol := p.policy.Load(); int(c.hedges) < pol.MaxHedges {
 		c.hedger.Reset(pol.HedgeAfter)
@@ -888,7 +934,8 @@ func (p *Pump) Held() int {
 // Close shuts the pump down: queued calls (retries waiting out their
 // backoff too) complete with ErrPumpClosed, waiters wake with the same
 // sentinel, and in-flight calls finish into the result table as garbage,
-// none retried. Close is idempotent and safe to
+// none retried. The parked execution goroutines exit, and each running
+// one exits once its engine call returns. Close is idempotent and safe to
 // call while queries are still draining — they observe clean errors rather
 // than hanging or panicking.
 func (p *Pump) Close() {
@@ -903,17 +950,37 @@ func (p *Pump) Close() {
 	for _, c := range queued {
 		p.settleUnstartedLocked(c, fmt.Errorf("queued call: %w", ErrPumpClosed))
 	}
+	p.retireParkedLocked()
 	p.cond.Broadcast()
 }
 
-// Quiesce blocks until every execution goroutine — including those whose
-// attempt timed out or was hedged out — has returned from its engine call
-// and released its token. Engine calls
-// are uninterruptible, so this is the only way to know the pump has
-// truly let go of the network; call it after Close when tearing down a
-// process (a long-lived server that merely drops the pump can skip it).
+// retireParkedLocked sends every parked execution goroutine home: each
+// parks on the channel it closes, and later ones park on a fresh one.
+// Callers hold p.mu.
+func (p *Pump) retireParkedLocked() {
+	close(p.work)
+	p.work = make(chan execution)
+}
+
+// Quiesce blocks until the pump has no goroutine left: it sends the parked
+// ones home and waits for every running one — including those whose
+// attempt timed out or was hedged out — to return from its engine call,
+// release its token and, since it finishes while Quiesce is in progress,
+// exit rather than park. Engine calls are uninterruptible, so this is the
+// only way to know the pump has truly let go of the network; call it
+// after Close when tearing down a process. On an open pump it waits for
+// the queue to drain, and calls dispatched afterwards start goroutines
+// afresh. A pump dropped without Close or Quiesce keeps its parked
+// goroutines.
 func (p *Pump) Quiesce() {
+	p.mu.Lock()
+	p.quiescing++
+	p.retireParkedLocked()
+	p.mu.Unlock()
 	p.execWG.Wait()
+	p.mu.Lock()
+	p.quiescing--
+	p.mu.Unlock()
 }
 
 // Stats reports the pump's counters.

@@ -29,12 +29,22 @@ type ReqSync struct {
 	// placeholders dynamically.
 	A map[schema.AttrID]bool
 
-	ready   []types.Tuple
-	waiting map[types.CallID][]*bufTuple
+	ready []types.Tuple
+	// readyBuf is ready's storage, kept across polls and Opens. A pass
+	// that refills an empty ready starts again at its front: the windows
+	// cut from it are out of contract by then (the next NextBatch).
+	readyBuf []types.Tuple
+	waiting  map[types.CallID][]*bufTuple
 	// pending is waiting's key set, in the shape Pump.AwaitAnyCtx takes.
 	pending map[types.CallID]bool
-	done    []Taken // TakeDone scratch, reused by every poll pass
-	opened  bool
+	// bufs is the slab buffered tuples live in. Open starts it again at
+	// the front: once the last execution was drained or closed, waiting
+	// is empty and nothing points into it. The maps above are likewise
+	// emptied, not remade, so a re-opened ReqSync buffers in the storage
+	// its last execution grew.
+	bufs   []bufTuple
+	done   []Taken // TakeDone scratch, reused by every poll pass
+	opened bool
 
 	// Trace-profile counters (SpanExtras), accumulated across every Open
 	// of this instance — a dependent join above re-opens its inner side
@@ -68,13 +78,17 @@ func (r *ReqSync) Open(ctx *exec.Context) error {
 	if err := r.Child.Open(ctx); err != nil {
 		return err
 	}
-	r.ready = nil
-	r.waiting = make(map[types.CallID][]*bufTuple)
-	r.pending = make(map[types.CallID]bool)
+	r.ready = r.readyBuf[:0]
+	r.bufs = r.bufs[:0]
+	if r.waiting == nil {
+		r.waiting = make(map[types.CallID][]*bufTuple)
+		r.pending = make(map[types.CallID]bool)
+	}
 	r.opened = true
 	for {
 		b, ok, err := r.Child.NextBatch(ctx, ctx.BatchLen())
 		if err != nil || !ok {
+			r.readyBuf = r.ready[:0]
 			return err
 		}
 		for _, t := range b {
@@ -89,8 +103,17 @@ func (r *ReqSync) admit(t types.Tuple) {
 		r.ready = append(r.ready, t)
 		return
 	}
-	bt := &bufTuple{t: t}
-	r.register(bt)
+	r.register(r.buffer(t))
+}
+
+// buffer places t in the slab. A full slab is replaced by one twice its
+// size; the tuples already in it stay where they are.
+func (r *ReqSync) buffer(t types.Tuple) *bufTuple {
+	if len(r.bufs) == cap(r.bufs) {
+		r.bufs = make([]bufTuple, 0, max(64, 2*cap(r.bufs)))
+	}
+	r.bufs = append(r.bufs, bufTuple{t: t})
+	return &r.bufs[len(r.bufs)-1]
 }
 
 // register indexes a buffered tuple under every pending call it references.
@@ -179,7 +202,7 @@ func (r *ReqSync) settle(ctx *exec.Context, id types.CallID, res CallResult) err
 				c := patch(bt.t.Clone(), id, row)
 				r.nExpanded++
 				if c.HasPlaceholder() {
-					r.register(&bufTuple{t: c})
+					r.register(r.buffer(c))
 				} else {
 					r.ready = append(r.ready, c)
 				}
@@ -196,19 +219,34 @@ func (r *ReqSync) settle(ctx *exec.Context, id types.CallID, res CallResult) err
 }
 
 // NextBatch implements exec.Operator: release a window of completed
-// tuples. With none ready it polls — one TakeDone claims every awaited
-// call that is already done, and each is settled — and only a pass that
-// settled nothing blocks, once ("if ReqSync has no completed tuples then
-// it must wait for the next signal from ReqPump").
+// tuples. With none ready it polls for more, into ready's storage from
+// the front: every window cut from it is out of contract by now.
 func (r *ReqSync) NextBatch(ctx *exec.Context, max int) (exec.Batch, bool, error) {
 	if !r.opened {
 		return nil, false, fmt.Errorf("ReqSync: NextBatch before Open")
 	}
+	if len(r.ready) == 0 {
+		r.ready = r.readyBuf[:0]
+		err := r.poll(ctx)
+		r.readyBuf = r.ready[:0]
+		if err != nil {
+			return nil, false, err
+		}
+	}
+	return exec.TakeBatch(&r.ready, max)
+}
+
+// poll settles completed calls until a tuple is ready or none is waiting:
+// one TakeDone claims every awaited call that is already done, and each
+// is settled, and only a pass that settled nothing blocks, once ("if
+// ReqSync has no completed tuples then it must wait for the next signal
+// from ReqPump").
+func (r *ReqSync) poll(ctx *exec.Context) error {
 	for len(r.ready) == 0 && len(r.waiting) > 0 {
 		r.done = r.Pump.TakeDone(r.pending, r.done[:0])
 		for _, d := range r.done {
 			if err := r.settle(ctx, d.ID, d.Res); err != nil {
-				return nil, false, err
+				return err
 			}
 		}
 		if len(r.done) == 0 {
@@ -216,11 +254,11 @@ func (r *ReqSync) NextBatch(ctx *exec.Context, max int) (exec.Batch, bool, error
 			// the ReqSync with the ctx error, and Close then disowns the
 			// still-pending calls.
 			if _, err := r.Pump.AwaitAnyCtx(ctx.Ctx, r.pending); err != nil {
-				return nil, false, err
+				return err
 			}
 		}
 	}
-	return exec.TakeBatch(&r.ready, max)
+	return nil
 }
 
 // Close implements exec.Operator: pending calls are disowned (the pump
@@ -231,7 +269,11 @@ func (r *ReqSync) Close() error {
 		ids = append(ids, id)
 	}
 	r.Pump.Discard(ids...)
-	r.waiting, r.pending = nil, nil
+	clear(r.waiting)
+	clear(r.pending)
+	// Let go of this execution's tuples; the storage stays.
+	clear(r.readyBuf[:cap(r.readyBuf)])
+	clear(r.bufs)
 	r.ready = nil
 	r.opened = false
 	return r.Child.Close()

@@ -241,8 +241,12 @@ type DependentJoin struct {
 	// "Sigs.Name -> WebCount.T1"; it has no execution role.
 	BindDesc string
 
-	out      *schema.Schema
-	buf      []types.Tuple  // joined tuples not yet emitted
+	out *schema.Schema
+	buf []types.Tuple // joined tuples not yet emitted
+	// bufMem is buf's storage, kept across calls and Opens: NextBatch
+	// refills an empty buf from its front, since the windows cut from it
+	// are out of contract by then.
+	bufMem   []types.Tuple
 	binder   BindingBatcher // the right subtree, when it offers BindBatch
 	leftDone bool
 	opened   bool
@@ -294,6 +298,9 @@ func (j *DependentJoin) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	if err := checkMax(max); err != nil {
 		return nil, false, err
 	}
+	if len(j.buf) == 0 {
+		j.buf = j.bufMem[:0]
+	}
 	for len(j.buf) < max && !j.leftDone {
 		want := 1
 		if j.binder != nil {
@@ -315,6 +322,9 @@ func (j *DependentJoin) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
+	}
+	if cap(j.buf) > cap(j.bufMem) {
+		j.bufMem = j.buf[:0] // buf outgrew its storage: keep the new one
 	}
 	return TakeBatch(&j.buf, max)
 }
@@ -377,6 +387,7 @@ func (j *DependentJoin) Close() error {
 	}
 	j.opened = false
 	j.buf = nil
+	clear(j.bufMem[:cap(j.bufMem)]) // let go of this execution's tuples
 	return errors.Join(j.Left.Close(), j.Right.Close())
 }
 

@@ -20,7 +20,12 @@ import (
 //     run: those park the goroutine for unbounded time with the lock
 //     held, turning a slow external call into a server-wide stall.
 //     sync.Cond Wait/Signal/Broadcast are exempt (Wait releases the
-//     mutex by contract).
+//     mutex by contract), and so is one shape of select: a try-send,
+//     whose comm clauses all send a variable or field on a variable or
+//     field and which has a default clause (the pump's handoff to a
+//     parked goroutine). Its operands cannot block and the default means
+//     it never waits; a try-receive, or a send whose channel or value is
+//     anything else (a receive, a call), stays flagged.
 //
 // The walker mirrors slotbalance's structured abstract interpretation,
 // with a held-lock set keyed by the receiver chain ("s.mu", "p.rngMu").
@@ -266,8 +271,8 @@ func (w *lsWalker) stmt(s ast.Stmt, st lsState) lsState {
 		return w.branches(s, st)
 
 	case *ast.SelectStmt:
-		// The select itself is a channel wait.
-		if k, held := st.anyHeld(); held {
+		// The select itself is a channel wait, unless it is a try-send.
+		if k, held := st.anyHeld(); held && !isTrySend(x) {
 			w.diags = append(w.diags, Diagnostic{
 				Pos:     w.pkg.Position(x.Pos()),
 				Rule:    w.rule.Name(),
@@ -335,6 +340,29 @@ func (w *lsWalker) branches(s ast.Stmt, st lsState) lsState {
 		out = lsJoin(out, st)
 	}
 	return out
+}
+
+// isTrySend reports whether a select has a default clause and every other
+// clause sends a plain operand — a variable or a field chain — on a plain
+// channel: a select that can neither wait nor evaluate anything that does.
+func isTrySend(x *ast.SelectStmt) bool {
+	hasDefault := false
+	for _, c := range x.Body.List {
+		switch comm := c.(*ast.CommClause).Comm.(type) {
+		case nil:
+			hasDefault = true
+		case *ast.SendStmt:
+			if _, ok := exprPath(comm.Chan); !ok {
+				return false
+			}
+			if _, ok := exprPath(comm.Value); !ok {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return hasDefault
 }
 
 // applyCommEffects applies Lock/Unlock effects inside a select comm

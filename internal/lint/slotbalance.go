@@ -13,10 +13,12 @@ import (
 // execution token taken in internal/async (grabTokenLocked) must, on
 // every control-flow path, be either given back (dropTokenLocked, in the
 // completion's critical section) or handed off with the execution that
-// holds it: an `execution` value started by a `go` statement or returned
-// to a caller that runs it. A leaked token permanently shrinks the pump's
-// concurrency budget; the race detector cannot see it because nothing
-// races — the pump just quietly starves.
+// holds it: an `execution` value started by a `go` statement, sent on a
+// channel to a parked goroutine, or returned to a caller that runs it. A
+// send in a select's comm clause hands off on that clause only; the
+// default clause beside it must hand off on its own. A leaked token
+// permanently shrinks the pump's concurrency budget; the race detector
+// cannot see it because nothing races — the pump just quietly starves.
 //
 // The analysis is an abstract interpretation over the structured AST:
 // one boolean of state ("a token is held") and branch joins that keep a
@@ -188,6 +190,16 @@ func (w *sbWalker) stmt(s ast.Stmt, st sbState) sbState {
 		}
 		return st
 
+	case *ast.SendStmt:
+		st = w.scanEffects(x, st)
+		if w.carries([]ast.Expr{x.Value}) {
+			st.held = false // the receiving goroutine runs the execution
+		}
+		return st
+
+	case *ast.SelectStmt:
+		return w.comms(x.Body, st)
+
 	case *ast.BlockStmt:
 		return w.block(x.List, st)
 
@@ -235,7 +247,7 @@ func (w *sbWalker) stmt(s ast.Stmt, st sbState) sbState {
 		return st
 
 	default:
-		// Assignments, expressions, sends, declarations, defers.
+		// Assignments, expressions, declarations, defers.
 		return w.scanEffects(s, st)
 	}
 }
@@ -265,6 +277,22 @@ func (w *sbWalker) cases(body *ast.BlockStmt, st sbState) sbState {
 	}
 	if !hasDefault {
 		out = sbJoin(out, st)
+	}
+	return out
+}
+
+// comms joins the clauses of a select. Exactly one clause runs — its comm
+// first, then its body — so, unlike a switch, the entry state does not
+// join in: with no default the select waits for a comm.
+func (w *sbWalker) comms(body *ast.BlockStmt, st sbState) sbState {
+	out := sbState{terminated: true}
+	for _, c := range body.List {
+		cc := c.(*ast.CommClause)
+		clause := st
+		if cc.Comm != nil {
+			clause = w.stmt(cc.Comm, clause)
+		}
+		out = sbJoin(out, w.block(cc.Body, clause))
 	}
 	return out
 }

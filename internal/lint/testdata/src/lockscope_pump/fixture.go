@@ -1,9 +1,11 @@
 // Fixture for lockscope on the pump's own lock shapes, loaded as
 // "repro/internal/async": the one blocking wait (a cond.Wait loop under
 // p.mu, exempt because Wait lets go of the mutex), the deferred unlock
-// around a try, and the two shapes that must stay flagged — the
-// hand-rolled channel wait under p.mu that the cond replaced, and a
-// manual unlock an early return skips.
+// around a try, the try-send that hands an execution to a parked
+// goroutine under p.mu, and the shapes that must stay flagged — the
+// hand-rolled channel wait under p.mu that the cond replaced, a select
+// under p.mu that waits or whose operands do, and a manual unlock an
+// early return skips.
 package async
 
 import (
@@ -16,6 +18,8 @@ type Pump struct {
 	cond   *sync.Cond
 	closed bool
 	done   chan struct{}
+	work   chan int
+	ready  chan int
 }
 
 func (p *Pump) await(ctx context.Context, try func() bool) error {
@@ -42,6 +46,66 @@ func (p *Pump) tryAcquire() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return !p.closed
+}
+
+// handOff gives a parked goroutine its next execution if one is receiving,
+// else starts one: a try-send never parks.
+func (p *Pump) handOff(e int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	select {
+	case p.work <- e:
+	default:
+		go p.run(e)
+	}
+}
+
+func (p *Pump) run(e int) {}
+
+// handOffBlocking waits for a parked goroutine with p.mu held.
+func (p *Pump) handOffBlocking(e int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	select { // want "select while holding p.mu"
+	case p.work <- e:
+	case <-p.done:
+	}
+}
+
+// handOffReceived has a default, but Go evaluates the send's value on
+// entering the select: the receive from p.ready waits with p.mu held.
+func (p *Pump) handOffReceived() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	select { // want "select while holding p.mu"
+	case p.work <- <-p.ready:
+	default:
+	}
+}
+
+// handOffFetched has a default, but the value is a call, run with p.mu
+// held before the select looks at the default (a network fetch, say).
+func (p *Pump) handOffFetched(ctx context.Context) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	select { // want "select while holding p.mu"
+	case p.work <- p.fetch(ctx):
+	default:
+	}
+}
+
+func (p *Pump) fetch(ctx context.Context) int { return 0 }
+
+// tryTake is a try-receive under p.mu: not the pump's handoff, so flagged.
+func (p *Pump) tryTake() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	select { // want "select while holding p.mu"
+	case e := <-p.work:
+		return e
+	default:
+		return 0
+	}
 }
 
 // awaitOnChannel parks on a channel with p.mu held: every registration

@@ -7,7 +7,10 @@ import "errors"
 
 var errFail = errors.New("fail")
 
-type pump struct{ hedges int }
+type pump struct {
+	hedges int
+	work   chan execution // parked execution goroutines receive here
+}
 
 type call struct{ wanted bool }
 
@@ -55,9 +58,31 @@ func (p *pump) hedgeGrabsBeforeWantedCheck(c *call, free bool) {
 		if !c.wanted {
 			return // want "not released or handed off"
 		}
-		go p.run(execution{c: c, hedge: true})
+		e := execution{c: c, hedge: true}
+		select {
+		case p.work <- e:
+		default:
+			go p.run(e)
+		}
 	}
 }
+
+// A parked goroutine gets the execution if one is receiving; otherwise
+// the token stays behind with nobody to run it.
+func (p *pump) sendOrLeak(c *call) {
+	p.grabTokenLocked("d")
+	select {
+	case p.work <- execution{c: c}:
+	default:
+		p.hedges++
+	}
+} // want "not released or handed off"
+
+// A send of something other than the execution carries no token.
+func (p *pump) sendsTheWrongThing(c *call, wake chan *call) {
+	p.grabTokenLocked("d")
+	wake <- c
+} // want "not released or handed off"
 
 // The dispatch walk takes the token before it asks whether anybody still
 // wants the call (mutant slot3): the dropped call's token rides the
@@ -91,8 +116,8 @@ func (p *pump) releasedOnAllPaths(fail bool) error {
 }
 
 // The pump's dispatch walk: a call nobody wants is dropped before it
-// takes a token, and the token leaves with the execution — to a new
-// goroutine, or to the caller whose slot it fills.
+// takes a token, and the token leaves with the execution — to a parked
+// goroutine, to a new one, or to the caller whose slot it fills.
 func (p *pump) dispatchLocked(queue []*call, handoff bool) execution {
 	for _, c := range queue {
 		if !c.wanted {
@@ -104,7 +129,11 @@ func (p *pump) dispatchLocked(queue []*call, handoff bool) execution {
 		if handoff {
 			return e
 		}
-		go p.run(e)
+		select {
+		case p.work <- e:
+		default:
+			go p.run(e)
+		}
 	}
 	return execution{}
 }
@@ -116,6 +145,12 @@ func (p *pump) hedge(c *call, free bool) {
 		p.hedges++
 		go p.run(execution{c: c, hedge: true})
 	}
+}
+
+// A plain send hands the token to whoever receives the execution.
+func (p *pump) sendToParked(c *call) {
+	p.grabTokenLocked("d")
+	p.work <- execution{c: c}
 }
 
 // The completion gives its token back and takes the next one in the same

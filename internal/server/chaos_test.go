@@ -122,6 +122,19 @@ func TestChaosConcurrentClientsDegradeCleanly(t *testing.T) {
 	// Idle keep-alive connections each hold serve/read goroutines; drop
 	// them so the leak check sees only what the query path left behind.
 	env.cl.http.CloseIdleConnections()
+	// The pump keeps its execution goroutines parked while the DB is open;
+	// Quiesce sends them home. It waits for every running execution too,
+	// so a leaked slot would hang it: bound it and fail by name.
+	quiesced := make(chan struct{})
+	go func() {
+		env.db.Pump().Quiesce()
+		close(quiesced)
+	}()
+	select {
+	case <-quiesced:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("pump did not quiesce within 5 s (%s)", pumpState(env.db.Pump()))
+	}
 	settleGoroutines(t, base, 10)
 
 	st, err := env.cl.Status(context.Background())

@@ -92,15 +92,14 @@ func (bp *BufferPool) Pin(pageNo uint32) (*Page, error) {
 		return &fr.page, nil
 	}
 	bp.Misses++
-	if err := bp.makeRoom(); err != nil {
+	fr, err := bp.makeRoom(pageNo)
+	if err != nil {
 		return nil, err
 	}
-	fr := &frame{pageNo: pageNo, pins: 1}
 	if _, err := bp.file.ReadAt(fr.page.Bytes(), int64(pageNo)*PageSize); err != nil {
+		bp.drop(fr)
 		return nil, fmt.Errorf("read page %d: %w", pageNo, err)
 	}
-	fr.elem = bp.lru.PushFront(fr)
-	bp.frames[pageNo] = fr
 	return &fr.page, nil
 }
 
@@ -109,18 +108,18 @@ func (bp *BufferPool) Pin(pageNo uint32) (*Page, error) {
 func (bp *BufferPool) AppendPage() (uint32, *Page, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	if err := bp.makeRoom(); err != nil {
+	pageNo := bp.numPages
+	fr, err := bp.makeRoom(pageNo)
+	if err != nil {
 		return 0, nil, err
 	}
-	pageNo := bp.numPages
-	fr := &frame{pageNo: pageNo, pins: 1, dirty: true}
+	fr.dirty = true
 	fr.page.Reset()
 	if _, err := bp.file.WriteAt(fr.page.Bytes(), int64(pageNo)*PageSize); err != nil {
+		bp.drop(fr)
 		return 0, nil, fmt.Errorf("extend file with page %d: %w", pageNo, err)
 	}
 	bp.numPages++
-	fr.elem = bp.lru.PushFront(fr)
-	bp.frames[pageNo] = fr
 	return pageNo, &fr.page, nil
 }
 
@@ -142,11 +141,18 @@ func (bp *BufferPool) Unpin(pageNo uint32, dirty bool) error {
 	return nil
 }
 
-// makeRoom evicts the least recently used unpinned frame if the pool is at
-// capacity, writing it back if dirty. Callers hold bp.mu.
-func (bp *BufferPool) makeRoom() error {
+// makeRoom returns a frame for pageNo, pinned once, at the front of the
+// LRU list and in the frame map; its page bytes are the caller's to fill.
+// Below capacity the frame is new. At capacity it is the least recently
+// used unpinned frame, written back if dirty and then reused, page bytes
+// and list element included: a frame nobody pins has no reader (the pin
+// protocol), so nothing still sees the page it held. Callers hold bp.mu.
+func (bp *BufferPool) makeRoom(pageNo uint32) (*frame, error) {
 	if len(bp.frames) < bp.maxFrames {
-		return nil
+		fr := &frame{pageNo: pageNo, pins: 1}
+		fr.elem = bp.lru.PushFront(fr)
+		bp.frames[pageNo] = fr
+		return fr, nil
 	}
 	for e := bp.lru.Back(); e != nil; e = e.Prev() {
 		fr := e.Value.(*frame)
@@ -155,15 +161,24 @@ func (bp *BufferPool) makeRoom() error {
 		}
 		if fr.dirty {
 			if _, err := bp.file.WriteAt(fr.page.Bytes(), int64(fr.pageNo)*PageSize); err != nil {
-				return fmt.Errorf("write back page %d: %w", fr.pageNo, err)
+				return nil, fmt.Errorf("write back page %d: %w", fr.pageNo, err)
 			}
 		}
-		bp.lru.Remove(e)
 		delete(bp.frames, fr.pageNo)
 		bp.Evictions++
-		return nil
+		fr.pageNo, fr.pins, fr.dirty = pageNo, 1, false
+		bp.lru.MoveToFront(e)
+		bp.frames[pageNo] = fr
+		return fr, nil
 	}
-	return fmt.Errorf("buffer pool exhausted: all %d frames pinned", bp.maxFrames)
+	return nil, fmt.Errorf("buffer pool exhausted: all %d frames pinned", bp.maxFrames)
+}
+
+// drop takes a frame makeRoom handed out, whose page could not be filled,
+// back out of the pool. Callers hold bp.mu.
+func (bp *BufferPool) drop(fr *frame) {
+	bp.lru.Remove(fr.elem)
+	delete(bp.frames, fr.pageNo)
 }
 
 // FlushAll writes every dirty resident page back to disk.

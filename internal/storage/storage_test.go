@@ -447,3 +447,58 @@ func TestScannerNextIsAViewUntilTheNextCall(t *testing.T) {
 		t.Errorf("a %d-record scan made %.0f heap objects: Next copies records again", n, allocs)
 	}
 }
+
+// TestColdScanReusesEvictedFrames: a miss in a full pool reuses the frame
+// it evicts — page bytes and LRU element — so a full scan of a table many
+// times the pool's size, once the pool has filled, allocates nothing.
+func TestColdScanReusesEvictedFrames(t *testing.T) {
+	h := openTemp(t, 2)
+	const n = 5000
+	for i := 0; i < n; i++ {
+		if _, err := h.Insert([]byte(fmt.Sprintf("row-%06d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pages := h.NumPages()
+	if pages < 8 {
+		t.Fatalf("want many more pages than frames, got %d", pages)
+	}
+	// The first scan checks what every reused frame holds.
+	s := h.NewScanner()
+	for i := 0; ; i++ {
+		_, raw, ok, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			if i != n {
+				t.Fatalf("scanned %d records, want %d", i, n)
+			}
+			break
+		}
+		if want := fmt.Sprintf("row-%06d", i); string(raw) != want {
+			t.Fatalf("record %d reads %q, want %q", i, raw, want)
+		}
+	}
+	s.Close()
+	_, _, ev0 := h.Pool().StatsSnapshot()
+	rows := 0
+	if allocs := testing.AllocsPerRun(1, func() {
+		s := h.NewScanner()
+		for {
+			if _, _, ok, _ := s.Next(); !ok {
+				break
+			}
+			rows++
+		}
+		s.Close()
+	}); allocs != 0 {
+		t.Errorf("a scan of %d pages through a 2-frame pool made %.0f heap objects, want 0", pages, allocs)
+	}
+	if rows != 2*n {
+		t.Errorf("two scans read %d records, want %d", rows, 2*n)
+	}
+	if _, _, ev := h.Pool().StatsSnapshot(); ev-ev0 < 2*uint64(pages)-4 {
+		t.Errorf("two scans evicted %d frames, want about one per page (%d pages)", ev-ev0, pages)
+	}
+}
