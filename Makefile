@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-race check fuzz fuzzqe-smoke bench bench-check table1 examples clean
+.PHONY: all build vet lint test test-race race-loop-reuse race-loop-pump check fuzz fuzzqe-smoke bench bench-check table1 examples clean
 
 all: build check
 
@@ -31,20 +31,31 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Full gate: gofmt-clean tree + vet + wsqlint + the whole suite under the race detector + the
-# plan-reuse tests ten times over under it (about 12 s: a tree two queries
-# run at once shows as a race or a wrong answer in TestReuse..., by name,
-# and one pass does not always interleave them; traced and untraced runs
-# share one tree, so a decorator left in it shows there too) + the pump's
-# handoff, settlement, coalescing, sibling-cancel, goroutine-lifetime and
-# Quiesce tests ten times over under it (about 15 s: deadline and hedge
-# timers and retry backoffs act under the pump's lock from their own
+# The race loops: tests whose interleavings one pass under the race
+# detector does not always reach, run ten times over under it. `check`
+# runs both, and CI's race job runs each in the group that owns its
+# package.
+#
+# Plan reuse (about 12 s): a tree two queries run at once shows as a race
+# or a wrong answer in TestReuse..., by name; traced and untraced runs
+# share one tree, so a decorator left in it shows there too.
+race-loop-reuse:
+	$(GO) test -race -count=10 -run TestReuse ./internal/core
+
+# The pump (about 15 s): handoff, settlement, coalescing, sibling-cancel,
+# goroutine-lifetime, Quiesce and synchronous-call tests. Deadline and
+# hedge timers and retry backoffs act under the pump's lock from their own
 # goroutines, an execution goroutine parks and is handed its next call or
-# retired by Close/Quiesce between two of its critical sections, and one
-# pass does not reach every interleaving) + the allocation budgets without
-# it, traced warm query, the retry-policy round, the /query decoder and
-# the cold buffer-pool scan included + a
-# fuzz smoke + the nested benchmark module. The concurrency
+# retired by Close/Quiesce between two of its critical sections, and a
+# synchronous caller's wait ends by settlement or by its context.
+race-loop-pump:
+	$(GO) test -race -count=10 -run 'TestHandoff|TestSettleHandshake|TestCoalesce|TestSiblingCancel|TestQuiesce|TestPumpReusesExecutionGoroutines|TestPumpGoroutineBound|TestSyncCall|TestEVScanCache' ./internal/async
+
+# Full gate: gofmt-clean tree + vet + wsqlint + the whole suite under the
+# race detector + both race loops + the allocation budgets without it,
+# traced warm query, the retry-policy round, the /query decoder and the
+# cold buffer-pool scan included + a fuzz smoke + the nested benchmark
+# module. The concurrency
 # tests (shared-pump server, concurrent Exec) only bite with -race; wsqlint
 # enforces the invariants the race detector can only sample; the fuzz
 # targets guard the parser and evaluator crash-freedom contracts and hold
@@ -54,8 +65,8 @@ check:
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run TestReuse ./internal/core
-	$(GO) test -race -count=10 -run 'TestHandoff|TestSettleHandshake|TestCoalesce|TestSiblingCancel|TestQuiesce|TestPumpReusesExecutionGoroutines|TestPumpGoroutineBound' ./internal/async
+	$(MAKE) race-loop-reuse
+	$(MAKE) race-loop-pump
 	$(GO) test -run TestAllocationBudget ./internal/core
 	$(GO) test -run 'TestPumpRoundTripAllocs|TestPumpPolicyRoundAllocs' ./internal/async
 	$(GO) test -run TestDecodeQueryResponseAllocs ./internal/server

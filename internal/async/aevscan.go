@@ -28,10 +28,6 @@ type AEVScan struct {
 	// holder is the one-row "result" of a registered call: a placeholder
 	// per result field, materialized like any other row.
 	holder [1]types.Tuple
-	// nCalls counts logical calls — one per outer binding — across every
-	// Open of this instance, and nCacheHits those of them answered from the
-	// pump's cache, for the span trace.
-	nCalls, nCacheHits int64
 	// traces accumulates the lifecycle records of the calls this scan
 	// registered while the query was sampled; TraceChildren turns them
 	// into pump call spans at Close. Empty for untraced queries.
@@ -44,8 +40,7 @@ func NewAEVScan(src exec.ExternalSource, inputs []expr.Expr, out *schema.Schema,
 }
 
 // FromEVScan converts a synchronous EVScan into its asynchronous
-// counterpart (step one of the rewrite algorithm). The pump takes over the
-// EVScan's cache, if any.
+// counterpart (step one of the rewrite algorithm).
 func FromEVScan(ev *exec.EVScan, pump *Pump) *AEVScan {
 	return &AEVScan{ExternalScan: ev.ExternalScan, Pump: pump}
 }
@@ -78,7 +73,6 @@ func (s *AEVScan) bind(ctx *exec.Context, byKey map[string]answer, dst []types.T
 		return dst, slab, err
 	}
 	ctx.Stats.ExternalCalls++
-	s.nCalls++
 	a, seen := byKey[string(keyBytes)]
 	if !seen {
 		key := string(keyBytes)
@@ -96,8 +90,8 @@ func (s *AEVScan) bind(ctx *exec.Context, byKey map[string]answer, dst []types.T
 			}
 		}
 	}
+	s.CountCall(a.hit)
 	if a.hit {
-		s.nCacheHits++
 		return s.AppendRows(dst, slab, args, a.rows, more)
 	}
 	holder := s.holder[0][:0]
@@ -164,12 +158,6 @@ func (s *AEVScan) Children() []exec.Operator { return nil }
 
 // SetChild implements exec.Operator.
 func (s *AEVScan) SetChild(int, exec.Operator) { panic("AEVScan has no children") }
-
-// SpanExtras implements exec.SpanExtras: logical calls put to the pump,
-// and those of them its cache answered on the spot.
-func (s *AEVScan) SpanExtras() map[string]int64 {
-	return map[string]int64{"calls": s.nCalls, "cache_hits": s.nCacheHits}
-}
 
 // TraceChildren implements exec.TraceChildren: the pump call timelines
 // this scan registered while the query was sampled, as spans. Handing

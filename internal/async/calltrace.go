@@ -127,9 +127,9 @@ func (ct *CallTrace) Span() *obs.Span {
 }
 
 // CallTrace returns the trace record of a call the pump still holds, or
-// nil when the call is untraced or no longer held. The issuing operator
-// (AEVScan) asks right after RegisterCtx — its own ReqSync cannot have
-// taken the call yet — and keeps the record for its span.
+// nil when the call is untraced or no longer held. The issuer — AEVScan,
+// or CallWithRetry for EVScan — asks right after registering, before
+// anyone can have taken the call, and keeps the record for its span.
 func (p *Pump) CallTrace(id types.CallID) *CallTrace {
 	p.mu.Lock()
 	defer p.mu.Unlock()

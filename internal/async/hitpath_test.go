@@ -206,8 +206,9 @@ func TestAEVScanHitRowWidthChecked(t *testing.T) {
 	src := pagesSource("P", "d", 1)
 	aev := NewAEVScan(src, []expr.Expr{expr.NewLiteral(types.Str("x"))}, pagesSchema("P"), pump)
 	ev := exec.NewEVScan(src, []expr.Expr{expr.NewLiteral(types.Str("x"))}, pagesSchema("P"))
-	ev.Cache = &countingCache{m: map[string][]types.Tuple{"P|x": short}}
-	errAsync, errSync := aev.Open(exec.NewContext()), ev.Open(exec.NewContext())
+	syncCtx := exec.NewContext()
+	syncCtx.RetryCall = pump.CallWithRetry
+	errAsync, errSync := aev.Open(exec.NewContext()), ev.Open(syncCtx)
 	if errAsync == nil || errSync == nil || errAsync.Error() != errSync.Error() {
 		t.Errorf("short cached row: async %v, sync %v; want the same width error", errAsync, errSync)
 	}

@@ -205,11 +205,6 @@ const (
 	numEvents
 )
 
-// SyncDest is the destination record that CallWithRetry's events are
-// counted under: the synchronous path's signature carries no destination.
-// No engine uses the name.
-const SyncDest = "sync"
-
 // destination is the pump's one record per external destination — the
 // paper's "one counter for each external destination" grown to carry
 // everything known about it. Token accounting stays under p.mu: limit is
@@ -344,9 +339,6 @@ func (p *Pump) SetRetryPolicy(pol RetryPolicy) {
 // paper's Figure 7 redundant-call behavior, which must be preserved.
 func (p *Pump) HasCache() bool { return p.cache != nil }
 
-// RetryPolicy returns the installed policy (normalized).
-func (p *Pump) RetryPolicy() RetryPolicy { return *p.policy.Load() }
-
 // RegisterCtx enqueues an external call and returns its identifier
 // immediately; the call runs as soon as the concurrency limits allow. The
 // caller later claims the outcome with Take (typically from a ReqSync).
@@ -367,6 +359,35 @@ func (p *Pump) RegisterCtx(ctx context.Context, dest, key string, fn func() ([]t
 // and src is asked for the call's function only if the pump has to run it.
 func (p *Pump) Request(ctx context.Context, src exec.ExternalSource, key string) (id types.CallID, rows []types.Tuple, hit bool) {
 	return p.register(ctx, src.Destination(), key, nil, src)
+}
+
+// CallWithRetry is a synchronous scan's call (exec.Context.RetryCall): a
+// Request, waited for. The pump treats it as any scan's call — the cache
+// or an identical call in flight may answer it, else it waits for a token
+// and runs under the retry policy, deadlines and hedges included, counted
+// under src's destination — and the caller blocks until it settles. hit
+// reports that the cache answered at registration. span is the call's
+// pump.call span when ctx is sampled. If ctx ends or the pump closes
+// first, the call is discarded and the wait's error returned.
+func (p *Pump) CallWithRetry(ctx context.Context, src exec.ExternalSource, key string) (rows []types.Tuple, hit bool, span *obs.Span, err error) {
+	id, rows, hit := p.Request(ctx, src, key)
+	if hit {
+		return rows, true, nil, nil
+	}
+	var ct *CallTrace
+	if obs.SampledTrace(ctx) != nil {
+		ct = p.CallTrace(id)
+	}
+	if _, err = p.AwaitAnyCtx(ctx, map[types.CallID]bool{id: true}); err != nil {
+		p.Discard(id)
+	} else {
+		res, _ := p.Take(id)
+		rows, err = res.Rows, res.Err
+	}
+	if ct != nil {
+		span = ct.Span()
+	}
+	return rows, false, span, err
 }
 
 // register decides, in one hold of the lock, what becomes of a

@@ -144,51 +144,28 @@ func patch(t types.Tuple, id types.CallID, row types.Tuple) types.Tuple {
 // proliferate references to other pending calls.
 //
 // A failed call (the pump's retries exhausted, or a permanent engine error)
-// is handled per the query's degradation policy: fail the query, cancel the
-// waiting tuples as if the call returned no rows, or release them with the
-// call's attributes patched to NULL.
+// is handled per the query's degradation policy (exec.Context.Degraded):
+// it fails the query, or settles as the zero rows or the one all-NULL row
+// the policy makes of it. The empty row does for any width: patch NULLs
+// every field past a row's end.
 func (r *ReqSync) settle(ctx *exec.Context, id types.CallID, res CallResult) error {
 	buffered := r.waiting[id]
 	delete(r.waiting, id)
 	delete(r.pending, id)
 	r.nSettled++
+	rows := res.Rows
 	if res.Err != nil {
-		switch ctx.Degrade {
-		case exec.DegradeDrop:
-			ctx.Stats.DegradedCalls++
-			r.nDegraded++
-			for _, bt := range buffered {
-				if !bt.canceled {
-					bt.canceled = true
-					r.nCanceled++
-				}
-			}
-			return nil
-		case exec.DegradePartial:
-			ctx.Stats.DegradedCalls++
-			r.nDegraded++
-			for _, bt := range buffered {
-				if bt.canceled {
-					continue
-				}
-				// patch with an empty row: every referenced field is beyond
-				// the row's end, so each placeholder becomes NULL.
-				patch(bt.t, id, nil)
-				r.nPatched++
-				if !bt.t.HasPlaceholder() {
-					r.ready = append(r.ready, bt.t)
-				}
-			}
-			return nil
-		default:
-			return fmt.Errorf("external call failed: %w", res.Err)
+		var err error
+		if rows, err = ctx.Degraded(res.Err, 0); err != nil {
+			return fmt.Errorf("external call failed: %w", err)
 		}
+		r.nDegraded++
 	}
 	for _, bt := range buffered {
 		if bt.canceled {
 			continue
 		}
-		switch len(res.Rows) {
+		switch len(rows) {
 		case 0:
 			// Case 1: the call returned no rows — cancel the tuple.
 			bt.canceled = true
@@ -198,7 +175,7 @@ func (r *ReqSync) settle(ctx *exec.Context, id types.CallID, res CallResult) err
 			// the extra result rows. Copies are cloned before the original
 			// is patched so they retain this call's placeholders, then
 			// re-registered under any calls still pending (Section 4.4).
-			for _, row := range res.Rows[1:] {
+			for _, row := range rows[1:] {
 				c := patch(bt.t.Clone(), id, row)
 				r.nExpanded++
 				if c.HasPlaceholder() {
@@ -208,7 +185,7 @@ func (r *ReqSync) settle(ctx *exec.Context, id types.CallID, res CallResult) err
 				}
 			}
 			// Case 2: patch the original in place with the first row.
-			patch(bt.t, id, res.Rows[0])
+			patch(bt.t, id, rows[0])
 			r.nPatched++
 			if !bt.t.HasPlaceholder() {
 				r.ready = append(r.ready, bt.t)

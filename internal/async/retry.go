@@ -3,10 +3,7 @@ package async
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
-
-	"repro/internal/types"
 )
 
 // ErrCallTimeout is the (wrapped) error of an external call attempt that
@@ -83,45 +80,6 @@ func (p RetryPolicy) backoff(n int) time.Duration {
 		d = p.MaxBackoff
 	}
 	return d
-}
-
-// CallWithRetry runs do under the pump's retry policy without consuming
-// concurrency tokens: the synchronous executor path (EVScan) uses it so
-// synchronous and asynchronous iteration share one fault model. Hedging and
-// per-attempt deadlines are skipped — a synchronous scan blocks its query
-// for the call's full latency by design. Its retries and failures are
-// counted under the SyncDest destination record.
-func (p *Pump) CallWithRetry(ctx context.Context, do func() ([]types.Tuple, error)) ([]types.Tuple, error) {
-	pol := p.RetryPolicy()
-	d := p.dest(SyncDest)
-	var lastErr error
-	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			t := time.NewTimer(p.jitteredBackoff(pol, attempt-1))
-			if ctx != nil {
-				select {
-				case <-t.C:
-				case <-ctx.Done():
-					t.Stop()
-					return nil, ctx.Err()
-				}
-			} else {
-				<-t.C
-			}
-			d.count(evRetry)
-		}
-		rows, err := do()
-		if err == nil {
-			return rows, nil
-		}
-		lastErr = err
-		if !IsTransient(err) {
-			d.count(evFailed)
-			return nil, err
-		}
-	}
-	d.count(evFailed)
-	return nil, fmt.Errorf("after %d attempts: %w", pol.MaxAttempts, lastErr)
 }
 
 // transienter is implemented by errors that know whether retrying may

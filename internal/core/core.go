@@ -154,7 +154,6 @@ func Open(cfg Config) (*DB, error) {
 	c.Observe(reg) // nil-safe: a disabled cache registers nothing
 	db.async.Store(cfg.Async)
 	db.planner = plan.New(cat, vt)
-	db.planner.Cache = rc
 	return db, nil
 }
 

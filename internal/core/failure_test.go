@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/search"
+	"repro/internal/websim"
 )
 
 // flakyEngine fails a configurable subset of calls.
@@ -169,5 +172,61 @@ func TestLimitShortCircuitsCleanly(t *testing.T) {
 	res = mustQuery(t, db, `SELECT Name, Count FROM States, WebCount WHERE Name = T1`)
 	if len(res.Rows) != 50 {
 		t.Fatalf("follow-up rows: %d", len(res.Rows))
+	}
+}
+
+// TestDegradeSyncMatchesAsync: a failed call is degraded by one policy
+// whichever iteration made it. Template 1 runs under each degrade policy,
+// synchronously and asynchronously, over an engine that fails a seeded
+// 30 % of its calls outright. With one call in flight at a time both
+// modes issue the calls in the States scan's order and so draw the same
+// faults: they must return the same rows and absorb the same number of
+// failed calls, and under fail both must error, each with its own
+// operator's message.
+func TestDegradeSyncMatchesAsync(t *testing.T) {
+	const sql = `SELECT Name, Count FROM States, WebCount WHERE Name = T1 AND T2 = 'scuba diving'`
+	run := func(asyncMode bool, pol exec.DegradePolicy) (*Result, error) {
+		db, err := Open(Config{Dir: t.TempDir(), Async: asyncMode, MaxConcurrentCalls: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		faults := search.FaultModel{Count: search.FaultProfile{Hard: 0.3}}
+		engine := search.NewDelayed(websim.NewAltaVista(websim.Default()), search.ZeroLatency(), 1)
+		db.RegisterEngine(search.NewFlaky(engine, faults, search.NewRand(11)), "AV")
+		loadTables(t, db)
+		return db.QueryContextOpts(context.Background(), sql, QueryOptions{Degrade: &pol})
+	}
+	for _, pol := range []exec.DegradePolicy{exec.DegradeFail, exec.DegradeDrop, exec.DegradePartial} {
+		t.Run(pol.String(), func(t *testing.T) {
+			syncRes, syncErr := run(false, pol)
+			asyncRes, asyncErr := run(true, pol)
+			if pol == exec.DegradeFail {
+				var fe *search.FaultError
+				if !errors.As(syncErr, &fe) || !strings.HasPrefix(syncErr.Error(), "WebCount: ") {
+					t.Errorf("sync: %v, want the scan's \"WebCount: \" fault error", syncErr)
+				}
+				if !errors.As(asyncErr, &fe) || !strings.HasPrefix(asyncErr.Error(), "external call failed: ") {
+					t.Errorf("async: %v, want ReqSync's \"external call failed: \" fault error", asyncErr)
+				}
+				return
+			}
+			if syncErr != nil || asyncErr != nil {
+				t.Fatalf("sync: %v, async: %v; want both absorbed", syncErr, asyncErr)
+			}
+			if got, want := sortedRows(asyncRes.Rows), sortedRows(syncRes.Rows); got != want {
+				t.Errorf("async rows\n%s\nsync rows\n%s", got, want)
+			}
+			n := syncRes.Stats.DegradedCalls
+			if n == 0 || n != asyncRes.Stats.DegradedCalls {
+				t.Errorf("degraded calls: sync %d, async %d; want the same nonzero count", n, asyncRes.Stats.DegradedCalls)
+			}
+			if want := 50 - n; pol == exec.DegradeDrop && int64(len(syncRes.Rows)) != want {
+				t.Errorf("drop: %d rows, want one per call that did not fail (%d)", len(syncRes.Rows), want)
+			}
+			if pol == exec.DegradePartial && len(syncRes.Rows) != 50 {
+				t.Errorf("partial: %d rows, want all 50 states", len(syncRes.Rows))
+			}
+		})
 	}
 }

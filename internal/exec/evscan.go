@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -55,6 +54,10 @@ type ExternalScan struct {
 
 	args ScanArgs
 	key  []byte // AppendKey scratch
+	// nCalls counts logical calls — one per binding — across every Open
+	// of the scan (a dependent join re-opens it once per outer binding),
+	// and nCacheHits those of them the cache answered, for the span trace.
+	nCalls, nCacheHits int64
 }
 
 func newExternalScan(src ExternalSource, inputs []expr.Expr, out *schema.Schema) ExternalScan {
@@ -141,6 +144,21 @@ func (s *ExternalScan) Request(ctx *Context) (args []types.Value, key []byte, er
 	return args, s.key, nil
 }
 
+// CountCall records one logical call in the scan's profile; hit reports
+// that the cache answered it.
+func (s *ExternalScan) CountCall(hit bool) {
+	s.nCalls++
+	if hit {
+		s.nCacheHits++
+	}
+}
+
+// SpanExtras implements the trace-profile hook: the logical calls the
+// scan made, and those of them the cache answered, over every Open.
+func (s *ExternalScan) SpanExtras() map[string]int64 {
+	return map[string]int64{"calls": s.nCalls, "cache_hits": s.nCacheHits}
+}
+
 // AppendRows appends to dst the output tuples of one call: per result row,
 // the kept echoed arguments and the kept fields of the row, copied — the
 // tuples share nothing with args or rows. They are cut from slab (see
@@ -176,23 +194,19 @@ func (s *ExternalScan) AppendRows(dst []types.Tuple, slab []types.Value, args []
 // bindings supplied by an enclosing dependent join, performs the external
 // call, and streams the resulting tuples. The query processor is idle for
 // the full latency of every call — this is precisely the behavior
-// asynchronous iteration (package async) replaces.
+// asynchronous iteration (package async) replaces. The call itself is the
+// request pump's, through Context.RetryCall: an asynchronous scan's call
+// with nothing else outstanding.
 type EVScan struct {
 	ExternalScan
-	// Cache, when non-nil, memoizes call results across Opens ([HN96]).
-	Cache ResultCache
 
 	rows []types.Tuple // the call result not yet emitted
-	// Per-instance profile counters for the span trace (EXPLAIN ANALYZE):
-	// calls actually issued vs served from cache, across every Open of
-	// this scan (a dependent join re-opens it once per outer binding).
-	nCalls, nCacheHits int64
-	// callSpans accumulates per-call timing spans while the query is
-	// sampled; TraceChildren hands them out at Close. Nil when untraced.
+	// callSpans accumulates the pump call spans of the calls made while
+	// the query is sampled; TraceChildren hands them out at Close.
 	callSpans []*obs.Span
 }
 
-// ResultCache memoizes external call results.
+// ResultCache memoizes external call results ([HN96]).
 type ResultCache interface {
 	Get(key string) ([]types.Tuple, bool)
 	Put(key string, rows []types.Tuple)
@@ -257,19 +271,12 @@ func (a *ScanArgs) eval(name string, inputs []expr.Expr, i int, ctx *Context) er
 	return nil
 }
 
-// Open implements Operator: it performs the external call (or serves it
-// from cache).
+// Open implements Operator: it performs the external call and waits for
+// it. A failed call is degraded per the query's policy (Context.Degraded).
 func (s *EVScan) Open(ctx *Context) error {
-	args, keyBytes, err := s.Request(ctx)
+	args, key, err := s.Request(ctx)
 	if err != nil {
 		return err
-	}
-	key := string(keyBytes)
-	if s.Cache != nil {
-		if rows, ok := s.Cache.Get(key); ok {
-			s.nCacheHits++
-			return s.setRows(args, rows)
-		}
 	}
 	// A synchronous scan is about to block for the call's full latency;
 	// don't start it if the query's deadline has already passed.
@@ -278,50 +285,30 @@ func (s *EVScan) Open(ctx *Context) error {
 			return err
 		}
 	}
-	ctx.Stats.ExternalCalls++
-	s.nCalls++
-	start := time.Now()
-	call := s.Source.Call(key)
-	var rows []types.Tuple
-	if ctx.RetryCall != nil {
-		rows, err = ctx.RetryCall(ctx.Ctx, call)
-	} else {
-		rows, err = call()
+	rows, hit, span, err := s.call(ctx, string(key))
+	s.CountCall(hit)
+	if !hit {
+		ctx.Stats.ExternalCalls++
 	}
-	if obs.SampledTrace(ctx.Ctx) != nil {
-		detail := s.Source.Destination()
-		if err != nil {
-			detail += " error"
-		}
-		s.callSpans = append(s.callSpans, &obs.Span{
-			Op: "engine.call", Detail: detail, Start: start, Dur: time.Since(start),
-		})
+	if span != nil {
+		s.callSpans = append(s.callSpans, span)
 	}
 	if err != nil {
-		switch ctx.Degrade {
-		case DegradeDrop:
-			// Treat the failed call as a zero-row result: downstream joins
-			// drop the driving tuple, exactly like ReqSync's drop policy.
-			ctx.Stats.DegradedCalls++
-			rows = nil
-		case DegradePartial:
-			// One all-NULL result row: the driving tuple survives with the
-			// call's attributes NULLed.
-			ctx.Stats.DegradedCalls++
-			null := make(types.Tuple, len(s.Keep)-s.Source.NumEcho())
-			for i := range null {
-				null[i] = types.Null()
-			}
-			rows = []types.Tuple{null}
-		default:
+		if rows, err = ctx.Degraded(err, len(s.Keep)-s.Source.NumEcho()); err != nil {
 			return fmt.Errorf("%s: %w", s.Source.Name(), err)
 		}
 	}
-	// Degraded results are never cached: the call may succeed next time.
-	if s.Cache != nil && err == nil {
-		s.Cache.Put(key, rows)
-	}
 	return s.setRows(args, rows)
+}
+
+// call performs the call key names through ctx.RetryCall, or with no hook
+// set by calling the source once.
+func (s *EVScan) call(ctx *Context, key string) ([]types.Tuple, bool, *obs.Span, error) {
+	if ctx.RetryCall != nil {
+		return ctx.RetryCall(ctx.Ctx, s.Source, key)
+	}
+	rows, err := s.Source.Call(key)()
+	return rows, false, nil, err
 }
 
 // setRows materializes the call's rows as the output tuples NextBatch
@@ -349,17 +336,11 @@ func (s *EVScan) Children() []Operator { return nil }
 // SetChild implements Operator.
 func (s *EVScan) SetChild(int, Operator) { panic("EVScan has no children") }
 
-// SpanExtras implements the trace-profile hook: external calls issued
-// and cache hits served, accumulated over every Open.
-func (s *EVScan) SpanExtras() map[string]int64 {
-	return map[string]int64{"calls": s.nCalls, "cache_hits": s.nCacheHits}
-}
-
-// TraceChildren implements the async-span hook: per-call timing spans
-// recorded while the query was sampled. The scan blocks inside the call
-// (its wall time already lands in the span's self time); these children
-// name the destination and per-call latency. Each span is handed out
-// once.
+// TraceChildren implements the async-span hook: the pump call spans of
+// the calls made while the query was sampled. The scan blocks inside the
+// call (its wall time already lands in the span's self time); these
+// children show where it went — queue wait, attempts, retries. Each span
+// is handed out once.
 func (s *EVScan) TraceChildren() []*obs.Span {
 	out := s.callSpans
 	s.callSpans = nil

@@ -459,44 +459,6 @@ func TestEVScanPruned(t *testing.T) {
 	}
 }
 
-func TestEVScanCache(t *testing.T) {
-	src := &fakeSource{name: "F", rowsFor: func(arg string) []types.Tuple {
-		return []types.Tuple{{types.Int(1)}}
-	}}
-	cache := &mapCache{m: make(map[string][]types.Tuple)}
-	ev := NewEVScan(src, []expr.Expr{expr.NewLiteral(types.Str("q"))}, fakeSchema("F"))
-	ev.Cache = cache
-	ctx := NewContext()
-	for i := 0; i < 3; i++ {
-		if _, err := Run(ctx, ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if src.callCount() != 1 {
-		t.Errorf("cache should dedupe calls: %d", src.callCount())
-	}
-	if ctx.Stats.ExternalCalls != 1 {
-		t.Errorf("stats should count only real calls: %d", ctx.Stats.ExternalCalls)
-	}
-}
-
-type mapCache struct {
-	mu sync.Mutex
-	m  map[string][]types.Tuple
-}
-
-func (c *mapCache) Get(k string) ([]types.Tuple, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.m[k]
-	return r, ok
-}
-func (c *mapCache) Put(k string, rows []types.Tuple) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[k] = rows
-}
-
 func TestEVScanPlaceholderInputRejected(t *testing.T) {
 	term := strCol("L", "Term")
 	src := &fakeSource{name: "F", rowsFor: func(string) []types.Tuple { return nil }}

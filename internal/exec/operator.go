@@ -39,14 +39,16 @@ import (
 	"strings"
 
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/types"
 )
 
 // DegradePolicy selects what happens to tuples whose external call
-// ultimately failed (after the request pump exhausted its retries) during
-// asynchronous iteration. It is a per-query choice: a dashboard may prefer
-// partial rows over an error, a correctness test wants the error.
+// ultimately failed (after the request pump exhausted its retries), under
+// synchronous and asynchronous iteration alike (Context.Degraded). It is a
+// per-query choice: a dashboard may prefer partial rows over an error, a
+// correctness test wants the error.
 type DegradePolicy uint8
 
 const (
@@ -96,11 +98,16 @@ type Context struct {
 	// waits) or loop (Run) honor its deadline and cancellation. Never nil.
 	Ctx context.Context
 	Env *expr.Env
-	// Degrade selects the failed-call handling for this query's ReqSyncs.
+	// Degrade selects the failed-call handling for this query's external
+	// calls (see Degraded).
 	Degrade DegradePolicy
-	// RetryCall, when set, wraps synchronous external calls (EVScan) in the
-	// engine-wide retry policy. Asynchronous calls retry inside the pump.
-	RetryCall func(ctx context.Context, do func() ([]types.Tuple, error)) ([]types.Tuple, error)
+	// RetryCall, when set, performs a synchronous scan's (EVScan's) call:
+	// async.Pump.CallWithRetry puts it to the request pump — cache,
+	// coalescing, tokens, retry policy and all — and waits for it, so the
+	// two iterations share one call path. hit reports that the cache
+	// answered; span is the call's trace when ctx is sampled. Unset, the
+	// scan calls its source directly, once.
+	RetryCall func(ctx context.Context, src ExternalSource, key string) (rows []types.Tuple, hit bool, span *obs.Span, err error)
 	// BatchSize overrides the executor's batch granularity; zero means
 	// DefaultBatchSize. It is a reference granularity, not a tuning knob:
 	// the benchmark and wsqfuzz run size 1 as the tuple-at-a-time reference
@@ -114,6 +121,27 @@ type Context struct {
 	// or that an error stranded, does not stay parked in the pump.
 	PumpCalls []types.CallID
 	Stats     Stats
+}
+
+// Degraded is a failed external call under the query's degradation
+// policy: no rows under drop, one row of width NULLs under partial — the
+// call's tuples then go on without its attributes — and err under fail.
+// A call it absorbs counts in Stats.DegradedCalls.
+func (c *Context) Degraded(err error, width int) ([]types.Tuple, error) {
+	switch c.Degrade {
+	case DegradeDrop:
+		c.Stats.DegradedCalls++
+		return nil, nil
+	case DegradePartial:
+		c.Stats.DegradedCalls++
+		null := make(types.Tuple, width)
+		for i := range null {
+			null[i] = types.Null()
+		}
+		return []types.Tuple{null}, nil
+	default:
+		return nil, err
+	}
 }
 
 // BatchLen resolves the query's batch granularity: the max that Run and
@@ -141,7 +169,10 @@ func NewContextWith(ctx context.Context) *Context {
 
 // Stats counts executor events of interest to tests and benchmarks.
 type Stats struct {
-	ExternalCalls int64 // EVScan/AEVScan calls issued
+	// ExternalCalls counts the external scans' logical calls, one per
+	// binding: every one an AEVScan puts to the pump, and every one of an
+	// EVScan's that the cache did not answer.
+	ExternalCalls int64
 	TuplesOut     int64 // tuples produced at the root
 	// DegradedCalls counts external calls whose terminal failure was
 	// absorbed by a drop/partial degradation policy instead of erroring the

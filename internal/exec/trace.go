@@ -17,9 +17,9 @@ type SpanExtras interface {
 	SpanExtras() map[string]int64
 }
 
-// TraceChildren is implemented by operators whose work partly runs
-// concurrently with the iterator protocol — AEVScan's pump calls,
-// EVScan's inline engine calls — and can surface it as spans. The
+// TraceChildren is implemented by operators whose work partly runs off
+// the iterator protocol — the pump calls of AEVScan, and those EVScan
+// waits for — and can surface it as spans. The
 // instrumented executor collects them at Close and attaches them as
 // async children of the operator's span (obs.Span.AddAsyncChild), so
 // the off-tree work becomes visible without perturbing the plan-shaped
@@ -39,7 +39,7 @@ type TraceChildren interface {
 //
 // Because the decorators nest through the ordinary iterator protocol,
 // time an operator spends blocked — a ReqSync waiting on the request
-// pump, an EVScan inside a synchronous engine call — is attributed to
+// pump, an EVScan waiting for its one pump call — is attributed to
 // that operator's self time. This is the Volcano-style per-operator
 // profile the paper's latency-hiding claim is verified against.
 //

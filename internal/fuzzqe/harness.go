@@ -230,6 +230,7 @@ func (r *Runner) execute(ctx context.Context, op exec.Operator, v Variant, trace
 	pump := r.pumpFor(v)
 	ectx := exec.NewContextWith(ctx)
 	ectx.BatchSize = v.BatchSize
+	ectx.RetryCall = pump.CallWithRetry // the synchronous plan's calls are pump calls too
 	before, settled := pump.Stats(), sumSettled(op)
 	run := op
 	if traced {

@@ -35,8 +35,6 @@ import (
 type Planner struct {
 	Cat   *catalog.Catalog
 	VTabs *vtab.Registry
-	// Cache, when non-nil, memoizes EVScan calls ([HN96]).
-	Cache exec.ResultCache
 	// DisableHashJoins forces every stored-stored join to the paper's
 	// nested-loop algorithm (and suppresses the semi-join rewrite). The
 	// plan-equivalence fuzzer (internal/fuzzqe) flips this to execute the
@@ -583,9 +581,7 @@ func (p *Planner) buildEVScan(sc *scope, conjuncts []conjunct, avail map[schema.
 		}
 	}
 
-	ev := exec.NewEVScan(vtab.NewSource(def), inputs, sc.schema)
-	ev.Cache = p.Cache
-	return ev, strings.Join(bindDescs, ", "), nil
+	return exec.NewEVScan(vtab.NewSource(def), inputs, sc.schema), strings.Join(bindDescs, ", "), nil
 }
 
 // tryBind attempts to interpret "lhs = rhs" as a binding of one of the
