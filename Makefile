@@ -46,10 +46,11 @@ race-loop-reuse:
 # goroutine-lifetime, Quiesce and synchronous-call tests. Deadline and
 # hedge timers and retry backoffs act under the pump's lock from their own
 # goroutines, an execution goroutine parks and is handed its next call or
-# retired by Close/Quiesce between two of its critical sections, and a
-# synchronous caller's wait ends by settlement or by its context.
+# retired by Close/Quiesce between two of its critical sections, a
+# synchronous caller's wait ends by settlement or by its context, and a
+# round's lock-free cache probe races the completions it may miss.
 race-loop-pump:
-	$(GO) test -race -count=10 -run 'TestHandoff|TestSettleHandshake|TestCoalesce|TestSiblingCancel|TestQuiesce|TestPumpReusesExecutionGoroutines|TestPumpGoroutineBound|TestSyncCall|TestEVScanCache' ./internal/async
+	$(GO) test -race -count=10 -run 'TestHandoff|TestSettleHandshake|TestCoalesce|TestSiblingCancel|TestQuiesce|TestPumpReusesExecutionGoroutines|TestPumpGoroutineBound|TestSyncCall|TestEVScanCache|TestPeekRound' ./internal/async
 
 # Full gate: gofmt-clean tree + vet + wsqlint + the whole suite under the
 # race detector + both race loops + the allocation budgets without it,

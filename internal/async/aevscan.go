@@ -32,6 +32,18 @@ type AEVScan struct {
 	// registered while the query was sampled; TraceChildren turns them
 	// into pump call spans at Close. Empty for untraced queries.
 	traces []*CallTrace
+
+	// A binding round's scratch, kept across rounds: the round's distinct
+	// keys with what the cache said of each, the call registered for each
+	// key it did not answer (0 until then), each binding's index into them
+	// and the arguments it echoes, one binding after another, and — when
+	// the pump memoizes — each key's index. Close clears it: it holds the
+	// cache's rows.
+	probes []Probe
+	ids    []types.CallID
+	keyOf  []int
+	argv   []types.Value
+	byKey  map[string]int
 }
 
 // NewAEVScan builds an asynchronous external scan.
@@ -45,68 +57,125 @@ func FromEVScan(ev *exec.EVScan, pump *Pump) *AEVScan {
 	return &AEVScan{ExternalScan: ev.ExternalScan, Pump: pump}
 }
 
-// answer is what the pump made of one request: the rows of a cache hit, or
-// the id of the registered call.
-type answer struct {
-	id   types.CallID
-	rows []types.Tuple
-	hit  bool
-}
-
-// bind is the one routine behind Open and BindBatch. It evaluates the
-// call's parameters against the current dependent-join bindings, puts the
-// request to the pump — without waiting — and appends the binding's tuples
-// to dst, cut from slab (see exec.ExternalScan.AppendRows; more is how
-// many bindings follow in the round): the rows of a cache hit, else one
-// tuple standing for the registered call's result, its call-supplied
-// attributes placeholders. "We always begin by assuming that exactly one
-// tuple joins, then 'patch' our results in ReqSync" (Section 4.3).
-// Argument values are copied, so the tuples outlive the binding frame. A
-// non-nil byKey shares one request among the bindings of a batch that have
-// the same key.
-func (s *AEVScan) bind(ctx *exec.Context, byKey map[string]answer, dst []types.Tuple, slab []types.Value, more int) ([]types.Tuple, []types.Value, error) {
+// round is the one routine behind Open and BindBatch: it puts the
+// requests of a round of bindings to the pump — without waiting — and
+// returns each binding's tuples: the rows of a cache hit, else one tuple
+// standing for the registered call's result, its call-supplied attributes
+// placeholders. "We always begin by assuming that exactly one tuple
+// joins, then 'patch' our results in ReqSync" (Section 4.3). The
+// bindings are outer's tuples, each pushed as a frame of cols, or with
+// outer nil the current bindings alone. It works in three steps:
+//
+//  1. every binding's arguments and key are evaluated — the echoed
+//     arguments copied, as the tuples outlive the frame — and nothing is
+//     registered; when the pump memoizes, bindings with the same key share
+//     one request and its answer — the same hit rows, or one CallID (the
+//     ReqSync patches every waiting tuple of a call when it settles, so
+//     sharing is transparent);
+//  2. the round's distinct keys are probed in one pass that takes no pump
+//     lock (PeekRound): a round of hits never queues behind another
+//     query's registrations;
+//  3. binding by binding, a key the probe missed goes through
+//     Pump.Request, which probes again under the pump's lock and
+//     registers the call, and the binding's tuples are cut from one slab
+//     per round (see exec.ExternalScan.AppendRows).
+//
+// Without a cache every binding registers its own call: duplicate
+// bindings re-issuing duplicate requests is the paper's Figure 7
+// behavior, and batching must not silently change it. Either way the
+// per-binding accounting (Stats.ExternalCalls, the trace's calls counter)
+// counts one logical call per binding.
+func (s *AEVScan) round(ctx *exec.Context, cols []schema.Column, outer []types.Tuple) ([][]types.Tuple, error) {
 	if s.Pump == nil {
-		return dst, slab, fmt.Errorf("AEVScan %s: no request pump", s.Source.Name())
+		return nil, fmt.Errorf("AEVScan %s: no request pump", s.Source.Name())
 	}
-	args, keyBytes, err := s.Request(ctx)
-	if err != nil {
-		return dst, slab, err
+	n := max(len(outer), 1)
+	if cap(s.keyOf) < n {
+		s.probes, s.ids, s.keyOf = make([]Probe, 0, n), make([]types.CallID, 0, n), make([]int, 0, n)
+		s.argv = make([]types.Value, 0, n*(s.Out.Len()-len(s.ResultCols())))
 	}
-	ctx.Stats.ExternalCalls++
-	a, seen := byKey[string(keyBytes)]
-	if !seen {
-		key := string(keyBytes)
-		// Registering under the execution context ties the call's lifetime
-		// to the query: if the deadline expires while the call is still
-		// queued, the pump drops it without consuming a slot.
-		a.id, a.rows, a.hit = s.Pump.Request(ctx.Ctx, s.Source, key)
-		if byKey != nil {
-			byKey[key] = a
+	s.probes, s.ids, s.keyOf, s.argv = s.probes[:0], s.ids[:0], s.keyOf[:0], s.argv[:0]
+	if s.Pump.HasCache() {
+		if s.byKey == nil {
+			s.byKey = make(map[string]int, n)
 		}
-		if !a.hit {
-			ctx.PumpCalls = append(ctx.PumpCalls, a.id)
-			if obs.SampledTrace(ctx.Ctx) != nil {
-				s.traces = append(s.traces, s.Pump.CallTrace(a.id))
+		clear(s.byKey)
+	}
+	for i := 0; i < n; i++ {
+		if outer != nil {
+			ctx.Env.PushFrame(cols, outer[i])
+		}
+		echoes, key, err := s.Request(ctx)
+		if outer != nil {
+			ctx.Env.PopFrame()
+		}
+		if err != nil {
+			return nil, err
+		}
+		ctx.Stats.ExternalCalls++
+		s.argv = append(s.argv, echoes...)
+		k, seen := s.byKey[string(key)]
+		if !seen {
+			k = len(s.probes)
+			s.probes = append(s.probes, Probe{Key: string(key)})
+			s.ids = append(s.ids, 0)
+			if s.byKey != nil {
+				s.byKey[s.probes[k].Key] = k
 			}
 		}
+		s.keyOf = append(s.keyOf, k)
 	}
-	s.CountCall(a.hit)
-	if a.hit {
-		return s.AppendRows(dst, slab, args, a.rows, more)
+
+	s.Pump.PeekRound(ctx.Ctx, s.Source, s.probes)
+
+	var slab []types.Value
+	tuples := make([]types.Tuple, 0, n)
+	rows := make([][]types.Tuple, n)
+	width := len(s.argv) / n // every binding echoes the same arguments
+	for i, k := range s.keyOf {
+		pr := &s.probes[k]
+		if !pr.Hit && s.ids[k] == 0 {
+			// Registering under the execution context ties the call's
+			// lifetime to the query: if the deadline expires while the call
+			// is still queued, the pump drops it without consuming a slot.
+			s.ids[k], pr.Rows, pr.Hit = s.Pump.Request(ctx.Ctx, s.Source, pr.Key)
+			if !pr.Hit {
+				ctx.PumpCalls = append(ctx.PumpCalls, s.ids[k])
+				if obs.SampledTrace(ctx.Ctx) != nil {
+					s.traces = append(s.traces, s.Pump.CallTrace(s.ids[k]))
+				}
+			}
+		}
+		s.CountCall(pr.Hit)
+		result := pr.Rows
+		if !pr.Hit {
+			holder := s.holder[0][:0]
+			for f := s.Source.NumEcho(); f < len(s.Keep); f++ {
+				holder = append(holder, types.Placeholder(s.ids[k], f-s.Source.NumEcho()))
+			}
+			s.holder[0] = holder
+			result = s.holder[:]
+		}
+		mark := len(tuples)
+		var err error
+		tuples, slab, err = s.AppendRows(tuples, slab, s.argv[i*width:(i+1)*width], result, n-1-i)
+		if err != nil {
+			return nil, err
+		}
+		rows[i] = tuples[mark:len(tuples):len(tuples)]
 	}
-	holder := s.holder[0][:0]
-	for f := s.Source.NumEcho(); f < len(s.Keep); f++ {
-		holder = append(holder, types.Placeholder(a.id, f-s.Source.NumEcho()))
-	}
-	s.holder[0] = holder
-	return s.AppendRows(dst, slab, args, s.holder[:], more)
+	return rows, nil
 }
 
 // Open implements exec.Operator: it puts the request for the current
-// bindings and leaves its tuples to be pulled.
-func (s *AEVScan) Open(ctx *exec.Context) (err error) {
-	s.pending, _, err = s.bind(ctx, nil, nil, nil, 0)
-	return err
+// bindings, a round of one, and leaves its tuples to be pulled.
+func (s *AEVScan) Open(ctx *exec.Context) error {
+	rows, err := s.round(ctx, nil, nil)
+	if err != nil {
+		return err
+	}
+	s.pending = rows[0]
+	return nil
 }
 
 // NextBatch implements exec.Operator: the tuples of this Open, then end
@@ -116,42 +185,24 @@ func (s *AEVScan) NextBatch(ctx *exec.Context, max int) (exec.Batch, bool, error
 }
 
 // BindBatch implements exec.BindingBatcher: it puts the requests for a
-// whole batch of outer bindings in one round — when the pump memoizes
-// results, one Pump.Request per *distinct* key in the batch — so the pump
+// whole batch of outer bindings in one round (see round), so the pump
 // sees the full request queue before the enclosing ReqSync's first wait,
-// instead of one call per dependent-join binding. Duplicate keys within
-// the batch then share one answer: the same hit rows, or one CallID (the
-// ReqSync patches every waiting tuple of a call when it settles, so
-// sharing is transparent). Without a cache, every binding registers its
-// own call: duplicate bindings re-issuing duplicate requests is the
-// paper's Figure 7 behavior, and batching must not silently change it.
-// Either way the per-binding accounting (Stats.ExternalCalls, the trace's
-// calls counter) counts one logical call per binding, matching the
-// per-binding path. The round's tuples share slabs.
+// instead of one call per dependent-join binding.
 func (s *AEVScan) BindBatch(ctx *exec.Context, cols []schema.Column, outer []types.Tuple) ([][]types.Tuple, error) {
-	var byKey map[string]answer
-	if s.Pump != nil && s.Pump.HasCache() {
-		byKey = make(map[string]answer, len(outer))
+	if len(outer) == 0 {
+		return nil, nil
 	}
-	var slab []types.Value
-	tuples := make([]types.Tuple, 0, len(outer))
-	rows := make([][]types.Tuple, len(outer))
-	for i, lt := range outer {
-		mark := len(tuples)
-		ctx.Env.PushFrame(cols, lt)
-		var err error
-		tuples, slab, err = s.bind(ctx, byKey, tuples, slab, len(outer)-1-i)
-		ctx.Env.PopFrame()
-		if err != nil {
-			return nil, err
-		}
-		rows[i] = tuples[mark:len(tuples):len(tuples)]
-	}
-	return rows, nil
+	return s.round(ctx, cols, outer)
 }
 
-// Close implements exec.Operator.
-func (s *AEVScan) Close() error { return nil }
+// Close implements exec.Operator: it lets go of the round scratch, which
+// holds the cache's rows and the round's keys.
+func (s *AEVScan) Close() error {
+	clear(s.probes[:cap(s.probes)])
+	clear(s.argv[:cap(s.argv)])
+	clear(s.byKey)
+	return nil
+}
 
 // Children implements exec.Operator.
 func (s *AEVScan) Children() []exec.Operator { return nil }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/exec"
@@ -15,8 +16,10 @@ import (
 
 // fifoCache is a result cache of fixed capacity that evicts its oldest key
 // and counts its lookups, so a test can hold the pump's counters against
-// what the cache itself saw.
+// what the cache itself saw. The pump probes it outside its own lock, so
+// it keeps one of its own.
 type fifoCache struct {
+	mu         sync.Mutex
 	cap        int
 	order      []string
 	m          map[string][]types.Tuple
@@ -24,6 +27,8 @@ type fifoCache struct {
 }
 
 func (c *fifoCache) Get(k string) ([]types.Tuple, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.gets++
 	rows, ok := c.m[k]
 	if ok {
@@ -32,7 +37,28 @@ func (c *fifoCache) Get(k string) ([]types.Tuple, bool) {
 	return rows, ok
 }
 
+// Peek counts a hit as Get does and a miss not at all.
+func (c *fifoCache) Peek(k string) ([]types.Tuple, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	rows, ok := c.m[k]
+	if ok {
+		c.gets++
+		c.hits++
+	}
+	return rows, ok
+}
+
+// counts reads the lookups and hits the cache has counted.
+func (c *fifoCache) counts() (gets, hits int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.gets, c.hits
+}
+
 func (c *fifoCache) Put(k string, rows []types.Tuple) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if _, ok := c.m[k]; !ok {
 		if len(c.order) == c.cap {
 			delete(c.m, c.order[0])
@@ -132,7 +158,8 @@ func TestColdAndWarmRunsAgree(t *testing.T) {
 				if limit >= 0 {
 					op = exec.NewLimit(op, limit)
 				}
-				before, gets, hits := pump.Stats(), cache.gets, cache.hits
+				before := pump.Stats()
+				gets, hits := cache.counts()
 				ectx := exec.NewContext()
 				ectx.Degrade, ectx.BatchSize = policy, batch
 				rows, err := exec.Run(ectx, op)
@@ -142,9 +169,9 @@ func TestColdAndWarmRunsAgree(t *testing.T) {
 				pump.Quiesce()
 				st := pump.Stats()
 				reg, hit := st.Registered-before.Registered, st.CacheHits-before.CacheHits
-				if reg != cache.gets-gets || hit != cache.hits-hits {
+				if gets2, hits2 := cache.counts(); reg != gets2-gets || hit != hits2-hits {
 					t.Errorf("%s run: pump counts %d registrations, %d hits; the cache saw %d lookups, %d hits",
-						which, reg, hit, cache.gets-gets, cache.hits-hits)
+						which, reg, hit, gets2-gets, hits2-hits)
 				}
 				// (Canceled: under a LIMIT, calls still queued when the query ends.)
 				if rest := (st.Coalesced - before.Coalesced) + (st.Started - before.Started) + (st.Canceled - before.Canceled); reg != hit+rest {

@@ -105,7 +105,8 @@ type Pump struct {
 	slotWait *obs.Histogram
 	// maxActive is the peak of activeTotal since the last ResetStats.
 	maxActive atomic.Int64
-	closed    bool
+	// closed is written only under p.mu, and read without it by PeekRound.
+	closed atomic.Bool
 
 	// execWG tracks the run goroutines, parked ones included; a running
 	// one is (or may still be) inside an engine call. Engine calls are
@@ -352,11 +353,48 @@ func (p *Pump) RegisterCtx(ctx context.Context, dest, key string, fn func() ([]t
 	return id
 }
 
-// Request is a scan's registration of the call key names at src. A call
-// the result cache already answers costs the cache probe: its rows come
-// back at once (hit is true) and no call record, id or trace exists to
-// take, settle or discard. Anything else is registered as by RegisterCtx,
-// and src is asked for the call's function only if the pump has to run it.
+// Probe is one distinct key of a binding round and what the result cache
+// said of it: Rows are its rows when Hit is set.
+type Probe struct {
+	Key  string
+	Rows []types.Tuple
+	Hit  bool
+}
+
+// PeekRound is a binding round's cache probe, taken outside p.mu: one
+// pass over the round's distinct keys that sets Rows and Hit for each the
+// cache holds, at the price of the cache's own lock and the destination's
+// atomic counters. Each hit is counted as a registration answered by the
+// cache, exactly as Request counts one; a miss is counted nowhere, and
+// the caller sends that key through Request, whose locked lookup is then
+// its one counted lookup and catches a call that completed since. With no
+// cache, a closed pump or an ended ctx, nothing is answered: Request
+// gives those registrations their records.
+func (p *Pump) PeekRound(ctx context.Context, src exec.ExternalSource, round []Probe) {
+	if p.cache == nil || p.closed.Load() || ctx != nil && ctx.Err() != nil {
+		return
+	}
+	hits := 0
+	for i := range round {
+		pr := &round[i]
+		if pr.Rows, pr.Hit = p.cache.Peek(pr.Key); pr.Hit {
+			hits++
+		}
+	}
+	if hits > 0 {
+		d := p.dest(src.Destination())
+		d.n[evRegistered].Add(int64(hits))
+		d.n[evCacheHit].Add(int64(hits))
+	}
+}
+
+// Request is a scan's registration of the call key names at src, for a
+// key PeekRound did not answer (or one a scan never probed). It looks the
+// key up again under p.mu: a call the result cache answers costs the
+// probe — its rows come back at once (hit is true) and no call record, id
+// or trace exists to take, settle or discard. Anything else is
+// registered as by RegisterCtx, and src is asked for the call's function
+// only if the pump has to run it.
 func (p *Pump) Request(ctx context.Context, src exec.ExternalSource, key string) (id types.CallID, rows []types.Tuple, hit bool) {
 	return p.register(ctx, src.Destination(), key, nil, src)
 }
@@ -395,7 +433,8 @@ func (p *Pump) CallWithRetry(ctx context.Context, src exec.ExternalSource, key s
 // context), coalesced onto an identical in-flight call, or queued. The
 // lookup and the inflight entry must be one critical section with
 // complete's Put-and-settle, or a call finishing in between would be run
-// again.
+// again: a miss PeekRound saw outside the lock is only a hint, and this
+// lookup is the one that decides.
 func (p *Pump) register(ctx context.Context, dest, key string, fn func() ([]types.Tuple, error), src exec.ExternalSource) (types.CallID, []types.Tuple, bool) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -407,7 +446,7 @@ func (p *Pump) register(ctx context.Context, dest, key string, fn func() ([]type
 	ctxErr := ctx.Err()
 	var rows []types.Tuple
 	hit := false
-	if p.cache != nil && !p.closed && ctxErr == nil {
+	if p.cache != nil && !p.closed.Load() && ctxErr == nil {
 		if rows, hit = p.cache.Get(key); hit {
 			d.count(evCacheHit)
 			if src != nil {
@@ -423,7 +462,7 @@ func (p *Pump) register(ctx context.Context, dest, key string, fn func() ([]type
 	c.id = p.nextID
 	p.calls[c.id] = c
 	switch {
-	case p.closed:
+	case p.closed.Load():
 		// A closed pump never runs anything; complete immediately with the
 		// sentinel so the waiter errors instead of hanging.
 		c.trace.finish("closed")
@@ -643,7 +682,7 @@ func (p *Pump) complete(e execution, res CallResult) (next execution, park <-cha
 	p.dropTokenLocked(c.dest)
 	next = p.dispatchLocked(true) // nothing is queued once the pump closed
 	p.cond.Broadcast()
-	if next.c == nil && !p.closed && p.quiescing == 0 {
+	if next.c == nil && !p.closed.Load() && p.quiescing == 0 {
 		park = p.work
 	}
 	return next, park
@@ -666,7 +705,7 @@ func (p *Pump) endAttemptLocked(c *call, res CallResult) {
 	}
 	pol := p.policy.Load()
 	if IsTransient(res.Err) && int(c.attempt)+1 < pol.MaxAttempts && p.wantedLocked(c) != nil {
-		if !p.closed {
+		if !p.closed.Load() {
 			c.attempt++
 			c.hedges = 0
 			d := p.jitteredBackoff(*pol, int(c.attempt)-1)
@@ -739,7 +778,7 @@ func (p *Pump) hedge(c *call, attempt int32) {
 	if c.over || c.attempt != attempt {
 		return
 	}
-	if !p.closed && p.activeTotal < p.maxTotal && int(c.dest.active.Load()) < c.dest.limit && p.wantedLocked(c) != nil {
+	if !p.closed.Load() && p.activeTotal < p.maxTotal && int(c.dest.active.Load()) < c.dest.limit && p.wantedLocked(c) != nil {
 		p.grabTokenLocked(c.dest)
 		c.dest.count(evHedge)
 		c.hedges++
@@ -804,7 +843,7 @@ func (p *Pump) await(ctx context.Context, try func() bool) error {
 		if try() {
 			return nil
 		}
-		if p.closed {
+		if p.closed.Load() {
 			return fmt.Errorf("await: %w", ErrPumpClosed)
 		}
 		p.cond.Wait()
@@ -962,10 +1001,10 @@ func (p *Pump) Held() int {
 func (p *Pump) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	if p.closed.Load() {
 		return
 	}
-	p.closed = true
+	p.closed.Store(true)
 	queued := p.queue
 	p.queue = nil
 	for _, c := range queued {
@@ -1006,7 +1045,8 @@ func (p *Pump) Quiesce() {
 
 // Stats reports the pump's counters.
 type Stats struct {
-	// Registered counts every Register call.
+	// Registered counts every registration: each RegisterCtx, and each
+	// distinct key of a scan's round, answered by PeekRound or by Request.
 	Registered int64
 	// CacheHits counts registrations served instantly from the cache.
 	CacheHits int64

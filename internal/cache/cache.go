@@ -41,6 +41,16 @@ func New(capacity int) *Cache {
 
 // Get returns the cached rows for key.
 func (c *Cache) Get(key string) ([]types.Tuple, bool) {
+	return c.lookup(key, true)
+}
+
+// Peek returns the cached rows for key as Get does, but a miss is not
+// counted: the caller looks a missed key up again with Get.
+func (c *Cache) Peek(key string) ([]types.Tuple, bool) {
+	return c.lookup(key, false)
+}
+
+func (c *Cache) lookup(key string, countMiss bool) ([]types.Tuple, bool) {
 	if c == nil || c.cap <= 0 {
 		return nil, false
 	}
@@ -48,7 +58,9 @@ func (c *Cache) Get(key string) ([]types.Tuple, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		c.misses++
+		if countMiss {
+			c.misses++
+		}
 		return nil, false
 	}
 	c.hits++

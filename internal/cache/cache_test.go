@@ -54,6 +54,27 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestPeekCountsOnlyHits: Peek answers, counts and refreshes a hit as Get
+// does, and leaves a miss uncounted for the Get that follows it.
+func TestPeekCountsOnlyHits(t *testing.T) {
+	c := New(2)
+	if _, ok := c.Peek("k0"); ok {
+		t.Error("empty cache should miss")
+	}
+	c.Put("k0", rows(0))
+	c.Put("k1", rows(1))
+	if got, ok := c.Peek("k0"); !ok || got[0][0].I != 0 {
+		t.Errorf("peek: %v %v", got, ok)
+	}
+	c.Put("k2", rows(2)) // k0 was refreshed: k1 goes
+	if _, ok := c.Peek("k1"); ok {
+		t.Error("k1 should have been evicted (least recently used)")
+	}
+	if hits, misses := c.Stats(); hits != 1 || misses != 0 {
+		t.Errorf("stats: %d/%d, want 1 hit and no miss", hits, misses)
+	}
+}
+
 func TestPutOverwrite(t *testing.T) {
 	c := New(2)
 	c.Put("k", rows(1))
@@ -168,10 +189,13 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("k%d", i%100)
-				if i%2 == 0 {
+				switch i % 3 {
+				case 0:
 					c.Put(k, rows(int64(i)))
-				} else {
+				case 1:
 					c.Get(k)
+				default:
+					c.Peek(k)
 				}
 			}
 		}(g)

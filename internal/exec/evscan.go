@@ -53,7 +53,8 @@ type ExternalScan struct {
 	Keep []bool
 
 	args ScanArgs
-	key  []byte // AppendKey scratch
+	key  []byte        // AppendKey scratch
+	echo []types.Value // the kept echoed arguments, Request's scratch
 	// nCalls counts logical calls — one per binding — across every Open
 	// of the scan (a dependent join re-opens it once per outer binding),
 	// and nCacheHits those of them the cache answered, for the span trace.
@@ -134,14 +135,22 @@ func narrow(out *schema.Schema, keep []bool, need map[schema.AttrID]bool, spare 
 }
 
 // Request evaluates the call's arguments against the current bindings and
-// builds its key. Both live in scratch the next Request overwrites.
-func (s *ExternalScan) Request(ctx *Context) (args []types.Value, key []byte, err error) {
-	args, err = s.args.Eval(s.Source.Name(), s.Inputs, ctx)
+// builds its key. It returns the key and the arguments the scan echoes and
+// keeps, in order — what AppendRows takes — both in scratch the next
+// Request overwrites.
+func (s *ExternalScan) Request(ctx *Context) (echoes []types.Value, key []byte, err error) {
+	args, err := s.args.Eval(s.Source.Name(), s.Inputs, ctx)
 	if err != nil {
 		return nil, nil, err
 	}
 	s.key = s.Source.AppendKey(s.key[:0], args)
-	return args, s.key, nil
+	s.echo = s.echo[:0]
+	for i, kept := range s.Keep[:s.Source.NumEcho()] {
+		if kept {
+			s.echo = append(s.echo, args[i])
+		}
+	}
+	return s.echo, s.key, nil
 }
 
 // CountCall records one logical call in the scan's profile; hit reports
@@ -160,12 +169,12 @@ func (s *ExternalScan) SpanExtras() map[string]int64 {
 }
 
 // AppendRows appends to dst the output tuples of one call: per result row,
-// the kept echoed arguments and the kept fields of the row, copied — the
-// tuples share nothing with args or rows. They are cut from slab (see
-// Batch), which comes back grown, or replaced by one with room for more
-// further tuples when it could not hold them all. A row that does not
-// have every result field is an error.
-func (s *ExternalScan) AppendRows(dst []types.Tuple, slab []types.Value, args []types.Value, rows []types.Tuple, more int) ([]types.Tuple, []types.Value, error) {
+// the kept echoed arguments (echoes, as Request returns them) and the kept
+// fields of the row, copied — the tuples share nothing with echoes or
+// rows. They are cut from slab (see Batch), which comes back grown, or
+// replaced by one with room for more further tuples when it could not
+// hold them all. A row that does not have every result field is an error.
+func (s *ExternalScan) AppendRows(dst []types.Tuple, slab []types.Value, echoes []types.Value, rows []types.Tuple, more int) ([]types.Tuple, []types.Value, error) {
 	numEcho, width := s.Source.NumEcho(), s.Out.Len()
 	if need := len(rows) * width; cap(slab)-len(slab) < need {
 		slab = make([]types.Value, 0, need+more*width)
@@ -175,13 +184,10 @@ func (s *ExternalScan) AppendRows(dst []types.Tuple, slab []types.Value, args []
 			return dst, slab, fmt.Errorf("%s: result width %d != schema width %d", s.Source.Name(), numEcho+len(r), len(s.Keep))
 		}
 		mark := len(slab)
-		for i, kept := range s.Keep {
-			switch {
-			case !kept:
-			case i < numEcho:
-				slab = append(slab, args[i])
-			default:
-				slab = append(slab, r[i-numEcho])
+		slab = append(slab, echoes...)
+		for i, kept := range s.Keep[numEcho:] {
+			if kept {
+				slab = append(slab, r[i])
 			}
 		}
 		dst = append(dst, slab[mark:len(slab):len(slab)])
@@ -206,9 +212,16 @@ type EVScan struct {
 	callSpans []*obs.Span
 }
 
-// ResultCache memoizes external call results ([HN96]).
+// ResultCache memoizes external call results ([HN96]). The request pump
+// probes it with Peek outside its own lock, from every query at once, so
+// an implementation must be safe for concurrent use.
 type ResultCache interface {
+	// Get looks key up, counting a hit or a miss.
 	Get(key string) ([]types.Tuple, bool)
+	// Peek is Get for a caller that looks a missed key up again with Get:
+	// it counts and refreshes a hit exactly as Get does, and does not count
+	// a miss, so that every lookup is counted once.
+	Peek(key string) ([]types.Tuple, bool)
 	Put(key string, rows []types.Tuple)
 }
 
@@ -274,7 +287,7 @@ func (a *ScanArgs) eval(name string, inputs []expr.Expr, i int, ctx *Context) er
 // Open implements Operator: it performs the external call and waits for
 // it. A failed call is degraded per the query's policy (Context.Degraded).
 func (s *EVScan) Open(ctx *Context) error {
-	args, key, err := s.Request(ctx)
+	echoes, key, err := s.Request(ctx)
 	if err != nil {
 		return err
 	}
@@ -298,7 +311,7 @@ func (s *EVScan) Open(ctx *Context) error {
 			return fmt.Errorf("%s: %w", s.Source.Name(), err)
 		}
 	}
-	return s.setRows(args, rows)
+	return s.setRows(echoes, rows)
 }
 
 // call performs the call key names through ctx.RetryCall, or with no hook
@@ -313,8 +326,8 @@ func (s *EVScan) call(ctx *Context, key string) ([]types.Tuple, bool, *obs.Span,
 
 // setRows materializes the call's rows as the output tuples NextBatch
 // hands out.
-func (s *EVScan) setRows(args []types.Value, rows []types.Tuple) (err error) {
-	s.rows, _, err = s.AppendRows(nil, nil, args, rows, 0)
+func (s *EVScan) setRows(echoes []types.Value, rows []types.Tuple) (err error) {
+	s.rows, _, err = s.AppendRows(nil, nil, echoes, rows, 0)
 	return err
 }
 

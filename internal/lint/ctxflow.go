@@ -11,7 +11,7 @@ import (
 //
 //  1. In internal/{async,search,server,core}, an exported function or
 //     method that directly performs a pump operation (RegisterCtx,
-//     Request, AwaitAnyCtx, CallWithRetry, ...) or a network call (net/http)
+//     Request, PeekRound, AwaitAnyCtx, CallWithRetry, ...) or a network call (net/http)
 //     must accept a context.Context parameter: without one, a query
 //     deadline cannot reach the external call it is supposed to bound.
 //
@@ -42,7 +42,7 @@ func newCtxFlow() *ctxFlow {
 	return &ctxFlow{
 		scopes: []string{"internal/async", "internal/search", "internal/server", "internal/core", "internal/obs", "internal/shard", "internal/exec"},
 		pumpMethods: map[string]bool{
-			"RegisterCtx": true, "Request": true, "AwaitAnyCtx": true, "AwaitAny": true, "CallWithRetry": true,
+			"RegisterCtx": true, "Request": true, "PeekRound": true, "AwaitAnyCtx": true, "AwaitAny": true, "CallWithRetry": true,
 		},
 		netFuncs: map[string]bool{"Get": true, "Post": true, "PostForm": true, "Head": true},
 	}

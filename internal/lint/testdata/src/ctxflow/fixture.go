@@ -14,6 +14,7 @@ type Pump struct{}
 
 func (p *Pump) RegisterCtx(ctx context.Context, dest string) int { return 0 }
 func (p *Pump) AwaitAnyCtx(ctx context.Context) (int, error)     { return 0, nil }
+func (p *Pump) PeekRound(ctx context.Context, keys []string)     {}
 
 // NotAPump has a pump-op method name on a non-Pump receiver; type info
 // must keep it from matching.
@@ -29,6 +30,12 @@ func LeakyRegister(p *Pump) int { // want "takes no context.Context"
 
 func LeakyAwait(p *Pump) { // want "takes no context.Context"
 	_, _ = p.AwaitAnyCtx(nil)
+}
+
+// A binding round's cache probe behind a wrapper with no context: an ended
+// query's round would still be answered from the cache.
+func PeekAll(p *Pump, keys []string) { // want "takes no context.Context"
+	p.PeekRound(nil, keys)
 }
 
 // helper performs a pump call with no context of its own, so exported
