@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-race race-loop-reuse race-loop-pump check fuzz fuzzqe-smoke bench bench-check table1 examples clean
+.PHONY: all build vet lint test test-race race-loop-reuse race-loop-pump synctest check fuzz fuzzqe-smoke bench bench-check table1 examples clean
 
 all: build check
 
@@ -12,9 +12,9 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-invariant static analysis (cmd/wsqlint), seven rules over one
-# shared call graph: slot balance, context flow, seeded randomness, lock
-# scope, goroutine ownership, lock-order cycles, Close error aggregation.
+# Project-invariant static analysis (cmd/wsqlint), six rules over one
+# shared call graph: context flow, seeded randomness, lock scope,
+# goroutine ownership, lock-order cycles, Close error aggregation.
 # Each is kept because a mutant of the real tree gets past every test
 # (the table in DESIGN.md "Static invariants"). Exits non-zero on any
 # diagnostic; there is no waiver comment.
@@ -52,8 +52,17 @@ race-loop-reuse:
 race-loop-pump:
 	$(GO) test -race -count=10 -run 'TestHandoff|TestSettleHandshake|TestCoalesce|TestSiblingCancel|TestQuiesce|TestPumpReusesExecutionGoroutines|TestPumpGoroutineBound|TestSyncCall|TestEVScanCache|TestPeekRound' ./internal/async
 
+# The simulated-time tests (about 5 s): Table 1 at the paper's latency,
+# the ablations and the pump-limit sweep, each compared with its file under
+# internal/harness/testdata/, and the pump's hedge-after-cancel slot check.
+# They run inside testing/synctest bubbles, whose fake clock makes every
+# time exact; the files build only with GOEXPERIMENT=synctest (Go 1.24).
+synctest:
+	GOEXPERIMENT=synctest $(GO) test ./internal/harness ./internal/async
+
 # Full gate: gofmt-clean tree + vet + wsqlint + the whole suite under the
-# race detector + both race loops + the allocation budgets without it,
+# race detector + both race loops + the simulated-time tests + the
+# allocation budgets without the detector,
 # traced warm query, the retry-policy round, the /query decoder and the
 # cold buffer-pool scan included + a fuzz smoke + the nested benchmark
 # module. The concurrency
@@ -68,6 +77,7 @@ check:
 	$(GO) test -race ./...
 	$(MAKE) race-loop-reuse
 	$(MAKE) race-loop-pump
+	$(MAKE) synctest
 	$(GO) test -run TestAllocationBudget ./internal/core
 	$(GO) test -run 'TestPumpRoundTripAllocs|TestPumpPolicyRoundAllocs' ./internal/async
 	$(GO) test -run TestDecodeQueryResponseAllocs ./internal/server
@@ -103,13 +113,17 @@ fuzz:
 fuzzqe-smoke:
 	$(GO) run ./cmd/wsqfuzz -seed 1 -duration 30s -n 0 -repro-dir wsqfuzz-repro
 
-# testing.B versions of every table/figure + ablations (see bench_test.go).
+# The packages' micro-benchmarks (testing.B). The paper's Table 1 and the
+# ablations are simulated-time tests (make table1, make synctest); the
+# repo's one benchmark is bench/ (bench-check below, BENCHMARK.json).
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Regenerate the paper's Table 1 at scaled latency (-paper for ~750 ms/call).
+# The paper's Table 1 at its own latency (~0.75 s a call) in simulated time:
+# about a second of real time, compared with
+# internal/harness/testdata/table1_paper.txt.
 table1:
-	$(GO) run ./cmd/wsqbench
+	GOEXPERIMENT=synctest $(GO) test -count=1 -run TestTable1PaperMode -v ./internal/harness
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -4,7 +4,8 @@
 //
 // The public entry points live in internal/core (the WSQ database engine),
 // internal/dsq (database-supported web queries), and internal/harness (the
-// experiment environment). See README.md for a tour and DESIGN.md for the
-// system inventory; bench_test.go in this directory regenerates every
-// table and figure of the paper's evaluation.
+// experiment environment). See README.md for a tour, DESIGN.md for the
+// system inventory and EXPERIMENTS.md for the paper's evaluation, which
+// the simulated-time tests of internal/harness regenerate exactly
+// (GOEXPERIMENT=synctest go test ./internal/harness).
 package repro

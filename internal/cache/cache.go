@@ -149,8 +149,8 @@ func (c *Cache) Evictions() int64 {
 }
 
 // Observe implements obs.Observable: it exposes the cache's counters on a
-// metrics registry so cache effectiveness is visible on /metrics and in
-// wsqbench reports. Counters are sampled at scrape time from the cache's
+// metrics registry so cache effectiveness is visible on /metrics.
+// Counters are sampled at scrape time from the cache's
 // own fields; Reset (used between experiment runs) therefore reads as a
 // Prometheus counter reset, which scrapers handle natively.
 func (c *Cache) Observe(reg *obs.Registry) {

@@ -1,22 +1,21 @@
 // Package harness sets up reproducible WSQ experiment environments and
-// regenerates the paper's evaluation artifacts: Table 1 (the three query
-// templates, synchronous vs asynchronous, reported as mean seconds and
-// improvement factor) plus ablations of the design choices the paper
-// discusses (concurrency limits, result caching, ReqSync buffering).
+// times the paper's evaluation: Table 1 (the three query templates,
+// synchronous vs asynchronous, reported as mean seconds and improvement
+// factor). Its tests built with GOEXPERIMENT=synctest run Table 1 and
+// ablations of the design choices the paper discusses (pump limits,
+// result caching, percolation) in simulated time, where every figure is
+// exact.
 package harness
 
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/http"
 	"strings"
 	"time"
 
 	"repro/internal/async"
 	"repro/internal/core"
 	"repro/internal/datasets"
-	"repro/internal/exec"
 	"repro/internal/search"
 	"repro/internal/types"
 	"repro/internal/websim"
@@ -24,19 +23,10 @@ import (
 
 // Options configures an experiment environment.
 type Options struct {
-	// Ctx bounds the lifetime of the environment's outbound HTTP engine
-	// requests (Options.HTTP mode): cancel it to abort whatever calls are
-	// still in flight at teardown. Nil leaves them bounded only by the
-	// client's own timeout. It is not a per-query deadline — queries get
-	// their own contexts via QueryContext.
-	Ctx context.Context
 	// Dir is the database directory (a temp dir from the caller).
 	Dir string
 	// Latency is the simulated per-request search latency.
 	Latency search.LatencyModel
-	// HTTP routes engine calls through real localhost HTTP servers rather
-	// than in-process engines.
-	HTTP bool
 	// MaxConcurrentCalls / MaxCallsPerDest bound the request pump.
 	MaxConcurrentCalls int
 	MaxCallsPerDest    int
@@ -50,8 +40,6 @@ type Options struct {
 	// Retry configures the pump's retry/timeout/hedging policy (zero value:
 	// one attempt, no deadline, no hedging).
 	Retry async.RetryPolicy
-	// Degrade is the default degradation policy for queries.
-	Degrade exec.DegradePolicy
 }
 
 // Env is a ready-to-query experiment environment.
@@ -62,14 +50,12 @@ type Env struct {
 	// FlakyAV and FlakyGoogle are the fault injectors wrapping the engines;
 	// nil unless Options.Faults was set.
 	FlakyAV, FlakyGoogle *search.Flaky
-
-	servers []*http.Server
 }
 
 // NewEnv builds the standard experiment environment: the shared synthetic
-// corpus, two latency-wrapped engines ("altavista", "google") optionally
-// behind HTTP, and a database loaded with the paper's States, Sigs,
-// CSFields, and Movies tables.
+// corpus, two latency-wrapped engines ("altavista", "google") and a
+// database loaded with the paper's States, Sigs, CSFields, and Movies
+// tables.
 func NewEnv(opts Options) (*Env, error) {
 	corpus := websim.Default()
 	env := &Env{}
@@ -93,58 +79,24 @@ func NewEnv(opts Options) (*Env, error) {
 		MaxCallsPerDest:    opts.MaxCallsPerDest,
 		CacheSize:          opts.CacheSize,
 		Retry:              opts.Retry,
-		Degrade:            opts.Degrade,
 	})
 	if err != nil {
 		return nil, err
 	}
 	env.DB = db
 
-	if opts.HTTP {
-		avURL, avSrv, err := serveEngine(avEngine)
-		if err != nil {
-			db.Close()
-			return nil, err
-		}
-		gURL, gSrv, err := serveEngine(gEngine)
-		if err != nil {
-			avSrv.Close()
-			db.Close()
-			return nil, err
-		}
-		env.servers = []*http.Server{avSrv, gSrv}
-		db.RegisterEngine(search.Bind(opts.Ctx, search.NewClient("altavista", avURL)), "AV")
-		db.RegisterEngine(search.Bind(opts.Ctx, search.NewClient("google", gURL)), "G")
-	} else {
-		db.RegisterEngine(avEngine, "AV")
-		db.RegisterEngine(gEngine, "G")
-	}
+	db.RegisterEngine(avEngine, "AV")
+	db.RegisterEngine(gEngine, "G")
 
-	if err := LoadPaperTables(opts.Ctx, db); err != nil {
+	if err := LoadPaperTables(nil, db); err != nil {
 		env.Close()
 		return nil, err
 	}
 	return env, nil
 }
 
-// serveEngine exposes an engine over HTTP on an ephemeral localhost port.
-func serveEngine(e search.Engine) (baseURL string, srv *http.Server, err error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	srv = &http.Server{Handler: search.NewHandler(e)}
-	go srv.Serve(ln)
-	return "http://" + ln.Addr().String(), srv, nil
-}
-
 // Close shuts the environment down.
-func (e *Env) Close() {
-	for _, s := range e.servers {
-		s.Close()
-	}
-	e.DB.Close()
-}
+func (e *Env) Close() { e.DB.Close() }
 
 // ResetBetweenRuns clears caches and statistics so consecutive timed runs
 // are independent (the paper waited two hours between identical searches
@@ -277,20 +229,28 @@ func TemplateQueries(n, run, instances int) ([]string, error) {
 // ---------------------------------------------------------------------------
 // Timing
 
-// TimedRun executes the queries in the given mode under ctx and returns
-// the mean per-query wall time.
-func TimedRun(ctx context.Context, env *Env, queries []string, async bool) (time.Duration, error) {
+// TimedRun executes the queries in the given mode under ctx, one after
+// another, and returns each query's wall time.
+func TimedRun(ctx context.Context, env *Env, queries []string, async bool) ([]time.Duration, error) {
 	env.DB.SetAsync(async)
 	env.ResetBetweenRuns()
-	var total time.Duration
-	for _, q := range queries {
+	walls := make([]time.Duration, len(queries))
+	for i, q := range queries {
 		start := time.Now()
 		if _, err := env.DB.QueryContext(ctx, q); err != nil {
-			return 0, fmt.Errorf("%s: %w", firstLine(q), err)
+			return nil, fmt.Errorf("%s: %w", firstLine(q), err)
 		}
-		total += time.Since(start)
+		walls[i] = time.Since(start)
 	}
-	return total / time.Duration(len(queries)), nil
+	return walls, nil
+}
+
+func mean(walls []time.Duration) time.Duration {
+	var total time.Duration
+	for _, w := range walls {
+		total += w
+	}
+	return total / time.Duration(len(walls))
 }
 
 func firstLine(s string) string {
@@ -308,6 +268,8 @@ type RunResult struct {
 	SyncMean    time.Duration
 	AsyncMean   time.Duration
 	Improvement float64
+	// Sync and Async are the per-query wall times, in query order.
+	Sync, Async []time.Duration
 	// MaxConcurrency is the peak number of overlapped engine requests
 	// observed during the asynchronous run.
 	MaxConcurrency int
@@ -322,24 +284,25 @@ func RunTemplate(ctx context.Context, env *Env, template, run, instances int) (R
 	if err != nil {
 		return RunResult{}, err
 	}
-	asyncMean, err := TimedRun(ctx, env, queries, true)
+	asyncWalls, err := TimedRun(ctx, env, queries, true)
 	if err != nil {
 		return RunResult{}, err
 	}
 	_, avMax := env.AV.Stats()
 	_, gMax := env.Google.Stats()
 	maxConc := avMax + gMax
-	syncMean, err := TimedRun(ctx, env, queries, false)
+	syncWalls, err := TimedRun(ctx, env, queries, false)
 	if err != nil {
 		return RunResult{}, err
 	}
 	res := RunResult{
 		Template: template, Run: run, Queries: len(queries),
-		SyncMean: syncMean, AsyncMean: asyncMean,
+		SyncMean: mean(syncWalls), AsyncMean: mean(asyncWalls),
+		Sync: syncWalls, Async: asyncWalls,
 		MaxConcurrency: maxConc,
 	}
-	if asyncMean > 0 {
-		res.Improvement = float64(syncMean) / float64(asyncMean)
+	if res.AsyncMean > 0 {
+		res.Improvement = float64(res.SyncMean) / float64(res.AsyncMean)
 	}
 	return res, nil
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -126,18 +127,24 @@ func TestFormatTable1(t *testing.T) {
 	}
 }
 
+// TestHTTPEnvironment routes Query 1 through the search client over real
+// localhost HTTP: the altavista engine is served by an httptest server and
+// registered back as a search.Client in the in-process engine's place.
 func TestHTTPEnvironment(t *testing.T) {
-	env := newTestEnv(t, Options{Latency: search.ZeroLatency(), HTTP: true})
+	env := newTestEnv(t, Options{Latency: search.ZeroLatency()})
+	srv := httptest.NewServer(search.NewHandler(env.AV))
+	defer srv.Close()
+	env.DB.RegisterEngine(search.Bind(context.Background(), search.NewClient("altavista", srv.URL)), "AV")
+
 	res, err := env.DB.QueryContext(context.Background(), `SELECT Name, Count FROM States, WebCount WHERE Name = T1 ORDER BY Count DESC`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 50 || res.Rows[0][0].AsString() != "California" {
-		t.Errorf("HTTP-backed Q1: %v", res.Rows[:1])
+		t.Errorf("HTTP-backed Q1: %d rows, first %v", len(res.Rows), res.Rows[:min(1, len(res.Rows))])
 	}
-	requests, _ := env.AV.Stats()
-	if requests != 50 {
-		t.Errorf("server-side request count: %d", requests)
+	if requests, _ := env.AV.Stats(); requests != 50 {
+		t.Errorf("server-side request count: %d, want 50", requests)
 	}
 }
 

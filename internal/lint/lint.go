@@ -77,7 +77,6 @@ type Rule interface {
 // AllRules returns the full suite in stable order.
 func AllRules() []Rule {
 	return []Rule{
-		newSlotBalance(),
 		newCtxFlow(),
 		newSeededRand(),
 		newLockScope(),

@@ -133,7 +133,6 @@ var fixtureCases = []struct {
 	asPath string
 	rules  []string
 }{
-	{"slotbalance", "repro/internal/async", []string{"slotbalance"}},
 	{"ctxflow", "repro/internal/async", []string{"ctxflow"}},
 	{"seededrand", "repro/internal/websim", []string{"seededrand"}},
 	// The blessed file: internal/search/rand.go may import math/rand.
@@ -178,8 +177,8 @@ func TestEveryRuleFiresOnItsFixture(t *testing.T) {
 // one-line doc (used by wsqlint -list).
 func TestRuleMetadata(t *testing.T) {
 	want := []string{
-		"slotbalance", "ctxflow", "seededrand", "lockscope", "goroutinectx",
-		"lockorder", "errjoin",
+		"ctxflow", "seededrand", "lockscope", "goroutinectx", "lockorder",
+		"errjoin",
 	}
 	got := RuleNames(AllRules())
 	if fmt.Sprint(got) != fmt.Sprint(want) {

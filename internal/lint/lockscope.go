@@ -27,7 +27,7 @@ import (
 //     it never waits; a try-receive, or a send whose channel or value is
 //     anything else (a receive, a call), stays flagged.
 //
-// The walker mirrors slotbalance's structured abstract interpretation,
+// The walker is a structured abstract interpretation of the body,
 // with a held-lock set keyed by the receiver chain ("s.mu", "p.rngMu").
 // It reads one function at a time: a lock held across a call that blocks
 // somewhere below — a whole query run under a server lock — is beyond it

@@ -25,7 +25,7 @@
 //     per-operator span tree to the response.
 //
 // The companion Client (client.go) is the programmatic face used by the
-// wsq shell's remote mode and wsqbench's -serve load generator.
+// wsq shell's remote mode and by the benchmark's tier workloads (bench/).
 package server
 
 import (
