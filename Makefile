@@ -12,12 +12,13 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-invariant static analysis (cmd/wsqlint), six rules over one
+# Project-invariant static analysis (cmd/wsqlint), four rules over one
 # shared call graph: context flow, seeded randomness, lock scope,
-# goroutine ownership, lock-order cycles, Close error aggregation.
-# Each is kept because a mutant of the real tree gets past every test
-# (the table in DESIGN.md "Static invariants"). Exits non-zero on any
-# diagnostic; there is no waiver comment.
+# lock-order cycles. Each is kept because a mutant of the real tree gets
+# past every test (the table in DESIGN.md "Static invariants"). Exits
+# non-zero on any diagnostic; there is no waiver comment. Goroutine leaks
+# are a test's business: internal/{async,core,server,shard,harness,fuzzqe}
+# have a leakcheck.Main TestMain, so each `go test` below runs that gate.
 lint:
 	$(GO) run ./cmd/wsqlint ./...
 

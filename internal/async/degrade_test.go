@@ -23,7 +23,7 @@ func failingSource(failFor map[string]error) *scriptedSource {
 
 func runWithDegrade(t *testing.T, pol exec.DegradePolicy, failFor map[string]error, terms []string) ([]types.Tuple, exec.Stats, error) {
 	t.Helper()
-	pump := NewPump(4, 4, nil)
+	pump := newPump(t, 4, 4, nil)
 	rs, _ := buildCountPlan(terms, failingSource(failFor), pump)
 	ctx := exec.NewContext()
 	ctx.Degrade = pol
@@ -94,7 +94,7 @@ func TestDegradePartialEmitsNullPatchedTuples(t *testing.T) {
 // TestDegradeDropWithRetriesOnlyCountsTerminalFailures: a call that
 // succeeds on retry is not degraded.
 func TestDegradeDropWithRetriesOnlyCountsTerminalFailures(t *testing.T) {
-	pump := NewPump(4, 4, nil)
+	pump := newPump(t, 4, 4, nil)
 	pump.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseBackoff: 0})
 	var mu sync.Mutex // rows runs on the pump's execution goroutines
 	attempts := map[string]int{}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/types"
 )
 
@@ -186,7 +187,7 @@ func TestHandoffProperties(t *testing.T) {
 				}
 			}
 			mu.Unlock()
-			waitGoroutines(t, baseline)
+			leakcheck.Settle(t, baseline)
 		})
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/types"
 )
 
@@ -132,13 +133,13 @@ func TestQuiesceRetiresParkedGoroutines(t *testing.T) {
 		t.Fatalf("no execution goroutine parked after a round: %d goroutines, baseline %d", n, baseline)
 	}
 	quiesceWithin(t, p, 5*time.Second)
-	waitGoroutines(t, baseline)
+	leakcheck.Settle(t, baseline)
 
 	runRound(t, p, 50, nil, noop) // the quiesced pump still runs calls
 	p.Close()
-	waitGoroutines(t, baseline) // nothing was running: Close retires them all
+	leakcheck.Settle(t, baseline) // nothing was running: Close retires them all
 	quiesceWithin(t, p, 5*time.Second)
-	waitGoroutines(t, baseline)
+	leakcheck.Settle(t, baseline)
 }
 
 // TestQuiesceRacingCompletionsNeverHangs: Quiesce begins while executions
@@ -181,7 +182,7 @@ func TestQuiesceRacingCompletionsNeverHangs(t *testing.T) {
 	}
 	p.Close()
 	quiesceWithin(t, p, 5*time.Second)
-	waitGoroutines(t, baseline)
+	leakcheck.Settle(t, baseline)
 }
 
 // TestPumpGoroutineBound: the pump starts a goroutine only when no parked

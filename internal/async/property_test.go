@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/expr"
+	"repro/internal/leakcheck"
 	"repro/internal/schema"
 	"repro/internal/types"
 )
@@ -343,7 +344,7 @@ func TestSettleHandshakeProperties(t *testing.T) {
 					t.Errorf("call %d could be taken after the query let go of it", id)
 				}
 			}
-			waitGoroutines(t, baseline)
+			leakcheck.Settle(t, baseline)
 		})
 	}
 }
@@ -354,20 +355,6 @@ func pumpState(p *Pump) string {
 	running, queued := p.Active()
 	return fmt.Sprintf("pump: running=%d queued=%d held=%d in flight per destination=%v",
 		running, queued, p.Held(), p.DestActive())
-}
-
-// waitGoroutines waits for the goroutine count to come back down to
-// baseline: executions and a canceled context's wake-up exit on their own
-// time, so the count is polled rather than read once.
-func waitGoroutines(t *testing.T, baseline int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d, baseline %d", runtime.NumGoroutine(), baseline)
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 // doneCountingCtx counts how often anyone asks for its Done channel. Every

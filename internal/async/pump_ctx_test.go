@@ -23,7 +23,7 @@ func blockingCall() (fn func() ([]types.Tuple, error), release func()) {
 // it waits in the queue must complete with the context's error without ever
 // consuming an execution slot, and the pump must drain fully.
 func TestRegisterCtxDropsExpiredQueuedCall(t *testing.T) {
-	p := NewPump(1, 1, nil)
+	p := newPump(t, 1, 1, nil)
 	blocker, release := blockingCall()
 	first := p.RegisterCtx(context.Background(), "d", "k1", blocker)
 
@@ -60,7 +60,7 @@ func TestRegisterCtxDropsExpiredQueuedCall(t *testing.T) {
 // TestRegisterCtxAlreadyExpired: registering with a dead context completes
 // immediately with the context error, never queueing anything.
 func TestRegisterCtxAlreadyExpired(t *testing.T) {
-	p := NewPump(4, 4, nil)
+	p := newPump(t, 4, 4, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	id := p.RegisterCtx(ctx, "d", "k", func() ([]types.Tuple, error) {
@@ -76,7 +76,7 @@ func TestRegisterCtxAlreadyExpired(t *testing.T) {
 // TestAwaitAnyCtxDeadline: a waiter blocked on a slow call wakes promptly
 // when its context expires, without waiting for the call.
 func TestAwaitAnyCtxDeadline(t *testing.T) {
-	p := NewPump(1, 1, nil)
+	p := newPump(t, 1, 1, nil)
 	blocker, release := blockingCall()
 	defer release()
 	id := p.RegisterCtx(context.Background(), "d", "k", blocker)
@@ -97,7 +97,7 @@ func TestAwaitAnyCtxDeadline(t *testing.T) {
 // running must fail queued calls with ErrPumpClosed, wake blocked waiters
 // with the same sentinel, and let in-flight calls finish without panicking.
 func TestCloseSettlesQueuedAndWakesWaiters(t *testing.T) {
-	p := NewPump(1, 1, nil)
+	p := newPump(t, 1, 1, nil)
 	blocker, release := blockingCall()
 	running := p.RegisterCtx(context.Background(), "d", "k1", blocker)
 	queued := p.RegisterCtx(context.Background(), "d", "k2", func() ([]types.Tuple, error) {
@@ -146,7 +146,7 @@ func TestCloseSettlesQueuedAndWakesWaiters(t *testing.T) {
 // coalesced in-flight call must not cancel the execution the other owner is
 // waiting for.
 func TestDiscardQueuedKeepsCoalescedSiblings(t *testing.T) {
-	p := NewPump(1, 1, &countingCache{m: make(map[string][]types.Tuple)})
+	p := newPump(t, 1, 1, &countingCache{m: make(map[string][]types.Tuple)})
 	blocker, release := blockingCall()
 	first := p.RegisterCtx(context.Background(), "d", "k1", blocker)
 

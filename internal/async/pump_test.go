@@ -16,7 +16,7 @@ import (
 )
 
 func TestPumpBasicRegisterTake(t *testing.T) {
-	p := NewPump(4, 4, nil)
+	p := newPump(t, 4, 4, nil)
 	id := p.RegisterCtx(context.Background(), "d", "k", func() ([]types.Tuple, error) {
 		return []types.Tuple{{types.Int(42)}}, nil
 	})
@@ -35,7 +35,7 @@ func TestPumpBasicRegisterTake(t *testing.T) {
 }
 
 func TestPumpConcurrencyOverlap(t *testing.T) {
-	p := NewPump(64, 64, nil)
+	p := newPump(t, 64, 64, nil)
 	var active, peak int32
 	const n = 20
 	ids := make(map[types.CallID]bool)
@@ -75,7 +75,7 @@ func TestPumpConcurrencyOverlap(t *testing.T) {
 
 func TestPumpTotalLimit(t *testing.T) {
 	const limit = 3
-	p := NewPump(limit, limit, nil)
+	p := newPump(t, limit, limit, nil)
 	var active, peak int32
 	ids := make(map[types.CallID]bool)
 	for i := 0; i < 12; i++ {
@@ -115,7 +115,7 @@ func TestPumpTotalLimit(t *testing.T) {
 
 func TestPumpPerDestinationLimit(t *testing.T) {
 	// Destination "slow" is limited; "fast" must not be starved behind it.
-	p := NewPump(8, 1, nil)
+	p := newPump(t, 8, 1, nil)
 	var slowActive, slowPeak int32
 	release := make(chan struct{})
 	ids := make(map[types.CallID]bool)
@@ -162,7 +162,7 @@ func TestPumpPerDestinationLimit(t *testing.T) {
 
 func TestPumpCache(t *testing.T) {
 	c := &countingCache{m: make(map[string][]types.Tuple)}
-	p := NewPump(4, 4, c)
+	p := newPump(t, 4, 4, c)
 	var calls atomic.Int32
 	fn := func() ([]types.Tuple, error) {
 		calls.Add(1)
@@ -204,7 +204,7 @@ func (c *countingCache) Put(k string, rows []types.Tuple) {
 }
 
 func TestPumpErrorPropagation(t *testing.T) {
-	p := NewPump(2, 2, nil)
+	p := newPump(t, 2, 2, nil)
 	id := p.RegisterCtx(context.Background(), "d", "k", func() ([]types.Tuple, error) {
 		return nil, fmt.Errorf("engine down")
 	})
@@ -216,14 +216,14 @@ func TestPumpErrorPropagation(t *testing.T) {
 }
 
 func TestPumpAwaitAnyValidation(t *testing.T) {
-	p := NewPump(2, 2, nil)
+	p := newPump(t, 2, 2, nil)
 	if _, err := p.AwaitAnyCtx(context.Background(), nil); err == nil {
 		t.Error("await with no ids should error")
 	}
 }
 
 func TestPumpCloseWakesWaiters(t *testing.T) {
-	p := NewPump(1, 1, nil)
+	p := newPump(t, 1, 1, nil)
 	block := make(chan struct{})
 	id := p.RegisterCtx(context.Background(), "d", "k", func() ([]types.Tuple, error) {
 		<-block
@@ -251,7 +251,7 @@ func TestPumpCloseWakesWaiters(t *testing.T) {
 }
 
 func TestPumpDiscard(t *testing.T) {
-	p := NewPump(2, 2, nil)
+	p := newPump(t, 2, 2, nil)
 	id := p.RegisterCtx(context.Background(), "d", "k", func() ([]types.Tuple, error) { return nil, nil })
 	p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{id: true})
 	p.Discard(id)
@@ -397,7 +397,7 @@ func TestPumpCoalescesInFlightDuplicates(t *testing.T) {
 	// before the first completes. With the cache enabled the pump must run
 	// the network call once and fan the result out to every CallID.
 	c := &countingCache{m: make(map[string][]types.Tuple)}
-	p := NewPump(8, 8, c)
+	p := newPump(t, 8, 8, c)
 	var calls atomic.Int32
 	release := make(chan struct{})
 	fn := func() ([]types.Tuple, error) {
@@ -432,7 +432,7 @@ func TestPumpCoalescesInFlightDuplicates(t *testing.T) {
 
 func TestPumpNoCoalescingWithoutCache(t *testing.T) {
 	// Without the cache, identical registrations stay independent calls.
-	p := NewPump(8, 8, nil)
+	p := newPump(t, 8, 8, nil)
 	var calls atomic.Int32
 	fn := func() ([]types.Tuple, error) {
 		calls.Add(1)
@@ -457,7 +457,7 @@ func TestPumpNoCoalescingWithoutCache(t *testing.T) {
 
 func TestPumpPerDestinationOverride(t *testing.T) {
 	// One destination throttled to 1 while another runs at the default.
-	p := NewPump(16, 8, nil)
+	p := newPump(t, 16, 8, nil)
 	p.SetDestLimit("throttled", 1)
 	var thrActive, thrPeak, freeActive, freePeak int32
 	track := func(active, peak *int32, d time.Duration) func() ([]types.Tuple, error) {
@@ -496,7 +496,7 @@ func TestPumpPerDestinationOverride(t *testing.T) {
 }
 
 func TestPumpRaisingLimitReleasesQueue(t *testing.T) {
-	p := NewPump(8, 8, nil)
+	p := newPump(t, 8, 8, nil)
 	p.SetDestLimit("d", 0) // park everything
 	done := make(chan struct{}, 1)
 	id := p.RegisterCtx(context.Background(), "d", "k", func() ([]types.Tuple, error) {

@@ -15,7 +15,7 @@ import (
 // these tests pin the accounting.
 
 func TestQuiesceWaitsForInflightCall(t *testing.T) {
-	p := NewPump(1, 1, nil)
+	p := newPump(t, 1, 1, nil)
 	block := make(chan struct{})
 	var finished atomic.Bool
 	started := make(chan struct{})
@@ -51,7 +51,7 @@ func TestQuiesceWaitsForInflightCall(t *testing.T) {
 // A timed-out call's execution goroutine keeps running after the attempt
 // returns; Quiesce must wait for that straggler too.
 func TestQuiesceWaitsForTimedOutStraggler(t *testing.T) {
-	p := NewPump(2, 2, nil)
+	p := newPump(t, 2, 2, nil)
 	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 1, CallTimeout: 5 * time.Millisecond})
 	block := make(chan struct{})
 	id := p.RegisterCtx(context.Background(), "d", "k", func() ([]types.Tuple, error) {

@@ -113,7 +113,7 @@ func runOp(t *testing.T, op exec.Operator) []types.Tuple {
 // AEVScan
 
 func TestAEVScanEmitsPlaceholderTuple(t *testing.T) {
-	pump := NewPump(4, 4, nil)
+	pump := newPump(t, 4, 4, nil)
 	src := &scriptedSource{name: "WC", dest: "d", numEcho: 1,
 		rows: func(arg string) ([]types.Tuple, error) {
 			return []types.Tuple{{types.Int(int64(len(arg)))}}, nil
@@ -149,7 +149,7 @@ func TestAEVScanEmitsPlaceholderTuple(t *testing.T) {
 }
 
 func TestAEVScanFilledAttrs(t *testing.T) {
-	pump := NewPump(4, 4, nil)
+	pump := newPump(t, 4, 4, nil)
 	out := schema.New(strCol("V", "Term"), intCol("V", "Count"))
 	src := &scriptedSource{name: "WC", dest: "d", numEcho: 1, rows: nil}
 	aev := NewAEVScan(src, nil, out, pump)
@@ -163,7 +163,7 @@ func TestAEVScanFilledAttrs(t *testing.T) {
 // ReqSync: patch (1 row), cancel (0 rows), expand (n rows)
 
 func TestReqSyncPatchesSingleRow(t *testing.T) {
-	pump := NewPump(8, 8, nil)
+	pump := newPump(t, 8, 8, nil)
 	src := &scriptedSource{name: "WC", dest: "d", numEcho: 1, delay: 5 * time.Millisecond,
 		rows: func(arg string) ([]types.Tuple, error) {
 			return []types.Tuple{{types.Int(int64(len(arg)))}}, nil
@@ -184,7 +184,7 @@ func TestReqSyncPatchesSingleRow(t *testing.T) {
 }
 
 func TestReqSyncCancelsZeroRowTuples(t *testing.T) {
-	pump := NewPump(8, 8, nil)
+	pump := newPump(t, 8, 8, nil)
 	src := &scriptedSource{name: "WP", dest: "d", numEcho: 1,
 		rows: func(arg string) ([]types.Tuple, error) {
 			if arg == "none" {
@@ -205,7 +205,7 @@ func TestReqSyncCancelsZeroRowTuples(t *testing.T) {
 }
 
 func TestReqSyncExpandsMultiRowResults(t *testing.T) {
-	pump := NewPump(8, 8, nil)
+	pump := newPump(t, 8, 8, nil)
 	src := &scriptedSource{name: "WP", dest: "d", numEcho: 1,
 		rows: func(arg string) ([]types.Tuple, error) {
 			// Section 4.3 case 3: n result rows -> n-1 extra copies.
@@ -234,7 +234,7 @@ func TestReqSyncExpandsMultiRowResults(t *testing.T) {
 // tuple and its copies must retain (and later resolve) the second call's
 // placeholders.
 func TestReqSyncMultipleCallsPerTuple(t *testing.T) {
-	pump := NewPump(8, 8, nil)
+	pump := newPump(t, 8, 8, nil)
 	termCol := strCol("L", "Term")
 	left := exec.NewValuesScan(schema.New(termCol), tuplesOf([]string{"sig"}))
 
@@ -287,7 +287,7 @@ func TestReqSyncMultipleCallsPerTuple(t *testing.T) {
 // TestReqSyncMultiCallCancellation: one of a tuple's two calls returns zero
 // rows after the other already expanded it — every copy must be canceled.
 func TestReqSyncMultiCallCancellation(t *testing.T) {
-	pump := NewPump(8, 8, nil)
+	pump := newPump(t, 8, 8, nil)
 	termCol := strCol("L", "Term")
 	left := exec.NewValuesScan(schema.New(termCol), tuplesOf([]string{"sig"}))
 	fast := &scriptedSource{name: "F", dest: "f", numEcho: 1,
@@ -315,7 +315,7 @@ func TestReqSyncMultiCallCancellation(t *testing.T) {
 
 func TestReqSyncPassThroughCompleteTuples(t *testing.T) {
 	// Tuples without placeholders flow through untouched.
-	pump := NewPump(4, 4, nil)
+	pump := newPump(t, 4, 4, nil)
 	a := intCol("T", "A")
 	scan := exec.NewValuesScan(schema.New(a), []types.Tuple{{types.Int(1)}, {types.Int(2)}})
 	rs := syncOver(scan, pump, nil)
@@ -326,7 +326,7 @@ func TestReqSyncPassThroughCompleteTuples(t *testing.T) {
 }
 
 func TestReqSyncErrorFromCall(t *testing.T) {
-	pump := NewPump(4, 4, nil)
+	pump := newPump(t, 4, 4, nil)
 	src := &scriptedSource{name: "E", dest: "d", numEcho: 1,
 		rows: func(string) ([]types.Tuple, error) { return nil, fmt.Errorf("boom") }}
 	rs, _ := buildCountPlan([]string{"a"}, src, pump)
@@ -350,7 +350,7 @@ func TestReqSyncConcurrencyBeatsSequential(t *testing.T) {
 			}}
 	}
 	// Async.
-	pump := NewPump(64, 64, nil)
+	pump := newPump(t, 64, 64, nil)
 	rs, _ := buildCountPlan(terms, mk(), pump)
 	start := time.Now()
 	rows := runOp(t, rs)
@@ -379,7 +379,7 @@ func TestReqSyncPatchesSlabBackedRowsInPlace(t *testing.T) {
 		tags = append(tags, types.Tuple{types.Str(term), types.Int(int64(100 + i))})
 	}
 	for _, size := range []int{1, 3, 256} {
-		pump := NewPump(8, 8, nil)
+		pump := newPump(t, 8, 8, nil)
 		src := &scriptedSource{name: "WC", dest: "d", numEcho: 1,
 			rows: func(arg string) ([]types.Tuple, error) {
 				rows := []types.Tuple{{types.Int(int64(len(arg)))}}

@@ -37,7 +37,7 @@ func await(t *testing.T, p *Pump, id types.CallID) CallResult {
 }
 
 func TestRetryMasksTransientFailures(t *testing.T) {
-	p := NewPump(4, 4, nil)
+	p := newPump(t, 4, 4, nil)
 	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond})
 	var mu sync.Mutex
 	calls := 0
@@ -67,7 +67,7 @@ func TestRetryMasksTransientFailures(t *testing.T) {
 }
 
 func TestHardErrorNotRetried(t *testing.T) {
-	p := NewPump(4, 4, nil)
+	p := newPump(t, 4, 4, nil)
 	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Millisecond})
 	var mu sync.Mutex
 	calls := 0
@@ -92,7 +92,7 @@ func TestHardErrorNotRetried(t *testing.T) {
 }
 
 func TestRetryExhaustionReportsAttempts(t *testing.T) {
-	p := NewPump(4, 4, nil)
+	p := newPump(t, 4, 4, nil)
 	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond})
 	id := p.RegisterCtx(context.Background(), "d", "k", func() ([]types.Tuple, error) {
 		return nil, transientErr{"still down"}
@@ -110,7 +110,7 @@ func TestRetryExhaustionReportsAttempts(t *testing.T) {
 }
 
 func TestCallTimeoutAbandonsStalledAttempt(t *testing.T) {
-	p := NewPump(4, 4, nil)
+	p := newPump(t, 4, 4, nil)
 	p.SetRetryPolicy(RetryPolicy{
 		MaxAttempts: 2,
 		BaseBackoff: time.Millisecond,
@@ -165,7 +165,7 @@ func waitSettled(t *testing.T, p *Pump) {
 }
 
 func TestCallTimeoutExhaustionIsTransientError(t *testing.T) {
-	p := NewPump(4, 4, nil)
+	p := newPump(t, 4, 4, nil)
 	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 1, CallTimeout: 10 * time.Millisecond})
 	release := make(chan struct{})
 	defer close(release)
@@ -183,7 +183,7 @@ func TestCallTimeoutExhaustionIsTransientError(t *testing.T) {
 }
 
 func TestHedgeWinsAgainstSlowPrimary(t *testing.T) {
-	p := NewPump(8, 8, nil)
+	p := newPump(t, 8, 8, nil)
 	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 1, HedgeAfter: 10 * time.Millisecond, MaxHedges: 1})
 	var mu sync.Mutex
 	calls := 0
@@ -215,7 +215,7 @@ func TestHedgeWinsAgainstSlowPrimary(t *testing.T) {
 func TestHedgeRespectsDestinationLimit(t *testing.T) {
 	// One slot for the destination: the primary occupies it, so the hedge
 	// must never launch.
-	p := NewPump(8, 1, nil)
+	p := newPump(t, 8, 1, nil)
 	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 1, HedgeAfter: 5 * time.Millisecond, MaxHedges: 1})
 	var mu sync.Mutex
 	calls := 0
@@ -243,7 +243,7 @@ func TestHedgeRespectsDestinationLimit(t *testing.T) {
 func TestRetryBackoffReleasesSlotForOtherCalls(t *testing.T) {
 	// Destination limit 1. Call A fails transiently and backs off for a
 	// long time; during A's backoff, call B must get the slot and finish.
-	p := NewPump(8, 1, nil)
+	p := newPump(t, 8, 1, nil)
 	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 2, BaseBackoff: 80 * time.Millisecond})
 	bDone := make(chan time.Time, 1)
 	var aFirstFail time.Time

@@ -55,7 +55,7 @@ func figure3Input(src *scriptedSource) (exec.Operator, *schema.Schema) {
 func TestRewriteFigure3(t *testing.T) {
 	// Figure 2 (input) -> Figure 3 (rewritten): the ReqSync lands directly
 	// below the Sort, because the Sort's key is the call-filled Count.
-	pump := NewPump(8, 8, nil)
+	pump := newPump(t, 8, 8, nil)
 	in, _ := figure3Input(countSource("WebCount", "av"))
 	got := Rewrite(in, pump)
 	want := "Sort(ReqSync(Dependent Join(Values,AEVScan)))"
@@ -79,7 +79,7 @@ func TestRewriteFigure4(t *testing.T) {
 	// Sigs |x| WebPages (Rank <= 3): single DJ over a multi-row source; the
 	// rewritten plan is ReqSync(DJ(Scan, AEVScan)) and ReqSync performs
 	// tuple generation (3 copies per sig).
-	pump := NewPump(8, 8, nil)
+	pump := newPump(t, 8, 8, nil)
 	term := strCol("Sigs", "Name")
 	left := exec.NewValuesScan(schema.New(term), tuplesOf([]string{"SIGMOD", "SIGOPS"}))
 	out := pagesSchema("WP")
@@ -99,7 +99,7 @@ func TestRewriteFigure6TwoEngines(t *testing.T) {
 	// Figure 6: Sigs |x| WP_AV |x| WP_Google. After insertion, percolation,
 	// and consolidation there must be exactly ONE ReqSync at the top
 	// managing both calls' attributes.
-	pump := NewPump(16, 16, nil)
+	pump := newPump(t, 16, 16, nil)
 	term := strCol("Sigs", "Name")
 	left := exec.NewValuesScan(schema.New(term), tuplesOf([]string{"SIGMOD", "SIGOPS", "SIGACT"}))
 	avOut := pagesSchema("WP_AV")
@@ -133,7 +133,7 @@ func TestRewriteFigure6TwoEngines(t *testing.T) {
 func TestRewriteFigure7CrossProductBetweenJoins(t *testing.T) {
 	// Figure 7(a): Sigs |x| WC_AV x R |x| WC_Google with a single
 	// consolidated ReqSync above everything.
-	pump := NewPump(16, 16, nil)
+	pump := newPump(t, 16, 16, nil)
 	term := strCol("Sigs", "Name")
 	sigs := exec.NewValuesScan(schema.New(term), tuplesOf([]string{"SIGMOD", "SIGOPS"}))
 	avOut := countSchema("WC_AV")
@@ -166,7 +166,7 @@ func TestRewriteFigure8BushyJoinBecomesSelectionOverCross(t *testing.T) {
 	// Figure 8: a bushy plan whose top join predicate references
 	// call-filled URLs. The rewriter must turn the join into a selection
 	// over a cross-product and leave the selection above the ReqSync.
-	pump := NewPump(16, 16, nil)
+	pump := newPump(t, 16, 16, nil)
 	sigTerm := strCol("Sigs", "Name")
 	fieldTerm := strCol("CSFields", "Name")
 	sigs := exec.NewValuesScan(schema.New(sigTerm), tuplesOf([]string{"SIGMOD", "SIGGRAPH"}))
@@ -237,7 +237,7 @@ func rebuildFigure8Baseline() exec.Operator {
 func TestRewriteClashingFilterHoisted(t *testing.T) {
 	// A selection over call-filled Count clashes; the rewriter hoists it
 	// and the ReqSync ends up below the hoisted selection.
-	pump := NewPump(8, 8, nil)
+	pump := newPump(t, 8, 8, nil)
 	term := strCol("Sigs", "Name")
 	left := exec.NewValuesScan(schema.New(term), tuplesOf([]string{"SIGMOD", "SIGOPS", "SIGACT"}))
 	out := countSchema("WC")
@@ -260,7 +260,7 @@ func TestRewriteClashingFilterHoisted(t *testing.T) {
 func TestRewriteNonClashingFilterPassed(t *testing.T) {
 	// A selection on a stored column does NOT clash; ReqSync percolates
 	// above it.
-	pump := NewPump(8, 8, nil)
+	pump := newPump(t, 8, 8, nil)
 	term := strCol("Sigs", "Name")
 	left := exec.NewValuesScan(schema.New(term), tuplesOf([]string{"SIGMOD", "SIGOPS"}))
 	out := countSchema("WC")
@@ -276,7 +276,7 @@ func TestRewriteNonClashingFilterPassed(t *testing.T) {
 
 func TestRewriteAggregateClashes(t *testing.T) {
 	// Aggregation must stay above ReqSync (clash case 3).
-	pump := NewPump(8, 8, nil)
+	pump := newPump(t, 8, 8, nil)
 	term := strCol("Sigs", "Name")
 	left := exec.NewValuesScan(schema.New(term), tuplesOf([]string{"a", "bb"}))
 	out := countSchema("WC")
@@ -298,7 +298,7 @@ func TestRewriteAggregateClashes(t *testing.T) {
 func TestRewriteProjectClashOnComputedExpr(t *testing.T) {
 	// Project computing Count/Population (Query 2) interprets the value ->
 	// clash; ReqSync stays below the projection.
-	pump := NewPump(8, 8, nil)
+	pump := newPump(t, 8, 8, nil)
 	term := strCol("States", "Name")
 	pop := intCol("States", "Pop")
 	left := exec.NewValuesScan(schema.New(term, pop), []types.Tuple{
@@ -329,7 +329,7 @@ func TestRewriteProjectClashOnComputedExpr(t *testing.T) {
 func TestRewriteProjectClashOnDroppedAttr(t *testing.T) {
 	// Projecting away a call-filled attribute breaks cancellation/
 	// generation -> clash.
-	pump := NewPump(8, 8, nil)
+	pump := newPump(t, 8, 8, nil)
 	term := strCol("Sigs", "Name")
 	left := exec.NewValuesScan(schema.New(term), tuplesOf([]string{"a"}))
 	out := pagesSchema("WP")
@@ -350,7 +350,7 @@ func TestRewriteProjectClashOnDroppedAttr(t *testing.T) {
 }
 
 func TestRewritePassThroughProjectDoesNotClash(t *testing.T) {
-	pump := NewPump(8, 8, nil)
+	pump := newPump(t, 8, 8, nil)
 	term := strCol("Sigs", "Name")
 	left := exec.NewValuesScan(schema.New(term), tuplesOf([]string{"a"}))
 	out := countSchema("WC")
@@ -367,7 +367,7 @@ func TestRewritePassThroughProjectDoesNotClash(t *testing.T) {
 }
 
 func TestRewriteLimitClashes(t *testing.T) {
-	pump := NewPump(8, 8, nil)
+	pump := newPump(t, 8, 8, nil)
 	term := strCol("Sigs", "Name")
 	left := exec.NewValuesScan(schema.New(term), tuplesOf([]string{"a", "b", "c"}))
 	out := pagesSchema("WP")
@@ -408,7 +408,7 @@ func TestRewriteEquivalence(t *testing.T) {
 		return srt
 	}
 	syncRows := runOp(t, build(false, nil))
-	pump := NewPump(16, 16, nil)
+	pump := newPump(t, 16, 16, nil)
 	asyncRows := runOp(t, build(true, pump))
 	if len(syncRows) != len(asyncRows) {
 		t.Fatalf("row counts differ: sync %d async %d", len(syncRows), len(asyncRows))
@@ -431,7 +431,7 @@ func TestRewriteEquivalence(t *testing.T) {
 
 func TestConsolidateMergesChains(t *testing.T) {
 	// Three stacked ReqSyncs collapse into one with the union A.
-	pump := NewPump(4, 4, nil)
+	pump := newPump(t, 4, 4, nil)
 	a := intCol("T", "A")
 	scan := exec.NewValuesScan(schema.New(a), nil)
 	id1, id2, id3 := schema.NewAttrID(), schema.NewAttrID(), schema.NewAttrID()

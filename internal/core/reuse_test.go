@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/exec"
+	"repro/internal/leakcheck"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/schema"
@@ -160,13 +161,7 @@ func TestReuseIsExclusiveUnderConcurrency(t *testing.T) {
 	if held := db.Pump().Held(); held != 0 {
 		t.Errorf("pump holds %d call records after every query returned", held)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > baseline {
-		t.Errorf("%d goroutines after the run, %d before it", n, baseline)
-	}
+	leakcheck.Settle(t, baseline)
 }
 
 // TestReuseDropsTheTreeOfAFailedRun is rule 2. A run that ends in an error

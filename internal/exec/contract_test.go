@@ -47,6 +47,7 @@ var errInjected = errors.New("injected fault")
 type faultOp struct {
 	inner     Operator
 	failOpen  bool
+	failClose bool  // Close of an open leaf fails: it could not release what it opened
 	failAfter int   // fail once failAfter rows have been handed out; -1 = never
 	rows      int   // rows handed out since Open
 	window    Batch // what the last NextBatch returned: dead at the next one
@@ -113,8 +114,12 @@ func checkFresh(t *testing.T, rows []types.Tuple) {
 	}
 }
 func (f *faultOp) Close() error {
+	err := f.inner.Close()
+	if f.failClose && f.open {
+		err = errors.Join(err, errInjected)
+	}
 	f.open = false
-	return f.inner.Close()
+	return err
 }
 func (f *faultOp) Children() []Operator { return []Operator{f.inner} }
 func (f *faultOp) SetChild(i int, op Operator) {
@@ -754,6 +759,25 @@ func TestOperatorContractCloseAfterError(t *testing.T) {
 					if err := op.Close(); err != nil {
 						t.Errorf("leaf %d %s: Close after error path errored: %v", leaf, point.name, err)
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestOperatorContractCloseReportsChildError: a teardown error is an error
+// of the run. For every fault leaf whose Close fails, Run must report it,
+// so an operator that closes two children must return both their errors
+// (errors.Join), not only the last.
+func TestOperatorContractCloseReportsChildError(t *testing.T) {
+	for _, tc := range contractCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			_, probe := tc.mk()
+			for leaf := range probe {
+				op, leaves := tc.mk()
+				leaves[leaf].failClose = true
+				if _, err := Run(NewContext(), op); !errors.Is(err, errInjected) {
+					t.Errorf("leaf %d: its Close failed, Run error = %v, want the injected fault", leaf, err)
 				}
 			}
 		})

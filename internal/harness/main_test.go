@@ -1,0 +1,10 @@
+package harness
+
+import (
+	"testing"
+
+	"repro/internal/leakcheck"
+)
+
+// TestMain fails the package if its tests leave goroutines running.
+func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -1,13 +1,10 @@
 // Package lint implements wsqlint, a zero-dependency static analyzer
-// suite for this repository's project invariants. The paper's
-// asynchronous-iteration machinery (ReqPump slot accounting, AEVScan
-// placeholders, ReqSync patching) stays correct only under disciplines —
-// every pump slot released on every path, every network call bounded by a
-// context, all simulated randomness flowing through one seeded stream —
-// that `go vet` knows nothing about and the race detector can only
-// sample. Each rule here encodes one such invariant as a compile-time
-// check; `make lint` (folded into `make check`) gates the tree on all of
-// them.
+// suite for this repository's project invariants: every network call
+// bounded by a context, all simulated randomness flowing through one
+// seeded stream, every lock released on every path and taken in one
+// order. `go vet` knows nothing of these, and the race detector can only
+// sample them. Each rule here encodes one as a compile-time check;
+// `make lint` (folded into `make check`) gates the tree on all of them.
 //
 // The suite is built entirely on the standard library: go/ast, go/parser
 // and go/types for analysis, and one `go list -json` invocation for
@@ -80,9 +77,7 @@ func AllRules() []Rule {
 		newCtxFlow(),
 		newSeededRand(),
 		newLockScope(),
-		newGoroutineCtx(),
 		newLockOrder(),
-		newErrJoin(),
 	}
 }
 

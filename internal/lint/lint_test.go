@@ -139,9 +139,7 @@ var fixtureCases = []struct {
 	{"seededrand_allowed", "repro/internal/search", []string{"seededrand"}},
 	{"lockscope", "repro/internal/server", []string{"lockscope"}},
 	{"lockscope_pump", "repro/internal/async", []string{"lockscope"}},
-	{"goroutinectx", "repro/internal/async", []string{"goroutinectx"}},
 	{"lockorder", "repro/internal/server", []string{"lockorder"}},
-	{"errjoin", "repro/internal/exec", []string{"errjoin"}},
 }
 
 func TestFixtures(t *testing.T) {
@@ -176,10 +174,7 @@ func TestEveryRuleFiresOnItsFixture(t *testing.T) {
 // TestRuleMetadata pins the suite composition and that every rule has a
 // one-line doc (used by wsqlint -list).
 func TestRuleMetadata(t *testing.T) {
-	want := []string{
-		"ctxflow", "seededrand", "lockscope", "goroutinectx", "lockorder",
-		"errjoin",
-	}
+	want := []string{"ctxflow", "seededrand", "lockscope", "lockorder"}
 	got := RuleNames(AllRules())
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("AllRules() = %v, want %v", got, want)

@@ -215,8 +215,7 @@ func (p *Program) resolveTarget(pkg *Package, call *ast.CallExpr) *FuncInfo {
 
 // fixedPoint iterates mark over every function until no new function is
 // marked: the generic propagation loop behind the transitive summaries
-// (effectful, cancellable, lock-acquiring). mark returns true when it
-// newly marked fi.
+// (effectful, lock-acquiring). mark returns true when it newly marked fi.
 func (p *Program) fixedPoint(mark func(fi *FuncInfo) bool) {
 	for changed := true; changed; {
 		changed = false

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/harness"
+	"repro/internal/leakcheck"
 	"repro/internal/search"
 	"repro/internal/websim"
 )
@@ -41,22 +42,6 @@ func newChaosEnv(t *testing.T, faultProb float64, retry async.RetryPolicy) *test
 	hs := httptest.NewServer(New(db, Options{MaxConcurrentQueries: 16, MaxQueueDepth: 64}))
 	t.Cleanup(hs.Close)
 	return &testEnv{db: db, cl: NewClient(hs.URL), url: hs.URL}
-}
-
-// settleGoroutines waits for the goroutine count to drop back to within
-// slack of base, failing the test if it never does.
-func settleGoroutines(t *testing.T, base, slack int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	var n int
-	for time.Now().Before(deadline) {
-		n = runtime.NumGoroutine()
-		if n <= base+slack {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Errorf("goroutines never settled: %d now vs %d at baseline", n, base)
 }
 
 // pumpState renders what a timed-out query's failure message needs: the
@@ -135,7 +120,7 @@ func TestChaosConcurrentClientsDegradeCleanly(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatalf("pump did not quiesce within 5 s (%s)", pumpState(env.db.Pump()))
 	}
-	settleGoroutines(t, base, 10)
+	leakcheck.Settle(t, base)
 
 	st, err := env.cl.Status(context.Background())
 	if err != nil {

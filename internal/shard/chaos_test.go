@@ -8,29 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/search"
 )
-
-// settleGoroutines waits for the goroutine count to return to within
-// slack of base — the leak detector the server chaos suite uses, applied
-// to the tier.
-func settleGoroutines(t *testing.T, base, slack int) {
-	t.Helper()
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		runtime.GC()
-		n := runtime.NumGoroutine()
-		if n <= base+slack {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines did not settle: %d > base %d + slack %d\n%s",
-				n, base, slack, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
 
 // TestChaosWorkerKilledMidQuery: one worker dies with queries in flight.
 // The coordinator must reroute every affected and subsequent query to
@@ -118,7 +98,7 @@ func TestChaosWorkerKilledMidQuery(t *testing.T) {
 		nd.db.Close()
 	}
 	http.DefaultClient.CloseIdleConnections()
-	settleGoroutines(t, base, 8)
+	leakcheck.Settle(t, base)
 }
 
 // TestChaosCoordinatorSurvivesAllWorkersDown: with every worker gone the

@@ -330,3 +330,25 @@ func TestPeersFetchAndFill(t *testing.T) {
 		t.Errorf("peer stats = %+v", st)
 	}
 }
+
+// TestPeersFetchEndsWithItsCaller: a peer get is bounded by its caller's
+// context, not only by FetchTimeout. Against a home shard that answers
+// nothing until the test ends, with a 10 s FetchTimeout, a caller that
+// gives up at 20 ms gets its miss within a second; a request built on a
+// context of its own would wait out the whole FetchTimeout.
+func TestPeersFetchEndsWithItsCaller(t *testing.T) {
+	hang := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-hang }))
+	t.Cleanup(srv.Close)
+	t.Cleanup(func() { close(hang) })
+	peers := NewPeers("me", Config{Workers: []Member{{ID: "home", URL: srv.URL}}}, PeerOptions{FetchTimeout: 10 * time.Second})
+	t.Cleanup(peers.Close)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	rows, ok, _ := peers.Fetch(ctx, "k")
+	if took := time.Since(start); ok || took > time.Second {
+		t.Fatalf("Fetch = %v, %v after %v; want a miss within 1s of a caller that gave up at 20ms", rows, ok, took)
+	}
+}
