@@ -48,10 +48,12 @@ race-loop-reuse:
 # hedge timers and retry backoffs act under the pump's lock from their own
 # goroutines, an execution goroutine parks and is handed its next call or
 # retired by Close/Quiesce between two of its critical sections, a
-# synchronous caller's wait ends by settlement or by its context, and a
-# round's lock-free cache probe races the completions it may miss.
+# synchronous caller's wait ends by settlement or by its context, a
+# round's lock-free cache probe races the completions it may miss, and a
+# binding round's reused scratch must never reach a tuple already handed
+# out.
 race-loop-pump:
-	$(GO) test -race -count=10 -run 'TestHandoff|TestSettleHandshake|TestCoalesce|TestSiblingCancel|TestQuiesce|TestPumpReusesExecutionGoroutines|TestPumpGoroutineBound|TestSyncCall|TestEVScanCache|TestPeekRound' ./internal/async
+	$(GO) test -race -count=10 -run 'TestHandoff|TestSettleHandshake|TestCoalesce|TestSiblingCancel|TestQuiesce|TestPumpReusesExecutionGoroutines|TestPumpGoroutineBound|TestSyncCall|TestEVScanCache|TestPeekRound|TestBindRoundScratch|TestOpenTuplesSurviveAReopen' ./internal/async
 
 # The simulated-time tests (about 5 s): Table 1 at the paper's latency,
 # the ablations and the pump-limit sweep, each compared with its file under

@@ -36,14 +36,18 @@ type AEVScan struct {
 	// A binding round's scratch, kept across rounds: the round's distinct
 	// keys with what the cache said of each, the call registered for each
 	// key it did not answer (0 until then), each binding's index into them
-	// and the arguments it echoes, one binding after another, and — when
-	// the pump memoizes — each key's index. Close clears it: it holds the
-	// cache's rows.
+	// and the arguments it echoes, one binding after another, and the keys'
+	// bytes. Close clears it: it holds the cache's rows.
 	probes []Probe
 	ids    []types.CallID
 	keyOf  []int
 	argv   []types.Value
-	byKey  map[string]int
+	keys   roundKeys
+	// The storage BindBatch's rows are cut from, reused by the next
+	// round (see exec.BindingBatcher); Open's tuples never come from it.
+	tuples []types.Tuple
+	rows   [][]types.Tuple
+	slab   []types.Value
 }
 
 // NewAEVScan builds an asynchronous external scan.
@@ -67,7 +71,8 @@ func FromEVScan(ev *exec.EVScan, pump *Pump) *AEVScan {
 // outer nil the current bindings alone. It works in three steps:
 //
 //  1. every binding's arguments and key are evaluated — the echoed
-//     arguments copied, as the tuples outlive the frame — and nothing is
+//     arguments copied, as the tuples outlive the frame, the keys written
+//     into one buffer the scan keeps (roundKeys) — and nothing is
 //     registered; when the pump memoizes, bindings with the same key share
 //     one request and its answer — the same hit rows, or one CallID (the
 //     ReqSync patches every waiting tuple of a call when it settles, so
@@ -77,8 +82,10 @@ func FromEVScan(ev *exec.EVScan, pump *Pump) *AEVScan {
 //     query's registrations;
 //  3. binding by binding, a key the probe missed goes through
 //     Pump.Request, which probes again under the pump's lock and
-//     registers the call, and the binding's tuples are cut from one slab
-//     per round (see exec.ExternalScan.AppendRows).
+//     registers the call — a miss is the one place a key becomes a
+//     string — and the binding's tuples are cut from one slab per round
+//     (see exec.ExternalScan.AppendRows). Under BindBatch the slab, the
+//     tuples and the rows are the scan's, and its next round reuses them.
 //
 // Without a cache every binding registers its own call: duplicate
 // bindings re-issuing duplicate requests is the paper's Figure 7
@@ -95,12 +102,7 @@ func (s *AEVScan) round(ctx *exec.Context, cols []schema.Column, outer []types.T
 		s.argv = make([]types.Value, 0, n*(s.Out.Len()-len(s.ResultCols())))
 	}
 	s.probes, s.ids, s.keyOf, s.argv = s.probes[:0], s.ids[:0], s.keyOf[:0], s.argv[:0]
-	if s.Pump.HasCache() {
-		if s.byKey == nil {
-			s.byKey = make(map[string]int, n)
-		}
-		clear(s.byKey)
-	}
+	s.keys.reset(n, s.Pump.HasCache())
 	for i := 0; i < n; i++ {
 		if outer != nil {
 			ctx.Env.PushFrame(cols, outer[i])
@@ -114,23 +116,31 @@ func (s *AEVScan) round(ctx *exec.Context, cols []schema.Column, outer []types.T
 		}
 		ctx.Stats.ExternalCalls++
 		s.argv = append(s.argv, echoes...)
-		k, seen := s.byKey[string(key)]
-		if !seen {
-			k = len(s.probes)
-			s.probes = append(s.probes, Probe{Key: string(key)})
+		k := s.keys.add(key)
+		if k == len(s.probes) {
+			s.probes = append(s.probes, Probe{})
 			s.ids = append(s.ids, 0)
-			if s.byKey != nil {
-				s.byKey[s.probes[k].Key] = k
-			}
 		}
 		s.keyOf = append(s.keyOf, k)
+	}
+	for k := range s.probes {
+		s.probes[k].Key = s.keys.key(k)
 	}
 
 	s.Pump.PeekRound(ctx.Ctx, s.Source, s.probes)
 
 	var slab []types.Value
-	tuples := make([]types.Tuple, 0, n)
-	rows := make([][]types.Tuple, n)
+	var tuples []types.Tuple
+	var rows [][]types.Tuple
+	if outer != nil {
+		slab, tuples = s.slab[:0], s.tuples[:0]
+		if cap(s.rows) < n {
+			s.rows = make([][]types.Tuple, n)
+		}
+		rows = s.rows[:n]
+	} else {
+		tuples, rows = make([]types.Tuple, 0, n), make([][]types.Tuple, n)
+	}
 	width := len(s.argv) / n // every binding echoes the same arguments
 	for i, k := range s.keyOf {
 		pr := &s.probes[k]
@@ -138,7 +148,7 @@ func (s *AEVScan) round(ctx *exec.Context, cols []schema.Column, outer []types.T
 			// Registering under the execution context ties the call's
 			// lifetime to the query: if the deadline expires while the call
 			// is still queued, the pump drops it without consuming a slot.
-			s.ids[k], pr.Rows, pr.Hit = s.Pump.Request(ctx.Ctx, s.Source, pr.Key)
+			s.ids[k], pr.Rows, pr.Hit = s.Pump.Request(ctx.Ctx, s.Source, string(pr.Key))
 			if !pr.Hit {
 				ctx.PumpCalls = append(ctx.PumpCalls, s.ids[k])
 				if obs.SampledTrace(ctx.Ctx) != nil {
@@ -163,6 +173,12 @@ func (s *AEVScan) round(ctx *exec.Context, cols []schema.Column, outer []types.T
 			return nil, err
 		}
 		rows[i] = tuples[mark:len(tuples):len(tuples)]
+	}
+	if outer != nil {
+		s.tuples = tuples
+		if cap(slab) > cap(s.slab) {
+			s.slab = slab
+		}
 	}
 	return rows, nil
 }
@@ -196,11 +212,11 @@ func (s *AEVScan) BindBatch(ctx *exec.Context, cols []schema.Column, outer []typ
 }
 
 // Close implements exec.Operator: it lets go of the round scratch, which
-// holds the cache's rows and the round's keys.
+// holds the cache's rows and the arguments the rounds echoed.
 func (s *AEVScan) Close() error {
 	clear(s.probes[:cap(s.probes)])
 	clear(s.argv[:cap(s.argv)])
-	clear(s.byKey)
+	clear(s.slab[:cap(s.slab)])
 	return nil
 }
 

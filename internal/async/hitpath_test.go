@@ -38,10 +38,10 @@ func (c *fifoCache) Get(k string) ([]types.Tuple, bool) {
 }
 
 // Peek counts a hit as Get does and a miss not at all.
-func (c *fifoCache) Peek(k string) ([]types.Tuple, bool) {
+func (c *fifoCache) Peek(k []byte) ([]types.Tuple, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rows, ok := c.m[k]
+	rows, ok := c.m[string(k)]
 	if ok {
 		c.gets++
 		c.hits++

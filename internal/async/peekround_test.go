@@ -64,8 +64,8 @@ type staleCache struct {
 	beforeMiss func()
 }
 
-func (c *staleCache) Peek(k string) ([]types.Tuple, bool) {
-	if k == c.stale && c.beforeMiss != nil {
+func (c *staleCache) Peek(k []byte) ([]types.Tuple, bool) {
+	if string(k) == c.stale && c.beforeMiss != nil {
 		c.beforeMiss()
 		return nil, false
 	}

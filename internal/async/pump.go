@@ -354,9 +354,10 @@ func (p *Pump) RegisterCtx(ctx context.Context, dest, key string, fn func() ([]t
 }
 
 // Probe is one distinct key of a binding round and what the result cache
-// said of it: Rows are its rows when Hit is set.
+// said of it: Rows are its rows when Hit is set. Key is the caller's
+// bytes, read only during PeekRound.
 type Probe struct {
-	Key  string
+	Key  []byte
 	Rows []types.Tuple
 	Hit  bool
 }

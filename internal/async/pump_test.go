@@ -196,7 +196,7 @@ func (c *countingCache) Get(k string) ([]types.Tuple, bool) {
 	r, ok := c.m[k]
 	return r, ok
 }
-func (c *countingCache) Peek(k string) ([]types.Tuple, bool) { return c.Get(k) }
+func (c *countingCache) Peek(k []byte) ([]types.Tuple, bool) { return c.Get(string(k)) }
 func (c *countingCache) Put(k string, rows []types.Tuple) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

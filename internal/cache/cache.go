@@ -41,23 +41,29 @@ func New(capacity int) *Cache {
 
 // Get returns the cached rows for key.
 func (c *Cache) Get(key string) ([]types.Tuple, bool) {
-	return c.lookup(key, true)
-}
-
-// Peek returns the cached rows for key as Get does, but a miss is not
-// counted: the caller looks a missed key up again with Get.
-func (c *Cache) Peek(key string) ([]types.Tuple, bool) {
-	return c.lookup(key, false)
-}
-
-func (c *Cache) lookup(key string, countMiss bool) ([]types.Tuple, bool) {
 	if c == nil || c.cap <= 0 {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
+	return c.found(c.items[key], true)
+}
+
+// Peek returns the cached rows for key as Get does, but a miss is not
+// counted: the caller looks a missed key up again with Get. The key's
+// bytes index the map as they are, with no string made of them.
+func (c *Cache) Peek(key []byte) ([]types.Tuple, bool) {
+	if c == nil || c.cap <= 0 {
+		return nil, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.found(c.items[string(key)], false)
+}
+
+// found counts a lookup that found el (nil for none) and refreshes a hit.
+func (c *Cache) found(el *list.Element, countMiss bool) ([]types.Tuple, bool) {
+	if el == nil {
 		if countMiss {
 			c.misses++
 		}

@@ -58,16 +58,16 @@ func TestLRUEviction(t *testing.T) {
 // does, and leaves a miss uncounted for the Get that follows it.
 func TestPeekCountsOnlyHits(t *testing.T) {
 	c := New(2)
-	if _, ok := c.Peek("k0"); ok {
+	if _, ok := c.Peek([]byte("k0")); ok {
 		t.Error("empty cache should miss")
 	}
 	c.Put("k0", rows(0))
 	c.Put("k1", rows(1))
-	if got, ok := c.Peek("k0"); !ok || got[0][0].I != 0 {
+	if got, ok := c.Peek([]byte("k0")); !ok || got[0][0].I != 0 {
 		t.Errorf("peek: %v %v", got, ok)
 	}
 	c.Put("k2", rows(2)) // k0 was refreshed: k1 goes
-	if _, ok := c.Peek("k1"); ok {
+	if _, ok := c.Peek([]byte("k1")); ok {
 		t.Error("k1 should have been evicted (least recently used)")
 	}
 	if hits, misses := c.Stats(); hits != 1 || misses != 0 {
@@ -195,7 +195,7 @@ func TestConcurrentAccess(t *testing.T) {
 				case 1:
 					c.Get(k)
 				default:
-					c.Peek(k)
+					c.Peek([]byte(k))
 				}
 			}
 		}(g)

@@ -23,12 +23,13 @@ func TestAllocationBudget(t *testing.T) {
 	// local_join's shape at a tenth of its size: scan, filter, hash join,
 	// group, sort over stored tables. Per-row work (decoding a record,
 	// evaluating and hashing a key, joining, grouping) must allocate per
-	// batch or per group, not per row: 5.2 objects per input row before
-	// the slabs and the key table, 0.19 after, 0.18 now, half of it the
-	// Region string of every Cust row. Bytes are what the cuts of PR 23
-	// save: a row Amount > 100 rejects is taken back off the scan's slab,
-	// a joined row holds Amount and Region only, and the batch windows are
-	// reused — 272 bytes per input row before, 130 after.
+	// batch, per page or per group, not per row: 5.2 objects per input row
+	// before the slabs and the key table, 0.19 after, 0.13 while every
+	// Cust row's Region was a string of its own, 0.04 now that a page's
+	// strings are cut out of one. Bytes are what the narrowing cuts save: a
+	// row Amount > 100 rejects is taken back off the scan's slab, a joined
+	// row holds Amount and Region only, and the batch windows are reused —
+	// 272 bytes per input row before, 118 now.
 	t.Run("local_join", func(t *testing.T) {
 		const custRows, ordersRows = 300, 3000
 		db := newPaperDB(t, Config{})
@@ -58,8 +59,8 @@ func TestAllocationBudget(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		perRow := testing.AllocsPerRun(runs, func() { mustQuery(t, db, q) }) / (custRows + ordersRows)
 		runtime.ReadMemStats(&after)
-		if perRow > 0.25 {
-			t.Errorf("local join: %.2f heap objects per input row, want <= 0.25", perRow)
+		if perRow > 0.12 {
+			t.Errorf("local join: %.2f heap objects per input row, want <= 0.12", perRow)
 		}
 		// AllocsPerRun runs the query once more than it averages over.
 		bytesPerRow := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) / (custRows + ordersRows)
@@ -70,28 +71,39 @@ func TestAllocationBudget(t *testing.T) {
 
 	// hot_cache's shape: Template 1 served from a warm result cache, so
 	// 50 registrations and no engine call. The virtual table's inputs are
-	// bound once per scan, the outer tuple is bound by reference, a round's
-	// rows share slabs, a hit is answered at registration for the price of
-	// its key string, only Name, T1 and Count of the 13 columns are
-	// decoded or carried, and from its second execution on a text is not
-	// parsed, planned or rewritten again, and its ReqSync and DependentJoin
-	// reuse their buffers (121 objects measured, 137 without that reuse,
-	// 2 122 before the slabs).
+	// bound once per scan, the outer tuple is bound by reference, from its
+	// second execution on a text is not parsed, planned or rewritten again,
+	// and its ReqSync and DependentJoin reuse their buffers. What is left is
+	// per round, not per key or per cell: a round's keys are probed as
+	// bytes and its scratch is the scan's, the scanned Names are cut out of
+	// one string per page, and only Name, T1 and Count of the 13 columns
+	// are decoded or carried (15 objects and 13.9 KB measured; 118 and
+	// 21.5 KB with a string per key and per cell, 2 122 objects before the
+	// slabs).
 	const q = `SELECT Name, Count FROM States, WebCount WHERE Name = T1 AND T2 = 'scuba diving'`
 	t.Run("hot_cache", func(t *testing.T) {
 		db := newPaperDB(t, Config{Async: true, CacheSize: 4096})
 		if res := mustQuery(t, db, q); len(res.Rows) != 50 {
 			t.Fatalf("rows: %d", len(res.Rows))
 		}
-		if allocs := testing.AllocsPerRun(20, func() { mustQuery(t, db, q) }); allocs > 140 {
-			t.Errorf("warm Template 1: %.0f heap objects per query, want <= 140", allocs)
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, func() { mustQuery(t, db, q) })
+		runtime.ReadMemStats(&after)
+		if allocs > 30 {
+			t.Errorf("warm Template 1: %.0f heap objects per query, want <= 30", allocs)
+		}
+		if kb := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) / 1024; kb > 16 {
+			t.Errorf("warm Template 1: %.1f KB allocated per query, want <= 16", kb)
 		}
 	})
 
 	// The same warm query traced re-opens the same idle tree, instrumented
 	// for the one execution: what it adds is a span and a decorator per
 	// operator, the extras, and no parse, plan or rewrite (342 objects while
-	// a traced query planned afresh, 179 now).
+	// a traced query planned afresh, 161 with a string per key and per
+	// cell, 58 now).
 	t.Run("traced_warm", func(t *testing.T) {
 		db := newPaperDB(t, Config{Async: true, CacheSize: 4096})
 		mustQuery(t, db, q)
@@ -100,8 +112,8 @@ func TestAllocationBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if allocs := testing.AllocsPerRun(20, traced); allocs > 200 {
-			t.Errorf("warm Template 1 traced: %.0f heap objects per query, want <= 200", allocs)
+		if allocs := testing.AllocsPerRun(20, traced); allocs > 100 {
+			t.Errorf("warm Template 1 traced: %.0f heap objects per query, want <= 100", allocs)
 		}
 	})
 
@@ -131,10 +143,13 @@ func TestAllocationBudget(t *testing.T) {
 
 	// pump_bound's shape: the same query with the cache off, so 50
 	// register-run-settle round trips, against an engine that answers from
-	// a map at once: 427 objects and 41 KB per query measured, with the
-	// tree re-opened and its ReqSync and DependentJoin buffering in the
-	// storage they grew before (553 objects and 56.5 KB without that
-	// reuse, 2 216 objects before the pump's handoff).
+	// a map at once: 374 objects and 36 KB per query measured, with the
+	// tree re-opened, its ReqSync and DependentJoin buffering in the
+	// storage they grew before and a page's strings cut out of one (427
+	// and 41 KB with a string per cell, 553 objects and 56.5 KB without
+	// the buffer reuse, 2 216 objects before the pump's handoff). Each
+	// registered call still makes its key's string, as the call record
+	// keeps it.
 	t.Run("pump_bound", func(t *testing.T) {
 		db, err := Open(Config{Dir: t.TempDir(), Async: true})
 		if err != nil {
@@ -146,8 +161,8 @@ func TestAllocationBudget(t *testing.T) {
 		if res := mustQuery(t, db, q); len(res.Rows) != 50 {
 			t.Fatalf("rows: %d", len(res.Rows))
 		}
-		if allocs := testing.AllocsPerRun(20, func() { mustQuery(t, db, q) }); allocs > 480 {
-			t.Errorf("cold Template 1: %.0f heap objects per query, want <= 480", allocs)
+		if allocs := testing.AllocsPerRun(20, func() { mustQuery(t, db, q) }); allocs > 400 {
+			t.Errorf("cold Template 1: %.0f heap objects per query, want <= 400", allocs)
 		}
 	})
 }

@@ -74,8 +74,12 @@ type BindingBatcher interface {
 	// tuples and returns, per tuple, the rows the operator would have
 	// produced under an Open/drain/Close cycle with that tuple pushed as a
 	// binding frame (expr.Env.PushFrame(cols, outer[i])). Frames alias the
-	// outer tuples, so an implementation copies out what it keeps. An
-	// operator that implements the interface always binds in batches; a
-	// decorator is one only when the operator it wraps is (Instrument).
+	// outer tuples, so an implementation copies out what it keeps. The
+	// rows — the lists, the tuples and the values under them — are valid
+	// until the next BindBatch or Close on the operator, which may reuse
+	// their storage: a caller copies out what it keeps, as DependentJoin
+	// copies each row into a joined row at once. An operator that
+	// implements the interface always binds in batches; a decorator is one
+	// only when the operator it wraps is (Instrument).
 	BindBatch(ctx *Context, cols []schema.Column, outer []types.Tuple) (rows [][]types.Tuple, err error)
 }

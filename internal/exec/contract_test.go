@@ -368,8 +368,27 @@ func contractCases(t *testing.T) []contractCase {
 // services each outer tuple through an Open → drain → Close cycle — a
 // pump-free stand-in for AEVScan's batch registration, so the suite can
 // drive the dependent join's BindBatch rounds without the async machinery.
+// Its rows live exactly as long as the contract lets them: every value of
+// a round is overwritten at the next BindBatch or Close, so a caller that
+// kept a round's row instead of copying it shows stale values.
 type batchBoundEV struct {
 	*EVScan
+	last [][]types.Tuple
+}
+
+// expire overwrites the last round's rows.
+func (b *batchBoundEV) expire() {
+	for _, rs := range b.last {
+		for _, t := range rs {
+			copy(t, staleTuple(len(t)))
+		}
+	}
+	b.last = nil
+}
+
+func (b *batchBoundEV) Close() error {
+	b.expire()
+	return b.EVScan.Close()
 }
 
 // Without this the fake could drop out of the interface unnoticed and the
@@ -377,6 +396,7 @@ type batchBoundEV struct {
 var _ BindingBatcher = (*batchBoundEV)(nil)
 
 func (b *batchBoundEV) BindBatch(ctx *Context, cols []schema.Column, outer []types.Tuple) ([][]types.Tuple, error) {
+	b.expire()
 	rows := make([][]types.Tuple, len(outer))
 	for fi, lt := range outer {
 		ctx.Env.PushFrame(cols, lt)
@@ -403,6 +423,7 @@ func (b *batchBoundEV) BindBatch(ctx *Context, cols []schema.Column, outer []typ
 			return nil, err
 		}
 	}
+	b.last = rows
 	return rows, nil
 }
 
@@ -898,10 +919,11 @@ func TestNarrowedJoinIsTheFullJoinProjected(t *testing.T) {
 	}
 }
 
-// TestReusedWindowsLeaveTuplesAlone: the scan and the hash join hand out
-// the same window at every NextBatch, and the scan takes rejected rows
-// back off its slab. A tuple copied out of a window must not change when
-// the window, or the slab cell a rejected neighbour held, is written again.
+// TestReusedWindowsLeaveTuplesAlone: the scan, the hash join and the
+// projection hand out the same window at every NextBatch, and the scan
+// takes rejected rows back off its slab. A tuple copied out of a window
+// must not change when the window, or the slab cell a rejected neighbour
+// held, is written again.
 func TestReusedWindowsLeaveTuplesAlone(t *testing.T) {
 	tab := contractTable(t)
 	scan := func() *TableScan {
@@ -916,6 +938,12 @@ func TestReusedWindowsLeaveTuplesAlone(t *testing.T) {
 			j := NewHashJoin(l, r, []expr.Expr{expr.NewColRef(l.Out.Cols[1])}, []expr.Expr{expr.NewColRef(r.Out.Cols[1])}, nil)
 			j.Narrow(attrSet(l.Out.Cols[0], r.Out.Cols[0]))
 			return j
+		},
+		"Project": func() Operator {
+			sc := scan()
+			id := sc.Out.Cols[0]
+			out := schema.New(id, intCol("P", "Next"))
+			return NewProject(sc, []expr.Expr{expr.NewColRef(id), expr.NewArith(expr.Add, expr.NewColRef(id), expr.NewLiteral(types.Int(1)))}, out)
 		},
 	} {
 		want := rowStrings(runAll(t, mk()))

@@ -220,8 +220,9 @@ type ResultCache interface {
 	Get(key string) ([]types.Tuple, bool)
 	// Peek is Get for a caller that looks a missed key up again with Get:
 	// it counts and refreshes a hit exactly as Get does, and does not count
-	// a miss, so that every lookup is counted once.
-	Peek(key string) ([]types.Tuple, bool)
+	// a miss, so that every lookup is counted once. It takes the key as
+	// bytes, read only during the call, so that a probe makes no string.
+	Peek(key []byte) ([]types.Tuple, bool)
 	Put(key string, rows []types.Tuple)
 }
 

@@ -90,6 +90,8 @@ type Project struct {
 	Child Operator
 	Exprs []expr.Expr
 	Out   *schema.Schema
+
+	win []types.Tuple // the window NextBatch hands out, reused (see Batch)
 }
 
 // NewProject builds a projection.
@@ -109,13 +111,14 @@ func (p *Project) Open(ctx *Context) error {
 }
 
 // NextBatch implements Operator by mapping the projection over a
-// whole child batch. The batch's rows are cut from one slab (see Batch).
+// whole child batch. The batch's rows are cut from a fresh slab, and
+// handed out in the projection's own window, reused (see Batch).
 func (p *Project) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	in, ok, err := p.Child.NextBatch(ctx, max)
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	out := make(Batch, len(in))
+	out := p.win[:0]
 	width := len(p.Exprs)
 	slab := make([]types.Value, len(in)*width)
 	for j, t := range in {
@@ -127,8 +130,9 @@ func (p *Project) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 			}
 			row[i] = v
 		}
-		out[j] = row
+		out = append(out, row)
 	}
+	p.win = out
 	return out, true, nil
 }
 

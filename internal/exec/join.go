@@ -330,8 +330,9 @@ func (j *DependentJoin) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 }
 
 // bindRound services one outer batch through the right subtree's
-// BindBatch. The round's joined rows are cut from one slab as three-index
-// slices (see Batch).
+// BindBatch. The round's joined rows are cut from one fresh slab as
+// three-index slices (see Batch): BindBatch's rows live only until its
+// next round, so they are copied here, at once.
 func (j *DependentJoin) bindRound(ctx *Context, lb Batch) error {
 	rows, err := j.binder.BindBatch(ctx, j.Left.Schema().Cols, lb)
 	if err != nil {

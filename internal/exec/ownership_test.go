@@ -94,3 +94,73 @@ func TestSlabTuplesAreOwnedByTheirHolder(t *testing.T) {
 		}
 	}
 }
+
+// TestScanStringsSurviveFrameReuse: a scan cuts the strings of a page's
+// records out of one copy of the page's record area, made while the page
+// is pinned. Through a one-frame pool every page of the table is read into
+// the same frame, and an insert after the scan rewrites the last page in
+// it: the strings of every tuple kept from the scan must read as stored,
+// and a second scan must read the new rows as well as the old.
+func TestScanStringsSurviveFrameReuse(t *testing.T) {
+	cat, err := catalog.Open(t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cat.Close() })
+	tab, err := cat.Create("A", []catalog.ColumnDef{{Name: "Id", Type: schema.TInt}, {Name: "Name", Type: schema.TString}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := func(i int) string { return fmt.Sprintf("name-%04d-%s", i, "abcdefghijklmnopqrstuvwxyz"[:i%27]) }
+	insert := func(from, to int) {
+		for i := from; i < to; i++ {
+			if _, err := tab.Insert(types.Tuple{types.Int(int64(i)), types.Str(name(i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const n = 400
+	insert(0, n)
+	if pages := tab.Heap.NumPages(); pages < 4 {
+		t.Fatalf("want several pages through the one frame, got %d", pages)
+	}
+	scan := func() []types.Tuple {
+		sc := NewTableScan(tab, tab.InstantiateSchema(""))
+		ctx := NewContext()
+		if err := sc.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		var kept []types.Tuple
+		for {
+			b, ok, err := sc.NextBatch(ctx, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			kept = append(kept, b...)
+		}
+		if err := sc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return kept
+	}
+	check := func(when string, kept []types.Tuple, rows int) {
+		t.Helper()
+		if len(kept) != rows {
+			t.Fatalf("%s: %d rows, want %d", when, len(kept), rows)
+		}
+		for i, tu := range kept {
+			if tu[0].I != int64(i) || tu[1].S != name(i) {
+				t.Fatalf("%s: row %d reads %v, want <%d, %s>", when, i, tu, i, name(i))
+			}
+		}
+	}
+	first := scan()
+	check("first scan", first, n)
+	insert(n, n+40)
+	second := scan()
+	check("first scan, after the insert and a second scan", first, n)
+	check("second scan", second, n+40)
+}

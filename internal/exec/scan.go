@@ -27,6 +27,13 @@ type TableScan struct {
 
 	sc  *storage.Scanner
 	win []types.Tuple // the window NextBatch hands out, reused (see Batch)
+	// cutStrs is set when Out has a string column. strs is then the
+	// record area of the page being read, whose kept string cells are cut
+	// out of one string made on the first of them, and page is that page's
+	// number, -1 before the first record of an Open.
+	cutStrs bool
+	strs    types.StrArea
+	page    int64
 	// slabRows is how many tuples the next decode slab holds. It doubles
 	// from a few up to the batch size, so scanning a 50-row table for a
 	// 256-tuple batch does not allocate 256 rows of values.
@@ -57,13 +64,19 @@ func (s *TableScan) Open(ctx *Context) error {
 	}
 	s.sc = s.Table.Heap.NewScanner()
 	s.slabRows = 8
+	s.page = -1
+	s.cutStrs = false
+	for _, col := range s.Out.Cols {
+		s.cutStrs = s.cutStrs || col.Type == schema.TString
+	}
 	return bindAll("Scan", s.Out, s.Pred)
 }
 
 // NextBatch implements Operator: one storage-scanner loop per batch,
 // decoding each record out of the scanner's page view into a slab shared
-// by the batch's tuples (see Batch). It reads no record beyond the max-th
-// that passes Pred.
+// by the batch's tuples (see Batch), its strings cut out of one string per
+// page (see types.StrArea). It reads no record beyond the max-th that
+// passes Pred.
 func (s *TableScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	if s.sc == nil {
 		return nil, false, fmt.Errorf("TableScan(%s): NextBatch before Open", s.Table.Def.Name)
@@ -75,7 +88,7 @@ func (s *TableScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	out := s.win[:0]
 	var slab []types.Value
 	for len(out) < max {
-		_, raw, ok, err := s.sc.Next()
+		rid, raw, ok, err := s.sc.Next()
 		if err != nil {
 			return nil, false, err
 		}
@@ -87,7 +100,7 @@ func (s *TableScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 			s.slabRows = min(2*s.slabRows, ctx.BatchLen())
 		}
 		var t types.Tuple
-		t, slab, err = types.DecodeTupleInto(slab, raw, s.Keep)
+		t, slab, err = s.decode(slab, rid, raw)
 		if err != nil {
 			return nil, false, fmt.Errorf("TableScan(%s): %w", s.Table.Def.Name, err)
 		}
@@ -110,6 +123,23 @@ func (s *TableScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	return out, true, nil
 }
 
+// decode decodes the record Next returned, raw at rid, into slab. The
+// strings a scan keeps are cut out of one string per page. A scan that
+// keeps no string column decodes raw alone: it has no string to cut, and
+// finding each record in its page's area cost local_join's Orders scan
+// about a tenth of the query.
+func (s *TableScan) decode(slab []types.Value, rid storage.RID, raw []byte) (types.Tuple, []types.Value, error) {
+	if !s.cutStrs {
+		return types.DecodeTupleInto(slab, raw, s.Keep)
+	}
+	area, off := s.sc.Area()
+	if int64(rid.Page) != s.page {
+		s.strs.Reset(area)
+		s.page = int64(rid.Page)
+	}
+	return types.DecodeTupleIn(slab, &s.strs, off, len(raw), s.Keep)
+}
+
 // Close implements Operator.
 func (s *TableScan) Close() error {
 	if s.sc == nil {
@@ -117,6 +147,7 @@ func (s *TableScan) Close() error {
 	}
 	err := s.sc.Close()
 	s.sc = nil
+	s.strs.Reset(nil)
 	return err
 }
 

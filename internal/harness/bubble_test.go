@@ -25,10 +25,11 @@ import (
 //
 //	GOEXPERIMENT=synctest go test ./internal/harness
 
-// engineCall is one recorded engine call on the bubble's clock.
+// engineCall is one recorded engine call on the bubble's clock; arg is
+// what it was asked (a query, or a URL to fetch).
 type engineCall struct {
-	engine     string
-	start, end time.Time
+	engine, arg string
+	start, end  time.Time
 }
 
 func (c engineCall) dur() time.Duration { return c.end.Sub(c.start) }
@@ -39,10 +40,10 @@ type recorder struct {
 	calls []engineCall
 }
 
-func (r *recorder) note(engine string, start time.Time) {
+func (r *recorder) note(engine, arg string, start time.Time) {
 	end := time.Now()
 	r.mu.Lock()
-	r.calls = append(r.calls, engineCall{engine, start, end})
+	r.calls = append(r.calls, engineCall{engine, arg, start, end})
 	r.mu.Unlock()
 }
 
@@ -62,17 +63,17 @@ type recording struct {
 }
 
 func (e recording) Count(q string) (int64, error) {
-	defer e.rec.note(e.Name(), time.Now())
+	defer e.rec.note(e.Name(), q, time.Now())
 	return e.Engine.Count(q)
 }
 
 func (e recording) Search(q string, k int) ([]search.Result, error) {
-	defer e.rec.note(e.Name(), time.Now())
+	defer e.rec.note(e.Name(), q, time.Now())
 	return e.Engine.Search(q, k)
 }
 
 func (e recording) Fetch(url string) (string, error) {
-	defer e.rec.note(e.Name(), time.Now())
+	defer e.rec.note(e.Name(), url, time.Now())
 	return e.Engine.Fetch(url)
 }
 

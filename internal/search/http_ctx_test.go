@@ -48,6 +48,11 @@ func TestClientCtxCancelAbortsInflightRequest(t *testing.T) {
 	}
 }
 
+// TestClientCtxDeadline: a request ends with its caller's deadline. The
+// call runs on its own goroutine against a 2 s timer, so a client that
+// drops the caller's context fails here by name in seconds rather than
+// at the transport's 60 s cap; the server's connections are then cut so
+// that its handler, and the test, can end.
 func TestClientCtxDeadline(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		<-r.Context().Done()
@@ -56,8 +61,20 @@ func TestClientCtxDeadline(t *testing.T) {
 	c := NewClient("slow", srv.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if _, err := c.Search(ctx, "x", 1); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("want DeadlineExceeded, got %v", err)
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Search(ctx, "x", 1)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("want DeadlineExceeded, got %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		srv.CloseClientConnections()
+		<-done
+		t.Fatal("the request outlived its caller's 10 ms deadline by 2 s")
 	}
 }
 

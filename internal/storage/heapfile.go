@@ -158,9 +158,11 @@ func (h *HeapFile) NewScanner() *Scanner {
 // Next advances to the next live record, returning its RID and its bytes.
 // The bytes are a view of the page the scanner keeps pinned, valid until
 // the next Next or Close: a caller that retains them copies them (decoding
-// a tuple does — types.DecodeTupleInto copies strings out). Nothing writes
-// the page under the view because readers exclude writers one layer up
-// (core.DB's RW lock). It returns ok=false when the scan is exhausted.
+// a tuple does — types.DecodeTupleInto copies each string out, and
+// DecodeTupleIn cuts them out of one copy of the page's record area, see
+// Area). Nothing writes the page under the view because readers exclude
+// writers one layer up (core.DB's RW lock). It returns ok=false when the
+// scan is exhausted.
 func (s *Scanner) Next() (RID, []byte, bool, error) {
 	if s.done {
 		return RID{}, nil, false, nil
@@ -198,6 +200,19 @@ func (s *Scanner) Next() (RID, []byte, bool, error) {
 		}
 		return RID{Page: s.page, Slot: uint16(s.slot)}, raw, true, nil
 	}
+}
+
+// Area returns the record area of the page the record Next returned lies
+// on — the bytes every record of that page lies in — and the record's
+// offset in it. Like the record, it is a view valid until the next Next or
+// Close, and it is the same bytes for every record of one page.
+func (s *Scanner) Area() ([]byte, int) {
+	if s.pinned == nil {
+		return nil, 0
+	}
+	free := s.pinned.freePtr()
+	off, _ := s.pinned.slot(s.slot)
+	return s.pinned.buf[free:], off - free
 }
 
 // Close releases any pinned page. Safe to call multiple times.

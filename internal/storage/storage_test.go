@@ -502,3 +502,40 @@ func TestColdScanReusesEvictedFrames(t *testing.T) {
 		t.Errorf("two scans evicted %d frames, want about one per page (%d pages)", ev-ev0, pages)
 	}
 }
+
+// TestScannerAreaHoldsTheRecord: the record Next returns lies in Area at
+// the offset Area gives, and every record of one page sees the same area.
+func TestScannerAreaHoldsTheRecord(t *testing.T) {
+	h := openTemp(t, 1)
+	for i := 0; i < 300; i++ {
+		if _, err := h.Insert([]byte(fmt.Sprintf("rec-%03d-%s", i, bytes.Repeat([]byte("y"), i%40)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc := h.NewScanner()
+	defer sc.Close()
+	areaLen := map[uint32]int{}
+	for {
+		rid, raw, ok, err := sc.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		area, off := sc.Area()
+		if off < 0 || off+len(raw) > len(area) || !bytes.Equal(area[off:off+len(raw)], raw) {
+			t.Fatalf("record %v is not at offset %d of its page's %d-byte area", rid, off, len(area))
+		}
+		if n, seen := areaLen[rid.Page]; seen && n != len(area) {
+			t.Fatalf("page %d: area of %d bytes, then %d", rid.Page, n, len(area))
+		}
+		areaLen[rid.Page] = len(area)
+	}
+	if len(areaLen) < 2 {
+		t.Fatalf("want several pages, got %d", len(areaLen))
+	}
+	if area, _ := sc.Area(); area != nil {
+		t.Errorf("an exhausted scanner has an area of %d bytes", len(area))
+	}
+}

@@ -53,11 +53,52 @@ func DecodeTuple(b []byte) (Tuple, error) {
 // returns it with the slab grown past it; a tuple that does not fit gets
 // storage of its own and slab comes back unchanged. The tuple is a
 // three-index slice (cap == len), so an append on it reallocates instead
-// of writing into the tuple decoded next. Strings are copied out of b:
-// the tuple never references it. A non-nil keep has one mark per stored
-// value, and the tuple holds the marked ones only; the others are stepped
-// over, their strings never copied.
+// of writing into the tuple decoded next. Each string is copied out of b
+// on its own: the tuple never references it (DecodeTupleIn cuts them out
+// of one string instead). A non-nil keep has one mark per stored value,
+// and the tuple holds the marked ones only; the others are stepped over,
+// their strings never copied.
 func DecodeTupleInto(slab []Value, b []byte, keep []bool) (Tuple, []Value, error) {
+	return decodeTuple(slab, b, keep, nil, 0)
+}
+
+// StrArea is a byte area that records lie in — a page's record area —
+// whose string cells DecodeTupleIn cuts out of one string: the area
+// converted once, on the first string cell a decode keeps, so the
+// records of one area cost one string however many cells they keep. A
+// cut shares that string's storage, and keeps all of it reachable for as
+// long as the value lives. The area's bytes must not change while the
+// StrArea is set to them.
+type StrArea struct {
+	b    []byte
+	s    string
+	made bool
+}
+
+// Reset sets a to the area b, dropping the string of the area before.
+func (a *StrArea) Reset(b []byte) { a.b, a.s, a.made = b, "", false }
+
+// cut returns the area's bytes [i:j] as a string.
+func (a *StrArea) cut(i, j int) string {
+	if !a.made {
+		a.s, a.made = string(a.b), true
+	}
+	return a.s[i:j]
+}
+
+// DecodeTupleIn is DecodeTupleInto for a record that lies at offset off of
+// area: the strings it keeps are cut out of area's one string (see
+// StrArea), not copied each on its own.
+func DecodeTupleIn(slab []Value, area *StrArea, off, n int, keep []bool) (Tuple, []Value, error) {
+	if off < 0 || n < 0 || off+n > len(area.b) {
+		return nil, slab, fmt.Errorf("corrupt tuple: record [%d:%d] outside its area of %d bytes", off, off+n, len(area.b))
+	}
+	return decodeTuple(slab, area.b[off:off+n], keep, area, off)
+}
+
+// decodeTuple is the one decoder: strings are copied out of b when area is
+// nil, else cut out of area, in which b starts at offset base.
+func decodeTuple(slab []Value, b []byte, keep []bool, area *StrArea, base int) (Tuple, []Value, error) {
 	n, off := binary.Uvarint(b)
 	if off <= 0 || n > uint64(len(b)) { // a value takes at least one byte
 		return nil, slab, fmt.Errorf("corrupt tuple: bad arity varint")
@@ -114,7 +155,11 @@ func DecodeTupleInto(slab []Value, b []byte, keep []bool) (Tuple, []Value, error
 				return nil, slab, fmt.Errorf("corrupt tuple: truncated string at value %d", i)
 			}
 			if keep == nil || keep[i] {
-				v = Str(string(b[pos : pos+int(l)]))
+				if area != nil {
+					v = Str(area.cut(base+pos, base+pos+int(l)))
+				} else {
+					v = Str(string(b[pos : pos+int(l)]))
+				}
 			}
 			pos += int(l)
 		default:

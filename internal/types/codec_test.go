@@ -174,3 +174,61 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDecodeTupleInCutsFromTheArea: records decoded out of one area keep
+// strings that read as stored once the area's bytes are overwritten, the
+// area costs one string however many cells are kept, a dropped cell costs
+// nothing, and a record that does not lie in its area is refused.
+func TestDecodeTupleInCutsFromTheArea(t *testing.T) {
+	var area []byte
+	var offs, lens []int
+	for _, tu := range []Tuple{{Int(1), Str("one"), Str("uno")}, {Int(2), Str("two"), Str("dos")}} {
+		raw, err := EncodeTuple(tu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offs, lens = append(offs, len(area)), append(lens, len(raw))
+		area = append(area, raw...)
+	}
+	var a StrArea
+	decodeBoth := func(keep []bool) []Tuple {
+		a.Reset(area)
+		slab := make([]Value, 0, 6)
+		var out []Tuple
+		for i := range offs {
+			tu, rest, err := DecodeTupleIn(slab, &a, offs[i], lens[i], keep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, slab = append(out, tu), rest
+		}
+		return out
+	}
+	got := decodeBoth([]bool{true, false, true})
+	for i := range area {
+		area[i] = 0xff
+	}
+	if got[0].String() != "<1, uno>" || got[1].String() != "<2, dos>" {
+		t.Errorf("decoded %v %v, want <1, uno> <2, dos>", got[0], got[1])
+	}
+	copy(area, mustEncode(t, Tuple{Int(1), Str("one"), Str("uno")}))
+	copy(area[offs[1]:], mustEncode(t, Tuple{Int(2), Str("two"), Str("dos")}))
+	all := testing.AllocsPerRun(10, func() { decodeBoth(nil) })
+	none := testing.AllocsPerRun(10, func() { decodeBoth([]bool{true, false, false}) })
+	if all != none+1 {
+		t.Errorf("two records: %.0f objects keeping four strings, %.0f keeping none; want one more, the area's string", all, none)
+	}
+	a.Reset(area)
+	if _, _, err := DecodeTupleIn(nil, &a, offs[1], lens[1]+1, nil); err == nil {
+		t.Error("a record running past its area decoded")
+	}
+}
+
+func mustEncode(t *testing.T, tu Tuple) []byte {
+	t.Helper()
+	raw, err := EncodeTuple(tu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
