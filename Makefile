@@ -44,16 +44,19 @@ race-loop-reuse:
 	$(GO) test -race -count=10 -run TestReuse ./internal/core
 
 # The pump (about 15 s): handoff, settlement, coalescing, sibling-cancel,
-# goroutine-lifetime, Quiesce and synchronous-call tests. Deadline and
-# hedge timers and retry backoffs act under the pump's lock from their own
-# goroutines, an execution goroutine parks and is handed its next call or
-# retired by Close/Quiesce between two of its critical sections, a
+# goroutine-lifetime, Quiesce, synchronous-call and mailbox tests. Deadline
+# and hedge timers and retry backoffs act under the pump's lock from their
+# own goroutines, an execution goroutine parks and is handed its next call
+# or retired by Close/Quiesce between two of its critical sections, a
 # synchronous caller's wait ends by settlement or by its context, a
-# round's lock-free cache probe races the completions it may miss, and a
+# round's lock-free cache probe races the completions it may miss, a
 # binding round's reused scratch must never reach a tuple already handed
-# out.
+# out, and a settled call is handed from the pump's table to its owner's
+# mailbox (under p.mu, then the mailbox's lock) while the owner takes from
+# that mailbox under its lock alone, claims its next batch, or closes and
+# empties it for a re-open.
 race-loop-pump:
-	$(GO) test -race -count=10 -run 'TestHandoff|TestSettleHandshake|TestCoalesce|TestSiblingCancel|TestQuiesce|TestPumpReusesExecutionGoroutines|TestPumpGoroutineBound|TestSyncCall|TestEVScanCache|TestPeekRound|TestBindRoundScratch|TestOpenTuplesSurviveAReopen' ./internal/async
+	$(GO) test -race -count=10 -run 'TestHandoff|TestSettleHandshake|TestCoalesce|TestSiblingCancel|TestQuiesce|TestPumpReusesExecutionGoroutines|TestPumpGoroutineBound|TestSyncCall|TestEVScanCache|TestPeekRound|TestBindRoundScratch|TestOpenTuplesSurviveAReopen|TestMailbox' ./internal/async
 
 # The simulated-time tests (about 5 s): Table 1 at the paper's latency,
 # the ablations and the pump-limit sweep, each compared with its file under

@@ -80,12 +80,13 @@ func FromEVScan(ev *exec.EVScan, pump *Pump) *AEVScan {
 //  2. the round's distinct keys are probed in one pass that takes no pump
 //     lock (PeekRound): a round of hits never queues behind another
 //     query's registrations;
-//  3. binding by binding, a key the probe missed goes through
-//     Pump.Request, which probes again under the pump's lock and
-//     registers the call — a miss is the one place a key becomes a
-//     string — and the binding's tuples are cut from one slab per round
-//     (see exec.ExternalScan.AppendRows). Under BindBatch the slab, the
-//     tuples and the rows are the scan's, and its next round reuses them.
+//  3. the keys the probe missed go to the pump together
+//     (Pump.RequestRound), which probes them again and registers their
+//     calls in one hold of its lock — a miss is the one place a key
+//     becomes a string — and then, binding by binding, the tuples are cut
+//     from one slab per round (see exec.ExternalScan.AppendRows). Under
+//     BindBatch the slab, the tuples and the rows are the scan's, and its
+//     next round reuses them.
 //
 // Without a cache every binding registers its own call: duplicate
 // bindings re-issuing duplicate requests is the paper's Figure 7
@@ -128,6 +129,18 @@ func (s *AEVScan) round(ctx *exec.Context, cols []schema.Column, outer []types.T
 	}
 
 	s.Pump.PeekRound(ctx.Ctx, s.Source, s.probes)
+	// Registering under the execution context ties the calls' lifetime to
+	// the query: if the deadline expires while a call is still queued, the
+	// pump drops it without consuming a slot.
+	s.Pump.RequestRound(ctx.Ctx, s.Source, s.probes, s.ids)
+	for _, id := range s.ids {
+		if id != 0 {
+			ctx.PumpCalls = append(ctx.PumpCalls, id)
+			if obs.SampledTrace(ctx.Ctx) != nil {
+				s.traces = append(s.traces, s.Pump.CallTrace(id))
+			}
+		}
+	}
 
 	var slab []types.Value
 	var tuples []types.Tuple
@@ -144,18 +157,6 @@ func (s *AEVScan) round(ctx *exec.Context, cols []schema.Column, outer []types.T
 	width := len(s.argv) / n // every binding echoes the same arguments
 	for i, k := range s.keyOf {
 		pr := &s.probes[k]
-		if !pr.Hit && s.ids[k] == 0 {
-			// Registering under the execution context ties the call's
-			// lifetime to the query: if the deadline expires while the call
-			// is still queued, the pump drops it without consuming a slot.
-			s.ids[k], pr.Rows, pr.Hit = s.Pump.Request(ctx.Ctx, s.Source, string(pr.Key))
-			if !pr.Hit {
-				ctx.PumpCalls = append(ctx.PumpCalls, s.ids[k])
-				if obs.SampledTrace(ctx.Ctx) != nil {
-					s.traces = append(s.traces, s.Pump.CallTrace(s.ids[k]))
-				}
-			}
-		}
 		s.CountCall(pr.Hit)
 		result := pr.Rows
 		if !pr.Hit {

@@ -129,7 +129,7 @@ func (ct *CallTrace) Span() *obs.Span {
 // CallTrace returns the trace record of a call the pump still holds, or
 // nil when the call is untraced or no longer held. The issuer — AEVScan,
 // or CallWithRetry for EVScan — asks right after registering, before
-// anyone can have taken the call, and keeps the record for its span.
+// anyone can have claimed the call, and keeps the record for its span.
 func (p *Pump) CallTrace(id types.CallID) *CallTrace {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -26,9 +26,9 @@ import (
 // only on shutdown, and queries draining at that moment fail cleanly.
 var ErrPumpClosed = errors.New("request pump closed")
 
-// CallResult is a completed external call's outcome, parked in the pump's
-// result table (the paper's ReqPumpHash) until the owning ReqSync consumes
-// it.
+// CallResult is a completed external call's outcome: delivered into its
+// owner's mailbox, or parked in the pump's result table (the paper's
+// ReqPumpHash) until an owner claims or takes it.
 type CallResult struct {
 	Rows []types.Tuple
 	Err  error
@@ -55,8 +55,7 @@ type CallResult struct {
 // so competing queries divide the same call budget exactly as Section 4.1
 // envisions for a multi-user system.
 type Pump struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 
 	maxTotal int
 	maxDest  int
@@ -65,8 +64,8 @@ type Pump struct {
 	activeTotal int
 	queue       []*call
 	// calls is the call table (the paper's ReqPumpHash): one record per
-	// registered call, held from RegisterCtx until its owner Takes or
-	// Discards it.
+	// registered call, held from registration until its result is
+	// delivered into its owner's mailbox, or taken, or the call discarded.
 	calls map[types.CallID]*call
 	// dests is the destination table: one record per external destination
 	// carrying its limit, in-flight count and every event counter (see
@@ -79,8 +78,8 @@ type Pump struct {
 	// shares that one execution. Only enabled together with the result
 	// cache ([HN96]) — the Figure 7 hazard registers |R| identical calls
 	// back to back, before the first completes, so a cache alone never
-	// helps. The list holds the calls still waiting on the execution; it
-	// may drain to empty (every owner gone) while the key stays present.
+	// helps. The list holds the calls registered on the execution; a
+	// discarded one stays in it, and the record table says it is gone.
 	inflight map[string][]*call
 	// peer, when attached, extends the result cache across a wsqd tier
 	// (internal/shard): a local miss consults the key's home shard before
@@ -107,6 +106,14 @@ type Pump struct {
 	maxActive atomic.Int64
 	// closed is written only under p.mu, and read without it by PeekRound.
 	closed atomic.Bool
+	// shut is closed with the pump: it wakes every mailbox's waiter.
+	shut chan struct{}
+	// boxes recycles the one-off mailboxes of CallWithRetry and
+	// AwaitAnyCtx: the pump's own, so a mailbox's channel is made by a
+	// user of this pump (in its testing/synctest bubble, say).
+	boxes sync.Pool
+	// epoch is the origin of the pump's clock (now).
+	epoch time.Time
 
 	// execWG tracks the run goroutines, parked ones included; a running
 	// one is (or may still be) inside an engine call. Engine calls are
@@ -138,20 +145,22 @@ const (
 	// callQueued: in p.queue, waiting for an execution token (a retry
 	// first waits out its backoff there).
 	callQueued
-	// callDone: result parked, awaiting Take.
+	// callDone: settled; the result waits in the record for a claim or
+	// Take.
 	callDone
 )
 
 // call is the pump's one record of a registered call: what to run, for
-// whom, and — once settled — its result. The record sits in p.calls
-// while an owner may still Take it; a Discard removes it at once, and an
-// execution already under way then completes into the void.
+// whom, and — once settled — its result. The record sits in p.calls until
+// its result goes to its owner's mailbox or is taken; a Discard removes it
+// at once, and an execution already under way then completes into the
+// void.
 type call struct {
 	id       types.CallID
 	ctx      context.Context
 	dest     *destination
 	key      string
-	enqueued time.Time
+	enqueued time.Duration // on the pump's clock (now)
 	// fn performs the call. A scan's registration leaves it to each
 	// execution to ask src for, so a call that never runs here never
 	// builds one.
@@ -163,6 +172,9 @@ type call struct {
 
 	state callState  // guarded by p.mu
 	res   CallResult // guarded by p.mu; valid once state is callDone
+	// owner is the mailbox that claimed the call, nil until then. Guarded
+	// by p.mu.
+	owner *mailbox
 
 	// Where the call's executions stand, all guarded by p.mu. attempt is
 	// the current attempt (0 is the first), and a retry is not due before
@@ -213,6 +225,7 @@ const (
 // written with atomics wherever the event happens, and all but limit may
 // be read without the lock.
 type destination struct {
+	name string
 	// limit is the in-flight bound: the pump's maxDest until SetDestLimit
 	// overrides it ("an administrator can configure each counter as
 	// desired", Section 4.1).
@@ -242,7 +255,7 @@ func (p *Pump) destLocked(name string) *destination {
 	if d := old[name]; d != nil {
 		return d
 	}
-	d := &destination{limit: p.maxDest, latency: obs.NewHistogram(nil)}
+	d := &destination{name: name, limit: p.maxDest, latency: obs.NewHistogram(nil)}
 	next := make(map[string]*destination, len(old)+1)
 	for k, v := range old {
 		next[k] = v
@@ -278,10 +291,12 @@ func NewPump(maxTotal, maxPerDest int, cache exec.ResultCache) *Pump {
 		backoffRng: search.NewRand(1),
 		slotWait:   obs.NewHistogram(nil),
 		work:       make(chan execution),
+		shut:       make(chan struct{}),
+		epoch:      time.Now(),
 	}
 	p.dests.Store(&map[string]*destination{})
 	p.SetRetryPolicy(RetryPolicy{})
-	p.cond = sync.NewCond(&p.mu)
+	p.boxes.New = func() any { return &mailbox{signal: make(chan struct{}, 1)} }
 	return p
 }
 
@@ -341,8 +356,9 @@ func (p *Pump) SetRetryPolicy(pol RetryPolicy) {
 func (p *Pump) HasCache() bool { return p.cache != nil }
 
 // RegisterCtx enqueues an external call and returns its identifier
-// immediately; the call runs as soon as the concurrency limits allow. The
-// caller later claims the outcome with Take (typically from a ReqSync).
+// immediately; the call runs as soon as the concurrency limits allow. Its
+// result waits in the call table until the caller claims it — a ReqSync,
+// into its mailbox — or takes it (Take, after AwaitAnyCtx).
 // ctx is the call's cancellation scope: if it has expired when the
 // queued call's turn comes, the call is dropped without consuming a slot
 // and completes with ctx's error. An already-running call is not interrupted
@@ -355,7 +371,7 @@ func (p *Pump) RegisterCtx(ctx context.Context, dest, key string, fn func() ([]t
 
 // Probe is one distinct key of a binding round and what the result cache
 // said of it: Rows are its rows when Hit is set. Key is the caller's
-// bytes, read only during PeekRound.
+// bytes, read only during PeekRound and RequestRound.
 type Probe struct {
 	Key  []byte
 	Rows []types.Tuple
@@ -367,10 +383,10 @@ type Probe struct {
 // cache holds, at the price of the cache's own lock and the destination's
 // atomic counters. Each hit is counted as a registration answered by the
 // cache, exactly as Request counts one; a miss is counted nowhere, and
-// the caller sends that key through Request, whose locked lookup is then
-// its one counted lookup and catches a call that completed since. With no
-// cache, a closed pump or an ended ctx, nothing is answered: Request
-// gives those registrations their records.
+// the caller sends the round through RequestRound, whose locked lookup is
+// then the key's one counted lookup and catches a call that completed
+// since. With no cache, a closed pump or an ended ctx, nothing is
+// answered: RequestRound gives those registrations their records.
 func (p *Pump) PeekRound(ctx context.Context, src exec.ExternalSource, round []Probe) {
 	if p.cache == nil || p.closed.Load() || ctx != nil && ctx.Err() != nil {
 		return
@@ -389,25 +405,53 @@ func (p *Pump) PeekRound(ctx context.Context, src exec.ExternalSource, round []P
 	}
 }
 
-// Request is a scan's registration of the call key names at src, for a
-// key PeekRound did not answer (or one a scan never probed). It looks the
-// key up again under p.mu: a call the result cache answers costs the
-// probe — its rows come back at once (hit is true) and no call record, id
-// or trace exists to take, settle or discard. Anything else is
-// registered as by RegisterCtx, and src is asked for the call's function
-// only if the pump has to run it.
+// RequestRound registers every key of round that PeekRound did not
+// answer, at src, in one hold of p.mu: each is looked up again and either
+// answered by the cache (Rows and Hit set) or registered as by Request,
+// its id written to ids at the key's index. The round's calls share one
+// clock reading and one walk of the queue. A round PeekRound answered
+// whole takes no lock.
+func (p *Pump) RequestRound(ctx context.Context, src exec.ExternalSource, round []Probe, ids []types.CallID) {
+	k := 0
+	for k < len(round) && round[k].Hit {
+		k++
+	}
+	if k == len(round) {
+		return
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	d, now := p.dest(src.Destination()), p.now()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for ; k < len(round); k++ {
+		if pr := &round[k]; !pr.Hit {
+			ids[k], pr.Rows, pr.Hit = p.registerLocked(ctx, d, string(pr.Key), nil, src, now)
+		}
+	}
+	p.dispatchLocked(false)
+}
+
+// Request is one registration of the call key names at src (behind
+// CallWithRetry), looked up under p.mu: a call the result cache answers
+// costs the lookup — its rows come back at once (hit is true) and no call
+// record, id or trace exists. Anything else is registered as by
+// RegisterCtx, and src is asked for the call's function only if the pump
+// has to run it.
 func (p *Pump) Request(ctx context.Context, src exec.ExternalSource, key string) (id types.CallID, rows []types.Tuple, hit bool) {
 	return p.register(ctx, src.Destination(), key, nil, src)
 }
 
 // CallWithRetry is a synchronous scan's call (exec.Context.RetryCall): a
-// Request, waited for. The pump treats it as any scan's call — the cache
-// or an identical call in flight may answer it, else it waits for a token
-// and runs under the retry policy, deadlines and hedges included, counted
-// under src's destination — and the caller blocks until it settles. hit
-// reports that the cache answered at registration. span is the call's
-// pump.call span when ctx is sampled. If ctx ends or the pump closes
-// first, the call is discarded and the wait's error returned.
+// Request, awaited in a mailbox of its own. The pump treats it as any
+// scan's call — the cache or an identical call in flight may answer it,
+// else it waits for a token and runs under the retry policy, deadlines and
+// hedges included, counted under src's destination — and the caller
+// blocks until it settles. hit reports that the cache answered at
+// registration. span is the call's pump.call span when ctx is sampled. If
+// ctx ends or the pump closes first, the call is discarded and the wait's
+// error returned.
 func (p *Pump) CallWithRetry(ctx context.Context, src exec.ExternalSource, key string) (rows []types.Tuple, hit bool, span *obs.Span, err error) {
 	id, rows, hit := p.Request(ctx, src, key)
 	if hit {
@@ -417,11 +461,14 @@ func (p *Pump) CallWithRetry(ctx context.Context, src exec.ExternalSource, key s
 	if obs.SampledTrace(ctx) != nil {
 		ct = p.CallTrace(id)
 	}
-	if _, err = p.AwaitAnyCtx(ctx, map[types.CallID]bool{id: true}); err != nil {
+	b := p.boxes.Get().(*mailbox)
+	defer p.boxes.Put(b)
+	b.reset()
+	p.claim(b, id)
+	if err = b.await(ctx, p); err != nil {
 		p.Discard(id)
 	} else {
-		res, _ := p.Take(id)
-		rows, err = res.Rows, res.Err
+		rows, err = b.got[0].res.Rows, b.got[0].res.Err
 	}
 	if ct != nil {
 		span = ct.Span()
@@ -429,13 +476,7 @@ func (p *Pump) CallWithRetry(ctx context.Context, src exec.ExternalSource, key s
 	return rows, false, span, err
 }
 
-// register decides, in one hold of the lock, what becomes of a
-// registration: answered from the cache, refused (closed pump, expired
-// context), coalesced onto an identical in-flight call, or queued. The
-// lookup and the inflight entry must be one critical section with
-// complete's Put-and-settle, or a call finishing in between would be run
-// again: a miss PeekRound saw outside the lock is only a hint, and this
-// lookup is the one that decides.
+// register is RegisterCtx and Request: one registration and a queue walk.
 func (p *Pump) register(ctx context.Context, dest, key string, fn func() ([]types.Tuple, error), src exec.ExternalSource) (types.CallID, []types.Tuple, bool) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -443,6 +484,19 @@ func (p *Pump) register(ctx context.Context, dest, key string, fn func() ([]type
 	d := p.dest(dest)
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	id, rows, hit := p.registerLocked(ctx, d, key, fn, src, p.now())
+	p.dispatchLocked(false)
+	return id, rows, hit
+}
+
+// registerLocked decides what becomes of a registration: answered from
+// the cache, refused (closed pump, expired context), coalesced onto an
+// identical in-flight call, or queued at now for the caller's queue walk.
+// The lookup and the inflight entry must be one critical section with
+// complete's Put-and-settle, or a call finishing in between would be run
+// again: a miss PeekRound saw outside the lock is only a hint, and this
+// lookup is the one that decides. Callers hold p.mu.
+func (p *Pump) registerLocked(ctx context.Context, d *destination, key string, fn func() ([]types.Tuple, error), src exec.ExternalSource, now time.Duration) (types.CallID, []types.Tuple, bool) {
 	d.count(evRegistered)
 	ctxErr := ctx.Err()
 	var rows []types.Tuple
@@ -457,7 +511,7 @@ func (p *Pump) register(ctx context.Context, dest, key string, fn func() ([]type
 	}
 	c := &call{ctx: ctx, dest: d, key: key, fn: fn, src: src}
 	if obs.SampledTrace(ctx) != nil {
-		c.trace = newCallTrace(dest, key)
+		c.trace = newCallTrace(d.name, key)
 	}
 	p.nextID++
 	c.id = p.nextID
@@ -467,14 +521,14 @@ func (p *Pump) register(ctx context.Context, dest, key string, fn func() ([]type
 		// A closed pump never runs anything; complete immediately with the
 		// sentinel so the waiter errors instead of hanging.
 		c.trace.finish("closed")
-		p.parkLocked(c, CallResult{Err: fmt.Errorf("register: %w", ErrPumpClosed)})
+		p.deliverLocked(c, CallResult{Err: fmt.Errorf("register: %w", ErrPumpClosed)})
 	case ctxErr != nil:
 		d.count(evCanceled)
 		c.trace.finish("canceled")
-		p.parkLocked(c, CallResult{Err: ctxErr})
+		p.deliverLocked(c, CallResult{Err: ctxErr})
 	case hit:
 		c.trace.finish("cache_hit")
-		p.parkLocked(c, CallResult{Rows: rows})
+		p.deliverLocked(c, CallResult{Rows: rows})
 	default:
 		if p.cache != nil {
 			waiting, running := p.inflight[key]
@@ -486,9 +540,8 @@ func (p *Pump) register(ctx context.Context, dest, key string, fn func() ([]type
 				break
 			}
 		}
-		c.state, c.enqueued = callQueued, time.Now()
+		c.state, c.enqueued = callQueued, now
 		p.queue = append(p.queue, c)
-		p.dispatchLocked(false)
 	}
 	return c.id, nil, false
 }
@@ -502,12 +555,16 @@ func (p *Pump) register(ctx context.Context, dest, key string, fn func() ([]type
 // could let a call start, so between critical sections none can. With
 // handoff set the caller is a finishing execution that freed one slot:
 // the first call started fills it, so the walk ends there and hands that
-// execution, token and all, to the caller's own goroutine. Callers hold
-// p.mu.
+// execution, token and all, to the caller's own goroutine. The walk reads
+// the clock once, when it first meets a call. Callers hold p.mu.
 func (p *Pump) dispatchLocked(handoff bool) execution {
+	now := time.Duration(-1)
 	for i := 0; i < len(p.queue) && p.activeTotal < p.maxTotal; {
 		c := p.queue[i]
-		if int(c.dest.active.Load()) >= c.dest.limit || c.attempt > 0 && time.Now().Before(c.enqueued) {
+		if now < 0 {
+			now = p.now()
+		}
+		if int(c.dest.active.Load()) >= c.dest.limit || c.attempt > 0 && now < c.enqueued {
 			i++ // skip; a later call may fit, or be due
 			continue
 		}
@@ -521,7 +578,7 @@ func (p *Pump) dispatchLocked(handoff bool) execution {
 			p.settleUnstartedLocked(c, err)
 			continue
 		}
-		p.slotWait.Observe(time.Since(c.enqueued).Seconds())
+		p.slotWait.Observe((now - c.enqueued).Seconds())
 		c.trace.setDispatched()
 		p.grabTokenLocked(c.dest)
 		c.state = callPending
@@ -547,14 +604,14 @@ func (p *Pump) dispatchLocked(handoff bool) execution {
 
 // wantedLocked answers who still wants c's execution: c itself if its
 // owner still holds it and its context is live, else a waiter on c's key
-// whose context is live. It returns that context, or nil when nobody
-// does. Callers hold p.mu.
+// that is still held and whose context is live. It returns that context,
+// or nil when nobody does. Callers hold p.mu.
 func (p *Pump) wantedLocked(c *call) context.Context {
 	if p.calls[c.id] == c && c.ctx.Err() == nil {
 		return c.ctx
 	}
 	for _, w := range p.inflight[c.key] {
-		if w.ctx.Err() == nil {
+		if p.calls[w.id] == w && w.ctx.Err() == nil {
 			return w.ctx
 		}
 	}
@@ -568,31 +625,37 @@ func (p *Pump) settleUnstartedLocked(c *call, err error) {
 	c.dest.count(evCanceled)
 	c.trace.finish("canceled")
 	p.settleLocked(c, CallResult{Err: err})
-	p.cond.Broadcast()
 }
 
-// settleLocked ends c's execution (run, or never started): it parks res
-// for every call still waiting on it. Those are the calls coalesced under
+// settleLocked ends c's execution (run, or never started): it delivers
+// res to every call registered on it. Those are the calls coalesced under
 // c's key when the pump coalesces — c's registration created that entry,
-// and at most one execution per key is live — else c alone, unless its
-// owner already discarded it. Callers hold p.mu and broadcast before they
-// let go of it.
+// and at most one execution per key is live — else c alone. Callers hold
+// p.mu.
 func (p *Pump) settleLocked(c *call, res CallResult) {
 	if waiting, shared := p.inflight[c.key]; shared {
 		delete(p.inflight, c.key)
 		for _, w := range waiting {
-			w.state, w.res = callDone, res
+			p.deliverLocked(w, res)
 		}
-	} else if p.calls[c.id] == c {
-		c.state, c.res = callDone, res
+	} else {
+		p.deliverLocked(c, res)
 	}
 }
 
-// parkLocked completes a call at registration, before it joined any
-// execution. Callers hold p.mu.
-func (p *Pump) parkLocked(c *call, res CallResult) {
-	c.state, c.res = callDone, res
-	p.cond.Broadcast()
+// deliverLocked is the one way a result reaches its call, and only while
+// the pump still holds the call: a discarded one gets nothing. A claimed
+// call leaves the table for its owner's mailbox; an unclaimed one keeps
+// its result until claimed or taken. Callers hold p.mu.
+func (p *Pump) deliverLocked(w *call, res CallResult) {
+	if p.calls[w.id] != w {
+		return
+	}
+	w.state, w.res = callDone, res
+	if w.owner != nil {
+		delete(p.calls, w.id)
+		w.owner.put(w)
+	}
 }
 
 // run is an execution goroutine: it performs the execution it was started
@@ -665,8 +728,8 @@ func (p *Pump) execute(e execution) CallResult {
 // and token for that call, which it returns for run to execute next.
 // Because the token is dropped and taken again inside one hold of p.mu,
 // nobody ever sees it free in between: no hedge can slip ahead of the
-// queue's head. One broadcast covers the parked results and the freed
-// slot alike. With nothing to run next, it decides under the same hold
+// queue's head. Settling delivers the result into each owner's mailbox
+// under the same hold. With nothing to run next, it decides under the same hold
 // whether the goroutine parks: park is the channel to park on, or nil
 // when the goroutine is to exit (the pump closed, or a Quiesce is in
 // progress).
@@ -682,7 +745,6 @@ func (p *Pump) complete(e execution, res CallResult) (next execution, park <-cha
 	}
 	p.dropTokenLocked(c.dest)
 	next = p.dispatchLocked(true) // nothing is queued once the pump closed
-	p.cond.Broadcast()
 	if next.c == nil && !p.closed.Load() && p.quiescing == 0 {
 		park = p.work
 	}
@@ -693,7 +755,7 @@ func (p *Pump) complete(e execution, res CallResult) (next execution, park <-cha
 // failure the policy allows another attempt for, while somebody still
 // wants the call, sends the call to the queue's tail, not due before its
 // backoff ends; anything else is the call's outcome: a good result goes
-// in the cache, and the result is parked for every waiter. Callers hold
+// in the cache, and the result is delivered to every waiter. Callers hold
 // p.mu.
 func (p *Pump) endAttemptLocked(c *call, res CallResult) {
 	if c.deadline != nil {
@@ -710,7 +772,7 @@ func (p *Pump) endAttemptLocked(c *call, res CallResult) {
 			c.attempt++
 			c.hedges = 0
 			d := p.jitteredBackoff(*pol, int(c.attempt)-1)
-			c.state, c.enqueued = callQueued, time.Now().Add(d)
+			c.state, c.enqueued = callQueued, p.now()+d
 			p.queue = append(p.queue, c)
 			if d > 0 {
 				time.AfterFunc(d, p.kick)
@@ -765,7 +827,6 @@ func (p *Pump) expire(c *call, attempt int32, d time.Duration) {
 	c.dest.count(evTimeout)
 	p.endAttemptLocked(c, CallResult{Err: fmt.Errorf("%w after %v", ErrCallTimeout, d)})
 	p.dispatchLocked(false) // a retry with no backoff
-	p.cond.Broadcast()
 }
 
 // hedge is the hedge timer of c's attempt: while the attempt is undecided
@@ -796,6 +857,10 @@ func (p *Pump) hedge(c *call, attempt int32) {
 	}
 }
 
+// now reads the pump's clock: the monotonic time since the pump was made,
+// which costs one clock reading where time.Now costs two.
+func (p *Pump) now() time.Duration { return time.Since(p.epoch) }
+
 // kick walks the queue when a retry's backoff has run out.
 func (p *Pump) kick() {
 	p.mu.Lock()
@@ -823,41 +888,6 @@ func (p *Pump) dropTokenLocked(d *destination) {
 	d.active.Add(-1)
 }
 
-// await is the pump's one blocking wait, behind AwaitAnyCtx: it parks
-// until try, run under p.mu after every wake-up, reports success. It
-// fails with ctx's error once ctx is done and with ErrPumpClosed (wrapped)
-// once the pump closes. No wake-up is missed: whatever can change try's
-// answer — a settlement, Close, and through wake the end of ctx —
-// broadcasts under p.mu, which the waiter holds from its checks until
-// Wait has parked it.
-func (p *Pump) await(ctx context.Context, try func() bool) error {
-	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, p.wake)
-		defer stop()
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if try() {
-			return nil
-		}
-		if p.closed.Load() {
-			return fmt.Errorf("await: %w", ErrPumpClosed)
-		}
-		p.cond.Wait()
-	}
-}
-
-// wake rouses every goroutine parked in await.
-func (p *Pump) wake() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.cond.Broadcast()
-}
-
 // grabTokenLocked increments the in-flight counts. Callers hold p.mu.
 func (p *Pump) grabTokenLocked(d *destination) {
 	p.activeTotal++
@@ -879,8 +909,8 @@ func (p *Pump) SetDestLimit(dest string, limit int) {
 	p.dispatchLocked(false)
 }
 
-// Take claims the result of a completed call, removing it from the result
-// table. ok is false while the call is still pending.
+// Take removes a settled, unclaimed call's result from the table and
+// returns it. ok is false while the call is pending, or once claimed.
 func (p *Pump) Take(id types.CallID) (CallResult, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -892,51 +922,46 @@ func (p *Pump) Take(id types.CallID) (CallResult, bool) {
 	return c.res, true
 }
 
-// Taken is one call claimed by TakeDone.
-type Taken struct {
-	ID  types.CallID
-	Res CallResult
-}
-
-// TakeDone is a ReqSync's poll: in one hold of the lock it claims every
-// completed call among ids, as Take would, and appends them to buf.
-func (p *Pump) TakeDone(ids map[types.CallID]bool, buf []Taken) []Taken {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for id := range ids {
-		if c := p.calls[id]; c != nil && c.state == callDone {
-			delete(p.calls, id)
-			buf = append(buf, Taken{ID: id, Res: c.res})
-		}
-	}
-	return buf
-}
-
-// AwaitAnyCtx blocks until at least one of the given pending calls has
-// completed and returns its id. It is the producer/consumer handshake of
-// Section 4.1: each completing pump call signals waiting ReqSyncs. The
-// wait is bounded by ctx (nil means no bound): it wakes and returns
-// ctx's error when the context expires, so a query deadline propagates
-// to a ReqSync blocked on slow external calls. A closed pump wakes
-// waiters with ErrPumpClosed (wrapped) rather than hanging them.
+// AwaitAnyCtx blocks until one of the given unclaimed calls has settled
+// and returns its id; the result stays in the call table for Take. When
+// none has, it claims them into a mailbox of its own for the wait, then
+// hands the claims back and returns what was delivered to the table. ctx
+// (nil means no bound) ends the wait with its error, and a closed pump
+// with ErrPumpClosed (wrapped). The query path does not use it: a ReqSync
+// claims its calls once and reads its own mailbox.
 func (p *Pump) AwaitAnyCtx(ctx context.Context, ids map[types.CallID]bool) (types.CallID, error) {
 	if len(ids) == 0 {
 		return 0, fmt.Errorf("AwaitAny with no pending calls")
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var done types.CallID
-	err := p.await(ctx, func() bool {
-		for id := range ids {
-			if c := p.calls[id]; c != nil && c.state == callDone {
-				done = id
-				return true
-			}
+	p.mu.Lock()
+	for id := range ids {
+		if c := p.calls[id]; c != nil && c.state == callDone {
+			p.mu.Unlock()
+			return id, nil
 		}
-		return false
-	})
-	return done, err
+	}
+	b := p.boxes.Get().(*mailbox)
+	defer p.boxes.Put(b)
+	b.reset()
+	for id := range ids {
+		p.claimLocked(b, id)
+	}
+	p.mu.Unlock()
+	err := b.await(ctx, p)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for id := range ids {
+		if c := p.calls[id]; c != nil {
+			c.owner = nil
+		}
+	}
+	for _, c := range b.got {
+		c.owner, p.calls[c.id] = nil, c
+	}
+	if err != nil {
+		return 0, err
+	}
+	return b.got[0].id, nil
 }
 
 // Discard abandons interest in calls (e.g. the query errored elsewhere or
@@ -945,8 +970,14 @@ func (p *Pump) AwaitAnyCtx(ctx context.Context, ids map[types.CallID]bool) (type
 // without consuming another slot, and a running call completes into the
 // void. Coalesced siblings of a queued call are
 // unaffected — the call still runs for them. An id the pump does not hold
-// (already taken, already discarded, never registered) is a no-op.
+// (already delivered, taken or discarded, never registered) is a no-op.
+// A discarded call leaves the table, and with it the reach of settlement:
+// its owner's mailbox receives nothing for it. No ids, no lock: a query
+// whose calls were all cache hits ends without p.mu.
 func (p *Pump) Discard(ids ...types.CallID) {
+	if len(ids) == 0 {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, id := range ids {
@@ -955,21 +986,15 @@ func (p *Pump) Discard(ids ...types.CallID) {
 			continue
 		}
 		delete(p.calls, id)
-		if c.state == callDone {
-			continue
+		if c.state != callQueued {
+			continue // settled, running, or coalesced onto another's execution
 		}
-		// Leave the execution this call waits on, so its settlement does
-		// not park a result nobody will take.
-		waiting := p.inflight[c.key]
-		for i, w := range waiting {
-			if w == c {
-				waiting = append(waiting[:i], waiting[i+1:]...)
-				p.inflight[c.key] = waiting
-				break
-			}
+		shared := false
+		for _, w := range p.inflight[c.key] {
+			shared = shared || p.calls[w.id] == w
 		}
-		if c.state != callQueued || len(waiting) > 0 {
-			continue // running, or other queries still want this call
+		if shared {
+			continue // other queries still want this call
 		}
 		for i, q := range p.queue {
 			if q == c {
@@ -984,8 +1009,9 @@ func (p *Pump) Discard(ids ...types.CallID) {
 }
 
 // Held reports how many call records the pump holds: calls queued,
-// running, or parked awaiting Take. A drained pump — every registered call
-// taken or discarded — holds none.
+// running, or settled and not yet claimed or taken. A result delivered
+// into a mailbox is its owner's and is not counted. A drained pump —
+// every registered call delivered, taken or discarded — holds none.
 func (p *Pump) Held() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -993,9 +1019,9 @@ func (p *Pump) Held() int {
 }
 
 // Close shuts the pump down: queued calls (retries waiting out their
-// backoff too) complete with ErrPumpClosed, waiters wake with the same
-// sentinel, and in-flight calls finish into the result table as garbage,
-// none retried. The parked execution goroutines exit, and each running
+// backoff too) complete with ErrPumpClosed, closing shut wakes every
+// mailbox's waiter with the same sentinel, and in-flight calls finish
+// into the void or a mailbox nobody reads, none retried. The parked execution goroutines exit, and each running
 // one exits once its engine call returns. Close is idempotent and safe to
 // call while queries are still draining — they observe clean errors rather
 // than hanging or panicking.
@@ -1011,8 +1037,8 @@ func (p *Pump) Close() {
 	for _, c := range queued {
 		p.settleUnstartedLocked(c, fmt.Errorf("queued call: %w", ErrPumpClosed))
 	}
+	close(p.shut)
 	p.retireParkedLocked()
-	p.cond.Broadcast()
 }
 
 // retireParkedLocked sends every parked execution goroutine home: each

@@ -16,7 +16,13 @@ import (
 // copies (Section 4.4). Tuples with no placeholders pass through — among
 // them every tuple of a call the pump's cache answered at registration,
 // which the AEVScan emitted complete: such a call is never waited for,
-// taken or settled here.
+// claimed or settled here.
+//
+// A ReqSync owns the results of the calls it awaits: after each child
+// batch it claims the calls that batch brought in, and from then on the
+// pump delivers each one's result into the ReqSync's mailbox when it
+// settles (one already settled moves there at the claim). Polling reads
+// only the mailbox, never the pump's call table.
 //
 // Open drains the child completely before any tuple is released ("we
 // choose this full-buffering implementation for the sake of simplicity").
@@ -35,15 +41,17 @@ type ReqSync struct {
 	// cut from it are out of contract by then (the next NextBatch).
 	readyBuf []types.Tuple
 	waiting  map[types.CallID][]*bufTuple
-	// pending is waiting's key set, in the shape Pump.AwaitAnyCtx takes.
-	pending map[types.CallID]bool
+	// claims are the calls first seen in the batch being admitted, for
+	// Open to claim; Close reuses the storage for the ids it discards.
+	claims []types.CallID
+	box    mailbox
 	// bufs is the slab buffered tuples live in. Open starts it again at
 	// the front: once the last execution was drained or closed, waiting
-	// is empty and nothing points into it. The maps above are likewise
+	// is empty and nothing points into it. The map above is likewise
 	// emptied, not remade, so a re-opened ReqSync buffers in the storage
 	// its last execution grew.
 	bufs   []bufTuple
-	done   []Taken // TakeDone scratch, reused by every poll pass
+	done   []*call // the mailbox's last delivery; its storage is handed back
 	opened bool
 
 	// Trace-profile counters (SpanExtras), accumulated across every Open
@@ -74,6 +82,7 @@ func (r *ReqSync) Schema() *schema.Schema { return r.Child.Schema() }
 // returns. The pull is batch-at-a-time: a batch-binding dependent join
 // below registers every call of an outer batch with the pump per round, so
 // the request queue deepens by whole batches rather than single calls.
+// Each batch's new calls are claimed in one hold of the pump's lock.
 func (r *ReqSync) Open(ctx *exec.Context) error {
 	if err := r.Child.Open(ctx); err != nil {
 		return err
@@ -82,7 +91,7 @@ func (r *ReqSync) Open(ctx *exec.Context) error {
 	r.bufs = r.bufs[:0]
 	if r.waiting == nil {
 		r.waiting = make(map[types.CallID][]*bufTuple)
-		r.pending = make(map[types.CallID]bool)
+		r.box.signal = make(chan struct{}, 1)
 	}
 	r.opened = true
 	for {
@@ -93,6 +102,10 @@ func (r *ReqSync) Open(ctx *exec.Context) error {
 		}
 		for _, t := range b {
 			r.admit(t)
+		}
+		if len(r.claims) > 0 {
+			r.Pump.claim(&r.box, r.claims...)
+			r.claims = r.claims[:0]
 		}
 	}
 }
@@ -116,11 +129,15 @@ func (r *ReqSync) buffer(t types.Tuple) *bufTuple {
 	return &r.bufs[len(r.bufs)-1]
 }
 
-// register indexes a buffered tuple under every pending call it references.
+// register indexes a buffered tuple under every pending call it
+// references, noting a call it sees first for Open to claim. (A copy
+// settle makes references only calls already waited on.)
 func (r *ReqSync) register(bt *bufTuple) {
 	for _, id := range bt.t.PendingCalls() {
+		if _, seen := r.waiting[id]; !seen {
+			r.claims = append(r.claims, id)
+		}
 		r.waiting[id] = append(r.waiting[id], bt)
-		r.pending[id] = true
 	}
 }
 
@@ -151,7 +168,6 @@ func patch(t types.Tuple, id types.CallID, row types.Tuple) types.Tuple {
 func (r *ReqSync) settle(ctx *exec.Context, id types.CallID, res CallResult) error {
 	buffered := r.waiting[id]
 	delete(r.waiting, id)
-	delete(r.pending, id)
 	r.nSettled++
 	rows := res.Rows
 	if res.Err != nil {
@@ -213,24 +229,22 @@ func (r *ReqSync) NextBatch(ctx *exec.Context, max int) (exec.Batch, bool, error
 	return exec.TakeBatch(&r.ready, max)
 }
 
-// poll settles completed calls until a tuple is ready or none is waiting:
-// one TakeDone claims every awaited call that is already done, and each
-// is settled, and only a pass that settled nothing blocks, once ("if
-// ReqSync has no completed tuples then it must wait for the next signal
-// from ReqPump").
+// poll settles delivered calls until a tuple is ready or none is
+// waiting: each pass takes everything the mailbox holds and settles it,
+// blocking first only if it holds nothing ("if ReqSync has no completed
+// tuples then it must wait for the next signal from ReqPump"). It never
+// takes the pump's lock.
 func (r *ReqSync) poll(ctx *exec.Context) error {
 	for len(r.ready) == 0 && len(r.waiting) > 0 {
-		r.done = r.Pump.TakeDone(r.pending, r.done[:0])
-		for _, d := range r.done {
-			if err := r.settle(ctx, d.ID, d.Res); err != nil {
-				return err
-			}
+		// The execution context bounds the wait: a query deadline wakes
+		// the ReqSync with the ctx error, and Close then disowns the
+		// still-pending calls.
+		if err := r.box.await(ctx.Ctx, r.Pump); err != nil {
+			return err
 		}
-		if len(r.done) == 0 {
-			// The execution context bounds the wait: a query deadline wakes
-			// the ReqSync with the ctx error, and Close then disowns the
-			// still-pending calls.
-			if _, err := r.Pump.AwaitAnyCtx(ctx.Ctx, r.pending); err != nil {
+		r.done = r.box.take(r.done)
+		for _, c := range r.done {
+			if err := r.settle(ctx, c.id, c.res); err != nil {
 				return err
 			}
 		}
@@ -239,17 +253,20 @@ func (r *ReqSync) poll(ctx *exec.Context) error {
 }
 
 // Close implements exec.Operator: pending calls are disowned (the pump
-// drops their results when they complete).
+// drops their results when they complete), and then the mailbox is
+// emptied, so a re-opened ReqSync never sees this execution's results.
 func (r *ReqSync) Close() error {
-	ids := make([]types.CallID, 0, len(r.waiting))
+	ids := r.claims[:0]
 	for id := range r.waiting {
 		ids = append(ids, id)
 	}
 	r.Pump.Discard(ids...)
+	r.claims = ids[:0]
+	r.box.reset()
 	clear(r.waiting)
-	clear(r.pending)
 	// Let go of this execution's tuples; the storage stays.
 	clear(r.readyBuf[:cap(r.readyBuf)])
+	clear(r.done[:cap(r.done)])
 	clear(r.bufs)
 	r.ready = nil
 	r.opened = false

@@ -29,9 +29,9 @@ type ctxFlow struct {
 	// scopes restricts sub-check 1.
 	scopes []string
 	// pumpMethods are the blocking pump operations by method name. The
-	// distinctive names match syntactically; ambiguous ones (Request,
-	// AwaitAny) additionally require the receiver to resolve to
-	// async.Pump when type information is available.
+	// distinctive names match syntactically; ambiguous ones (Request)
+	// additionally require the receiver to resolve to async.Pump when
+	// type information is available.
 	pumpMethods map[string]bool
 	// netFuncs are package-level net/http entry points that carry no
 	// context.
@@ -42,7 +42,7 @@ func newCtxFlow() *ctxFlow {
 	return &ctxFlow{
 		scopes: []string{"internal/async", "internal/search", "internal/server", "internal/core", "internal/obs", "internal/shard", "internal/exec"},
 		pumpMethods: map[string]bool{
-			"RegisterCtx": true, "Request": true, "PeekRound": true, "AwaitAnyCtx": true, "AwaitAny": true, "CallWithRetry": true,
+			"RegisterCtx": true, "Request": true, "PeekRound": true, "RequestRound": true, "AwaitAnyCtx": true, "CallWithRetry": true,
 		},
 		netFuncs: map[string]bool{"Get": true, "Post": true, "PostForm": true, "Head": true},
 	}

@@ -14,7 +14,7 @@ import (
 //     mu.Unlock()` must have a matching Unlock() on every control-flow
 //     path to every return — the admission-control and stats paths
 //     unlock manually for latency, and one missed path wedges every
-//     future query (ReqPump waiters park on p.cond under p.mu forever).
+//     future query (every registration and completion waits on p.mu).
 //
 //  2. While any lock is held, no channel send/receive or select may
 //     run: those park the goroutine for unbounded time with the lock

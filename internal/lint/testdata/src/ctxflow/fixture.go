@@ -15,6 +15,7 @@ type Pump struct{}
 func (p *Pump) RegisterCtx(ctx context.Context, dest string) int { return 0 }
 func (p *Pump) AwaitAnyCtx(ctx context.Context) (int, error)     { return 0, nil }
 func (p *Pump) PeekRound(ctx context.Context, keys []string)     {}
+func (p *Pump) RequestRound(ctx context.Context, keys []string)  {}
 
 // NotAPump has a pump-op method name on a non-Pump receiver; type info
 // must keep it from matching.
@@ -36,6 +37,12 @@ func LeakyAwait(p *Pump) { // want "takes no context.Context"
 // query's round would still be answered from the cache.
 func PeekAll(p *Pump, keys []string) { // want "takes no context.Context"
 	p.PeekRound(nil, keys)
+}
+
+// A binding round's registrations behind a wrapper with no context: an
+// ended query's misses would still be registered, and run.
+func RegisterAll(p *Pump, keys []string) { // want "takes no context.Context"
+	p.RequestRound(nil, keys)
 }
 
 // helper performs a pump call with no context of its own, so exported
