@@ -39,7 +39,11 @@ test-race:
 #
 # Plan reuse (about 12 s): a tree two queries run at once shows as a race
 # or a wrong answer in TestReuse..., by name; traced and untraced runs
-# share one tree, so a decorator left in it shows there too.
+# share one tree, so a decorator left in it shows there too. A producer
+# whose consumer keeps none of its tuples keeps the slab it refills for
+# its tree's next execution, which is safe only while a tree runs one
+# execution at a time: two sharing one show as wrong rows in
+# TestReuseRecycledSlabsMatchTheData.
 race-loop-reuse:
 	$(GO) test -race -count=10 -run TestReuse ./internal/core
 

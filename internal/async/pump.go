@@ -706,9 +706,15 @@ func (p *Pump) execute(e execution) CallResult {
 	} else if e.attempt > 0 {
 		kind = "retry"
 	}
-	start := time.Now()
+	// The execution is timed on the pump's clock, one reading at each end;
+	// only a traced call also reads the wall clock, for its span's start.
+	var start time.Time
+	if c.trace != nil {
+		start = time.Now()
+	}
+	begin := p.now()
 	rows, err := fn()
-	elapsed := time.Since(start)
+	elapsed := p.now() - begin
 	c.dest.latency.ObserveDuration(elapsed)
 	c.trace.addAttempt(kind, start, elapsed, err != nil)
 	if peer := p.cachePeer(); peer != nil && err == nil {

@@ -556,3 +556,30 @@ func TestNilContextDefaults(t *testing.T) {
 		t.Fatalf("QueryContext(nil): %+v %v", res, err)
 	}
 }
+
+// TestIntsBeyondTwoToThe53 holds `=`, `<`, ORDER BY and the hash join to
+// int64 arithmetic on two ints that one float64 cannot tell apart: 2^53
+// and 2^53+1. Compared as float64s, the point query matched both, `<`
+// matched neither, ORDER BY tied them and the join paired each with both.
+func TestIntsBeyondTwoToThe53(t *testing.T) {
+	db := newPaperDB(t, Config{})
+	mustExec(t, db, `CREATE TABLE Big (Id INT)`)
+	for _, v := range []string{"1", "9007199254740992", "9007199254740993"} {
+		mustExec(t, db, `INSERT INTO Big VALUES (`+v+`)`)
+	}
+	for _, c := range []struct{ sql, want string }{
+		{`SELECT Id FROM Big WHERE Id = 9007199254740993`, "<9007199254740993>\n"},
+		{`SELECT Id FROM Big WHERE Id > 1 AND Id < 9007199254740993`, "<9007199254740992>\n"},
+		{`SELECT Id FROM Big ORDER BY Id DESC`, "<9007199254740993>\n<9007199254740992>\n<1>\n"},
+		{`SELECT A.Id, B.Id FROM Big A, Big B WHERE A.Id = B.Id AND A.Id > 1`,
+			"<9007199254740992, 9007199254740992>\n<9007199254740993, 9007199254740993>\n"},
+	} {
+		if got := rowsString(mustQuery(t, db, c.sql).Rows); got != c.want {
+			t.Errorf("%s:\ngot\n%swant\n%s", c.sql, got, c.want)
+		}
+	}
+	plan, err := db.Explain(`SELECT A.Id, B.Id FROM Big A, Big B WHERE A.Id = B.Id AND A.Id > 1`)
+	if err != nil || !strings.Contains(plan, "Hash Join") {
+		t.Errorf("the join is not a hash join (err %v):\n%s", err, plan)
+	}
+}

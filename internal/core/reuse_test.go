@@ -164,6 +164,94 @@ func TestReuseIsExclusiveUnderConcurrency(t *testing.T) {
 	leakcheck.Settle(t, baseline)
 }
 
+// TestReuseRecycledSlabsMatchTheData: a producer whose consumer keeps
+// none of its tuples refills one slab per batch and keeps it for the next
+// execution of its tree (exec's recycler), which is safe only because a
+// tree runs one execution at a time. Four goroutines send local_join's
+// query and two more shapes over the same tables — a projection of a hash
+// join under a sort, a count over a filtered scan — and every answer,
+// the first, freshly planned tree's included, must be the one the
+// inserted rows give, as must each client's first answers once every
+// client is done. Cust has more rows than a batch holds, so the hash
+// join's build side takes two.
+func TestReuseRecycledSlabsMatchTheData(t *testing.T) {
+	db := newPaperDB(t, Config{Async: true})
+	cust, orders := loadOrders(t, db, 300, 1000, 1)
+	texts := []string{
+		localJoinSQL,
+		`SELECT Region, Amount FROM Orders O, Cust C WHERE O.Cust = C.Id AND Amount > 100 ORDER BY Amount DESC, Region`,
+		`SELECT COUNT(*), SUM(Cust) FROM Orders WHERE Amount < 20`,
+	}
+	type group struct{ n, sum int64 }
+	groups := map[string]*group{}
+	var joined, small []types.Tuple
+	var smallSum int64
+	for _, o := range orders {
+		region, amount := cust[o[1].I][1], o[2].I
+		if amount > 100 {
+			joined = append(joined, types.Tuple{region, o[2]})
+			if groups[region.S] == nil {
+				groups[region.S] = &group{}
+			}
+			groups[region.S].n++
+			groups[region.S].sum += amount
+		}
+		if amount < 20 {
+			small = append(small, o)
+			smallSum += o[1].I
+		}
+	}
+	var grouped []types.Tuple
+	for region, g := range groups {
+		grouped = append(grouped, types.Tuple{types.Str(region), types.Int(g.n), types.Int(g.sum)})
+	}
+	want := []string{
+		sortedRows(grouped),
+		sortedRows(joined),
+		sortedRows([]types.Tuple{{types.Int(int64(len(small))), types.Int(smallSum)}}),
+	}
+	for i, q := range texts {
+		if got := sortedRows(mustQuery(t, db, q).Rows); got != want[i] {
+			t.Fatalf("%s on a fresh tree:\ngot\n%swant\n%s", q, got, want[i])
+		}
+	}
+	const clients, rounds = 4, 5
+	first := make([][]*Result, clients) // each client's answers of its first round
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i := range texts {
+					k := (c + i) % len(texts)
+					res, err := db.QueryContext(context.Background(), texts[k])
+					if err != nil {
+						t.Errorf("client %d: %s: %v", c, texts[k], err)
+						return
+					}
+					if got := sortedRows(res.Rows); got != want[k] {
+						t.Errorf("client %d: %s:\ngot\n%swant\n%s", c, texts[k], got, want[k])
+						return
+					}
+					if r == 0 {
+						first[c] = append(first[c], res)
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	for c, answers := range first {
+		for i, res := range answers {
+			k := (c + i) % len(texts)
+			if got := sortedRows(res.Rows); got != want[k] {
+				t.Errorf("client %d: its first answer to %s changed:\ngot\n%swant\n%s", c, texts[k], got, want[k])
+			}
+		}
+	}
+}
+
 // TestReuseDropsTheTreeOfAFailedRun is rule 2. A run that ends in an error
 // — the deadline expiring while the ReqSync waits, an engine failing under
 // degrade=fail — may leave operators mid-stream and calls in flight: its

@@ -96,6 +96,7 @@ func (a *Aggregate) Open(ctx *Context) error {
 			exprs = append(exprs, sp.Arg)
 		}
 	}
+	grantRecycling(a.Child) // groups are interned by value
 	if err := a.Child.Open(ctx); err != nil {
 		return err
 	}

@@ -37,6 +37,12 @@ import (
 //      stale window — loop carried, or through a field it stored it in —
 //      computes on sentinel tuples and fails every case above
 //      (DESIGN.md §7).
+//   7. A granted producer's tuples are read only until its next
+//      NextBatch (see recycler). A granted leaf hands out copies of its
+//      own and overwrites their values too at its next NextBatch, so a
+//      consumer that grants and keeps a tuple anyway keeps sentinels; and
+//      every case, granted by a consumer that copies at once
+//      (TestOperatorContractGranted), yields the rows it yields ungranted.
 
 var errInjected = errors.New("injected fault")
 
@@ -51,7 +57,13 @@ type faultOp struct {
 	failAfter int   // fail once failAfter rows have been handed out; -1 = never
 	rows      int   // rows handed out since Open
 	window    Batch // what the last NextBatch returned: dead at the next one
-	open      bool
+	// granted is set by a grant and cleared by Close; grants counts them
+	// over the leaf's life. lent holds the copies a granted leaf handed
+	// out last, whose values die at its next NextBatch.
+	granted bool
+	grants  int
+	lent    []types.Tuple
+	open    bool
 }
 
 func newFault(inner Operator) *faultOp { return &faultOp{inner: inner, failAfter: -1} }
@@ -68,11 +80,16 @@ func (f *faultOp) Open(ctx *Context) error {
 	f.open = true
 	return nil
 }
+func (f *faultOp) recycle() { f.granted, f.grants = true, f.grants+1 }
+
 func (f *faultOp) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	for i := range f.window {
 		f.window[i] = staleTuple(len(f.window[i]))
 	}
-	f.window = nil
+	for _, t := range f.lent {
+		copy(t, staleTuple(len(t)))
+	}
+	f.window, f.lent = nil, nil
 	if f.failAfter >= 0 {
 		left := f.failAfter - f.rows
 		if left <= 0 {
@@ -85,8 +102,16 @@ func (f *faultOp) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	b, ok, err := f.inner.NextBatch(ctx, max)
 	f.rows += len(b)
 	// A window of the leaf's own: scribbling over the inner operator's
-	// would corrupt a ValuesScan's rows for the re-open checks.
-	f.window = append(f.window, b...)
+	// would corrupt a ValuesScan's rows for the re-open checks. For the
+	// same reason a granted leaf lends copies.
+	if !f.granted {
+		f.window = append(f.window, b...)
+		return f.window, ok, err
+	}
+	for _, t := range b {
+		f.lent = append(f.lent, t.Clone())
+	}
+	f.window = append(f.window, f.lent...)
 	return f.window, ok, err
 }
 
@@ -118,7 +143,7 @@ func (f *faultOp) Close() error {
 	if f.failClose && f.open {
 		err = errors.Join(err, errInjected)
 	}
-	f.open = false
+	f.open, f.granted = false, false
 	return err
 }
 func (f *faultOp) Children() []Operator { return []Operator{f.inner} }
@@ -357,6 +382,25 @@ func contractCases(t *testing.T) []contractCase {
 			// over instead of exceeding max.
 			src := &fakeSource{name: "WC", rowsFor: func(arg string) []types.Tuple {
 				return []types.Tuple{{types.Int(int64(len(arg)))}, {types.Int(int64(-len(arg)))}}
+			}}
+			ev := NewEVScan(src, []expr.Expr{expr.NewColRef(term)}, fakeSchema("V"))
+			return NewDependentJoin(lf, &batchBoundEV{EVScan: ev}, "V"), []*faultOp{lf}
+		}},
+		{"DependentJoinCarryOver", func() (Operator, []*faultOp) {
+			// As many rows as the term has letters: at max 3 the first round
+			// (a, b, cc) leaves cc's second row over, and the second (ddd,
+			// eee) yields six rows while it waits. Granted, the join must
+			// cut them after it, not over it.
+			term := strCol("L", "Term")
+			lf := newFault(NewValuesScan(schema.New(term), []types.Tuple{
+				{types.Str("a")}, {types.Str("b")}, {types.Str("cc")}, {types.Str("ddd")}, {types.Str("eee")},
+			}))
+			src := &fakeSource{name: "WC", rowsFor: func(arg string) []types.Tuple {
+				out := make([]types.Tuple, len(arg))
+				for i := range out {
+					out[i] = types.Tuple{types.Int(int64(i))}
+				}
+				return out
 			}}
 			ev := NewEVScan(src, []expr.Expr{expr.NewColRef(term)}, fakeSchema("V"))
 			return NewDependentJoin(lf, &batchBoundEV{EVScan: ev}, "V"), []*faultOp{lf}
@@ -744,6 +788,152 @@ func TestOperatorContractPull(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOperatorContractGranted checks property 7 on every case: granted by
+// a consumer that keeps none of its tuples (it copies each batch at once,
+// as Project does), the same instance yields at every max and batch size
+// the rows it yields ungranted, and the rows an ungranted run handed out
+// before stay as they were. A producer that refills storage its current
+// batch still reads from, or a pass-through that hands a grant on when it
+// got none, shows as wrong rows or sentinels.
+func TestOperatorContractGranted(t *testing.T) {
+	for _, tc := range contractCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			op, _ := tc.mk()
+			kept := runAll(t, op)
+			want := fmt.Sprint(rowStrings(kept))
+			// Largest first: a granted slab outlives its execution, so the
+			// smaller batches refill one grown for a whole stream.
+			for _, max := range []int{256, 3, 1} {
+				for _, bs := range []int{1, 3, 256} {
+					ctx := NewContext()
+					ctx.BatchSize = bs
+					grantRecycling(op)
+					if err := op.Open(ctx); err != nil {
+						t.Fatalf("max %d bs %d: Open: %v", max, bs, err)
+					}
+					var rows []types.Tuple
+					for {
+						b, ok, err := op.NextBatch(ctx, max)
+						if err != nil {
+							t.Fatalf("max %d bs %d: NextBatch: %v", max, bs, err)
+						}
+						if !ok {
+							break
+						}
+						for _, r := range b {
+							rows = append(rows, r.Clone())
+						}
+					}
+					if err := op.Close(); err != nil {
+						t.Fatalf("max %d bs %d: Close: %v", max, bs, err)
+					}
+					checkFresh(t, rows)
+					if got := fmt.Sprint(rowStrings(rows)); got != want {
+						t.Errorf("max %d bs %d granted:\ngot:  %v\nwant: %v", max, bs, got, want)
+					}
+				}
+			}
+			if got := fmt.Sprint(rowStrings(runAll(t, op))); got != want {
+				t.Errorf("ungranted run after granted ones:\ngot:  %v\nwant: %v", got, want)
+			}
+			if got := fmt.Sprint(rowStrings(kept)); got != want {
+				t.Errorf("the granted runs rewrote an ungranted run's rows:\ngot:  %v\nwant: %v", got, want)
+			}
+		})
+	}
+}
+
+// TestGrantsReachOnlyStreamingInputs: a leaf is granted exactly when no
+// operator on its way to the root keeps its tuples — the consumers that
+// grant (Aggregate, Project, the hash join's probe side, DependentJoin's
+// outer side) grant, the pass-throughs (Filter, Limit, UnionAll, the semi
+// join's probe side) hand on a grant they got and only then, and Run,
+// Sort, Distinct, both sides of a nested-loop join and a hash join's
+// build side grant nothing. A traced tree grants as its untraced twin.
+func TestGrantsReachOnlyStreamingInputs(t *testing.T) {
+	leaf := func() (*faultOp, schema.Column) {
+		c := intCol("L", "N")
+		return newFault(NewValuesScan(schema.New(c), intRows(1, 2, 2, 3))), c
+	}
+	sum := func(child Operator, c schema.Column) Operator {
+		return NewAggregate(child, nil, nil, []AggSpec{{Func: AggSum, Arg: expr.NewColRef(c), OutCol: intCol("G", "S")}})
+	}
+	for _, tc := range []struct {
+		name string
+		mk   func() (Operator, []*faultOp)
+		want []int // grants per leaf over one run
+	}{
+		{"Run", func() (Operator, []*faultOp) { f, _ := leaf(); return f, []*faultOp{f} }, []int{0}},
+		{"Aggregate", func() (Operator, []*faultOp) { f, c := leaf(); return sum(f, c), []*faultOp{f} }, []int{1}},
+		{"Project", func() (Operator, []*faultOp) {
+			f, c := leaf()
+			return NewProject(f, []expr.Expr{expr.NewColRef(c)}, schema.New(c)), []*faultOp{f}
+		}, []int{1}},
+		{"Sort", func() (Operator, []*faultOp) {
+			f, c := leaf()
+			return sum(NewSort(f, []SortKey{{Expr: expr.NewColRef(c)}}), c), []*faultOp{f}
+		}, []int{0}},
+		{"Distinct", func() (Operator, []*faultOp) { f, c := leaf(); return sum(NewDistinct(f), c), []*faultOp{f} }, []int{0}},
+		{"FilterLimitUngranted", func() (Operator, []*faultOp) {
+			f, c := leaf()
+			return NewLimit(NewFilter(f, expr.NewCmp(expr.GT, expr.NewColRef(c), expr.NewLiteral(types.Int(1)))), 2), []*faultOp{f}
+		}, []int{0}},
+		{"FilterLimitGranted", func() (Operator, []*faultOp) {
+			f, c := leaf()
+			return sum(NewLimit(NewFilter(f, expr.NewCmp(expr.GT, expr.NewColRef(c), expr.NewLiteral(types.Int(1)))), 2), c), []*faultOp{f}
+		}, []int{1}},
+		{"UnionAll", func() (Operator, []*faultOp) {
+			l, c := leaf()
+			r, _ := leaf()
+			u, err := NewUnionAll(l, r)
+			if err != nil {
+				panic(err)
+			}
+			return sum(u, c), []*faultOp{l, r}
+		}, []int{1, 1}},
+		{"HashJoin", func() (Operator, []*faultOp) {
+			l, lc := leaf()
+			r, rc := leaf()
+			return NewHashJoin(l, r, []expr.Expr{expr.NewColRef(lc)}, []expr.Expr{expr.NewColRef(rc)}, nil), []*faultOp{l, r}
+		}, []int{1, 0}},
+		{"HashSemiJoinUngranted", func() (Operator, []*faultOp) {
+			l, lc := leaf()
+			r, rc := leaf()
+			return NewHashSemiJoin(l, r, []expr.Expr{expr.NewColRef(lc)}, []expr.Expr{expr.NewColRef(rc)}), []*faultOp{l, r}
+		}, []int{0, 0}},
+		{"HashSemiJoinGranted", func() (Operator, []*faultOp) {
+			l, lc := leaf()
+			r, rc := leaf()
+			return sum(NewHashSemiJoin(l, r, []expr.Expr{expr.NewColRef(lc)}, []expr.Expr{expr.NewColRef(rc)}), lc), []*faultOp{l, r}
+		}, []int{1, 0}},
+		{"NestedLoopJoin", func() (Operator, []*faultOp) {
+			l, lc := leaf()
+			r, rc := leaf()
+			return sum(NewNestedLoopJoin(l, r, expr.NewCmp(expr.EQ, expr.NewColRef(lc), expr.NewColRef(rc))), lc), []*faultOp{l, r}
+		}, []int{0, 0}},
+		{"DependentJoin", func() (Operator, []*faultOp) {
+			term := strCol("L", "Term")
+			l := newFault(NewValuesScan(schema.New(term), []types.Tuple{{types.Str("ab")}, {types.Str("xyz")}}))
+			src := &fakeSource{name: "WC", rowsFor: func(arg string) []types.Tuple { return []types.Tuple{{types.Int(int64(len(arg)))}} }}
+			return NewDependentJoin(l, NewEVScan(src, []expr.Expr{expr.NewColRef(term)}, fakeSchema("V")), "V"), []*faultOp{l}
+		}, []int{1}},
+	} {
+		for _, traced := range []bool{false, true} {
+			op, leaves := tc.mk()
+			if traced {
+				op, _ = Instrument(op)
+			}
+			checkFresh(t, runAll(t, op))
+			for i, f := range leaves {
+				if f.grants != tc.want[i] || f.granted {
+					t.Errorf("%s (traced %v): leaf %d granted %d times, want %d; still granted after Close: %v",
+						tc.name, traced, i, f.grants, tc.want[i], f.granted)
+				}
+			}
+		}
 	}
 }
 

@@ -62,6 +62,9 @@ func (f *Filter) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	}
 }
 
+// recycle implements recycler: the filter emits its child's tuples.
+func (f *Filter) recycle() { grantRecycling(f.Child) }
+
 // Close implements Operator.
 func (f *Filter) Close() error { return f.Child.Close() }
 
@@ -91,7 +94,8 @@ type Project struct {
 	Exprs []expr.Expr
 	Out   *schema.Schema
 
-	win []types.Tuple // the window NextBatch hands out, reused (see Batch)
+	win  []types.Tuple // the window NextBatch hands out, reused (see Batch)
+	slab rowSlab       // what the output rows are cut from
 }
 
 // NewProject builds a projection.
@@ -104,15 +108,19 @@ func (p *Project) Schema() *schema.Schema { return p.Out }
 
 // Open implements Operator.
 func (p *Project) Open(ctx *Context) error {
+	grantRecycling(p.Child) // a row is projected from its input at once
 	if err := p.Child.Open(ctx); err != nil {
 		return err
 	}
 	return bindAll("Project", p.Child.Schema(), p.Exprs...)
 }
 
+// recycle implements recycler: the output slab is refilled per batch.
+func (p *Project) recycle() { p.slab.granted = true }
+
 // NextBatch implements Operator by mapping the projection over a
-// whole child batch. The batch's rows are cut from a fresh slab, and
-// handed out in the projection's own window, reused (see Batch).
+// whole child batch. The batch's rows are cut from the projection's slab,
+// and handed out in its own window, reused (see Batch).
 func (p *Project) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	in, ok, err := p.Child.NextBatch(ctx, max)
 	if err != nil || !ok {
@@ -120,9 +128,10 @@ func (p *Project) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	}
 	out := p.win[:0]
 	width := len(p.Exprs)
-	slab := make([]types.Value, len(in)*width)
-	for j, t := range in {
-		row := types.Tuple(slab[j*width : (j+1)*width : (j+1)*width])
+	p.slab.next()
+	p.slab.room(len(in)*width, len(in)*width)
+	for _, t := range in {
+		row := p.slab.cut(width)
 		for i, e := range p.Exprs {
 			v, err := e.Eval(ctx.Env, t)
 			if err != nil {
@@ -137,7 +146,10 @@ func (p *Project) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 }
 
 // Close implements Operator.
-func (p *Project) Close() error { return p.Child.Close() }
+func (p *Project) Close() error {
+	p.slab.close()
+	return p.Child.Close()
+}
 
 // Children implements Operator.
 func (p *Project) Children() []Operator { return []Operator{p.Child} }

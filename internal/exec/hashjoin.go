@@ -108,6 +108,9 @@ func (j *HashJoin) Narrow(need map[schema.AttrID]bool) { j.cut.narrow(need) }
 // what the right side produces).
 func (j *hashJoin) Open(ctx *Context) error {
 	j.cut.reset() // children may have been swapped by a rewrite
+	if !j.semi {
+		grantRecycling(j.Left) // emit copies what a joined row needs of a probe tuple
+	}
 	if err := j.Left.Open(ctx); err != nil {
 		return err
 	}
@@ -161,6 +164,17 @@ func (j *hashJoin) Open(ctx *Context) error {
 	return nil
 }
 
+// recycle implements recycler. A hash join refills its joined rows' slab
+// per batch; a semi join emits its probe tuples themselves, so the grant
+// is its probe side's.
+func (j *hashJoin) recycle() {
+	if j.semi {
+		grantRecycling(j.Left)
+		return
+	}
+	j.cut.slab.granted = true
+}
+
 // evalKeys evaluates a join's build- or probe-side key expressions against
 // t into vals, the join's reused scratch. null reports that a key
 // evaluated to NULL: the tuple cannot equal anything.
@@ -186,6 +200,7 @@ func evalKeys(who, side string, keys []expr.Expr, ctx *Context, t types.Tuple, v
 func (j *hashJoin) fill(ctx *Context, max int) error {
 	start := time.Now()
 	j.buf = j.win[:0]
+	j.cut.slab.next()
 	defer func() {
 		j.win = j.buf
 		j.probeNS += time.Since(start).Nanoseconds()
@@ -256,6 +271,7 @@ func (j *hashJoin) Close() error {
 	j.table, j.rows = nil, nil
 	j.buf, j.win = nil, nil
 	j.cut.reset()
+	j.cut.slab.close()
 	return errors.Join(j.Left.Close(), j.Right.Close())
 }
 

@@ -50,6 +50,10 @@ func (j *NestedLoopJoin) Open(ctx *Context) error {
 	return bindAll("Join", j.Schema(), j.Pred)
 }
 
+// recycle implements recycler: the joined rows' slab is refilled per
+// batch. The join grants neither of its own sides (see recycler).
+func (j *NestedLoopJoin) recycle() { j.cut.slab.granted = true }
+
 // NextBatch implements Operator. The left (outer) side advances one tuple
 // at a time, and only while fewer than max joined tuples are buffered, so
 // a LIMIT above the join never makes an outer subtree issue external
@@ -65,6 +69,7 @@ func (j *NestedLoopJoin) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 		return nil, false, err
 	}
 	var out Batch
+	j.cut.slab.next()
 	for len(out) < max && !j.leftDone {
 		if !j.haveLeft {
 			lb, ok, err := j.Left.NextBatch(ctx, 1)
@@ -122,6 +127,7 @@ func (j *NestedLoopJoin) Close() error {
 	j.opened = false
 	j.curLeft, j.haveLeft = nil, false
 	j.cut.reset()
+	j.cut.slab.close()
 	return errors.Join(j.Left.Close(), j.Right.Close())
 }
 
@@ -165,9 +171,9 @@ func (j *NestedLoopJoin) Describe() string {
 type joinCut struct {
 	need        map[schema.AttrID]bool
 	out         *schema.Schema
-	left, right []int         // where, in a left and in a right tuple, the emitted columns sit
-	slab        []types.Value // joined rows are cut from it; see Batch
-	slabRows    int           // rows the next slab holds; doubles up to the batch size, as a TableScan's
+	left, right []int   // where, in a left and in a right tuple, the emitted columns sit
+	slab        rowSlab // joined rows are cut from it; see Batch
+	slabRows    int     // rows the next slab holds; doubles up to the batch size, as a TableScan's
 }
 
 func (c *joinCut) narrow(need map[schema.AttrID]bool) {
@@ -175,9 +181,9 @@ func (c *joinCut) narrow(need map[schema.AttrID]bool) {
 	c.reset()
 }
 
-// reset forgets the schema computed from the children and the slab.
+// reset forgets the schema computed from the children.
 func (c *joinCut) reset() {
-	c.out, c.slab, c.slabRows = nil, nil, 8
+	c.out, c.slabRows = nil, 8
 }
 
 // schema returns the join's output schema: left's columns, then right's,
@@ -207,14 +213,11 @@ func (c *joinCut) schema(left, right *schema.Schema) *schema.Schema {
 // the new one is sized for.
 func (c *joinCut) emit(lt, rt types.Tuple, batch int) types.Tuple {
 	width := len(c.left) + len(c.right)
-	if cap(c.slab)-len(c.slab) < width {
-		rows := min(c.slabRows, batch)
-		c.slab = make([]types.Value, 0, width*rows)
+	rows := min(c.slabRows, batch)
+	if c.slab.room(width, width*rows) {
 		c.slabRows = 2 * rows
 	}
-	mark := len(c.slab)
-	c.slab = c.slab[:mark+width]
-	row := c.slab[mark : mark+width : mark+width]
+	row := c.slab.cut(width)
 	for k, i := range c.left {
 		row[k] = lt[i]
 	}
@@ -226,9 +229,7 @@ func (c *joinCut) emit(lt, rt types.Tuple, batch int) types.Tuple {
 
 // retract takes back the row emit returned last, which the join's
 // predicate rejected: nothing else has seen it.
-func (c *joinCut) retract(row types.Tuple) {
-	c.slab = c.slab[:len(c.slab)-len(row)]
-}
+func (c *joinCut) retract(row types.Tuple) { c.slab.retract(len(row)) }
 
 // DependentJoin supplies each outer tuple's column values as correlated
 // bindings to its right subtree, then re-opens it — the binding-passing
@@ -246,7 +247,9 @@ type DependentJoin struct {
 	// bufMem is buf's storage, kept across calls and Opens: NextBatch
 	// refills an empty buf from its front, since the windows cut from it
 	// are out of contract by then.
-	bufMem   []types.Tuple
+	bufMem []types.Tuple
+	// slab is what a BindBatch round's joined rows are cut from.
+	slab     rowSlab
 	binder   BindingBatcher // the right subtree, when it offers BindBatch
 	leftDone bool
 	opened   bool
@@ -268,6 +271,7 @@ func (j *DependentJoin) Schema() *schema.Schema {
 // Open implements Operator.
 func (j *DependentJoin) Open(ctx *Context) error {
 	j.out = nil
+	grantRecycling(j.Left) // a joined row copies its outer tuple at once
 	if err := j.Left.Open(ctx); err != nil {
 		return err
 	}
@@ -277,6 +281,10 @@ func (j *DependentJoin) Open(ctx *Context) error {
 	j.binder, _ = j.Right.(BindingBatcher)
 	return nil
 }
+
+// recycle implements recycler: a BindBatch round's slab is refilled once
+// every row cut from it has been emitted.
+func (j *DependentJoin) recycle() { j.slab.granted = true }
 
 // NextBatch implements Operator, preserving the per-binding output order
 // (all of outer tuple i's rows before any of outer tuple i+1's). Outer
@@ -300,6 +308,7 @@ func (j *DependentJoin) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	}
 	if len(j.buf) == 0 {
 		j.buf = j.bufMem[:0]
+		j.slab.next()
 	}
 	for len(j.buf) < max && !j.leftDone {
 		want := 1
@@ -330,9 +339,10 @@ func (j *DependentJoin) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 }
 
 // bindRound services one outer batch through the right subtree's
-// BindBatch. The round's joined rows are cut from one fresh slab as
-// three-index slices (see Batch): BindBatch's rows live only until its
-// next round, so they are copied here, at once.
+// BindBatch. The round's joined rows are cut from one slab as three-index
+// slices (see Batch): BindBatch's rows live only until its next round,
+// and the outer tuples only until the next pull from the left, so they
+// are copied here, at once.
 func (j *DependentJoin) bindRound(ctx *Context, lb Batch) error {
 	rows, err := j.binder.BindBatch(ctx, j.Left.Schema().Cols, lb)
 	if err != nil {
@@ -344,12 +354,13 @@ func (j *DependentJoin) bindRound(ctx *Context, lb Batch) error {
 			width += len(lb[fi]) + len(rt)
 		}
 	}
-	slab := make([]types.Value, 0, width)
+	j.slab.room(width, width)
 	for fi, rs := range rows {
 		for _, rt := range rs {
-			mark := len(slab)
-			slab = append(append(slab, lb[fi]...), rt...)
-			j.buf = append(j.buf, slab[mark:len(slab):len(slab)])
+			row := j.slab.cut(len(lb[fi]) + len(rt))
+			n := copy(row, lb[fi])
+			copy(row[n:], rt)
+			j.buf = append(j.buf, row)
 		}
 	}
 	return nil
@@ -389,6 +400,7 @@ func (j *DependentJoin) Close() error {
 	j.opened = false
 	j.buf = nil
 	clear(j.bufMem[:cap(j.bufMem)]) // let go of this execution's tuples
+	j.slab.close()
 	return errors.Join(j.Left.Close(), j.Right.Close())
 }
 

@@ -14,7 +14,9 @@
 //     Callers pass max >= 1 (Context.BatchLen is the query's granularity);
 //     max < 1 is a caller bug and is rejected with an error.
 //   - Ownership: a Batch is a window into storage its producer owns, valid
-//     until the next NextBatch on that producer (see Batch).
+//     until the next NextBatch on that producer (see Batch). Its tuples
+//     outlive it, unless the consumer keeps none of them and says so (see
+//     recycler).
 //   - Draw: NextBatch(max) pulls no more input from a side that may issue
 //     external calls than a tuple-at-a-time consumer of max tuples would
 //     have. Limit caps max at its remaining quota; NestedLoopJoin and the
@@ -194,7 +196,9 @@ type Operator interface {
 	// anywhere in the stream. max must be >= 1 — a caller with no bound of
 	// its own passes ctx.BatchLen() — and max < 1 is rejected with an
 	// error rather than given a meaning. The batch is valid until the next
-	// NextBatch on this operator (see Batch), and producing it must respect
+	// NextBatch on this operator (see Batch); its tuples outlive it unless
+	// the consumer granted the operator recycling (see recycler), and then
+	// they too live until that next NextBatch. Producing it must respect
 	// the draw discipline in the package comment.
 	NextBatch(ctx *Context, max int) (b Batch, ok bool, err error)
 	// Close releases resources. Close must be idempotent.

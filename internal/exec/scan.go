@@ -34,9 +34,11 @@ type TableScan struct {
 	cutStrs bool
 	strs    types.StrArea
 	page    int64
-	// slabRows is how many tuples the next decode slab holds. It doubles
-	// from a few up to the batch size, so scanning a 50-row table for a
-	// 256-tuple batch does not allocate 256 rows of values.
+	// slab is what records are decoded into (see Batch), and slabRows how
+	// many tuples its next replacement holds. That doubles from a few up
+	// to the batch size, so scanning a 50-row table for a 256-tuple batch
+	// does not allocate 256 rows of values.
+	slab     rowSlab
 	slabRows int
 }
 
@@ -72,6 +74,9 @@ func (s *TableScan) Open(ctx *Context) error {
 	return bindAll("Scan", s.Out, s.Pred)
 }
 
+// recycle implements recycler: the decode slab is refilled per batch.
+func (s *TableScan) recycle() { s.slab.granted = true }
+
 // NextBatch implements Operator: one storage-scanner loop per batch,
 // decoding each record out of the scanner's page view into a slab shared
 // by the batch's tuples (see Batch), its strings cut out of one string per
@@ -86,7 +91,7 @@ func (s *TableScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	}
 	width := s.Out.Len()
 	out := s.win[:0]
-	var slab []types.Value
+	s.slab.next()
 	for len(out) < max {
 		rid, raw, ok, err := s.sc.Next()
 		if err != nil {
@@ -95,12 +100,11 @@ func (s *TableScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 		if !ok {
 			break
 		}
-		if cap(slab)-len(slab) < width {
-			slab = make([]types.Value, 0, width*min(max-len(out), s.slabRows))
+		if s.slab.room(width, width*min(max-len(out), s.slabRows)) {
 			s.slabRows = min(2*s.slabRows, ctx.BatchLen())
 		}
 		var t types.Tuple
-		t, slab, err = s.decode(slab, rid, raw)
+		t, s.slab.vals, err = s.decode(s.slab.vals, rid, raw)
 		if err != nil {
 			return nil, false, fmt.Errorf("TableScan(%s): %w", s.Table.Def.Name, err)
 		}
@@ -110,7 +114,7 @@ func (s *TableScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 				return nil, false, fmt.Errorf("Scan %s: %w", s.Pred, err)
 			}
 			if !v.Truthy() {
-				slab = slab[:len(slab)-len(t)]
+				s.slab.retract(len(t))
 				continue
 			}
 		}
@@ -148,6 +152,7 @@ func (s *TableScan) Close() error {
 	err := s.sc.Close()
 	s.sc = nil
 	s.strs.Reset(nil)
+	s.slab.close()
 	return err
 }
 

@@ -184,6 +184,9 @@ func (l *Limit) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	return b, true, nil
 }
 
+// recycle implements recycler: the limit emits its child's tuples.
+func (l *Limit) recycle() { grantRecycling(l.Child) }
+
 // Close implements Operator.
 func (l *Limit) Close() error { return l.Child.Close() }
 

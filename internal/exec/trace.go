@@ -120,6 +120,10 @@ func (w *spanOp) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	return b, ok, err
 }
 
+// recycle implements recycler: a traced tree recycles exactly as its
+// untraced twin does.
+func (w *spanOp) recycle() { grantRecycling(w.inner) }
+
 // batchSpanOp is the timing decorator of a BindingBatcher.
 type batchSpanOp struct {
 	*spanOp

@@ -76,6 +76,12 @@ func (u *UnionAll) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	return u.Right.NextBatch(ctx, max)
 }
 
+// recycle implements recycler: the union emits its inputs' tuples.
+func (u *UnionAll) recycle() {
+	grantRecycling(u.Left)
+	grantRecycling(u.Right)
+}
+
 // Close implements Operator.
 func (u *UnionAll) Close() error {
 	if !u.opened {

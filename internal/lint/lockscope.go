@@ -19,13 +19,12 @@ import (
 //  2. While any lock is held, no channel send/receive or select may
 //     run: those park the goroutine for unbounded time with the lock
 //     held, turning a slow external call into a server-wide stall.
-//     sync.Cond Wait/Signal/Broadcast are exempt (Wait releases the
-//     mutex by contract), and so is one shape of select: a try-send,
-//     whose comm clauses all send a variable or field on a variable or
-//     field and which has a default clause (the pump's handoff to a
-//     parked goroutine). Its operands cannot block and the default means
-//     it never waits; a try-receive, or a send whose channel or value is
-//     anything else (a receive, a call), stays flagged.
+//     One shape of select is exempt: a try-send, whose comm clauses all
+//     send a variable or field on a variable or field and which has a
+//     default clause (the pump's handoff to a parked goroutine). Its
+//     operands cannot block and the default means it never waits; a
+//     try-receive, or a send whose channel or value is anything else (a
+//     receive, a call), stays flagged.
 //
 // The walker is a structured abstract interpretation of the body,
 // with a held-lock set keyed by the receiver chain ("s.mu", "p.rngMu").

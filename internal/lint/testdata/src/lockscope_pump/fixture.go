@@ -1,9 +1,7 @@
 // Fixture for lockscope on the pump's own lock shapes, loaded as
-// "repro/internal/async": the one blocking wait (a cond.Wait loop under
-// p.mu, exempt because Wait lets go of the mutex), the deferred unlock
-// around a try, the try-send that hands an execution to a parked
-// goroutine under p.mu, and the shapes that must stay flagged — the
-// hand-rolled channel wait under p.mu that the cond replaced, a select
+// "repro/internal/async": the deferred unlock around a try, the try-send
+// that hands an execution to a parked goroutine under p.mu, and the
+// shapes that must stay flagged — a channel wait under p.mu, a select
 // under p.mu that waits or whose operands do, and a manual unlock an
 // early return skips.
 package async
@@ -15,31 +13,10 @@ import (
 
 type Pump struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
 	closed bool
 	done   chan struct{}
 	work   chan int
 	ready  chan int
-}
-
-func (p *Pump) await(ctx context.Context, try func() bool) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if try() {
-			return nil
-		}
-		p.cond.Wait()
-	}
-}
-
-func (p *Pump) wake() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.cond.Broadcast()
 }
 
 func (p *Pump) tryAcquire() bool {

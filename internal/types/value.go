@@ -256,11 +256,24 @@ func isNumeric(k Kind) bool { return k == KindInt || k == KindFloat }
 // Compare returns -1, 0, or +1 ordering v relative to o.
 // NULL sorts before everything; placeholders sort after everything (they
 // should never reach a comparison in a correct plan, but a stable order
-// keeps sorting deterministic if they do). Numeric kinds compare
-// numerically across int/float, as float64s, with -0 equal to 0 and NaN
-// equal to itself and before every number; otherwise mismatched kinds
+// keeps sorting deterministic if they do). Two ints compare as int64s, so
+// Compare agrees with Equal on every pair of them, 2^53 and 2^53+1
+// included. An int and a float compare as float64s, as two floats do,
+// with -0 equal to 0 and NaN equal to itself and before every number: an
+// int beyond 2^53 therefore equals the float it rounds to, and two such
+// ints that differ can each equal one float. Otherwise mismatched kinds
 // compare by kind.
 func (v Value) Compare(o Value) int {
+	if v.Kind == KindInt && o.Kind == KindInt {
+		switch {
+		case v.I < o.I:
+			return -1
+		case v.I > o.I:
+			return 1
+		default:
+			return 0
+		}
+	}
 	if v.Kind == KindNull || o.Kind == KindNull {
 		switch {
 		case v.Kind == o.Kind:

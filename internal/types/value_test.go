@@ -182,6 +182,35 @@ func TestCompareOrdering(t *testing.T) {
 	}
 }
 
+// TestCompareTwoIntsExactly: two ints compare as int64s, so Compare and
+// Equal agree on every pair of them. As float64s, 2^53+1 and 2^53 were
+// one number: Compare called them equal while Equal did not, so
+// `WHERE Id = 9007199254740993` matched 9007199254740992. An int and a
+// float still compare as float64s.
+func TestCompareTwoIntsExactly(t *testing.T) {
+	const big = int64(1) << 53
+	ints := []int64{math.MinInt64, -big - 1, -big, -1, 0, 1, big - 1, big, big + 1, big + 2, math.MaxInt64 - 1, math.MaxInt64}
+	for i, a := range ints {
+		for j, b := range ints {
+			want := 0
+			if i < j {
+				want = -1
+			} else if i > j {
+				want = 1
+			}
+			if got := Int(a).Compare(Int(b)); got != want {
+				t.Errorf("Int(%d).Compare(Int(%d)) = %d, want %d", a, b, got, want)
+			}
+			if eq := Int(a).Equal(Int(b)); eq != (want == 0) {
+				t.Errorf("Int(%d).Equal(Int(%d)) = %v, but Compare says %d", a, b, eq, want)
+			}
+		}
+	}
+	if Int(big+1).Compare(Float(float64(big))) != 0 || Float(float64(big)).Compare(Int(big+1)) != 0 {
+		t.Error("an int and a float compare as float64s: 2^53+1 rounds to 2^53")
+	}
+}
+
 // TestCompareOrdersNaN: NaN equals NaN and sorts before every number.
 // With < and > alone it compared equal to everything, so `NaN = 5` held
 // for the evaluator and a nested-loop join while a hash join disagreed.
