@@ -59,8 +59,14 @@ race-loop-reuse:
 # mailbox (under p.mu, then the mailbox's lock) while the owner takes from
 # that mailbox under its lock alone, claims its next batch, or closes and
 # empties it for a re-open.
+#
+# The tier's two ask tests (about 20 s, five passes): an ask of a key's
+# home completes on its own goroutine, racing the asker's own
+# registrations of the key, which coalesce onto the asked call, and the
+# home's settlement of the call it ran for every worker's askers.
 race-loop-pump:
 	$(GO) test -race -count=10 -run 'TestHandoff|TestSettleHandshake|TestCoalesce|TestSiblingCancel|TestQuiesce|TestPumpReusesExecutionGoroutines|TestPumpGoroutineBound|TestSyncCall|TestEVScanCache|TestPeekRound|TestBindRoundScratch|TestOpenTuplesSurviveAReopen|TestMailbox' ./internal/async
+	$(GO) test -race -count=5 -run 'TestTierOneEngineCallPerKey|TestTierAskTakesNoSlot' ./internal/shard
 
 # The simulated-time tests (about 5 s): Table 1 at the paper's latency,
 # the ablations and the pump-limit sweep, each compared with its file under

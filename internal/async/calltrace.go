@@ -29,7 +29,7 @@ type CallTrace struct {
 	finished   time.Time
 	outcome    string
 	attempts   []callAttempt
-	peer       *obs.Span // the tier cache-peer round trip, if one was made
+	peer       *obs.Span // the ask of the key's home worker, if one was made
 }
 
 type callAttempt struct {
@@ -66,8 +66,8 @@ func (ct *CallTrace) addAttempt(kind string, start time.Time, dur time.Duration,
 	ct.mu.Unlock()
 }
 
-// addPeerFetch records the cache-peer round trip the call's first
-// attempt made (nil: none was made or it was not timed).
+// addPeerFetch records the round trip that asked the call of its key's
+// home worker (nil: none was made or it was not timed).
 func (ct *CallTrace) addPeerFetch(s *obs.Span) {
 	if ct == nil || s == nil {
 		return

@@ -156,9 +156,9 @@ func TestTracedHitsAreCountedNotSpanned(t *testing.T) {
 	}
 }
 
-// TestCallTracePeerFetch: the cache-peer round trip a traced call's first
-// attempt makes hangs under that call's span, before any engine attempt
-// the peer's miss led to.
+// TestCallTracePeerFetch: the ask a traced call makes of its key's home
+// worker hangs under that call's span, before any engine attempt the
+// home's refusal led to.
 func TestCallTracePeerFetch(t *testing.T) {
 	p := NewPump(4, 4, &countingCache{m: make(map[string][]types.Tuple)})
 	defer p.Close()
@@ -168,7 +168,7 @@ func TestCallTracePeerFetch(t *testing.T) {
 		{"remote", "altavista peer_hit", ""},
 		{"local", "altavista", "pump.attempt"},
 	} {
-		id := p.RegisterCtx(ctx, "altavista", tc.key, func() ([]types.Tuple, error) { return nil, nil })
+		id, _, _ := p.Request(ctx, fnSource{dest: "altavista", fn: func() ([]types.Tuple, error) { return nil, nil }}, tc.key)
 		ct := p.CallTrace(id)
 		if _, err := p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{id: true}); err != nil {
 			t.Fatal(err)
@@ -225,8 +225,11 @@ func TestPumpDestProfiles(t *testing.T) {
 
 	run("altavista", "k1", func() ([]types.Tuple, error) { return []types.Tuple{{types.Int(1)}}, nil })
 	run("altavista", "k2", func() ([]types.Tuple, error) { return nil, fmt.Errorf("down") })
-	run("altavista", "warm", nil)   // cache hit
-	run("altavista", "remote", nil) // peer hit
+	run("altavista", "warm", nil) // cache hit
+	// A peer hit: only a scan's call is asked of a peer.
+	if _, _, _, err := p.CallWithRetry(context.Background(), fnSource{dest: "altavista"}, "remote"); err != nil {
+		t.Fatal(err)
+	}
 
 	// One transient failure then success: two executions, one retry.
 	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 3})

@@ -133,15 +133,17 @@ func TestCoalesceAfterCompletionHitsCache(t *testing.T) {
 	}
 }
 
-// peerStub is a scripted CachePeer for pump-level peering tests.
+// peerStub is a scripted CachePeer for pump-level peering tests: every
+// key is homed elsewhere, and the home serves the keys in rows.
 type peerStub struct {
 	mu      sync.Mutex
 	rows    map[string][]types.Tuple
 	fetches int
-	fills   map[string]int
 }
 
-func (s *peerStub) Fetch(ctx context.Context, key string) ([]types.Tuple, bool, *obs.Span) {
+func (s *peerStub) Remote(string) bool { return true }
+
+func (s *peerStub) Fetch(ctx context.Context, src, key string) ([]types.Tuple, bool, *obs.Span) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.fetches++
@@ -153,18 +155,29 @@ func (s *peerStub) Fetch(ctx context.Context, key string) ([]types.Tuple, bool, 
 	return r, ok, span
 }
 
-func (s *peerStub) Fill(key string, rows []types.Tuple) {
+func (s *peerStub) fetched() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.fills == nil {
-		s.fills = make(map[string]int)
-	}
-	s.fills[key]++
+	return s.fetches
 }
 
+// fnSource is a source each of whose calls runs fn: how the peering tests
+// register a scan's call, the only kind a pump asks of a peer.
+type fnSource struct {
+	dest string
+	fn   func() ([]types.Tuple, error)
+}
+
+func (s fnSource) Name() string                                 { return "F" }
+func (s fnSource) Destination() string                          { return s.dest }
+func (s fnSource) NumEcho() int                                 { return 0 }
+func (s fnSource) AppendKey(buf []byte, _ []types.Value) []byte { return buf }
+func (s fnSource) Call(string) func() ([]types.Tuple, error)    { return s.fn }
+
 // TestPumpPeerFetchServesWithoutEngine: a peer hit answers the call with
-// zero engine executions, records PeerHits, and still lands in the local
-// cache; a peer miss falls through to the engine and triggers a Fill.
+// zero engine executions and starts nothing here, records PeerHits, and
+// still lands in the local cache; a peer miss falls through to the
+// engine. A RegisterCtx call, which names no source, is never asked.
 func TestPumpPeerFetchServesWithoutEngine(t *testing.T) {
 	local := &countingCache{m: make(map[string][]types.Tuple)}
 	p := NewPump(4, 4, local)
@@ -175,80 +188,89 @@ func TestPumpPeerFetchServesWithoutEngine(t *testing.T) {
 	p.SetCachePeer(peer)
 
 	var engineCalls atomic.Int64
-	mk := func() ([]types.Tuple, error) {
+	src := fnSource{dest: "d", fn: func() ([]types.Tuple, error) {
 		engineCalls.Add(1)
 		return []types.Tuple{{types.Int(1)}}, nil
+	}}
+	call := func(key string) CallResult {
+		t.Helper()
+		rows, _, _, err := p.CallWithRetry(context.Background(), src, key)
+		return CallResult{Rows: rows, Err: err}
 	}
 
 	// Peer-resident key: no engine call, result correct, local cache warm.
-	id := p.RegisterCtx(context.Background(), "d", "hot", mk)
-	p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{id: true})
-	res, _ := p.Take(id)
-	if res.Err != nil || res.Rows[0][0].I != 99 {
+	if res := call("hot"); res.Err != nil || res.Rows[0][0].I != 99 {
 		t.Fatalf("peer-served result: %+v", res)
 	}
 	if engineCalls.Load() != 0 {
 		t.Errorf("engine ran despite peer hit")
 	}
-	if st := p.Stats(); st.PeerHits != 1 {
-		t.Errorf("peer hits = %d, want 1", st.PeerHits)
+	if st := p.Stats(); st.PeerHits != 1 || st.Started != 0 {
+		t.Errorf("peer hits = %d, started = %d; want 1, 0", st.PeerHits, st.Started)
 	}
 	if _, ok := local.Get("hot"); !ok {
 		t.Error("peer result should be cached locally")
 	}
 
-	// Peer-missing key: engine executes, and the result is offered back.
-	id = p.RegisterCtx(context.Background(), "d", "cold", mk)
-	p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{id: true})
-	if res, _ := p.Take(id); res.Err != nil {
+	// Peer-missing key: the engine executes here.
+	if res := call("cold"); res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	if engineCalls.Load() != 1 {
 		t.Errorf("engine calls = %d, want 1", engineCalls.Load())
 	}
-	peer.mu.Lock()
-	fills := peer.fills["cold"]
-	peer.mu.Unlock()
-	if fills != 1 {
-		t.Errorf("fills for cold = %d, want 1", fills)
-	}
+
+	// A RegisterCtx call is not asked.
+	id := p.RegisterCtx(context.Background(), "d", "fn-only", src.fn)
+	p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{id: true})
+	p.Take(id)
 
 	// Detach: peering must disengage cleanly.
 	p.SetCachePeer(nil)
-	id = p.RegisterCtx(context.Background(), "d", "hot2", mk)
-	p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{id: true})
-	p.Take(id)
-	peer.mu.Lock()
-	fetches := peer.fetches
-	peer.mu.Unlock()
-	if fetches != 2 {
-		t.Errorf("peer fetches after detach = %d, want 2 (no new fetch)", fetches)
+	call("hot2")
+	if fetches := peer.fetched(); fetches != 2 {
+		t.Errorf("peer fetches = %d, want 2 (hot and cold only)", fetches)
 	}
 }
 
-// TestPumpPeerSlotAccounting: a pump bounded to one slot must fully
-// release it on the peer-hit path — a follow-up engine call would hang
-// forever on a leaked token.
+// TestPumpPeerSlotAccounting: an ask takes no token. On a pump bounded to
+// one slot, held by a call the peer does not serve, peer hits still
+// complete, and once that call returns the pump is drained.
 func TestPumpPeerSlotAccounting(t *testing.T) {
 	local := &countingCache{m: make(map[string][]types.Tuple)}
 	p := NewPump(1, 1, local)
 	defer p.Close()
 	peer := &peerStub{rows: map[string][]types.Tuple{"a": {{types.Int(1)}}}}
 	p.SetCachePeer(peer)
+	gate := make(chan struct{})
+	blocked := fnSource{dest: "d", fn: func() ([]types.Tuple, error) {
+		<-gate
+		return nil, nil
+	}}
+	done := make(chan error, 1)
+	go func() {
+		_, _, _, err := p.CallWithRetry(context.Background(), blocked, "block")
+		done <- err
+	}()
+	for running, _ := p.Active(); running == 0; running, _ = p.Active() {
+		time.Sleep(time.Millisecond)
+	}
+	unreachable := fnSource{dest: "d", fn: func() ([]types.Tuple, error) { return nil, fmt.Errorf("unreachable") }}
 	for i := 0; i < 3; i++ {
-		id := p.RegisterCtx(context.Background(), "d", "a", func() ([]types.Tuple, error) { return nil, fmt.Errorf("unreachable") })
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		_, err := p.AwaitAnyCtx(ctx, map[types.CallID]bool{id: true})
+		_, _, _, err := p.CallWithRetry(ctx, unreachable, "a")
 		cancel()
 		if err != nil {
-			t.Fatalf("iteration %d: %v (slot leak?)", i, err)
+			t.Fatalf("iteration %d: %v (did the ask wait for the held slot?)", i, err)
 		}
-		p.Take(id)
-		// Key "a" is now locally cached; use fresh keys to force the peer
-		// path again.
+		// Key "a" is now locally cached; drop it to force the ask again.
 		local.mu.Lock()
 		delete(local.m, "a")
 		local.mu.Unlock()
+	}
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 	if running, queued := p.Active(); running != 0 || queued != 0 {
 		t.Errorf("pump not drained: running=%d queued=%d", running, queued)
@@ -256,28 +278,25 @@ func TestPumpPeerSlotAccounting(t *testing.T) {
 }
 
 // TestPumpWithoutCacheNeverPeers: a pump with no local result cache (wsqd
-// -cache 0 in worker mode) neither asks the peer for a key nor offers it
-// the rows it computed, even with a peer attached.
+// -cache 0 in worker mode) never asks the peer for a key, even with a
+// peer attached.
 func TestPumpWithoutCacheNeverPeers(t *testing.T) {
 	p := NewPump(4, 4, nil)
 	defer p.Close()
 	peer := &peerStub{rows: map[string][]types.Tuple{"hot": {{types.Int(99)}}}}
 	p.SetCachePeer(peer)
 	var engineCalls atomic.Int64
+	src := fnSource{dest: "d", fn: func() ([]types.Tuple, error) {
+		engineCalls.Add(1)
+		return []types.Tuple{{types.Int(1)}}, nil
+	}}
 	for _, key := range []string{"hot", "cold"} {
-		id := p.RegisterCtx(context.Background(), "d", key, func() ([]types.Tuple, error) {
-			engineCalls.Add(1)
-			return []types.Tuple{{types.Int(1)}}, nil
-		})
-		p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{id: true})
-		if res, _ := p.Take(id); res.Err != nil || res.Rows[0][0].I != 1 {
-			t.Fatalf("%s: %+v, want the engine's row", key, res)
+		rows, _, _, err := p.CallWithRetry(context.Background(), src, key)
+		if err != nil || rows[0][0].I != 1 {
+			t.Fatalf("%s: %v %v, want the engine's row", key, rows, err)
 		}
 	}
-	peer.mu.Lock()
-	fetches, fills := peer.fetches, len(peer.fills)
-	peer.mu.Unlock()
-	if engineCalls.Load() != 2 || fetches != 0 || fills != 0 {
-		t.Errorf("engine calls %d, peer fetches %d, keys filled %d; want 2, 0, 0", engineCalls.Load(), fetches, fills)
+	if fetches := peer.fetched(); engineCalls.Load() != 2 || fetches != 0 {
+		t.Errorf("engine calls %d, peer fetches %d; want 2, 0", engineCalls.Load(), fetches)
 	}
 }

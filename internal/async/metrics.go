@@ -18,7 +18,7 @@ var pumpCounters = []struct {
 	{"wsq_pump_cache_hits_total", "Registrations served instantly from the result cache.", evCacheHit, false},
 	{"wsq_pump_coalesced_total", "Registrations piggybacked on an identical in-flight call.", evCoalesced, false},
 	{"wsq_pump_calls_canceled_total", "Calls dropped before starting (context expiry, discard, shutdown).", evCanceled, false},
-	{"wsq_pump_peer_hits_total", "Calls served by a peer shard's cache instead of the engine, by destination.", evPeerHit, true},
+	{"wsq_pump_peer_hits_total", "Calls the key's home worker answered in place of an execution here, by destination.", evPeerHit, true},
 	{"wsq_pump_retries_total", "Call re-executions after a transient failure, by destination.", evRetry, true},
 	{"wsq_pump_hedges_total", "Duplicate (hedged) executions launched for slow attempts, by destination.", evHedge, true},
 	{"wsq_pump_hedge_wins_total", "Hedged executions that answered before the original, by destination.", evHedgeWin, true},

@@ -74,18 +74,21 @@ type Pump struct {
 	dests atomic.Pointer[map[string]*destination]
 	cache exec.ResultCache
 	// inflight coalesces duplicate in-flight calls: every call registered
-	// for a key while its first execution is still queued or running
-	// shares that one execution. Only enabled together with the result
-	// cache ([HN96]) — the Figure 7 hazard registers |R| identical calls
-	// back to back, before the first completes, so a cache alone never
-	// helps. The list holds the calls registered on the execution; a
-	// discarded one stays in it, and the record table says it is gone.
+	// for a key while its first call is still being asked of a peer (ask),
+	// queued or running shares that one call. Only enabled together with
+	// the result cache ([HN96]) — the Figure 7 hazard registers |R|
+	// identical calls back to back, before the first completes, so a cache
+	// alone never helps. The list holds the calls registered on the call;
+	// a discarded one stays in it, and the record table says it is gone.
 	inflight map[string][]*call
-	// peer, when attached, extends the result cache across a wsqd tier
-	// (internal/shard): a local miss consults the key's home shard before
-	// calling the engine, and locally executed results are offered back to
-	// the home shard. Read lock-free on the call path.
+	// peer, when attached, extends the cache and the in-flight table
+	// across a wsqd tier (internal/shard): a miss on a key another worker
+	// homes is asked of that worker's pump before it queues here (ask).
+	// Read lock-free on the call path.
 	peer atomic.Pointer[cachePeerBox]
+	// sources resolves a source by its name (Source); core.Open sets it to
+	// the DB's virtual-table registry before the pump is shared.
+	sources func(name string) (exec.ExternalSource, error)
 
 	// policy governs retries, per-attempt deadlines, and hedging for every
 	// call execution (SetRetryPolicy). Stored normalized and replaced, never
@@ -115,11 +118,11 @@ type Pump struct {
 	// epoch is the origin of the pump's clock (now).
 	epoch time.Time
 
-	// execWG tracks the run goroutines, parked ones included; a running
-	// one is (or may still be) inside an engine call. Engine calls are
-	// uninterruptible, so an execution cannot observe cancellation — even
-	// one whose attempt timed out or was hedged out — and Quiesce waits
-	// here for it to let go.
+	// execWG tracks the run goroutines, parked ones included, and the ask
+	// goroutines; a running one is (or may still be) inside an engine
+	// call. Engine calls are uninterruptible, so an execution cannot
+	// observe cancellation — even one whose attempt timed out or was
+	// hedged out — and Quiesce waits here for it to let go.
 	execWG sync.WaitGroup
 	// work is where a run goroutine with nothing left to run parks for its
 	// next execution. dispatchLocked and the hedge timer hand one over by a
@@ -300,21 +303,27 @@ func NewPump(maxTotal, maxPerDest int, cache exec.ResultCache) *Pump {
 	return p
 }
 
-// CachePeer extends the per-process result cache across a tier of wsqd
-// workers (implemented by shard.Peers). The pump consults it between the
-// local cache and the engine: a call that misses locally first asks the
-// key's home shard, and an engine result executed here is offered back to
-// the home shard so one engine call can serve every node.
+// CachePeer extends the result cache and the in-flight table across a
+// tier of wsqd workers (implemented by shard.Peers). Each key has one
+// home worker. A scan's call that misses here, on a key another worker
+// homes, is asked of that home before it queues for a token here, and the
+// home answers through its own pump: from its cache, by coalescing onto
+// its call in flight, or by running the call once under its own token.
+// Local and remote askers of a key so meet in one in-flight table, the
+// home's. The ask holds no token: if it did, every token of two workers
+// could be held by asks waiting on each other. A call the home does not
+// serve queues here and runs as if no peer were attached.
 type CachePeer interface {
-	// Fetch asks the key's home shard for cached rows. A false return
-	// means "not available" for any reason (self-owned key, remote miss,
-	// peer unreachable) — the caller falls through to the engine. When
-	// ctx carries a sampled trace, span is the round trip Fetch timed
-	// (nil if it made none); otherwise it is nil.
-	Fetch(ctx context.Context, key string) (rows []types.Tuple, ok bool, span *obs.Span)
-	// Fill offers freshly computed rows to the key's home shard. It must
-	// not block: implementations enqueue and deliver asynchronously.
-	Fill(key string, rows []types.Tuple)
+	// Remote reports whether key's home is another worker. The pump asks
+	// it under its lock, so it must not block.
+	Remote(key string) bool
+	// Fetch asks key's home to answer the call of the source named src. A
+	// false return means "not served" for any reason (the home disowns
+	// the key or the source, the call failed there, the home is
+	// unreachable), and the caller runs the call itself. When ctx carries
+	// a sampled trace, span is the round trip Fetch timed (nil if it made
+	// none); otherwise it is nil.
+	Fetch(ctx context.Context, src, key string) (rows []types.Tuple, ok bool, span *obs.Span)
 }
 
 // cachePeerBox wraps the interface for atomic.Pointer storage.
@@ -323,13 +332,31 @@ type cachePeerBox struct{ peer CachePeer }
 // SetCachePeer attaches (or, with nil, detaches) the tier-wide cache
 // peer. Peering only engages when the pump also has a local result cache:
 // without one there are no keys worth sharing and no coalescing, so a
-// cacheless pump attaches nothing.
+// cacheless pump attaches nothing. Only a scan's calls (Request,
+// RequestRound, CallWithRetry) are asked: a RegisterCtx call names no
+// source a peer could run it from.
 func (p *Pump) SetCachePeer(cp CachePeer) {
 	if cp == nil || p.cache == nil {
 		p.peer.Store(nil)
 		return
 	}
 	p.peer.Store(&cachePeerBox{peer: cp})
+}
+
+// SetSources installs how Source resolves a source by its name. Call it
+// before the pump is shared.
+func (p *Pump) SetSources(resolve func(name string) (exec.ExternalSource, error)) {
+	p.sources = resolve
+}
+
+// Source resolves an external source by its name (ExternalSource.Name):
+// how a tier worker runs a call a peer asks it for, with no scan of its
+// own to take the source from.
+func (p *Pump) Source(name string) (exec.ExternalSource, error) {
+	if p.sources == nil {
+		return nil, fmt.Errorf("no source named %q", name)
+	}
+	return p.sources(name)
 }
 
 // cachePeer returns the attached peer, or nil.
@@ -491,7 +518,9 @@ func (p *Pump) register(ctx context.Context, dest, key string, fn func() ([]type
 
 // registerLocked decides what becomes of a registration: answered from
 // the cache, refused (closed pump, expired context), coalesced onto an
-// identical in-flight call, or queued at now for the caller's queue walk.
+// identical in-flight call, asked of the key's home worker (a scan's
+// call, when a peer is attached and another worker homes the key), or
+// queued at now for the caller's queue walk.
 // The lookup and the inflight entry must be one critical section with
 // complete's Put-and-settle, or a call finishing in between would be run
 // again: a miss PeekRound saw outside the lock is only a hint, and this
@@ -537,6 +566,11 @@ func (p *Pump) registerLocked(ctx context.Context, d *destination, key string, f
 				// Coalesce with an identical in-flight call.
 				d.count(evCoalesced)
 				c.trace.finish("coalesced")
+				break
+			}
+			if peer := p.cachePeer(); peer != nil && src != nil && peer.Remote(key) {
+				p.execWG.Add(1)
+				go p.ask(ctx, peer, c)
 				break
 			}
 		}
@@ -681,21 +715,52 @@ func (p *Pump) run(e execution) {
 	}
 }
 
-// execute performs one execution — a first attempt asks the tier cache
-// peer (a bounded network hop to the key's home shard) before the engine —
-// and records its wall time in the destination's record and the call's
-// trace, the peer hop included.
-func (p *Pump) execute(e execution) CallResult {
-	c := e.c
-	if peer := p.cachePeer(); peer != nil && e.attempt == 0 && !e.hedge {
-		rows, ok, span := peer.Fetch(e.ctx, c.key)
+// ask is a call's trip to the worker that homes its key, made before
+// the call queues here and holding no token. A call the home serves
+// settles as a completed one does, into the cache and to every call
+// registered on it; one it does not serve joins the queue, and so runs
+// here. An ask that ended with its asker's context is made again for a
+// registration on the call that still wants it.
+func (p *Pump) ask(ctx context.Context, peer CachePeer, c *call) {
+	defer p.execWG.Done()
+	for ctx != nil {
+		rows, ok, span := peer.Fetch(ctx, c.src.Name(), c.key)
 		c.trace.addPeerFetch(span)
-		if ok {
-			c.dest.count(evPeerHit)
-			c.trace.finish("peer_hit")
-			return CallResult{Rows: rows}
+		ctx = p.answered(ctx, c, rows, ok)
+	}
+}
+
+// answered ends an ask of c made under ctx: it settles c with the rows
+// the home served, or queues it, or returns the context of a registration
+// on c to ask again under when ctx ended before the answer came.
+func (p *Pump) answered(ctx context.Context, c *call, rows []types.Tuple, ok bool) context.Context {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !ok && ctx.Err() != nil && !p.closed.Load() {
+		if next := p.wantedLocked(c); next != nil {
+			return next
 		}
 	}
+	switch {
+	case ok:
+		c.dest.count(evPeerHit)
+		c.trace.finish("peer_hit")
+		p.cache.Put(c.key, rows)
+		p.settleLocked(c, CallResult{Rows: rows})
+	case p.closed.Load():
+		p.settleUnstartedLocked(c, fmt.Errorf("asked call: %w", ErrPumpClosed))
+	default:
+		c.state, c.enqueued = callQueued, p.now()
+		p.queue = append(p.queue, c)
+		p.dispatchLocked(false)
+	}
+	return nil
+}
+
+// execute performs one execution and records its wall time in the
+// destination's record and the call's trace.
+func (p *Pump) execute(e execution) CallResult {
+	c := e.c
 	fn := c.fn
 	if fn == nil {
 		fn = c.src.Call(c.key)
@@ -717,12 +782,6 @@ func (p *Pump) execute(e execution) CallResult {
 	elapsed := p.now() - begin
 	c.dest.latency.ObserveDuration(elapsed)
 	c.trace.addAttempt(kind, start, elapsed, err != nil)
-	if peer := p.cachePeer(); peer != nil && err == nil {
-		// Locally executed result: offer it to the key's home shard so the
-		// rest of the tier can hit it. Fill never blocks (it enqueues), and
-		// it must run outside p.mu.
-		peer.Fill(c.key, rows)
-	}
 	return CallResult{Rows: rows, Err: err}
 }
 
@@ -1059,8 +1118,9 @@ func (p *Pump) retireParkedLocked() {
 // ones home and waits for every running one — including those whose
 // attempt timed out or was hedged out — to return from its engine call,
 // release its token and, since it finishes while Quiesce is in progress,
-// exit rather than park. Engine calls are uninterruptible, so this is the
-// only way to know the pump has truly let go of the network; call it
+// exit rather than park, and for every ask of a peer to end. Engine
+// calls are uninterruptible, so this is the only way to know the pump has
+// truly let go of the network; call it
 // after Close when tearing down a process. On an open pump it waits for
 // the queue to drain, and calls dispatched afterwards start goroutines
 // afresh. A pump dropped without Close or Quiesce keeps its parked
@@ -1083,8 +1143,9 @@ type Stats struct {
 	Registered int64
 	// CacheHits counts registrations served instantly from the cache.
 	CacheHits int64
-	// PeerHits counts calls served by a peer shard's cache instead of the
-	// engine (tier-wide cache peering).
+	// PeerHits counts calls the key's home worker answered (tier-wide
+	// peering): from its cache, its call in flight or its own execution.
+	// None of them starts here.
 	PeerHits int64
 	// Coalesced counts registrations piggybacked on an identical
 	// in-flight call.

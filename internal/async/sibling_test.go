@@ -2,16 +2,18 @@ package async
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/types"
 )
 
 // One query's end must not fail another query's share of a coalesced
-// call. In each test two registrations of one key share an execution
-// under a cache; A's context is cancelled while B's stays live, at a
-// different point of the call's life, and B must get the rows.
+// call. In each test two registrations of one key share a call under a
+// cache; A's context is cancelled while B's stays live, at a different
+// point of the call's life, and B must get the rows.
 
 // siblings registers A and B for one key on p and returns B's id and
 // A's cancel.
@@ -100,4 +102,43 @@ func TestSiblingCancelDuringBackoff(t *testing.T) {
 	}
 	cancelA()
 	wantRows(t, p, b)
+}
+
+// askingPeer homes every key elsewhere. Its first ask waits for the
+// asker's context to end, then misses; every later ask is answered.
+type askingPeer struct {
+	asks atomic.Int64
+}
+
+func (*askingPeer) Remote(string) bool { return true }
+
+func (a *askingPeer) Fetch(ctx context.Context, _, _ string) ([]types.Tuple, bool, *obs.Span) {
+	if a.asks.Add(1) == 1 {
+		<-ctx.Done()
+		return nil, false, nil
+	}
+	return []types.Tuple{{types.Int(7)}}, true, nil
+}
+
+func TestSiblingCancelDuringAsk(t *testing.T) {
+	p := NewPump(4, 4, &countingCache{m: make(map[string][]types.Tuple)})
+	defer p.Close()
+	peer := &askingPeer{}
+	p.SetCachePeer(peer)
+	engine := fnSource{dest: "d", fn: func() ([]types.Tuple, error) {
+		t.Error("the engine ran a call its key's home answers")
+		return nil, nil
+	}}
+	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	p.Request(ctxA, engine, "shared")
+	b, _, _ := p.Request(context.Background(), engine, "shared")
+	if st := p.Stats(); st.Coalesced != 1 {
+		t.Fatalf("B did not share A's call: %+v", st)
+	}
+	cancelA() // A's ask ends with A; B still wants the call, so it is asked again
+	wantRows(t, p, b)
+	if n := peer.asks.Load(); n != 2 {
+		t.Errorf("%d asks, want 2: A's, then B's", n)
+	}
 }

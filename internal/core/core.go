@@ -150,6 +150,7 @@ func Open(cfg Config) (*DB, error) {
 		reg:     reg,
 	}
 	db.pump.SetRetryPolicy(cfg.Retry)
+	db.pump.SetSources(func(name string) (exec.ExternalSource, error) { return vt.Source(name) })
 	db.pump.Observe(reg)
 	c.Observe(reg) // nil-safe: a disabled cache registers nothing
 	db.async.Store(cfg.Async)

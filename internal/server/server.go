@@ -555,7 +555,7 @@ type PumpStats struct {
 	Started    int64 `json:"started"`
 	Completed  int64 `json:"completed"`
 	CacheHits  int64 `json:"cache_hits"`
-	// PeerHits counts calls served by a peer shard's cache (tier mode).
+	// PeerHits counts calls the key's home worker answered (tier mode).
 	PeerHits     int64 `json:"peer_hits"`
 	Coalesced    int64 `json:"coalesced"`
 	Canceled     int64 `json:"canceled"`

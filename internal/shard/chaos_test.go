@@ -51,7 +51,7 @@ func TestChaosWorkerKilledMidQuery(t *testing.T) {
 	time.Sleep(40 * time.Millisecond)
 	victim := env.nodes[0]
 	victim.srv.CloseClientConnections()
-	closeServer(t, victim.id, victim.srv, victim.worker)
+	closeServer(t, victim.id, victim.srv)
 
 	time.Sleep(80 * time.Millisecond) // post-kill traffic must reroute
 	close(stopDrive)
@@ -88,12 +88,12 @@ func TestChaosWorkerKilledMidQuery(t *testing.T) {
 	// Tear down the rest and verify nothing leaked. The survivor's stack
 	// and the coordinator's pooled transports are closed by t.Cleanup in
 	// LIFO order after this check runs, so close them explicitly here.
-	closeServer(t, "coordinator", env.csrv, nil)
+	closeServer(t, "coordinator", env.csrv)
 	env.coord.Close()
 	for _, nd := range env.nodes {
 		nd.peers.Close()
 		if nd != victim {
-			closeServer(t, nd.id, nd.srv, nd.worker)
+			closeServer(t, nd.id, nd.srv)
 		}
 		nd.db.Close()
 	}
@@ -107,7 +107,7 @@ func TestChaosWorkerKilledMidQuery(t *testing.T) {
 func TestChaosCoordinatorSurvivesAllWorkersDown(t *testing.T) {
 	env := startTier(t, 2, search.ZeroLatency(), nil)
 	for _, nd := range env.nodes {
-		closeServer(t, nd.id, nd.srv, nd.worker)
+		closeServer(t, nd.id, nd.srv)
 	}
 	for i := 0; i < 5; i++ {
 		code, _ := env.query(t, template1("crime"))
@@ -125,7 +125,7 @@ func TestChaosCoordinatorSurvivesAllWorkersDown(t *testing.T) {
 // still lands, so traffic keeps flowing to the survivor.
 func TestChaosDrainUnreachableWorker(t *testing.T) {
 	env := startTier(t, 2, search.ZeroLatency(), nil)
-	closeServer(t, env.nodes[0].id, env.nodes[0].srv, env.nodes[0].worker)
+	closeServer(t, env.nodes[0].id, env.nodes[0].srv)
 	if _, err := env.coord.Drain(context.Background(), "w1"); err == nil {
 		t.Fatal("drain of a dead worker reported success")
 	}

@@ -10,14 +10,16 @@
 //     workers and is reloadable at runtime (SIGHUP in cmd/wsqd, or POST
 //     /admin/reload).
 //
-//   - Tier-wide result caching (peers.go, worker.go): every key has a
-//     home shard on the ring. A worker whose pump misses its local [HN96]
-//     cache asks the key's home shard over a small HTTP cache protocol
-//     (get / fill) before spending an engine call, and
-//     offers locally computed results back to the home shard. Combined
-//     with the pump's in-flight coalescing and the home shard's
-//     fill-promise wait (a remote get can linger briefly for an
-//     in-progress fill), one AltaVista call can serve every node.
+//   - Tier-wide result caching and coalescing (peers.go, worker.go):
+//     every call key has a home worker on the ring. A worker whose pump
+//     misses its local [HN96] cache on a key another worker homes asks
+//     that home (GET /shard/cache/get) before it queues for an execution
+//     token, and holds none while it waits. The home answers through its
+//     own pump: from its cache, by coalescing onto its call in flight, or
+//     by running the call once under its own token. So local and remote
+//     askers of a key meet in one in-flight table, the home's, and one
+//     AltaVista call serves every node. A home that cannot serve answers
+//     non-200, and the asker runs the call itself.
 //
 //   - Operability: per-engine global rate budgets from the config are
 //     split across live workers by the coordinator (each worker gets

@@ -47,9 +47,8 @@ type tierEnv struct {
 var handlersParked atomic.Bool
 
 // closeServer is httptest's Close with a bound. Close waits for every
-// running handler, and one parked for good — a worker path that returns
-// holding w.pmu parks every later cache request behind it — never ends.
-func closeServer(t *testing.T, name string, srv *httptest.Server, w *Worker) {
+// running handler, and one parked for good never ends.
+func closeServer(t *testing.T, name string, srv *httptest.Server) {
 	t.Helper()
 	done := make(chan struct{})
 	go func() {
@@ -63,15 +62,7 @@ func closeServer(t *testing.T, name string, srv *httptest.Server, w *Worker) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		handlersParked.Store(true)
-		lock := ""
-		if w != nil {
-			if w.pmu.TryLock() {
-				w.pmu.Unlock()
-			} else {
-				lock = "; w.pmu is held"
-			}
-		}
-		t.Errorf("%s: handlers still running 2 s after Close%s", name, lock)
+		t.Errorf("%s: handlers still running 2 s after Close", name)
 	}
 }
 
@@ -89,29 +80,52 @@ func skipIfHandlersParked(t *testing.T) {
 // metrics on each worker's registry, membership and budgets pushed by
 // the coordinator.
 func startTier(t *testing.T, n int, model search.LatencyModel, budgets map[string]int) *tierEnv {
+	return startTierSpec(t, tierSpec{n: n, model: model, budgets: budgets})
+}
+
+// tierSpec shapes a loopback tier beyond startTier's defaults.
+type tierSpec struct {
+	n       int
+	model   search.LatencyModel
+	budgets map[string]int
+	// calls is each pump's total and per-destination call limit before
+	// the coordinator pushes budgets (default 8).
+	calls int
+	// altavista, when set, wraps each worker's AltaVista engine.
+	altavista func(id string, e search.Engine) search.Engine
+}
+
+func startTierSpec(t *testing.T, spec tierSpec) *tierEnv {
 	t.Helper()
 	skipIfHandlersParked(t)
+	if spec.calls == 0 {
+		spec.calls = 8
+	}
 	env := &tierEnv{}
 	corpus := websim.Default()
-	for i := 0; i < n; i++ {
+	for i := 0; i < spec.n; i++ {
 		id := fmt.Sprintf("w%d", i+1)
 		db, err := core.Open(core.Config{
 			Dir:                t.TempDir(),
 			Async:              true,
 			CacheSize:          256,
-			MaxConcurrentCalls: 8,
-			MaxCallsPerDest:    8,
+			MaxConcurrentCalls: spec.calls,
+			MaxCallsPerDest:    spec.calls,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { db.Close() })
-		db.RegisterEngine(search.NewDelayed(websim.NewAltaVista(corpus), model, int64(i+1)), "AV")
-		db.RegisterEngine(search.NewDelayed(websim.NewGoogle(corpus), model, int64(i+100)), "G")
+		var av search.Engine = search.NewDelayed(websim.NewAltaVista(corpus), spec.model, int64(i+1))
+		if spec.altavista != nil {
+			av = spec.altavista(id, av)
+		}
+		db.RegisterEngine(av, "AV")
+		db.RegisterEngine(search.NewDelayed(websim.NewGoogle(corpus), spec.model, int64(i+100)), "G")
 		if err := harness.LoadPaperTables(context.Background(), db); err != nil {
 			t.Fatal(err)
 		}
-		peers := NewPeers(id, Config{}, PeerOptions{WaitMS: 250})
+		peers := NewPeers(id, Config{}, PeerOptions{})
 		t.Cleanup(peers.Close)
 		db.Pump().SetCachePeer(peers)
 		w := NewWorker(WorkerOptions{
@@ -125,7 +139,7 @@ func startTier(t *testing.T, n int, model search.LatencyModel, budgets map[strin
 		peers.Observe(db.Metrics())
 		w.Observe(db.Metrics())
 		srv := httptest.NewServer(w)
-		t.Cleanup(func() { closeServer(t, id, srv, w) })
+		t.Cleanup(func() { closeServer(t, id, srv) })
 		env.nodes = append(env.nodes, &tierNode{id: id, db: db, peers: peers, worker: w, srv: srv})
 	}
 
@@ -133,14 +147,14 @@ func startTier(t *testing.T, n int, model search.LatencyModel, budgets map[strin
 	for _, nd := range env.nodes {
 		members = append(members, Member{ID: nd.id, URL: nd.srv.URL})
 	}
-	env.cfg = Config{Workers: members, VNodes: 32, Budgets: budgets}
+	env.cfg = Config{Workers: members, VNodes: 32, Budgets: spec.budgets}
 	env.coord = NewCoordinator(env.cfg, CoordinatorOptions{})
 	t.Cleanup(env.coord.Close)
 	if err := env.coord.Sync(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	env.csrv = httptest.NewServer(env.coord.Handler())
-	t.Cleanup(func() { closeServer(t, "coordinator", env.csrv, nil) })
+	t.Cleanup(func() { closeServer(t, "coordinator", env.csrv) })
 	return env
 }
 
@@ -249,12 +263,10 @@ func TestTierCrossNodeCacheHits(t *testing.T) {
 		}
 	}
 
-	var peerHits, remoteHits, fillsRecv int64
+	var peerHits, remoteHits int64
 	for _, nd := range env.nodes {
 		peerHits += nd.db.Pump().Stats().PeerHits
-		st := nd.worker.Stats()
-		remoteHits += st.RemoteHits
-		fillsRecv += st.FillsRecv
+		remoteHits += nd.worker.Stats().RemoteHits
 	}
 	if peerHits == 0 {
 		t.Error("no pump peer hits: the tier cache never served a cross-node miss")
@@ -262,7 +274,7 @@ func TestTierCrossNodeCacheHits(t *testing.T) {
 	if remoteHits == 0 {
 		t.Error("no remote get hits: no worker served its cache to a peer")
 	}
-	t.Logf("tier traffic: peerHits=%d remoteHits=%d fillsRecv=%d", peerHits, remoteHits, fillsRecv)
+	t.Logf("tier traffic: peerHits=%d remoteHits=%d", peerHits, remoteHits)
 
 	// What crossed the wire is what the caches hold: call results. A
 	// placeholder is a query's private reference to a pending call; no

@@ -2,14 +2,15 @@ package shard
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
-	"strconv"
-	"sync"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/async"
 	"repro/internal/cache"
+	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/types"
 )
@@ -24,18 +25,13 @@ type WorkerOptions struct {
 	// Cache is the worker's [HN96] result cache, served to peers over
 	// /shard/cache/*. Nil disables peering (gets answer 404).
 	Cache *cache.Cache
-	// Pump receives per-destination limits pushed by the coordinator.
+	// Pump receives per-destination limits pushed by the coordinator and
+	// answers peers' asks for the keys this worker homes.
 	Pump *async.Pump
-	// Peers is the worker's own peer client; drain uses it to hand hot
-	// keys to their new homes, and /shard/membership updates its ring.
+	// Peers is the worker's own peer client: its ring decides which keys
+	// this worker is home to, drain uses it to hand hot keys to their new
+	// homes, and /shard/membership updates it.
 	Peers *Peers
-	// MaxPromiseWaitMS caps how long a remote get may linger for an
-	// in-progress fill regardless of the asker's wait_ms (default 1000).
-	MaxPromiseWaitMS int
-	// PromiseTTL bounds how long an unresolved fill promise blocks 404
-	// re-claims (default 5s): if the claiming misser dies before filling,
-	// the next misser takes over after the TTL.
-	PromiseTTL time.Duration
 	// HandoffMax is the number of hottest cache entries pushed to their
 	// new homes during drain (default 64; 0 selects the default, -1
 	// disables handoff).
@@ -46,12 +42,6 @@ type WorkerOptions struct {
 }
 
 func (o WorkerOptions) withDefaults() WorkerOptions {
-	if o.MaxPromiseWaitMS <= 0 {
-		o.MaxPromiseWaitMS = 1000
-	}
-	if o.PromiseTTL <= 0 {
-		o.PromiseTTL = 5 * time.Second
-	}
 	if o.HandoffMax == 0 {
 		o.HandoffMax = 64
 	}
@@ -61,23 +51,13 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	return o
 }
 
-// fillPromise tracks one expected fill: the first remote misser of a key
-// claims the promise (and goes off to compute), later missers wait on it
-// instead of issuing duplicate engine calls on their own nodes.
-type fillPromise struct {
-	done chan struct{}
-	rows []types.Tuple
-	ok   bool
-	born time.Time
-}
-
 // Worker serves the shard side of the tier protocol in front of a wsqd:
 //
-//	GET  /shard/cache/get?key=K&wait_ms=N   home-shard cache lookup
-//	POST /shard/cache/fill                  {key, rows} store + resolve waiters
-//	POST /shard/limits                      {limits: {dest: n}} per-dest budget
-//	POST /shard/membership                  {workers, vnodes} new ring view
-//	POST /shard/drain                       finish in-flight, hand off hot keys
+//	GET  /shard/cache/get?key=K&src=S   a peer's ask for a key this worker homes
+//	POST /shard/cache/fill              {key, rows} store (drain's handoff)
+//	POST /shard/limits                  {limits: {dest: n}} per-dest budget
+//	POST /shard/membership              {workers, vnodes} new ring view
+//	POST /shard/drain                   finish in-flight, hand off hot keys
 //
 // plus draining-aware delegation of /query to the inner handler (a
 // draining worker answers 503 with Retry-After so the coordinator
@@ -89,25 +69,17 @@ type Worker struct {
 	draining atomic.Bool
 	inflight atomic.Int64
 
-	pmu      sync.Mutex
-	promises map[string]*fillPromise
-
 	// counters
-	remoteHits    atomic.Int64
-	remoteMisses  atomic.Int64
-	promiseWaits  atomic.Int64
-	promiseServed atomic.Int64
-	fillsRecv     atomic.Int64
-	drainRejects  atomic.Int64
-	handedOff     atomic.Int64
+	remoteHits   atomic.Int64
+	remoteMisses atomic.Int64
+	fillsRecv    atomic.Int64
+	drainRejects atomic.Int64
+	handedOff    atomic.Int64
 }
 
 // NewWorker wraps an inner wsqd handler with the shard protocol.
 func NewWorker(opt WorkerOptions) *Worker {
-	w := &Worker{
-		opt:      opt.withDefaults(),
-		promises: make(map[string]*fillPromise),
-	}
+	w := &Worker{opt: opt.withDefaults()}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/shard/cache/get", w.handleCacheGet)
 	mux.HandleFunc("/shard/cache/fill", w.handleCacheFill)
@@ -162,91 +134,97 @@ func (w *Worker) handleQuery(rw http.ResponseWriter, r *http.Request) {
 // stitching the remote work into the query's trace.
 const SpanHeader = "X-Wsq-Span"
 
-// traceSpanSetter returns a function that stamps SpanHeader with a
-// shard.cache.get span just before the response is written, or nil when
-// the request carries no sampled traceparent (the untraced hot path does
-// no timing at all).
-func (w *Worker) traceSpanSetter(rw http.ResponseWriter, r *http.Request) func(outcome string) {
-	if obs.UpstreamTrace(r.Header) == nil {
-		return nil
+// handleCacheGet answers a peer's ask for key, a call of the source
+// named src: from the cache, or else through this worker's pump
+// (CallWithRetry), which coalesces it with any call of the key in flight
+// here or runs it once under this worker's own token. A worker answers
+// 404 for a key its ring homes elsewhere, and 502 when the call fails; an
+// unknown source, or a key that is not of the source's engine, is a 400.
+// An asker that gets anything but 200 runs the call itself.
+func (w *Worker) handleCacheGet(rw http.ResponseWriter, r *http.Request) {
+	var start time.Time
+	tc := obs.UpstreamTrace(r.Header)
+	if tc != nil {
+		start = time.Now()
 	}
-	start := time.Now()
-	return func(outcome string) {
+	// answer stamps SpanHeader with this handler's shard.cache.get span,
+	// around the pump's call span when there is one, just before the
+	// response is written; the untraced hot path does no timing at all.
+	answer := func(outcome string, call *obs.Span) {
+		if tc == nil {
+			return
+		}
 		span := &obs.Span{Op: "shard.cache.get", Detail: outcome, Node: w.opt.ID, Start: start, Dur: time.Since(start)}
+		if call != nil {
+			span.AddChild(call)
+		}
 		if buf, err := json.Marshal(span); err == nil {
 			rw.Header().Set(SpanHeader, string(buf))
 		}
 	}
-}
-
-// handleCacheGet is the home-shard lookup. On a hit it returns the rows.
-// On a miss it consults the fill-promise map: the first misser claims
-// the key (404 — go compute and fill me), later missers wait up to
-// wait_ms for that fill and are served from it when it lands.
-func (w *Worker) handleCacheGet(rw http.ResponseWriter, r *http.Request) {
-	traced := w.traceSpanSetter(rw, r)
-	key := r.URL.Query().Get("key")
+	q := r.URL.Query()
+	key := q.Get("key")
 	if key == "" || w.opt.Cache == nil {
 		http.NotFound(rw, r)
 		return
 	}
 	if rows, ok := w.opt.Cache.Get(key); ok {
 		w.remoteHits.Add(1)
-		if traced != nil {
-			traced("hit")
-		}
+		answer("hit", nil)
 		writeRows(rw, rows)
 		return
 	}
-
-	waitMS, _ := strconv.Atoi(r.URL.Query().Get("wait_ms"))
-	if waitMS > w.opt.MaxPromiseWaitMS {
-		waitMS = w.opt.MaxPromiseWaitMS
-	}
-
-	w.pmu.Lock()
-	pr := w.promises[key]
-	if pr != nil && time.Since(pr.born) > w.opt.PromiseTTL {
-		// The claimant likely died before filling; let this misser take over.
-		delete(w.promises, key)
-		pr = nil
-	}
-	if pr == nil {
-		w.promises[key] = &fillPromise{done: make(chan struct{}), born: time.Now()}
-		w.pmu.Unlock()
-		w.remoteMisses.Add(1)
-		if traced != nil {
-			traced("miss_claimed")
-		}
-		http.NotFound(rw, r) // claimed: the asker computes, then fills
+	w.remoteMisses.Add(1)
+	src, err := w.source(q.Get("src"), key)
+	if err != nil {
+		answer("bad_request", nil)
+		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
-	w.pmu.Unlock()
+	if !w.homes(key) {
+		answer("not_home", nil)
+		http.NotFound(rw, r)
+		return
+	}
+	ctx := r.Context()
+	if tc != nil {
+		ctx = obs.WithTrace(ctx, tc)
+	}
+	rows, _, call, err := w.opt.Pump.CallWithRetry(ctx, src, key)
+	if err != nil {
+		answer("failed", call)
+		http.Error(rw, err.Error(), http.StatusBadGateway)
+		return
+	}
+	answer("miss", call)
+	writeRows(rw, rows)
+}
 
-	// A fill for this key is already promised — linger for it.
-	w.promiseWaits.Add(1)
-	if waitMS > 0 {
-		t := time.NewTimer(time.Duration(waitMS) * time.Millisecond)
-		defer t.Stop()
-		select {
-		case <-pr.done:
-			if pr.ok {
-				w.promiseServed.Add(1)
-				if traced != nil {
-					traced("promise_hit")
-				}
-				writeRows(rw, pr.rows)
-				return
-			}
-		case <-t.C:
-		case <-r.Context().Done():
-		}
+// source resolves the source a peer's ask names, through the pump, and
+// checks that key is one of its engine's: a call key begins with its
+// engine's name and '|' (vtab.Source.AppendKey), and run by another
+// source it would cache a wrong answer under key.
+func (w *Worker) source(name, key string) (exec.ExternalSource, error) {
+	if w.opt.Pump == nil {
+		return nil, fmt.Errorf("worker %s runs no calls", w.opt.ID)
 	}
-	w.remoteMisses.Add(1)
-	if traced != nil {
-		traced("miss")
+	src, err := w.opt.Pump.Source(name)
+	if err != nil {
+		return nil, err
 	}
-	http.NotFound(rw, r)
+	if !strings.HasPrefix(key, src.Destination()+"|") {
+		return nil, fmt.Errorf("key %q is not a call of %s", key, src.Destination())
+	}
+	return src, nil
+}
+
+// homes reports whether this worker's own ring makes it key's home.
+func (w *Worker) homes(key string) bool {
+	if w.opt.Peers == nil {
+		return false
+	}
+	owner, ok := w.opt.Peers.Ring().Owner(key)
+	return ok && owner.ID == w.opt.ID
 }
 
 func writeRows(rw http.ResponseWriter, rows []types.Tuple) {
@@ -254,7 +232,7 @@ func writeRows(rw http.ResponseWriter, rows []types.Tuple) {
 	json.NewEncoder(rw).Encode(cacheGetResponse{Rows: rows})
 }
 
-// handleCacheFill stores offered rows and resolves any waiting promise.
+// handleCacheFill stores offered rows: drain's handoff of its hot keys.
 func (w *Worker) handleCacheFill(rw http.ResponseWriter, r *http.Request) {
 	var req cacheFillRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Key == "" {
@@ -265,14 +243,6 @@ func (w *Worker) handleCacheFill(rw http.ResponseWriter, r *http.Request) {
 		w.opt.Cache.Put(req.Key, req.Rows)
 	}
 	w.fillsRecv.Add(1)
-	w.pmu.Lock()
-	pr := w.promises[req.Key]
-	delete(w.promises, req.Key)
-	w.pmu.Unlock()
-	if pr != nil {
-		pr.rows, pr.ok = req.Rows, true
-		close(pr.done)
-	}
 	rw.WriteHeader(http.StatusNoContent)
 }
 
@@ -342,27 +312,23 @@ func (w *Worker) handleDrain(rw http.ResponseWriter, r *http.Request) {
 
 // WorkerStats is a point-in-time snapshot of the shard-protocol counters.
 type WorkerStats struct {
-	RemoteHits    int64 `json:"remote_hits"`
-	RemoteMisses  int64 `json:"remote_misses"`
-	PromiseWaits  int64 `json:"promise_waits"`
-	PromiseServed int64 `json:"promise_served"`
-	FillsRecv     int64 `json:"fills_recv"`
-	DrainRejects  int64 `json:"drain_rejects"`
-	HandedOff     int64 `json:"handed_off"`
-	Draining      bool  `json:"draining"`
+	RemoteHits   int64 `json:"remote_hits"`
+	RemoteMisses int64 `json:"remote_misses"`
+	FillsRecv    int64 `json:"fills_recv"`
+	DrainRejects int64 `json:"drain_rejects"`
+	HandedOff    int64 `json:"handed_off"`
+	Draining     bool  `json:"draining"`
 }
 
 // Stats snapshots the shard-protocol counters.
 func (w *Worker) Stats() WorkerStats {
 	return WorkerStats{
-		RemoteHits:    w.remoteHits.Load(),
-		RemoteMisses:  w.remoteMisses.Load(),
-		PromiseWaits:  w.promiseWaits.Load(),
-		PromiseServed: w.promiseServed.Load(),
-		FillsRecv:     w.fillsRecv.Load(),
-		DrainRejects:  w.drainRejects.Load(),
-		HandedOff:     w.handedOff.Load(),
-		Draining:      w.draining.Load(),
+		RemoteHits:   w.remoteHits.Load(),
+		RemoteMisses: w.remoteMisses.Load(),
+		FillsRecv:    w.fillsRecv.Load(),
+		DrainRejects: w.drainRejects.Load(),
+		HandedOff:    w.handedOff.Load(),
+		Draining:     w.draining.Load(),
 	}
 }
 
@@ -372,16 +338,10 @@ func (w *Worker) Observe(reg *obs.Registry) {
 		"Peer cache gets served from this worker's cache (cross-node hits).",
 		func() float64 { return float64(w.remoteHits.Load()) })
 	reg.CounterFunc("wsq_shard_remote_get_misses_total",
-		"Peer cache gets that missed here (including promise-claim 404s).",
+		"Peer cache gets that missed this worker's cache (answered by its pump's call, or refused).",
 		func() float64 { return float64(w.remoteMisses.Load()) })
-	reg.CounterFunc("wsq_shard_promise_waits_total",
-		"Peer cache gets that lingered for an in-progress fill.",
-		func() float64 { return float64(w.promiseWaits.Load()) })
-	reg.CounterFunc("wsq_shard_promise_served_total",
-		"Lingering peer gets answered by the awaited fill.",
-		func() float64 { return float64(w.promiseServed.Load()) })
 	reg.CounterFunc("wsq_shard_fills_received_total",
-		"Cache offers stored on behalf of peer workers.",
+		"Cache entries stored on behalf of a draining peer.",
 		func() float64 { return float64(w.fillsRecv.Load()) })
 	reg.CounterFunc("wsq_shard_drain_rejects_total",
 		"Queries answered 503 because this worker is draining.",

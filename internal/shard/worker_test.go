@@ -8,11 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
+	"net/url"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/async"
 	"repro/internal/cache"
+	"repro/internal/exec"
 	"repro/internal/types"
 )
 
@@ -28,13 +31,15 @@ func newProtoWorker(t *testing.T, opt WorkerOptions) (*Worker, *httptest.Server)
 	}
 	w := NewWorker(opt)
 	srv := httptest.NewServer(w)
-	t.Cleanup(func() { closeServer(t, opt.ID, srv, w) })
+	t.Cleanup(func() { closeServer(t, opt.ID, srv) })
 	return w, srv
 }
 
-func getCache(t *testing.T, base, key string, waitMS int) (int, []types.Tuple) {
+// getCache asks base for key, a call of the source named src, as a peer
+// does.
+func getCache(t *testing.T, base, key, src string) (int, []types.Tuple) {
 	t.Helper()
-	resp, err := http.Get(fmt.Sprintf("%s/shard/cache/get?key=%s&wait_ms=%d", base, key, waitMS))
+	resp, err := http.Get(base + "/shard/cache/get?key=" + url.QueryEscape(key) + "&src=" + url.QueryEscape(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,17 +68,19 @@ func postFill(t *testing.T, base, key string, rows []types.Tuple) {
 	}
 }
 
+// TestWorkerCacheGetFillRoundTrip: drain's handoff stores what a later
+// ask reads. A worker with no pump serves its cache and refuses every
+// miss.
 func TestWorkerCacheGetFillRoundTrip(t *testing.T) {
 	w, srv := newProtoWorker(t, WorkerOptions{})
 
-	// Miss claims the fill obligation.
-	if code, _ := getCache(t, srv.URL, "k1", 0); code != http.StatusNotFound {
-		t.Fatalf("first get = %d, want 404", code)
+	if code, _ := getCache(t, srv.URL, "d|k1", "S"); code == http.StatusOK {
+		t.Fatalf("first get = %d, want a refusal", code)
 	}
 	rows := []types.Tuple{{types.Str("texas"), types.Int(12)}}
-	postFill(t, srv.URL, "k1", rows)
+	postFill(t, srv.URL, "d|k1", rows)
 
-	code, got := getCache(t, srv.URL, "k1", 0)
+	code, got := getCache(t, srv.URL, "d|k1", "S")
 	if code != http.StatusOK {
 		t.Fatalf("post-fill get = %d, want 200", code)
 	}
@@ -86,60 +93,186 @@ func TestWorkerCacheGetFillRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWorkerPromiseCoalescing: the home shard holds the second misser of
-// a key open until the first misser's fill lands, then serves it — one
-// engine call tier-wide even when misses race across nodes.
-func TestWorkerPromiseCoalescing(t *testing.T) {
-	w, srv := newProtoWorker(t, WorkerOptions{})
+// countSource is the source "S" of destination "d": each call answers
+// one row, its key's length, after gate (when set) lets it go, and counts
+// itself.
+type countSource struct {
+	calls atomic.Int64
+	gate  chan struct{}
+}
 
-	// First misser claims the promise.
-	if code, _ := getCache(t, srv.URL, "hot", 0); code != http.StatusNotFound {
-		t.Fatalf("claiming get = %d, want 404", code)
-	}
-
-	type res struct {
-		code int
-		rows []types.Tuple
-	}
-	done := make(chan res, 1)
-	go func() {
-		code, rows := getCache(t, srv.URL, "hot", 5000)
-		done <- res{code, rows}
-	}()
-
-	// The waiter registers before it parks; only then deliver the fill.
-	for w.Stats().PromiseWaits == 0 {
-		runtime.Gosched()
-	}
-	postFill(t, srv.URL, "hot", []types.Tuple{{types.Int(7)}})
-
-	r := <-done
-	if r.code != http.StatusOK || len(r.rows) != 1 || r.rows[0][0].I != 7 {
-		t.Fatalf("waiting get: code=%d rows=%+v", r.code, r.rows)
-	}
-	if st := w.Stats(); st.PromiseServed != 1 {
-		t.Errorf("promise served = %d, want 1", st.PromiseServed)
+func (s *countSource) Name() string                                 { return "S" }
+func (s *countSource) Destination() string                          { return "d" }
+func (s *countSource) NumEcho() int                                 { return 0 }
+func (s *countSource) AppendKey(buf []byte, _ []types.Value) []byte { return buf }
+func (s *countSource) Call(key string) func() ([]types.Tuple, error) {
+	return func() ([]types.Tuple, error) {
+		s.calls.Add(1)
+		if s.gate != nil {
+			<-s.gate
+		}
+		return []types.Tuple{{types.Int(int64(len(key)))}}, nil
 	}
 }
 
-// TestWorkerPromiseExpiry: if the claimant never fills (it crashed), the
-// promise expires and a later misser re-claims instead of waiting forever.
-func TestWorkerPromiseExpiry(t *testing.T) {
-	w, srv := newProtoWorker(t, WorkerOptions{PromiseTTL: 10 * time.Millisecond})
-	if code, _ := getCache(t, srv.URL, "k", 0); code != http.StatusNotFound {
-		t.Fatal("claim failed")
+// homeTier is one protocol worker "home" with a pump that resolves the
+// source "S", and the peer client of a second worker "me" that asks it.
+type homeTier struct {
+	home  *Worker
+	srv   *httptest.Server
+	pump  *async.Pump
+	src   *countSource
+	peers *Peers // me's
+}
+
+func newHomeTier(t *testing.T, opt PeerOptions) *homeTier {
+	t.Helper()
+	h := &homeTier{src: &countSource{}}
+	c := cache.New(32)
+	h.pump = async.NewPump(4, 4, c)
+	t.Cleanup(func() {
+		h.pump.Close()
+		h.pump.Quiesce()
+	})
+	h.pump.SetSources(func(name string) (exec.ExternalSource, error) {
+		if name != "S" {
+			return nil, fmt.Errorf("no source named %q", name)
+		}
+		return h.src, nil
+	})
+	homePeers := NewPeers("home", Config{VNodes: 16}, PeerOptions{})
+	t.Cleanup(homePeers.Close)
+	h.home, h.srv = newProtoWorker(t, WorkerOptions{ID: "home", Cache: c, Pump: h.pump, Peers: homePeers})
+	members := []Member{{ID: "home", URL: h.srv.URL}, {ID: "me", URL: "http://unused.invalid"}}
+	homePeers.Update(members)
+	h.peers = NewPeers("me", Config{Workers: members, VNodes: 16}, opt)
+	t.Cleanup(h.peers.Close)
+	return h
+}
+
+// key returns the i-th key of destination "d" that worker id homes.
+func (h *homeTier) key(id string, i int) string {
+	for n := 0; ; n++ {
+		k := fmt.Sprintf("d|key-%d", n)
+		if m, _ := h.peers.Ring().Owner(k); m.ID == id {
+			if i == 0 {
+				return k
+			}
+			i--
+		}
 	}
-	time.Sleep(20 * time.Millisecond)
-	// Expired: this get re-claims (immediate 404) rather than lingering.
+}
+
+// TestPeersFetch exercises the client side against a real home worker: a
+// cached key is answered from the home's cache, a key homed on the asker
+// short-circuits, and an uncached key runs once at the home, whose cache
+// then answers the next ask.
+func TestPeersFetch(t *testing.T) {
+	h := newHomeTier(t, PeerOptions{})
+	ctx := context.Background()
+
+	cached := h.key("home", 0)
+	h.home.opt.Cache.Put(cached, []types.Tuple{{types.Int(5)}})
+	if rows, ok, _ := h.peers.Fetch(ctx, "S", cached); !ok || rows[0][0].I != 5 {
+		t.Fatalf("fetch of a cached key = %v %v", rows, ok)
+	}
+
+	if _, ok, _ := h.peers.Fetch(ctx, "S", h.key("me", 0)); ok {
+		t.Error("self-homed key reported a peer hit")
+	}
+
+	cold := h.key("home", 1)
+	for i := 0; i < 2; i++ {
+		rows, ok, _ := h.peers.Fetch(ctx, "S", cold)
+		if !ok || rows[0][0].I != int64(len(cold)) {
+			t.Fatalf("fetch %d of a cold key = %v %v", i, rows, ok)
+		}
+	}
+	if n := h.src.calls.Load(); n != 1 {
+		t.Errorf("home executed the cold key %d times, want 1", n)
+	}
+	st := h.peers.Stats()
+	if st.FetchHits != 3 || st.SelfHome != 1 || st.FetchMisses != 0 || st.FetchErrors != 0 {
+		t.Errorf("peer stats = %+v", st)
+	}
+	if ws := h.home.Stats(); ws.RemoteHits != 2 || ws.RemoteMisses != 1 {
+		t.Errorf("home stats = %+v; want 2 hits (cached key, second cold ask), 1 miss", ws)
+	}
+}
+
+// TestWorkerCacheGetRefusesUnknownSource: an ask naming a source the
+// home cannot resolve is a 400, and nothing runs.
+func TestWorkerCacheGetRefusesUnknownSource(t *testing.T) {
+	h := newHomeTier(t, PeerOptions{})
+	if code, _ := getCache(t, h.srv.URL, h.key("home", 0), "NoSuchTable"); code != http.StatusBadRequest {
+		t.Errorf("ask with an unknown source = %d, want 400", code)
+	}
+	if n := h.src.calls.Load(); n != 0 {
+		t.Errorf("%d calls ran", n)
+	}
+}
+
+// TestWorkerCacheGetRefusesKeyOfAnotherEngine: an ask whose key is not a
+// call of the named source's engine is a 400: run by that source, it
+// would cache a wrong answer under the key.
+func TestWorkerCacheGetRefusesKeyOfAnotherEngine(t *testing.T) {
+	h := newHomeTier(t, PeerOptions{})
+	for n := 0; ; n++ {
+		k := fmt.Sprintf("google|key-%d", n)
+		if m, _ := h.peers.Ring().Owner(k); m.ID != "home" {
+			continue
+		}
+		if code, _ := getCache(t, h.srv.URL, k, "S"); code != http.StatusBadRequest {
+			t.Errorf("ask for %q of source S (engine d) = %d, want 400", k, code)
+		}
+		break
+	}
+	if n := h.src.calls.Load(); n != 0 {
+		t.Errorf("%d calls ran", n)
+	}
+}
+
+// TestWorkerCacheGetRefusesKeyHomedElsewhere: a worker answers 404 for a
+// key its own ring homes on another worker, and runs nothing; the asker
+// then runs the call itself.
+func TestWorkerCacheGetRefusesKeyHomedElsewhere(t *testing.T) {
+	h := newHomeTier(t, PeerOptions{})
+	if code, _ := getCache(t, h.srv.URL, h.key("me", 0), "S"); code != http.StatusNotFound {
+		t.Errorf("ask for a key homed on me = %d, want 404", code)
+	}
+	if n := h.src.calls.Load(); n != 0 {
+		t.Errorf("%d calls ran", n)
+	}
+}
+
+// TestWorkerAskerHangUpDiscardsQueuedCall: an asker that gives up while
+// the home's call is still queued there takes the home's registration
+// with it: the call never runs, and the drained pump holds nothing.
+func TestWorkerAskerHangUpDiscardsQueuedCall(t *testing.T) {
+	h := newHomeTier(t, PeerOptions{})
+	h.pump.SetDestLimit("d", 0) // every call of "d" stays queued
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	if code, _ := getCache(t, srv.URL, "k", 5000); code != http.StatusNotFound {
-		t.Fatal("expected re-claim 404")
+	if _, ok, _ := h.peers.Fetch(ctx, "S", h.key("home", 0)); ok {
+		t.Fatal("an ask with no slot to run in was answered")
 	}
-	if time.Since(start) > time.Second {
-		t.Error("get waited on an expired promise")
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("ask returned after %v; want it to end with its 20ms context", took)
 	}
-	if st := w.Stats(); st.RemoteMisses != 2 {
-		t.Errorf("misses = %d, want 2", st.RemoteMisses)
+	deadline := time.Now().Add(2 * time.Second)
+	for h.pump.Held() != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	h.pump.Quiesce()
+	if held := h.pump.Held(); held != 0 {
+		t.Errorf("home pump holds %d calls after its asker hung up", held)
+	}
+	if running, queued := h.pump.Active(); running != 0 || queued != 0 {
+		t.Errorf("home pump: %d running, %d queued; want 0, 0", running, queued)
+	}
+	if n := h.src.calls.Load(); n != 0 {
+		t.Errorf("%d calls ran", n)
 	}
 }
 
@@ -275,62 +408,6 @@ func TestWorkerMembershipUpdatesPeers(t *testing.T) {
 	}
 }
 
-// TestPeersFetchAndFill exercises the client side against a real worker:
-// a remote hit decodes rows; a local-homed key short-circuits; a fill is
-// delivered asynchronously to the home shard.
-func TestPeersFetchAndFill(t *testing.T) {
-	home, srv := newProtoWorker(t, WorkerOptions{ID: "home"})
-	members := []Member{{ID: "home", URL: srv.URL}, {ID: "me", URL: "http://unused.invalid"}}
-	peers := NewPeers("me", Config{Workers: members, VNodes: 16}, PeerOptions{WaitMS: 1})
-	t.Cleanup(peers.Close)
-
-	// Seed the home shard and pick a key it actually owns.
-	var key string
-	for i := 0; ; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if m, _ := peers.Ring().Owner(k); m.ID == "home" {
-			key = k
-			break
-		}
-	}
-	home.opt.Cache.Put(key, []types.Tuple{{types.Int(5)}})
-
-	rows, ok, _ := peers.Fetch(context.Background(), key)
-	if !ok || rows[0][0].I != 5 {
-		t.Fatalf("fetch = %v %v", rows, ok)
-	}
-
-	// A key homed on ourselves is never fetched remotely.
-	var selfKey string
-	for i := 0; ; i++ {
-		k := fmt.Sprintf("self-%d", i)
-		if m, _ := peers.Ring().Owner(k); m.ID == "me" {
-			selfKey = k
-			break
-		}
-	}
-	if _, ok, _ := peers.Fetch(context.Background(), selfKey); ok {
-		t.Error("self-homed key reported a peer hit")
-	}
-
-	// Fill is queued and shipped by the background sender.
-	peers.Fill(key, []types.Tuple{{types.Int(9)}})
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if got, ok := home.opt.Cache.Get(key); ok && got[0][0].I == 9 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("fill never reached the home shard")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	st := peers.Stats()
-	if st.FetchHits != 1 || st.SelfHome != 1 || st.FillsSent != 1 {
-		t.Errorf("peer stats = %+v", st)
-	}
-}
-
 // TestPeersFetchEndsWithItsCaller: a peer get is bounded by its caller's
 // context, not only by FetchTimeout. Against a home shard that answers
 // nothing until the test ends, with a 10 s FetchTimeout, a caller that
@@ -347,7 +424,7 @@ func TestPeersFetchEndsWithItsCaller(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	rows, ok, _ := peers.Fetch(ctx, "k")
+	rows, ok, _ := peers.Fetch(ctx, "S", "d|k")
 	if took := time.Since(start); ok || took > time.Second {
 		t.Fatalf("Fetch = %v, %v after %v; want a miss within 1s of a caller that gave up at 20ms", rows, ok, took)
 	}

@@ -249,6 +249,15 @@ func (r *Registry) Resolve(name string) (*Def, error) {
 	}, nil
 }
 
+// Source resolves a SQL table name to the source its scans call.
+func (r *Registry) Source(name string) (*Source, error) {
+	d, err := r.Resolve(name)
+	if err != nil {
+		return nil, err
+	}
+	return NewSource(d), nil
+}
+
 // engineSupportsNear reports whether the engine honors the NEAR operator.
 // Of the two 1999-era engines the paper uses, AltaVista did and Google did
 // not; any other registered engine is assumed NEAR-capable.
