@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-race race-loop-reuse race-loop-pump synctest check fuzz fuzzqe-smoke bench bench-check table1 examples clean
+.PHONY: all build vet lint test test-race race-loop-reuse race-loop-pump synctest check fuzz fuzzqe-smoke bench bench-once bench-check table1 examples clean
 
 all: build check
 
@@ -80,8 +80,8 @@ synctest:
 # race detector + both race loops + the simulated-time tests + the
 # allocation budgets without the detector,
 # traced warm query, the retry-policy round, the /query decoder and the
-# cold buffer-pool scan included + a fuzz smoke + the nested benchmark
-# module. The concurrency
+# cold buffer-pool scan included + every package benchmark run once + a
+# fuzz smoke + the nested benchmark module. The concurrency
 # tests (shared-pump server, concurrent Exec) only bite with -race; wsqlint
 # enforces the invariants the race detector can only sample; the fuzz
 # targets guard the parser and evaluator crash-freedom contracts and hold
@@ -98,6 +98,7 @@ check:
 	$(GO) test -run 'TestPumpRoundTripAllocs|TestPumpPolicyRoundAllocs' ./internal/async
 	$(GO) test -run TestDecodeQueryResponseAllocs ./internal/server
 	$(GO) test -run TestColdScanReusesEvictedFrames ./internal/storage
+	$(MAKE) bench-once
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz FuzzEval -fuzztime 10s ./internal/expr
 	$(GO) test -run '^$$' -fuzz FuzzDecodeQueryResponse -fuzztime 10s ./internal/server
@@ -114,6 +115,12 @@ check:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --workload all --seconds 2
+
+# Every package benchmark's body once (about 11 s). `go test` alone never
+# runs a benchmark, so one that checks its own answer, as
+# BenchmarkLocalJoin checks its 8 rows, could break unnoticed.
+bench-once:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # Longer fuzzing session for the three targets.
 fuzz:

@@ -213,7 +213,7 @@ func main() {
 				log.Printf("SIGHUP reload failed: %v", err)
 				return
 			}
-			peers.Update(cfg.Workers)
+			peers.Update(cfg.Workers, cfg.VNodes)
 			log.Printf("SIGHUP: reloaded %s (%d workers)", *shardConfig, len(cfg.Workers))
 		})
 		log.Printf("tier worker %q: peer cache protocol on /shard/*, membership from %s", *shardID, *shardConfig)

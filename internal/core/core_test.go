@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -90,6 +91,36 @@ func TestCreateInsertSelect(t *testing.T) {
 	mustExec(t, db, `DROP TABLE T`)
 	if _, err := db.QueryContext(context.Background(), `SELECT * FROM T`); err == nil {
 		t.Error("dropped table still queryable")
+	}
+}
+
+// TestWhereFollowsThreeValuedLogic: NOT of an unknown comparison is
+// unknown, so a row whose V is NULL passes neither WHERE p nor WHERE NOT p,
+// and AND and OR combine unknowns as SQL's Kleene logic does.
+func TestWhereFollowsThreeValuedLogic(t *testing.T) {
+	db, err := Open(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE T (V INT)`)
+	mustExec(t, db, `INSERT INTO T VALUES (1), (5), (NULL)`)
+	for _, c := range []struct{ where, want string }{
+		{`NOT (V > 2)`, `[1]`},
+		{`NOT (V = NULL)`, `[]`},
+		{`V > 2 OR NOT (V > 2)`, `[1 5]`},
+		{`NOT (V > 2 AND V = NULL)`, `[1]`},
+		{`NOT (V > 2 OR V = NULL)`, `[]`},
+		{`NOT (NOT (V > 2))`, `[5]`},
+	} {
+		res := mustQuery(t, db, `SELECT V FROM T WHERE `+c.where+` ORDER BY V`)
+		var got []string
+		for _, row := range res.Rows {
+			got = append(got, row[0].String())
+		}
+		if s := fmt.Sprint(got); s != c.want {
+			t.Errorf("WHERE %s: got %s, want %s", c.where, s, c.want)
+		}
 	}
 }
 

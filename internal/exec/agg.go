@@ -61,6 +61,9 @@ type Aggregate struct {
 
 	out  *schema.Schema
 	rows []types.Tuple // the group rows not yet emitted
+	// cols are GroupBy's in-row columns then each Aggs' Arg's, by Open
+	// (see columns).
+	cols []int
 }
 
 // NewAggregate builds an aggregation operator.
@@ -92,9 +95,7 @@ type aggState struct {
 func (a *Aggregate) Open(ctx *Context) error {
 	exprs := append([]expr.Expr{}, a.GroupBy...)
 	for _, sp := range a.Aggs {
-		if sp.Arg != nil {
-			exprs = append(exprs, sp.Arg)
-		}
+		exprs = append(exprs, sp.Arg) // nil for COUNT(*): bindAll skips it
 	}
 	grantRecycling(a.Child) // groups are interned by value
 	if err := a.Child.Open(ctx); err != nil {
@@ -103,6 +104,8 @@ func (a *Aggregate) Open(ctx *Context) error {
 	if err := bindAll("Aggregate", a.Child.Schema(), exprs...); err != nil {
 		return err
 	}
+	a.cols = columns(a.cols, exprs...)
+	groupCols, argCols := a.cols[:len(a.GroupBy)], a.cols[len(a.GroupBy):]
 	// Group g's key is groups.key(g) and its states are
 	// states[g*len(a.Aggs):(g+1)*len(a.Aggs)]: a new group costs no
 	// allocation of its own, and an input row none at all.
@@ -127,7 +130,7 @@ func (a *Aggregate) Open(ctx *Context) error {
 				return fmt.Errorf("Aggregate received a pending placeholder tuple; plan rewrite must keep aggregation above ReqSync")
 			}
 			for i, g := range a.GroupBy {
-				v, err := g.Eval(ctx.Env, t)
+				v, err := read(ctx.Env, g, groupCols[i], t)
 				if err != nil {
 					return fmt.Errorf("Aggregate group key %s: %w", g, err)
 				}
@@ -144,7 +147,7 @@ func (a *Aggregate) Open(ctx *Context) error {
 					st.count++
 					continue
 				}
-				v, err := sp.Arg.Eval(ctx.Env, t)
+				v, err := read(ctx.Env, sp.Arg, argCols[i], t)
 				if err != nil {
 					return fmt.Errorf("Aggregate %s: %w", sp.Arg, err)
 				}

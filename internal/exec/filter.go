@@ -47,11 +47,11 @@ func (f *Filter) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 		}
 		out := f.win[:0]
 		for _, t := range in {
-			v, err := f.Pred.Eval(ctx.Env, t)
+			ok, err := expr.Holds(f.Pred, ctx.Env, t)
 			if err != nil {
 				return nil, false, fmt.Errorf("Filter %s: %w", f.Pred, err)
 			}
-			if v.Truthy() {
+			if ok {
 				out = append(out, t)
 			}
 		}
@@ -96,6 +96,7 @@ type Project struct {
 
 	win  []types.Tuple // the window NextBatch hands out, reused (see Batch)
 	slab rowSlab       // what the output rows are cut from
+	cols []int         // Exprs' in-row columns, by Open (see columns)
 }
 
 // NewProject builds a projection.
@@ -112,7 +113,11 @@ func (p *Project) Open(ctx *Context) error {
 	if err := p.Child.Open(ctx); err != nil {
 		return err
 	}
-	return bindAll("Project", p.Child.Schema(), p.Exprs...)
+	if err := bindAll("Project", p.Child.Schema(), p.Exprs...); err != nil {
+		return err
+	}
+	p.cols = columns(p.cols, p.Exprs...)
+	return nil
 }
 
 // recycle implements recycler: the output slab is refilled per batch.
@@ -133,7 +138,7 @@ func (p *Project) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	for _, t := range in {
 		row := p.slab.cut(width)
 		for i, e := range p.Exprs {
-			v, err := e.Eval(ctx.Env, t)
+			v, err := read(ctx.Env, e, p.cols[i], t)
 			if err != nil {
 				return nil, false, fmt.Errorf("Project %s: %w", e, err)
 			}

@@ -55,11 +55,18 @@ type hashJoin struct {
 	// NestedLoopJoin evaluates its Pred.
 	Residual expr.Expr
 
-	semi  bool
-	cut   joinCut       // the joined rows' columns and slab (not semi)
-	table *keyTable     // one entry per build row; per distinct key when semi
-	rows  []types.Tuple // the build rows, by table entry (not semi)
+	semi bool
+	cut  joinCut // the joined rows' columns and slab (not semi)
+	// table has one entry per build row, or per distinct key when semi,
+	// and rows the build rows by table entry (not semi). An Open clears
+	// and refills both, keeping their storage: a tree runs one execution
+	// at a time.
+	table *keyTable
+	rows  []types.Tuple
 	keys  []types.Value // scratch: the keys of the tuple being built or probed
+	// leftCols and rightCols are the key expressions' in-row columns, by
+	// Open (see columns).
+	leftCols, rightCols []int
 	// buf holds the probed output not yet emitted, a tail of win: the
 	// backing array is refilled only once every window cut from it has
 	// been replaced by a later NextBatch (see Batch).
@@ -131,10 +138,14 @@ func (j *hashJoin) Open(ctx *Context) error {
 	if err := bindAll(j.Name(), j.Schema(), j.Residual); err != nil {
 		return err
 	}
+	j.leftCols = columns(j.leftCols, j.LeftKeys...)
+	j.rightCols = columns(j.rightCols, j.RightKeys...)
 	start := time.Now()
-	j.table = newKeyTable(len(j.RightKeys), joinEq)
-	j.rows = nil
-	j.keys = make([]types.Value, len(j.RightKeys))
+	if j.table == nil || j.table.width != len(j.RightKeys) {
+		j.table = newKeyTable(len(j.RightKeys), joinEq)
+		j.keys = make([]types.Value, len(j.RightKeys))
+	}
+	j.release()
 	for {
 		b, ok, err := j.Right.NextBatch(ctx, ctx.BatchLen())
 		if err != nil {
@@ -144,7 +155,7 @@ func (j *hashJoin) Open(ctx *Context) error {
 			break
 		}
 		for _, rt := range b {
-			null, err := evalKeys(j.Name(), "build", j.RightKeys, ctx, rt, j.keys)
+			null, err := evalKeys(j.Name(), "build", j.RightKeys, j.rightCols, ctx, rt, j.keys)
 			if err != nil {
 				return err
 			}
@@ -164,6 +175,16 @@ func (j *hashJoin) Open(ctx *Context) error {
 	return nil
 }
 
+// release empties the build side's table and rows, keeping their storage
+// for the next Open, and lets go of this execution's keys and tuples.
+func (j *hashJoin) release() {
+	if j.table != nil {
+		j.table.reset()
+	}
+	clear(j.rows[:cap(j.rows)])
+	j.rows = j.rows[:0]
+}
+
 // recycle implements recycler. A hash join refills its joined rows' slab
 // per batch; a semi join emits its probe tuples themselves, so the grant
 // is its probe side's.
@@ -175,12 +196,14 @@ func (j *hashJoin) recycle() {
 	j.cut.slab.granted = true
 }
 
-// evalKeys evaluates a join's build- or probe-side key expressions against
-// t into vals, the join's reused scratch. null reports that a key
-// evaluated to NULL: the tuple cannot equal anything.
-func evalKeys(who, side string, keys []expr.Expr, ctx *Context, t types.Tuple, vals []types.Value) (null bool, err error) {
+// evalKeys reads a join's build- or probe-side keys over t into vals, the
+// join's reused scratch: a key that is an in-row column at cols[i] in
+// place, any other by Eval. null reports that a key is NULL: the tuple
+// cannot equal anything. A placeholder key errors here, whichever way it
+// was read.
+func evalKeys(who, side string, keys []expr.Expr, cols []int, ctx *Context, t types.Tuple, vals []types.Value) (null bool, err error) {
 	for i, k := range keys {
-		v, err := k.Eval(ctx.Env, t)
+		v, err := read(ctx.Env, k, cols[i], t)
 		if err != nil {
 			return false, fmt.Errorf("%s %s key %s: %w", who, side, k, err)
 		}
@@ -215,7 +238,7 @@ func (j *hashJoin) fill(ctx *Context, max int) error {
 			return nil
 		}
 		for _, lt := range lb {
-			null, err := evalKeys(j.Name(), "probe", j.LeftKeys, ctx, lt, j.keys)
+			null, err := evalKeys(j.Name(), "probe", j.LeftKeys, j.leftCols, ctx, lt, j.keys)
 			if err != nil {
 				return err
 			}
@@ -232,11 +255,11 @@ func (j *hashJoin) fill(ctx *Context, max int) error {
 			for ; i >= 0; i = j.table.findNext(i, j.keys) {
 				joined := j.cut.emit(lt, j.rows[i], max)
 				if j.Residual != nil {
-					v, err := j.Residual.Eval(ctx.Env, joined)
+					ok, err := expr.Holds(j.Residual, ctx.Env, joined)
 					if err != nil {
 						return fmt.Errorf("Hash Join residual %s: %w", j.Residual, err)
 					}
-					if !v.Truthy() {
+					if !ok {
 						j.cut.retract(joined)
 						continue
 					}
@@ -268,7 +291,7 @@ func (j *hashJoin) Close() error {
 		return nil
 	}
 	j.opened = false
-	j.table, j.rows = nil, nil
+	j.release()
 	j.buf, j.win = nil, nil
 	j.cut.reset()
 	j.cut.slab.close()

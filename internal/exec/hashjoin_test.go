@@ -237,6 +237,28 @@ func TestHashJoinPlaceholderKeyErrors(t *testing.T) {
 	}
 }
 
+// TestHashJoinPlaceholderKeyErrorText: a key read in place, as an in-row
+// column is, errors with the text an evaluated key always had, on either
+// side, naming the side and the key.
+func TestHashJoinPlaceholderKeyErrorText(t *testing.T) {
+	lk, rk := intCol("L", "K"), intCol("R", "K")
+	ph, one := []types.Tuple{{types.Placeholder(1, 0)}}, []types.Tuple{{types.Int(1)}}
+	for _, c := range []struct {
+		lrows, rrows []types.Tuple
+		want         string
+	}{
+		{ph, one, "Hash Join probe key L.K evaluated over pending placeholder value; plan rewrite must keep this operator above ReqSync"},
+		{one, ph, "Hash Join build key R.K evaluated over pending placeholder value; plan rewrite must keep this operator above ReqSync"},
+	} {
+		j := NewHashJoin(
+			NewValuesScan(schema.New(lk), c.lrows), NewValuesScan(schema.New(rk), c.rrows),
+			[]expr.Expr{expr.NewColRef(lk)}, []expr.Expr{expr.NewColRef(rk)}, nil)
+		if _, err := Run(NewContext(), j); err == nil || err.Error() != c.want {
+			t.Errorf("got %v, want %q", err, c.want)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // The batching win: equi-join via hash vs nested loop.
 

@@ -99,11 +99,11 @@ func (j *NestedLoopJoin) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 		for _, rt := range rb {
 			joined := j.cut.emit(j.curLeft, rt, max)
 			if j.Pred != nil {
-				v, err := j.Pred.Eval(ctx.Env, joined)
+				ok, err := expr.Holds(j.Pred, ctx.Env, joined)
 				if err != nil {
 					return nil, false, fmt.Errorf("Join %s: %w", j.Pred, err)
 				}
-				if !v.Truthy() {
+				if !ok {
 					j.cut.retract(joined)
 					continue
 				}

@@ -66,6 +66,14 @@ func keyHash(key []types.Value) uint64 {
 	return h
 }
 
+// reset removes every entry, keeping the table's storage, and lets go of
+// the keys' strings.
+func (kt *keyTable) reset() {
+	clear(kt.ends)
+	clear(kt.keys[:cap(kt.keys)])
+	kt.next, kt.keys = kt.next[:0], kt.keys[:0]
+}
+
 // len is the number of entries.
 func (kt *keyTable) len() int { return len(kt.next) }
 

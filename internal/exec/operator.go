@@ -324,6 +324,30 @@ func Refs(op Operator, set map[schema.AttrID]bool) {
 	}
 }
 
+// columns resolves, once per Open and after bindAll, which of exprs read
+// an in-row column: cols[i] is expr.Column(exprs[i]), the column's index,
+// or -1 for any other expression. It refills cols in place.
+func columns(cols []int, exprs ...expr.Expr) []int {
+	cols = cols[:0]
+	for _, e := range exprs {
+		cols = append(cols, expr.Column(e))
+	}
+	return cols
+}
+
+// read is e's value over t: the cell at col, which columns resolved, read
+// in place, or what e.Eval returns when col is -1. It is written to stay
+// within the inliner's budget, so the per-row loops that call it pay no
+// call for an in-row column.
+func read(env *expr.Env, e expr.Expr, col int, t types.Tuple) (v types.Value, err error) {
+	if uint(col) < uint(len(t)) { // col >= 0 too
+		v = t[col]
+	} else {
+		v, err = e.Eval(env, t)
+	}
+	return
+}
+
 // bindAll binds the expressions against a schema, annotating errors with
 // the operator name.
 func bindAll(name string, s *schema.Schema, exprs ...expr.Expr) error {

@@ -109,11 +109,11 @@ func (s *TableScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 			return nil, false, fmt.Errorf("TableScan(%s): %w", s.Table.Def.Name, err)
 		}
 		if s.Pred != nil {
-			v, err := s.Pred.Eval(ctx.Env, t)
+			ok, err := expr.Holds(s.Pred, ctx.Env, t)
 			if err != nil {
 				return nil, false, fmt.Errorf("Scan %s: %w", s.Pred, err)
 			}
-			if !v.Truthy() {
+			if !ok {
 				s.slab.retract(len(t))
 				continue
 			}

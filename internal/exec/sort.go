@@ -46,6 +46,7 @@ func (s *Sort) Open(ctx *Context) error {
 	if err := bindAll("Sort", s.Child.Schema(), exprs...); err != nil {
 		return err
 	}
+	cols := columns(nil, exprs...)
 	type keyed struct {
 		row  types.Tuple
 		keys []types.Value
@@ -64,7 +65,7 @@ func (s *Sort) Open(ctx *Context) error {
 		for j, t := range b {
 			ks := slab[j*len(s.Keys) : (j+1)*len(s.Keys)]
 			for i, k := range s.Keys {
-				v, err := k.Expr.Eval(ctx.Env, t)
+				v, err := read(ctx.Env, k.Expr, cols[i], t)
 				if err != nil {
 					return fmt.Errorf("Sort key %s: %w", k.Expr, err)
 				}

@@ -1,16 +1,24 @@
 // Package expr implements the scalar expression language of the engine's
 // SQL subset: column references (by stable AttrID), literals, comparison,
-// boolean logic, and arithmetic.
+// SQL's three-valued boolean logic, and arithmetic.
 //
 // Expressions are bound against an operator's input schema at Open time
-// (resolving AttrIDs to positional indexes) and then evaluated once per
-// tuple. Column references that are not found in the input schema are
-// treated as correlated outer references and resolved from the evaluation
-// environment — this is how dependent joins (Section 4 of the WSQ/DSQ
-// paper) supply bindings to virtual table scans.
+// (resolving AttrIDs to positional indexes). Column references that are
+// not found in the input schema are treated as correlated outer references
+// and resolved from the evaluation environment — this is how dependent
+// joins (Section 4 of the WSQ/DSQ paper) supply bindings to virtual table
+// scans.
+//
+// The package also decides how an operator reads a bound expression per
+// row. A predicate is tested with Holds, which decides a comparison of an
+// in-row column with a literal or another in-row column in place when
+// both cells are ints or both strings, and evaluates everything else. A
+// value is read in place when Column names its in-row index, and
+// evaluated otherwise.
 package expr
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -65,7 +73,9 @@ type Expr interface {
 	// Bind resolves column references against the input schema. References
 	// not present in the schema become outer (correlated) references.
 	Bind(s *schema.Schema) error
-	// Eval computes the expression over one input tuple.
+	// Eval computes the expression over one input tuple. It is the
+	// reference semantics of every node; operators reach it through Holds
+	// for a predicate and, for a value, when Column names no in-row index.
 	Eval(env *Env, row types.Tuple) (types.Value, error)
 	// CollectAttrs adds every AttrID the expression references to set.
 	CollectAttrs(set map[schema.AttrID]bool)
@@ -122,6 +132,18 @@ func (c *ColRef) Eval(env *Env, row types.Tuple) (types.Value, error) {
 		return types.Value{}, fmt.Errorf("column %s index %d out of range for tuple of width %d", c.Col.QualifiedName(), c.idx, len(row))
 	}
 	return row[c.idx], nil
+}
+
+// Column returns the index of the input column e reads when e is a column
+// reference its latest Bind found in the input schema, and -1 for any
+// other expression: an outer reference, an unbound one, a literal or a
+// computation. An operator resolves it once per Open, after binding, and
+// then reads row[i] in place of Eval.
+func Column(e Expr) int {
+	if c, ok := e.(*ColRef); ok && c.bnd && !c.out {
+		return c.idx
+	}
+	return -1
 }
 
 // CollectAttrs implements Expr.
@@ -209,21 +231,126 @@ func (o CmpOp) String() string {
 	}
 }
 
+// mirror returns the operator that compares the same two operands
+// swapped: 5 < X is X > 5.
+func (o CmpOp) mirror() CmpOp {
+	switch o {
+	case LT:
+		return GT
+	case LE:
+		return GE
+	case GT:
+		return LT
+	case GE:
+		return LE
+	default:
+		return o
+	}
+}
+
 // Cmp compares two subexpressions.
 type Cmp struct {
 	Op   CmpOp
 	L, R Expr
+
+	// The shape its latest Bind found (see test): an in-row column at li
+	// against the literal lit, or against the in-row column at ri, compared
+	// by op — Op, mirrored when the literal is on the left.
+	shape cmpShape
+	op    CmpOp
+	li    int
+	ri    int
+	lit   types.Value
 }
+
+// cmpShape is what a Cmp's Bind found its operands to be.
+type cmpShape uint8
+
+const (
+	cmpOther  cmpShape = iota // anything else: test always evaluates
+	cmpColLit                 // an in-row column and a literal
+	cmpColCol                 // two in-row columns
+)
 
 // NewCmp builds a comparison node.
 func NewCmp(op CmpOp, l, r Expr) *Cmp { return &Cmp{Op: op, L: l, R: r} }
 
-// Bind implements Expr.
+// Bind implements Expr. It records the comparison's shape anew at every
+// Bind, so a re-bound Cmp reads the indexes its operands now have.
 func (c *Cmp) Bind(s *schema.Schema) error {
+	c.shape = cmpOther
 	if err := c.L.Bind(s); err != nil {
 		return err
 	}
-	return c.R.Bind(s)
+	if err := c.R.Bind(s); err != nil {
+		return err
+	}
+	c.li, c.ri, c.op = Column(c.L), Column(c.R), c.Op
+	llit, lok := c.L.(*Literal)
+	rlit, rok := c.R.(*Literal)
+	switch {
+	case c.li >= 0 && c.ri >= 0:
+		c.shape = cmpColCol
+	case c.li >= 0 && rok:
+		c.shape, c.lit = cmpColLit, rlit.Val
+	case c.ri >= 0 && lok:
+		c.shape, c.li, c.lit, c.op = cmpColLit, c.ri, llit.Val, c.Op.mirror()
+	}
+	return nil
+}
+
+// test decides c over row in place: when its latest Bind found an in-row
+// column against a literal or another in-row column, and both cells are
+// ints or both strings, it compares them as int64s or strings, which is
+// what Value.Compare does for those kinds. ok is false in every other
+// case — NULL, a placeholder, a float, mixed kinds, a row too short, an
+// unknown operator — and the caller evaluates.
+func (c *Cmp) test(row types.Tuple) (holds, ok bool) {
+	var a, b *types.Value
+	switch c.shape {
+	case cmpColLit:
+		if c.li >= len(row) {
+			return false, false
+		}
+		a, b = &row[c.li], &c.lit
+	case cmpColCol:
+		if c.li >= len(row) || c.ri >= len(row) {
+			return false, false
+		}
+		a, b = &row[c.li], &row[c.ri]
+	default:
+		return false, false
+	}
+	switch {
+	case a.Kind != b.Kind:
+		return false, false
+	case a.Kind == types.KindInt:
+		return compareAs(c.op, a.I, b.I)
+	case a.Kind == types.KindString:
+		return compareAs(c.op, a.S, b.S)
+	default:
+		return false, false
+	}
+}
+
+// compareAs applies op to two cells of one ordered Go type.
+func compareAs[T cmp.Ordered](op CmpOp, x, y T) (holds, ok bool) {
+	switch op {
+	case EQ:
+		return x == y, true
+	case NE:
+		return x != y, true
+	case LT:
+		return x < y, true
+	case LE:
+		return x <= y, true
+	case GT:
+		return x > y, true
+	case GE:
+		return x >= y, true
+	default:
+		return false, false
+	}
 }
 
 // Eval implements Expr. Comparisons involving NULL yield NULL (not truthy).
@@ -288,7 +415,11 @@ const (
 	Not
 )
 
-// Logic combines boolean subexpressions.
+// Logic combines boolean subexpressions under SQL's three-valued (Kleene)
+// logic: an argument is NULL when it evaluates to NULL, else TRUE or FALSE
+// by Value.Truthy. AND is FALSE if any argument is FALSE, else NULL if any
+// is NULL, else TRUE; OR is its dual; NOT NULL is NULL. So NOT (V > 2)
+// keeps no row whose V is NULL.
 type Logic struct {
 	Op   LogicOp
 	Args []Expr // one arg for Not, two or more for And/Or
@@ -339,39 +470,54 @@ func (l *Logic) Bind(s *schema.Schema) error {
 	return nil
 }
 
-// Eval implements Expr with short-circuit semantics.
+// Eval implements Expr: TRUE and FALSE as Bool, unknown as NULL. AND
+// stops at its first FALSE argument and OR at its first TRUE one, never
+// evaluating the rest.
 func (l *Logic) Eval(env *Env, row types.Tuple) (types.Value, error) {
-	switch l.Op {
-	case And:
-		for _, a := range l.Args {
-			v, err := a.Eval(env, row)
-			if err != nil {
-				return types.Value{}, err
-			}
-			if !v.Truthy() {
-				return types.Bool(false), nil
-			}
-		}
-		return types.Bool(true), nil
-	case Or:
-		for _, a := range l.Args {
-			v, err := a.Eval(env, row)
-			if err != nil {
-				return types.Value{}, err
-			}
-			if v.Truthy() {
-				return types.Bool(true), nil
-			}
-		}
-		return types.Bool(false), nil
-	case Not:
-		v, err := l.Args[0].Eval(env, row)
-		if err != nil {
-			return types.Value{}, err
-		}
-		return types.Bool(!v.Truthy()), nil
+	t, err := l.truth(env, row)
+	switch {
+	case err != nil:
+		return types.Value{}, err
+	case t == unknown:
+		return types.Null(), nil
 	default:
-		return types.Value{}, fmt.Errorf("unknown logic op %d", l.Op)
+		return types.Bool(t == isTrue), nil
+	}
+}
+
+// truth is the connective's three-valued result, its arguments read by
+// truthOf.
+func (l *Logic) truth(env *Env, row types.Tuple) (truth, error) {
+	switch l.Op {
+	case Not:
+		t, err := truthOf(l.Args[0], env, row)
+		if err != nil || t == unknown {
+			return t, err
+		}
+		return isTrue - t, nil
+	case And, Or:
+		// decided is the value that settles the connective on its own;
+		// all arguments known and none of them decided gives the other.
+		decided := isFalse
+		if l.Op == Or {
+			decided = isTrue
+		}
+		out := isTrue - decided
+		for _, a := range l.Args {
+			t, err := truthOf(a, env, row)
+			if err != nil {
+				return isFalse, err
+			}
+			if t == decided {
+				return t, nil
+			}
+			if t == unknown {
+				out = unknown
+			}
+		}
+		return out, nil
+	default:
+		return isFalse, fmt.Errorf("unknown logic op %d", l.Op)
 	}
 }
 
@@ -572,6 +718,59 @@ func (a *Arith) Type() schema.Type {
 // String implements Expr.
 func (a *Arith) String() string {
 	return fmt.Sprintf("(%s %s %s)", a.L, a.Op, a.R)
+}
+
+// ---------------------------------------------------------------------------
+// Predicates
+
+// truth is a predicate's three-valued result.
+type truth uint8
+
+const (
+	isFalse truth = 0
+	unknown truth = 1
+	isTrue  truth = 2
+)
+
+// Holds reports whether predicate e is TRUE over row; a row it is FALSE or
+// unknown (NULL) for fails it. It is the one way an operator asks whether
+// a predicate holds. A comparison of an in-row column with a literal or
+// another in-row column whose cells are both ints or both strings is
+// decided in place, AND, OR and NOT combine their arguments' results
+// under three-valued logic (so Holds(NOT x) is not !Holds(x)), and every
+// other case goes through Eval and Value.Truthy: NULL, a placeholder,
+// which errors as Eval does, a float, mixed kinds, an outer reference and
+// any other node. So Holds(e) is Eval(e).Truthy(), and errors exactly when
+// Eval does.
+func Holds(e Expr, env *Env, row types.Tuple) (bool, error) {
+	t, err := truthOf(e, env, row)
+	return t == isTrue, err
+}
+
+// truthOf is e's three-valued result over row (see Holds).
+func truthOf(e Expr, env *Env, row types.Tuple) (truth, error) {
+	switch n := e.(type) {
+	case *Cmp:
+		if holds, ok := n.test(row); ok {
+			if holds {
+				return isTrue, nil
+			}
+			return isFalse, nil
+		}
+	case *Logic:
+		return n.truth(env, row)
+	}
+	v, err := e.Eval(env, row)
+	switch {
+	case err != nil:
+		return isFalse, err
+	case v.IsNull():
+		return unknown, nil
+	case v.Truthy():
+		return isTrue, nil
+	default:
+		return isFalse, nil
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -97,9 +97,14 @@ func NewPeers(self string, cfg Config, opt PeerOptions) *Peers {
 }
 
 // Update replaces the membership view (pushed by the coordinator on
-// reload or drain). Safe concurrently with Fetch.
-func (p *Peers) Update(members []Member) {
-	p.ring.Store(NewRing(members, p.vnodes))
+// reload or drain) with a ring of vnodes virtual nodes per member, so the
+// worker homes keys where the coordinator routes them; 0 keeps the count
+// the peer client was built with. Safe concurrently with Fetch.
+func (p *Peers) Update(members []Member, vnodes int) {
+	if vnodes <= 0 {
+		vnodes = p.vnodes
+	}
+	p.ring.Store(NewRing(members, vnodes))
 }
 
 // Ring returns the current membership view.

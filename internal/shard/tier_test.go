@@ -349,6 +349,26 @@ func TestTierIdenticalQueriesOneEngineCall(t *testing.T) {
 	}
 }
 
+// TestTierWorkerRingsFollowTheCoordinator: the coordinator pushes its
+// virtual-node count with the membership, so every worker's ring, which
+// decides a key's home, names the owner the coordinator's ring names.
+// startTierSpec's coordinator uses 32 virtual nodes and its workers'
+// peer clients default to 64.
+func TestTierWorkerRingsFollowTheCoordinator(t *testing.T) {
+	env := startTierSpec(t, tierSpec{n: 3, model: search.ZeroLatency()})
+	coord := env.coord.ring()
+	for _, nd := range env.nodes {
+		ring := nd.peers.Ring()
+		for i := 0; i < 1000; i++ {
+			key := webCountKey(fmt.Sprintf("state%d near term%d", i%50, i))
+			want, _ := coord.Owner(key)
+			if got, _ := ring.Owner(key); got.ID != want.ID {
+				t.Fatalf("%s: key %q homes on %s, the coordinator's ring says %s", nd.id, key, got.ID, want.ID)
+			}
+		}
+	}
+}
+
 // TestTierBudgetSplitReachesWorkers: coordinator Sync pushes
 // ceil(budget/N) to every worker's pump, and re-splits after a drain.
 func TestTierBudgetSplitReachesWorkers(t *testing.T) {

@@ -269,7 +269,7 @@ func (w *Worker) handleMembership(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if w.opt.Peers != nil {
-		w.opt.Peers.Update(req.Workers)
+		w.opt.Peers.Update(req.Workers, req.VNodes)
 	}
 	rw.WriteHeader(http.StatusNoContent)
 }

@@ -144,7 +144,7 @@ func newHomeTier(t *testing.T, opt PeerOptions) *homeTier {
 	t.Cleanup(homePeers.Close)
 	h.home, h.srv = newProtoWorker(t, WorkerOptions{ID: "home", Cache: c, Pump: h.pump, Peers: homePeers})
 	members := []Member{{ID: "home", URL: h.srv.URL}, {ID: "me", URL: "http://unused.invalid"}}
-	homePeers.Update(members)
+	homePeers.Update(members, 0)
 	h.peers = NewPeers("me", Config{Workers: members, VNodes: 16}, opt)
 	t.Cleanup(h.peers.Close)
 	return h
@@ -405,6 +405,9 @@ func TestWorkerMembershipUpdatesPeers(t *testing.T) {
 	}
 	if peers.Ring().Len() != 3 {
 		t.Errorf("peer ring has %d members, want 3", peers.Ring().Len())
+	}
+	if v := peers.Ring().vnodes; v != 16 {
+		t.Errorf("peer ring has %d virtual nodes per member, want the pushed 16", v)
 	}
 }
 
