@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-race race-loop-reuse race-loop-pump synctest check fuzz fuzzqe-smoke bench bench-once bench-check table1 examples clean
+.PHONY: all build vet lint lockrank test test-race race-loop-reuse race-loop-pump synctest check fuzz fuzzqe-smoke bench bench-once bench-check table1 examples clean
 
 all: build check
 
@@ -12,15 +12,25 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-invariant static analysis (cmd/wsqlint), four rules over one
-# shared call graph: context flow, seeded randomness, lock scope,
-# lock-order cycles. Each is kept because a mutant of the real tree gets
-# past every test (the table in DESIGN.md "Static invariants"). Exits
+# Project-invariant static analysis (cmd/wsqlint), three rules over one
+# shared call graph: context flow, seeded randomness, lock scope. Each is
+# kept because a mutant of the real tree gets past every test (the table
+# in DESIGN.md "Static invariants"). Exits
 # non-zero on any diagnostic; there is no waiver comment. Goroutine leaks
 # are a test's business: internal/{async,core,server,shard,harness,fuzzqe}
 # have a leakcheck.Main TestMain, so each `go test` below runs that gate.
 lint:
 	$(GO) run ./cmd/wsqlint ./...
+
+# Lock order (about 17 s; the same tests take 7 s untagged): the tests of
+# the packages whose mutexes are ranked, built with internal/lockrank's
+# checked mutexes. A goroutine that takes a lock whose rank is not above
+# every lock it holds ends the test binary with the rank pair and both
+# acquisition stacks, the first time a test runs that path: a latent
+# deadlock fails even when the opposite order, its other half, never
+# runs.
+lockrank:
+	$(GO) test -tags lockrank ./internal/lockrank ./internal/core ./internal/async ./internal/cache ./internal/shard ./internal/server
 
 # The non-race run is the one that holds the allocation budgets
 # (internal/core TestAllocationBudget skips itself under -race, whose
@@ -76,8 +86,8 @@ race-loop-pump:
 synctest:
 	GOEXPERIMENT=synctest $(GO) test ./internal/harness ./internal/async
 
-# Full gate: gofmt-clean tree + vet + wsqlint + the whole suite under the
-# race detector + both race loops + the simulated-time tests + the
+# Full gate: gofmt-clean tree + vet + wsqlint + the lock-order check + the
+# whole suite under the race detector + both race loops + the simulated-time tests + the
 # allocation budgets without the detector,
 # traced warm query, the retry-policy round, the /query decoder and the
 # cold buffer-pool scan included + every package benchmark run once + a
@@ -90,6 +100,7 @@ check:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(MAKE) lint
+	$(MAKE) lockrank
 	$(GO) test -race ./...
 	$(MAKE) race-loop-reuse
 	$(MAKE) race-loop-pump

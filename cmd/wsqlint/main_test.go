@@ -34,7 +34,7 @@ func TestListExitsZero(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("run(-list) = %d, want 0", code)
 	}
-	for _, rule := range []string{"ctxflow", "seededrand", "lockscope", "lockorder"} {
+	for _, rule := range []string{"ctxflow", "seededrand", "lockscope"} {
 		if !containsLine(out, rule) {
 			t.Errorf("-list output missing rule %s:\n%s", rule, out)
 		}

@@ -1,27 +1,28 @@
 package async
 
 import (
-	"sync"
 	"time"
 
+	"repro/internal/lockrank"
 	"repro/internal/obs"
 	"repro/internal/types"
 )
 
 // CallTrace records one pump call's lifecycle for a sampled query's
 // distributed trace: registration, queue wait, each physical execution
-// (first attempt, retries, hedges), and the final outcome. Records are
-// created by RegisterCtx only when the call's context carries a sampled
-// obs.TraceCtx — an untraced call carries a nil pointer and every
-// recording site is a nil check.
+// (first attempt, retries, hedges), and the final outcome. registerLocked
+// creates one for every registration whose context carries a sampled
+// obs.TraceCtx — RegisterCtx, Request and RequestRound alike — and an
+// untraced call carries a nil pointer, so every recording site is a nil
+// check.
 //
 // A CallTrace is written by pump goroutines (dispatch, run, the retry
 // timers) while the query goroutine may be converting it to a span, so
-// it carries its own mutex. Lock ordering: pump code may touch a
-// CallTrace while holding p.mu (CallTrace methods take only ct.mu and
-// never call back into the pump), but never the reverse.
+// it carries its own mutex, ranked after p.mu in internal/lockrank's
+// table: pump code records under p.mu, and CallTrace methods take only
+// ct.mu and never call back into the pump.
 type CallTrace struct {
-	mu         sync.Mutex
+	mu         lockrank.CallTraceMu
 	dest       string
 	key        string
 	registered time.Time

@@ -25,7 +25,7 @@ func TestHedgeAfterCancelTakesNoSlot(t *testing.T) {
 			p.Close()
 			p.Quiesce()
 		}()
-		p.SetRetryPolicy(RetryPolicy{MaxAttempts: 1, HedgeAfter: 10 * time.Millisecond, MaxHedges: 1})
+		p.SetRetryPolicy(RetryPolicy{MaxAttempts: 1, HedgeAfter: 10 * time.Millisecond})
 		ctx, cancel := context.WithCancel(context.Background())
 		p.RegisterCtx(ctx, "d", "k", func() ([]types.Tuple, error) {
 			time.Sleep(50 * time.Millisecond)

@@ -198,7 +198,7 @@ func TestPumpGoroutineBound(t *testing.T) {
 	const k, clients, rounds, n = 4, 4, 150, 8
 	p := NewPump(k, k-1, nil)
 	defer p.Close()
-	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 2, HedgeAfter: 50 * time.Microsecond, MaxHedges: 1})
+	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 2, HedgeAfter: 50 * time.Microsecond})
 	var mu sync.Mutex
 	ran := map[string]int{}
 	fn := func(fail bool) func() ([]types.Tuple, error) {

@@ -3,8 +3,8 @@ package async
 import (
 	"context"
 	"fmt"
-	"sync"
 
+	"repro/internal/lockrank"
 	"repro/internal/types"
 )
 
@@ -12,10 +12,11 @@ import (
 // (a ReqSync, or one synchronous call's wait) has claimed: settlement
 // appends the call under the mailbox's own lock and leaves a token in
 // signal, and the owner takes what arrived, and waits for a token, without
-// the pump's lock. Lock order: p.mu, then mu. A token may be stale: the
-// owner looks before it waits, and waits again if it found nothing.
+// the pump's lock. Lock order (internal/lockrank): p.mu, then mu. A token
+// may be stale: the owner looks before it waits, and waits again if it
+// found nothing.
 type mailbox struct {
-	mu     sync.Mutex
+	mu     lockrank.MailboxMu
 	got    []*call
 	signal chan struct{}
 }

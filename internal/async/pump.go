@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/lockrank"
 	"repro/internal/obs"
 	"repro/internal/search"
 	"repro/internal/types"
@@ -55,7 +56,7 @@ type CallResult struct {
 // so competing queries divide the same call budget exactly as Section 4.1
 // envisions for a multi-user system.
 type Pump struct {
-	mu sync.Mutex
+	mu lockrank.PumpMu
 
 	maxTotal int
 	maxDest  int
@@ -181,10 +182,11 @@ type call struct {
 
 	// Where the call's executions stand, all guarded by p.mu. attempt is
 	// the current attempt (0 is the first), and a retry is not due before
-	// enqueued; over is set once the call has its outcome; hedges counts
-	// the current attempt's hedges, and deadline and hedger are its timers.
-	over             bool
-	attempt, hedges  int32
+	// enqueued; over is set once the call has its outcome; hedged is set
+	// once the current attempt's one hedge has launched, and deadline and
+	// hedger are its timers.
+	over, hedged     bool
+	attempt          int32
 	deadline, hedger *time.Timer
 }
 
@@ -835,7 +837,7 @@ func (p *Pump) endAttemptLocked(c *call, res CallResult) {
 	if IsTransient(res.Err) && int(c.attempt)+1 < pol.MaxAttempts && p.wantedLocked(c) != nil {
 		if !p.closed.Load() {
 			c.attempt++
-			c.hedges = 0
+			c.hedged = false
 			d := p.jitteredBackoff(*pol, int(c.attempt)-1)
 			c.state, c.enqueued = callQueued, p.now()+d
 			p.queue = append(p.queue, c)
@@ -897,8 +899,8 @@ func (p *Pump) expire(c *call, attempt int32, d time.Duration) {
 // hedge is the hedge timer of c's attempt: while the attempt is undecided
 // and wanted it starts a duplicate execution if a slot is free right now
 // — a hedge never queues, or it would starve other destinations' queued
-// calls — on a parked goroutine if one is receiving, and re-arms while
-// the attempt may hedge again.
+// calls — on a parked goroutine if one is receiving, and re-arms until
+// the attempt's one hedge has launched.
 func (p *Pump) hedge(c *call, attempt int32) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -908,7 +910,7 @@ func (p *Pump) hedge(c *call, attempt int32) {
 	if !p.closed.Load() && p.activeTotal < p.maxTotal && int(c.dest.active.Load()) < c.dest.limit && p.wantedLocked(c) != nil {
 		p.grabTokenLocked(c.dest)
 		c.dest.count(evHedge)
-		c.hedges++
+		c.hedged = true
 		e := execution{c: c, attempt: attempt, hedge: true}
 		select {
 		case p.work <- e:
@@ -917,8 +919,8 @@ func (p *Pump) hedge(c *call, attempt int32) {
 			go p.run(e)
 		}
 	}
-	if pol := p.policy.Load(); int(c.hedges) < pol.MaxHedges {
-		c.hedger.Reset(pol.HedgeAfter)
+	if !c.hedged {
+		c.hedger.Reset(p.policy.Load().HedgeAfter)
 	}
 }
 

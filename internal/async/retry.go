@@ -43,26 +43,19 @@ type RetryPolicy struct {
 	// holding its concurrency slot until the engine actually returns — and
 	// counts as a transient failure.
 	CallTimeout time.Duration
-	// HedgeAfter, when positive, launches a duplicate request if an attempt
-	// has not completed within this duration; the first result (original or
-	// hedge) wins. Duplicates are only launched when a concurrency slot is
-	// free, so hedging never starves other destinations.
+	// HedgeAfter, when positive, launches one duplicate request if an
+	// attempt has not completed within this duration; the first result
+	// (original or hedge) wins. The duplicate is only launched when a
+	// concurrency slot is free, so hedging never starves other
+	// destinations: until one is, the attempt checks again every
+	// HedgeAfter.
 	HedgeAfter time.Duration
-	// MaxHedges bounds duplicates per attempt (default 1 when HedgeAfter is
-	// set).
-	MaxHedges int
 }
 
 // normalized fills the policy's implied defaults.
 func (p RetryPolicy) normalized() RetryPolicy {
 	if p.MaxAttempts < 1 {
 		p.MaxAttempts = 1
-	}
-	if p.HedgeAfter > 0 && p.MaxHedges < 1 {
-		p.MaxHedges = 1
-	}
-	if p.HedgeAfter <= 0 {
-		p.MaxHedges = 0
 	}
 	return p
 }

@@ -184,7 +184,7 @@ func TestCallTimeoutExhaustionIsTransientError(t *testing.T) {
 
 func TestHedgeWinsAgainstSlowPrimary(t *testing.T) {
 	p := newPump(t, 8, 8, nil)
-	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 1, HedgeAfter: 10 * time.Millisecond, MaxHedges: 1})
+	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 1, HedgeAfter: 10 * time.Millisecond})
 	var mu sync.Mutex
 	calls := 0
 	release := make(chan struct{})
@@ -216,7 +216,7 @@ func TestHedgeRespectsDestinationLimit(t *testing.T) {
 	// One slot for the destination: the primary occupies it, so the hedge
 	// must never launch.
 	p := newPump(t, 8, 1, nil)
-	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 1, HedgeAfter: 5 * time.Millisecond, MaxHedges: 1})
+	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 1, HedgeAfter: 5 * time.Millisecond})
 	var mu sync.Mutex
 	calls := 0
 	id := p.RegisterCtx(context.Background(), "d", "k", func() ([]types.Tuple, error) {

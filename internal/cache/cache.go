@@ -7,15 +7,15 @@ package cache
 
 import (
 	"container/list"
-	"sync"
 
+	"repro/internal/lockrank"
 	"repro/internal/obs"
 	"repro/internal/types"
 )
 
 // Cache is a fixed-capacity LRU map from call keys to result rows.
 type Cache struct {
-	mu        sync.Mutex
+	mu        lockrank.CacheMu
 	cap       int
 	items     map[string]*list.Element
 	lru       *list.List // of *entry; front = most recently used

@@ -22,13 +22,13 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/async"
 	"repro/internal/cache"
 	"repro/internal/catalog"
 	"repro/internal/exec"
+	"repro/internal/lockrank"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/schema"
@@ -83,12 +83,12 @@ type DB struct {
 	async atomic.Bool
 	// mu serializes writers (CREATE/DROP/INSERT mutate catalog state and
 	// heap pages) against concurrently running readers (SELECT/UNION).
-	mu sync.RWMutex
+	mu lockrank.DBMu
 
 	// idle holds, per exact statement text, the finished trees no query is
 	// running, all planned under version idleAt (DESIGN.md §5, "Plan
 	// reuse"). planMu guards both; it is a leaf taken under mu's read lock.
-	planMu sync.Mutex
+	planMu lockrank.DBPlanMu
 	idle   map[string][]*tree
 	idleAt uint64
 	epoch  atomic.Uint64 // SetAsync's share of version()

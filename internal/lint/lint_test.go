@@ -139,7 +139,6 @@ var fixtureCases = []struct {
 	{"seededrand_allowed", "repro/internal/search", []string{"seededrand"}},
 	{"lockscope", "repro/internal/server", []string{"lockscope"}},
 	{"lockscope_pump", "repro/internal/async", []string{"lockscope"}},
-	{"lockorder", "repro/internal/server", []string{"lockorder"}},
 }
 
 func TestFixtures(t *testing.T) {
@@ -174,7 +173,7 @@ func TestEveryRuleFiresOnItsFixture(t *testing.T) {
 // TestRuleMetadata pins the suite composition and that every rule has a
 // one-line doc (used by wsqlint -list).
 func TestRuleMetadata(t *testing.T) {
-	want := []string{"ctxflow", "seededrand", "lockscope", "lockorder"}
+	want := []string{"ctxflow", "seededrand", "lockscope"}
 	got := RuleNames(AllRules())
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("AllRules() = %v, want %v", got, want)

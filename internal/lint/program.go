@@ -55,8 +55,6 @@ type CallEdge struct {
 	// InFuncLit marks calls written inside a function literal: they run
 	// at some later invocation, not when the enclosing body does.
 	InFuncLit bool
-	// GoCall marks the operand of a `go` statement.
-	GoCall bool
 }
 
 // BuildProgram indexes the packages and resolves their call graphs.
@@ -151,7 +149,6 @@ func objKey(obj types.Object) string {
 func (p *Program) resolveCalls(fi *FuncInfo) {
 	pkg := fi.Pkg
 	litDepth := 0
-	inGo := map[*ast.CallExpr]bool{}
 	var walk func(n ast.Node)
 	walk = func(n ast.Node) {
 		ast.Inspect(n, func(c ast.Node) bool {
@@ -161,10 +158,8 @@ func (p *Program) resolveCalls(fi *FuncInfo) {
 				walk(x.Body)
 				litDepth--
 				return false
-			case *ast.GoStmt:
-				inGo[x.Call] = true
 			case *ast.CallExpr:
-				edge := CallEdge{Call: x, InFuncLit: litDepth > 0, GoCall: inGo[x]}
+				edge := CallEdge{Call: x, InFuncLit: litDepth > 0}
 				edge.Target = p.resolveTarget(pkg, x)
 				fi.Calls = append(fi.Calls, edge)
 			}

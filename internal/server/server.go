@@ -39,13 +39,13 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/async"
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/lockrank"
 	"repro/internal/obs"
 )
 
@@ -107,7 +107,7 @@ type Server struct {
 
 	// mu guards the admission gauges. They and the counters below are the
 	// server's one record: /statusz and /metrics both read it.
-	mu     sync.Mutex
+	mu     lockrank.ServerMu
 	queued int
 	active int
 
@@ -118,7 +118,7 @@ type Server struct {
 	latency    *obs.Histogram
 	maxLatency atomic.Int64
 
-	logMu sync.Mutex // serializes RequestLog lines
+	logMu lockrank.ServerLogMu // serializes RequestLog lines
 
 	sampler *obs.Sampler
 	traces  *obs.TraceSink

@@ -9,10 +9,10 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/lockrank"
 	"repro/internal/obs"
 )
 
@@ -60,7 +60,7 @@ type Coordinator struct {
 	sampler *obs.Sampler
 	traces  *obs.TraceSink
 
-	mu      sync.Mutex
+	mu      lockrank.CoordinatorMu
 	cfg     Config
 	live    *Ring
 	drained map[string]bool
