@@ -94,8 +94,9 @@ synctest:
 # fuzz smoke + the nested benchmark module. The concurrency
 # tests (shared-pump server, concurrent Exec) only bite with -race; wsqlint
 # enforces the invariants the race detector can only sample; the fuzz
-# targets guard the parser and evaluator crash-freedom contracts and hold
-# the /query decoder to encoding/json (corpus seeds live in testdata/fuzz/).
+# targets guard the parser and evaluator crash-freedom contracts, hold
+# the /query decoder to encoding/json and the scan's two-half record
+# decoder to a plain full decode (corpus seeds live in testdata/fuzz/).
 check:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
@@ -113,6 +114,7 @@ check:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz FuzzEval -fuzztime 10s ./internal/expr
 	$(GO) test -run '^$$' -fuzz FuzzDecodeQueryResponse -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzDecodeTuple -fuzztime 10s ./internal/types
 	$(MAKE) fuzzqe-smoke
 	$(MAKE) bench-check
 
@@ -133,11 +135,12 @@ bench-check:
 bench-once:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
-# Longer fuzzing session for the three targets.
+# Longer fuzzing session for the four targets.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 2m ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz FuzzEval -fuzztime 2m ./internal/expr
 	$(GO) test -run '^$$' -fuzz FuzzDecodeQueryResponse -fuzztime 2m ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzDecodeTuple -fuzztime 2m ./internal/types
 
 # Plan-equivalence fuzz smoke (~30s): a seeded, coverage-steered run of
 # the differential harness — five plan regimes per query checked against

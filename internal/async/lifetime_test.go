@@ -23,28 +23,29 @@ import (
 // parks, while the round is being registered.
 func runRound(t *testing.T, p *Pump, n int, gate chan struct{}, fn func() ([]types.Tuple, error)) {
 	t.Helper()
-	ids := make([]types.CallID, n)
-	for i := range ids {
-		ids[i] = p.RegisterCtx(context.Background(), "d", fmt.Sprintf("k%d", i), func() ([]types.Tuple, error) {
-			if gate != nil {
-				<-gate
+	within(t, p, 5*time.Second, "a round", func() error {
+		ids := make([]types.CallID, n)
+		for i := range ids {
+			ids[i] = p.RegisterCtx(context.Background(), "d", fmt.Sprintf("k%d", i), func() ([]types.Tuple, error) {
+				if gate != nil {
+					<-gate
+				}
+				return fn()
+			})
+		}
+		if gate != nil {
+			close(gate)
+		}
+		for _, id := range ids {
+			if _, err := p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{id: true}); err != nil {
+				return fmt.Errorf("await call %d: %v (%s)", id, err, pumpState(p))
 			}
-			return fn()
-		})
-	}
-	if gate != nil {
-		close(gate)
-	}
-	bound, stop := context.WithTimeout(context.Background(), 5*time.Second)
-	defer stop()
-	for _, id := range ids {
-		if _, err := p.AwaitAnyCtx(bound, map[types.CallID]bool{id: true}); err != nil {
-			t.Fatalf("await call %d: %v (%s)", id, err, pumpState(p))
+			if res, ok := p.Take(id); !ok || res.Err != nil {
+				return fmt.Errorf("call %d: taken=%v err=%v", id, ok, res.Err)
+			}
 		}
-		if res, ok := p.Take(id); !ok || res.Err != nil {
-			t.Fatalf("call %d: taken=%v err=%v", id, ok, res.Err)
-		}
-	}
+		return nil
+	})
 }
 
 // quiesceWithin runs p.Quiesce and fails the test by name if it has not
@@ -52,15 +53,55 @@ func runRound(t *testing.T, p *Pump, n int, gate chan struct{}, fn func() ([]typ
 // slot, would otherwise hang the test binary.
 func quiesceWithin(t *testing.T, p *Pump, d time.Duration) {
 	t.Helper()
+	within(t, p, d, "Quiesce", func() error { p.Quiesce(); return nil })
+}
+
+// within runs f on a goroutine of its own and fails the test with f's
+// error, or by name and with the pump's state if f has not returned within
+// d. A context bounds only a wait that watches it: a goroutine blocked on
+// a lock — a pump/mailbox lock inversion — would otherwise hang the test
+// binary until go test's timeout.
+func within(t *testing.T, p *Pump, d time.Duration, what string, f func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- f() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(d):
+		t.Fatalf("%s did not return within %v (%s)", what, d, stateWithin(p, time.Second))
+	}
+}
+
+// closeWithin is a test's deferred p.Close, failing the test if Close has
+// not returned within d: after a failure on a deadlocked pump, Close would
+// block on its lock and hang the test binary.
+func closeWithin(t *testing.T, p *Pump, d time.Duration) {
+	t.Helper()
 	done := make(chan struct{})
 	go func() {
-		p.Quiesce()
+		p.Close()
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(d):
-		t.Fatalf("Quiesce did not return within %v (%s)", d, pumpState(p))
+		t.Errorf("Close did not return within %v", d)
+	}
+}
+
+// stateWithin is pumpState(p), or says that it was not read within d: a
+// deadlocked pump may hold the lock that reading it takes.
+func stateWithin(p *Pump, d time.Duration) string {
+	st := make(chan string, 1)
+	go func() { st <- pumpState(p) }()
+	select {
+	case s := <-st:
+		return s
+	case <-time.After(d):
+		return fmt.Sprintf("pump state not read within %v: its lock is held", d)
 	}
 }
 
@@ -96,7 +137,7 @@ func waitReceiving(t *testing.T, ids map[string]int) {
 func TestPumpReusesExecutionGoroutines(t *testing.T) {
 	const n, k = 40, 4
 	p := NewPump(k, k, nil)
-	defer p.Close()
+	defer closeWithin(t, p, 5*time.Second)
 	var mu sync.Mutex
 	ran := map[string]int{}
 	for round := 0; round < 2; round++ {
@@ -125,7 +166,7 @@ func TestPumpReusesExecutionGoroutines(t *testing.T) {
 func TestQuiesceRetiresParkedGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	p := NewPump(8, 8, nil)
-	defer p.Close()
+	defer closeWithin(t, p, 5*time.Second)
 	noop := func() ([]types.Tuple, error) { return nil, nil }
 
 	runRound(t, p, 50, nil, noop)
@@ -151,7 +192,7 @@ func TestQuiesceRacingCompletionsNeverHangs(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	const n, k = 16, 4
 	p := NewPump(k, k, nil)
-	defer p.Close()
+	defer closeWithin(t, p, 5*time.Second)
 	noop := func() ([]types.Tuple, error) { return nil, nil }
 	for iter := 0; iter < 300; iter++ {
 		if iter%3 != 2 {
@@ -162,14 +203,13 @@ func TestQuiesceRacingCompletionsNeverHangs(t *testing.T) {
 			}
 		}
 		if iter%4 == 0 {
-			var wg sync.WaitGroup
-			wg.Add(1)
+			other := make(chan struct{})
 			go func() {
-				defer wg.Done()
 				p.Quiesce()
+				close(other)
 			}()
 			quiesceWithin(t, p, 5*time.Second)
-			wg.Wait()
+			within(t, p, 5*time.Second, "a second Quiesce", func() error { <-other; return nil })
 		} else {
 			quiesceWithin(t, p, 5*time.Second)
 		}
@@ -197,7 +237,7 @@ func TestQuiesceRacingCompletionsNeverHangs(t *testing.T) {
 func TestPumpGoroutineBound(t *testing.T) {
 	const k, clients, rounds, n = 4, 4, 150, 8
 	p := NewPump(k, k-1, nil)
-	defer p.Close()
+	defer closeWithin(t, p, 5*time.Second)
 	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 2, HedgeAfter: 50 * time.Microsecond})
 	var mu sync.Mutex
 	ran := map[string]int{}
@@ -237,7 +277,7 @@ func TestPumpGoroutineBound(t *testing.T) {
 			}
 		}(c)
 	}
-	wg.Wait()
+	within(t, p, 25*time.Second, "the clients", func() error { wg.Wait(); return nil })
 	mu.Lock()
 	started := len(ran)
 	mu.Unlock()

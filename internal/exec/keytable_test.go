@@ -3,6 +3,8 @@ package exec
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/expr"
@@ -129,5 +131,128 @@ func TestGroupsKeepKindsApart(t *testing.T) {
 	const want = "[<1, 2> <-0, 1> <0, 1> <1, 1> <NaN, 2>]" // Int(1) keys "1:1", the floats "2:…"
 	if got := fmt.Sprint(runAll(t, agg)); got != want {
 		t.Errorf("groups: %s, want %s", got, want)
+	}
+}
+
+// keyModel is what a keyTable answers, the slow way: its entries in
+// insertion order, scanned linearly with the table's own eq.
+type keyModel struct {
+	eq   func(a, b types.Value) bool
+	keys [][]types.Value
+}
+
+func (m *keyModel) equal(a, b []types.Value) bool {
+	for c := range a {
+		if !m.eq(a[c], b[c]) {
+			return false
+		}
+	}
+	return true
+}
+
+// all returns every entry equal to key, in insertion order.
+func (m *keyModel) all(key []types.Value) []int {
+	var out []int
+	for i, k := range m.keys {
+		if m.equal(k, key) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// TestKeyTableMatchesAModel: seeded random sequences of add, intern,
+// find (walked on with findNext) and reset agree with keyModel on every
+// answer and on chain order, under both equalities. The keys mix values
+// that hash alike but differ under SameKey — Int(1) and Float(1), -0, +0
+// and Int(0), two NaNs, ints around ±2^53 and the float they round to,
+// the int64 extremes — with empty and non-ASCII strings, strings of eight
+// bytes and more, and enough distinct keys to grow the index several
+// times; every sequence resets the table halfway and fills it again.
+func TestKeyTableMatchesAModel(t *testing.T) {
+	const two53 = 1 << 53
+	special := []types.Value{
+		types.Int(1), types.Float(1), types.Int(0), types.Float(0), types.Float(math.Copysign(0, -1)),
+		types.Float(math.NaN()), types.Float(math.Float64frombits(0x7ff8000000000001)),
+		types.Int(two53 - 1), types.Int(two53), types.Int(two53 + 1), types.Float(two53),
+		types.Int(-two53 - 1), types.Int(-two53), types.Float(-two53),
+		types.Int(math.MinInt64), types.Int(math.MaxInt64), types.Float(math.MinInt64), types.Float(math.MaxInt64),
+		types.Str(""), types.Str("é"), types.Str("e\u0301"), types.Str("日本語"), types.Str("eight by"), types.Str("nine byte"),
+		types.Null(),
+	}
+	for _, eq := range []struct {
+		name string
+		fn   func(a, b types.Value) bool
+	}{{"join", joinEq}, {"group", types.Value.SameKey}} {
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", eq.name, seed), func(t *testing.T) {
+				r := rand.New(rand.NewSource(seed))
+				cell := func() types.Value {
+					switch r.Intn(4) {
+					case 0:
+						return special[r.Intn(len(special))]
+					case 1:
+						return types.Int(int64(r.Intn(600)))
+					case 2:
+						return types.Float(float64(r.Intn(600)))
+					default:
+						return types.Str(fmt.Sprintf("k%d-%s", r.Intn(300), "ü"[:r.Intn(3)]))
+					}
+				}
+				const width, ops = 2, 6000
+				kt, m := newKeyTable(width, eq.fn), &keyModel{eq: eq.fn}
+				var recent [][]types.Value
+				for op := 0; op < ops; op++ {
+					key := []types.Value{cell(), cell()}
+					if len(recent) > 0 && r.Intn(3) == 0 {
+						key = slices.Clone(recent[r.Intn(len(recent))]) // a key already in, or once in
+					}
+					recent = append(recent, key)
+					if op == ops/2 {
+						kt.reset()
+						m.keys = nil
+					}
+					switch r.Intn(3) {
+					case 0:
+						if i := kt.add(key); i != len(m.keys) {
+							t.Fatalf("op %d: add(%v) = %d, want %d", op, key, i, len(m.keys))
+						}
+						m.keys = append(m.keys, key)
+					case 1:
+						i, added := kt.intern(key)
+						want, wantAdded := len(m.keys), true
+						if all := m.all(key); len(all) > 0 {
+							want, wantAdded = all[0], false
+						} else {
+							m.keys = append(m.keys, key)
+						}
+						if i != want || added != wantAdded {
+							t.Fatalf("op %d: intern(%v) = %d, %v; want %d, %v", op, key, i, added, want, wantAdded)
+						}
+					default:
+						var met []int
+						for i := kt.find(key); i >= 0; i = kt.findNext(i, key) {
+							met = append(met, i)
+						}
+						if want := m.all(key); !slices.Equal(met, want) {
+							t.Fatalf("op %d: entries equal to %v: %v, want %v", op, key, met, want)
+						}
+					}
+					if kt.len() != len(m.keys) {
+						t.Fatalf("op %d: %d entries, want %d", op, kt.len(), len(m.keys))
+					}
+				}
+				for i, k := range m.keys {
+					for c, v := range kt.key(i) {
+						if !v.SameKey(k[c]) {
+							t.Fatalf("entry %d: key %v, want %v", i, kt.key(i), k)
+						}
+					}
+				}
+				if len(kt.hashes) < 8*minSlots {
+					t.Errorf("the index has %d slots: the sequence did not grow it three times", len(kt.hashes))
+				}
+			})
+		}
 	}
 }

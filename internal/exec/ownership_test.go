@@ -164,3 +164,95 @@ func TestScanStringsSurviveFrameReuse(t *testing.T) {
 	check("first scan, after the insert and a second scan", first, n)
 	check("second scan", second, n+40)
 }
+
+// TestRejectedRecordsLeaveNoTrace: a scan decodes the cells its predicate
+// reads first and a record's other cells only if it passes. So a page on
+// which no record passes never has its record area made into a string —
+// a re-opened scan that rejects every record allocates no object per
+// page, where one that keeps them makes a string for each — and no cell
+// of a rejected record reaches a batch, whatever the batch size and
+// whether or not the scan refills one slab.
+func TestRejectedRecordsLeaveNoTrace(t *testing.T) {
+	cat, err := catalog.Open(t.TempDir(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cat.Close() })
+	tab, err := cat.Create("B", []catalog.ColumnDef{
+		{Name: "Id", Type: schema.TInt}, {Name: "Name", Type: schema.TString}, {Name: "Amount", Type: schema.TInt},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1500
+	name := func(i int) string { return fmt.Sprintf("name-%04d", i) }
+	amount := func(i int) int64 { // rows below 750 are all rejected, then one in three passes
+		if i >= 750 && i%3 == 0 {
+			return 150
+		}
+		return 50
+	}
+	for i := 0; i < n; i++ {
+		if _, err := tab.Insert(types.Tuple{types.Int(int64(i)), types.Str(name(i)), types.Int(amount(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pages := tab.Heap.NumPages()
+	if pages < 6 {
+		t.Fatalf("want several pages, got %d", pages)
+	}
+	scanWhere := func(min int64) *TableScan {
+		sc := NewTableScan(tab, tab.InstantiateSchema(""))
+		sc.Pred = expr.NewCmp(expr.GT, expr.NewColRef(sc.Out.Cols[2]), expr.NewLiteral(types.Int(min)))
+		return sc
+	}
+	drain := func(sc *TableScan, ctx *Context, max int, each func(types.Tuple)) {
+		t.Helper()
+		if err := sc.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			b, ok, err := sc.NextBatch(ctx, max)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			for _, tu := range b {
+				each(tu)
+			}
+		}
+		if err := sc.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ctx := NewContext()
+	none, all := scanWhere(1000), scanWhere(0)
+	rejecting := testing.AllocsPerRun(10, func() { drain(none, ctx, 256, func(types.Tuple) { t.Fatal("a rejected record reached a batch") }) })
+	keeping := testing.AllocsPerRun(10, func() { drain(all, ctx, 256, func(types.Tuple) {}) })
+	if rejecting >= float64(pages) || keeping < float64(pages) {
+		t.Errorf("%d pages: a scan rejecting every record made %.0f objects, one keeping them %.0f; want fewer than one a page, and at least one a page",
+			pages, rejecting, keeping)
+	}
+
+	for _, granted := range []bool{false, true} {
+		for _, max := range []int{1, 3, 256} {
+			sc, seen := scanWhere(100), 0
+			if granted {
+				grantRecycling(sc)
+			}
+			drain(sc, NewContext(), max, func(tu types.Tuple) {
+				i := int(tu[0].I)
+				if amount(i) <= 100 || tu[1].S != name(i) || tu[2].I != amount(i) {
+					t.Fatalf("granted %v, max %d: row %v, want <%d, %s, %d> and only rows with Amount > 100", granted, max, tu, i, name(i), amount(i))
+				}
+				seen++
+			})
+			if seen != 250 {
+				t.Errorf("granted %v, max %d: %d rows, want 250", granted, max, seen)
+			}
+		}
+	}
+}

@@ -34,6 +34,13 @@ type TableScan struct {
 	cutStrs bool
 	strs    types.StrArea
 	page    int64
+	// plan decodes a record in two halves (see types.DecodePlan): the
+	// cells Pred reads, which test marks, then, for a record that passes,
+	// the other cells Keep marks. test and attrs are its storage, kept
+	// across Opens.
+	plan  types.DecodePlan
+	test  []bool
+	attrs map[schema.AttrID]bool
 	// slab is what records are decoded into (see Batch), and slabRows how
 	// many tuples its next replacement holds. That doubles from a few up
 	// to the batch size, so scanning a 50-row table for a 256-tuple batch
@@ -71,7 +78,24 @@ func (s *TableScan) Open(ctx *Context) error {
 	for _, col := range s.Out.Cols {
 		s.cutStrs = s.cutStrs || col.Type == schema.TString
 	}
-	return bindAll("Scan", s.Out, s.Pred)
+	if err := bindAll("Scan", s.Out, s.Pred); err != nil {
+		return err
+	}
+	var test []bool // nil: without Pred every kept cell is decoded at once
+	if s.Pred != nil {
+		if s.attrs == nil {
+			s.attrs = make(map[schema.AttrID]bool)
+		}
+		clear(s.attrs)
+		s.Pred.CollectAttrs(s.attrs)
+		s.test = s.test[:0]
+		for _, col := range s.Out.Cols {
+			s.test = append(s.test, s.attrs[col.ID])
+		}
+		test = s.test
+	}
+	s.plan.Reset(s.Keep, test)
+	return nil
 }
 
 // recycle implements recycler: the decode slab is refilled per batch.
@@ -80,8 +104,9 @@ func (s *TableScan) recycle() { s.slab.granted = true }
 // NextBatch implements Operator: one storage-scanner loop per batch,
 // decoding each record out of the scanner's page view into a slab shared
 // by the batch's tuples (see Batch), its strings cut out of one string per
-// page (see types.StrArea). It reads no record beyond the max-th that
-// passes Pred.
+// page (see types.StrArea). A record's cells that Pred reads are decoded
+// and tested first; its other cells only if it passes. It reads no record
+// beyond the max-th that passes Pred.
 func (s *TableScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	if s.sc == nil {
 		return nil, false, fmt.Errorf("TableScan(%s): NextBatch before Open", s.Table.Def.Name)
@@ -89,7 +114,7 @@ func (s *TableScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	if err := checkMax(max); err != nil {
 		return nil, false, err
 	}
-	width := s.Out.Len()
+	width := s.plan.Width()
 	out := s.win[:0]
 	s.slab.next()
 	for len(out) < max {
@@ -103,9 +128,8 @@ func (s *TableScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 		if s.slab.room(width, width*min(max-len(out), s.slabRows)) {
 			s.slabRows = min(2*s.slabRows, ctx.BatchLen())
 		}
-		var t types.Tuple
-		t, s.slab.vals, err = s.decode(s.slab.vals, rid, raw)
-		if err != nil {
+		t := s.slab.cut(width)
+		if err := s.decode(t, rid, raw); err != nil {
 			return nil, false, fmt.Errorf("TableScan(%s): %w", s.Table.Def.Name, err)
 		}
 		if s.Pred != nil {
@@ -114,9 +138,10 @@ func (s *TableScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 				return nil, false, fmt.Errorf("Scan %s: %w", s.Pred, err)
 			}
 			if !ok {
-				s.slab.retract(len(t))
+				s.slab.retract(width)
 				continue
 			}
+			s.plan.Rest(t)
 		}
 		out = append(out, t)
 	}
@@ -127,21 +152,21 @@ func (s *TableScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	return out, true, nil
 }
 
-// decode decodes the record Next returned, raw at rid, into slab. The
-// strings a scan keeps are cut out of one string per page. A scan that
-// keeps no string column decodes raw alone: it has no string to cut, and
-// finding each record in its page's area cost local_join's Orders scan
-// about a tenth of the query.
-func (s *TableScan) decode(slab []types.Value, rid storage.RID, raw []byte) (types.Tuple, []types.Value, error) {
+// decode walks the record Next returned, raw at rid, and decodes the
+// cells the plan tests into t. The strings a scan keeps are cut out of one
+// string per page. A scan that keeps no string column decodes raw alone:
+// it has no string to cut, and finding each record in its page's area
+// cost local_join's Orders scan about a tenth of the query.
+func (s *TableScan) decode(t types.Tuple, rid storage.RID, raw []byte) error {
 	if !s.cutStrs {
-		return types.DecodeTupleInto(slab, raw, s.Keep)
+		return s.plan.Tested(t, raw)
 	}
 	area, off := s.sc.Area()
 	if int64(rid.Page) != s.page {
 		s.strs.Reset(area)
 		s.page = int64(rid.Page)
 	}
-	return types.DecodeTupleIn(slab, &s.strs, off, len(raw), s.Keep)
+	return s.plan.TestedIn(t, &s.strs, off, len(raw))
 }
 
 // Close implements Operator.

@@ -158,8 +158,8 @@ func (h *HeapFile) NewScanner() *Scanner {
 // Next advances to the next live record, returning its RID and its bytes.
 // The bytes are a view of the page the scanner keeps pinned, valid until
 // the next Next or Close: a caller that retains them copies them (decoding
-// a tuple does — types.DecodeTupleInto copies each string out, and
-// DecodeTupleIn cuts them out of one copy of the page's record area, see
+// a tuple does — types.DecodePlan.Tested copies each string out, and
+// TestedIn cuts them out of one copy of the page's record area, see
 // Area). Nothing writes the page under the view because readers exclude
 // writers one layer up (core.DB's RW lock). It returns ok=false when the
 // scan is exhausted.
