@@ -33,9 +33,10 @@ lockrank:
 	$(GO) test -tags lockrank ./internal/lockrank ./internal/core ./internal/async ./internal/cache ./internal/shard ./internal/server
 
 # The non-race run is the one that holds the allocation budgets
-# (internal/core TestAllocationBudget skips itself under -race, whose
-# runtime allocates on its own account); `check` runs that one test
-# without the detector for the same reason.
+# (internal/core TestAllocationBudget and internal/exec
+# TestOperatorContractReexecutionAllocs and TestKeptOperatorAllocs skip
+# themselves under -race, whose runtime allocates on its own account);
+# `check` runs those tests without the detector for the same reason.
 test:
 	$(GO) test ./...
 
@@ -107,6 +108,7 @@ check:
 	$(MAKE) race-loop-pump
 	$(MAKE) synctest
 	$(GO) test -run TestAllocationBudget ./internal/core
+	$(GO) test -run 'TestOperatorContractReexecutionAllocs|TestKeptOperatorAllocs' ./internal/exec
 	$(GO) test -run 'TestPumpRoundTripAllocs|TestPumpPolicyRoundAllocs' ./internal/async
 	$(GO) test -run TestDecodeQueryResponseAllocs ./internal/server
 	$(GO) test -run TestColdScanReusesEvictedFrames ./internal/storage

@@ -3,6 +3,7 @@ package async
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/exec"
@@ -225,13 +226,17 @@ func TestDependentJoinRowsAreOwnedByTheirHolder(t *testing.T) {
 					return []types.Tuple{{types.Int(int64(len(arg)))}}, nil
 				}}
 			pump := NewPump(8, 8, nil)
-			defer pump.Close()
+			defer closeWithin(t, pump, 5*time.Second)
 			ts := tab.InstantiateSchema("")
 			aev := NewAEVScan(src, []expr.Expr{expr.NewColRef(ts.Cols[1])}, schema.New(strCol("V", "Term"), intCol("V", "Count")), pump)
 			rs := syncOver(exec.NewDependentJoin(exec.NewTableScan(tab, ts), aev, ""), pump, aev.FilledAttrs())
 			ctx := exec.NewContext()
 			ctx.BatchSize = size
-			rows, err := exec.Run(ctx, rs) // Run closes the plan: the scanner is gone
+			var rows []types.Tuple
+			within(t, pump, 10*time.Second, "the run", func() error {
+				rows, err = exec.Run(ctx, rs) // Run closes the plan: the scanner is gone
+				return nil
+			})
 			if err != nil || len(rows) != n {
 				t.Fatalf("%d rows, err %v", len(rows), err)
 			}

@@ -26,16 +26,19 @@ func TestAllocationBudget(t *testing.T) {
 	// batch, per page or per group, not per row: 5.2 objects per input row
 	// before the slabs and the key table, 0.19 after, 0.13 while every
 	// Cust row's Region was a string of its own, 0.04 once a page's
-	// strings were cut out of one, and 0.034 since the scans, joins and
-	// projections refill a slab per batch for a consumer that keeps
-	// nothing. Bytes are what the narrowing cuts and the recycling save: a
-	// row Amount > 100 rejects is taken back off the scan's slab, a joined
-	// row holds Amount and Region only, the batch windows are reused, and
-	// since the Aggregate keeps none of the join's rows nor the join any of
-	// the Orders scan's, both refill one slab — 272 bytes per input row
+	// strings were cut out of one, 0.034 once the scans, joins and
+	// projections refilled a slab per batch for a consumer that keeps
+	// nothing, and 0.009 (30 per query, 69 before) since every operator
+	// keeps its storage from one execution to the next. Bytes are what the
+	// narrowing cuts and the recycling save: a row Amount > 100 rejects is
+	// taken back off the scan's slab, a joined row holds Amount and Region
+	// only, the batch windows are reused, and since the Aggregate keeps
+	// none of the join's rows nor the join any of the Orders scan's, both
+	// refill one slab — 272 bytes per input row
 	// before the cuts, 118 after, 39.6 while the hash join built its table
-	// anew at every execution, 20.5 now that an Open clears and refills
-	// it, most of it the Cust rows the join keeps.
+	// anew at every execution, 20.7 while the Aggregate, the Sort and the
+	// join's windows still did, 14.7 now, most of it the Cust rows the join
+	// keeps.
 	t.Run("local_join", func(t *testing.T) {
 		const custRows, ordersRows = 300, 3000
 		db := newPaperDB(t, Config{})
@@ -65,13 +68,13 @@ func TestAllocationBudget(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		perRow := testing.AllocsPerRun(runs, func() { mustQuery(t, db, q) }) / (custRows + ordersRows)
 		runtime.ReadMemStats(&after)
-		if perRow > 0.12 {
-			t.Errorf("local join: %.2f heap objects per input row, want <= 0.12", perRow)
+		if perRow > 0.014 {
+			t.Errorf("local join: %.4f heap objects per input row, want <= 0.014 (0.009 measured)", perRow)
 		}
 		// AllocsPerRun runs the query once more than it averages over.
 		bytesPerRow := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) / (custRows + ordersRows)
-		if bytesPerRow > 29 {
-			t.Errorf("local join: %.1f bytes allocated per input row, want <= 29 (20.5 measured; 39.6 before the join kept its table, 118 before the recycling)", bytesPerRow)
+		if bytesPerRow > 16 {
+			t.Errorf("local join: %.1f bytes allocated per input row, want <= 16 (14.7 measured; 20.7 before the operators kept their storage, 118 before the recycling)", bytesPerRow)
 		}
 	})
 

@@ -2,7 +2,8 @@ package exec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/expr"
 	"repro/internal/schema"
@@ -59,11 +60,21 @@ type Aggregate struct {
 	GroupCols []schema.Column
 	Aggs      []AggSpec
 
-	out  *schema.Schema
-	rows []types.Tuple // the group rows not yet emitted
-	// cols are GroupBy's in-row columns then each Aggs' Arg's, by Open
-	// (see columns).
-	cols []int
+	out *schema.Schema
+	// exprs are GroupBy then each Aggs' Arg, and cols their in-row
+	// columns, by Open (see columns).
+	exprs []expr.Expr
+	cols  []int
+	// Group g's key is groups.key(g) and its states are
+	// states[g*len(Aggs):(g+1)*len(Aggs)]: neither a group nor an input
+	// row allocates once the storage has grown.
+	groups keyTable
+	states []aggState
+	gvals  []types.Value // scratch: the group key of the row being read
+	order  []int         // the groups in output order
+	keys   []string      // each group's Tuple.Key
+	run    []types.Tuple // the group rows, in order
+	rows   []types.Tuple // the tail of run not yet emitted
 }
 
 // NewAggregate builds an aggregation operator.
@@ -93,30 +104,24 @@ type aggState struct {
 
 // Open implements Operator: it drains the child and computes all groups.
 func (a *Aggregate) Open(ctx *Context) error {
-	exprs := append([]expr.Expr{}, a.GroupBy...)
+	a.exprs = append(a.exprs[:0], a.GroupBy...)
 	for _, sp := range a.Aggs {
-		exprs = append(exprs, sp.Arg) // nil for COUNT(*): bindAll skips it
+		a.exprs = append(a.exprs, sp.Arg) // nil for COUNT(*): bindAll skips it
 	}
 	grantRecycling(a.Child) // groups are interned by value
 	if err := a.Child.Open(ctx); err != nil {
 		return err
 	}
-	if err := bindAll("Aggregate", a.Child.Schema(), exprs...); err != nil {
+	if err := bindAll("Aggregate", a.Child.Schema(), a.exprs...); err != nil {
 		return err
 	}
-	a.cols = columns(a.cols, exprs...)
+	a.cols = columns(a.cols, a.exprs...)
 	groupCols, argCols := a.cols[:len(a.GroupBy)], a.cols[len(a.GroupBy):]
-	// Group g's key is groups.key(g) and its states are
-	// states[g*len(a.Aggs):(g+1)*len(a.Aggs)]: a new group costs no
-	// allocation of its own, and an input row none at all.
-	groups := newKeyTable(len(a.GroupBy), types.Value.SameKey)
-	var states []aggState
-	newGroup := func() {
-		for range a.Aggs {
-			states = append(states, aggState{sumIsInt: true})
-		}
+	a.groups.reset(len(a.GroupBy), types.Value.SameKey)
+	a.states = a.states[:0]
+	if len(a.gvals) != len(a.GroupBy) {
+		a.gvals = make([]types.Value, len(a.GroupBy))
 	}
-	gvals := make([]types.Value, len(a.GroupBy))
 	for {
 		b, ok, err := a.Child.NextBatch(ctx, ctx.BatchLen())
 		if err != nil {
@@ -134,13 +139,13 @@ func (a *Aggregate) Open(ctx *Context) error {
 				if err != nil {
 					return fmt.Errorf("Aggregate group key %s: %w", g, err)
 				}
-				gvals[i] = v
+				a.gvals[i] = v
 			}
-			g, added := groups.intern(gvals)
+			g, added := a.groups.intern(a.gvals)
 			if added {
-				newGroup()
+				a.newGroup()
 			}
-			sts := states[g*len(a.Aggs):]
+			sts := a.states[g*len(a.Aggs):]
 			for i, sp := range a.Aggs {
 				st := &sts[i]
 				if sp.Func == AggCountStar {
@@ -181,24 +186,25 @@ func (a *Aggregate) Open(ctx *Context) error {
 		}
 	}
 	// Global aggregate over an empty input still emits one row.
-	if groups.len() == 0 && len(a.GroupBy) == 0 && len(a.Aggs) > 0 {
-		groups.add(nil)
-		newGroup()
+	if a.groups.len() == 0 && len(a.GroupBy) == 0 && len(a.Aggs) > 0 {
+		a.groups.add(nil)
+		a.newGroup()
 	}
 	// Deterministic output order: by Tuple.Key, rendered once per group;
 	// groups whose keys render alike (see Tuple.Key) stay in first-seen order.
-	order := make([]int, groups.len())
-	keys := make([]string, groups.len())
-	for g := range order {
-		order[g], keys[g] = g, types.Tuple(groups.key(g)).Key()
+	n := a.groups.len()
+	a.order, a.keys = slices.Grow(a.order[:0], n), slices.Grow(a.keys[:0], n)
+	for g := range n {
+		a.order = append(a.order, g)
+		a.keys = append(a.keys, types.Tuple(a.groups.key(g)).Key())
 	}
-	sort.SliceStable(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
-	a.rows = make([]types.Tuple, 0, len(order))
-	for _, g := range order {
+	slices.SortStableFunc(a.order, func(g, h int) int { return strings.Compare(a.keys[g], a.keys[h]) })
+	a.run = slices.Grow(a.run[:0], n)
+	for _, g := range a.order {
 		row := make(types.Tuple, 0, len(a.GroupBy)+len(a.Aggs))
-		row = append(row, groups.key(g)...)
+		row = append(row, a.groups.key(g)...)
 		for i, sp := range a.Aggs {
-			st := states[g*len(a.Aggs)+i]
+			st := a.states[g*len(a.Aggs)+i]
 			switch sp.Func {
 			case AggCount, AggCountStar:
 				row = append(row, types.Int(st.count))
@@ -230,9 +236,17 @@ func (a *Aggregate) Open(ctx *Context) error {
 				}
 			}
 		}
-		a.rows = append(a.rows, row)
+		a.run = append(a.run, row)
 	}
+	a.rows = a.run
 	return nil
+}
+
+// newGroup appends the states of a new group.
+func (a *Aggregate) newGroup() {
+	for range a.Aggs {
+		a.states = append(a.states, aggState{sumIsInt: true})
+	}
 }
 
 // NextBatch implements Operator by handing out windows of the group rows
@@ -243,6 +257,11 @@ func (a *Aggregate) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 
 // Close implements Operator.
 func (a *Aggregate) Close() error {
+	a.groups.empty()
+	clear(a.states) // their min and max
+	clear(a.gvals)
+	clear(a.keys)
+	clear(a.run)
 	a.rows = nil
 	return a.Child.Close()
 }

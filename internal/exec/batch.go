@@ -36,6 +36,18 @@ const DefaultBatchSize = 256
 // that child may say so (see recycler): the child then refills one slab
 // at every batch, and its tuples, too, live only until its next
 // NextBatch.
+//
+// An operator's storage is its own, and outlives an execution: a kept
+// tree runs query after query (plan reuse runs it for one execution at a
+// time), and a dependent join re-opens its inner side once per binding.
+// Open resets that storage — its buffers to length zero, its keyTable by
+// reset — keeping what earlier executions grew; Close lets go of the
+// tuples and strings in it and keeps the storage; nothing is remade per
+// execution. What an operator hands out is the exception: a tuple a
+// consumer may keep is never written again, so an ungranted slab is
+// replaced when full and let go at Close (see rowSlab). A granted slab is
+// the other: it is kept with its last batch's values, which the next
+// execution overwrites.
 type Batch []types.Tuple
 
 // recycler is implemented by the operators that can make use of a
@@ -111,7 +123,7 @@ func (s *rowSlab) retract(n int) { s.vals = s.vals[:len(s.vals)-n] }
 
 // close ends an execution: the grant goes, and an ungranted slab, whose
 // tuples anyone may hold, is let go. A granted one is kept for the next
-// execution: plan reuse runs a tree for one execution at a time.
+// execution (see Batch).
 func (s *rowSlab) close() {
 	if !s.granted {
 		s.vals = nil

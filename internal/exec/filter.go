@@ -66,7 +66,10 @@ func (f *Filter) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 func (f *Filter) recycle() { grantRecycling(f.Child) }
 
 // Close implements Operator.
-func (f *Filter) Close() error { return f.Child.Close() }
+func (f *Filter) Close() error {
+	clear(f.win[:cap(f.win)])
+	return f.Child.Close()
+}
 
 // Children implements Operator.
 func (f *Filter) Children() []Operator { return []Operator{f.Child} }
@@ -152,6 +155,7 @@ func (p *Project) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 
 // Close implements Operator.
 func (p *Project) Close() error {
+	clear(p.win[:cap(p.win)])
 	p.slab.close()
 	return p.Child.Close()
 }

@@ -58,10 +58,8 @@ type hashJoin struct {
 	semi bool
 	cut  joinCut // the joined rows' columns and slab (not semi)
 	// table has one entry per build row, or per distinct key when semi,
-	// and rows the build rows by table entry (not semi). An Open clears
-	// and refills both, keeping their storage: a tree runs one execution
-	// at a time.
-	table *keyTable
+	// and rows the build rows by table entry (not semi).
+	table keyTable
 	rows  []types.Tuple
 	keys  []types.Value // scratch: the keys of the tuple being built or probed
 	// leftCols and rightCols are the key expressions' in-row columns, by
@@ -127,8 +125,7 @@ func (j *hashJoin) Open(ctx *Context) error {
 		return errors.Join(err, j.Left.Close())
 	}
 	j.opened = true
-	j.buf = nil
-	j.leftDone = false
+	j.buf, j.leftDone = nil, false
 	if err := bindAll(j.Name(), j.Left.Schema(), j.LeftKeys...); err != nil {
 		return err
 	}
@@ -141,11 +138,11 @@ func (j *hashJoin) Open(ctx *Context) error {
 	j.leftCols = columns(j.leftCols, j.LeftKeys...)
 	j.rightCols = columns(j.rightCols, j.RightKeys...)
 	start := time.Now()
-	if j.table == nil || j.table.width != len(j.RightKeys) {
-		j.table = newKeyTable(len(j.RightKeys), joinEq)
+	j.table.reset(len(j.RightKeys), joinEq)
+	j.rows = j.rows[:0]
+	if len(j.keys) != len(j.RightKeys) {
 		j.keys = make([]types.Value, len(j.RightKeys))
 	}
-	j.release()
 	for {
 		b, ok, err := j.Right.NextBatch(ctx, ctx.BatchLen())
 		if err != nil {
@@ -173,16 +170,6 @@ func (j *hashJoin) Open(ctx *Context) error {
 	}
 	j.buildNS += time.Since(start).Nanoseconds()
 	return nil
-}
-
-// release empties the build side's table and rows, keeping their storage
-// for the next Open, and lets go of this execution's keys and tuples.
-func (j *hashJoin) release() {
-	if j.table != nil {
-		j.table.reset()
-	}
-	clear(j.rows[:cap(j.rows)])
-	j.rows = j.rows[:0]
 }
 
 // recycle implements recycler. A hash join refills its joined rows' slab
@@ -291,8 +278,11 @@ func (j *hashJoin) Close() error {
 		return nil
 	}
 	j.opened = false
-	j.release()
-	j.buf, j.win = nil, nil
+	j.table.empty()
+	clear(j.rows)
+	clear(j.keys)
+	clear(j.win[:cap(j.win)])
+	j.buf = nil
 	j.cut.reset()
 	j.cut.slab.close()
 	return errors.Join(j.Left.Close(), j.Right.Close())

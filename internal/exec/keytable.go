@@ -43,10 +43,6 @@ type keyTable struct {
 // distinct hashes, such as a GROUP BY over a few groups, never grows.
 const minSlots = 64
 
-func newKeyTable(width int, eq func(a, b types.Value) bool) *keyTable {
-	return &keyTable{width: width, eq: eq}
-}
-
 // joinEq is the key equality of the hash joins.
 func joinEq(a, b types.Value) bool { return a.Compare(b) == 0 }
 
@@ -121,14 +117,22 @@ func half(s string) uint32 {
 	return uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24
 }
 
-// reset removes every entry, keeping the table's storage, and lets go of
-// the keys' strings.
-func (kt *keyTable) reset() {
+// reset empties the table for keys of width cells that eq compares,
+// keeping its storage. Its user, an operator, calls it at every Open.
+func (kt *keyTable) reset(width int, eq func(a, b types.Value) bool) {
+	kt.width, kt.eq = width, eq
+	kt.empty()
+}
+
+// empty removes every entry, keeping the table's storage, and lets go of
+// the keys' strings: nothing is written past len(kt.keys), so what lies
+// there is already zero.
+func (kt *keyTable) empty() {
 	for s := range kt.ends {
 		kt.ends[s] = [2]int32{-1, -1}
 	}
 	kt.chains = 0
-	clear(kt.keys[:cap(kt.keys)])
+	clear(kt.keys)
 	kt.next, kt.keys = kt.next[:0], kt.keys[:0]
 }
 

@@ -55,7 +55,8 @@ func TestKeyNormalization(t *testing.T) {
 // collisions are rare — are told apart by the cell-by-cell re-check, equal
 // keys are met in insertion order, and intern adds a key once.
 func TestKeyTableChains(t *testing.T) {
-	kt := newKeyTable(2, joinEq)
+	var kt keyTable
+	kt.reset(2, joinEq)
 	key := func(a int64, b string) []types.Value { return []types.Value{types.Int(a), types.Str(b)} }
 	for _, k := range [][]types.Value{key(1, "x"), key(2, "x"), key(1, "x"), key(1, "y"), key(1, "x")} {
 		kt.addHashed(42, k)
@@ -72,7 +73,7 @@ func TestKeyTableChains(t *testing.T) {
 		t.Errorf("absent key matched entry %d", i)
 	}
 
-	kt = newKeyTable(2, types.Value.SameKey)
+	kt.reset(2, types.Value.SameKey)
 	for n, k := range [][]types.Value{key(1, "x"), key(2, "x"), key(1, "x")} {
 		i, added := kt.intern(k)
 		if want := []int{0, 1, 0}[n]; i != want || added != (n < 2) {
@@ -200,7 +201,8 @@ func TestKeyTableMatchesAModel(t *testing.T) {
 					}
 				}
 				const width, ops = 2, 6000
-				kt, m := newKeyTable(width, eq.fn), &keyModel{eq: eq.fn}
+				kt, m := &keyTable{}, &keyModel{eq: eq.fn}
+				kt.reset(width, eq.fn)
 				var recent [][]types.Value
 				for op := 0; op < ops; op++ {
 					key := []types.Value{cell(), cell()}
@@ -209,7 +211,7 @@ func TestKeyTableMatchesAModel(t *testing.T) {
 					}
 					recent = append(recent, key)
 					if op == ops/2 {
-						kt.reset()
+						kt.reset(width, eq.fn)
 						m.keys = nil
 					}
 					switch r.Intn(3) {

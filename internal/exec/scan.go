@@ -177,6 +177,7 @@ func (s *TableScan) Close() error {
 	err := s.sc.Close()
 	s.sc = nil
 	s.strs.Reset(nil)
+	clear(s.win[:cap(s.win)])
 	s.slab.close()
 	return err
 }

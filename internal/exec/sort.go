@@ -2,7 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/schema"
@@ -23,7 +23,17 @@ type Sort struct {
 	Child Operator
 	Keys  []SortKey
 
-	rows []types.Tuple // the sorted run not yet emitted
+	cols []int         // Keys' in-row columns, by Open (see columns)
+	buf  []keyedRow    // the input rows, sorted at the end of Open
+	keys []types.Value // every row's keys, back to back
+	run  []types.Tuple // the sorted rows
+	rows []types.Tuple // the tail of run not yet emitted
+}
+
+// keyedRow is a row Sort holds and where its keys start in Sort.keys.
+type keyedRow struct {
+	row types.Tuple
+	at  int
 }
 
 // NewSort builds a sort over child.
@@ -39,19 +49,14 @@ func (s *Sort) Open(ctx *Context) error {
 	if err := s.Child.Open(ctx); err != nil {
 		return err
 	}
-	exprs := make([]expr.Expr, len(s.Keys))
-	for i, k := range s.Keys {
-		exprs[i] = k.Expr
+	s.cols = s.cols[:0]
+	for _, k := range s.Keys {
+		if err := bindAll("Sort", s.Child.Schema(), k.Expr); err != nil {
+			return err
+		}
+		s.cols = append(s.cols, expr.Column(k.Expr))
 	}
-	if err := bindAll("Sort", s.Child.Schema(), exprs...); err != nil {
-		return err
-	}
-	cols := columns(nil, exprs...)
-	type keyed struct {
-		row  types.Tuple
-		keys []types.Value
-	}
-	var buf []keyed
+	s.buf, s.keys = s.buf[:0], s.keys[:0]
 	for {
 		b, ok, err := s.Child.NextBatch(ctx, ctx.BatchLen())
 		if err != nil {
@@ -60,37 +65,34 @@ func (s *Sort) Open(ctx *Context) error {
 		if !ok {
 			break
 		}
-		// One slab holds the keys of a whole child batch.
-		slab := make([]types.Value, len(b)*len(s.Keys))
-		for j, t := range b {
-			ks := slab[j*len(s.Keys) : (j+1)*len(s.Keys)]
+		s.buf, s.keys = slices.Grow(s.buf, len(b)), slices.Grow(s.keys, len(b)*len(s.Keys))
+		for _, t := range b {
+			s.buf = append(s.buf, keyedRow{row: t, at: len(s.keys)})
 			for i, k := range s.Keys {
-				v, err := read(ctx.Env, k.Expr, cols[i], t)
+				v, err := read(ctx.Env, k.Expr, s.cols[i], t)
 				if err != nil {
 					return fmt.Errorf("Sort key %s: %w", k.Expr, err)
 				}
-				ks[i] = v
+				s.keys = append(s.keys, v)
 			}
-			buf = append(buf, keyed{row: t, keys: ks})
 		}
 	}
-	sort.SliceStable(buf, func(i, j int) bool {
-		for k := range s.Keys {
-			c := buf[i].keys[k].Compare(buf[j].keys[k])
-			if c == 0 {
-				continue
+	slices.SortStableFunc(s.buf, func(x, y keyedRow) int {
+		for i, k := range s.Keys {
+			if c := s.keys[x.at+i].Compare(s.keys[y.at+i]); c != 0 {
+				if k.Desc {
+					return -c
+				}
+				return c
 			}
-			if s.Keys[k].Desc {
-				return c > 0
-			}
-			return c < 0
 		}
-		return false
+		return 0
 	})
-	s.rows = make([]types.Tuple, len(buf))
-	for i, kv := range buf {
-		s.rows[i] = kv.row
+	s.run = slices.Grow(s.run[:0], len(s.buf))
+	for _, kr := range s.buf {
+		s.run = append(s.run, kr.row)
 	}
+	s.rows = s.run
 	return nil
 }
 
@@ -102,6 +104,9 @@ func (s *Sort) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 
 // Close implements Operator.
 func (s *Sort) Close() error {
+	clear(s.buf)
+	clear(s.keys)
+	clear(s.run)
 	s.rows = nil
 	return s.Child.Close()
 }
@@ -213,7 +218,8 @@ func (l *Limit) Describe() string { return fmt.Sprintf("%d", l.N) }
 // ReqSync percolation (clash case 3 in Section 4.5.2).
 type Distinct struct {
 	Child Operator
-	seen  *keyTable // the tuples emitted so far, compared cell by cell
+	seen  keyTable // the tuples emitted so far, compared cell by cell
+	win   Batch    // what NextBatch handed out last
 }
 
 // NewDistinct builds a duplicate-eliminating operator.
@@ -227,34 +233,35 @@ func (d *Distinct) Open(ctx *Context) error {
 	if err := d.Child.Open(ctx); err != nil {
 		return err
 	}
-	d.seen = newKeyTable(d.Child.Schema().Len(), types.Value.SameKey)
+	d.seen.reset(d.Child.Schema().Len(), types.Value.SameKey)
 	return nil
 }
 
 // NextBatch implements Operator: duplicate elimination over whole
-// child batches, survivors in a fresh slice, looping until at least one
-// new tuple appears or the child is exhausted.
+// child batches, survivors in the window it refills, looping until at
+// least one new tuple appears or the child is exhausted.
 func (d *Distinct) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	for {
 		in, ok, err := d.Child.NextBatch(ctx, max)
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		out := make(Batch, 0, len(in))
+		d.win = slices.Grow(d.win[:0], len(in))
 		for _, t := range in {
 			if _, added := d.seen.intern(t); added {
-				out = append(out, t)
+				d.win = append(d.win, t)
 			}
 		}
-		if len(out) > 0 {
-			return out, true, nil
+		if len(d.win) > 0 {
+			return d.win, true, nil
 		}
 	}
 }
 
 // Close implements Operator.
 func (d *Distinct) Close() error {
-	d.seen = nil
+	d.seen.empty()
+	clear(d.win[:cap(d.win)])
 	return d.Child.Close()
 }
 

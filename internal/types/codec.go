@@ -44,27 +44,23 @@ func EncodeTuple(t Tuple) ([]byte, error) {
 }
 
 // DecodeTuple deserializes a tuple previously produced by EncodeTuple into
-// storage of its own.
+// storage of its own, every value decoded: a DecodePlan over the width
+// the record states, every cell decoded now.
 func DecodeTuple(b []byte) (Tuple, error) {
-	t, _, err := DecodeTupleInto(nil, b, nil)
-	return t, err
-}
-
-// DecodeTupleInto deserializes a tuple into the spare capacity of slab and
-// returns it with the slab grown past it; a tuple that does not fit gets
-// storage of its own and slab comes back unchanged. The tuple is a
-// three-index slice (cap == len), so an append on it reallocates instead
-// of writing into the tuple decoded next. Each string is copied out of b
-// on its own: the tuple never references it (DecodeTupleIn cuts them out
-// of one string instead). A non-nil keep has one mark per stored value,
-// and the tuple holds the marked ones only; the others are stepped over,
-// their strings never copied.
-func DecodeTupleInto(slab []Value, b []byte, keep []bool) (Tuple, []Value, error) {
-	return decodeWhole(slab, b, keep, nil, 0)
+	n, w := binary.Uvarint(b)
+	if w <= 0 || n > uint64(len(b)) { // a value takes at least one byte
+		return nil, errArity
+	}
+	p := DecodePlan{ops: make([]cellOp, n), width: int(n)} // all decodeNow
+	t := make(Tuple, n)
+	if err := p.Tested(t, b); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // StrArea is a byte area that records lie in — a page's record area —
-// whose string cells DecodeTupleIn and DecodePlan cut out of one string:
+// whose string cells DecodePlan.TestedIn cuts out of one string:
 // the area converted once, on the first string cell a decode keeps, so
 // the records of one area cost one string however many cells they keep.
 // A cut shares that string's storage, and keeps all of it reachable for
@@ -95,56 +91,6 @@ func (a *StrArea) record(off, n int) ([]byte, error) {
 	return a.b[off : off+n], nil
 }
 
-// DecodeTupleIn is DecodeTupleInto for a record that lies at offset off of
-// area: the strings it keeps are cut out of area's one string (see
-// StrArea), not copied each on its own.
-func DecodeTupleIn(slab []Value, area *StrArea, off, n int, keep []bool) (Tuple, []Value, error) {
-	b, err := area.record(off, n)
-	if err != nil {
-		return nil, slab, err
-	}
-	return decodeWhole(slab, b, keep, area, off)
-}
-
-// decodeWhole sizes the tuple a record decodes to, takes it from slab's
-// spare capacity or storage of its own, and decodes every kept cell into
-// it in one walk.
-func decodeWhole(slab []Value, b []byte, keep []bool, area *StrArea, base int) (Tuple, []Value, error) {
-	n, off := binary.Uvarint(b)
-	if off <= 0 || n > uint64(len(b)) {
-		return nil, slab, errArity
-	}
-	if keep != nil && uint64(len(keep)) != n {
-		return nil, slab, errWidth(n, len(keep))
-	}
-	var buf [16]cellOp // a record of up to 16 values needs no ops of its own
-	ops, width := buf[:0], 0
-	for i := range int(n) {
-		op := skipCell
-		if keep == nil || keep[i] {
-			op = decodeNow
-			width++
-		}
-		ops = append(ops, op)
-	}
-	own := cap(slab)-len(slab) < width
-	t := slab
-	if own {
-		t = make([]Value, 0, width)
-	}
-	mark := len(t)
-	t = t[:mark+width]
-	tu := Tuple(t[mark : mark+width : mark+width])
-	r := record{b: b, area: area, base: base, ops: ops}
-	if err := r.walk(tu, nil); err != nil {
-		return nil, slab, err
-	}
-	if own {
-		return tu, slab, nil
-	}
-	return tu, t, nil
-}
-
 // DecodePlan decodes the records of one stored table in two halves: the
 // cells a predicate tests, then — only for a record that passes — the
 // other cells it keeps. Tested walks the whole record, checks every cell
@@ -156,27 +102,23 @@ func decodeWhole(slab []Value, b []byte, keep []bool, area *StrArea, base int) (
 // A plan is set once per scan (Reset), not per record: the kept width is
 // counted then. It is not safe for concurrent use.
 type DecodePlan struct {
-	r     record      // the record Tested walked last
-	later []laterCell // where its cells left for Rest start
-	width int         // the cells a tuple holds
-}
-
-// record is one stored record being decoded: its bytes, where its strings
-// are cut from, and what to do with each of its values.
-type record struct {
-	b    []byte
-	area *StrArea // nil: strings are copied out of b
-	base int      // b's offset in area
-	ops  []cellOp // one per stored value
+	ops   []cellOp // one per stored value
+	width int      // the cells a tuple holds
+	// The record Tested walked last: its bytes, where its strings are cut
+	// from, and where its cells left for Rest start.
+	b     []byte
+	area  *StrArea // nil: strings are copied out of b
+	base  int      // b's offset in area
+	later []laterCell
 }
 
 // cellOp is what a walk does with one stored value besides checking it.
 type cellOp uint8
 
 const (
-	skipCell    cellOp = iota // nothing: the tuple does not hold it
-	decodeNow                 // decode it into the tuple
+	decodeNow   cellOp = iota // decode it into the tuple
 	decodeLater               // note where it is, for Rest
+	skipCell                  // nothing: the tuple does not hold it
 )
 
 // laterCell is a kept cell Rest decodes: its position in the tuple and
@@ -188,7 +130,7 @@ type laterCell struct{ at, off int32 }
 // cell, in tuple order, and marks the ones Tested decodes; a nil test
 // marks them all, so that Rest has nothing to do.
 func (p *DecodePlan) Reset(keep, test []bool) {
-	ops := p.r.ops[:0]
+	ops := p.ops[:0]
 	p.width = 0
 	for _, k := range keep {
 		op := skipCell
@@ -204,7 +146,7 @@ func (p *DecodePlan) Reset(keep, test []bool) {
 	if test != nil && len(test) != p.width {
 		panic(fmt.Sprintf("types: decode plan tests %d cells of %d", len(test), p.width))
 	}
-	p.r, p.later = record{ops: ops}, p.later[:0]
+	p.ops, p.b, p.area, p.later = ops, nil, nil, p.later[:0]
 }
 
 // Width is the number of cells a decoded tuple holds.
@@ -214,8 +156,8 @@ func (p *DecodePlan) Width() int { return p.width }
 // cells into t, which is Width cells long, at their tuple positions; the
 // other cells of t are left as they are. Its strings are copied out of b.
 func (p *DecodePlan) Tested(t Tuple, b []byte) error {
-	p.r.b, p.r.area, p.r.base = b, nil, 0
-	return p.r.walk(t, &p.later)
+	p.b, p.area, p.base = b, nil, 0
+	return p.walk(t)
 }
 
 // TestedIn is Tested for the n-byte record at offset off of area: the
@@ -225,66 +167,56 @@ func (p *DecodePlan) TestedIn(t Tuple, area *StrArea, off, n int) error {
 	if err != nil {
 		return err
 	}
-	p.r.b, p.r.area, p.r.base = b, area, off
-	return p.r.walk(t, &p.later)
+	p.b, p.area, p.base = b, area, off
+	return p.walk(t)
 }
 
 // Rest decodes into t the kept cells the last Tested or TestedIn left
 // out, from the same record, whose bytes must not have changed since.
 // That walk checked them, so Rest cannot fail.
 func (p *DecodePlan) Rest(t Tuple) {
-	r := &p.r
 	for _, c := range p.later {
 		pos := int(c.off)
-		kind := Kind(r.b[pos])
+		kind := Kind(p.b[pos])
 		pos++
 		switch kind {
 		case KindNull:
 			t[c.at] = Null()
 		case KindInt:
-			u, w := short(r.b[pos:])
+			u, w := short(p.b[pos:])
 			if w == 0 {
-				u, _ = binary.Uvarint(r.b[pos:])
+				u, _ = binary.Uvarint(p.b[pos:])
 			}
 			t[c.at] = Int(unzig(u))
 		case KindFloat:
-			t[c.at] = Float(math.Float64frombits(binary.LittleEndian.Uint64(r.b[pos : pos+8])))
+			t[c.at] = Float(math.Float64frombits(binary.LittleEndian.Uint64(p.b[pos : pos+8])))
 		case KindString:
-			l, w := short(r.b[pos:])
+			l, w := short(p.b[pos:])
 			if w == 0 {
-				l, w = binary.Uvarint(r.b[pos:])
+				l, w = binary.Uvarint(p.b[pos:])
 			}
-			t[c.at] = r.str(pos+w, pos+w+int(l))
+			t[c.at] = p.str(pos+w, pos+w+int(l))
 		}
 	}
 }
 
 // str is the string at b[i:j] of the record: a cut of its area's string,
 // or with no area a copy.
-func (r *record) str(i, j int) Value {
-	if r.area != nil {
-		return Str(r.area.cut(r.base+i, r.base+j))
+func (p *DecodePlan) str(i, j int) Value {
+	if p.area != nil {
+		return Str(p.area.cut(p.base+i, p.base+j))
 	}
-	return Str(string(r.b[i:j]))
+	return Str(string(p.b[i:j]))
 }
 
 var errArity = errors.New("corrupt tuple: bad arity varint")
 
-func errWidth(n uint64, keep int) error {
-	return fmt.Errorf("stored tuple width %d != schema width %d", n, keep)
-}
-
-// walk is the one decoder. It checks every value of the record, which
-// must be len(r.ops) long, decodes the ones r.ops says to decode now into
-// t, in order, and notes in *later where those it says to decode later
-// start; later is nil when r.ops has none. It stores nothing into r, so
-// that a record on its caller's stack, and the ops it points at, stay
-// there.
-func (r *record) walk(t Tuple, later *[]laterCell) error {
-	b, ops := r.b, r.ops
-	if later != nil {
-		*later = (*later)[:0]
-	}
+// walk checks every value of the record, which must be len(p.ops) long,
+// decodes the ones p.ops says to decode now into t, in order, and notes in
+// p.later where those it says to decode later start.
+func (p *DecodePlan) walk(t Tuple) error {
+	b, ops := p.b, p.ops
+	p.later = p.later[:0]
 	n, pos := short(b)
 	if pos == 0 {
 		n, pos = binary.Uvarint(b)
@@ -293,7 +225,7 @@ func (r *record) walk(t Tuple, later *[]laterCell) error {
 		return errArity
 	}
 	if uint64(len(ops)) != n {
-		return errWidth(n, len(ops))
+		return fmt.Errorf("stored tuple width %d != schema width %d", n, len(ops))
 	}
 	at := 0
 	for i, op := range ops {
@@ -341,7 +273,7 @@ func (r *record) walk(t Tuple, later *[]laterCell) error {
 				return fmt.Errorf("corrupt tuple: truncated string at value %d", i)
 			}
 			if op == decodeNow {
-				t[at] = r.str(pos, pos+int(l))
+				t[at] = p.str(pos, pos+int(l))
 			}
 			pos += int(l)
 		default:
@@ -349,7 +281,7 @@ func (r *record) walk(t Tuple, later *[]laterCell) error {
 		}
 		if op != skipCell {
 			if op == decodeLater {
-				*later = append(*later, laterCell{int32(at), int32(start)})
+				p.later = append(p.later, laterCell{int32(at), int32(start)})
 			}
 			at++
 		}

@@ -56,73 +56,26 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 }
 
-// TestDecodeTupleIntoSlab: tuples decoded into one slab share its storage
-// back to back, each capped at its own length so an append on one cannot
-// write the next; the record's bytes are not referenced afterwards; and a
-// tuple the slab has no room for gets storage of its own instead of
-// growing (and so moving) the slab.
-func TestDecodeTupleIntoSlab(t *testing.T) {
-	rec := func(t Tuple) []byte {
-		raw, err := EncodeTuple(t)
-		if err != nil {
-			panic(err)
-		}
-		return raw
-	}
-	slab := make([]Value, 0, 5)
-	raw := rec(Tuple{Int(1), Str("one")})
-	a, slab, err := DecodeTupleInto(slab, raw, nil)
-	if err != nil {
+// TestDecodePlanKeep: with a keep mask the tuple holds the marked values
+// only, in order; a mask of the wrong length means the record is not of
+// the table the caller thinks.
+func TestDecodePlanKeep(t *testing.T) {
+	raw := mustEncode(t, Tuple{Int(7), Str("skipped"), Null(), Float(2.5), Str("kept")})
+	var p DecodePlan
+	p.Reset([]bool{true, false, false, true, true}, nil)
+	got := make(Tuple, p.Width())
+	if err := p.Tested(got, raw); err != nil {
 		t.Fatal(err)
 	}
-	for i := range raw {
-		raw[i] = 0xff // the page view moves on
+	if got.String() != "<7, 2.5, kept>" {
+		t.Errorf("decoded %v", got)
 	}
-	b, slab, err := DecodeTupleInto(slab, rec(Tuple{Int(2), Str("two")}), nil)
-	if err != nil {
-		t.Fatal(err)
+	p.Reset(make([]bool, 5), nil)
+	if err := p.Tested(Tuple{}, raw); err != nil || p.Width() != 0 {
+		t.Errorf("nothing kept: width %d, %v", p.Width(), err)
 	}
-	if len(slab) != 4 || cap(a) != 2 || cap(b) != 2 || &slab[0] != &a[0] || &slab[2] != &b[0] {
-		t.Fatalf("tuples are not capped windows of the slab: len(slab) %d, cap %d and %d", len(slab), cap(a), cap(b))
-	}
-	_ = append(a, Str("grown"))
-	if a.String() != "<1, one>" || b.String() != "<2, two>" {
-		t.Errorf("decoded %v and %v", a, b)
-	}
-	c, after, err := DecodeTupleInto(slab, rec(Tuple{Int(3), Str("three")}), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != 4 || &after[0] != &slab[0] || c.String() != "<3, three>" || cap(c) != 2 {
-		t.Errorf("a tuple that does not fit must leave the slab alone: len %d, tuple %v cap %d", len(after), c, cap(c))
-	}
-	// An arity no record of that length could hold is corruption, not a
-	// reason to allocate it.
-	if _, _, err := DecodeTupleInto(nil, []byte{0xff, 0xff, 0xff, 0xff, 0x0f}, nil); err == nil {
-		t.Error("absurd arity should fail")
-	}
-}
-
-// TestDecodeTupleIntoKeep: with a keep mask the tuple holds the marked
-// values only, in order, and takes only that much of the slab; a mask of
-// the wrong length means the record is not of the table the caller thinks.
-func TestDecodeTupleIntoKeep(t *testing.T) {
-	raw, err := EncodeTuple(Tuple{Int(7), Str("skipped"), Null(), Float(2.5), Str("kept")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slab := make([]Value, 0, 3)
-	got, slab, err := DecodeTupleInto(slab, raw, []bool{true, false, false, true, true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != "<7, 2.5, kept>" || len(slab) != 3 || &slab[0] != &got[0] {
-		t.Errorf("decoded %v into %d slab cells", got, len(slab))
-	}
-	if got, _, err := DecodeTupleInto(nil, raw, make([]bool, 5)); err != nil || len(got) != 0 {
-		t.Errorf("nothing kept: %v, %v", got, err)
-	}
-	if _, _, err := DecodeTupleInto(nil, raw, []bool{true, true}); err == nil {
+	p.Reset([]bool{true, true}, nil)
+	if err := p.Tested(make(Tuple, 2), raw); err == nil {
 		t.Error("a mask for a two-column table decoded a five-column record")
 	}
 }
@@ -175,36 +128,37 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeTupleInCutsFromTheArea: records decoded out of one area keep
-// strings that read as stored once the area's bytes are overwritten, the
-// area costs one string however many cells are kept, a dropped cell costs
-// nothing, and a record that does not lie in its area is refused.
-func TestDecodeTupleInCutsFromTheArea(t *testing.T) {
+// TestDecodePlanCutsFromTheArea: records decoded out of one area, their
+// first cell by TestedIn and the others by Rest, keep strings that read
+// as stored once the area's bytes are overwritten, the area costs one
+// string however many cells are kept, a dropped cell costs nothing, and a
+// record that does not lie in its area is refused.
+func TestDecodePlanCutsFromTheArea(t *testing.T) {
 	var area []byte
 	var offs, lens []int
 	for _, tu := range []Tuple{{Int(1), Str("one"), Str("uno")}, {Int(2), Str("two"), Str("dos")}} {
-		raw, err := EncodeTuple(tu)
-		if err != nil {
-			t.Fatal(err)
-		}
+		raw := mustEncode(t, tu)
 		offs, lens = append(offs, len(area)), append(lens, len(raw))
 		area = append(area, raw...)
 	}
 	var a StrArea
-	decodeBoth := func(keep []bool) []Tuple {
+	var p DecodePlan
+	decodeBoth := func(keep, test []bool) []Tuple {
 		a.Reset(area)
-		slab := make([]Value, 0, 6)
-		var out []Tuple
+		p.Reset(keep, test)
+		w := p.Width()
+		slab := make([]Value, len(offs)*w)
+		out := make([]Tuple, len(offs))
 		for i := range offs {
-			tu, rest, err := DecodeTupleIn(slab, &a, offs[i], lens[i], keep)
-			if err != nil {
+			out[i] = slab[i*w : (i+1)*w : (i+1)*w]
+			if err := p.TestedIn(out[i], &a, offs[i], lens[i]); err != nil {
 				t.Fatal(err)
 			}
-			out, slab = append(out, tu), rest
+			p.Rest(out[i])
 		}
 		return out
 	}
-	got := decodeBoth([]bool{true, false, true})
+	got := decodeBoth([]bool{true, false, true}, []bool{true, false})
 	for i := range area {
 		area[i] = 0xff
 	}
@@ -213,13 +167,13 @@ func TestDecodeTupleInCutsFromTheArea(t *testing.T) {
 	}
 	copy(area, mustEncode(t, Tuple{Int(1), Str("one"), Str("uno")}))
 	copy(area[offs[1]:], mustEncode(t, Tuple{Int(2), Str("two"), Str("dos")}))
-	all := testing.AllocsPerRun(10, func() { decodeBoth(nil) })
-	none := testing.AllocsPerRun(10, func() { decodeBoth([]bool{true, false, false}) })
+	all := testing.AllocsPerRun(10, func() { decodeBoth([]bool{true, true, true}, []bool{true, false, false}) })
+	none := testing.AllocsPerRun(10, func() { decodeBoth([]bool{true, false, false}, []bool{true}) })
 	if all != none+1 {
 		t.Errorf("two records: %.0f objects keeping four strings, %.0f keeping none; want one more, the area's string", all, none)
 	}
 	a.Reset(area)
-	if _, _, err := DecodeTupleIn(nil, &a, offs[1], lens[1]+1, nil); err == nil {
+	if err := p.TestedIn(make(Tuple, p.Width()), &a, offs[1], lens[1]+1); err == nil {
 		t.Error("a record running past its area decoded")
 	}
 }

@@ -63,9 +63,12 @@ func identical(a, b Value) bool {
 // cells drawn from two words, the plan decoder either returns exactly the
 // cells the reference decode returns — the tested ones from Tested, with
 // every other cell of the tuple left alone, the rest from Rest — or, when
-// the reference refuses the record, refuses it too, in Tested, in TestedIn
-// and in DecodeTupleInto. It never panics. A record decoded out of an area
-// cuts the same strings as one decoded alone.
+// the reference refuses the record, refuses it too, in Tested and in
+// TestedIn; and DecodeTuple, the plan over every stored value that
+// catalog.Table.ScanAll decodes through, returns
+// every cell the reference returns or refuses what it refuses. It never
+// panics. A record decoded out of an area cuts the same strings as one
+// decoded alone.
 func FuzzDecodeTuple(f *testing.F) {
 	for _, tu := range []Tuple{
 		{},
@@ -118,16 +121,24 @@ func FuzzDecodeTuple(f *testing.F) {
 		a.Reset(area)
 		got, gotIn := fresh(), fresh()
 		errIn := p.TestedIn(gotIn, &a, 3, len(b))
-		_, _, errInto := DecodeTupleInto(nil, b, keep)
+		whole, errWhole := DecodeTuple(b)
 		err := p.Tested(got, b)
 		if refErr != nil {
-			if err == nil || errIn == nil || errInto == nil {
-				t.Fatalf("reference refuses %x (%v); Tested %v, TestedIn %v, DecodeTupleInto %v", b, refErr, err, errIn, errInto)
+			if err == nil || errIn == nil || errWhole == nil {
+				t.Fatalf("reference refuses %x (%v); Tested %v, TestedIn %v, DecodeTuple %v", b, refErr, err, errIn, errWhole)
 			}
 			return
 		}
-		if err != nil || errIn != nil || errInto != nil {
-			t.Fatalf("%x decodes as %v; Tested %v, TestedIn %v, DecodeTupleInto %v", b, want, err, errIn, errInto)
+		if err != nil || errIn != nil || errWhole != nil {
+			t.Fatalf("%x decodes as %v; Tested %v, TestedIn %v, DecodeTuple %v", b, want, err, errIn, errWhole)
+		}
+		if len(whole) != len(want) {
+			t.Fatalf("%x: DecodeTuple returned %d cells, want %d", b, len(whole), len(want))
+		}
+		for i := range want {
+			if !identical(whole[i], want[i]) {
+				t.Fatalf("%x: DecodeTuple cell %d is %v, want %v", b, i, whole[i], want[i])
+			}
 		}
 		var kept Tuple
 		for i, k := range keep {
