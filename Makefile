@@ -32,11 +32,12 @@ lint:
 lockrank:
 	$(GO) test -tags lockrank ./internal/lockrank ./internal/core ./internal/async ./internal/cache ./internal/shard ./internal/server
 
-# The non-race run is the one that holds the allocation budgets
-# (internal/core TestAllocationBudget and internal/exec
-# TestOperatorContractReexecutionAllocs and TestKeptOperatorAllocs skip
-# themselves under -race, whose runtime allocates on its own account);
-# `check` runs those tests without the detector for the same reason.
+# The non-race run is the one that holds the allocation figures (the
+# ledger's objects and bytes columns, internal/harness TestLedger, and
+# internal/exec TestOperatorContractReexecutionAllocs and
+# TestKeptOperatorAllocs are not checked under -race, whose runtime
+# allocates on its own account); `check` runs those tests without the
+# detector for the same reason.
 test:
 	$(GO) test ./...
 
@@ -79,9 +80,10 @@ race-loop-pump:
 	$(GO) test -race -count=10 -run 'TestHandoff|TestSettleHandshake|TestCoalesce|TestSiblingCancel|TestQuiesce|TestPumpReusesExecutionGoroutines|TestPumpGoroutineBound|TestSyncCall|TestEVScanCache|TestPeekRound|TestBindRoundScratch|TestOpenTuplesSurviveAReopen|TestMailbox' ./internal/async
 	$(GO) test -race -count=5 -run 'TestTierOneEngineCallPerKey|TestTierAskTakesNoSlot' ./internal/shard
 
-# The simulated-time tests (about 5 s): Table 1 at the paper's latency,
-# the ablations and the pump-limit sweep, each compared with its file under
-# internal/harness/testdata/, and the pump's hedge-after-cancel slot check.
+# The simulated-time tests (about 8 s): Table 1 at the paper's latency,
+# the ablations, the pump-limit sweep and the ledger's waves and latency
+# columns, each compared with its file under internal/harness/testdata/,
+# and the pump's hedge-after-cancel slot check.
 # They run inside testing/synctest bubbles, whose fake clock makes every
 # time exact; the files build only with GOEXPERIMENT=synctest (Go 1.24).
 synctest:
@@ -89,8 +91,8 @@ synctest:
 
 # Full gate: gofmt-clean tree + vet + wsqlint + the lock-order check + the
 # whole suite under the race detector + both race loops + the simulated-time tests + the
-# allocation budgets without the detector,
-# traced warm query, the retry-policy round, the /query decoder and the
+# ledger's calls and allocation columns and the allocation budgets
+# without the detector, the retry-policy round, the /query decoder and the
 # cold buffer-pool scan included + every package benchmark run once + a
 # fuzz smoke + the nested benchmark module. The concurrency
 # tests (shared-pump server, concurrent Exec) only bite with -race; wsqlint
@@ -107,7 +109,7 @@ check:
 	$(MAKE) race-loop-reuse
 	$(MAKE) race-loop-pump
 	$(MAKE) synctest
-	$(GO) test -run TestAllocationBudget ./internal/core
+	$(GO) test -run TestLedger ./internal/harness
 	$(GO) test -run 'TestOperatorContractReexecutionAllocs|TestKeptOperatorAllocs' ./internal/exec
 	$(GO) test -run 'TestPumpRoundTripAllocs|TestPumpPolicyRoundAllocs' ./internal/async
 	$(GO) test -run TestDecodeQueryResponseAllocs ./internal/server

@@ -112,7 +112,7 @@ func (j *HashJoin) Narrow(need map[schema.AttrID]bool) { j.cut.narrow(need) }
 // hash table (re-opening rebuilds — correlated bindings may have changed
 // what the right side produces).
 func (j *hashJoin) Open(ctx *Context) error {
-	j.cut.reset() // children may have been swapped by a rewrite
+	j.cut.restart()
 	if !j.semi {
 		grantRecycling(j.Left) // emit copies what a joined row needs of a probe tuple
 	}
@@ -283,7 +283,6 @@ func (j *hashJoin) Close() error {
 	clear(j.keys)
 	clear(j.win[:cap(j.win)])
 	j.buf = nil
-	j.cut.reset()
 	j.cut.slab.close()
 	return errors.Join(j.Left.Close(), j.Right.Close())
 }
@@ -301,7 +300,6 @@ func (j *hashJoin) SetChild(i int, op Operator) {
 	default:
 		panic(j.Name() + " has two children")
 	}
-	j.cut.reset()
 }
 
 // SpanExtras implements the trace-profile hook: build-side cardinality

@@ -40,7 +40,7 @@ func (j *NestedLoopJoin) Narrow(need map[schema.AttrID]bool) { j.cut.narrow(need
 
 // Open implements Operator.
 func (j *NestedLoopJoin) Open(ctx *Context) error {
-	j.cut.reset() // children may have been swapped by a rewrite
+	j.cut.restart()
 	if err := j.Left.Open(ctx); err != nil {
 		return err
 	}
@@ -126,7 +126,6 @@ func (j *NestedLoopJoin) Close() error {
 	}
 	j.opened = false
 	j.curLeft, j.haveLeft = nil, false
-	j.cut.reset()
 	j.cut.slab.close()
 	return errors.Join(j.Left.Close(), j.Right.Close())
 }
@@ -144,7 +143,6 @@ func (j *NestedLoopJoin) SetChild(i int, op Operator) {
 	default:
 		panic("NestedLoopJoin has two children")
 	}
-	j.cut.reset()
 }
 
 // Name implements Operator.
@@ -171,25 +169,25 @@ func (j *NestedLoopJoin) Describe() string {
 type joinCut struct {
 	need        map[schema.AttrID]bool
 	out         *schema.Schema
-	left, right []int   // where, in a left and in a right tuple, the emitted columns sit
-	slab        rowSlab // joined rows are cut from it; see Batch
-	slabRows    int     // rows the next slab holds; doubles up to the batch size, as a TableScan's
+	in          [2]*schema.Schema // the inputs' schemas out was computed from
+	left, right []int             // where, in a left and in a right tuple, the emitted columns sit
+	slab        rowSlab           // joined rows are cut from it; see Batch
+	slabRows    int               // rows the next slab holds; doubles up to the batch size, as a TableScan's
 }
 
 func (c *joinCut) narrow(need map[schema.AttrID]bool) {
-	c.need = need
-	c.reset()
+	c.need, c.out = need, nil
 }
 
-// reset forgets the schema computed from the children.
-func (c *joinCut) reset() {
-	c.out, c.slabRows = nil, 8
-}
+// restart sizes an execution's first slab small again.
+func (c *joinCut) restart() { c.slabRows = 8 }
 
 // schema returns the join's output schema: left's columns, then right's,
-// without those need does not name.
+// without those need does not name. It is computed again only when an
+// input's schema is another than the one it was computed from: a child
+// swapped by a rewrite, narrowed, or whose own inputs changed.
 func (c *joinCut) schema(left, right *schema.Schema) *schema.Schema {
-	if c.out != nil {
+	if c.out != nil && c.in == [2]*schema.Schema{left, right} {
 		return c.out
 	}
 	var cols []schema.Column
@@ -204,7 +202,7 @@ func (c *joinCut) schema(left, right *schema.Schema) *schema.Schema {
 		return at
 	}
 	c.left, c.right = pick(left), pick(right)
-	c.out = schema.New(cols...)
+	c.out, c.in = schema.New(cols...), [2]*schema.Schema{left, right}
 	return c.out
 }
 
@@ -243,7 +241,8 @@ type DependentJoin struct {
 	BindDesc string
 
 	out *schema.Schema
-	buf []types.Tuple // joined tuples not yet emitted
+	in  [2]*schema.Schema // the inputs' schemas out was computed from
+	buf []types.Tuple     // joined tuples not yet emitted
 	// bufMem is buf's storage, kept across calls and Opens: NextBatch
 	// refills an empty buf from its front, since the windows cut from it
 	// are out of contract by then.
@@ -262,15 +261,15 @@ func NewDependentJoin(left, right Operator, bindDesc string) *DependentJoin {
 
 // Schema implements Operator.
 func (j *DependentJoin) Schema() *schema.Schema {
-	if j.out == nil {
-		j.out = j.Left.Schema().Concat(j.Right.Schema())
+	in := [2]*schema.Schema{j.Left.Schema(), j.Right.Schema()}
+	if j.out == nil || j.in != in {
+		j.out, j.in = in[0].Concat(in[1]), in
 	}
 	return j.out
 }
 
 // Open implements Operator.
 func (j *DependentJoin) Open(ctx *Context) error {
-	j.out = nil
 	grantRecycling(j.Left) // a joined row copies its outer tuple at once
 	if err := j.Left.Open(ctx); err != nil {
 		return err
@@ -417,7 +416,6 @@ func (j *DependentJoin) SetChild(i int, op Operator) {
 	default:
 		panic("DependentJoin has two children")
 	}
-	j.out = nil
 }
 
 // Name implements Operator.

@@ -4,7 +4,6 @@ package harness
 
 import (
 	"context"
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,8 +12,6 @@ import (
 	"repro/internal/async"
 	"repro/internal/search"
 )
-
-var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // checkGolden compares got with testdata/name, or rewrites the file under
 // -update.

@@ -275,14 +275,13 @@ func pruneColumns(op exec.Operator, need map[schema.AttrID]bool) (carriers map[s
 		}
 	}
 	exec.Refs(op, need)
-	for i, c := range op.Children() {
+	for _, c := range op.Children() {
 		for id := range pruneColumns(c, need) {
 			if carriers == nil {
 				carriers = make(map[schema.AttrID]bool)
 			}
 			carriers[id] = true
 		}
-		op.SetChild(i, c) // a join drops the schema it computed from the unpruned child
 	}
 	if join != nil {
 		for id := range carriers {
