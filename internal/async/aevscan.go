@@ -221,12 +221,6 @@ func (s *AEVScan) Close() error {
 	return nil
 }
 
-// Children implements exec.Operator.
-func (s *AEVScan) Children() []exec.Operator { return nil }
-
-// SetChild implements exec.Operator.
-func (s *AEVScan) SetChild(int, exec.Operator) { panic("AEVScan has no children") }
-
 // TraceChildren implements exec.TraceChildren: the pump call timelines
 // this scan registered while the query was sampled, as spans. Handing
 // them out empties the list, so re-closing (dependent joins close their

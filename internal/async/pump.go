@@ -1142,37 +1142,37 @@ func (p *Pump) Quiesce() {
 type Stats struct {
 	// Registered counts every registration: each RegisterCtx, and each
 	// distinct key of a scan's round, answered by PeekRound or by Request.
-	Registered int64
+	Registered int64 `json:"registered"`
+	// Started counts calls whose first attempt was dispatched.
+	Started int64 `json:"started"`
+	// Completed counts started calls that reached their outcome.
+	Completed int64 `json:"completed"`
 	// CacheHits counts registrations served instantly from the cache.
-	CacheHits int64
+	CacheHits int64 `json:"cache_hits"`
 	// PeerHits counts calls the key's home worker answered (tier-wide
 	// peering): from its cache, its call in flight or its own execution.
 	// None of them starts here.
-	PeerHits int64
+	PeerHits int64 `json:"peer_hits"`
 	// Coalesced counts registrations piggybacked on an identical
 	// in-flight call.
-	Coalesced int64
-	// Started counts calls whose first attempt was dispatched.
-	Started int64
-	// Completed counts started calls that reached their outcome.
-	Completed int64
+	Coalesced int64 `json:"coalesced"`
 	// Canceled counts calls, or retries, dropped from the queue before
 	// they ran: nobody wanted them any more (context expiry, discard), or
 	// the pump shut down.
-	Canceled int64
+	Canceled int64 `json:"canceled"`
 	// Retries counts re-executions launched after a transient failure.
-	Retries int64
+	Retries int64 `json:"retries"`
 	// Hedges counts duplicate requests launched for slow attempts, and
 	// HedgeWins those whose result arrived before the original's.
-	Hedges    int64
-	HedgeWins int64
+	Hedges    int64 `json:"hedges"`
+	HedgeWins int64 `json:"hedge_wins"`
 	// CallTimeouts counts attempts abandoned at the per-call deadline.
-	CallTimeouts int64
+	CallTimeouts int64 `json:"call_timeouts"`
 	// CallsFailed counts calls whose final outcome (after retries) was an
 	// error.
-	CallsFailed int64
+	CallsFailed int64 `json:"calls_failed"`
 	// MaxActive is the peak number of concurrently running calls.
-	MaxActive int
+	MaxActive int `json:"max_active"`
 }
 
 // Stats returns a snapshot of the pump's counters: the destination

@@ -27,8 +27,8 @@ import (
 // Open drains the child completely before any tuple is released ("we
 // choose this full-buffering implementation for the sake of simplicity").
 type ReqSync struct {
-	Child exec.Operator
-	Pump  *Pump
+	exec.Unary
+	Pump *Pump
 	// A is the set of attributes this operator fills in (ReqSync_i.A of
 	// Section 4.5.2). It drives percolation clash checks and is unioned
 	// when ReqSyncs are consolidated; execution itself discovers
@@ -71,7 +71,7 @@ type bufTuple struct {
 
 // NewReqSync builds a ReqSync over child filling the attribute set a.
 func NewReqSync(child exec.Operator, pump *Pump, a map[schema.AttrID]bool) *ReqSync {
-	return &ReqSync{Child: child, Pump: pump, A: a}
+	return &ReqSync{Unary: exec.Unary{Child: child}, Pump: pump, A: a}
 }
 
 // Schema implements exec.Operator.
@@ -271,17 +271,6 @@ func (r *ReqSync) Close() error {
 	r.ready = nil
 	r.opened = false
 	return r.Child.Close()
-}
-
-// Children implements exec.Operator.
-func (r *ReqSync) Children() []exec.Operator { return []exec.Operator{r.Child} }
-
-// SetChild implements exec.Operator.
-func (r *ReqSync) SetChild(i int, op exec.Operator) {
-	if i != 0 {
-		panic("ReqSync has a single child")
-	}
-	r.Child = op
 }
 
 // SpanExtras implements exec.SpanExtras: the Section 4.3 settlement

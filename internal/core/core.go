@@ -12,7 +12,7 @@
 //
 //	db, _ := core.Open(core.Config{Dir: dir, Async: true})
 //	corpus := websim.Default()
-//	db.RegisterEngine(search.NewDelayed(websim.NewAltaVista(corpus), search.BenchLatency(), 1), "AV")
+//	db.RegisterEngine(search.NewDelayed(websim.NewAltaVista(corpus), search.PaperLatency(), 1), "AV")
 //	db.Exec(`CREATE TABLE States (Name VARCHAR, Population INT, Capital VARCHAR)`)
 //	res, _ := db.Exec(`SELECT Name, Count FROM States, WebCount
 //	                   WHERE Name = T1 ORDER BY Count DESC`)
@@ -205,10 +205,13 @@ type QueryOptions struct {
 	// Degrade overrides the DB's default failed-call degradation policy
 	// when non-nil.
 	Degrade *exec.DegradePolicy
-	// Trace instruments this execution, as a sampled context does, so
-	// Result.Trace carries the query's per-operator span tree (timings,
-	// cardinalities, patch/expansion counts). The plan is the one an
-	// untraced run reuses. Costs two time.Now calls per operator invocation.
+	// Trace instruments this execution, so Result.Trace carries the
+	// query's per-operator span tree (timings, cardinalities,
+	// patch/expansion counts). Unlike a sampled context, it attaches no
+	// pump.call spans (queue wait, attempts, retries) under the scans:
+	// those are recorded only for a context that carries a trace. The
+	// plan is the one an untraced run reuses. Costs two time.Now calls per
+	// operator invocation.
 	Trace bool
 	// BatchSize overrides the executor's batch granularity for this
 	// statement (0 = exec.DefaultBatchSize). It is a reference granularity,
@@ -535,18 +538,28 @@ func (r *Result) Format() string {
 	if len(r.Columns) == 0 {
 		return fmt.Sprintf("ok (%d rows affected)\n", r.Stats.TuplesOut)
 	}
-	widths := make([]int, len(r.Columns))
-	for i, c := range r.Columns {
+	return FormatTable(r.Columns, r.Rows, func(v types.Value) string {
+		if v.Kind == types.KindFloat {
+			return fmt.Sprintf("%.4g", v.F)
+		}
+		return v.String()
+	})
+}
+
+// FormatTable renders rows as an aligned text table: the column names,
+// a rule, each row's cells as cell renders them, padded to their
+// column's widest, and "(n rows)". A result and a remote response, whose
+// cells differ, render through it alike.
+func FormatTable[Row ~[]C, C any](columns []string, rows []Row, cell func(C) string) string {
+	widths := make([]int, len(columns))
+	for i, c := range columns {
 		widths[i] = len(c)
 	}
-	cells := make([][]string, len(r.Rows))
-	for ri, row := range r.Rows {
+	cells := make([][]string, len(rows))
+	for ri, row := range rows {
 		cells[ri] = make([]string, len(row))
 		for ci, v := range row {
-			s := v.String()
-			if v.Kind == types.KindFloat {
-				s = fmt.Sprintf("%.4g", v.F)
-			}
+			s := cell(v)
 			cells[ri][ci] = s
 			if ci < len(widths) && len(s) > widths[ci] {
 				widths[ci] = len(s)
@@ -554,14 +567,14 @@ func (r *Result) Format() string {
 		}
 	}
 	var b strings.Builder
-	for i, c := range r.Columns {
+	for i, c := range columns {
 		if i > 0 {
 			b.WriteString("  ")
 		}
 		fmt.Fprintf(&b, "%-*s", widths[i], c)
 	}
 	b.WriteByte('\n')
-	for i := range r.Columns {
+	for i := range columns {
 		if i > 0 {
 			b.WriteString("  ")
 		}
@@ -577,6 +590,6 @@ func (r *Result) Format() string {
 		}
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "(%d rows)\n", len(r.Rows))
+	fmt.Fprintf(&b, "(%d rows)\n", len(rows))
 	return b.String()
 }

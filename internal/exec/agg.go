@@ -54,7 +54,7 @@ type AggSpec struct {
 // Aggregation always clashes with ReqSync percolation: it "requires an
 // accurate tally of incoming tuples" (Section 4.5.2, clash case 3).
 type Aggregate struct {
-	Child   Operator
+	Unary
 	GroupBy []expr.Expr
 	// GroupCols are the output columns for the group-by expressions.
 	GroupCols []schema.Column
@@ -84,7 +84,7 @@ func NewAggregate(child Operator, groupBy []expr.Expr, groupCols []schema.Column
 		cols = append(cols, a.OutCol)
 	}
 	return &Aggregate{
-		Child: child, GroupBy: groupBy, GroupCols: groupCols, Aggs: aggs,
+		Unary: Unary{child}, GroupBy: groupBy, GroupCols: groupCols, Aggs: aggs,
 		out: schema.New(cols...),
 	}
 }
@@ -200,9 +200,13 @@ func (a *Aggregate) Open(ctx *Context) error {
 	}
 	slices.SortStableFunc(a.order, func(g, h int) int { return strings.Compare(a.keys[g], a.keys[h]) })
 	a.run = slices.Grow(a.run[:0], n)
+	// The group rows are cut from one slab, a new one each execution:
+	// the consumer keeps them.
+	width := len(a.GroupBy) + len(a.Aggs)
+	slab := make([]types.Value, n*width)
 	for _, g := range a.order {
-		row := make(types.Tuple, 0, len(a.GroupBy)+len(a.Aggs))
-		row = append(row, a.groups.key(g)...)
+		row := append(slab[:0:width], a.groups.key(g)...)
+		slab = slab[width:]
 		for i, sp := range a.Aggs {
 			st := a.states[g*len(a.Aggs)+i]
 			switch sp.Func {
@@ -264,17 +268,6 @@ func (a *Aggregate) Close() error {
 	clear(a.run)
 	a.rows = nil
 	return a.Child.Close()
-}
-
-// Children implements Operator.
-func (a *Aggregate) Children() []Operator { return []Operator{a.Child} }
-
-// SetChild implements Operator.
-func (a *Aggregate) SetChild(i int, op Operator) {
-	if i != 0 {
-		panic("Aggregate has a single child")
-	}
-	a.Child = op
 }
 
 // Name implements Operator.

@@ -42,6 +42,7 @@ type ExternalSource interface {
 // columns the query reads, and the one way a call's key and a call's rows
 // are made.
 type ExternalScan struct {
+	leaf
 	Source ExternalSource
 	// Inputs supplies the call arguments. The first NumEcho() of them
 	// correspond to echoed output columns; any further inputs (e.g. the
@@ -343,12 +344,6 @@ func (s *EVScan) Close() error {
 	s.rows = nil
 	return nil
 }
-
-// Children implements Operator.
-func (s *EVScan) Children() []Operator { return nil }
-
-// SetChild implements Operator.
-func (s *EVScan) SetChild(int, Operator) { panic("EVScan has no children") }
 
 // TraceChildren implements the async-span hook: the pump call spans of
 // the calls made while the query was sampled. The scan blocks inside the

@@ -12,15 +12,15 @@ import (
 // operator of the paper's figures; named Filter here to avoid confusion
 // with the SQL keyword).
 type Filter struct {
-	Child Operator
-	Pred  expr.Expr
+	Unary
+	Pred expr.Expr
 
 	win []types.Tuple // the window NextBatch hands out, reused (see Batch)
 }
 
 // NewFilter builds a selection over child.
 func NewFilter(child Operator, pred expr.Expr) *Filter {
-	return &Filter{Child: child, Pred: pred}
+	return &Filter{Unary: Unary{child}, Pred: pred}
 }
 
 // Schema implements Operator.
@@ -71,17 +71,6 @@ func (f *Filter) Close() error {
 	return f.Child.Close()
 }
 
-// Children implements Operator.
-func (f *Filter) Children() []Operator { return []Operator{f.Child} }
-
-// SetChild implements Operator.
-func (f *Filter) SetChild(i int, op Operator) {
-	if i != 0 {
-		panic("Filter has a single child")
-	}
-	f.Child = op
-}
-
 // Name implements Operator.
 func (f *Filter) Name() string { return "Select" }
 
@@ -93,7 +82,7 @@ func (f *Filter) Describe() string { return f.Pred.String() }
 // operators above a projection (Sort, ReqSync) can still address them;
 // computed expressions get fresh AttrIDs assigned by the planner.
 type Project struct {
-	Child Operator
+	Unary
 	Exprs []expr.Expr
 	Out   *schema.Schema
 
@@ -104,7 +93,7 @@ type Project struct {
 
 // NewProject builds a projection.
 func NewProject(child Operator, exprs []expr.Expr, out *schema.Schema) *Project {
-	return &Project{Child: child, Exprs: exprs, Out: out}
+	return &Project{Unary: Unary{child}, Exprs: exprs, Out: out}
 }
 
 // Schema implements Operator.
@@ -158,17 +147,6 @@ func (p *Project) Close() error {
 	clear(p.win[:cap(p.win)])
 	p.slab.close()
 	return p.Child.Close()
-}
-
-// Children implements Operator.
-func (p *Project) Children() []Operator { return []Operator{p.Child} }
-
-// SetChild implements Operator.
-func (p *Project) SetChild(i int, op Operator) {
-	if i != 0 {
-		panic("Project has a single child")
-	}
-	p.Child = op
 }
 
 // Name implements Operator.

@@ -45,7 +45,7 @@ type HashSemiJoin struct{ hashJoin }
 
 // hashJoin is the one implementation behind both.
 type hashJoin struct {
-	Left, Right Operator
+	binary
 	// LeftKeys/RightKeys are the equi-key expressions, pairwise equal
 	// length, bound against the respective input schema.
 	LeftKeys, RightKeys []expr.Expr
@@ -81,13 +81,13 @@ type hashJoin struct {
 // rightKeys[i]; residual may be nil.
 func NewHashJoin(left, right Operator, leftKeys, rightKeys []expr.Expr, residual expr.Expr) *HashJoin {
 	checkKeyArity("HashJoin", leftKeys, rightKeys)
-	return &HashJoin{hashJoin{Left: left, Right: right, LeftKeys: leftKeys, RightKeys: rightKeys, Residual: residual}}
+	return &HashJoin{hashJoin{binary: binary{left, right}, LeftKeys: leftKeys, RightKeys: rightKeys, Residual: residual}}
 }
 
 // NewHashSemiJoin builds a hash semi-join.
 func NewHashSemiJoin(left, right Operator, leftKeys, rightKeys []expr.Expr) *HashSemiJoin {
 	checkKeyArity("HashSemiJoin", leftKeys, rightKeys)
-	return &HashSemiJoin{hashJoin{Left: left, Right: right, LeftKeys: leftKeys, RightKeys: rightKeys, semi: true}}
+	return &HashSemiJoin{hashJoin{binary: binary{left, right}, LeftKeys: leftKeys, RightKeys: rightKeys, semi: true}}
 }
 
 func checkKeyArity(who string, leftKeys, rightKeys []expr.Expr) {
@@ -285,21 +285,6 @@ func (j *hashJoin) Close() error {
 	j.buf = nil
 	j.cut.slab.close()
 	return errors.Join(j.Left.Close(), j.Right.Close())
-}
-
-// Children implements Operator.
-func (j *hashJoin) Children() []Operator { return []Operator{j.Left, j.Right} }
-
-// SetChild implements Operator.
-func (j *hashJoin) SetChild(i int, op Operator) {
-	switch i {
-	case 0:
-		j.Left = op
-	case 1:
-		j.Right = op
-	default:
-		panic(j.Name() + " has two children")
-	}
 }
 
 // SpanExtras implements the trace-profile hook: build-side cardinality

@@ -14,8 +14,8 @@ import (
 // nil predicate it degenerates to a cross-product, which is how the async
 // rewriter's join→σ(×) transformation represents rewritten joins.
 type NestedLoopJoin struct {
-	Left, Right Operator
-	Pred        expr.Expr // nil for a pure cross-product
+	binary
+	Pred expr.Expr // nil for a pure cross-product
 
 	cut      joinCut
 	curLeft  types.Tuple // the outer tuple being joined, while haveLeft
@@ -26,7 +26,7 @@ type NestedLoopJoin struct {
 
 // NewNestedLoopJoin builds a theta-join (or cross-product when pred is nil).
 func NewNestedLoopJoin(left, right Operator, pred expr.Expr) *NestedLoopJoin {
-	return &NestedLoopJoin{Left: left, Right: right, Pred: pred}
+	return &NestedLoopJoin{binary: binary{left, right}, Pred: pred}
 }
 
 // Schema implements Operator.
@@ -130,21 +130,6 @@ func (j *NestedLoopJoin) Close() error {
 	return errors.Join(j.Left.Close(), j.Right.Close())
 }
 
-// Children implements Operator.
-func (j *NestedLoopJoin) Children() []Operator { return []Operator{j.Left, j.Right} }
-
-// SetChild implements Operator.
-func (j *NestedLoopJoin) SetChild(i int, op Operator) {
-	switch i {
-	case 0:
-		j.Left = op
-	case 1:
-		j.Right = op
-	default:
-		panic("NestedLoopJoin has two children")
-	}
-}
-
 // Name implements Operator.
 func (j *NestedLoopJoin) Name() string {
 	if j.Pred == nil {
@@ -235,7 +220,7 @@ func (c *joinCut) retract(row types.Tuple) { c.slab.retract(len(row)) }
 // requires each GetNext call to its right child to include a binding from
 // its left child", Section 4.1).
 type DependentJoin struct {
-	Left, Right Operator
+	binary
 	// BindDesc documents the binding for EXPLAIN output, e.g.
 	// "Sigs.Name -> WebCount.T1"; it has no execution role.
 	BindDesc string
@@ -256,7 +241,7 @@ type DependentJoin struct {
 
 // NewDependentJoin builds a dependent join.
 func NewDependentJoin(left, right Operator, bindDesc string) *DependentJoin {
-	return &DependentJoin{Left: left, Right: right, BindDesc: bindDesc}
+	return &DependentJoin{binary: binary{left, right}, BindDesc: bindDesc}
 }
 
 // Schema implements Operator.
@@ -401,21 +386,6 @@ func (j *DependentJoin) Close() error {
 	clear(j.bufMem[:cap(j.bufMem)]) // let go of this execution's tuples
 	j.slab.close()
 	return errors.Join(j.Left.Close(), j.Right.Close())
-}
-
-// Children implements Operator.
-func (j *DependentJoin) Children() []Operator { return []Operator{j.Left, j.Right} }
-
-// SetChild implements Operator.
-func (j *DependentJoin) SetChild(i int, op Operator) {
-	switch i {
-	case 0:
-		j.Left = op
-	case 1:
-		j.Right = op
-	default:
-		panic("DependentJoin has two children")
-	}
 }
 
 // Name implements Operator.

@@ -312,7 +312,7 @@ func TestKeptOperatorAllocs(t *testing.T) {
 		{"Sort", 3, func() Operator { // 17 remade
 			return NewSort(NewValuesScan(in, rows), []SortKey{{Expr: col(n), Desc: true}})
 		}},
-		{"Aggregate", 19, func() Operator { // 40 remade
+		{"Aggregate", 12, func() Operator { // 33 remade
 			return NewAggregate(NewValuesScan(in, rows), []expr.Expr{col(k)}, []schema.Column{strCol("G", "K")},
 				[]AggSpec{{Func: AggSum, Arg: col(n), OutCol: intCol("G", "S")}})
 		}},

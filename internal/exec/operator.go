@@ -213,6 +213,52 @@ type Operator interface {
 	Describe() string
 }
 
+// An operator declares its inputs by embedding one of three shapes, which
+// supply Children and SetChild: leaf (the scans), Unary (Child) and binary
+// (Left, Right). Only a decorator (spanOp) delegates them instead.
+
+// leaf is the input shape of an operator with no inputs.
+type leaf struct{}
+
+// Children implements Operator.
+func (leaf) Children() []Operator { return nil }
+
+// SetChild implements Operator.
+func (leaf) SetChild(i int, _ Operator) { panic(fmt.Sprintf("SetChild(%d) of a leaf", i)) }
+
+// Unary is the input shape of an operator with one input. It is exported
+// for the operators of other packages (async.ReqSync).
+type Unary struct{ Child Operator }
+
+// Children implements Operator.
+func (u *Unary) Children() []Operator { return []Operator{u.Child} }
+
+// SetChild implements Operator.
+func (u *Unary) SetChild(i int, op Operator) {
+	if i != 0 {
+		panic(fmt.Sprintf("SetChild(%d) of a unary operator", i))
+	}
+	u.Child = op
+}
+
+// binary is the input shape of an operator with two inputs.
+type binary struct{ Left, Right Operator }
+
+// Children implements Operator.
+func (b *binary) Children() []Operator { return []Operator{b.Left, b.Right} }
+
+// SetChild implements Operator.
+func (b *binary) SetChild(i int, op Operator) {
+	switch i {
+	case 0:
+		b.Left = op
+	case 1:
+		b.Right = op
+	default:
+		panic(fmt.Sprintf("SetChild(%d) of a binary operator", i))
+	}
+}
+
 // Run drains op to completion, returning all produced tuples. It opens
 // and closes the operator. On every error path the operator is still
 // closed and any Close error is joined onto the primary one — a failed

@@ -14,6 +14,7 @@ import (
 // the per-query instantiation of the table's columns (fresh AttrIDs per
 // occurrence in the FROM clause).
 type TableScan struct {
+	leaf
 	Table *catalog.Table
 	// Out holds the columns the scan emits: those of the table's that Keep
 	// marks. The others are never decoded.
@@ -182,14 +183,6 @@ func (s *TableScan) Close() error {
 	return err
 }
 
-// Children implements Operator.
-func (s *TableScan) Children() []Operator { return nil }
-
-// SetChild implements Operator.
-func (s *TableScan) SetChild(int, Operator) {
-	panic("TableScan has no children")
-}
-
 // Name implements Operator.
 func (s *TableScan) Name() string { return "Scan" }
 
@@ -208,6 +201,7 @@ func (s *TableScan) Describe() string {
 // ValuesScan replays an in-memory tuple list; it backs tests and internal
 // tools that need a leaf without storage.
 type ValuesScan struct {
+	leaf
 	Out  *schema.Schema
 	Rows []types.Tuple
 	rest []types.Tuple // the unread tail of Rows
@@ -232,12 +226,6 @@ func (v *ValuesScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 
 // Close implements Operator.
 func (v *ValuesScan) Close() error { return nil }
-
-// Children implements Operator.
-func (v *ValuesScan) Children() []Operator { return nil }
-
-// SetChild implements Operator.
-func (v *ValuesScan) SetChild(int, Operator) { panic("ValuesScan has no children") }
 
 // Name implements Operator.
 func (v *ValuesScan) Name() string { return "Values" }

@@ -20,8 +20,8 @@ type SortKey struct {
 // (it must observe final values), which is why the paper's Figure 3 plan
 // has Sort above ReqSync.
 type Sort struct {
-	Child Operator
-	Keys  []SortKey
+	Unary
+	Keys []SortKey
 
 	cols []int         // Keys' in-row columns, by Open (see columns)
 	buf  []keyedRow    // the input rows, sorted at the end of Open
@@ -38,7 +38,7 @@ type keyedRow struct {
 
 // NewSort builds a sort over child.
 func NewSort(child Operator, keys []SortKey) *Sort {
-	return &Sort{Child: child, Keys: keys}
+	return &Sort{Unary: Unary{child}, Keys: keys}
 }
 
 // Schema implements Operator.
@@ -111,17 +111,6 @@ func (s *Sort) Close() error {
 	return s.Child.Close()
 }
 
-// Children implements Operator.
-func (s *Sort) Children() []Operator { return []Operator{s.Child} }
-
-// SetChild implements Operator.
-func (s *Sort) SetChild(i int, op Operator) {
-	if i != 0 {
-		panic("Sort has a single child")
-	}
-	s.Child = op
-}
-
 // Name implements Operator.
 func (s *Sort) Name() string { return "Sort" }
 
@@ -153,13 +142,13 @@ func (s *Sort) KeyAttrs() map[schema.AttrID]bool {
 // taxonomy: the number of surviving tuples below it must be final, so a
 // ReqSync can never be pulled above it.
 type Limit struct {
-	Child Operator
-	N     int
-	seen  int
+	Unary
+	N    int
+	seen int
 }
 
 // NewLimit builds a limit over child.
-func NewLimit(child Operator, n int) *Limit { return &Limit{Child: child, N: n} }
+func NewLimit(child Operator, n int) *Limit { return &Limit{Unary: Unary{child}, N: n} }
 
 // Schema implements Operator.
 func (l *Limit) Schema() *schema.Schema { return l.Child.Schema() }
@@ -196,17 +185,6 @@ func (l *Limit) recycle() { grantRecycling(l.Child) }
 // Close implements Operator.
 func (l *Limit) Close() error { return l.Child.Close() }
 
-// Children implements Operator.
-func (l *Limit) Children() []Operator { return []Operator{l.Child} }
-
-// SetChild implements Operator.
-func (l *Limit) SetChild(i int, op Operator) {
-	if i != 0 {
-		panic("Limit has a single child")
-	}
-	l.Child = op
-}
-
 // Name implements Operator.
 func (l *Limit) Name() string { return "Limit" }
 
@@ -217,13 +195,13 @@ func (l *Limit) Describe() string { return fmt.Sprintf("%d", l.N) }
 // accurate tally of incoming tuples and therefore always clashes with
 // ReqSync percolation (clash case 3 in Section 4.5.2).
 type Distinct struct {
-	Child Operator
-	seen  keyTable // the tuples emitted so far, compared cell by cell
-	win   Batch    // what NextBatch handed out last
+	Unary
+	seen keyTable // the tuples emitted so far, compared cell by cell
+	win  Batch    // what NextBatch handed out last
 }
 
 // NewDistinct builds a duplicate-eliminating operator.
-func NewDistinct(child Operator) *Distinct { return &Distinct{Child: child} }
+func NewDistinct(child Operator) *Distinct { return &Distinct{Unary: Unary{child}} }
 
 // Schema implements Operator.
 func (d *Distinct) Schema() *schema.Schema { return d.Child.Schema() }
@@ -263,17 +241,6 @@ func (d *Distinct) Close() error {
 	d.seen.empty()
 	clear(d.win[:cap(d.win)])
 	return d.Child.Close()
-}
-
-// Children implements Operator.
-func (d *Distinct) Children() []Operator { return []Operator{d.Child} }
-
-// SetChild implements Operator.
-func (d *Distinct) SetChild(i int, op Operator) {
-	if i != 0 {
-		panic("Distinct has a single child")
-	}
-	d.Child = op
 }
 
 // Name implements Operator.

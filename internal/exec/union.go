@@ -18,9 +18,9 @@ import (
 // planner lowers SQL UNION to Distinct(UnionAll(...)) so that rewrite is
 // the plan's natural form.
 type UnionAll struct {
-	Left, Right Operator
-	onRight     bool
-	opened      bool
+	binary
+	onRight bool
+	opened  bool
 }
 
 // NewUnionAll builds a bag union. It validates positional compatibility.
@@ -35,7 +35,7 @@ func NewUnionAll(left, right Operator) (*UnionAll, error) {
 				i+1, l.Cols[i].Type, r.Cols[i].Type)
 		}
 	}
-	return &UnionAll{Left: left, Right: right}, nil
+	return &UnionAll{binary: binary{left, right}}, nil
 }
 
 // Schema implements Operator: the left input names the output.
@@ -89,21 +89,6 @@ func (u *UnionAll) Close() error {
 	}
 	u.opened = false
 	return errors.Join(u.Left.Close(), u.Right.Close())
-}
-
-// Children implements Operator.
-func (u *UnionAll) Children() []Operator { return []Operator{u.Left, u.Right} }
-
-// SetChild implements Operator.
-func (u *UnionAll) SetChild(i int, op Operator) {
-	switch i {
-	case 0:
-		u.Left = op
-	case 1:
-		u.Right = op
-	default:
-		panic("UnionAll has two children")
-	}
 }
 
 // Name implements Operator.

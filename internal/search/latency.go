@@ -28,12 +28,6 @@ func PaperLatency() LatencyModel {
 	return LatencyModel{Base: 600 * time.Millisecond, Jitter: 300 * time.Millisecond, CountFactor: 0.8}
 }
 
-// BenchLatency is a scaled-down model (~25 ms) so the full Table 1 harness
-// runs in seconds while preserving the latency-dominated regime.
-func BenchLatency() LatencyModel {
-	return LatencyModel{Base: 20 * time.Millisecond, Jitter: 10 * time.Millisecond, CountFactor: 0.8}
-}
-
 // ZeroLatency disables delays (for unit tests of query semantics).
 func ZeroLatency() LatencyModel { return LatencyModel{} }
 

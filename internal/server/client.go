@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"repro/internal/core"
 )
 
 // Client talks to a running wsqd server. It is safe for concurrent use and
@@ -133,53 +135,13 @@ func (c *Client) Status(ctx context.Context) (*Statusz, error) {
 	return &out, nil
 }
 
-// Format renders a query response as an aligned text table, mirroring
-// core.Result.Format so the wsq shell looks identical in remote mode.
+// Format renders a query response as core.Result.Format does, so the wsq
+// shell looks identical in remote mode.
 func (r *QueryResponse) Format() string {
 	if len(r.Columns) == 0 {
 		return fmt.Sprintf("ok (%d rows affected)\n", r.RowCount)
 	}
-	widths := make([]int, len(r.Columns))
-	for i, c := range r.Columns {
-		widths[i] = len(c)
-	}
-	cells := make([][]string, len(r.Rows))
-	for ri, row := range r.Rows {
-		cells[ri] = make([]string, len(row))
-		for ci, v := range row {
-			s := formatValue(v)
-			cells[ri][ci] = s
-			if ci < len(widths) && len(s) > widths[ci] {
-				widths[ci] = len(s)
-			}
-		}
-	}
-	var b strings.Builder
-	for i, c := range r.Columns {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		fmt.Fprintf(&b, "%-*s", widths[i], c)
-	}
-	b.WriteByte('\n')
-	for i := range r.Columns {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", widths[i]))
-	}
-	b.WriteByte('\n')
-	for _, row := range cells {
-		for ci, s := range row {
-			if ci > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[ci], s)
-		}
-		b.WriteByte('\n')
-	}
-	fmt.Fprintf(&b, "(%d rows)\n", len(r.Rows))
-	return b.String()
+	return core.FormatTable(r.Columns, r.Rows, formatValue)
 }
 
 // formatValue renders one JSON-decoded cell. Integers survive the float64

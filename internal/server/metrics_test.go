@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -173,17 +175,36 @@ func TestStatuszGoldenFields(t *testing.T) {
 	if qs.Total != 1 {
 		t.Errorf("queries.total = %d, want 1", qs.Total)
 	}
-	var p map[string]json.RawMessage
-	if err := json.Unmarshal(st["pump"], &p); err != nil {
+	// The pump object's keys, exactly and in order: async.Stats's tags,
+	// then the live gauges.
+	want := []string{"registered", "started", "completed", "cache_hits", "peer_hits",
+		"coalesced", "canceled", "retries", "hedges", "hedge_wins", "call_timeouts",
+		"calls_failed", "max_active", "active", "queued"}
+	if got := objectKeys(t, st["pump"]); !slices.Equal(got, want) {
+		t.Errorf("/statusz pump keys:\n got %q\nwant %q", got, want)
+	}
+}
+
+// objectKeys lists a JSON object's keys in the order they were written.
+func objectKeys(t *testing.T, raw json.RawMessage) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if _, err := dec.Token(); err != nil { // {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"registered", "started", "completed", "cache_hits", "coalesced",
-		"canceled", "retries", "hedges", "hedge_wins", "call_timeouts", "calls_failed",
-		"max_active", "active", "queued"} {
-		if _, ok := p[key]; !ok {
-			t.Errorf("/statusz pump missing field %q", key)
+	var keys []string
+	for dec.More() {
+		k, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k.(string))
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
 		}
 	}
+	return keys
 }
 
 // TestRequestLog checks the structured per-request log: one JSON line per

@@ -549,24 +549,12 @@ type QueryStats struct {
 	LatencyMS Percentiles `json:"latency_ms"`
 }
 
-// PumpStats mirrors async.Stats plus the live gauges.
+// PumpStats is the pump's counters (async.Stats, whose tags name the
+// keys) and its live gauges.
 type PumpStats struct {
-	Registered int64 `json:"registered"`
-	Started    int64 `json:"started"`
-	Completed  int64 `json:"completed"`
-	CacheHits  int64 `json:"cache_hits"`
-	// PeerHits counts calls the key's home worker answered (tier mode).
-	PeerHits     int64 `json:"peer_hits"`
-	Coalesced    int64 `json:"coalesced"`
-	Canceled     int64 `json:"canceled"`
-	Retries      int64 `json:"retries"`
-	Hedges       int64 `json:"hedges"`
-	HedgeWins    int64 `json:"hedge_wins"`
-	CallTimeouts int64 `json:"call_timeouts"`
-	CallsFailed  int64 `json:"calls_failed"`
-	MaxActive    int   `json:"max_active"`
-	Active       int   `json:"active"`
-	Queued       int   `json:"queued"`
+	async.Stats
+	Active int `json:"active"`
+	Queued int `json:"queued"`
 }
 
 // CacheStats summarizes the shared result cache.
@@ -579,29 +567,13 @@ type CacheStats struct {
 }
 
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	ps := s.db.Pump().Stats()
-	running, queuedCalls := s.db.Pump().Active()
+	ps := PumpStats{Stats: s.db.Pump().Stats()}
+	ps.Active, ps.Queued = s.db.Pump().Active()
 	st := Statusz{
 		UptimeSeconds: time.Since(s.start).Seconds(),
-		Pump: PumpStats{
-			Registered:   ps.Registered,
-			Started:      ps.Started,
-			Completed:    ps.Completed,
-			CacheHits:    ps.CacheHits,
-			PeerHits:     ps.PeerHits,
-			Coalesced:    ps.Coalesced,
-			Canceled:     ps.Canceled,
-			Retries:      ps.Retries,
-			Hedges:       ps.Hedges,
-			HedgeWins:    ps.HedgeWins,
-			CallTimeouts: ps.CallTimeouts,
-			CallsFailed:  ps.CallsFailed,
-			MaxActive:    ps.MaxActive,
-			Active:       running,
-			Queued:       queuedCalls,
-		},
-		Engines:    s.db.Engines().Names(),
-		DestActive: s.db.Pump().DestActive(),
+		Pump:          ps,
+		Engines:       s.db.Engines().Names(),
+		DestActive:    s.db.Pump().DestActive(),
 	}
 	s.mu.Lock()
 	active, queued := s.active, s.queued

@@ -75,7 +75,7 @@ func TestChaosWorkerKilledMidQuery(t *testing.T) {
 	if okCount == 0 {
 		t.Error("no query succeeded after the kill; rerouting is not working")
 	}
-	// With a 2-worker tier and MaxAttempts=3 the survivor covers every
+	// With a 2-worker tier and maxAttempts = 3 the survivor covers every
 	// key, so even 503s should be absent — but we only hard-require "no
 	// fabricated 500s", matching the degrade contract.
 	t.Logf("chaos: %d queries, %d ok, %d unavailable, %d failed", total, okCount, unavailable, failed)

@@ -21,32 +21,21 @@ type CoordinatorOptions struct {
 	// ConfigPath is re-read by Reload (SIGHUP / POST /admin/reload).
 	// Empty disables reload.
 	ConfigPath string
-	// MaxAttempts caps how many distinct workers one query may try
-	// (default 3, clamped to the live worker count).
-	MaxAttempts int
-	// MaxBodyBytes bounds a buffered query body (default 1 MiB); the
-	// body must be buffered so a failed attempt can be replayed on the
-	// next worker.
-	MaxBodyBytes int64
-	// Node names this coordinator in stitched traces (default "coord").
-	Node string
 	// TraceSampleEvery head-samples 1 in N queries that did not ask for
 	// a trace themselves (0 disables head sampling).
 	TraceSampleEvery int
 }
 
-func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 1 << 20
-	}
-	if o.Node == "" {
-		o.Node = "coord"
-	}
-	return o
-}
+const (
+	// maxAttempts caps how many distinct workers one query may try
+	// (clamped to the live worker count).
+	maxAttempts = 3
+	// maxBodyBytes bounds a buffered query body; the body must be
+	// buffered so a failed attempt can be replayed on the next worker.
+	maxBodyBytes = 1 << 20
+	// coordNode names the coordinator in stitched traces.
+	coordNode = "coord"
+)
 
 // Coordinator is the tier's front door: it accepts the ordinary wsqd
 // HTTP/JSON query API and routes each query to a worker chosen by
@@ -77,7 +66,7 @@ type Coordinator struct {
 // NewCoordinator builds a coordinator over a validated tier config.
 func NewCoordinator(cfg Config, opt CoordinatorOptions) *Coordinator {
 	return &Coordinator{
-		opt:     opt.withDefaults(),
+		opt:     opt,
 		sampler: obs.NewSampler(opt.TraceSampleEvery),
 		traces:  obs.NewTraceSink(),
 		cfg:     cfg,
@@ -287,7 +276,7 @@ func (c *Coordinator) handleQuery(rw http.ResponseWriter, r *http.Request) {
 	var root *obs.Span
 	traceparent := ""
 	if tc != nil {
-		root = &obs.Span{Op: "coord.query", Detail: obs.TruncateSQL(sql), Node: c.opt.Node, Start: start}
+		root = &obs.Span{Op: "coord.query", Detail: obs.TruncateSQL(sql), Node: coordNode, Start: start}
 		traceparent = tc.Traceparent()
 	}
 	finish := func(errMsg string) {
@@ -298,7 +287,7 @@ func (c *Coordinator) handleQuery(rw http.ResponseWriter, r *http.Request) {
 		c.traces.Add(&obs.StoredTrace{
 			TraceID:   tc.TraceID,
 			SQL:       root.Detail,
-			Node:      c.opt.Node,
+			Node:      coordNode,
 			StartedAt: start,
 			ElapsedMS: float64(root.Dur.Microseconds()) / 1000.0,
 			Error:     errMsg,
@@ -306,8 +295,7 @@ func (c *Coordinator) handleQuery(rw http.ResponseWriter, r *http.Request) {
 		})
 	}
 
-	attempts := c.opt.MaxAttempts
-	targets := c.ring().Successors(RouteKey(sql), attempts)
+	targets := c.ring().Successors(RouteKey(sql), maxAttempts)
 	if len(targets) == 0 {
 		c.exhausted.Add(1)
 		finish("no live workers")
@@ -323,7 +311,7 @@ func (c *Coordinator) handleQuery(rw http.ResponseWriter, r *http.Request) {
 		status, hdr, respBody, err := c.forward(r.Context(), m.URL+"/query", rp, traceparent)
 		var att *obs.Span
 		if root != nil {
-			att = root.AddChild(&obs.Span{Op: "coord.attempt", Detail: m.ID, Node: c.opt.Node, Start: attemptStart, Dur: time.Since(attemptStart)})
+			att = root.AddChild(&obs.Span{Op: "coord.attempt", Detail: m.ID, Node: coordNode, Start: attemptStart, Dur: time.Since(attemptStart)})
 			switch {
 			case err != nil:
 				att.Detail = m.ID + " error"
@@ -433,7 +421,7 @@ func (c *Coordinator) readQuery(rw http.ResponseWriter, r *http.Request) (sql st
 		tr := params.Get("trace")
 		return q, replay{method: http.MethodGet, rawQuery: r.URL.RawQuery}, tr == "1" || tr == "true", true
 	}
-	raw, err := io.ReadAll(io.LimitReader(r.Body, c.opt.MaxBodyBytes))
+	raw, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
 	if err != nil {
 		c.badBodies.Add(1)
 		http.Error(rw, "unreadable body", http.StatusBadRequest)

@@ -129,12 +129,11 @@ func startTierSpec(t *testing.T, spec tierSpec) *tierEnv {
 		t.Cleanup(peers.Close)
 		db.Pump().SetCachePeer(peers)
 		w := NewWorker(WorkerOptions{
-			ID:        id,
-			Inner:     server.New(db, server.Options{Node: id}),
-			Cache:     db.Cache(),
-			Pump:      db.Pump(),
-			Peers:     peers,
-			DrainPoll: 2 * time.Millisecond,
+			ID:    id,
+			Inner: server.New(db, server.Options{Node: id}),
+			Cache: db.Cache(),
+			Pump:  db.Pump(),
+			Peers: peers,
 		})
 		peers.Observe(db.Metrics())
 		w.Observe(db.Metrics())

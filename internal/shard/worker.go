@@ -32,24 +32,11 @@ type WorkerOptions struct {
 	// this worker is home to, drain uses it to hand hot keys to their new
 	// homes, and /shard/membership updates it.
 	Peers *Peers
-	// HandoffMax is the number of hottest cache entries pushed to their
-	// new homes during drain (default 64; 0 selects the default, -1
-	// disables handoff).
-	HandoffMax int
-	// DrainPoll is the in-flight poll interval during drain (default
-	// 10ms; tests shorten it).
-	DrainPoll time.Duration
 }
 
-func (o WorkerOptions) withDefaults() WorkerOptions {
-	if o.HandoffMax == 0 {
-		o.HandoffMax = 64
-	}
-	if o.DrainPoll <= 0 {
-		o.DrainPoll = 10 * time.Millisecond
-	}
-	return o
-}
+// handoffMax is the number of hottest cache entries drain pushes to their
+// new homes.
+const handoffMax = 64
 
 // Worker serves the shard side of the tier protocol in front of a wsqd:
 //
@@ -68,6 +55,10 @@ type Worker struct {
 
 	draining atomic.Bool
 	inflight atomic.Int64
+	// idle holds a wake-up for drain, sent when inflight reaches zero on a
+	// draining worker; one buffered token is enough, drain re-checks
+	// inflight after each.
+	idle chan struct{}
 
 	// counters
 	remoteHits   atomic.Int64
@@ -79,7 +70,7 @@ type Worker struct {
 
 // NewWorker wraps an inner wsqd handler with the shard protocol.
 func NewWorker(opt WorkerOptions) *Worker {
-	w := &Worker{opt: opt.withDefaults()}
+	w := &Worker{opt: opt, idle: make(chan struct{}, 1)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/shard/cache/get", w.handleCacheGet)
 	mux.HandleFunc("/shard/cache/fill", w.handleCacheFill)
@@ -112,8 +103,12 @@ func (w *Worker) delegate(rw http.ResponseWriter, r *http.Request) {
 }
 
 // handleQuery delegates to the inner handler unless draining, counting
-// in-flight work so drain knows when the worker is quiet.
+// in-flight work so drain knows when the worker is quiet. It counts the
+// query before it reads draining, so any query drain's wait misses sees
+// draining and is turned away.
 func (w *Worker) handleQuery(rw http.ResponseWriter, r *http.Request) {
+	w.inflight.Add(1)
+	defer w.leave()
 	if w.draining.Load() {
 		w.drainRejects.Add(1)
 		rw.Header().Set("Retry-After", "1")
@@ -122,9 +117,22 @@ func (w *Worker) handleQuery(rw http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(rw).Encode(map[string]string{"error": "worker draining; retry elsewhere"})
 		return
 	}
-	w.inflight.Add(1)
-	defer w.inflight.Add(-1)
 	w.delegate(rw, r)
+}
+
+// leave uncounts a query; the last one out of a draining worker wakes
+// drain.
+func (w *Worker) leave() {
+	if w.inflight.Add(-1) == 0 && w.draining.Load() {
+		w.wakeDrain()
+	}
+}
+
+func (w *Worker) wakeDrain() {
+	select {
+	case w.idle <- struct{}{}:
+	default: // a wake-up is already waiting
+	}
 }
 
 // SpanHeader carries a remote handler's span (an encoded obs.Span, one
@@ -286,15 +294,15 @@ func (w *Worker) handleDrain(rw http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			http.Error(rw, "drain interrupted", http.StatusRequestTimeout)
 			return
-		default:
+		case <-w.idle:
 		}
-		time.Sleep(w.opt.DrainPoll)
 	}
+	w.wakeDrain() // for a concurrent drain waiting on the same wake-up
 
 	handed := 0
-	if w.opt.Cache != nil && w.opt.Peers != nil && w.opt.HandoffMax > 0 {
+	if w.opt.Cache != nil && w.opt.Peers != nil {
 		ring := w.opt.Peers.Ring()
-		for _, e := range w.opt.Cache.Entries(w.opt.HandoffMax) {
+		for _, e := range w.opt.Cache.Entries(handoffMax) {
 			owner, ok := ring.Owner(e.Key)
 			if !ok || owner.ID == w.opt.ID {
 				continue

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -281,7 +283,7 @@ func TestWorkerDrainRejectsQueries(t *testing.T) {
 		rw.WriteHeader(http.StatusOK)
 		fmt.Fprint(rw, `{"rows":[]}`)
 	})
-	w, srv := newProtoWorker(t, WorkerOptions{Inner: inner, DrainPoll: time.Millisecond})
+	w, srv := newProtoWorker(t, WorkerOptions{Inner: inner})
 
 	resp, err := http.Post(srv.URL+"/query", "application/json", bytes.NewReader([]byte(`{"sql":"SELECT 1"}`)))
 	if err != nil {
@@ -330,7 +332,7 @@ func TestWorkerDrainWaitsForInflight(t *testing.T) {
 		<-release
 		rw.WriteHeader(http.StatusOK)
 	})
-	w, srv := newProtoWorker(t, WorkerOptions{Inner: inner, DrainPoll: time.Millisecond})
+	w, srv := newProtoWorker(t, WorkerOptions{Inner: inner})
 
 	qdone := make(chan int, 1)
 	go func() {
@@ -369,6 +371,64 @@ func TestWorkerDrainWaitsForInflight(t *testing.T) {
 	case <-drained:
 	case <-time.After(2 * time.Second):
 		t.Fatal("drain did not complete after the query finished")
+	}
+}
+
+// TestWorkerDrainOutlastsEveryAdmittedQuery: queries race a drain. A
+// query is counted before it reads draining, so every one the inner
+// handler ran had finished when drain returned, and none ran after.
+func TestWorkerDrainOutlastsEveryAdmittedQuery(t *testing.T) {
+	const clients = 8
+	var started, finished atomic.Int64
+	warm := make(chan struct{}) // every client is in its loop
+	inner := http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if started.Add(1) == 4*clients {
+			close(warm)
+		}
+		finished.Add(1)
+		rw.WriteHeader(http.StatusOK)
+	})
+	_, srv := newProtoWorker(t, WorkerOptions{Inner: inner})
+
+	var answered200 atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				resp, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(`{"sql":"x"}`))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					return // turned away: the worker drains
+				}
+				answered200.Add(1)
+			}
+		}()
+	}
+	<-warm
+
+	resp, err := http.Post(srv.URL+"/shard/drain", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	ran, done := started.Load(), finished.Load()
+	if ran != done {
+		t.Errorf("drain returned with %d of %d admitted queries still running", ran-done, ran)
+	}
+	wg.Wait()
+	if n := started.Load(); n != ran {
+		t.Errorf("%d queries ran after drain returned", n-ran)
+	}
+	if n := answered200.Load(); n != started.Load() {
+		t.Errorf("%d queries answered 200, %d ran", n, started.Load())
 	}
 }
 

@@ -81,11 +81,7 @@ func Int(i int64) Value { return Value{Kind: KindInt, I: i} }
 // Float returns a floating-point value.
 func Float(f float64) Value { return Value{Kind: KindFloat, F: f} }
 
-// String_ returns a string value. (Named with a trailing underscore because
-// String is taken by the Stringer method.)
-func String_(s string) Value { return Value{Kind: KindString, S: s} }
-
-// Str is a shorter alias for String_.
+// Str returns a string value. (Not String: that is the Stringer method.)
 func Str(s string) Value { return Value{Kind: KindString, S: s} }
 
 // Placeholder returns a placeholder value for field f of pending call c.
