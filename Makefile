@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lockrank test test-race race-loop-reuse race-loop-pump synctest check fuzz fuzzqe-smoke bench bench-once bench-check table1 examples clean
+.PHONY: all build vet lint lockrank test test-race race-loop-reuse race-loop-pump synctest check fuzz fuzzqe-smoke bench bench-once bench-check table1 examples loc clean
 
 all: build check
 
@@ -172,6 +172,16 @@ examples:
 	$(GO) run ./examples/sigs
 	$(GO) run ./examples/crawler
 	$(GO) run ./examples/dsq
+
+# Go lines per package, non-test and test, and their totals, outside
+# bench/ (its own module) and testdata/: the count a change that removes
+# code is measured by.
+loc:
+	@find . -name '*.go' -not -path './bench/*' -not -path '*/testdata/*' | sed 's|^\./||' | xargs awk ' \
+		{ d = FILENAME; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; k = FILENAME ~ /_test\.go$$/; n[d, k]++; all[k]++; dirs[d] } \
+		END { printf "%-24s %9s %9s\n", "package", "non-test", "test"; \
+			for (d in dirs) printf "%-24s %9d %9d\n", d, n[d, 0], n[d, 1] | "sort"; close("sort"); \
+			printf "%-24s %9d %9d\n", "total", all[0], all[1] }'
 
 clean:
 	$(GO) clean ./...

@@ -178,7 +178,6 @@ func main() {
 		MaxQueueDepth:        *queueDepth,
 		DefaultTimeout:       *timeout,
 		AllowWrites:          *allowWrites,
-		DefaultDegrade:       degrade,
 		RequestLog:           logW,
 		Node:                 node,
 		TraceSampleEvery:     *traceSample,

@@ -47,7 +47,7 @@ func TestCoalesceConcurrentIdenticalMisses(t *testing.T) {
 	// latency keeps the schedule exact.
 	d := search.NewDelayed(eng, search.ZeroLatency(), 1)
 	p := NewPump(8, 8, &countingCache{m: make(map[string][]types.Tuple)})
-	defer p.Close()
+	defer closeWithin(t, p, 5*time.Second)
 
 	call := func() ([]types.Tuple, error) {
 		c, err := d.Count("texas")
@@ -72,9 +72,7 @@ func TestCoalesceConcurrentIdenticalMisses(t *testing.T) {
 	close(eng.gate)
 
 	for i, id := range ids {
-		if _, err := p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{id: true}); err != nil {
-			t.Fatalf("await %d: %v", i, err)
-		}
+		awaitWithin(t, p, id)
 		res, ok := p.Take(id)
 		if !ok || res.Err != nil {
 			t.Fatalf("take %d: ok=%v err=%v", i, ok, res.Err)
@@ -103,7 +101,7 @@ func TestCoalesceAfterCompletionHitsCache(t *testing.T) {
 	eng := &countEngine{}
 	d := search.NewDelayed(eng, search.ZeroLatency(), 1)
 	p := NewPump(8, 8, &countingCache{m: make(map[string][]types.Tuple)})
-	defer p.Close()
+	defer closeWithin(t, p, 5*time.Second)
 	call := func() ([]types.Tuple, error) {
 		c, err := d.Count("texas")
 		if err != nil {
@@ -112,15 +110,11 @@ func TestCoalesceAfterCompletionHitsCache(t *testing.T) {
 		return []types.Tuple{{types.Int(c)}}, nil
 	}
 	first := p.RegisterCtx(context.Background(), "counting", "count|texas", call)
-	if _, err := p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{first: true}); err != nil {
-		t.Fatal(err)
-	}
+	awaitWithin(t, p, first)
 	p.Take(first)
 	for i := 0; i < 5; i++ {
 		id := p.RegisterCtx(context.Background(), "counting", "count|texas", call)
-		if _, err := p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{id: true}); err != nil {
-			t.Fatal(err)
-		}
+		awaitWithin(t, p, id)
 		if res, ok := p.Take(id); !ok || res.Err != nil || res.Rows[0][0].I != 7 {
 			t.Fatalf("cached take %d: %+v %v", i, res, ok)
 		}
@@ -131,6 +125,16 @@ func TestCoalesceAfterCompletionHitsCache(t *testing.T) {
 	if hits := p.Stats().CacheHits; hits != 5 {
 		t.Errorf("cache hits = %d, want 5", hits)
 	}
+}
+
+// awaitWithin waits for call id to settle, failing the test with its error
+// or, as within does, by name if it has not settled within 5 s.
+func awaitWithin(t *testing.T, p *Pump, id types.CallID) {
+	t.Helper()
+	within(t, p, 5*time.Second, fmt.Sprintf("await of call %d", id), func() error {
+		_, err := p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{id: true})
+		return err
+	})
 }
 
 // peerStub is a scripted CachePeer for pump-level peering tests: every
@@ -181,7 +185,7 @@ func (s fnSource) Call(string) func() ([]types.Tuple, error)    { return s.fn }
 func TestPumpPeerFetchServesWithoutEngine(t *testing.T) {
 	local := &countingCache{m: make(map[string][]types.Tuple)}
 	p := NewPump(4, 4, local)
-	defer p.Close()
+	defer closeWithin(t, p, 5*time.Second)
 	peer := &peerStub{rows: map[string][]types.Tuple{
 		"hot": {{types.Int(99)}},
 	}}
@@ -222,7 +226,7 @@ func TestPumpPeerFetchServesWithoutEngine(t *testing.T) {
 
 	// A RegisterCtx call is not asked.
 	id := p.RegisterCtx(context.Background(), "d", "fn-only", src.fn)
-	p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{id: true})
+	awaitWithin(t, p, id)
 	p.Take(id)
 
 	// Detach: peering must disengage cleanly.
@@ -239,7 +243,7 @@ func TestPumpPeerFetchServesWithoutEngine(t *testing.T) {
 func TestPumpPeerSlotAccounting(t *testing.T) {
 	local := &countingCache{m: make(map[string][]types.Tuple)}
 	p := NewPump(1, 1, local)
-	defer p.Close()
+	defer closeWithin(t, p, 5*time.Second)
 	peer := &peerStub{rows: map[string][]types.Tuple{"a": {{types.Int(1)}}}}
 	p.SetCachePeer(peer)
 	gate := make(chan struct{})
@@ -269,9 +273,7 @@ func TestPumpPeerSlotAccounting(t *testing.T) {
 		local.mu.Unlock()
 	}
 	close(gate)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
+	within(t, p, 5*time.Second, "the blocked call", func() error { return <-done })
 	if running, queued := p.Active(); running != 0 || queued != 0 {
 		t.Errorf("pump not drained: running=%d queued=%d", running, queued)
 	}
@@ -282,7 +284,7 @@ func TestPumpPeerSlotAccounting(t *testing.T) {
 // peer attached.
 func TestPumpWithoutCacheNeverPeers(t *testing.T) {
 	p := NewPump(4, 4, nil)
-	defer p.Close()
+	defer closeWithin(t, p, 5*time.Second)
 	peer := &peerStub{rows: map[string][]types.Tuple{"hot": {{types.Int(99)}}}}
 	p.SetCachePeer(peer)
 	var engineCalls atomic.Int64

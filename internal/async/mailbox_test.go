@@ -37,7 +37,7 @@ func TestMailboxClaimAfterSettle(t *testing.T) {
 	id := p.RegisterCtx(context.Background(), "d", "k", func() ([]types.Tuple, error) {
 		return []types.Tuple{{types.Int(7)}}, nil
 	})
-	p.Quiesce() // the call has run and settled
+	quiesceWithin(t, p, 5*time.Second) // the call has run and settled
 	if held := p.Held(); held != 1 {
 		t.Fatalf("Held() = %d before the claim, want the settled call's record", held)
 	}
@@ -83,7 +83,7 @@ func TestCoalesceDeliversToEachLiveOwnerOnce(t *testing.T) {
 	}
 	p.Discard(ids[2])
 	close(gate)
-	p.Quiesce()
+	quiesceWithin(t, p, 5*time.Second)
 	for q := 0; q < 2; q++ {
 		if got := takeAll(boxes[q]); len(got) != 1 || got[0] != ids[q] {
 			t.Errorf("query %d's mailbox holds %v, want its call %d once", q, got, ids[q])
@@ -122,7 +122,7 @@ func TestMailboxCloseWakesReqSync(t *testing.T) {
 		errc <- err
 	}()
 	time.Sleep(10 * time.Millisecond) // let it reach the wait
-	p.Close()
+	closeWithin(t, p, 5*time.Second)
 	select {
 	case err := <-errc:
 		if !errors.Is(err, ErrPumpClosed) {
@@ -136,7 +136,7 @@ func TestMailboxCloseWakesReqSync(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	p.Quiesce()
+	quiesceWithin(t, p, 5*time.Second)
 }
 
 // TestMailboxReopenedReqSync: a ReqSync closed before it read its
@@ -160,7 +160,7 @@ func TestMailboxReopenedReqSync(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !tc.unsettled {
-				p.Quiesce() // the call has settled into the mailbox
+				quiesceWithin(t, p, 5*time.Second) // the call has settled into the mailbox
 			}
 			if err := r.Close(); err != nil {
 				t.Fatal(err)
@@ -169,7 +169,7 @@ func TestMailboxReopenedReqSync(t *testing.T) {
 			delete(src.gate, "K|x")
 			src.mu.Unlock()
 			close(release)
-			p.Quiesce()
+			quiesceWithin(t, p, 5*time.Second)
 
 			rows := runOp(t, r)
 			if len(rows) != 1 || rows[0][2].I != 3 {

@@ -31,10 +31,8 @@ type RetryPolicy struct {
 	// see IsTransient — are retried.
 	MaxAttempts int
 	// BaseBackoff is the delay before the first retry; each further retry
-	// doubles it (exponential backoff), capped at MaxBackoff.
+	// doubles it (exponential backoff).
 	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth (0 = no cap).
-	MaxBackoff time.Duration
 	// JitterFrac adds a uniform random delay of up to JitterFrac×backoff,
 	// decorrelating retry storms from concurrent queries.
 	JitterFrac float64
@@ -62,17 +60,7 @@ func (p RetryPolicy) normalized() RetryPolicy {
 
 // backoff computes the pre-jitter delay before retry number n (0-based).
 func (p RetryPolicy) backoff(n int) time.Duration {
-	d := p.BaseBackoff
-	for i := 0; i < n; i++ {
-		d *= 2
-		if p.MaxBackoff > 0 && d >= p.MaxBackoff {
-			return p.MaxBackoff
-		}
-	}
-	if p.MaxBackoff > 0 && d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	return d
+	return p.BaseBackoff << n
 }
 
 // transienter is implemented by errors that know whether retrying may

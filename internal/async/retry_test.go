@@ -277,8 +277,8 @@ func TestRetryBackoffReleasesSlotForOtherCalls(t *testing.T) {
 }
 
 func TestBackoffSchedule(t *testing.T) {
-	pol := RetryPolicy{BaseBackoff: 10 * time.Millisecond, MaxBackoff: 45 * time.Millisecond}
-	want := []time.Duration{10, 20, 40, 45, 45}
+	pol := RetryPolicy{BaseBackoff: 10 * time.Millisecond}
+	want := []time.Duration{10, 20, 40, 80, 160}
 	for i, w := range want {
 		if got := pol.backoff(i); got != w*time.Millisecond {
 			t.Errorf("backoff(%d) = %v, want %v", i, got, w*time.Millisecond)
@@ -290,13 +290,13 @@ func TestBackoffSchedule(t *testing.T) {
 // seeded stream, so two fresh pumps with the same policy wait out the
 // same delays — a fault schedule replays with its timing.
 func TestJitteredBackoffSeeded(t *testing.T) {
-	pol := RetryPolicy{BaseBackoff: time.Second, MaxBackoff: time.Second, JitterFrac: 0.5}
+	pol := RetryPolicy{BaseBackoff: time.Second, JitterFrac: 0.5}
 	draw := func() []time.Duration {
 		p := NewPump(1, 1, nil)
 		defer p.Close()
 		var ds []time.Duration
 		for i := 0; i < 16; i++ {
-			ds = append(ds, p.jitteredBackoff(pol, i))
+			ds = append(ds, p.jitteredBackoff(pol, 0)) // 1 s before jitter
 		}
 		return ds
 	}

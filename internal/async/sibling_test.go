@@ -41,7 +41,7 @@ func wantRows(t *testing.T, p *Pump, b types.CallID) {
 
 func TestSiblingCancelWhileQueued(t *testing.T) {
 	p := NewPump(1, 1, &countingCache{m: make(map[string][]types.Tuple)})
-	defer p.Close()
+	defer closeWithin(t, p, 5*time.Second)
 	blocker, release := blockingCall()
 	p.RegisterCtx(context.Background(), "d", "first", blocker)
 	b, cancelA := siblings(t, p, func() ([]types.Tuple, error) {
@@ -54,7 +54,7 @@ func TestSiblingCancelWhileQueued(t *testing.T) {
 
 func TestSiblingCancelWhileRunning(t *testing.T) {
 	p := NewPump(4, 4, &countingCache{m: make(map[string][]types.Tuple)})
-	defer p.Close()
+	defer closeWithin(t, p, 5*time.Second)
 	p.SetRetryPolicy(RetryPolicy{CallTimeout: time.Second})
 	started, gate := make(chan struct{}), make(chan struct{})
 	b, cancelA := siblings(t, p, func() ([]types.Tuple, error) {
@@ -62,7 +62,7 @@ func TestSiblingCancelWhileRunning(t *testing.T) {
 		<-gate
 		return []types.Tuple{{types.Int(7)}}, nil
 	})
-	<-started
+	within(t, p, 5*time.Second, "the call's start", func() error { <-started; return nil })
 	cancelA()
 	// B's share must not end with A's query: nothing settles B while the
 	// engine call is still running.
@@ -78,7 +78,7 @@ func TestSiblingCancelWhileRunning(t *testing.T) {
 
 func TestSiblingCancelDuringBackoff(t *testing.T) {
 	p := NewPump(4, 4, &countingCache{m: make(map[string][]types.Tuple)})
-	defer p.Close()
+	defer closeWithin(t, p, 5*time.Second)
 	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 2, BaseBackoff: 60 * time.Millisecond})
 	failed := make(chan struct{})
 	attempts := 0 // executions of one call never overlap here: no deadline, no hedge
@@ -89,7 +89,7 @@ func TestSiblingCancelDuringBackoff(t *testing.T) {
 		}
 		return []types.Tuple{{types.Int(7)}}, nil
 	})
-	<-failed
+	within(t, p, 5*time.Second, "the first attempt's failure", func() error { <-failed; return nil })
 	// Once the failed attempt's token is back, the call waits out its
 	// 60 ms backoff.
 	for deadline := time.Now().Add(time.Second); ; time.Sleep(100 * time.Microsecond) {
@@ -122,7 +122,7 @@ func (a *askingPeer) Fetch(ctx context.Context, _, _ string) ([]types.Tuple, boo
 
 func TestSiblingCancelDuringAsk(t *testing.T) {
 	p := NewPump(4, 4, &countingCache{m: make(map[string][]types.Tuple)})
-	defer p.Close()
+	defer closeWithin(t, p, 5*time.Second)
 	peer := &askingPeer{}
 	p.SetCachePeer(peer)
 	engine := fnSource{dest: "d", fn: func() ([]types.Tuple, error) {

@@ -49,9 +49,12 @@ func cutKeyword(s, kw string) (string, bool) {
 // one-column result, one line per row.
 func (db *DB) explainAnalyze(ctx context.Context, sql string, opts QueryOptions) (*Result, error) {
 	opts.Trace = true
-	res, err := db.query(ctx, sql, "EXPLAIN ANALYZE expects", opts)
+	res, st, err := db.query(ctx, sql, opts)
 	if err != nil {
 		return nil, err
+	}
+	if st != nil {
+		return nil, fmt.Errorf("EXPLAIN ANALYZE expects a query, got %T", st)
 	}
 	lines := strings.Split(strings.TrimRight(res.Trace.Render(), "\n"), "\n")
 	lines = append(lines,

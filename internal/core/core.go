@@ -20,6 +20,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -231,40 +232,7 @@ func (db *DB) ExecContext(ctx context.Context, sql string) (*Result, error) {
 // ExecContextOpts is ExecContext with per-statement options. A nil ctx
 // means no deadline.
 func (db *DB) ExecContextOpts(ctx context.Context, sql string, opts QueryOptions) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if rest, ok := stripExplainAnalyze(sql); ok {
-		return db.explainAnalyze(ctx, rest, opts)
-	}
-	if res, ok, err := db.rerun(ctx, sql, opts); ok {
-		return res, err
-	}
-	st, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	switch s := st.(type) {
-	case *sqlparse.CreateTable:
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		return db.execCreate(s)
-	case *sqlparse.DropTable:
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		if err := db.cat.Drop(s.Name); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
-	case *sqlparse.Insert:
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		return db.execInsert(s)
-	case *sqlparse.Select, *sqlparse.Union:
-		return db.runQueryable(ctx, sql, st, opts)
-	default:
-		return nil, fmt.Errorf("unsupported statement %T", st)
-	}
+	return db.statement(ctx, sql, opts, true)
 }
 
 // QueryContext executes a SELECT (or UNION of SELECTs) under ctx.
@@ -274,33 +242,66 @@ func (db *DB) QueryContext(ctx context.Context, sql string) (*Result, error) {
 
 // QueryContextOpts is QueryContext with per-statement options (e.g. the
 // degradation policy wsqd threads through from the client request). A
-// nil ctx means no deadline.
+// nil ctx means no deadline. Any other statement is refused with an
+// error that wraps ErrReadOnly.
 func (db *DB) QueryContextOpts(ctx context.Context, sql string, opts QueryOptions) (*Result, error) {
+	return db.statement(ctx, sql, opts, false)
+}
+
+// ErrReadOnly is wrapped by QueryContext's refusal of a statement that is
+// not a query: a write on a read-only path.
+var ErrReadOnly = errors.New("expected a query")
+
+// statement executes one statement: EXPLAIN ANALYZE of a query, a query,
+// or, when writes is set, a write.
+func (db *DB) statement(ctx context.Context, sql string, opts QueryOptions, writes bool) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if rest, ok := stripExplainAnalyze(sql); ok {
 		return db.explainAnalyze(ctx, rest, opts)
 	}
-	return db.query(ctx, sql, "expected", opts)
+	res, st, err := db.query(ctx, sql, opts)
+	if st == nil {
+		return res, err
+	}
+	if !writes {
+		return nil, fmt.Errorf("%w, got %T", ErrReadOnly, st)
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	switch s := st.(type) {
+	case *sqlparse.CreateTable:
+		return db.execCreate(s)
+	case *sqlparse.DropTable:
+		if err := db.cat.Drop(s.Name); err != nil {
+			return nil, err
+		}
+		return &Result{}, nil
+	case *sqlparse.Insert:
+		return db.execInsert(s)
+	default:
+		return nil, fmt.Errorf("unsupported statement %T", st)
+	}
 }
 
-// query answers sql, which must be a SELECT or a UNION of them, from an
-// idle tree or a new one; what words the complaint when it is something
-// else.
-func (db *DB) query(ctx context.Context, sql, what string, opts QueryOptions) (*Result, error) {
+// query answers sql from an idle tree or parses it and runs it, if it is a
+// SELECT or a UNION of them. Any other statement is returned unrun, for
+// the caller to run or refuse.
+func (db *DB) query(ctx context.Context, sql string, opts QueryOptions) (*Result, sqlparse.Statement, error) {
 	if res, ok, err := db.rerun(ctx, sql, opts); ok {
-		return res, err
+		return res, nil, err
 	}
 	st, err := sqlparse.Parse(sql)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	switch st.(type) {
 	case *sqlparse.Select, *sqlparse.Union:
-		return db.runQueryable(ctx, sql, st, opts)
+		res, err := db.runQueryable(ctx, sql, st, opts)
+		return res, nil, err
 	}
-	return nil, fmt.Errorf("%s a query, got %T", what, st)
+	return nil, st, nil
 }
 
 func (db *DB) execCreate(s *sqlparse.CreateTable) (*Result, error) {
@@ -482,7 +483,7 @@ func (db *DB) run(goCtx context.Context, t *tree, opts QueryOptions) (*Result, e
 }
 
 // planSelect parses a SELECT and lowers it without the asynchronous
-// iteration rewrite: the input plan Explain, ExplainCost and Estimate read.
+// iteration rewrite: the input plan Explain and Estimate read.
 func (db *DB) planSelect(sql string) (exec.Operator, error) {
 	sel, err := sqlparse.ParseSelect(sql)
 	if err != nil {
@@ -506,21 +507,6 @@ func (db *DB) Explain(sql string) (string, error) {
 		b.WriteString("-- asynchronous iteration plan --\n")
 		b.WriteString(exec.Explain(op))
 	}
-	return b.String(), nil
-}
-
-// ExplainCost returns the plan for a SELECT annotated with the cost
-// estimator's predictions (expected rows, external calls, and sequential
-// vs asynchronous latency under the given model).
-func (db *DB) ExplainCost(sql string, model plan.CostModel) (string, error) {
-	op, err := db.planSelect(sql)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	b.WriteString(exec.Explain(op))
-	est := plan.EstimatePlan(op, model)
-	fmt.Fprintf(&b, "estimate: %s\n", est)
 	return b.String(), nil
 }
 

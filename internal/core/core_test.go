@@ -454,17 +454,8 @@ func TestExplainSyncOnly(t *testing.T) {
 	}
 }
 
-func TestExplainCost(t *testing.T) {
+func TestEstimate(t *testing.T) {
 	db := newPaperDB(t, Config{})
-	out, err := db.ExplainCost(
-		`SELECT Name, URL FROM States, WebPages WHERE Name = T1 AND Rank <= 2`,
-		plan.DefaultCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "calls≈50") {
-		t.Errorf("cost estimate missing call count:\n%s", out)
-	}
 	est, err := db.Estimate(
 		`SELECT Name, URL FROM States, WebPages WHERE Name = T1 AND Rank <= 2`,
 		plan.DefaultCostModel())

@@ -474,9 +474,6 @@ func TestReuseTracedAndUntracedShareATree(t *testing.T) {
 		if _, err := db.Explain(sql); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := db.ExplainCost(sql, plan.DefaultCostModel()); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := db.Estimate(sql, plan.DefaultCostModel()); err != nil {
 			t.Fatal(err)
 		}

@@ -111,12 +111,9 @@ func TestProjectComputedAndPassThrough(t *testing.T) {
 	if len(rows) != 1 || rows[0][0].I != 4 || rows[0][1].I != 14 {
 		t.Errorf("project rows: %v", rows)
 	}
-	if p.PassThroughExprs() {
-		t.Error("computed projection is not pass-through")
-	}
 	p2 := NewProject(scan, []expr.Expr{expr.NewColRef(a)}, schema.New(a))
-	if !p2.PassThroughExprs() {
-		t.Error("plain colref projection is pass-through")
+	if rows := runAll(t, p2); len(rows) != 1 || len(rows[0]) != 1 || rows[0][0].I != 10 {
+		t.Errorf("pass-through project rows: %v", rows)
 	}
 }
 

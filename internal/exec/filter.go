@@ -163,16 +163,3 @@ func (p *Project) Describe() string {
 	}
 	return s
 }
-
-// PassThroughExprs reports whether every projection expression is a plain
-// column reference (no computation). The async rewriter uses this: a
-// pass-through projection never "depends on" attribute values and only
-// clashes with a ReqSync if it drops one of its attributes.
-func (p *Project) PassThroughExprs() bool {
-	for _, e := range p.Exprs {
-		if _, ok := e.(*expr.ColRef); !ok {
-			return false
-		}
-	}
-	return true
-}

@@ -29,7 +29,6 @@ func goldenRetry() async.RetryPolicy {
 	return async.RetryPolicy{
 		MaxAttempts: 12,
 		BaseBackoff: 100 * time.Microsecond,
-		MaxBackoff:  time.Millisecond,
 		JitterFrac:  0.5,
 	}
 }

@@ -1,8 +1,6 @@
 package plan
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/async"
@@ -33,20 +31,21 @@ type CostModel struct {
 	CountFactor float64
 	// MaxConcurrent bounds overlapped calls (the ReqPump limit).
 	MaxConcurrent int
-	// EqSelectivity and CmpSelectivity are the classic textbook defaults
-	// for equality and range predicates.
-	EqSelectivity  float64
-	CmpSelectivity float64
 }
+
+// eqSelectivity and cmpSelectivity are the classic textbook defaults for
+// equality and range predicates.
+const (
+	eqSelectivity  float64 = 0.1
+	cmpSelectivity float64 = 0.4
+)
 
 // DefaultCostModel mirrors the bench-latency environment.
 func DefaultCostModel() CostModel {
 	return CostModel{
-		CallLatency:    25 * time.Millisecond,
-		CountFactor:    0.8,
-		MaxConcurrent:  32,
-		EqSelectivity:  0.1,
-		CmpSelectivity: 0.4,
+		CallLatency:   25 * time.Millisecond,
+		CountFactor:   0.8,
+		MaxConcurrent: 32,
 	}
 }
 
@@ -66,16 +65,6 @@ type Estimate struct {
 	AsyncLatency time.Duration
 	// Improvement = SyncLatency / AsyncLatency.
 	Improvement float64
-}
-
-// String renders the estimate for EXPLAIN COST output.
-func (e Estimate) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "rows≈%.0f calls≈%.0f sync≈%v async≈%v (%.1fx)",
-		e.Cardinality, e.ExternalCalls,
-		e.SyncLatency.Round(time.Millisecond), e.AsyncLatency.Round(time.Millisecond),
-		e.Improvement)
-	return b.String()
 }
 
 // nodeEstimate is the per-operator accumulator.
@@ -118,7 +107,7 @@ func estimateNode(op exec.Operator, m CostModel) nodeEstimate {
 	case *exec.TableScan:
 		card := float64(storedRowCount(o))
 		if o.Pred != nil {
-			card *= m.CmpSelectivity // the Select that runs inside the scan
+			card *= cmpSelectivity // the Select that runs inside the scan
 		}
 		return nodeEstimate{card: card}
 	case *exec.ValuesScan:
@@ -131,7 +120,7 @@ func estimateNode(op exec.Operator, m CostModel) nodeEstimate {
 		return nodeEstimate{}
 	case *exec.Filter:
 		in := estimateNode(o.Child, m)
-		in.card *= m.CmpSelectivity
+		in.card *= cmpSelectivity
 		return in
 	case *exec.Project:
 		return estimateNode(o.Child, m)
@@ -166,7 +155,7 @@ func estimateNode(op exec.Operator, m CostModel) nodeEstimate {
 		// Same cardinality model as a predicated nested loop: the operator
 		// swap changes cost, not output.
 		return nodeEstimate{
-			card:  l.card * r.card * m.EqSelectivity,
+			card:  l.card * r.card * eqSelectivity,
 			calls: l.calls + r.calls,
 			secs:  l.secs + r.secs,
 		}
@@ -174,7 +163,7 @@ func estimateNode(op exec.Operator, m CostModel) nodeEstimate {
 		l := estimateNode(o.Left, m)
 		r := estimateNode(o.Right, m)
 		// Each probe tuple survives at most once.
-		card := l.card * m.EqSelectivity
+		card := l.card * eqSelectivity
 		if card > l.card {
 			card = l.card
 		}
@@ -192,7 +181,7 @@ func estimateNode(op exec.Operator, m CostModel) nodeEstimate {
 			secs:  l.secs + r.secs,
 		}
 		if o.Pred != nil {
-			out.card *= m.EqSelectivity
+			out.card *= eqSelectivity
 		}
 		return out
 	case *exec.DependentJoin:

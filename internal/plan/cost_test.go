@@ -47,7 +47,7 @@ func TestEstimateCallCounts(t *testing.T) {
 	// A selection run inside the scan thins the bindings as the Select
 	// above the scan used to.
 	e = estimate(t, p, `SELECT Name, Count FROM States, WebCount WHERE Name = T1 AND Population > 2500`, m)
-	if want := 3 * m.CmpSelectivity; e.ExternalCalls != want {
+	if want := 3 * cmpSelectivity; e.ExternalCalls != want {
 		t.Errorf("calls under a scan predicate = %g, want %g", e.ExternalCalls, want)
 	}
 }

@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
-
-	"repro/internal/types"
 )
 
 // AttrID uniquely identifies one column instance within a process.
@@ -56,19 +54,6 @@ func ParseType(s string) (Type, error) {
 		return TString, nil
 	default:
 		return 0, fmt.Errorf("unknown column type %q", s)
-	}
-}
-
-// ZeroValue returns the canonical zero of a type (used for padding and for
-// aggregate seeds).
-func (t Type) ZeroValue() types.Value {
-	switch t {
-	case TInt:
-		return types.Int(0)
-	case TFloat:
-		return types.Float(0)
-	default:
-		return types.Str("")
 	}
 }
 

@@ -1,10 +1,6 @@
 package schema
 
-import (
-	"testing"
-
-	"repro/internal/types"
-)
+import "testing"
 
 func col(table, name string, ty Type) Column {
 	return Column{ID: NewAttrID(), Table: table, Name: name, Type: ty}
@@ -37,18 +33,6 @@ func TestParseType(t *testing.T) {
 	}
 	if _, err := ParseType("BLOB"); err == nil {
 		t.Error("unknown type should error")
-	}
-}
-
-func TestTypeZeroValue(t *testing.T) {
-	if v := TInt.ZeroValue(); v.Kind != types.KindInt || v.I != 0 {
-		t.Error("TInt zero")
-	}
-	if v := TFloat.ZeroValue(); v.Kind != types.KindFloat || v.F != 0 {
-		t.Error("TFloat zero")
-	}
-	if v := TString.ZeroValue(); v.Kind != types.KindString || v.S != "" {
-		t.Error("TString zero")
 	}
 }
 

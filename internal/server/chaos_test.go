@@ -175,3 +175,38 @@ func TestChaosFailPolicySurfaces500ButRecovers(t *testing.T) {
 		t.Errorf("active gauge stuck at %d", st.Queries.Active)
 	}
 }
+
+// TestRequestWithoutPolicyGetsTheDBDefault: the server has no degradation
+// policy of its own. Over a DB whose default is drop, with engines that
+// fail every call, a request that names no policy gets 200 with its
+// failed calls dropped, and one that names fail gets the error.
+func TestRequestWithoutPolicyGetsTheDBDefault(t *testing.T) {
+	db, err := core.Open(core.Config{Dir: t.TempDir(), Async: true, Degrade: exec.DegradeDrop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	corpus := websim.Default()
+	rng := search.NewRand(1)
+	db.RegisterEngine(search.NewFlaky(websim.NewAltaVista(corpus), search.TransientOnly(1), rng), "AV")
+	db.RegisterEngine(search.NewFlaky(websim.NewGoogle(corpus), search.TransientOnly(1), rng), "G")
+	if err := harness.LoadPaperTables(context.Background(), db); err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(New(db, Options{}))
+	t.Cleanup(hs.Close)
+	cl := NewClient(hs.URL)
+	const sql = `SELECT Name, Count FROM States, WebCount WHERE Name = T1 AND T2 = 'scuba diving'`
+
+	res, err := cl.QueryOpts(context.Background(), QueryRequest{SQL: sql, TimeoutMS: 5000})
+	if err != nil {
+		t.Fatalf("a request naming no policy under the DB's drop: %v", err)
+	}
+	if res.DegradedCalls == 0 || res.RowCount != 0 {
+		t.Errorf("a request naming no policy: %d rows, %d degraded calls; want 0 rows, every call dropped",
+			res.RowCount, res.DegradedCalls)
+	}
+	if _, err := cl.QueryOpts(context.Background(), QueryRequest{SQL: sql, Degrade: "fail", TimeoutMS: 5000}); err == nil {
+		t.Error("a request naming fail got an answer from engines that fail every call")
+	}
+}

@@ -38,7 +38,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -63,9 +62,6 @@ type Options struct {
 	// AllowWrites permits CREATE/DROP/INSERT through /query; by default the
 	// server is read-only and such statements get 403.
 	AllowWrites bool
-	// DefaultDegrade is the failed-call degradation policy applied when a
-	// request does not choose one (wsqd -degrade). DegradeFail by default.
-	DefaultDegrade exec.DegradePolicy
 	// RequestLog, when non-nil, receives one structured (JSON) line per
 	// /query request: SQL, outcome, latency, row and call counts.
 	RequestLog io.Writer
@@ -282,14 +278,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	degrade := s.opts.DefaultDegrade
+	// A request that names no policy gets the DB's (core.Config.Degrade,
+	// wsqd -degrade).
+	var degrade *exec.DegradePolicy
 	if req.Degrade != "" {
-		var derr error
-		degrade, derr = exec.ParseDegrade(req.Degrade)
+		pol, derr := exec.ParseDegrade(req.Degrade)
 		if derr != nil {
 			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: derr.Error()})
 			return
 		}
+		degrade = &pol
 	}
 
 	timeout := s.opts.DefaultTimeout
@@ -341,7 +339,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	var res *core.Result
-	opts := core.QueryOptions{Degrade: &degrade, Trace: req.Trace || tc != nil}
+	opts := core.QueryOptions{Degrade: degrade, Trace: req.Trace || tc != nil}
 	if s.opts.AllowWrites {
 		res, err = s.db.ExecContextOpts(ctx, req.SQL, opts)
 	} else {
@@ -393,7 +391,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusGatewayTimeout
 		case errors.Is(err, async.ErrPumpClosed):
 			status = http.StatusServiceUnavailable
-		case !s.opts.AllowWrites && isWriteRejection(err):
+		case errors.Is(err, core.ErrReadOnly):
 			status = http.StatusForbidden
 		}
 		s.logRequest(req, status, elapsed, nil, err)
@@ -471,12 +469,6 @@ func (s *Server) logRequest(req QueryRequest, status int, elapsed time.Duration,
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
 	_, _ = s.opts.RequestLog.Write(append(line, '\n'))
-}
-
-// isWriteRejection recognizes the read-only path's refusal of non-queries
-// (core.QueryContext phrases it as "expected a query, got ...").
-func isWriteRejection(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "expected a query")
 }
 
 func parseQueryRequest(r *http.Request) (QueryRequest, error) {

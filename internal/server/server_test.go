@@ -388,6 +388,17 @@ func TestReadOnlyRejectsWrites(t *testing.T) {
 	if _, err := env.cl.Query(context.Background(), `CREATE TABLE Evil (X INT)`, 0); err == nil {
 		t.Error("client write on read-only server should error")
 	}
+	// EXPLAIN ANALYZE takes only a query, on any server: a write under it
+	// is a bad request, not a refused write.
+	resp2, err := http.Post(env.url+"/query", "application/json",
+		strings.NewReader(`{"sql": "EXPLAIN ANALYZE INSERT INTO States VALUES ('Evil', 1, 'X')"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp2.Body.Close()
+	if resp2.StatusCode != http.StatusBadRequest {
+		t.Errorf("EXPLAIN ANALYZE of a write on read-only server: HTTP %d, want 400", resp2.StatusCode)
+	}
 }
 
 // TestStatuszAndGetQuery exercises the GET /query path and checks that

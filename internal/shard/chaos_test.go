@@ -130,7 +130,7 @@ func TestChaosDrainUnreachableWorker(t *testing.T) {
 		t.Fatal("drain of a dead worker reported success")
 	}
 	// The dead worker is off the ring regardless: queries still succeed.
-	if env.coord.ring().Has("w1") {
+	if _, on := env.coord.ring().members["w1"]; on {
 		t.Error("dead worker still on the live ring after failed drain")
 	}
 	for i := 0; i < 3; i++ {

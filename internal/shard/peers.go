@@ -43,16 +43,14 @@ type PeerOptions struct {
 	// caps the caller's context; a home that has not answered by then
 	// counts as one that cannot, and the asker runs the call itself.
 	FetchTimeout time.Duration
-	// FillTimeout bounds one drain handoff POST (default 2s).
-	FillTimeout time.Duration
 }
+
+// fillTimeout bounds one drain handoff POST.
+const fillTimeout = 2 * time.Second
 
 func (o PeerOptions) withDefaults() PeerOptions {
 	if o.FetchTimeout <= 0 {
 		o.FetchTimeout = 2 * time.Second
-	}
-	if o.FillTimeout <= 0 {
-		o.FillTimeout = 2 * time.Second
 	}
 	return o
 }
@@ -221,7 +219,7 @@ func (p *Peers) FillTo(ctx context.Context, m Member, key string, rows []types.T
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx, cancel := context.WithTimeout(ctx, p.opt.FillTimeout)
+	ctx, cancel := context.WithTimeout(ctx, fillTimeout)
 	defer cancel()
 	body, err := json.Marshal(cacheFillRequest{Key: key, Rows: rows})
 	if err != nil {

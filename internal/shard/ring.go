@@ -87,12 +87,6 @@ func (r *Ring) Members() []Member {
 	return out
 }
 
-// Has reports whether a member is on the ring.
-func (r *Ring) Has(id string) bool {
-	_, ok := r.members[id]
-	return ok
-}
-
 // Owner returns the member owning key: the first ring point at or after
 // the key's hash, wrapping at the top of the circle.
 func (r *Ring) Owner(key string) (Member, bool) {

@@ -77,7 +77,7 @@ func TestRingSuccessorsDistinctAndOwnerFirst(t *testing.T) {
 func TestRingWithoutStability(t *testing.T) {
 	r := NewRing(testMembers(4), DefaultVNodes)
 	smaller := r.Without("w3")
-	if smaller.Has("w3") || smaller.Len() != 3 {
+	if _, on := smaller.members["w3"]; on || smaller.Len() != 3 {
 		t.Fatalf("Without did not remove the member")
 	}
 	if r.Len() != 4 {

@@ -91,9 +91,6 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 // Draining reports whether the worker has entered drain.
 func (w *Worker) Draining() bool { return w.draining.Load() }
 
-// InFlight reports queries currently executing in the inner handler.
-func (w *Worker) InFlight() int64 { return w.inflight.Load() }
-
 func (w *Worker) delegate(rw http.ResponseWriter, r *http.Request) {
 	if w.opt.Inner == nil {
 		http.NotFound(rw, r)
@@ -176,7 +173,9 @@ func (w *Worker) handleCacheGet(rw http.ResponseWriter, r *http.Request) {
 		http.NotFound(rw, r)
 		return
 	}
-	if rows, ok := w.opt.Cache.Get(key); ok {
+	// Peek counts a hit and no miss: a missed key is looked up again, and
+	// counted, by the call CallWithRetry registers in the same cache.
+	if rows, ok := w.opt.Cache.Peek([]byte(key)); ok {
 		w.remoteHits.Add(1)
 		answer("hit", nil)
 		writeRows(rw, rows)

@@ -173,23 +173,40 @@ func TestPeersFetch(t *testing.T) {
 	h := newHomeTier(t, PeerOptions{})
 	ctx := context.Background()
 
-	cached := h.key("home", 0)
-	h.home.opt.Cache.Put(cached, []types.Tuple{{types.Int(5)}})
-	if rows, ok, _ := h.peers.Fetch(ctx, "S", cached); !ok || rows[0][0].I != 5 {
-		t.Fatalf("fetch of a cached key = %v %v", rows, ok)
+	// The home's pump looks a missed key up again in the same cache, so
+	// an ask moves that cache's counts exactly as one lookup would.
+	c := h.home.opt.Cache
+	counts := func(what string, wantHits, wantMisses int64, ask func()) {
+		t.Helper()
+		hits0, misses0 := c.Stats()
+		ask()
+		if hits, misses := c.Stats(); hits-hits0 != wantHits || misses-misses0 != wantMisses {
+			t.Errorf("%s moved the home cache's hits by %d and misses by %d, want %d and %d",
+				what, hits-hits0, misses-misses0, wantHits, wantMisses)
+		}
 	}
+
+	cached := h.key("home", 0)
+	c.Put(cached, []types.Tuple{{types.Int(5)}})
+	counts("an ask of a cached key", 1, 0, func() {
+		if rows, ok, _ := h.peers.Fetch(ctx, "S", cached); !ok || rows[0][0].I != 5 {
+			t.Fatalf("fetch of a cached key = %v %v", rows, ok)
+		}
+	})
 
 	if _, ok, _ := h.peers.Fetch(ctx, "S", h.key("me", 0)); ok {
 		t.Error("self-homed key reported a peer hit")
 	}
 
 	cold := h.key("home", 1)
-	for i := 0; i < 2; i++ {
+	fetchCold := func() {
 		rows, ok, _ := h.peers.Fetch(ctx, "S", cold)
 		if !ok || rows[0][0].I != int64(len(cold)) {
-			t.Fatalf("fetch %d of a cold key = %v %v", i, rows, ok)
+			t.Fatalf("fetch of a cold key = %v %v", rows, ok)
 		}
 	}
+	counts("an uncached ask", 0, 1, fetchCold)
+	counts("a cached ask", 1, 0, fetchCold)
 	if n := h.src.calls.Load(); n != 1 {
 		t.Errorf("home executed the cold key %d times, want 1", n)
 	}
@@ -360,8 +377,8 @@ func TestWorkerDrainWaitsForInflight(t *testing.T) {
 		t.Fatal("drain completed with a query still in flight")
 	case <-time.After(50 * time.Millisecond):
 	}
-	if w.InFlight() != 1 {
-		t.Fatalf("inflight = %d, want 1", w.InFlight())
+	if n := w.inflight.Load(); n != 1 {
+		t.Fatalf("inflight = %d, want 1", n)
 	}
 	close(release)
 	if code := <-qdone; code != http.StatusOK {

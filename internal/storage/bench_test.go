@@ -85,21 +85,3 @@ func BenchmarkHeapScanColdPool(b *testing.B) {
 		sc.Close()
 	}
 }
-
-func BenchmarkHeapGet(b *testing.B) {
-	h := benchHeap(b, 64)
-	var rids []RID
-	for i := 0; i < 1000; i++ {
-		rid, err := h.Insert([]byte(fmt.Sprintf("row-%06d", i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rids = append(rids, rid)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := h.Get(rids[i%len(rids)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -16,11 +16,11 @@ type RID struct {
 func (r RID) String() string { return fmt.Sprintf("(%d,%d)", r.Page, r.Slot) }
 
 // HeapFile is an unordered file of variable-length records stored in
-// slotted pages, accessed through a buffer pool.
+// slotted pages, accessed through a buffer pool. Records are inserted and
+// scanned; none is updated or deleted.
 type HeapFile struct {
-	path string
-	f    *os.File
-	bp   *BufferPool
+	f  *os.File
+	bp *BufferPool
 	// wmu serializes record mutations (insert hint + page writes). Readers
 	// coordinate with writers at a higher layer (core.DB's RW lock).
 	wmu sync.Mutex
@@ -40,7 +40,7 @@ func OpenHeapFile(path string, poolFrames int) (*HeapFile, error) {
 		f.Close()
 		return nil, err
 	}
-	return &HeapFile{path: path, f: f, bp: bp}, nil
+	return &HeapFile{f: f, bp: bp}, nil
 }
 
 // Close flushes dirty pages and closes the file.
@@ -51,9 +51,6 @@ func (h *HeapFile) Close() error {
 	}
 	return h.f.Close()
 }
-
-// Path returns the on-disk path of the heap file.
-func (h *HeapFile) Path() string { return h.path }
 
 // NumPages returns the page count.
 func (h *HeapFile) NumPages() uint32 { return h.bp.NumPages() }
@@ -105,42 +102,10 @@ func (h *HeapFile) Insert(rec []byte) (RID, error) {
 	return RID{Page: pageNo, Slot: uint16(slot)}, nil
 }
 
-// Get returns a copy of the record at rid.
-func (h *HeapFile) Get(rid RID) ([]byte, error) {
-	p, err := h.bp.Pin(rid.Page)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := p.Get(int(rid.Slot))
-	if err != nil {
-		h.bp.Unpin(rid.Page, false)
-		return nil, err
-	}
-	out := make([]byte, len(raw))
-	copy(out, raw)
-	if err := h.bp.Unpin(rid.Page, false); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Delete removes the record at rid.
-func (h *HeapFile) Delete(rid RID) error {
-	p, err := h.bp.Pin(rid.Page)
-	if err != nil {
-		return err
-	}
-	if err := p.Delete(int(rid.Slot)); err != nil {
-		h.bp.Unpin(rid.Page, false)
-		return err
-	}
-	return h.bp.Unpin(rid.Page, true)
-}
-
 // Flush writes all dirty pages back to disk without closing.
 func (h *HeapFile) Flush() error { return h.bp.FlushAll() }
 
-// Scanner iterates over the live records of a heap file in (page, slot)
+// Scanner iterates over the records of a heap file in (page, slot)
 // order. It pins at most one page at a time.
 type Scanner struct {
 	h      *HeapFile
@@ -155,7 +120,7 @@ func (h *HeapFile) NewScanner() *Scanner {
 	return &Scanner{h: h, slot: -1}
 }
 
-// Next advances to the next live record, returning its RID and its bytes.
+// Next advances to the next record, returning its RID and its bytes.
 // The bytes are a view of the page the scanner keeps pinned, valid until
 // the next Next or Close: a caller that retains them copies them (decoding
 // a tuple does — types.DecodePlan.Tested copies each string out, and
@@ -191,14 +156,8 @@ func (s *Scanner) Next() (RID, []byte, bool, error) {
 			s.page++
 			continue
 		}
-		if !s.pinned.Live(s.slot) {
-			continue
-		}
-		raw, err := s.pinned.Get(s.slot)
-		if err != nil {
-			return RID{}, nil, false, err
-		}
-		return RID{Page: s.page, Slot: uint16(s.slot)}, raw, true, nil
+		off, n := s.pinned.slot(s.slot)
+		return RID{Page: s.page, Slot: uint16(s.slot)}, s.pinned.buf[off : off+n], true, nil
 	}
 }
 

@@ -21,11 +21,10 @@ const pageHeaderSize = 4
 // (2 bytes).
 const slotSize = 4
 
-// tombstoneOff marks a deleted slot in the directory.
-const tombstoneOff = 0xFFFF
-
 // Page is a slotted page: a slot directory grows forward from the header
-// while record bodies grow backward from the end of the page.
+// while record bodies grow backward from the end of the page. Records are
+// only ever added: no statement updates or deletes one, so every slot
+// holds a record and slot numbers are dense.
 type Page struct {
 	buf [PageSize]byte
 }
@@ -79,20 +78,8 @@ func (p *Page) Insert(rec []byte) (int, error) {
 	if !p.CanFit(len(rec)) {
 		return 0, fmt.Errorf("page full: need %d bytes, have %d", len(rec)+slotSize, p.FreeSpace())
 	}
-	// Reuse a tombstoned slot if one exists (record space is not compacted,
-	// but the directory entry is reused so slot numbers stay dense-ish).
-	slot := -1
-	n := p.numSlots()
-	for i := 0; i < n; i++ {
-		if off, _ := p.slot(i); off == tombstoneOff {
-			slot = i
-			break
-		}
-	}
-	if slot == -1 {
-		slot = n
-		p.setNumSlots(n + 1)
-	}
+	slot := p.numSlots()
+	p.setNumSlots(slot + 1)
 	off := p.freePtr() - len(rec)
 	copy(p.buf[off:], rec)
 	p.setFreePtr(off)
@@ -107,34 +94,8 @@ func (p *Page) Get(slot int) ([]byte, error) {
 		return nil, fmt.Errorf("slot %d out of range (page has %d slots)", slot, p.numSlots())
 	}
 	off, length := p.slot(slot)
-	if off == tombstoneOff {
-		return nil, fmt.Errorf("slot %d is deleted", slot)
-	}
 	return p.buf[off : off+length], nil
 }
 
-// Delete tombstones the given slot. The record bytes are not reclaimed
-// until the page is compacted (not implemented; WSQ workloads are
-// insert/scan-dominated).
-func (p *Page) Delete(slot int) error {
-	if slot < 0 || slot >= p.numSlots() {
-		return fmt.Errorf("slot %d out of range (page has %d slots)", slot, p.numSlots())
-	}
-	if off, _ := p.slot(slot); off == tombstoneOff {
-		return fmt.Errorf("slot %d already deleted", slot)
-	}
-	p.setSlot(slot, tombstoneOff, 0)
-	return nil
-}
-
-// NumSlots returns the size of the slot directory (including tombstones).
+// NumSlots returns the number of records on the page.
 func (p *Page) NumSlots() int { return p.numSlots() }
-
-// Live reports whether the slot holds a live record.
-func (p *Page) Live(slot int) bool {
-	if slot < 0 || slot >= p.numSlots() {
-		return false
-	}
-	off, _ := p.slot(slot)
-	return off != tombstoneOff
-}

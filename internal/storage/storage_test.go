@@ -39,33 +39,6 @@ func TestPageInsertGet(t *testing.T) {
 	}
 }
 
-func TestPageDeleteAndSlotReuse(t *testing.T) {
-	var p Page
-	p.Reset()
-	s0, _ := p.Insert([]byte("one"))
-	s1, _ := p.Insert([]byte("two"))
-	if err := p.Delete(s0); err != nil {
-		t.Fatal(err)
-	}
-	if p.Live(s0) {
-		t.Error("deleted slot should not be live")
-	}
-	if !p.Live(s1) {
-		t.Error("other slot should stay live")
-	}
-	if _, err := p.Get(s0); err == nil {
-		t.Error("Get of deleted slot should error")
-	}
-	if err := p.Delete(s0); err == nil {
-		t.Error("double delete should error")
-	}
-	// Reinsert reuses the tombstoned slot number.
-	s2, _ := p.Insert([]byte("three"))
-	if s2 != s0 {
-		t.Errorf("slot not reused: got %d, want %d", s2, s0)
-	}
-}
-
 func TestPageFull(t *testing.T) {
 	var p Page
 	p.Reset()
@@ -94,12 +67,6 @@ func TestPageBoundsChecks(t *testing.T) {
 	p.Reset()
 	if _, err := p.Get(0); err == nil {
 		t.Error("Get on empty page")
-	}
-	if err := p.Delete(5); err == nil {
-		t.Error("Delete out of range")
-	}
-	if p.Live(-1) || p.Live(99) {
-		t.Error("Live out of range")
 	}
 }
 
@@ -151,38 +118,6 @@ func TestHeapInsertScan(t *testing.T) {
 	}
 }
 
-func TestHeapGetDelete(t *testing.T) {
-	h := openTemp(t, 8)
-	rid1, _ := h.Insert([]byte("keep"))
-	rid2, _ := h.Insert([]byte("drop"))
-	if got, _ := h.Get(rid1); string(got) != "keep" {
-		t.Errorf("Get: %q", got)
-	}
-	if err := h.Delete(rid2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Get(rid2); err == nil {
-		t.Error("Get of deleted rid should error")
-	}
-	// Scan sees only the live record.
-	sc := h.NewScanner()
-	defer sc.Close()
-	count := 0
-	for {
-		_, _, ok, err := sc.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		count++
-	}
-	if count != 1 {
-		t.Errorf("scan after delete: %d records", count)
-	}
-}
-
 func TestHeapPersistence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "persist.tbl")
 	h, err := OpenHeapFile(path, 4)
@@ -200,20 +135,25 @@ func TestHeapPersistence(t *testing.T) {
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Reopen and verify.
+	// Reopen and read every record back, in insertion order.
 	h2, err := OpenHeapFile(path, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h2.Close()
+	sc := h2.NewScanner()
+	defer sc.Close()
 	for i, rid := range rids {
-		got, err := h2.Get(rid)
-		if err != nil {
-			t.Fatal(err)
+		got, raw, ok, err := sc.Next()
+		if err != nil || !ok {
+			t.Fatalf("record %d: ok=%v err=%v", i, ok, err)
 		}
-		if string(got) != fmt.Sprintf("v%d", i) {
-			t.Errorf("rid %v: got %q", rid, got)
+		if got != rid || string(raw) != fmt.Sprintf("v%d", i) {
+			t.Errorf("rid %v: got %q at %v", rid, raw, got)
 		}
+	}
+	if _, _, ok, _ := sc.Next(); ok {
+		t.Error("the reopened file holds more records than were inserted")
 	}
 }
 
@@ -326,7 +266,8 @@ func TestScannerCloseMidway(t *testing.T) {
 	}
 }
 
-// Property: insert/delete sequences preserve exactly the live set.
+// Property: a scan produces exactly the records inserted, each at the RID
+// its insert returned, whatever their sizes.
 func TestHeapPropertyLiveSet(t *testing.T) {
 	f := func(seed int64) bool {
 		dir, err := os.MkdirTemp("", "heapprop-*")
@@ -341,28 +282,13 @@ func TestHeapPropertyLiveSet(t *testing.T) {
 		defer h.Close()
 		rng := rand.New(rand.NewSource(seed))
 		live := make(map[RID]string)
-		var rids []RID
 		for i := 0; i < 300; i++ {
-			if rng.Intn(3) > 0 || len(rids) == 0 {
-				val := fmt.Sprintf("v%d-%d", seed, i)
-				rid, err := h.Insert([]byte(val))
-				if err != nil {
-					return false
-				}
-				live[rid] = val
-				rids = append(rids, rid)
-			} else {
-				k := rng.Intn(len(rids))
-				rid := rids[k]
-				rids = append(rids[:k], rids[k+1:]...)
-				if _, ok := live[rid]; !ok {
-					continue
-				}
-				if err := h.Delete(rid); err != nil {
-					return false
-				}
-				delete(live, rid)
+			val := fmt.Sprintf("v%d-%d-%s", seed, i, bytes.Repeat([]byte("x"), rng.Intn(100)))
+			rid, err := h.Insert([]byte(val))
+			if err != nil {
+				return false
 			}
+			live[rid] = val
 		}
 		// Scan must produce exactly the live set.
 		sc := h.NewScanner()

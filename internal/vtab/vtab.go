@@ -143,14 +143,9 @@ func (d *Def) DefaultSearchExp(boundIdx []int) string {
 	return strings.Join(parts, sep)
 }
 
-// BuildQuery instantiates a search expression template with term values,
-// substituting %i (printf/scanf style, Section 3).
-func BuildQuery(template string, terms []string) (string, error) {
-	q, err := appendQuery(nil, template, terms)
-	return string(q), err
-}
-
-// appendQuery appends the instantiated template to buf in one pass. A
+// appendQuery appends the search expression template instantiated with
+// term values to buf in one pass, substituting %i (printf/scanf style,
+// Section 3). A
 // marker is '%' and one digit naming a term in 1..len(terms); markers are
 // read from the template only, so a '%' inside a term value is text. Of
 // several faults the highest-numbered unbound term is reported first, then

@@ -173,12 +173,17 @@ func TestBuildQuery(t *testing.T) {
 		{"", terms, "empty search expression", true},
 		{" %3 ", []string{"a", "b", " "}, "empty search expression", true},
 	} {
-		q, err := BuildQuery(c.template, c.terms)
+		// The query is appended after a key's prefix, which a fault leaves
+		// as it was.
+		buf, err := appendQuery([]byte("AV|"), c.template, c.terms)
+		q := strings.TrimPrefix(string(buf), "AV|")
 		switch {
+		case !strings.HasPrefix(string(buf), "AV|"):
+			t.Errorf("appendQuery(%q) = %q, %v; the prefix is gone", c.template, buf, err)
 		case c.wantErr && (err == nil || !strings.Contains(err.Error(), c.want) || q != ""):
-			t.Errorf("BuildQuery(%q) = %q, %v; want an error containing %q", c.template, q, err, c.want)
+			t.Errorf("appendQuery(%q) = %q, %v; want an error containing %q", c.template, q, err, c.want)
 		case !c.wantErr && (err != nil || q != c.want):
-			t.Errorf("BuildQuery(%q) = %q, %v; want %q", c.template, q, err, c.want)
+			t.Errorf("appendQuery(%q) = %q, %v; want %q", c.template, q, err, c.want)
 		}
 	}
 }
